@@ -111,6 +111,9 @@ def cmd_optimize(args) -> int:
         )
     except ValueError as exc:
         raise CliError(f"configuration: {exc}")
+    if args.grid_out and args.grid_n < 2:
+        raise CliError(f"--grid-n: got {args.grid_n}, need at least 2",
+                       EXIT_MALFORMED)
     trace = optimize(f, x0, cfg)
     write_trace_csv(trace, args.trace_out)
     if args.grid_out:

@@ -154,13 +154,7 @@ def estimate_limit(f_values: Sequence[float]) -> tuple[float, str]:
     mags = np.abs(diffs)
     if np.any(mags == 0.0) or len(mags) < 4:
         return f_values[-1], "last_value"
-    k = np.arange(len(mags), dtype=float)
-    logs = np.log(mags)
-    slope, intercept = np.polyfit(k, logs, 1)
-    fitted = slope * k + intercept
-    ss_res = float(np.sum((logs - fitted) ** 2))
-    ss_tot = float(np.sum((logs - logs.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
+    slope, _, r2 = _linear_fit(np.arange(len(mags), dtype=float), np.log(mags))
     rho = math.exp(slope)
     if r2 >= 0.99 and rho < 1.0:
         # Remaining decrements sum to d_last * rho / (1 - rho).
@@ -233,12 +227,20 @@ def verify_certificate(
 
 
 def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """Least-squares line y = slope * x + intercept and its R^2.
+
+    A constant y has nothing to explain, so its R^2 is 0; polyfit's slope on
+    it is rounding noise, and the rounded mean can leave ss_tot tiny but
+    non-zero, so the test is on the values themselves.
+    """
     slope, intercept = np.polyfit(x, y, 1)
+    if np.all(y == y[0]):
+        return float(slope), float(intercept), 0.0
     fitted = slope * x + intercept
     ss_res = float(np.sum((y - fitted) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), float(intercept), r2
+    return float(slope), float(intercept), 1.0 - ss_res / ss_tot
+
 
 MIN_FIT_QUALITY = 0.95
 

@@ -10,7 +10,6 @@ rationals; floats appear only in evaluation.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from fractions import Fraction
 from numbers import Rational
@@ -256,31 +255,14 @@ class Polynomial:
         """Maclaurin coefficients of t -> p(base + t*d) as polynomials in d.
 
         Returns [f_0, ..., f_deg] with p(base + t*d) = sum_n f_n(d) t^n; each
-        f_n lives in n_vars direction variables.  The standard 1/n! convention
-        is implicit in the binomial expansion.
+        f_n lives in n_vars direction variables.  With q(d) = p(base + d) the
+        exact Taylor shift, p(base + t*d) = q(t*d), so f_n is the homogeneous
+        degree-n part of q.
         """
         self._check_point(base)
-        base = [_as_fraction(v) for v in base]
-        deg = self.degree()
-        out: list[dict[Exponent, Fraction]] = [{} for _ in range(deg + 1)]
-        for exps, coeff in self.terms.items():
-            # Expand prod_i (base_i + t d_i)^{e_i} term by term.
-            per_var: list[list[tuple[int, Fraction]]] = []
-            for i, e in enumerate(exps):
-                choices = []
-                for k in range(e + 1):
-                    c = Fraction(math.comb(e, k)) * base[i] ** (e - k)
-                    if c != 0:
-                        choices.append((k, c))
-                per_var.append(choices)
-            for combo in itertools.product(*per_var):
-                t_pow = sum(k for k, _ in combo)
-                c = coeff
-                for _, factor in combo:
-                    c *= factor
-                key = tuple(k for k, _ in combo)
-                bucket = out[t_pow]
-                bucket[key] = bucket.get(key, Fraction(0)) + c
+        out: list[dict[Exponent, Fraction]] = [{} for _ in range(self.degree() + 1)]
+        for exps, coeff in _shift_terms(self.terms, base).items():
+            out[sum(exps)][exps] = coeff
         return [Polynomial(self.n_vars, bucket) for bucket in out]
 
 

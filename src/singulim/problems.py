@@ -9,7 +9,7 @@ write -> read -> write round trip is byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -129,11 +129,6 @@ def _fig1_rational() -> tuple[Polynomial, Polynomial]:
     return x * y, r2 * (1 + r2)
 
 
-def _shifted(poly: Polynomial, center: tuple[int, int]) -> Polynomial:
-    """Substitute x -> x - center exactly by a Taylor shift."""
-    return poly.shift([-c for c in center])
-
-
 def build_bundled(name: str) -> ProblemFile:
     """Construct a bundled problem from scratch (also used to ship the data)."""
     if name == "fig1":
@@ -152,8 +147,9 @@ def build_bundled(name: str) -> ProblemFile:
     if name == "multi3":
         centers = ((0, 0), (3, 0), (0, 3))
         numer0, denom0 = _fig1_rational()
-        numers = [_shifted(numer0, c) for c in centers]
-        denoms = [_shifted(denom0, c) for c in centers]
+        # The copy of fig1 centred at c is p(x - c).
+        numers = [numer0.shift([-v for v in c]) for c in centers]
+        denoms = [denom0.shift([-v for v in c]) for c in centers]
         # Sum of the three shifted copies over the common denominator.
         denom = denoms[0] * denoms[1] * denoms[2]
         numer = Polynomial.zero(2)

@@ -213,7 +213,7 @@ class TestCli:
         assert code == 1
         assert "unsafe" in capsys.readouterr().err
 
-    def test_grid_emission(self, workdir):
+    def test_grid_emission(self, workdir, capsys):
         grid = workdir / "grid.csv"
         code = main([
             "optimize", "--problem", str(workdir / "fig1.problem"),
@@ -227,3 +227,15 @@ class TestCli:
         assert len(lines) == 26
         center = [l for l in lines[1:] if l.startswith("0,0,")]
         assert center and math.isnan(float(center[0].split(",")[2]))
+        for n in ("1", "0"):
+            trace_out = workdir / f"g{n}.trace.csv"
+            code = main([
+                "optimize", "--problem", str(workdir / "fig1.problem"),
+                "--x0", "2,-0.1", "--max-iters", "50",
+                "--trace-out", str(trace_out),
+                "--grid-out", str(workdir / f"grid{n}.csv"), "--grid-n", n,
+            ])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert "--grid-n" in err and "Traceback" not in err
+            assert not trace_out.exists()

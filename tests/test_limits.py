@@ -130,6 +130,13 @@ class TestEstimateLimit:
         assert method == "last_value"
         assert limit == values[-1]
 
+    def test_constant_decrements_fall_back_to_last_value(self):
+        # Every log-decrement is log(1/4) exactly: no contraction to fit.
+        values = [1.0 - 0.25 * k for k in range(30)]
+        limit, method = estimate_limit(values)
+        assert method == "last_value"
+        assert limit == values[-1]
+
 
 class TestLojasiewiczProbe:
     def test_halving_trace_certificate_constants(self):
@@ -215,6 +222,15 @@ class TestRateClassify:
         trace = self._trace_with_radii([0.1 * (k + 1) for k in range(20)])
         est = rate_classify(trace, (0.0,), 0)
         assert est.regime == "inconclusive"
+
+    @pytest.mark.parametrize("n_iterates", range(5, 13))
+    def test_stuck_after_one_move_not_sublinear(self, n_iterates):
+        # One move, then the distance to x* stays 0.5: log r against log k is
+        # constant, which fits no power law.
+        points = [(1.0, 0.0)] + [(0.5, 0.0)] * (n_iterates - 1)
+        trace = trace_from_points(_pinch(), points)
+        est = rate_classify(trace, (0, 0), 0)
+        assert est.regime != "sublinear"
 
     def test_short_tail_inconclusive(self):
         trace = self._trace_with_radii([1.0, 0.5])

@@ -162,7 +162,8 @@ class TestCalculus:
 
 class TestComposeLine:
     @settings(max_examples=40, deadline=None)
-    @given(polynomials(n_vars=2), st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+    @given(polynomials(n_vars=2),
+           st.tuples(*[st.fractions(min_value=-4, max_value=4, max_denominator=6)] * 2),
            st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
            st.fractions(min_value=-2, max_value=2, max_denominator=8))
     def test_line_composition_consistency(self, p, base, d, t):
