@@ -7,8 +7,12 @@ multilinear parameterization tau and target tensor T,
     f_hat(x) = || <tau(x), T> / ||tau(x)||^2 * tau(x) - T ||^2
              = ||T||^2 - <tau(x), T>^2 / ||tau(x)||^2,
 
-built symbolically as a rational function with denominator ||tau(x)||^4 so
+stored symbolically as a rational function with denominator ||tau(x)||^4 so
 the homogeneity and boundedness claims are checkable as polynomial facts.
+It is evaluated, in float and exactly, in the reduced form r/G with
+I = <tau, T>, G = ||tau||^2 and r = ||T||^2 G - I^2: far fewer terms, and the
+domain test (DENOM_FLOOR) applies to G, not to G^2, so f_hat's value neither
+underflows nor overflows where G^2 would.
 """
 
 from __future__ import annotations
@@ -170,7 +174,8 @@ def build_cp_objective(
     """Construct f_hat = ||T||^2 - <tau, T>^2 / ||tau||^2 symbolically.
 
     Stored over the common denominator ||tau||^4 so that the denominator
-    structure is a checkable polynomial identity.
+    structure is a checkable polynomial identity; evaluated as r/G (module
+    docstring), from which the stored form is multiplied out.
     """
     target = np.asarray(target, dtype=float)
     if target.shape != model.dims:
@@ -184,21 +189,25 @@ def build_cp_objective(
         )
     inner, gram = _inner_and_gram_polys(model, target)
     t_sq = Fraction(float(np.sum(np.square(target))))
-    denom = gram * gram
-    numer = denom.scale(t_sq) - inner * inner * gram
-    return HomogenizedObjective(model, RationalFunction(numer, denom), float(t_sq))
+    reduced = gram.scale(t_sq) - inner * inner
+    f_hat = RationalFunction.with_common_factor(reduced, gram, gram)
+    return HomogenizedObjective(model, f_hat, float(t_sq))
+
+
+def _radial(grad: Sequence[float], x: Sequence[float]) -> float:
+    return math.fsum(g * xi for g, xi in zip(grad, x))
 
 
 def euler_check(obj: HomogenizedObjective, x: Sequence[float]) -> float:
     """Radial derivative <grad f_hat(x), x>; zero for a degree-0 objective."""
     _, grad = obj.eval_and_grad(x)
-    return math.fsum(g * xi for g, xi in zip(grad, x))
+    return _radial(grad, x)
 
 
 def euler_residual_ok(obj: HomogenizedObjective, x: Sequence[float],
                       tol: float = EULER_TOL) -> bool:
-    value = euler_check(obj, x)
     _, grad = obj.eval_and_grad(x)
+    value = _radial(grad, x)
     gnorm = math.sqrt(math.fsum(g * g for g in grad))
     xnorm = math.sqrt(math.fsum(float(v) ** 2 for v in x))
     return abs(value) <= tol * (1.0 + gnorm * xnorm)

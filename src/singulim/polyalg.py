@@ -21,8 +21,9 @@ Exponent = tuple[int, ...]
 # (variable, power) pairs.
 Compiled = list[tuple[float, tuple[tuple[int, int], ...]]]
 
-# Evaluation treats |denominator| below this as a domain violation; the
-# optimizer's stopping rules keep iterates off the singular set itself.
+# Evaluation treats |denominator| below this as a domain violation (the
+# denominator of RationalFunction's evaluation pair); the optimizer's stopping
+# rules keep iterates off the singular set itself.
 DENOM_FLOOR = 1e-300
 
 
@@ -374,6 +375,13 @@ class RationalFunction:
     The domain is implicitly the set where the denominator does not vanish;
     evaluation below DENOM_FLOOR raises DomainViolation.
 
+    numer and denom are the stored form: the one __eq__, problem files and
+    the symbolic analysis see.  Evaluation, float and exact, divides an
+    evaluation pair instead.  It is (numer, denom) unless the function was
+    built by with_common_factor(p, q, h), which stores p*h over q*h and
+    evaluates p/q: fewer terms, no cancellation of h, and DENOM_FLOOR tested
+    on q rather than on q*h.
+
     Float evaluation of p and q as stored, an expansion about the origin,
     loses accuracy far from it, where the terms cancel.  singular_points
     declares the points where accuracy matters.  A point nearer to a declared
@@ -384,7 +392,7 @@ class RationalFunction:
     use.
     """
 
-    __slots__ = ("numer", "denom", "_origin", "_centres", "_charts")
+    __slots__ = ("numer", "denom", "_eval_pair", "_origin", "_centres", "_charts")
 
     def __init__(
         self, numer: Polynomial, denom: Polynomial, singular_points: Iterable = ()
@@ -395,6 +403,7 @@ class RationalFunction:
             raise ValueError("denominator is identically zero")
         self.numer = numer
         self.denom = denom
+        self._eval_pair = (numer, denom)
         self._origin = (0.0,) * numer.n_vars
         centres = [self._origin]
         for point in singular_points:
@@ -409,6 +418,19 @@ class RationalFunction:
         # None when the origin's chart, p/q as stored, serves every point.
         self._centres = tuple(centres) if len(centres) > 1 else None
         self._charts: dict[tuple[float, ...], _Chart] = {}
+
+    @classmethod
+    def with_common_factor(
+        cls, p: Polynomial, q: Polynomial, h: Polynomial
+    ) -> "RationalFunction":
+        """(p*h)/(q*h) as stored, evaluated as p/q.
+
+        The stored form is multiplied out here, so it equals p/q by
+        construction; h must not vanish on the domain of p/q.
+        """
+        f = cls(p * h, q * h)
+        f._eval_pair = (p, q)
+        return f
 
     @property
     def n_vars(self) -> int:
@@ -426,13 +448,14 @@ class RationalFunction:
             centre = min(self._centres, key=functools.partial(math.dist, coords))
         chart = self._charts.get(centre)
         if chart is None:
+            p, q = self._eval_pair
             if centre is self._origin:
-                chart = _Chart(self.n_vars, self.numer.terms, self.denom.terms)
+                chart = _Chart(self.n_vars, p.terms, q.terms)
             else:
                 chart = _Chart(
                     self.n_vars,
-                    _shift_terms(self.numer.terms, centre),
-                    _shift_terms(self.denom.terms, centre),
+                    _shift_terms(p.terms, centre),
+                    _shift_terms(q.terms, centre),
                 )
             self._charts[centre] = chart
         if centre is not self._origin:
@@ -448,10 +471,11 @@ class RationalFunction:
         return _eval_compiled(chart.numer, powers) / q
 
     def eval_exact(self, x: Sequence) -> Fraction:
-        q = self.denom.eval_exact(x)
-        if q == 0:
+        p, q = self._eval_pair
+        q_value = q.eval_exact(x)
+        if q_value == 0:
             raise DomainViolation([float(v) for v in x], 0.0)
-        return self.numer.eval_exact(x) / q
+        return p.eval_exact(x) / q_value
 
     def eval_and_grad(self, x: Sequence[float]) -> tuple[float, list[float]]:
         """Value and gradient via grad(p/q) = (q grad p - p grad q) / q^2."""

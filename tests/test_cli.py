@@ -7,6 +7,7 @@ import pytest
 
 from singulim.cli import main
 from singulim.descent import check_conditions, read_trace_csv, trace_from_points
+from singulim.polyalg import Polynomial
 from singulim.problems import (
     ProblemFormatError,
     build_bundled,
@@ -148,6 +149,13 @@ class TestCli:
         problem = load_problem(out_problem)
         assert problem.n_vars == 4
         assert problem.rational().eval((1.0, 0.0, 1.0, 0.0)) == pytest.approx(0.0)
+        # tau = a (x) b with x = (a0, a1, b0, b1): I = a0 b0, ||T||^2 = 1, so
+        # numer = G^2 - I^2 G over denom = G^2.
+        a0, a1, b0, b1 = (Polynomial.variable(4, i) for i in range(4))
+        inner = a0 * b0
+        gram = (a0 * a0 + a1 * a1) * (b0 * b0 + b1 * b1)
+        assert problem.numer == gram * gram - inner * inner * gram
+        assert problem.denom == gram * gram
 
     def test_determinism_same_bytes(self, workdir):
         t1 = workdir / "det1.csv"
@@ -197,7 +205,6 @@ class TestCli:
     def test_unsafe_direction_exit_1(self, workdir, capsys):
         # f = x^3 / (x^2 (1 + x^2 + y^2)): leading pencil is d1^2, so the
         # direction (0, 1) lies outside the safe set.
-        from singulim.polyalg import Polynomial
         from singulim.problems import ProblemFile
 
         x = Polynomial.variable(2, 0)

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,11 +19,25 @@ from singulim.homog import (
     normalize,
     normalized_a1_check,
 )
+from singulim.polyalg import DomainViolation, Polynomial, RationalFunction
 
 
 def _rank1_2x2(target):
     model = CPModel((2, 2), 1)
     return model, build_cp_objective(model, target)
+
+
+def _rank1_2x2_polys(target):
+    """I = <tau, T> and G = ||tau||^2 for tau = a (x) b, x = (a0, a1, b0, b1),
+    built from the outer product directly rather than by the CP builder."""
+    a0, a1, b0, b1 = (Polynomial.variable(4, i) for i in range(4))
+    a, b = (a0, a1), (b0, b1)
+    inner = sum(
+        (a[i] * b[j]).scale(Fraction(target[i][j]))
+        for i in range(2) for j in range(2)
+    )
+    gram = (a0 * a0 + a1 * a1) * (b0 * b0 + b1 * b1)
+    return inner, gram
 
 
 def _power_iteration_sigma1(matrix, iters=200):
@@ -146,6 +161,23 @@ class TestBuildCPObjective:
             value = obj.eval(x)
             assert -1e-9 <= value <= obj.target_norm_sq + 1e-9
 
+    def test_extreme_scales_keep_value(self):
+        """Criterion 9's target: G^2 under- and overflows at these scales, G does not."""
+        rng = random.Random(43)
+        model = CPModel((2, 2, 2), 2)
+        target = np.array(
+            [[[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)]
+             for _ in range(2)], dtype=float)
+        target[0, 0, 0] = target[0, 0, 0] or 1.0
+        obj = build_cp_objective(model, target)
+        for _ in range(20):
+            x = [rng.gauss(0.0, 1.0) for _ in range(model.n_params)]
+            fx = obj.eval(x)
+            for c in (1e-30, 1e30):
+                assert abs(obj.eval([c * v for v in x]) - fx) <= 1e-10 * (1 + abs(fx))
+        with pytest.raises(DomainViolation):
+            obj.eval([0.0] * model.n_params)
+
     def test_shape_mismatch_rejected(self):
         model = CPModel((2, 2), 1)
         with pytest.raises(ValueError):
@@ -155,6 +187,39 @@ class TestBuildCPObjective:
         model = CPModel((3, 3, 3), 2)  # 18 params > 12 budget
         with pytest.raises(ValueError):
             build_cp_objective(model, np.zeros((3, 3, 3)))
+
+
+class TestExactAgreement:
+    TARGET = [[1.0, -0.75], [0.5, 3.0]]
+
+    def test_reduced_form_equals_stored_form(self):
+        _, obj = _rank1_2x2(self.TARGET)
+        inner, gram = _rank1_2x2_polys(self.TARGET)
+        t_sq = sum(Fraction(v) ** 2 for row in self.TARGET for v in row)
+        assert obj.f_hat == RationalFunction(gram.scale(t_sq) - inner * inner, gram)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 10 ** 9))
+    def test_float_matches_exact(self, seed):
+        _, obj = _rank1_2x2(self.TARGET)
+        numer, denom = obj.f_hat.numer, obj.f_hat.denom
+        rng = random.Random(seed)
+        x = [rng.gauss(0.0, 1.0) for _ in range(4)]
+        exact = obj.f_hat.eval_exact(x)
+        assert exact == numer.eval_exact(x) / denom.eval_exact(x)
+        value, grad = obj.eval_and_grad(x)
+        assert obj.eval(x) == value
+        assert abs(value - exact) <= 1e-12 * (1 + abs(exact))
+        # grad(p/q) = (q grad p - p grad q) / q^2 of the stored G^2 form.
+        p, q = numer.eval_exact(x), denom.eval_exact(x)
+        exact_grad = [
+            (q * numer.partial(i).eval_exact(x) - p * denom.partial(i).eval_exact(x))
+            / (q * q)
+            for i in range(4)
+        ]
+        scale = 1 + math.sqrt(sum(float(g) ** 2 for g in exact_grad))
+        for g, e in zip(grad, exact_grad):
+            assert abs(g - e) <= 1e-12 * scale
 
 
 class TestEulerIdentity:

@@ -279,6 +279,18 @@ class TestRationalFunction:
         b = RationalFunction(Polynomial.constant(1, 1), x)  # 1 / x
         assert a == b
 
+    def test_common_factor_stored_and_cancelled_in_evaluation(self):
+        x, y = _vars()
+        r2 = x * x + y * y
+        f = RationalFunction.with_common_factor(x * y, r2, r2)
+        assert f.numer == x * y * r2 and f.denom == r2 * r2
+        assert f == RationalFunction(x * y, r2)
+        assert f.eval_exact((1, 2)) == Fraction(2, 5)
+        # r2^2 underflows below DENOM_FLOOR here, r2 does not.
+        assert f.eval((1e-100, 2e-100)) == pytest.approx(0.4, rel=1e-15)
+        with pytest.raises(DomainViolation):
+            f.eval((0.0, 0.0))
+
     def test_gradient_matches_finite_differences(self):
         x, y = _vars()
         r2 = x * x + y * y
