@@ -19,6 +19,7 @@ essential singularity of fig1 only as ||x_k|| ~ k^(-1/2).
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -29,6 +30,7 @@ STOP_GRAD_TOL = "grad_tol"
 STOP_F_STATIONARY = "f_stationary"
 STOP_MAX_ITERS = "max_iters"
 STOP_DOMAIN_VIOLATION = "domain_violation"
+STOP_REASONS = (STOP_GRAD_TOL, STOP_F_STATIONARY, STOP_MAX_ITERS, STOP_DOMAIN_VIOLATION)
 
 MAX_BACKTRACKS = 60
 
@@ -257,11 +259,16 @@ def check_conditions(trace: DescentTrace, tail_start: int) -> ConditionReport:
 
 # -- trace persistence -----------------------------------------------------
 
+def _meta_path(path) -> str:
+    return f"{path}.meta.json"
+
+
 def write_trace_csv(trace: DescentTrace, path) -> None:
     """Write a trace as CSV with 17-significant-digit decimals.
 
     Columns: k, x_1..x_n, f, grad_norm, step_norm, alpha.  The trailing step
-    fields of the final row are left empty.
+    fields of the final row are left empty.  The stop reason goes to the
+    sidecar file <path>.meta.json.
     """
     n = len(trace.iterates[0])
     fmt = lambda v: f"{v:.17g}"
@@ -281,10 +288,17 @@ def write_trace_csv(trace: DescentTrace, path) -> None:
             else:
                 row += ["", ""]
             writer.writerow(row)
+    with open(_meta_path(path), "w") as handle:
+        json.dump({"stop_reason": trace.stop_reason}, handle)
+        handle.write("\n")
 
 
 def read_trace_csv(path, stop_reason: str = STOP_MAX_ITERS) -> DescentTrace:
-    """Re-ingest a trace CSV written by write_trace_csv."""
+    """Re-ingest a trace CSV written by write_trace_csv.
+
+    The stop reason comes from the sidecar <path>.meta.json; stop_reason is
+    used for a trace that has none.
+    """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -306,6 +320,16 @@ def read_trace_csv(path, stop_reason: str = STOP_MAX_ITERS) -> DescentTrace:
                 alphas.append(float(row[4 + n]))
     if not iterates:
         raise ValueError(f"{path}: empty trace")
+    meta_path = _meta_path(path)
+    try:
+        with open(meta_path) as handle:
+            meta = json.load(handle)
+    except FileNotFoundError:
+        pass
+    else:
+        if not isinstance(meta, dict) or meta.get("stop_reason") not in STOP_REASONS:
+            raise ValueError(f"{meta_path}: no valid stop_reason")
+        stop_reason = meta["stop_reason"]
     return DescentTrace(
         tuple(iterates),
         tuple(f_values),

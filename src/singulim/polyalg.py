@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Mapping, Sequence
@@ -20,6 +21,9 @@ Exponent = tuple[int, ...]
 # Float form of a polynomial: per term, the coefficient and the nonzero
 # (variable, power) pairs.
 Compiled = list[tuple[float, tuple[tuple[int, int], ...]]]
+# Terms per statement of generated code: compile() recurses once per operator
+# of an expression and overflows the C stack on sums of a few thousand terms.
+TERMS_PER_STATEMENT = 200
 
 # Evaluation treats |denominator| below this as a domain violation (the
 # denominator of RationalFunction's evaluation pair); the optimizer's stopping
@@ -57,7 +61,7 @@ def _as_fraction(value) -> Fraction:
 class Polynomial:
     """Sparse multivariate polynomial with exact rational coefficients."""
 
-    __slots__ = ("n_vars", "terms", "_compiled")
+    __slots__ = ("n_vars", "terms", "_evaluator")
 
     def __init__(self, n_vars: int, terms: Mapping[Exponent, Fraction] | None = None):
         if n_vars < 0:
@@ -77,7 +81,7 @@ class Polynomial:
                 if coeff != 0:
                     canonical[exps] = coeff
         self.terms = canonical
-        self._compiled: Compiled | None = None
+        self._evaluator: _Evaluator | None = None
 
     # -- constructors ------------------------------------------------------
 
@@ -218,19 +222,13 @@ class Polynomial:
                 f"point has {len(x)} coordinates, polynomial has {self.n_vars} vars"
             )
 
-    def _compile(self) -> Compiled:
-        if self._compiled is None:
-            self._compiled = _compile_terms(self.terms)
-        return self._compiled
-
     def eval_float(self, x: Sequence[float]) -> float:
-        """Floating-point evaluation with per-variable power caching."""
+        """Floating-point evaluation, summing the terms in dict order."""
         self._check_point(x)
-        if not self.terms:
-            return 0.0
-        max_deg = _max_degrees(self.n_vars, [self.terms])
-        powers = _power_table([float(v) for v in x], max_deg)
-        return _eval_compiled(self._compile(), powers)
+        if self._evaluator is None:
+            self._evaluator = _Evaluator(self.n_vars, [self.terms], with_partials=False)
+        (value,), _ = self._evaluator([float(v) for v in x], False)
+        return value
 
     def eval_exact(self, x: Sequence) -> Fraction:
         """Exact evaluation at a point with rational coordinates."""
@@ -354,19 +352,98 @@ def _power_table(coords: Sequence[float], max_deg: Sequence[int]) -> list[list[f
     return table
 
 
-class _Chart:
-    """Compiled float form of p/q and of its gradient in one frame of coordinates."""
+def _power_name(index: int, power: int) -> str:
+    return f"x{index}" if power == 1 else f"x{index}_{power}"
 
-    __slots__ = ("numer", "denom", "grad_numer", "grad_denom", "max_deg")
 
-    def __init__(self, n_vars: int, numer_terms: Mapping, denom_terms: Mapping):
-        numer_terms = {e: _integral(c) for e, c in numer_terms.items()}
-        denom_terms = {e: _integral(c) for e, c in denom_terms.items()}
-        self.numer = _compile_terms(numer_terms)
-        self.denom = _compile_terms(denom_terms)
-        self.grad_numer = [_compile_partial(numer_terms, i) for i in range(n_vars)]
-        self.grad_denom = [_compile_partial(denom_terms, i) for i in range(n_vars)]
-        self.max_deg = _max_degrees(n_vars, [numer_terms, denom_terms])
+def _tuple_source(items: Sequence[str]) -> str:
+    return "(" + "".join(f"{item}, " for item in items) + ")"
+
+
+def _sum_source(name: str, compiled: Compiled) -> list[str]:
+    """Statements that leave _eval_compiled(compiled, powers) in name.
+
+    Same products, left to right from the coefficient, and the same sum, left
+    to right from 0.0, so the value has the same bits.
+    """
+    terms = [
+        "*".join([repr(coeff)] + [_power_name(i, e) for i, e in pairs])
+        for coeff, pairs in compiled
+    ]
+    lines = [f"    {name} = 0.0"]
+    for start in range(0, len(terms), TERMS_PER_STATEMENT):
+        chunk = terms[start:start + TERMS_PER_STATEMENT]
+        lines.append(f"    {name} = {name} + " + " + ".join(chunk))
+    return lines
+
+
+class _Evaluator:
+    """Float values, and on request first partials, of polynomials at a point.
+
+    Called as evaluator(coords, grad), it returns (values, partials): one
+    value per polynomial, and when grad is set one row of partials per
+    polynomial (none without with_partials), else None.  The first call runs
+    the term loops (_power_table and _eval_compiled).  The second generates
+    one straight-line function that forms the same powers, products and sums
+    in the same order, so every call returns the same bits, and later calls
+    run it.  Generating costs about a hundred looped evaluations, which a
+    polynomial evaluated once never pays back.
+    """
+
+    __slots__ = ("values", "partials", "max_deg", "_used", "_fn")
+
+    def __init__(
+        self, n_vars: int, term_maps: Sequence[Mapping], with_partials: bool = True
+    ):
+        term_maps = [{e: _integral(c) for e, c in t.items()} for t in term_maps]
+        self.values = [_compile_terms(t) for t in term_maps]
+        self.partials = [
+            [_compile_partial(t, i) for i in range(n_vars)] for t in term_maps
+        ] if with_partials else []
+        self.max_deg = _max_degrees(n_vars, term_maps)
+        self._used = False
+        self._fn = None
+
+    def __call__(self, coords: Sequence[float], grad: bool):
+        fn = self._fn
+        if fn is None:
+            if not self._used:
+                self._used = True
+                return self.loop(coords, grad)
+            fn = self._fn = self.generate()
+        return fn(*coords, grad)
+
+    def loop(self, coords: Sequence[float], grad: bool):
+        """The reference evaluation: term by term from a power table."""
+        powers = _power_table(coords, self.max_deg)
+        values = tuple(_eval_compiled(c, powers) for c in self.values)
+        if not grad:
+            return values, None
+        return values, tuple(
+            tuple(_eval_compiled(c, powers) for c in row) for row in self.partials
+        )
+
+    def generate(self):
+        """loop as one straight-line function of (x0, ..., x_{n-1}, grad)."""
+        n_vars = len(self.max_deg)
+        lines = ["def chart(" + "".join(f"x{i}, " for i in range(n_vars)) + "grad):"]
+        for i, top in enumerate(self.max_deg):
+            for e in range(2, top + 1):
+                lines.append(f"    {_power_name(i, e)} = {_power_name(i, e - 1)} * x{i}")
+        values = [f"v{k}" for k in range(len(self.values))]
+        for name, compiled in zip(values, self.values):
+            lines += _sum_source(name, compiled)
+        lines += ["    if not grad:", f"        return {_tuple_source(values)}, None"]
+        rows = []
+        for k, row in enumerate(self.partials):
+            names = [f"g{k}_{i}" for i in range(n_vars)]
+            for name, compiled in zip(names, row):
+                lines += _sum_source(name, compiled)
+            rows.append(_tuple_source(names))
+        lines.append(f"    return {_tuple_source(values)}, {_tuple_source(rows)}")
+        namespace: dict = {}
+        exec(compile("\n".join(lines), "<polyalg chart>", "exec"), namespace)
+        return namespace["chart"]
 
 
 class RationalFunction:
@@ -389,7 +466,8 @@ class RationalFunction:
     evaluated in the local chart p(c + d)/q(c + d) at d = x - c.  The chart
     is centred at the float nearest c, so x - c is exact near c (Sterbenz),
     and its coefficients are exact Taylor shifts of p and q, built on first
-    use.
+    use.  Each chart is an _Evaluator: looped on its first call, straight-line
+    code from its second, with the same bits.
     """
 
     __slots__ = ("numer", "denom", "_eval_pair", "_origin", "_centres", "_charts")
@@ -417,7 +495,7 @@ class RationalFunction:
                 centres.append(centre)
         # None when the origin's chart, p/q as stored, serves every point.
         self._centres = tuple(centres) if len(centres) > 1 else None
-        self._charts: dict[tuple[float, ...], _Chart] = {}
+        self._charts: dict[tuple[float, ...], _Evaluator] = {}
 
     @classmethod
     def with_common_factor(
@@ -436,8 +514,12 @@ class RationalFunction:
     def n_vars(self) -> int:
         return self.numer.n_vars
 
-    def _local(self, x: Sequence[float]) -> tuple[_Chart, list[float]]:
-        """The chart that evaluates x, and x in that chart's coordinates."""
+    def _local(self, x: Sequence[float]) -> tuple[_Evaluator, list[float]]:
+        """The chart that evaluates x, and x in that chart's coordinates.
+
+        A chart is the evaluator of (p, q), the evaluation pair shifted to
+        the chart's centre.
+        """
         if len(x) != self.n_vars:
             raise DimensionError(
                 f"point has {len(x)} coordinates, function has {self.n_vars} vars"
@@ -450,25 +532,20 @@ class RationalFunction:
         if chart is None:
             p, q = self._eval_pair
             if centre is self._origin:
-                chart = _Chart(self.n_vars, p.terms, q.terms)
+                pair = [p.terms, q.terms]
             else:
-                chart = _Chart(
-                    self.n_vars,
-                    _shift_terms(p.terms, centre),
-                    _shift_terms(q.terms, centre),
-                )
-            self._charts[centre] = chart
+                pair = [_shift_terms(p.terms, centre), _shift_terms(q.terms, centre)]
+            chart = self._charts[centre] = _Evaluator(self.n_vars, pair)
         if centre is not self._origin:
             coords = [a - b for a, b in zip(coords, centre)]
         return chart, coords
 
     def eval(self, x: Sequence[float]) -> float:
         chart, coords = self._local(x)
-        powers = _power_table(coords, chart.max_deg)
-        q = _eval_compiled(chart.denom, powers)
+        (p, q), _ = chart(coords, False)
         if abs(q) < DENOM_FLOOR:
             raise DomainViolation(x, q)
-        return _eval_compiled(chart.numer, powers) / q
+        return p / q
 
     def eval_exact(self, x: Sequence) -> Fraction:
         p, q = self._eval_pair
@@ -478,18 +555,22 @@ class RationalFunction:
         return p.eval_exact(x) / q_value
 
     def eval_and_grad(self, x: Sequence[float]) -> tuple[float, list[float]]:
-        """Value and gradient via grad(p/q) = (q grad p - p grad q) / q^2."""
+        """Value and gradient via grad(p/q) = (q grad p - p grad q) / q^2.
+
+        Where q^2 is zero, subnormal or infinite although q is not, the
+        gradient is formed as (grad p - f grad q) / q instead.
+        """
         chart, coords = self._local(x)
-        powers = _power_table(coords, chart.max_deg)
-        q = _eval_compiled(chart.denom, powers)
+        (p, q), (grad_p, grad_q) = chart(coords, True)
         if abs(q) < DENOM_FLOOR:
             raise DomainViolation(x, q)
-        p = _eval_compiled(chart.numer, powers)
-        grad = [
-            (q * _eval_compiled(gp, powers) - p * _eval_compiled(gq, powers)) / (q * q)
-            for gp, gq in zip(chart.grad_numer, chart.grad_denom)
-        ]
-        return p / q, grad
+        f = p / q
+        q_sq = q * q
+        if sys.float_info.min <= q_sq < math.inf:
+            grad = [(q * a - p * b) / q_sq for a, b in zip(grad_p, grad_q)]
+        else:
+            grad = [(a - f * b) / q for a, b in zip(grad_p, grad_q)]
+        return f, grad
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalFunction):

@@ -127,6 +127,18 @@ class TestCli:
         assert report["conditions"]["kappa_hat"] == expected.kappa_hat
         assert report["direction_trail"]["safe_approach"] is True
 
+    def test_diagnose_reports_the_runs_stop_reason(self, workdir, capsys):
+        problem = str(workdir / "counterex.problem")
+        trace_path = workdir / "counterex.trace.csv"
+        assert main(["optimize", "--problem", problem, "--x0", "1,0.5",
+                     "--trace-out", str(trace_path)]) == 0
+        printed = capsys.readouterr().out.split("stop_reason: ")[1].split()[0]
+        assert printed != "max_iters"  # the reader's fallback
+        assert main(["diagnose", "--trace", str(trace_path),
+                     "--problem", problem]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["stop_reason"] == printed
+
     def test_series_prints_coefficients(self, workdir, capsys):
         code = main([
             "series", "--problem", str(workdir / "fig1.problem"),

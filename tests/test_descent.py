@@ -191,6 +191,15 @@ class TestTracePersistence:
         with pytest.raises(ValueError):
             read_trace_csv(path)
 
+    def test_malformed_sidecar_rejected(self, tmp_path):
+        trace = optimize(_pinch(), (2.0, -0.1), DescentConfig(max_iters=5))
+        path = tmp_path / "run.trace.csv"
+        write_trace_csv(trace, path)
+        for text in ("{not json", '{"stop_reason": "done"}', "[]"):
+            (tmp_path / "run.trace.csv.meta.json").write_text(text)
+            with pytest.raises(ValueError):
+                read_trace_csv(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

@@ -178,6 +178,25 @@ class TestBuildCPObjective:
         with pytest.raises(DomainViolation):
             obj.eval([0.0] * model.n_params)
 
+    def test_extreme_scales_keep_gradient(self):
+        """Degree-0 homogeneity: grad f(c x) = grad f(x) / c, where G^2 under-
+        and overflows although G does not."""
+        rng = random.Random(43)
+        model = CPModel((2, 2, 2), 2)
+        target = np.array(
+            [[[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)]
+             for _ in range(2)], dtype=float)
+        target[0, 0, 0] = target[0, 0, 0] or 1.0
+        obj = build_cp_objective(model, target)
+        for _ in range(20):
+            x = [rng.gauss(0.0, 1.0) for _ in range(model.n_params)]
+            _, grad = obj.eval_and_grad(x)
+            scale = 1 + math.hypot(*grad)
+            for c in (1e-30, 1e30):
+                _, grad_c = obj.eval_and_grad([c * v for v in x])
+                for g, g_c in zip(grad, grad_c):
+                    assert abs(c * g_c - g) <= 1e-12 * scale
+
     def test_shape_mismatch_rejected(self):
         model = CPModel((2, 2), 1)
         with pytest.raises(ValueError):

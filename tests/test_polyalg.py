@@ -1,6 +1,7 @@
 """Exact polynomial/rational algebra: ring laws, calculus, evaluation."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from singulim.polyalg import (
     Polynomial,
     RationalFunction,
 )
+from singulim.homog import CPModel, build_cp_objective
 from singulim.problems import BUNDLED_NAMES, load_bundled
 
 N_VARS = 3
@@ -235,6 +237,120 @@ class TestLocalCharts:
         with pytest.raises(DomainViolation) as err:
             f.eval((3.0, 0.0))
         assert err.value.point == (3.0, 0.0)
+
+
+def _hex(values):
+    """Nested values as float.hex strings, so equality means equal bits."""
+    if values is None:
+        return None
+    if isinstance(values, float):
+        return values.hex()
+    return [_hex(v) for v in values]
+
+
+def _cp_f_hat():
+    rng = random.Random(43)
+    target = [[[rng.gauss(0.0, 1.0) for _ in range(2)] for _ in range(2)]
+              for _ in range(2)]
+    return build_cp_objective(CPModel((2, 2, 2), 2), target).f_hat
+
+
+def _bundled(name):
+    return lambda: load_bundled(name).rational()
+
+
+# (label, function factory, chart centre); multi3 has one chart per centre.
+CHARTS = [
+    ("fig1", _bundled("fig1"), (0.0, 0.0)),
+    ("counterex", _bundled("counterex"), (0.0, 0.0)),
+    ("multi3@(0,0)", _bundled("multi3"), (0.0, 0.0)),
+    ("multi3@(3,0)", _bundled("multi3"), (3.0, 0.0)),
+    ("multi3@(0,3)", _bundled("multi3"), (0.0, 3.0)),
+    ("cp_f_hat", _cp_f_hat, (0.0,) * 12),
+]
+
+
+def _points_near(centre, seed):
+    """Points at distance 1e-1 ... 1e-6 from centre, a few per distance."""
+    rng = random.Random(seed)
+    points = []
+    for k in range(1, 7):
+        for _ in range(4):
+            u = [rng.gauss(0.0, 1.0) for _ in centre]
+            norm = math.hypot(*u)
+            points.append(tuple(c + 10.0 ** -k * v / norm for c, v in zip(centre, u)))
+    return points
+
+
+class TestEvaluator:
+    """Straight-line code from the second call on has the loop's bits."""
+
+    @pytest.mark.parametrize("label, make, centre", CHARTS,
+                             ids=[c[0] for c in CHARTS])
+    def test_first_and_later_calls_agree(self, label, make, centre):
+        points = _points_near(centre, label)
+        for method in ("eval", "eval_and_grad"):
+            f = make()
+            first = getattr(f, method)(points[0])  # looped
+            for _ in range(2):  # compiled, then reused
+                assert _hex(getattr(f, method)(points[0])) == _hex(first)
+        chart, _ = f._local(points[0])
+        assert chart._fn is not None
+        for x in points:
+            _, coords = f._local(x)
+            for grad in (False, True):
+                assert _hex(chart(coords, grad)) == _hex(chart.loop(coords, grad)), x
+        for poly in f._eval_pair:
+            fresh = Polynomial(poly.n_vars, poly.terms)
+            values = [fresh.eval_float(x) for x in points[:1] + points]
+            assert values[0].hex() == values[1].hex()
+            assert fresh._evaluator._fn is not None
+            for x, value in zip(points, values[1:]):
+                (looped,), _ = fresh._evaluator.loop([float(v) for v in x], False)
+                assert value.hex() == looped.hex(), x
+
+    @pytest.mark.parametrize("method", ["eval", "eval_and_grad"])
+    @pytest.mark.parametrize("label, make, centre", CHARTS[:5],
+                             ids=[c[0] for c in CHARTS[:5]])
+    def test_domain_violation_same_on_every_call(self, label, make, centre, method):
+        evaluate = getattr(make(), method)
+        raised = []
+        for _ in range(3):
+            with pytest.raises(DomainViolation) as err:
+                evaluate(centre)
+            raised.append((err.value.point, err.value.denom_value.hex()))
+        assert raised[0] == raised[1] == raised[2]
+
+    def test_ten_thousand_terms_compile_and_match(self):
+        """One sum longer than compile() can nest: the chunking guards it."""
+        rng = random.Random(7)
+        terms = {(i, j): Fraction(rng.randint(-99, 99) or 1, rng.randint(1, 9))
+                 for i in range(141) for j in range(141 - i)}
+        assert len(terms) >= 10_000
+        x, y = _vars()
+        f = RationalFunction(Polynomial(2, terms), 1 + x * x + y * y)
+        self._assert_generated_matches_loop(f, rng)
+
+    def test_twelve_variables_compile_and_match(self):
+        rng = random.Random(12)
+        terms = {tuple(rng.randint(0, 3) for _ in range(12)): rng.randint(-9, 9) or 1
+                 for _ in range(2000)}
+        xs = [Polynomial.variable(12, i) for i in range(12)]
+        f = RationalFunction(Polynomial(12, terms), 1 + sum(v * v for v in xs))
+        self._assert_generated_matches_loop(f, rng)
+
+    @staticmethod
+    def _assert_generated_matches_loop(f, rng):
+        points = [[rng.uniform(-1.1, 1.1) for _ in range(f.n_vars)] for _ in range(5)]
+        chart, _ = f._local(points[0])
+        assert _hex(f.eval_and_grad(points[0])) == _hex(f.eval_and_grad(points[0]))
+        for x in points:
+            for grad in (False, True):
+                assert _hex(chart(x, grad)) == _hex(chart.loop(x, grad))
+        numer = Polynomial(f.n_vars, f.numer.terms)
+        assert [numer.eval_float(x) for x in points] == [
+            numer._evaluator.loop(x, False)[0][0] for x in points
+        ]
 
 
 class TestRationalFunction:
