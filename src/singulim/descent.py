@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -49,7 +50,6 @@ class DescentConfig:
     initial_step: float = 1.0
     max_iters: int = 100_000
     grad_tol: float = 1e-12
-    f_equal_tol: float = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.sigma_armijo < 1.0:
@@ -60,8 +60,8 @@ class DescentConfig:
             raise ValueError("initial_step must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if self.grad_tol < 0.0 or self.f_equal_tol < 0.0:
-            raise ValueError("tolerances must be non-negative")
+        if self.grad_tol < 0.0:
+            raise ValueError("grad_tol must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -98,28 +98,30 @@ class ConditionReport:
 
 
 def _norm(v: Sequence[float]) -> float:
-    return math.sqrt(math.fsum(x * x for x in v))
+    return math.sqrt(math.fsum(map(operator.mul, v, v)))
 
 
-def _line_search(f, x, fx, grad, g_sq, alpha, cfg):
+def _line_search(evaluate, x, fx, grad, g_sq, alpha, cfg):
     """Backtrack from alpha to the first step with an exact Armijo decrease.
 
     fx - f_trial is exact whenever f_trial lies within a factor two of fx
     (Sterbenz), so the test compares the decrease itself with the required
     one instead of f_trial with the rounded threshold fx - sigma*alpha*g_sq.
-    Returns (trial, f_trial, alpha), or None after MAX_BACKTRACKS trials.
+    evaluate is the objective's eval.  Returns (trial, f_trial, alpha), or
+    None after MAX_BACKTRACKS trials.
     """
+    sigma, factor = cfg.sigma_armijo, cfg.backtrack_factor
     for _ in range(MAX_BACKTRACKS):
-        trial = tuple(xi - alpha * gi for xi, gi in zip(x, grad))
+        trial = tuple([xi - alpha * gi for xi, gi in zip(x, grad)])
         try:
-            f_trial = f.eval(trial)
+            f_trial = evaluate(trial)
         except (DomainViolation, OverflowError):
-            alpha *= cfg.backtrack_factor
+            alpha *= factor
             continue
-        required = cfg.sigma_armijo * alpha * g_sq
+        required = sigma * alpha * g_sq
         if math.isfinite(f_trial) and fx - f_trial >= required > 0.0:
             return trial, f_trial, alpha
-        alpha *= cfg.backtrack_factor
+        alpha *= factor
     return None
 
 
@@ -132,6 +134,9 @@ def optimize(
     (see the module docstring).  Stops on small gradient, on a step that fails
     to decrease f (stationarity enforcement of the no-cycling rule), on the
     iteration cap, or on a domain violation at the start point.
+
+    The accepted trial's gradient needs no domain check: eval has just passed
+    the same denominator test at the same point, in the same chart.
     """
     if cfg is None:
         cfg = DescentConfig()
@@ -148,34 +153,28 @@ def optimize(
     alphas: list[float] = []
     stop_reason = STOP_MAX_ITERS
 
-    first_step = cfg.initial_step
+    evaluate, evaluate_and_grad = f.eval, f.eval_and_grad
+    initial_step, grad_tol = cfg.initial_step, cfg.grad_tol
+    first_step = initial_step
     for _ in range(cfg.max_iters):
         gnorm = grad_norms[-1]
-        if gnorm <= cfg.grad_tol:
+        if gnorm <= grad_tol:
             stop_reason = STOP_GRAD_TOL
             break
         g_sq = gnorm * gnorm
-        accepted = _line_search(f, x, fx, grad, g_sq, first_step, cfg)
-        if accepted is None and first_step != cfg.initial_step:
-            accepted = _line_search(f, x, fx, grad, g_sq, cfg.initial_step, cfg)
+        accepted = _line_search(evaluate, x, fx, grad, g_sq, first_step, cfg)
+        if accepted is None and first_step != initial_step:
+            accepted = _line_search(evaluate, x, fx, grad, g_sq, initial_step, cfg)
         if accepted is None:
             stop_reason = STOP_F_STATIONARY
             break
         trial, f_trial, alpha = accepted
-        if abs(fx - f_trial) <= cfg.f_equal_tol:
-            # Zero-progress step: stop rather than record a cycle-capable move.
-            stop_reason = STOP_F_STATIONARY
-            break
-        try:
-            _, grad_trial = f.eval_and_grad(trial)
-        except DomainViolation:
-            stop_reason = STOP_F_STATIONARY
-            break
-        s = [a - b for a, b in zip(trial, x)]
-        y = [a - b for a, b in zip(grad_trial, grad)]
-        s_y = math.fsum(a * b for a, b in zip(s, y))
-        s_s = math.fsum(a * a for a in s)
-        first_step = min(cfg.initial_step, s_s / s_y) if s_y > 0.0 else cfg.initial_step
+        _, grad_trial = evaluate_and_grad(trial)
+        s = list(map(operator.sub, trial, x))
+        y = list(map(operator.sub, grad_trial, grad))
+        s_y = math.fsum(map(operator.mul, s, y))
+        s_s = math.fsum(map(operator.mul, s, s))
+        first_step = min(initial_step, s_s / s_y) if s_y > 0.0 else initial_step
         x, fx, grad = trial, f_trial, grad_trial
         iterates.append(x)
         f_values.append(fx)

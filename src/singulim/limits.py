@@ -9,6 +9,7 @@ into linear / sublinear regimes.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -111,19 +112,21 @@ def direction_trail(
     center = tuple(float(v) for v in pencil.base)
     if len(center) != len(trace.iterates[0]):
         raise ValueError("pencil base dimension does not match trace")
-    leading = pencil.leading
+    # Every unit direction has the base's length, so the leading polynomial's
+    # evaluator is called without eval_float's per-point check.
+    leading = pencil.leading._float_evaluator()
     directions = []
     values = []
     skipped = 0
     for point in trace.iterates:
-        delta = [a - b for a, b in zip(point, center)]
-        norm = math.sqrt(math.fsum(d * d for d in delta))
+        delta = list(map(operator.sub, point, center))
+        norm = math.sqrt(math.fsum(map(operator.mul, delta, delta)))
         if norm == 0.0:
             skipped += 1
             continue
-        unit = tuple(d / norm for d in delta)
+        unit = tuple([d / norm for d in delta])
         directions.append(unit)
-        values.append(leading.eval_float(unit))
+        values.append(leading.evaluate(unit, False))
     if not directions:
         raise ValueError("every iterate coincides with the pencil base")
     if tail_start is None:
@@ -189,27 +192,24 @@ def lojasiewicz_probe(
         raise ValueError("empty tail")
     if L is None:
         L, _ = estimate_limit(trace.f_values)
-    obstruction = any(
-        g == 0.0 and abs(fv - L) > 0.0 for fv, g in zip(tail_f, tail_g)
-    )
+    residuals = [abs(fv - L) for fv in tail_f]
+    # The tail points with a residual.  A zero gradient at one of them (the
+    # obstruction, or a NaN residual) makes every c infinite.
+    live = [(r, g) for r, g in zip(residuals, tail_g) if r != 0.0]
+    stalled = [r for r, g in live if g == 0.0]
+    obstruction = any(r > 0.0 for r in stalled)
     if not obstruction and not _is_monotone(tail_f):
         raise ValueError("f-values are not monotone on the tail")
     certificates = []
     for theta in sorted(theta_grid):
-        c = 0.0
-        feasible = True
-        for fv, g in zip(tail_f, tail_g):
-            residual = abs(fv - L)
-            if residual == 0.0:
-                continue
-            if g == 0.0:
-                feasible = False
-                c = math.inf
-                break
-            c = max(c, residual ** (1.0 - theta) / g)
-        certificates.append(
-            LojasiewiczCertificate(theta, c, L, tail_start, feasible and math.isfinite(c))
-        )
+        if stalled:
+            c = math.inf
+        else:
+            exponent = 1.0 - theta
+            c = max([0.0] + [r ** exponent / g for r, g in live])
+        certificates.append(LojasiewiczCertificate(
+            theta, c, L, tail_start, not stalled and math.isfinite(c)
+        ))
     return certificates
 
 
@@ -217,11 +217,12 @@ def verify_certificate(
     trace: DescentTrace, cert: LojasiewiczCertificate
 ) -> int:
     """Count pointwise violations of a certificate on its tail (0 = sound)."""
+    L, exponent, c, slack = cert.L, 1.0 - cert.theta, cert.c, 1 + 1e-12
     violations = 0
     for fv, g in zip(
         trace.f_values[cert.tail_start:], trace.grad_norms[cert.tail_start:]
     ):
-        if abs(fv - cert.L) ** (1.0 - cert.theta) > cert.c * g * (1 + 1e-12):
+        if abs(fv - L) ** exponent > c * g * slack:
             violations += 1
     return violations
 

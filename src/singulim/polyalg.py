@@ -225,10 +225,17 @@ class Polynomial:
     def eval_float(self, x: Sequence[float]) -> float:
         """Floating-point evaluation, summing the terms in dict order."""
         self._check_point(x)
+        return self._float_evaluator().evaluate(x, False)
+
+    def _float_evaluator(self) -> "_Evaluator":
+        """The evaluator behind eval_float.
+
+        Its evaluate(x, False) checks nothing, for loops that validate their
+        points once.
+        """
         if self._evaluator is None:
-            self._evaluator = _Evaluator(self.n_vars, [self.terms], with_partials=False)
-        (value,), _ = self._evaluator([float(v) for v in x], False)
-        return value
+            self._evaluator = _Evaluator(self.n_vars, self.terms)
+        return self._evaluator
 
     def eval_exact(self, x: Sequence) -> Fraction:
         """Exact evaluation at a point with rational coordinates."""
@@ -356,8 +363,8 @@ def _power_name(index: int, power: int) -> str:
     return f"x{index}" if power == 1 else f"x{index}_{power}"
 
 
-def _tuple_source(items: Sequence[str]) -> str:
-    return "(" + "".join(f"{item}, " for item in items) + ")"
+def _list_source(items: Sequence[str]) -> str:
+    return "[" + ", ".join(items) + "]"
 
 
 def _sum_source(name: str, compiled: Compiled) -> list[str]:
@@ -377,71 +384,127 @@ def _sum_source(name: str, compiled: Compiled) -> list[str]:
     return lines
 
 
-class _Evaluator:
-    """Float values, and on request first partials, of polynomials at a point.
+class _BelowFloor(Exception):
+    """A chart's denominator value is below DENOM_FLOOR; args[0] holds it."""
 
-    Called as evaluator(coords, grad), it returns (values, partials): one
-    value per polynomial, and when grad is set one row of partials per
-    polynomial (none without with_partials), else None.  The first call runs
-    the term loops (_power_table and _eval_compiled).  The second generates
-    one straight-line function that forms the same powers, products and sums
-    in the same order, so every call returns the same bits, and later calls
-    run it.  Generating costs about a hundred looped evaluations, which a
-    polynomial evaluated once never pays back.
+
+class _Evaluator:
+    """Float value of a polynomial, or of a quotient p/q with its gradient.
+
+    Called as evaluator.evaluate(x, grad) at a point x of the right length,
+    it evaluates at d = x - centre (at x itself without a centre), each
+    coordinate converted by float().  Built from one term map, it returns the
+    polynomial's value and ignores grad.  Built from a numerator and a
+    denominator, it raises _BelowFloor where |q| < DENOM_FLOOR, else returns
+    f = p/q, or (f, grad f) when grad is set.  The gradient is
+    (q grad p - p grad q) / q^2, or (grad p - f grad q) / q where q^2 is zero,
+    subnormal or infinite although q is not.
+
+    The first call runs the term loops (loop).  The second generates one
+    straight-line function that forms the same differences, powers, products,
+    sums, quotients and comparisons in the same order, so every call returns
+    the same bits.  It goes into the instance dict (hence no __slots__),
+    where it shadows the evaluate method, so later calls run it directly and
+    no stored bound method ties the evaluator into a reference cycle: it is
+    freed with its owner, not by the cycle collector.  Generating costs about
+    a hundred looped evaluations, which a polynomial evaluated once never
+    pays back.
     """
 
-    __slots__ = ("values", "partials", "max_deg", "_used", "_fn")
-
     def __init__(
-        self, n_vars: int, term_maps: Sequence[Mapping], with_partials: bool = True
+        self,
+        n_vars: int,
+        numer: Mapping[Exponent, Rational],
+        denom: Mapping[Exponent, Rational] | None = None,
+        centre: tuple[float, ...] | None = None,
     ):
+        term_maps = [numer] if denom is None else [numer, denom]
         term_maps = [{e: _integral(c) for e, c in t.items()} for t in term_maps]
         self.values = [_compile_terms(t) for t in term_maps]
         self.partials = [
             [_compile_partial(t, i) for i in range(n_vars)] for t in term_maps
-        ] if with_partials else []
+        ] if denom is not None else []
         self.max_deg = _max_degrees(n_vars, term_maps)
+        self.centre = centre
         self._used = False
-        self._fn = None
 
-    def __call__(self, coords: Sequence[float], grad: bool):
-        fn = self._fn
-        if fn is None:
-            if not self._used:
-                self._used = True
-                return self.loop(coords, grad)
-            fn = self._fn = self.generate()
-        return fn(*coords, grad)
+    @property
+    def generated(self) -> bool:
+        """Whether evaluate runs generated code yet."""
+        return "evaluate" in vars(self)
 
-    def loop(self, coords: Sequence[float], grad: bool):
+    def evaluate(self, x: Sequence, grad: bool):
+        """The value at x; see the class docstring."""
+        if not self._used:
+            self._used = True
+            return self.loop(x, grad)
+        self.evaluate = self.generate()
+        return self.evaluate(x, grad)
+
+    def loop(self, x: Sequence, grad: bool):
         """The reference evaluation: term by term from a power table."""
+        if self.centre is None:
+            coords = [float(v) for v in x]
+        else:
+            coords = [float(v) - c for v, c in zip(x, self.centre)]
         powers = _power_table(coords, self.max_deg)
-        values = tuple(_eval_compiled(c, powers) for c in self.values)
+        p = _eval_compiled(self.values[0], powers)
+        if not self.partials:
+            return p
+        q = _eval_compiled(self.values[1], powers)
+        if abs(q) < DENOM_FLOOR:
+            raise _BelowFloor(q)
+        f = p / q
         if not grad:
-            return values, None
-        return values, tuple(
-            tuple(_eval_compiled(c, powers) for c in row) for row in self.partials
+            return f
+        grad_p, grad_q = (
+            [_eval_compiled(c, powers) for c in row] for row in self.partials
         )
+        q_sq = q * q
+        if sys.float_info.min <= q_sq < math.inf:
+            return f, [(q * a - p * b) / q_sq for a, b in zip(grad_p, grad_q)]
+        return f, [(a - f * b) / q for a, b in zip(grad_p, grad_q)]
 
     def generate(self):
-        """loop as one straight-line function of (x0, ..., x_{n-1}, grad)."""
-        n_vars = len(self.max_deg)
-        lines = ["def chart(" + "".join(f"x{i}, " for i in range(n_vars)) + "grad):"]
+        """loop as one straight-line function of (x, grad)."""
+        names = [f"x{i}" for i in range(len(self.max_deg))]
+        lines = ["def chart(x, grad):", "    (" + "".join(f"{n}, " for n in names) + ") = x"]
+        if self.centre is None:
+            lines += [f"    {n} = float({n})" for n in names]
+        else:
+            lines += [f"    {n} = float({n}) - {c!r}" for n, c in zip(names, self.centre)]
         for i, top in enumerate(self.max_deg):
             for e in range(2, top + 1):
                 lines.append(f"    {_power_name(i, e)} = {_power_name(i, e - 1)} * x{i}")
-        values = [f"v{k}" for k in range(len(self.values))]
-        for name, compiled in zip(values, self.values):
-            lines += _sum_source(name, compiled)
-        lines += ["    if not grad:", f"        return {_tuple_source(values)}, None"]
-        rows = []
-        for k, row in enumerate(self.partials):
-            names = [f"g{k}_{i}" for i in range(n_vars)]
-            for name, compiled in zip(names, row):
-                lines += _sum_source(name, compiled)
-            rows.append(_tuple_source(names))
-        lines.append(f"    return {_tuple_source(values)}, {_tuple_source(rows)}")
-        namespace: dict = {}
+        lines += _sum_source("p", self.values[0])
+        if not self.partials:
+            lines.append("    return p")
+        else:
+            lines += _sum_source("q", self.values[1])
+            lines += [
+                "    if abs(q) < DENOM_FLOOR:",
+                "        raise BelowFloor(q)",
+                "    f = p / q",
+                "    if not grad:",
+                "        return f",
+            ]
+            grad_p = [f"p_{i}" for i in range(len(names))]
+            grad_q = [f"q_{i}" for i in range(len(names))]
+            for row_names, row in zip((grad_p, grad_q), self.partials):
+                for name, compiled in zip(row_names, row):
+                    lines += _sum_source(name, compiled)
+            pairs = list(zip(grad_p, grad_q))
+            lines += [
+                "    q_sq = q * q",
+                "    if FLOAT_MIN <= q_sq < inf:",
+                "        return f, "
+                + _list_source([f"(q * {a} - p * {b}) / q_sq" for a, b in pairs]),
+                "    return f, " + _list_source([f"({a} - f * {b}) / q" for a, b in pairs]),
+            ]
+        namespace = {
+            "DENOM_FLOOR": DENOM_FLOOR, "FLOAT_MIN": sys.float_info.min,
+            "inf": math.inf, "BelowFloor": _BelowFloor,
+        }
         exec(compile("\n".join(lines), "<polyalg chart>", "exec"), namespace)
         return namespace["chart"]
 
@@ -514,38 +577,39 @@ class RationalFunction:
     def n_vars(self) -> int:
         return self.numer.n_vars
 
-    def _local(self, x: Sequence[float]) -> tuple[_Evaluator, list[float]]:
-        """The chart that evaluates x, and x in that chart's coordinates.
+    def _chart(self, x: Sequence[float]) -> _Evaluator:
+        """The chart that evaluates x: the evaluator of p/q about its centre.
 
-        A chart is the evaluator of (p, q), the evaluation pair shifted to
-        the chart's centre.
+        p and q are the evaluation pair, exactly shifted to the centre.
         """
-        if len(x) != self.n_vars:
+        if len(x) != self.numer.n_vars:
             raise DimensionError(
                 f"point has {len(x)} coordinates, function has {self.n_vars} vars"
             )
-        coords = [float(v) for v in x]
         centre = self._origin
         if self._centres is not None:
+            coords = [float(v) for v in x]
             centre = min(self._centres, key=functools.partial(math.dist, coords))
         chart = self._charts.get(centre)
         if chart is None:
             p, q = self._eval_pair
             if centre is self._origin:
-                pair = [p.terms, q.terms]
+                chart = _Evaluator(self.n_vars, p.terms, q.terms)
             else:
-                pair = [_shift_terms(p.terms, centre), _shift_terms(q.terms, centre)]
-            chart = self._charts[centre] = _Evaluator(self.n_vars, pair)
-        if centre is not self._origin:
-            coords = [a - b for a, b in zip(coords, centre)]
-        return chart, coords
+                chart = _Evaluator(
+                    self.n_vars,
+                    _shift_terms(p.terms, centre),
+                    _shift_terms(q.terms, centre),
+                    centre,
+                )
+            self._charts[centre] = chart
+        return chart
 
     def eval(self, x: Sequence[float]) -> float:
-        chart, coords = self._local(x)
-        (p, q), _ = chart(coords, False)
-        if abs(q) < DENOM_FLOOR:
-            raise DomainViolation(x, q)
-        return p / q
+        try:
+            return self._chart(x).evaluate(x, False)
+        except _BelowFloor as below:
+            raise DomainViolation(x, below.args[0]) from None
 
     def eval_exact(self, x: Sequence) -> Fraction:
         p, q = self._eval_pair
@@ -555,22 +619,11 @@ class RationalFunction:
         return p.eval_exact(x) / q_value
 
     def eval_and_grad(self, x: Sequence[float]) -> tuple[float, list[float]]:
-        """Value and gradient via grad(p/q) = (q grad p - p grad q) / q^2.
-
-        Where q^2 is zero, subnormal or infinite although q is not, the
-        gradient is formed as (grad p - f grad q) / q instead.
-        """
-        chart, coords = self._local(x)
-        (p, q), (grad_p, grad_q) = chart(coords, True)
-        if abs(q) < DENOM_FLOOR:
-            raise DomainViolation(x, q)
-        f = p / q
-        q_sq = q * q
-        if sys.float_info.min <= q_sq < math.inf:
-            grad = [(q * a - p * b) / q_sq for a, b in zip(grad_p, grad_q)]
-        else:
-            grad = [(a - f * b) / q for a, b in zip(grad_p, grad_q)]
-        return f, grad
+        """Value and gradient; _Evaluator says how the gradient is formed."""
+        try:
+            return self._chart(x).evaluate(x, True)
+        except _BelowFloor as below:
+            raise DomainViolation(x, below.args[0]) from None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalFunction):

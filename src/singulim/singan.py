@@ -125,29 +125,36 @@ def direction_verdict(
     Exact rational directions are decided exactly; float directions use a
     relative margin |f_{n_min}(d)| > margin * ||d||^deg.
     """
+    direction, exact = _checked_direction(pencil, d)
+    value = _evaluate(pencil.leading, direction, exact)
+    in_safe = _in_safe_set(pencil, direction, exact, value, margin)
+    limit = None
+    if in_safe:
+        numer_lead = _evaluate(pencil.numer_coeffs[pencil.n_min], direction, exact)
+        limit = float(numer_lead / value) if exact else numer_lead / value
+    return DirectionVerdict(direction, in_safe, float(value), limit)
+
+
+def _checked_direction(pencil: LinePencil, d: Sequence) -> tuple[tuple, bool]:
+    """d as a tuple, and whether all its coordinates are exact rationals."""
     direction = tuple(d)
     if all(v == 0 for v in direction):
         raise ValueError("direction must be nonzero")
     if len(direction) != len(pencil.base):
         raise ValueError("direction dimension mismatch")
-    leading = pencil.leading
-    exact = all(isinstance(v, (int, Fraction)) for v in direction)
+    return direction, all(isinstance(v, (int, Fraction)) for v in direction)
+
+
+def _evaluate(poly: Polynomial, direction: tuple, exact: bool):
+    return poly.eval_exact(direction) if exact else poly.eval_float(direction)
+
+
+def _in_safe_set(pencil, direction, exact, value, margin) -> bool:
+    """Safe-set test on value, the leading pencil polynomial at direction."""
     if exact:
-        value = leading.eval_exact(direction)
-        in_safe = value != 0
-        pencil_value = float(value)
-    else:
-        pencil_value = leading.eval_float(direction)
-        norm = max(abs(float(v)) for v in direction)
-        in_safe = abs(pencil_value) > margin * norm ** leading.degree()
-    limit = None
-    if in_safe:
-        numer_lead = pencil.numer_coeffs[pencil.n_min]
-        if exact:
-            limit = float(numer_lead.eval_exact(direction) / value)
-        else:
-            limit = numer_lead.eval_float(direction) / pencil_value
-    return DirectionVerdict(direction, in_safe, pencil_value, limit)
+        return value != 0
+    norm = max(abs(float(v)) for v in direction)
+    return abs(value) > margin * norm ** pencil.leading.degree()
 
 
 def series_divide(numer: Sequence, denom: Sequence, n_terms: int) -> list:
@@ -215,23 +222,16 @@ def taylor_line(
 
     Both line-restricted numerator and denominator are divided by t^{n_min}
     before the power-series division; the recurrence weights come from the
-    shifted denominator.
+    shifted denominator.  Each pencil polynomial from n_min on is evaluated
+    once, and the safe-set test reads the leading one's value.
     """
     if pencil is None:
         pencil = analyze_singularity(f, x_star)
-    direction = tuple(d)
-    verdict = direction_verdict(pencil, direction)
-    if not verdict.in_safe_set:
+    direction, exact = _checked_direction(pencil, d)
+    denom = [_evaluate(p, direction, exact) for p in pencil.denom_coeffs[pencil.n_min:]]
+    if not _in_safe_set(pencil, direction, exact, denom[0], SAFE_MARGIN):
         raise UnsafeDirectionError(direction, pencil.leading)
-    exact = all(isinstance(v, (int, Fraction)) for v in direction)
-
-    def values(polys):
-        if exact:
-            return [p.eval_exact(direction) for p in polys]
-        return [p.eval_float(direction) for p in polys]
-
-    numer = values(pencil.numer_coeffs)[pencil.n_min:]
-    denom = values(pencil.denom_coeffs)[pencil.n_min:]
+    numer = [_evaluate(p, direction, exact) for p in pencil.numer_coeffs[pencil.n_min:]]
     while denom and denom[-1] == 0:
         denom.pop()
     weights = recurrence_weights(denom)

@@ -1,7 +1,10 @@
 """Exact polynomial/rational algebra: ring laws, calculus, evaluation."""
 
+import gc
 import math
 import random
+import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -248,6 +251,16 @@ def _hex(values):
     return [_hex(v) for v in values]
 
 
+def _domain_decision(evaluate, x):
+    """None where evaluate(x) returns, else the rejected denominator's hex."""
+    try:
+        evaluate(x)
+    except DomainViolation as err:
+        assert err.point == x
+        return err.denom_value.hex()
+    return None
+
+
 def _cp_f_hat():
     rng = random.Random(43)
     target = [[[rng.gauss(0.0, 1.0) for _ in range(2)] for _ in range(2)]
@@ -294,20 +307,58 @@ class TestEvaluator:
             first = getattr(f, method)(points[0])  # looped
             for _ in range(2):  # compiled, then reused
                 assert _hex(getattr(f, method)(points[0])) == _hex(first)
-        chart, _ = f._local(points[0])
-        assert chart._fn is not None
+        chart = f._chart(points[0])
+        assert chart.generated
         for x in points:
-            _, coords = f._local(x)
+            assert f._chart(x) is chart
             for grad in (False, True):
-                assert _hex(chart(coords, grad)) == _hex(chart.loop(coords, grad)), x
+                assert _hex(chart.evaluate(x, grad)) == _hex(chart.loop(x, grad)), x
         for poly in f._eval_pair:
             fresh = Polynomial(poly.n_vars, poly.terms)
             values = [fresh.eval_float(x) for x in points[:1] + points]
             assert values[0].hex() == values[1].hex()
-            assert fresh._evaluator._fn is not None
+            assert fresh._evaluator.generated
             for x, value in zip(points, values[1:]):
-                (looped,), _ = fresh._evaluator.loop([float(v) for v in x], False)
-                assert value.hex() == looped.hex(), x
+                assert value.hex() == fresh._evaluator.loop(x, False).hex(), x
+
+    @pytest.mark.parametrize("norm", [1e-80, 1e60, 1e80])
+    def test_gradient_fallback_first_and_later_calls_agree(self, norm):
+        """fig1 where q*q is subnormal (1e-80) or infinite (1e60, 1e80)."""
+        points = [(norm * math.cos(a), norm * math.sin(a)) for a in (0.3, 2.0, 4.0, 5.5)]
+        f = _bundled("fig1")()
+        for x in points:
+            q = f.denom.eval_float(x)
+            assert not sys.float_info.min <= q * q < math.inf
+        first = f.eval_and_grad(points[0])  # looped
+        for _ in range(2):  # generated, then reused
+            assert _hex(f.eval_and_grad(points[0])) == _hex(first)
+        chart = f._chart(points[0])
+        assert chart.generated
+        for x in points:
+            assert _hex(chart.evaluate(x, True)) == _hex(chart.loop(x, True)), x
+
+    def test_eval_and_eval_and_grad_share_the_domain_decision(self):
+        """Near fig1's floor, ||x|| from 1e-149 to 1e-151, where q ~ ||x||^2.
+
+        A fresh function per method and point makes call 1 the looped one;
+        calls 2 and 3 run generated code.
+        """
+        rng = random.Random(149)
+        points = []
+        for k in range(41):
+            norm = 10.0 ** -(149 + k / 20)
+            angle = rng.uniform(0.0, 2.0 * math.pi)
+            points.append((norm * math.cos(angle), norm * math.sin(angle)))
+        outcomes = set()
+        for x in points:
+            calls = {}
+            for method in ("eval", "eval_and_grad"):
+                evaluate = getattr(_bundled("fig1")(), method)
+                calls[method] = [_domain_decision(evaluate, x) for _ in range(3)]
+            assert calls["eval"] == calls["eval_and_grad"], x
+            assert len(set(calls["eval"])) == 1, x
+            outcomes.update(calls["eval"])
+        assert None in outcomes and len(outcomes) > 1  # both sides of the floor
 
     @pytest.mark.parametrize("method", ["eval", "eval_and_grad"])
     @pytest.mark.parametrize("label, make, centre", CHARTS[:5],
@@ -320,6 +371,23 @@ class TestEvaluator:
                 evaluate(centre)
             raised.append((err.value.point, err.value.denom_value.hex()))
         assert raised[0] == raised[1] == raised[2]
+
+    def test_evaluators_are_freed_without_the_cycle_collector(self):
+        f = _bundled("fig1")()
+        poly = Polynomial(f.n_vars, f.denom.terms)
+        for _ in range(3):
+            f.eval((0.3, -0.2))
+            poly.eval_float((0.3, -0.2))
+        refs = [weakref.ref(f._chart((0.3, -0.2))), weakref.ref(poly._evaluator)]
+        first = _bundled("fig1")()
+        first.eval((0.3, -0.2))  # looped only
+        refs.append(weakref.ref(first._chart((0.3, -0.2))))
+        gc.disable()
+        try:
+            del f, poly, first
+            assert [ref() for ref in refs] == [None] * 3
+        finally:
+            gc.enable()
 
     def test_ten_thousand_terms_compile_and_match(self):
         """One sum longer than compile() can nest: the chunking guards it."""
@@ -342,14 +410,15 @@ class TestEvaluator:
     @staticmethod
     def _assert_generated_matches_loop(f, rng):
         points = [[rng.uniform(-1.1, 1.1) for _ in range(f.n_vars)] for _ in range(5)]
-        chart, _ = f._local(points[0])
+        chart = f._chart(points[0])
         assert _hex(f.eval_and_grad(points[0])) == _hex(f.eval_and_grad(points[0]))
+        assert chart.generated
         for x in points:
             for grad in (False, True):
-                assert _hex(chart(x, grad)) == _hex(chart.loop(x, grad))
+                assert _hex(chart.evaluate(x, grad)) == _hex(chart.loop(x, grad))
         numer = Polynomial(f.n_vars, f.numer.terms)
         assert [numer.eval_float(x) for x in points] == [
-            numer._evaluator.loop(x, False)[0][0] for x in points
+            numer._evaluator.loop(x, False) for x in points
         ]
 
 

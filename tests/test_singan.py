@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from singulim.polyalg import Polynomial, RationalFunction
+from singulim.problems import load_bundled
 from singulim.singan import (
     UnboundedFunctionError,
     UnsafeDirectionError,
@@ -171,6 +172,19 @@ class TestSeriesAndRecurrence:
         f = RationalFunction(x * y, x * y + y * y)  # leading pencil d1*d2 + d2^2
         with pytest.raises(UnsafeDirectionError):
             taylor_line(f, (0, 0), (1, 0))
+
+    @pytest.mark.parametrize("name, centre", [
+        ("fig1", (0, 0)), ("multi3", (3, 0)), ("multi3", (0, 3)),
+    ])
+    def test_taylor_line_generates_no_code(self, name, centre):
+        """One call evaluates each pencil polynomial once, so none is compiled."""
+        f = load_bundled(name).rational()
+        pencil = analyze_singularity(f, centre)
+        taylor_line(f, centre, (0.6, -0.8), pencil=pencil)
+        polys = pencil.numer_coeffs + pencil.denom_coeffs
+        assert any(p._evaluator is not None for p in polys)
+        for poly in polys:
+            assert poly._evaluator is None or not poly._evaluator.generated
 
     def test_series_divide_rejects_zero_leading_coefficient(self):
         with pytest.raises(ZeroDivisionError):
