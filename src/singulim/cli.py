@@ -1,6 +1,11 @@
 """Command-line driver: optimize, analyze, diagnose, tensor, series, examples.
 
-Exit codes: 0 success, 1 domain or validation errors, 2 malformed input.
+Exit codes: 0 success; 1 when the library rejects an input (a ValueError
+such as a dimension mismatch, a non-finite point, an unsafe direction or an
+unbounded function); 2 for malformed input (an unparsable list, an option
+out of range, a malformed problem file or trace) and for file errors.  main
+is the one place that maps a failure to its code, and it reports each as
+one `error:` line on stderr.
 Every produced artifact is deterministic for fixed inputs; randomized helpers
 (--random-directions) honor the SINGULIM_SEED environment variable.
 """
@@ -43,7 +48,6 @@ from .problems import (
 )
 from .singan import (
     UnboundedFunctionError,
-    UnsafeDirectionError,
     analyze_singularity,
     direction_verdict,
     taylor_line,
@@ -55,7 +59,7 @@ EXIT_MALFORMED = 2
 
 
 class CliError(Exception):
-    """User-facing failure carrying the intended exit code."""
+    """A failed check that only the CLI can make; carries its exit code."""
 
     def __init__(self, message: str, code: int = EXIT_INVALID):
         super().__init__(message)
@@ -78,13 +82,10 @@ def _parse_exact_point(text: str, flag: str) -> tuple[Fraction, ...]:
                        EXIT_MALFORMED)
 
 
-def _load(path: str) -> ProblemFile:
-    try:
-        return load_problem(path)
-    except FileNotFoundError:
-        raise CliError(f"--problem: file {path!r} not found", EXIT_MALFORMED)
-    except ProblemFormatError as exc:
-        raise CliError(f"--problem: {exc}", EXIT_MALFORMED)
+def _require(ok: bool, flag: str, value, need: str) -> None:
+    """Reject an option value out of range, before anything is computed."""
+    if not ok:
+        raise CliError(f"{flag}: got {value}, need {need}", EXIT_MALFORMED)
 
 
 def _seeded_rng() -> random.Random:
@@ -94,30 +95,29 @@ def _seeded_rng() -> random.Random:
 # -- subcommands -----------------------------------------------------------
 
 def cmd_optimize(args) -> int:
-    problem = _load(args.problem)
-    f = problem.rational()
+    f = load_problem(args.problem).rational()
     x0 = _parse_csv_point(args.x0, "--x0")
-    if len(x0) != problem.n_vars:
-        raise CliError(
-            f"--x0: got {len(x0)} coordinates, problem has {problem.n_vars} variables"
-        )
-    try:
-        cfg = DescentConfig(
-            sigma_armijo=args.sigma,
-            backtrack_factor=args.beta,
-            initial_step=args.step0,
-            max_iters=args.max_iters,
-            grad_tol=args.grad_tol,
-        )
-    except ValueError as exc:
-        raise CliError(f"configuration: {exc}")
-    if args.grid_out and args.grid_n < 2:
-        raise CliError(f"--grid-n: got {args.grid_n}, need at least 2",
-                       EXIT_MALFORMED)
+    cfg = DescentConfig(
+        sigma_armijo=args.sigma,
+        backtrack_factor=args.beta,
+        initial_step=args.step0,
+        max_iters=args.max_iters,
+        grad_tol=args.grad_tol,
+    )
+    bounds = None
+    if args.grid_out:
+        if f.n_vars != 2:
+            raise CliError("--grid-out requires a 2-variable problem")
+        _require(args.grid_n >= 2, "--grid-n", args.grid_n, "at least 2")
+        if args.grid_bounds:
+            bounds = _parse_csv_point(args.grid_bounds, "--grid-bounds")
+            ok = len(bounds) == 4 and bounds[0] < bounds[1] and bounds[2] < bounds[3]
+            _require(ok, "--grid-bounds", args.grid_bounds,
+                     "four numbers x_lo,x_hi,y_lo,y_hi with lo < hi")
     trace = optimize(f, x0, cfg)
     write_trace_csv(trace, args.trace_out)
     if args.grid_out:
-        _write_grid(f, trace, args)
+        _write_grid(f, trace, bounds, args)
     final = trace.iterates[-1]
     norm = math.sqrt(math.fsum(v * v for v in final))
     print(f"iterations: {len(trace) - 1}")
@@ -129,12 +129,10 @@ def cmd_optimize(args) -> int:
     return EXIT_OK
 
 
-def _write_grid(f, trace, args) -> None:
+def _write_grid(f, trace, bounds, args) -> None:
     """Emit a rectangular grid of f-samples for external plotting."""
-    if f.n_vars != 2:
-        raise CliError("--grid-out requires a 2-variable problem")
-    if args.grid_bounds:
-        x_lo, x_hi, y_lo, y_hi = _parse_csv_point(args.grid_bounds, "--grid-bounds")
+    if bounds:
+        x_lo, x_hi, y_lo, y_hi = bounds
     else:
         xs = [p[0] for p in trace.iterates]
         ys = [p[1] for p in trace.iterates]
@@ -161,18 +159,11 @@ def _poly_text(poly) -> str:
 
 
 def cmd_analyze(args) -> int:
-    problem = _load(args.problem)
-    f = problem.rational()
+    _require(args.random_directions >= 0, "--random-directions",
+             args.random_directions, "at least 0")
+    f = load_problem(args.problem).rational()
     point = _parse_exact_point(args.point, "--point")
-    if len(point) != problem.n_vars:
-        raise CliError(
-            f"--point: got {len(point)} coordinates, problem has {problem.n_vars} variables"
-        )
-    try:
-        pencil = analyze_singularity(f, point)
-    except UnboundedFunctionError as exc:
-        print(f"unbounded: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    pencil = analyze_singularity(f, point)
     print(f"n_min: {pencil.n_min}")
     print(f"leading_pencil: {_poly_text(pencil.leading)}")
     directions = []
@@ -180,14 +171,11 @@ def cmd_analyze(args) -> int:
         directions.append(_parse_exact_point(text, "--direction"))
     rng = _seeded_rng()
     for _ in range(args.random_directions):
-        raw = [rng.gauss(0.0, 1.0) for _ in range(problem.n_vars)]
+        raw = [rng.gauss(0.0, 1.0) for _ in range(f.n_vars)]
         norm = math.sqrt(math.fsum(v * v for v in raw))
         directions.append(tuple(v / norm for v in raw))
     for d in directions:
-        try:
-            verdict = direction_verdict(pencil, d)
-        except ValueError as exc:
-            raise CliError(f"--direction: {exc}")
+        verdict = direction_verdict(pencil, d)
         limit = "undefined" if verdict.limit_value is None else f"{verdict.limit_value:.17g}"
         coords = ",".join(str(v) for v in d)
         print(
@@ -198,22 +186,11 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_series(args) -> int:
-    problem = _load(args.problem)
-    f = problem.rational()
+    _require(args.n_terms >= 1, "--n-terms", args.n_terms, "at least 1")
+    f = load_problem(args.problem).rational()
     point = _parse_exact_point(args.point, "--point")
     direction = _parse_exact_point(args.direction, "--direction")
-    if len(point) != problem.n_vars or len(direction) != problem.n_vars:
-        raise CliError(
-            f"--point/--direction must have {problem.n_vars} coordinates"
-        )
-    try:
-        line = taylor_line(f, point, direction, n_terms=args.n_terms)
-    except UnboundedFunctionError as exc:
-        print(f"unbounded: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except UnsafeDirectionError as exc:
-        print(f"unsafe direction: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    line = taylor_line(f, point, direction, n_terms=args.n_terms)
     print(f"recurrence_order: {line.recurrence_order}")
     print("recurrence_weights: " + ",".join(f"{w:.17g}" for w in line.recurrence_weights))
     print(f"radius_lower_bound: {line.radius_lower_bound:.17g}")
@@ -223,12 +200,11 @@ def cmd_series(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    problem = _load(args.problem)
-    f = problem.rational()
+    _require(0.0 <= args.tail_fraction < 1.0, "--tail-fraction",
+             args.tail_fraction, "a fraction in [0, 1)")
+    f = load_problem(args.problem).rational()
     try:
         trace = read_trace_csv(args.trace)
-    except FileNotFoundError:
-        raise CliError(f"--trace: file {args.trace!r} not found", EXIT_MALFORMED)
     except ValueError as exc:
         raise CliError(f"--trace: {exc}", EXIT_MALFORMED)
     if len(trace) < 2:
@@ -287,18 +263,13 @@ def cmd_tensor(args) -> int:
     except ValueError:
         raise CliError(f"--dims: {args.dims!r} is not a comma-separated integer list",
                        EXIT_MALFORMED)
-    try:
-        with open(args.target) as handle:
+    with open(args.target) as handle:
+        try:
             nested = json.load(handle)
-    except FileNotFoundError:
-        raise CliError(f"--target: file {args.target!r} not found", EXIT_MALFORMED)
-    except json.JSONDecodeError as exc:
-        raise CliError(f"--target: invalid JSON: {exc}", EXIT_MALFORMED)
-    try:
-        model = CPModel(dims, args.rank)
-        obj = build_cp_objective(model, nested)
-    except ValueError as exc:
-        raise CliError(f"tensor objective: {exc}")
+        except json.JSONDecodeError as exc:
+            raise CliError(f"--target: invalid JSON: {exc}", EXIT_MALFORMED)
+    model = CPModel(dims, args.rank)
+    obj = build_cp_objective(model, nested)
     problem = ProblemFile(
         model.n_params, obj.f_hat.numer, obj.f_hat.denom,
         name=f"cp_{'x'.join(map(str, dims))}_rank{args.rank}",
@@ -383,16 +354,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; map each failure to one `error:` line and a code."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except DomainViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        message, code = str(exc), exc.code
+    except FileNotFoundError as exc:
+        message, code = f"file {exc.filename!r} not found", EXIT_MALFORMED
+    except (ProblemFormatError, OSError) as exc:
+        message, code = str(exc), EXIT_MALFORMED
+    except ValueError as exc:
+        message, code = str(exc), EXIT_INVALID
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

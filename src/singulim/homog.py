@@ -166,11 +166,7 @@ def _inner_and_gram_polys(
     return inner, gram
 
 
-def build_cp_objective(
-    model: CPModel,
-    target,
-    param_budget: int = DEFAULT_PARAM_BUDGET,
-) -> HomogenizedObjective:
+def build_cp_objective(model: CPModel, target) -> HomogenizedObjective:
     """Construct f_hat = ||T||^2 - <tau, T>^2 / ||tau||^2 symbolically.
 
     Stored over the common denominator ||tau||^4 so that the denominator
@@ -182,10 +178,10 @@ def build_cp_objective(
         raise ValueError(
             f"target shape {target.shape} does not match model dims {model.dims}"
         )
-    if model.n_params > param_budget:
+    if model.n_params > DEFAULT_PARAM_BUDGET:
         raise ValueError(
             f"model has {model.n_params} parameters, beyond the symbolic "
-            f"budget of {param_budget}"
+            f"budget of {DEFAULT_PARAM_BUDGET}"
         )
     inner, gram = _inner_and_gram_polys(model, target)
     t_sq = Fraction(float(np.sum(np.square(target))))
@@ -204,13 +200,12 @@ def euler_check(obj: HomogenizedObjective, x: Sequence[float]) -> float:
     return _radial(grad, x)
 
 
-def euler_residual_ok(obj: HomogenizedObjective, x: Sequence[float],
-                      tol: float = EULER_TOL) -> bool:
+def euler_residual_ok(obj: HomogenizedObjective, x: Sequence[float]) -> bool:
     _, grad = obj.eval_and_grad(x)
     value = _radial(grad, x)
     gnorm = math.sqrt(math.fsum(g * g for g in grad))
     xnorm = math.sqrt(math.fsum(float(v) ** 2 for v in x))
-    return abs(value) <= tol * (1.0 + gnorm * xnorm)
+    return abs(value) <= EULER_TOL * (1.0 + gnorm * xnorm)
 
 
 def normalized_a1_check(

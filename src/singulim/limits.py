@@ -136,11 +136,9 @@ def direction_trail(
     return DirectionTrail(center, tuple(directions), tuple(values), min_tail, skipped)
 
 
-def trail_certifies_safe_approach(
-    trail: DirectionTrail, margin: float = SAFE_MARGIN
-) -> bool:
-    """Closed-set membership proxy: tail directions keep a positive margin."""
-    return trail.min_tail_pencil > margin
+def trail_certifies_safe_approach(trail: DirectionTrail) -> bool:
+    """Closed-set membership proxy: tail directions keep SAFE_MARGIN."""
+    return trail.min_tail_pencil > SAFE_MARGIN
 
 
 def estimate_limit(f_values: Sequence[float]) -> tuple[float, str]:
@@ -186,6 +184,9 @@ def lojasiewicz_probe(
     obstruction itself is the reported diagnosis.  A non-monotone tail with
     positive gradients violates the monotone-images hypothesis and raises.
     """
+    thetas = sorted(theta_grid)
+    for theta in thetas:
+        _check_theta(theta)
     tail_f = trace.f_values[tail_start:]
     tail_g = trace.grad_norms[tail_start:]
     if not tail_f:
@@ -201,7 +202,7 @@ def lojasiewicz_probe(
     if not obstruction and not _is_monotone(tail_f):
         raise ValueError("f-values are not monotone on the tail")
     certificates = []
-    for theta in sorted(theta_grid):
+    for theta in thetas:
         if stalled:
             c = math.inf
         else:
@@ -213,10 +214,17 @@ def lojasiewicz_probe(
     return certificates
 
 
+def _check_theta(theta: float) -> None:
+    """A Lojasiewicz exponent lies in [0, 1); residual ** (1 - theta) needs it."""
+    if not 0.0 <= theta < 1.0:
+        raise ValueError(f"Lojasiewicz exponent theta={theta!r} lies outside [0, 1)")
+
+
 def verify_certificate(
     trace: DescentTrace, cert: LojasiewiczCertificate
 ) -> int:
     """Count pointwise violations of a certificate on its tail (0 = sound)."""
+    _check_theta(cert.theta)
     L, exponent, c, slack = cert.L, 1.0 - cert.theta, cert.c, 1 + 1e-12
     violations = 0
     for fv, g in zip(

@@ -384,10 +384,6 @@ def _sum_source(name: str, compiled: Compiled) -> list[str]:
     return lines
 
 
-class _BelowFloor(Exception):
-    """A chart's denominator value is below DENOM_FLOOR; args[0] holds it."""
-
-
 class _Evaluator:
     """Float value of a polynomial, or of a quotient p/q with its gradient.
 
@@ -395,8 +391,8 @@ class _Evaluator:
     it evaluates at d = x - centre (at x itself without a centre), each
     coordinate converted by float().  Built from one term map, it returns the
     polynomial's value and ignores grad.  Built from a numerator and a
-    denominator, it raises _BelowFloor where |q| < DENOM_FLOOR, else returns
-    f = p/q, or (f, grad f) when grad is set.  The gradient is
+    denominator, it raises DomainViolation(x, q) where |q| < DENOM_FLOOR,
+    else returns f = p/q, or (f, grad f) when grad is set.  The gradient is
     (q grad p - p grad q) / q^2, or (grad p - f grad q) / q where q^2 is zero,
     subnormal or infinite although q is not.
 
@@ -453,7 +449,7 @@ class _Evaluator:
             return p
         q = _eval_compiled(self.values[1], powers)
         if abs(q) < DENOM_FLOOR:
-            raise _BelowFloor(q)
+            raise DomainViolation(x, q)
         f = p / q
         if not grad:
             return f
@@ -483,7 +479,7 @@ class _Evaluator:
             lines += _sum_source("q", self.values[1])
             lines += [
                 "    if abs(q) < DENOM_FLOOR:",
-                "        raise BelowFloor(q)",
+                "        raise DomainViolation(x, q)",
                 "    f = p / q",
                 "    if not grad:",
                 "        return f",
@@ -503,7 +499,7 @@ class _Evaluator:
             ]
         namespace = {
             "DENOM_FLOOR": DENOM_FLOOR, "FLOAT_MIN": sys.float_info.min,
-            "inf": math.inf, "BelowFloor": _BelowFloor,
+            "inf": math.inf, "DomainViolation": DomainViolation,
         }
         exec(compile("\n".join(lines), "<polyalg chart>", "exec"), namespace)
         return namespace["chart"]
@@ -606,10 +602,7 @@ class RationalFunction:
         return chart
 
     def eval(self, x: Sequence[float]) -> float:
-        try:
-            return self._chart(x).evaluate(x, False)
-        except _BelowFloor as below:
-            raise DomainViolation(x, below.args[0]) from None
+        return self._chart(x).evaluate(x, False)
 
     def eval_exact(self, x: Sequence) -> Fraction:
         p, q = self._eval_pair
@@ -620,10 +613,7 @@ class RationalFunction:
 
     def eval_and_grad(self, x: Sequence[float]) -> tuple[float, list[float]]:
         """Value and gradient; _Evaluator says how the gradient is formed."""
-        try:
-            return self._chart(x).evaluate(x, True)
-        except _BelowFloor as below:
-            raise DomainViolation(x, below.args[0]) from None
+        return self._chart(x).evaluate(x, True)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalFunction):

@@ -50,7 +50,7 @@ def poly_from_terms(terms, n_vars: int, field_name: str) -> Polynomial:
         try:
             coeff = Fraction(term["coeff"])
             exps = tuple(int(e) for e in term["exps"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise ProblemFormatError(f"{field_name}[{i}]: {exc}") from exc
         if len(exps) != n_vars:
             raise ProblemFormatError(
@@ -83,22 +83,25 @@ def problem_from_json(text: str, source: str = "<string>") -> ProblemFile:
         raise ProblemFormatError(f"{source}: top level must be an object")
     try:
         n_vars = int(doc["n_vars"])
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise ProblemFormatError(f"{source}: missing or invalid field 'n_vars'")
     if n_vars < 1:
         raise ProblemFormatError(f"{source}: n_vars must be positive")
     for key in ("numer", "denom"):
         if key not in doc:
             raise ProblemFormatError(f"{source}: missing field {key!r}")
-    numer = poly_from_terms(doc["numer"], n_vars, "numer")
-    denom = poly_from_terms(doc["denom"], n_vars, "denom")
+    try:
+        numer = poly_from_terms(doc["numer"], n_vars, "numer")
+        denom = poly_from_terms(doc["denom"], n_vars, "denom")
+    except ProblemFormatError as exc:
+        raise ProblemFormatError(f"{source}: {exc}") from exc
     if denom.is_zero():
         raise ProblemFormatError(f"{source}: field 'denom' is identically zero")
     points = []
     for j, raw in enumerate(doc.get("singular_points", [])):
         try:
             point = tuple(Fraction(c) for c in raw)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, ArithmeticError) as exc:
             raise ProblemFormatError(f"{source}: singular_points[{j}]: {exc}")
         if len(point) != n_vars:
             raise ProblemFormatError(

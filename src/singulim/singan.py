@@ -49,8 +49,8 @@ class UnsafeDirectionError(ValueError):
         self.direction = tuple(direction)
         self.pencil = pencil
         super().__init__(
-            f"direction {self.direction} lies outside the safe set: "
-            f"leading pencil polynomial {pencil!r} vanishes there"
+            f"unsafe direction {self.direction}: the leading pencil "
+            f"polynomial {pencil!r} vanishes there"
         )
 
 
@@ -117,17 +117,15 @@ def analyze_singularity(f: RationalFunction, x_star: Sequence) -> LinePencil:
     return LinePencil(base, denom_coeffs, numer_coeffs, n_min)
 
 
-def direction_verdict(
-    pencil: LinePencil, d: Sequence, margin: float = SAFE_MARGIN
-) -> DirectionVerdict:
+def direction_verdict(pencil: LinePencil, d: Sequence) -> DirectionVerdict:
     """Decide safe-set membership of a direction and its directional limit.
 
     Exact rational directions are decided exactly; float directions use a
-    relative margin |f_{n_min}(d)| > margin * ||d||^deg.
+    relative margin |f_{n_min}(d)| > SAFE_MARGIN * ||d||^deg.
     """
     direction, exact = _checked_direction(pencil, d)
     value = _evaluate(pencil.leading, direction, exact)
-    in_safe = _in_safe_set(pencil, direction, exact, value, margin)
+    in_safe = _in_safe_set(pencil, direction, exact, value)
     limit = None
     if in_safe:
         numer_lead = _evaluate(pencil.numer_coeffs[pencil.n_min], direction, exact)
@@ -138,10 +136,12 @@ def direction_verdict(
 def _checked_direction(pencil: LinePencil, d: Sequence) -> tuple[tuple, bool]:
     """d as a tuple, and whether all its coordinates are exact rationals."""
     direction = tuple(d)
+    if len(direction) != len(pencil.base):
+        raise ValueError(
+            f"direction has {len(direction)} coordinates, expected {len(pencil.base)}"
+        )
     if all(v == 0 for v in direction):
         raise ValueError("direction must be nonzero")
-    if len(direction) != len(pencil.base):
-        raise ValueError("direction dimension mismatch")
     return direction, all(isinstance(v, (int, Fraction)) for v in direction)
 
 
@@ -149,12 +149,12 @@ def _evaluate(poly: Polynomial, direction: tuple, exact: bool):
     return poly.eval_exact(direction) if exact else poly.eval_float(direction)
 
 
-def _in_safe_set(pencil, direction, exact, value, margin) -> bool:
+def _in_safe_set(pencil, direction, exact, value) -> bool:
     """Safe-set test on value, the leading pencil polynomial at direction."""
     if exact:
         return value != 0
     norm = max(abs(float(v)) for v in direction)
-    return abs(value) > margin * norm ** pencil.leading.degree()
+    return abs(value) > SAFE_MARGIN * norm ** pencil.leading.degree()
 
 
 def series_divide(numer: Sequence, denom: Sequence, n_terms: int) -> list:
@@ -229,7 +229,7 @@ def taylor_line(
         pencil = analyze_singularity(f, x_star)
     direction, exact = _checked_direction(pencil, d)
     denom = [_evaluate(p, direction, exact) for p in pencil.denom_coeffs[pencil.n_min:]]
-    if not _in_safe_set(pencil, direction, exact, denom[0], SAFE_MARGIN):
+    if not _in_safe_set(pencil, direction, exact, denom[0]):
         raise UnsafeDirectionError(direction, pencil.leading)
     numer = [_evaluate(p, direction, exact) for p in pencil.numer_coeffs[pencil.n_min:]]
     while denom and denom[-1] == 0:

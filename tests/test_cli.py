@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import pytest
 
@@ -258,3 +259,92 @@ class TestCli:
             assert code == 2
             assert "--grid-n" in err and "Traceback" not in err
             assert not trace_out.exists()
+
+
+@pytest.fixture(scope="module")
+def misuse_dir(workdir):
+    """workdir plus a short fig1 trace, a CP target, an unbounded problem and
+    problem files whose numbers JSON accepts but Fraction or int does not."""
+    from singulim.problems import ProblemFile
+
+    assert main([
+        "optimize", "--problem", str(workdir / "fig1.problem"), "--x0", "2,-0.1",
+        "--max-iters", "20", "--trace-out", str(workdir / "misuse.trace.csv"),
+    ]) == 0
+    (workdir / "misuse.target.json").write_text("[[1, 0], [0, 0]]")
+    x = Polynomial.variable(2, 0)
+    y = Polynomial.variable(2, 1)
+    save_problem(ProblemFile(2, x, x * x + y * y, name="pole"),
+                 workdir / "pole.problem")
+    one = [{"coeff": "1", "exps": [0]}]
+    for name, doc in [
+        ("zero-den", {"n_vars": 1, "numer": [{"coeff": "1/0", "exps": [0]}], "denom": one}),
+        ("inf-vars", {"n_vars": 1e400, "numer": one, "denom": one}),
+        ("inf-point", {"n_vars": 1, "numer": one, "denom": one,
+                       "singular_points": [[1e400]]}),
+    ]:
+        (workdir / f"{name}.problem").write_text(json.dumps(doc))
+    return workdir
+
+
+_OPT = ["optimize", "--problem", "{d}/fig1.problem", "--max-iters", "20"]
+_GRID = _OPT + ["--x0", "2,-0.1", "--trace-out", "{d}/misuse.out.csv",
+                "--grid-out", "{d}/misuse.grid.csv"]
+_ANA = ["analyze", "--problem", "{d}/fig1.problem", "--point", "0,0"]
+_SER = ["series", "--problem", "{d}/fig1.problem", "--point", "0,0"]
+_DIA = ["diagnose", "--problem", "{d}/fig1.problem", "--trace", "{d}/misuse.trace.csv"]
+_TEN = ["tensor", "--dims", "2,2", "--emit-problem", "{d}/misuse.cp.problem"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    pytest.param(_SER + ["--direction", "0,0"], 1, id="series-zero-direction"),
+    pytest.param(_OPT + ["--x0", "nan,1", "--trace-out", "{d}/misuse.out.csv"], 1,
+                 id="optimize-nan-x0"),
+    pytest.param(_OPT + ["--x0", "2,-0.1", "--trace-out", "{d}/no-such-dir/t.csv"], 2,
+                 id="optimize-trace-out-missing-dir"),
+    pytest.param(_GRID + ["--grid-bounds", "1,2"], 2, id="grid-bounds-two-numbers"),
+    pytest.param(_GRID + ["--grid-bounds=1,0,-1,1"], 2, id="grid-bounds-lo-above-hi"),
+    pytest.param(_GRID + ["--grid-bounds=-1,1,2,2"], 2, id="grid-bounds-lo-equals-hi"),
+    pytest.param(_DIA + ["--tail-fraction", "nan"], 2, id="tail-fraction-nan"),
+    pytest.param(_DIA + ["--tail-fraction", "2"], 2, id="tail-fraction-2"),
+    pytest.param(_DIA + ["--tail-fraction", "1"], 2, id="tail-fraction-1"),
+    pytest.param(_DIA + ["--tail-fraction", "-1"], 2, id="tail-fraction-negative"),
+    pytest.param(_SER + ["--direction", "1,-1", "--n-terms", "0"], 2, id="n-terms-0"),
+    pytest.param(_SER + ["--direction", "1,-1", "--n-terms", "-3"], 2,
+                 id="n-terms-negative"),
+    pytest.param(_ANA + ["--random-directions", "-1"], 2,
+                 id="random-directions-negative"),
+    pytest.param(["analyze", "--problem", "{d}/fig1.problem", "--point", "0,0,0"], 1,
+                 id="analyze-point-dimension"),
+    pytest.param(_ANA + ["--direction", "1,2,3"], 1, id="analyze-direction-dimension"),
+    pytest.param(["series", "--problem", "{d}/fig1.problem", "--point", "0,0,0",
+                  "--direction", "1,0,0"], 1, id="series-point-dimension"),
+    pytest.param(_SER + ["--direction", "1,0,0"], 1, id="series-direction-dimension"),
+    pytest.param(["analyze", "--problem", "{d}/pole.problem", "--point", "0,0"], 1,
+                 id="analyze-unbounded"),
+    pytest.param(["series", "--problem", "{d}/pole.problem", "--point", "0,0",
+                  "--direction", "1,0"], 1, id="series-unbounded"),
+    pytest.param(_OPT + ["--x0", "2,-0.1", "--sigma", "2",
+                         "--trace-out", "{d}/misuse.out.csv"], 1,
+                 id="optimize-bad-config"),
+    pytest.param(_TEN + ["--rank", "0", "--target", "{d}/misuse.target.json"], 1,
+                 id="tensor-bad-rank"),
+    pytest.param(_TEN + ["--rank", "1", "--target", "{d}/no-such.json"], 2,
+                 id="tensor-missing-target"),
+    pytest.param(["diagnose", "--problem", "{d}/fig1.problem",
+                  "--trace", "{d}/no-such.csv"], 2, id="diagnose-missing-trace"),
+    pytest.param(["analyze", "--problem", "{d}/zero-den.problem", "--point", "0"], 2,
+                 id="problem-coeff-over-zero"),
+    pytest.param(["analyze", "--problem", "{d}/inf-vars.problem", "--point", "0"], 2,
+                 id="problem-infinite-n-vars"),
+    pytest.param(["analyze", "--problem", "{d}/inf-point.problem", "--point", "0"], 2,
+                 id="problem-infinite-singular-point"),
+])
+def test_misuse_ends_in_one_error_line(misuse_dir, capsys, argv, code):
+    argv = [arg.format(d=misuse_dir) for arg in argv]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    if argv[0] == "optimize":
+        assert not os.path.exists(argv[argv.index("--trace-out") + 1])

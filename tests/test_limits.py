@@ -1,5 +1,6 @@
 """Trace diagnostics: cluster points, direction trails, certificates, rates."""
 
+import dataclasses
 import math
 import random
 
@@ -185,6 +186,18 @@ class TestLojasiewiczProbe:
         trace = trace_from_points(f, [(1.0,), (0.5,)])
         with pytest.raises(ValueError):
             lojasiewicz_probe(trace, 5, [0.5])
+
+    def test_theta_outside_unit_interval_rejected(self):
+        """f = 1e-100, 1e-200, 0: r ** (1 - 3) would overflow at theta = 3."""
+        f = _quadratic_1d()
+        trace = trace_from_points(f, [(1e-50,), (1e-100,), (0.0,)])
+        assert trace.f_values == (1e-100, 1e-200, 0.0)
+        with pytest.raises(ValueError, match="theta=3.0"):
+            lojasiewicz_probe(trace, 0, theta_grid=(0.5, 3.0), L=0.0)
+        (cert,) = lojasiewicz_probe(trace, 0, theta_grid=(0.5,), L=0.0)
+        for theta in (3.0, 1.0, -0.5):
+            with pytest.raises(ValueError, match="theta"):
+                verify_certificate(trace, dataclasses.replace(cert, theta=theta))
 
 
 class TestRateClassify:
