@@ -13,6 +13,7 @@ Every produced artifact is deterministic for fixed inputs; randomized helpers
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -57,6 +58,12 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_MALFORMED = 2
 
+# Options taking a comma-separated list, whose value may start with "-" (a
+# negative first coordinate) that argparse would take for an option.
+_LIST_OPTIONS = frozenset(
+    {"--x0", "--point", "--direction", "--x-star", "--grid-bounds"}
+)
+
 
 class CliError(Exception):
     """A failed check that only the CLI can make; carries its exit code."""
@@ -88,6 +95,14 @@ def _require(ok: bool, flag: str, value, need: str) -> None:
         raise CliError(f"{flag}: got {value}, need {need}", EXIT_MALFORMED)
 
 
+def _check_output_dirs(*paths) -> None:
+    """Fail before anything is computed or written when an output's
+    directory is missing, so a failed command leaves no output behind."""
+    for path in paths:
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def _seeded_rng() -> random.Random:
     return random.Random(int(os.environ.get("SINGULIM_SEED", "0")))
 
@@ -95,6 +110,7 @@ def _seeded_rng() -> random.Random:
 # -- subcommands -----------------------------------------------------------
 
 def cmd_optimize(args) -> int:
+    _check_output_dirs(args.trace_out, args.grid_out)
     f = load_problem(args.problem).rational()
     x0 = _parse_csv_point(args.x0, "--x0")
     cfg = DescentConfig(
@@ -200,6 +216,7 @@ def cmd_series(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    _check_output_dirs(args.report)
     _require(0.0 <= args.tail_fraction < 1.0, "--tail-fraction",
              args.tail_fraction, "a fraction in [0, 1)")
     f = load_problem(args.problem).rational()
@@ -258,6 +275,7 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_tensor(args) -> int:
+    _check_output_dirs(args.emit_problem)
     try:
         dims = tuple(int(v) for v in args.dims.split(","))
     except ValueError:
@@ -353,10 +371,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_list_values(argv: list[str]) -> list[str]:
+    """argv with each list option joined to a value starting with a single
+    "-", as --x0=-0.9,3.7, so argparse takes the value as a value."""
+    joined: list[str] = []
+    for arg in argv:
+        if (joined and joined[-1] in _LIST_OPTIONS
+                and arg[:1] == "-" and arg[:2] != "--"):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv=None) -> int:
     """Run one subcommand; map each failure to one `error:` line and a code."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = parser.parse_args(_join_list_values(argv))
     try:
         return args.func(args)
     except CliError as exc:

@@ -9,7 +9,6 @@ rationals; floats appear only in evaluation.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from fractions import Fraction
@@ -529,7 +528,9 @@ class RationalFunction:
     code from its second, with the same bits.
     """
 
-    __slots__ = ("numer", "denom", "_eval_pair", "_origin", "_centres", "_charts")
+    __slots__ = (
+        "numer", "denom", "_eval_pair", "_origin", "_centres", "_charts", "_pencils"
+    )
 
     def __init__(
         self, numer: Polynomial, denom: Polynomial, singular_points: Iterable = ()
@@ -543,7 +544,10 @@ class RationalFunction:
         self._eval_pair = (numer, denom)
         self._origin = (0.0,) * numer.n_vars
         centres = [self._origin]
+        bases = [self._origin]
         for point in singular_points:
+            point = tuple(point)
+            bases.append(point)
             centre = tuple(float(v) for v in point)
             if len(centre) != numer.n_vars:
                 raise DimensionError(
@@ -555,6 +559,11 @@ class RationalFunction:
         # None when the origin's chart, p/q as stored, serves every point.
         self._centres = tuple(centres) if len(centres) > 1 else None
         self._charts: dict[tuple[float, ...], _Evaluator] = {}
+        # singan.analyze_singularity's line pencils: one slot for the origin
+        # and one per declared point, keyed by the point as given (numbers
+        # that compare equal hash equal, so an exact base finds its slot),
+        # filled on first use.
+        self._pencils: dict[tuple, object] = dict.fromkeys(bases)
 
     @classmethod
     def with_common_factor(
@@ -584,8 +593,13 @@ class RationalFunction:
             )
         centre = self._origin
         if self._centres is not None:
-            coords = [float(v) for v in x]
-            centre = min(self._centres, key=functools.partial(math.dist, coords))
+            # The first nearest centre wins, as with min(); a NaN or infinite
+            # coordinate compares false everywhere and keeps the origin.
+            nearest = math.inf
+            for c in self._centres:
+                d = math.dist(x, c)
+                if d < nearest:
+                    centre, nearest = c, d
         chart = self._charts.get(centre)
         if chart is None:
             p, q = self._eval_pair

@@ -97,10 +97,20 @@ def analyze_singularity(f: RationalFunction, x_star: Sequence) -> LinePencil:
 
     x_star must have exact rational coordinates so that the identically-zero
     tests deciding n_min are exact decisions.
+
+    At the origin and at each of f's declared singular points the pencil is
+    built once per function and kept on f: later calls there return the same
+    object, whose polynomials keep their generated evaluators.  The pencil is
+    therefore shared and must not be mutated.  At any other point a fresh
+    pencil is built and nothing is kept.
     """
     base = tuple(_as_fraction(v) for v in x_star)
     if len(base) != f.n_vars:
         raise ValueError(f"point has {len(base)} coordinates, expected {f.n_vars}")
+    memo = f._pencils
+    pencil = memo.get(base)
+    if pencil is not None:
+        return pencil
     denom_coeffs = tuple(f.denom.compose_line(base))
     numer_coeffs = tuple(f.numer.compose_line(base))
     n_min = next(
@@ -114,7 +124,10 @@ def analyze_singularity(f: RationalFunction, x_star: Sequence) -> LinePencil:
     )
     if numer_order < n_min:
         raise UnboundedFunctionError(base, numer_order, n_min)
-    return LinePencil(base, denom_coeffs, numer_coeffs, n_min)
+    pencil = LinePencil(base, denom_coeffs, numer_coeffs, n_min)
+    if base in memo:
+        memo[base] = pencil
+    return pencil
 
 
 def direction_verdict(pencil: LinePencil, d: Sequence) -> DirectionVerdict:

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from singulim import cli
 from singulim.cli import main
 from singulim.descent import check_conditions, read_trace_csv, trace_from_points
 from singulim.polyalg import Polynomial
@@ -348,3 +349,64 @@ def test_misuse_ends_in_one_error_line(misuse_dir, capsys, argv, code):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     if argv[0] == "optimize":
         assert not os.path.exists(argv[argv.index("--trace-out") + 1])
+
+
+_NEGATIVE = [
+    pytest.param(["optimize", "--problem", "{d}/multi3.problem", "--max-iters", "50",
+                  "--trace-out", "{t}/neg.csv"], "--x0", "-0.9,3.7", id="x0"),
+    pytest.param(_OPT + ["--x0", "2,-0.1", "--trace-out", "{t}/neg.csv",
+                         "--grid-out", "{t}/neg.grid.csv", "--grid-n", "5"],
+                 "--grid-bounds", "-1,1,-1,1", id="grid-bounds"),
+    pytest.param(["analyze", "--problem", "{d}/fig1.problem", "--direction=1,-1"],
+                 "--point", "-1/2,0", id="point"),
+    pytest.param(_ANA + ["--direction=1,-1"], "--direction", "-1,1", id="direction"),
+    pytest.param(_DIA + ["--report", "{t}/neg.json"], "--x-star", "-1/2,1",
+                 id="x-star"),
+]
+
+
+@pytest.mark.parametrize("argv, option, value", _NEGATIVE)
+def test_list_option_takes_a_negative_value_split_or_joined(
+    misuse_dir, tmp_path, capsys, argv, option, value
+):
+    """`--x0 -0.9,3.7` runs as `--x0=-0.9,3.7` does: same output, same files."""
+    argv = [arg.format(d=misuse_dir, t=tmp_path) for arg in argv]
+    runs = []
+    for form in ([option, value], [f"{option}={value}"]):
+        assert main(argv + form) == 0, form
+        files = {}
+        for path in sorted(tmp_path.iterdir()):
+            files[path.name] = path.read_bytes()
+            path.unlink()
+        runs.append((capsys.readouterr().out, files))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("argv, missing", [
+    pytest.param(_OPT + ["--x0", "2,-0.1", "--trace-out", "{t}/ok.csv",
+                         "--grid-out", "{t}/missing/g.csv"],
+                 "{t}/missing/g.csv", id="optimize-grid-out"),
+    pytest.param(_OPT + ["--x0", "2,-0.1", "--trace-out", "{t}/missing/t.csv"],
+                 "{t}/missing/t.csv", id="optimize-trace-out"),
+    pytest.param(_DIA + ["--report", "{t}/missing/r.json"], "{t}/missing/r.json",
+                 id="diagnose-report"),
+    pytest.param(["tensor", "--dims", "2,2", "--rank", "1",
+                  "--target", "{d}/misuse.target.json",
+                  "--emit-problem", "{t}/missing/cp.problem"],
+                 "{t}/missing/cp.problem", id="tensor-emit-problem"),
+])
+def test_missing_output_directory_fails_before_any_work(
+    misuse_dir, tmp_path, capsys, monkeypatch, argv, missing
+):
+    """A missing output directory is reported before anything is loaded or
+    written, so the failed command leaves no file behind."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the outputs were checked")
+
+    for name in ("load_problem", "build_cp_objective"):
+        monkeypatch.setattr(cli, name, refuse)
+    argv = [arg.format(d=misuse_dir, t=tmp_path) for arg in argv]
+    missing = missing.format(t=tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: file '{missing}' not found\n"
+    assert list(tmp_path.iterdir()) == []

@@ -1,5 +1,6 @@
 """Exact polynomial/rational algebra: ring laws, calculus, evaluation."""
 
+import functools
 import gc
 import math
 import random
@@ -240,6 +241,23 @@ class TestLocalCharts:
         with pytest.raises(DomainViolation) as err:
             f.eval((3.0, 0.0))
         assert err.value.point == (3.0, 0.0)
+
+    def test_chart_is_the_first_nearest_centre(self):
+        """The dispatch loop picks the centre a keyed min() over the float
+        coordinates picks: the first of equally near centres, and the origin
+        at a NaN coordinate."""
+        f = load_bundled("multi3").rational()
+        centres = f._centres
+        points = [(1.5, 0.0), (0.0, 1.5), (1.5, 1.5), (math.nan, 1.0), (1.0, math.nan)]
+        for c in centres:
+            points += [c, (c[0] + 1e-300, c[1]), (c[0], c[1] + 1e-300),
+                       (Fraction(c[0]) + Fraction(1, 10**300), Fraction(c[1]))]
+        rng = random.Random(8)
+        points += [(rng.uniform(-1, 4), rng.uniform(-1, 4)) for _ in range(500)]
+        for x in points:
+            coords = [float(v) for v in x]
+            expected = min(centres, key=functools.partial(math.dist, coords))
+            assert f._chart(x) is f._charts[expected], x
 
 
 def _hex(values):

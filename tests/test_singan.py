@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from singulim.descent import DescentConfig, optimize
+from singulim.limits import direction_trail
 from singulim.polyalg import Polynomial, RationalFunction
 from singulim.problems import load_bundled
 from singulim.singan import (
@@ -217,3 +219,62 @@ class TestRadiusBound:
             t = line.radius_lower_bound / 2.0
             tail = sum(abs(c) * t ** n for n, c in enumerate(line.coeffs) if n >= 48)
             assert tail < 1e-9
+
+
+def _hex(values):
+    """Nested floats as float.hex strings, so equality means equal bits."""
+    if isinstance(values, float):
+        return values.hex()
+    return [_hex(v) for v in values]
+
+
+class TestPencilMemo:
+    """The pencil at a declared centre is built once per function."""
+
+    @pytest.mark.parametrize("name, centre", [
+        ("fig1", (0, 0)), ("multi3", (0, 0)), ("multi3", (3, 0)), ("multi3", (0, 3)),
+    ])
+    def test_declared_centre_returns_the_same_pencil(self, name, centre):
+        f = load_bundled(name).rational()
+        pencil = analyze_singularity(f, centre)
+        assert analyze_singularity(f, centre) is pencil
+        as_floats = tuple(float(v) for v in centre)
+        assert analyze_singularity(f, as_floats) is pencil
+        assert pencil.base == tuple(Fraction(v) for v in centre)
+
+    def test_other_base_builds_a_fresh_pencil_and_keeps_none(self):
+        f = load_bundled("multi3").rational()
+        slots = dict(f._pencils)
+        first = analyze_singularity(f, (1, 1))
+        second = analyze_singularity(f, (1, 1))
+        assert first == second and first is not second
+        assert f._pencils == slots
+
+    @pytest.mark.parametrize("name, centre, x0", [
+        ("fig1", (0, 0), (2.0, -0.1)),
+        ("multi3", (3, 0), (3.4, -0.3)),
+        ("multi3", (0, 3), (0.3, 2.6)),
+    ])
+    def test_memoized_pencil_gives_the_same_bits(self, name, centre, x0):
+        """Generated evaluators on a kept pencil match a fresh pencil's loops."""
+        f = load_bundled(name).rational()
+        trace = optimize(f, x0, DescentConfig(max_iters=60))
+        direction = (0.6, -0.8)
+        for _ in range(3):
+            pencil = analyze_singularity(f, centre)
+            trail = direction_trail(trace, pencil)
+            line = taylor_line(f, centre, direction, pencil=pencil)
+        used = pencil.denom_coeffs[pencil.n_min:] + pencil.numer_coeffs[pencil.n_min:]
+        assert all(p._evaluator.generated for p in used)
+
+        fresh = analyze_singularity(load_bundled(name).rational(), centre)
+        fresh_line = taylor_line(f, centre, direction, pencil=fresh)
+        fresh_used = fresh.denom_coeffs[fresh.n_min:] + fresh.numer_coeffs[fresh.n_min:]
+        assert not any(p._evaluator.generated for p in fresh_used)
+        fresh_trail = direction_trail(trace, fresh)
+        assert _hex(trail.pencil_values) == _hex(fresh_trail.pencil_values)
+        assert _hex(trail.unit_directions) == _hex(fresh_trail.unit_directions)
+        assert trail.min_tail_pencil.hex() == fresh_trail.min_tail_pencil.hex()
+        assert _hex(line.coeffs) == _hex(fresh_line.coeffs)
+        assert _hex(line.recurrence_weights) == _hex(fresh_line.recurrence_weights)
+        assert line.radius_lower_bound.hex() == fresh_line.radius_lower_bound.hex()
