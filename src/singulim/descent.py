@@ -109,10 +109,16 @@ def _line_search(evaluate, x, fx, grad, g_sq, alpha, cfg):
     one instead of f_trial with the rounded threshold fx - sigma*alpha*g_sq.
     evaluate is the objective's eval.  Returns (trial, f_trial, alpha), or
     None after MAX_BACKTRACKS trials.
+
+    A trial that rounds back to x ends the search with None at once: every
+    smaller alpha rounds to x too (rounding is monotone), where f is fx and
+    the decrease 0, so the remaining trials would all fail.
     """
     sigma, factor = cfg.sigma_armijo, cfg.backtrack_factor
     for _ in range(MAX_BACKTRACKS):
         trial = tuple([xi - alpha * gi for xi, gi in zip(x, grad)])
+        if trial == x:
+            return None
         try:
             f_trial = evaluate(trial)
         except (DomainViolation, OverflowError):

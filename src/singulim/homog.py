@@ -9,10 +9,15 @@ multilinear parameterization tau and target tensor T,
 
 stored symbolically as a rational function with denominator ||tau(x)||^4 so
 the homogeneity and boundedness claims are checkable as polynomial facts.
-It is evaluated, in float and exactly, in the reduced form r/G with
-I = <tau, T>, G = ||tau||^2 and r = ||T||^2 G - I^2: far fewer terms, and the
-domain test (DENOM_FLOOR) applies to G, not to G^2, so f_hat's value neither
-underflows nor overflows where G^2 would.
+It is evaluated in the reduced form r/G with I = <tau, T>, G = ||tau||^2 and
+r = ||T||^2 G - I^2, and the domain test (DENOM_FLOOR) applies to G, not to
+G^2, so f_hat's value neither underflows nor overflows where G^2 would.
+Exactly, r and G are polynomials in x.  In float they are evaluated through
+tau: the entries u_j of tau(x) are summed first, then R(u) = ||T||^2 sum u_j^2
+- (sum T_j u_j)^2 and G(u) = sum u_j^2, and the gradient follows by the chain
+rule.  Where the rank-1 terms of tau cancel, near the singular cone tau = 0,
+that cancellation then happens once per entry u_j instead of inside every
+term of r and G multiplied out in x.
 """
 
 from __future__ import annotations
@@ -138,15 +143,15 @@ def normalization_bound_check(
     return lhs, rhs
 
 
-def _inner_and_gram_polys(
-    model: CPModel, target: np.ndarray
-) -> tuple[Polynomial, Polynomial]:
-    """Polynomials <tau(x), T> and ||tau(x)||^2 in the flat parameters."""
+def _tau_entries(model: CPModel) -> list[Polynomial]:
+    """The entries of tau(x) as polynomials in the flat parameters.
+
+    One per tensor index, in C order: the sum over rank terms of the product
+    of the selected factor entries.
+    """
     n = model.n_params
-    index_sets = list(itertools.product(*(range(d) for d in model.dims)))
-    # s_idx = sum over rank terms of the product of the selected factor entries.
-    entry_polys: dict[tuple[int, ...], Polynomial] = {}
-    for idx in index_sets:
+    entries = []
+    for idx in itertools.product(*(range(d) for d in model.dims)):
         terms: dict[tuple[int, ...], Fraction] = {}
         for l in range(model.rank):
             exps = [0] * n
@@ -154,24 +159,18 @@ def _inner_and_gram_polys(
                 exps[model.var_index(l, mode, coord)] += 1
             key = tuple(exps)
             terms[key] = terms.get(key, Fraction(0)) + Fraction(1)
-        entry_polys[idx] = Polynomial(n, terms)
-    inner = Polynomial.zero(n)
-    gram = Polynomial.zero(n)
-    for idx in index_sets:
-        entry = entry_polys[idx]
-        coeff = Fraction(float(target[idx]))
-        if coeff != 0:
-            inner = inner + entry.scale(coeff)
-        gram = gram + entry * entry
-    return inner, gram
+        entries.append(Polynomial(n, terms))
+    return entries
 
 
 def build_cp_objective(model: CPModel, target) -> HomogenizedObjective:
     """Construct f_hat = ||T||^2 - <tau, T>^2 / ||tau||^2 symbolically.
 
     Stored over the common denominator ||tau||^4 so that the denominator
-    structure is a checkable polynomial identity; evaluated as r/G (module
-    docstring), from which the stored form is multiplied out.
+    structure is a checkable polynomial identity; evaluated as r/G composed
+    with the entries of tau (module docstring), from which the stored form is
+    multiplied out.  ||T||^2 is the exact sum of the squared entries, so
+    f_hat >= 0 holds in exact arithmetic (Cauchy-Schwarz).
     """
     target = np.asarray(target, dtype=float)
     if target.shape != model.dims:
@@ -183,10 +182,18 @@ def build_cp_objective(model: CPModel, target) -> HomogenizedObjective:
             f"model has {model.n_params} parameters, beyond the symbolic "
             f"budget of {DEFAULT_PARAM_BUDGET}"
         )
-    inner, gram = _inner_and_gram_polys(model, target)
-    t_sq = Fraction(float(np.sum(np.square(target))))
-    reduced = gram.scale(t_sq) - inner * inner
-    f_hat = RationalFunction.with_common_factor(reduced, gram, gram)
+    entries = _tau_entries(model)
+    t = [Fraction(float(v)) for v in target.flat]
+    m = len(entries)
+    # R and G as polynomials in u = the entries of tau.
+    u = [Polynomial.variable(m, k) for k in range(m)]
+    gram_u = sum((u_k * u_k for u_k in u), Polynomial.zero(m))
+    inner_u = sum((u_k.scale(t_k) for u_k, t_k in zip(u, t)), Polynomial.zero(m))
+    t_sq = sum(t_k * t_k for t_k in t)
+    reduced_u = gram_u.scale(t_sq) - inner_u * inner_u
+    f_hat = RationalFunction.with_common_factor(
+        reduced_u, gram_u, gram_u.compose(entries), inner=entries
+    )
     return HomogenizedObjective(model, f_hat, float(t_sq))
 
 
@@ -215,8 +222,11 @@ def normalized_a1_check(
 ) -> ConditionReport:
     """Sufficient-decrease report for the normalized iterates u_k = x_k/||x_k||.
 
-    Verifies degree-0 homogeneity at the trace endpoints first; the
-    normalized ratio is guaranteed to keep at least half the original sigma.
+    Verifies degree-0 homogeneity at the trace endpoints first.  In exact
+    arithmetic f_hat(u_k) = f_hat(x_k), and the normalized ratio keeps at
+    least half the original sigma.  In float the two values differ by
+    evaluation error, so a step whose decrease is of the order of that error
+    can give sigma_hat below sigma/2, even negative.
     """
     for point in (trace.iterates[0], trace.iterates[-1]):
         if not euler_residual_ok(obj, point):

@@ -254,6 +254,31 @@ class Polynomial:
         self._check_point(offset)
         return Polynomial(self.n_vars, _shift_terms(self.terms, offset))
 
+    def compose(self, inner: Sequence["Polynomial"]) -> "Polynomial":
+        """Exact substitution: x -> p(u_0(x), ..., u_{m-1}(x)).
+
+        inner holds one polynomial u_k per variable of p, all in the same
+        variables x.
+        """
+        if len(inner) != self.n_vars or not inner:
+            raise DimensionError(
+                f"{len(inner)} inner polynomials for {self.n_vars} variables"
+            )
+        n_vars = inner[0].n_vars
+        # powers[k][e] is u_k^e, extended on demand.
+        powers = [[Polynomial.constant(n_vars, 1)] for _ in inner]
+        out: dict[Exponent, Fraction] = {}
+        for exps, coeff in self.terms.items():
+            term = Polynomial.constant(n_vars, coeff)
+            for row, u, e in zip(powers, inner, exps):
+                while len(row) <= e:
+                    row.append(row[-1] * u)
+                if e:
+                    term = term * row[e]
+            for key, c in term.terms.items():
+                out[key] = out.get(key, Fraction(0)) + c
+        return Polynomial(n_vars, out)
+
     # -- line composition --------------------------------------------------
 
     def compose_line(self, base: Sequence) -> list["Polynomial"]:
@@ -358,29 +383,51 @@ def _power_table(coords: Sequence[float], max_deg: Sequence[int]) -> list[list[f
     return table
 
 
-def _power_name(index: int, power: int) -> str:
-    return f"x{index}" if power == 1 else f"x{index}_{power}"
+def _power_name(var: str, index: int, power: int) -> str:
+    return f"{var}{index}" if power == 1 else f"{var}{index}_{power}"
+
+
+def _power_lines(var: str, max_deg: Sequence[int]) -> list[str]:
+    """Statements that name _power_table's powers of var0, var1, ..."""
+    return [
+        f"    {_power_name(var, i, e)} = {_power_name(var, i, e - 1)} * {var}{i}"
+        for i, top in enumerate(max_deg)
+        for e in range(2, top + 1)
+    ]
 
 
 def _list_source(items: Sequence[str]) -> str:
     return "[" + ", ".join(items) + "]"
 
 
-def _sum_source(name: str, compiled: Compiled) -> list[str]:
-    """Statements that leave _eval_compiled(compiled, powers) in name.
-
-    Same products, left to right from the coefficient, and the same sum, left
-    to right from 0.0, so the value has the same bits.
-    """
-    terms = [
-        "*".join([repr(coeff)] + [_power_name(i, e) for i, e in pairs])
-        for coeff, pairs in compiled
-    ]
+def _sum_lines(name: str, terms: Sequence[str]) -> list[str]:
+    """Statements that leave the sum of the terms, left to right from 0.0, in name."""
     lines = [f"    {name} = 0.0"]
     for start in range(0, len(terms), TERMS_PER_STATEMENT):
         chunk = terms[start:start + TERMS_PER_STATEMENT]
         lines.append(f"    {name} = {name} + " + " + ".join(chunk))
     return lines
+
+
+def _sum_source(name: str, compiled: Compiled, var: str) -> list[str]:
+    """Statements that leave _eval_compiled(compiled, powers) in name.
+
+    powers are those of var0, var1, ...  Same products, left to right from
+    the coefficient, and the same sum, left to right from 0.0, so the value
+    has the same bits.
+    """
+    return _sum_lines(name, [
+        "*".join([repr(coeff)] + [_power_name(var, i, e) for i, e in pairs])
+        for coeff, pairs in compiled
+    ])
+
+
+def _chain_sum(outer_grad: Sequence[float], row: Sequence[tuple[int, float]]) -> float:
+    """sum_k outer_grad[k] * du_k/dx_i over a Jacobian row, left to right from 0.0."""
+    total = 0.0
+    for k, du in row:
+        total += outer_grad[k] * du
+    return total
 
 
 class _Evaluator:
@@ -394,6 +441,15 @@ class _Evaluator:
     else returns f = p/q, or (f, grad f) when grad is set.  The gradient is
     (q grad p - p grad q) / q^2, or (grad p - f grad q) / q where q^2 is zero,
     subnormal or infinite although q is not.
+
+    Built with inner = (u_0, ..., u_{m-1}), term maps in the n_vars
+    variables, it evaluates a composed pair: numer and denom are term maps in
+    m variables, and p, q are their values at u(d).  Each u_k is summed
+    first, then p and q in the u_k, and the gradient of p is formed by the
+    chain rule, dp/dx_i = sum_k dp/du_k * du_k/dx_i, k ascending over the u_k
+    that depend on x_i (q likewise).  Cancellation inside a u_k then costs
+    accuracy relative to u_k only, where the multiplied-out p and q would
+    repeat it in every term.
 
     The first call runs the term loops (loop).  The second generates one
     straight-line function that forms the same differences, powers, products,
@@ -412,14 +468,30 @@ class _Evaluator:
         numer: Mapping[Exponent, Rational],
         denom: Mapping[Exponent, Rational] | None = None,
         centre: tuple[float, ...] | None = None,
+        inner: Sequence[Mapping[Exponent, Rational]] | None = None,
     ):
         term_maps = [numer] if denom is None else [numer, denom]
         term_maps = [{e: _integral(c) for e, c in t.items()} for t in term_maps]
+        # The variables of numer and denom: x itself, or the u_k.
+        n_outer = n_vars if inner is None else len(inner)
         self.values = [_compile_terms(t) for t in term_maps]
         self.partials = [
-            [_compile_partial(t, i) for i in range(n_vars)] for t in term_maps
+            [_compile_partial(t, k) for k in range(n_outer)] for t in term_maps
         ] if denom is not None else []
-        self.max_deg = _max_degrees(n_vars, term_maps)
+        self.outer_max_deg = _max_degrees(n_outer, term_maps)
+        if inner is None:
+            self.inner = self.jacobian = None
+            self.max_deg = self.outer_max_deg
+        else:
+            inner = [{e: _integral(c) for e, c in t.items()} for t in inner]
+            self.inner = [_compile_terms(t) for t in inner]
+            # Row i: (k, du_k/dx_i) for each u_k that depends on x_i.
+            self.jacobian = [
+                [(k, du) for k, du in enumerate(_compile_partial(t, i) for t in inner)
+                 if du]
+                for i in range(n_vars)
+            ]
+            self.max_deg = _max_degrees(n_vars, inner)
         self.centre = centre
         self._used = False
 
@@ -443,18 +515,30 @@ class _Evaluator:
         else:
             coords = [float(v) - c for v, c in zip(x, self.centre)]
         powers = _power_table(coords, self.max_deg)
-        p = _eval_compiled(self.values[0], powers)
+        outer = powers
+        if self.inner is not None:
+            u = [_eval_compiled(c, powers) for c in self.inner]
+            outer = _power_table(u, self.outer_max_deg)
+        p = _eval_compiled(self.values[0], outer)
         if not self.partials:
             return p
-        q = _eval_compiled(self.values[1], powers)
+        q = _eval_compiled(self.values[1], outer)
         if abs(q) < DENOM_FLOOR:
             raise DomainViolation(x, q)
         f = p / q
         if not grad:
             return f
         grad_p, grad_q = (
-            [_eval_compiled(c, powers) for c in row] for row in self.partials
+            [_eval_compiled(c, outer) for c in row] for row in self.partials
         )
+        if self.inner is not None:
+            jacobian = [
+                [(k, _eval_compiled(du, powers)) for k, du in row]
+                for row in self.jacobian
+            ]
+            grad_p, grad_q = (
+                [_chain_sum(g, row) for row in jacobian] for g in (grad_p, grad_q)
+            )
         q_sq = q * q
         if sys.float_info.min <= q_sq < math.inf:
             return f, [(q * a - p * b) / q_sq for a, b in zip(grad_p, grad_q)]
@@ -468,14 +552,18 @@ class _Evaluator:
             lines += [f"    {n} = float({n})" for n in names]
         else:
             lines += [f"    {n} = float({n}) - {c!r}" for n, c in zip(names, self.centre)]
-        for i, top in enumerate(self.max_deg):
-            for e in range(2, top + 1):
-                lines.append(f"    {_power_name(i, e)} = {_power_name(i, e - 1)} * x{i}")
-        lines += _sum_source("p", self.values[0])
+        lines += _power_lines("x", self.max_deg)
+        var = "x"
+        if self.inner is not None:
+            for k, compiled in enumerate(self.inner):
+                lines += _sum_source(f"u{k}", compiled, "x")
+            lines += _power_lines("u", self.outer_max_deg)
+            var = "u"
+        lines += _sum_source("p", self.values[0], var)
         if not self.partials:
             lines.append("    return p")
         else:
-            lines += _sum_source("q", self.values[1])
+            lines += _sum_source("q", self.values[1], var)
             lines += [
                 "    if abs(q) < DENOM_FLOOR:",
                 "        raise DomainViolation(x, q)",
@@ -485,9 +573,20 @@ class _Evaluator:
             ]
             grad_p = [f"p_{i}" for i in range(len(names))]
             grad_q = [f"q_{i}" for i in range(len(names))]
-            for row_names, row in zip((grad_p, grad_q), self.partials):
-                for name, compiled in zip(row_names, row):
-                    lines += _sum_source(name, compiled)
+            if self.inner is None:
+                for row_names, row in zip((grad_p, grad_q), self.partials):
+                    for name, compiled in zip(row_names, row):
+                        lines += _sum_source(name, compiled, "x")
+            else:
+                for prefix, row in zip(("p_u", "q_u"), self.partials):
+                    for k, compiled in enumerate(row):
+                        lines += _sum_source(f"{prefix}{k}", compiled, "u")
+                for i, row in enumerate(self.jacobian):
+                    for k, compiled in row:
+                        lines += _sum_source(f"du{k}_{i}", compiled, "x")
+                for prefix, row_names in zip(("p_u", "q_u"), (grad_p, grad_q)):
+                    for i, (name, row) in enumerate(zip(row_names, self.jacobian)):
+                        lines += _sum_lines(name, [f"{prefix}{k} * du{k}_{i}" for k, _ in row])
             pairs = list(zip(grad_p, grad_q))
             lines += [
                 "    q_sq = q * q",
@@ -515,7 +614,10 @@ class RationalFunction:
     evaluation pair instead.  It is (numer, denom) unless the function was
     built by with_common_factor(p, q, h), which stores p*h over q*h and
     evaluates p/q: fewer terms, no cancellation of h, and DENOM_FLOOR tested
-    on q rather than on q*h.
+    on q rather than on q*h.  with_common_factor(p, q, h, inner=u) also keeps
+    p and q as compositions p(u(x)), q(u(x)), and float evaluation sums the
+    inner polynomials u first (_Evaluator); the evaluation pair is their
+    exact composition all the same.
 
     Float evaluation of p and q as stored, an expansion about the origin,
     loses accuracy far from it, where the terms cancel.  singular_points
@@ -529,7 +631,8 @@ class RationalFunction:
     """
 
     __slots__ = (
-        "numer", "denom", "_eval_pair", "_origin", "_centres", "_charts", "_pencils"
+        "numer", "denom", "_eval_pair", "_composition", "_origin", "_centres",
+        "_charts", "_pencils",
     )
 
     def __init__(
@@ -542,6 +645,8 @@ class RationalFunction:
         self.numer = numer
         self.denom = denom
         self._eval_pair = (numer, denom)
+        # (inner, p, q) when p and q of the evaluation pair are compositions.
+        self._composition: tuple | None = None
         self._origin = (0.0,) * numer.n_vars
         centres = [self._origin]
         bases = [self._origin]
@@ -567,15 +672,30 @@ class RationalFunction:
 
     @classmethod
     def with_common_factor(
-        cls, p: Polynomial, q: Polynomial, h: Polynomial
+        cls,
+        p: Polynomial,
+        q: Polynomial,
+        h: Polynomial,
+        inner: Sequence[Polynomial] | None = None,
     ) -> "RationalFunction":
         """(p*h)/(q*h) as stored, evaluated as p/q.
 
         The stored form is multiplied out here, so it equals p/q by
         construction; h must not vanish on the domain of p/q.
+
+        With inner = (u_0, ..., u_{m-1}), polynomials in the variables of h,
+        p and q are polynomials in m variables that stand for p(u(x)) and
+        q(u(x)).  Those compositions are formed exactly here and are the
+        evaluation pair; float evaluation sums the u_k first and evaluates p
+        and q in them.
         """
+        composition = None
+        if inner is not None:
+            composition = (tuple(inner), p, q)
+            p, q = p.compose(inner), q.compose(inner)
         f = cls(p * h, q * h)
         f._eval_pair = (p, q)
+        f._composition = composition
         return f
 
     @property
@@ -585,7 +705,8 @@ class RationalFunction:
     def _chart(self, x: Sequence[float]) -> _Evaluator:
         """The chart that evaluates x: the evaluator of p/q about its centre.
 
-        p and q are the evaluation pair, exactly shifted to the centre.
+        p and q are the evaluation pair, exactly shifted to the centre, or
+        the composition it was formed from (_composition).
         """
         if len(x) != self.numer.n_vars:
             raise DimensionError(
@@ -603,7 +724,15 @@ class RationalFunction:
         chart = self._charts.get(centre)
         if chart is None:
             p, q = self._eval_pair
-            if centre is self._origin:
+            if self._composition is not None:
+                # with_common_factor declares no singular point, so the
+                # origin's chart is the only one.
+                inner, outer_p, outer_q = self._composition
+                chart = _Evaluator(
+                    self.n_vars, outer_p.terms, outer_q.terms,
+                    inner=[u.terms for u in inner],
+                )
+            elif centre is self._origin:
                 chart = _Evaluator(self.n_vars, p.terms, q.terms)
             else:
                 chart = _Evaluator(

@@ -4,7 +4,9 @@ import math
 
 import pytest
 
+from singulim import descent
 from singulim.descent import (
+    MAX_BACKTRACKS,
     DescentConfig,
     check_conditions,
     optimize,
@@ -12,7 +14,7 @@ from singulim.descent import (
     trace_from_points,
     write_trace_csv,
 )
-from singulim.polyalg import Polynomial, RationalFunction
+from singulim.polyalg import DomainViolation, Polynomial, RationalFunction
 from singulim.problems import load_bundled
 
 
@@ -21,6 +23,37 @@ def _pinch():
     y = Polynomial.variable(2, 1)
     r2 = x * x + y * y
     return RationalFunction(x * y, r2 * (1 + r2))
+
+
+def _full_ladder(evaluate, x, fx, grad, g_sq, alpha, cfg):
+    """descent._line_search without its early exit at a trial equal to x."""
+    sigma, factor = cfg.sigma_armijo, cfg.backtrack_factor
+    for _ in range(MAX_BACKTRACKS):
+        trial = tuple([xi - alpha * gi for xi, gi in zip(x, grad)])
+        try:
+            f_trial = evaluate(trial)
+        except (DomainViolation, OverflowError):
+            alpha *= factor
+            continue
+        required = sigma * alpha * g_sq
+        if math.isfinite(f_trial) and fx - f_trial >= required > 0.0:
+            return trial, f_trial, alpha
+        alpha *= factor
+    return None
+
+
+class _Counted:
+    """An objective's eval and eval_and_grad, counting eval calls."""
+
+    def __init__(self, f):
+        self.f, self.calls = f, 0
+
+    def eval(self, x):
+        self.calls += 1
+        return self.f.eval(x)
+
+    def eval_and_grad(self, x):
+        return self.f.eval_and_grad(x)
 
 
 def _quadratic_1d():
@@ -118,6 +151,32 @@ class TestOptimize:
     def test_non_finite_start_rejected(self):
         with pytest.raises(ValueError):
             optimize(_pinch(), (float("nan"), 0.0))
+
+
+class TestLineSearch:
+    def test_search_that_rounds_back_to_x_stops_there(self, monkeypatch):
+        """counterex from this start stops on f_stationary after 4 steps: its
+        last searches halve alpha until x - alpha*g rounds back to x."""
+        x0, cfg = (0.2967700716400383, 0.17165480523348187), DescentConfig()
+        counted = _Counted(load_bundled("counterex").rational())
+        trace = optimize(counted, x0, cfg)
+        assert trace.stop_reason == "f_stationary"
+        run_calls = counted.calls
+
+        x, fx = trace.iterates[-1], trace.f_values[-1]
+        _, grad = counted.eval_and_grad(x)
+        g_sq = trace.grad_norms[-1] ** 2
+        counted.calls = 0
+        assert descent._line_search(counted.eval, x, fx, grad, g_sq, 1.0, cfg) is None
+        assert 0 < counted.calls < MAX_BACKTRACKS
+        counted.calls = 0
+        assert _full_ladder(counted.eval, x, fx, grad, g_sq, 1.0, cfg) is None
+        assert counted.calls == MAX_BACKTRACKS
+
+        reference = _Counted(load_bundled("counterex").rational())
+        monkeypatch.setattr(descent, "_line_search", _full_ladder)
+        assert optimize(reference, x0, cfg) == trace
+        assert reference.calls > run_calls
 
 
 class TestCheckConditions:

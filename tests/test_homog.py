@@ -197,6 +197,21 @@ class TestBuildCPObjective:
                 for g, g_c in zip(grad, grad_c):
                     assert abs(c * g_c - g) <= 1e-12 * scale
 
+    def test_exact_value_nonnegative_at_rank_one_targets(self):
+        """f_hat >= 0 in exact arithmetic (Cauchy-Schwarz) only with the exact
+        ||T||^2: at x = (a, b) and T = fl(a b^T), <tau, T>^2 / ||tau||^2 is
+        within rounding of ||T||^2, and a rounded ||T||^2 can fall below it."""
+        rng = random.Random(5)
+        model = CPModel((2, 2), 1)
+        for _ in range(40):
+            a = [rng.uniform(-2.0, 2.0) for _ in range(2)]
+            b = [rng.uniform(-2.0, 2.0) for _ in range(2)]
+            target = np.outer(a, b)
+            obj = build_cp_objective(model, target)
+            assert obj.f_hat.eval_exact(a + b) >= 0
+            t_sq = sum(Fraction(v) ** 2 for v in target.flat)
+            assert obj.target_norm_sq == float(t_sq)
+
     def test_shape_mismatch_rejected(self):
         model = CPModel((2, 2), 1)
         with pytest.raises(ValueError):
@@ -210,6 +225,14 @@ class TestBuildCPObjective:
 
 class TestExactAgreement:
     TARGET = [[1.0, -0.75], [0.5, 3.0]]
+
+    def test_evaluation_pair_is_the_reduced_form(self):
+        _, obj = _rank1_2x2(self.TARGET)
+        inner, gram = _rank1_2x2_polys(self.TARGET)
+        t_sq = sum(Fraction(v) ** 2 for row in self.TARGET for v in row)
+        assert obj.f_hat._eval_pair == (gram.scale(t_sq) - inner * inner, gram)
+        assert obj.f_hat.numer == (gram.scale(t_sq) - inner * inner) * gram
+        assert obj.f_hat.denom == gram * gram
 
     def test_reduced_form_equals_stored_form(self):
         _, obj = _rank1_2x2(self.TARGET)
@@ -239,6 +262,27 @@ class TestExactAgreement:
         scale = 1 + math.sqrt(sum(float(g) ** 2 for g in exact_grad))
         for g, e in zip(grad, exact_grad):
             assert abs(g - e) <= 1e-12 * scale
+
+
+class TestNearCone:
+    def test_float_value_keeps_relative_accuracy(self):
+        """Points whose two rank-1 terms cancel to about 1e-5, as CP iterates
+        approaching the singular cone tau = 0 do: a' = -a, b' = b, c' = c up
+        to 1e-5.  Both the looped first call and the generated code."""
+        rng = random.Random(2008)
+        model = CPModel((2, 2, 2), 2)
+        target = [[[rng.gauss(0.0, 1.0) for _ in range(2)] for _ in range(2)]
+                  for _ in range(2)]
+        obj = build_cp_objective(model, target)
+        for _ in range(50):
+            first = [rng.gauss(0.0, 1.0) for _ in range(6)]
+            second = [v + 1e-5 * rng.gauss(0.0, 1.0) for v in first]
+            second[0], second[1] = -second[0], -second[1]
+            x = first + second
+            assert np.abs(model.tau(x)).max() < 1e-3
+            exact = obj.f_hat.eval_exact(x)
+            for value in (obj.eval(x), obj.eval(x), obj.eval_and_grad(x)[0]):
+                assert abs(Fraction(value) - exact) <= Fraction(1e-9) * abs(exact)
 
 
 class TestEulerIdentity:

@@ -214,6 +214,21 @@ class TestShift:
         assert p.shift(offset).eval_exact(d) == p.eval_exact(moved)
 
 
+class TestCompose:
+    @settings(max_examples=40, deadline=None)
+    @given(polynomials(n_vars=2, max_degree=3, max_terms=4),
+           polynomials(max_degree=2, max_terms=3),
+           polynomials(max_degree=2, max_terms=3), points)
+    def test_compose_is_exact_substitution(self, p, a, b, x):
+        assert p.compose([a, b]).eval_exact(x) == p.eval_exact(
+            [a.eval_exact(x), b.eval_exact(x)])
+
+    def test_inner_count_must_match_variables(self):
+        x, y = _vars()
+        with pytest.raises(DimensionError):
+            (x * y).compose([x])
+
+
 class TestLocalCharts:
     """Float evaluation keeps its accuracy near every declared singular point."""
 
@@ -493,6 +508,32 @@ class TestRationalFunction:
         assert f.eval((1e-100, 2e-100)) == pytest.approx(0.4, rel=1e-15)
         with pytest.raises(DomainViolation):
             f.eval((0.0, 0.0))
+
+    def test_composed_common_factor_evaluates_through_inner(self):
+        """p(u)/q(u) with u = (x^2 - y, x*y^3, 2): powers of both x and u, and
+        du_k/dx_i that vanish identically."""
+        x, y = _vars()
+        inner = [x * x - y, x * y ** 3, Polynomial.constant(2, 2)]
+        u0, u1, u2 = _vars(3)
+        p, q = u0 ** 3 * u2 - u1, 1 + u0 * u0 + u1 ** 2
+        f = RationalFunction.with_common_factor(p, q, 1 + x * x, inner=inner)
+        expanded = RationalFunction(p.compose(inner), q.compose(inner))
+        assert f._eval_pair == (expanded.numer, expanded.denom)
+        assert f == expanded
+        rng = random.Random(3)
+        points = [(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(20)]
+        first = f.eval_and_grad(points[0])  # looped
+        assert _hex(f.eval_and_grad(points[0])) == _hex(first)
+        chart = f._chart(points[0])
+        assert chart.generated
+        for pt in points:
+            assert f.eval_exact(pt) == expanded.eval_exact(pt)
+            for grad in (False, True):
+                assert _hex(chart.evaluate(pt, grad)) == _hex(chart.loop(pt, grad))
+            value, gradient = f.eval_and_grad(pt)
+            ref_value, ref_gradient = expanded.eval_and_grad(pt)
+            assert value == pytest.approx(ref_value, rel=1e-12, abs=1e-12)
+            assert gradient == pytest.approx(ref_gradient, rel=1e-10, abs=1e-10)
 
     def test_gradient_matches_finite_differences(self):
         x, y = _vars()
