@@ -7,7 +7,7 @@ multilinear parameterization tau and target tensor T,
     f_hat(x) = || <tau(x), T> / ||tau(x)||^2 * tau(x) - T ||^2
              = ||T||^2 - <tau(x), T>^2 / ||tau(x)||^2,
 
-stored symbolically as a rational function with denominator ||tau(x)||^4 so
+whose stored form is a rational function with denominator ||tau(x)||^4, so
 the homogeneity and boundedness claims are checkable as polynomial facts.
 It is evaluated in the reduced form r/G with I = <tau, T>, G = ||tau||^2 and
 r = ||T||^2 G - I^2, and the domain test (DENOM_FLOOR) applies to G, not to
@@ -18,6 +18,13 @@ tau: the entries u_j of tau(x) are summed first, then R(u) = ||T||^2 sum u_j^2
 rule.  Where the rank-1 terms of tau cancel, near the singular cone tau = 0,
 that cancellation then happens once per entry u_j instead of inside every
 term of r and G multiplied out in x.
+
+Building f_hat forms R and G in the u_j and the common factor G(tau(x))
+only.  r and G in x, and the stored form (r G)/G^2, are multiplied out the
+first time something reads them (RationalFunction.with_common_factor):
+exact evaluation, equality, analyze_singularity and the problem file that
+`singulim tensor --emit-problem` writes.  DEFAULT_PARAM_BUDGET guards that
+expansion.
 """
 
 from __future__ import annotations
@@ -33,8 +40,10 @@ import numpy as np
 from .descent import ConditionReport, DescentTrace, check_conditions, trace_from_points
 from .polyalg import Polynomial, RationalFunction
 
-# Beyond this many scalar parameters the symbolic expansion of ||tau||^4 gets
-# unreasonably large for a desk tool; the builder refuses instead of thrashing.
+# Beyond this many scalar parameters the stored form over ||tau||^4, which
+# emit-problem and the exact analysis multiply out, gets unreasonably large for
+# a desk tool; the builder refuses instead of thrashing.  Building f_hat and
+# evaluating it in float expand only G(tau(x)) (module docstring).
 DEFAULT_PARAM_BUDGET = 12
 
 EULER_TOL = 1e-8
@@ -168,9 +177,10 @@ def build_cp_objective(model: CPModel, target) -> HomogenizedObjective:
 
     Stored over the common denominator ||tau||^4 so that the denominator
     structure is a checkable polynomial identity; evaluated as r/G composed
-    with the entries of tau (module docstring), from which the stored form is
-    multiplied out.  ||T||^2 is the exact sum of the squared entries, so
-    f_hat >= 0 holds in exact arithmetic (Cauchy-Schwarz).
+    with the entries of tau (module docstring).  Only G(tau(x)) is composed
+    here; the stored form and r, G in x are built on first read.
+    ||T||^2 is the exact sum of the squared entries, so f_hat >= 0 holds in
+    exact arithmetic (Cauchy-Schwarz).
     """
     target = np.asarray(target, dtype=float)
     if target.shape != model.dims:

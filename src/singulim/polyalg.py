@@ -409,15 +409,21 @@ def _sum_lines(name: str, terms: Sequence[str]) -> list[str]:
     return lines
 
 
-def _sum_source(name: str, compiled: Compiled, var: str) -> list[str]:
+def _sum_source(
+    name: str, compiled: Compiled, var: str, unit_free: bool = False
+) -> list[str]:
     """Statements that leave _eval_compiled(compiled, powers) in name.
 
     powers are those of var0, var1, ...  Same products, left to right from
     the coefficient, and the same sum, left to right from 0.0, so the value
-    has the same bits.
+    has the same bits.  With unit_free, a coefficient 1.0 in front of powers
+    is left out: 1.0*a is a exactly.
     """
     return _sum_lines(name, [
-        "*".join([repr(coeff)] + [_power_name(var, i, e) for i, e in pairs])
+        "*".join(
+            ([] if unit_free and coeff == 1.0 and pairs else [repr(coeff)])
+            + [_power_name(var, i, e) for i, e in pairs]
+        )
         for coeff, pairs in compiled
     ])
 
@@ -556,7 +562,7 @@ class _Evaluator:
         var = "x"
         if self.inner is not None:
             for k, compiled in enumerate(self.inner):
-                lines += _sum_source(f"u{k}", compiled, "x")
+                lines += _sum_source(f"u{k}", compiled, "x", unit_free=True)
             lines += _power_lines("u", self.outer_max_deg)
             var = "u"
         lines += _sum_source("p", self.values[0], var)
@@ -581,12 +587,21 @@ class _Evaluator:
                 for prefix, row in zip(("p_u", "q_u"), self.partials):
                     for k, compiled in enumerate(row):
                         lines += _sum_source(f"{prefix}{k}", compiled, "u")
+                # Each distinct du_k/dx_i is summed once, under the name of
+                # its first (i, k); equal term lists give equal bits.
+                shared: dict[tuple, str] = {}
+                du_rows = []
                 for i, row in enumerate(self.jacobian):
+                    du_rows.append([])
                     for k, compiled in row:
-                        lines += _sum_source(f"du{k}_{i}", compiled, "x")
+                        du = shared.get(tuple(compiled))
+                        if du is None:
+                            du = shared[tuple(compiled)] = f"du{k}_{i}"
+                            lines += _sum_source(du, compiled, "x", unit_free=True)
+                        du_rows[i].append((k, du))
                 for prefix, row_names in zip(("p_u", "q_u"), (grad_p, grad_q)):
-                    for i, (name, row) in enumerate(zip(row_names, self.jacobian)):
-                        lines += _sum_lines(name, [f"{prefix}{k} * du{k}_{i}" for k, _ in row])
+                    for name, row in zip(row_names, du_rows):
+                        lines += _sum_lines(name, [f"{prefix}{k} * {du}" for k, du in row])
             pairs = list(zip(grad_p, grad_q))
             lines += [
                 "    q_sq = q * q",
@@ -619,6 +634,12 @@ class RationalFunction:
     inner polynomials u first (_Evaluator); the evaluation pair is their
     exact composition all the same.
 
+    RationalFunction(numer, denom) holds both forms from the start.
+    with_common_factor keeps only its factors: the evaluation pair is
+    composed on its first read (eval_exact, or numer and denom, which need
+    it), the stored numer and denom are multiplied out on theirs, and each is
+    kept on the instance.  Float evaluation reads neither.
+
     Float evaluation of p and q as stored, an expansion about the origin,
     loses accuracy far from it, where the terms cancel.  singular_points
     declares the points where accuracy matters.  A point nearer to a declared
@@ -631,8 +652,8 @@ class RationalFunction:
     """
 
     __slots__ = (
-        "numer", "denom", "_eval_pair", "_composition", "_origin", "_centres",
-        "_charts", "_pencils",
+        "n_vars", "_numer", "_denom", "_pair", "_factors", "_inner", "_origin",
+        "_centres", "_charts", "_pencils",
     )
 
     def __init__(
@@ -642,22 +663,28 @@ class RationalFunction:
             raise DimensionError("numerator and denominator variable counts differ")
         if denom.is_zero():
             raise ValueError("denominator is identically zero")
-        self.numer = numer
-        self.denom = denom
-        self._eval_pair = (numer, denom)
-        # (inner, p, q) when p and q of the evaluation pair are compositions.
-        self._composition: tuple | None = None
-        self._origin = (0.0,) * numer.n_vars
+        self._numer = numer
+        self._denom = denom
+        self._pair = (numer, denom)
+        # with_common_factor's (p, q, h) and inner polynomials, else None.
+        self._factors: tuple | None = None
+        self._inner: tuple | None = None
+        self._init_charts(numer.n_vars, singular_points)
+
+    def _init_charts(self, n_vars: int, singular_points: Iterable) -> None:
+        """n_vars, the chart centres and the pencil slots."""
+        self.n_vars = n_vars
+        self._origin = (0.0,) * n_vars
         centres = [self._origin]
         bases = [self._origin]
         for point in singular_points:
             point = tuple(point)
             bases.append(point)
             centre = tuple(float(v) for v in point)
-            if len(centre) != numer.n_vars:
+            if len(centre) != n_vars:
                 raise DimensionError(
                     f"singular point {centre} has {len(centre)} coordinates, "
-                    f"function has {numer.n_vars} vars"
+                    f"function has {n_vars} vars"
                 )
             if centre not in centres:
                 centres.append(centre)
@@ -680,35 +707,72 @@ class RationalFunction:
     ) -> "RationalFunction":
         """(p*h)/(q*h) as stored, evaluated as p/q.
 
-        The stored form is multiplied out here, so it equals p/q by
-        construction; h must not vanish on the domain of p/q.
+        The stored form equals p/q by construction; h must not vanish on the
+        domain of p/q.  Nothing is multiplied out here: numer = p*h and
+        denom = q*h are formed on their first read (class docstring).
 
         With inner = (u_0, ..., u_{m-1}), polynomials in the variables of h,
         p and q are polynomials in m variables that stand for p(u(x)) and
-        q(u(x)).  Those compositions are formed exactly here and are the
-        evaluation pair; float evaluation sums the u_k first and evaluates p
-        and q in them.
+        q(u(x)).  Their exact compositions are the evaluation pair, formed on
+        first read; float evaluation sums the u_k first and evaluates p and q
+        in them.
+
+        Raises DimensionError when the variable counts disagree or inner
+        does not hold one polynomial per variable of p and q, and ValueError
+        when q*h is identically zero, all here.  Whether q(u(x)) vanishes is
+        settled by its exact value at one integer point, and by composing
+        only where that value is 0.
         """
-        composition = None
-        if inner is not None:
-            composition = (tuple(inner), p, q)
-            p, q = p.compose(inner), q.compose(inner)
-        f = cls(p * h, q * h)
-        f._eval_pair = (p, q)
-        f._composition = composition
+        p._check_same_vars(q)
+        if inner is None:
+            h._check_same_vars(p)
+        else:
+            inner = tuple(inner)
+            if len(inner) != p.n_vars or not inner:
+                raise DimensionError(
+                    f"{len(inner)} inner polynomials for {p.n_vars} variables"
+                )
+            for u in inner:
+                h._check_same_vars(u)
+        if h.is_zero() or _vanishes(q, inner):
+            raise ValueError("denominator is identically zero")
+        f = cls.__new__(cls)
+        f._numer = f._denom = None
+        f._pair = None if inner is not None else (p, q)
+        f._factors = (p, q, h)
+        f._inner = inner
+        f._init_charts(h.n_vars, ())
         return f
 
     @property
-    def n_vars(self) -> int:
-        return self.numer.n_vars
+    def _eval_pair(self) -> tuple[Polynomial, Polynomial]:
+        """(p, q) evaluated exactly; composed on first read when inner is set."""
+        if self._pair is None:
+            p, q, _ = self._factors
+            self._pair = (p.compose(self._inner), q.compose(self._inner))
+        return self._pair
+
+    @property
+    def numer(self) -> Polynomial:
+        """The stored numerator (p*h after with_common_factor)."""
+        if self._numer is None:
+            self._numer = self._eval_pair[0] * self._factors[2]
+        return self._numer
+
+    @property
+    def denom(self) -> Polynomial:
+        """The stored denominator (q*h after with_common_factor)."""
+        if self._denom is None:
+            self._denom = self._eval_pair[1] * self._factors[2]
+        return self._denom
 
     def _chart(self, x: Sequence[float]) -> _Evaluator:
         """The chart that evaluates x: the evaluator of p/q about its centre.
 
         p and q are the evaluation pair, exactly shifted to the centre, or
-        the composition it was formed from (_composition).
+        the factors it is composed from (with_common_factor's inner).
         """
-        if len(x) != self.numer.n_vars:
+        if len(x) != self.n_vars:
             raise DimensionError(
                 f"point has {len(x)} coordinates, function has {self.n_vars} vars"
             )
@@ -723,24 +787,25 @@ class RationalFunction:
                     centre, nearest = c, d
         chart = self._charts.get(centre)
         if chart is None:
-            p, q = self._eval_pair
-            if self._composition is not None:
+            if self._inner is not None:
                 # with_common_factor declares no singular point, so the
                 # origin's chart is the only one.
-                inner, outer_p, outer_q = self._composition
+                outer_p, outer_q, _ = self._factors
                 chart = _Evaluator(
                     self.n_vars, outer_p.terms, outer_q.terms,
-                    inner=[u.terms for u in inner],
+                    inner=[u.terms for u in self._inner],
                 )
-            elif centre is self._origin:
-                chart = _Evaluator(self.n_vars, p.terms, q.terms)
             else:
-                chart = _Evaluator(
-                    self.n_vars,
-                    _shift_terms(p.terms, centre),
-                    _shift_terms(q.terms, centre),
-                    centre,
-                )
+                p, q = self._eval_pair
+                if centre is self._origin:
+                    chart = _Evaluator(self.n_vars, p.terms, q.terms)
+                else:
+                    chart = _Evaluator(
+                        self.n_vars,
+                        _shift_terms(p.terms, centre),
+                        _shift_terms(q.terms, centre),
+                        centre,
+                    )
             self._charts[centre] = chart
         return chart
 
@@ -766,6 +831,20 @@ class RationalFunction:
 
     def __repr__(self) -> str:
         return f"RationalFunction({self.numer!r}, {self.denom!r})"
+
+
+def _vanishes(q: Polynomial, inner: Sequence[Polynomial] | None) -> bool:
+    """Whether q, or q(u(x)) with inner = u, is identically zero.
+
+    A nonzero exact value at one integer point settles the composed case
+    without composing; only a zero there falls back to the composition.
+    """
+    if q.is_zero() or inner is None:
+        return q.is_zero()
+    probe = range(2, inner[0].n_vars + 2)
+    if q.eval_exact([u.eval_exact(probe) for u in inner]) != 0:
+        return False
+    return q.compose(inner).is_zero()
 
 
 def check_finite_point(x: Sequence[float]) -> tuple[float, ...]:

@@ -1,5 +1,6 @@
 """Problem files, bundled examples, and the command-line interface."""
 
+import hashlib
 import json
 import math
 import os
@@ -170,6 +171,20 @@ class TestCli:
         gram = (a0 * a0 + a1 * a1) * (b0 * b0 + b1 * b1)
         assert problem.numer == gram * gram - inner * inner * gram
         assert problem.denom == gram * gram
+
+    def test_tensor_emitted_problem_bytes(self, workdir):
+        """The (2,2,2) rank-2 stored form for a small-integer target, pinned
+        by the SHA-256 of the emitted file."""
+        target = workdir / "target222.json"
+        target.write_text("[[[1, 2], [0, -1]], [[3, 0], [1, 1]]]")
+        out_problem = workdir / "cp222.problem"
+        assert main([
+            "tensor", "--dims", "2,2,2", "--rank", "2",
+            "--target", str(target), "--emit-problem", str(out_problem),
+        ]) == 0
+        assert hashlib.sha256(out_problem.read_bytes()).hexdigest() == (
+            "df0f84948890c94b8007b4ebebffd50521ddb06030d56222b38e312b312f49bc"
+        )
 
     def test_determinism_same_bytes(self, workdir):
         t1 = workdir / "det1.csv"

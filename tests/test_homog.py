@@ -264,6 +264,35 @@ class TestExactAgreement:
             assert abs(g - e) <= 1e-12 * scale
 
 
+class TestOnDemandForms:
+    """f_hat keeps its factors; the stored form and the evaluation pair in x
+    are built when first read."""
+
+    def test_build_composes_only_the_common_factor(self, products):
+        model = CPModel((2, 2, 2), 2)
+        obj = build_cp_objective(model, [[[1, 2], [0, -1]], [[3, 0], [1, 1]]])
+        assert products.count("compose") == 1  # h = G(tau)
+        products.clear()
+        rng = random.Random(10)
+        for _ in range(3):  # looped, generated, reused
+            x = [rng.gauss(0.0, 1.0) for _ in range(model.n_params)]
+            obj.eval(x)
+            obj.eval_and_grad(x)
+            euler_check(obj, x)
+        assert products == []
+
+    def test_forms_on_first_read(self):
+        target = TestExactAgreement.TARGET
+        _, obj = _rank1_2x2(target)
+        assert obj.f_hat.eval_exact((1, 2, -1, 3)) == Fraction(225, 32)
+        inner, gram = _rank1_2x2_polys(target)
+        t_sq = sum(Fraction(v) ** 2 for row in target for v in row)
+        numer, denom = obj.f_hat.numer, obj.f_hat.denom
+        assert numer == (gram.scale(t_sq) - inner * inner) * gram
+        assert denom == gram * gram
+        assert obj.f_hat.numer is numer and obj.f_hat.denom is denom
+
+
 class TestNearCone:
     def test_float_value_keeps_relative_accuracy(self):
         """Points whose two rank-1 terms cancel to about 1e-5, as CP iterates

@@ -354,6 +354,18 @@ class TestEvaluator:
             for x, value in zip(points, values[1:]):
                 assert value.hex() == fresh._evaluator.loop(x, False).hex(), x
 
+    def test_composed_chart_sums_each_jacobian_entry_once(self):
+        """(2,2,2) rank 2: the 48 nonzero du_k/dx_i are 24 distinct
+        products, each appearing twice (du0/dx0 = du4/dx1 = x2*x4)."""
+        f = _cp_f_hat()
+        x = (0.3,) * 12
+        f.eval_and_grad(x)
+        f.eval_and_grad(x)  # generated
+        chart = f._chart(x)
+        assert sum(len(row) for row in chart.jacobian) == 48
+        local_names = chart.evaluate.__code__.co_varnames
+        assert sum(name.startswith("du") for name in local_names) == 24
+
     @pytest.mark.parametrize("norm", [1e-80, 1e60, 1e80])
     def test_gradient_fallback_first_and_later_calls_agree(self, norm):
         """fig1 where q*q is subnormal (1e-80) or infinite (1e60, 1e80)."""
@@ -534,6 +546,59 @@ class TestRationalFunction:
             ref_value, ref_gradient = expanded.eval_and_grad(pt)
             assert value == pytest.approx(ref_value, rel=1e-12, abs=1e-12)
             assert gradient == pytest.approx(ref_gradient, rel=1e-10, abs=1e-10)
+
+    def test_common_factor_forms_built_on_first_read(self, products):
+        """Construction and float evaluation multiply nothing; numer, denom
+        and the composed evaluation pair are built when first read, then
+        kept."""
+        x, y = _vars()
+        inner = [x * x - y, x * y ** 3, Polynomial.constant(2, 2)]
+        u0, u1, u2 = _vars(3)
+        p, q, h = u0 ** 3 * u2 - u1, 1 + u0 * u0 + u1 ** 2, 1 + x * x
+        plain_h = x * x + y * y
+        products.clear()
+        composed = RationalFunction.with_common_factor(p, q, h, inner=inner)
+        plain = RationalFunction.with_common_factor(x * y, plain_h, plain_h)
+        products.clear()  # x * y above is the caller's
+        for f in (composed, plain):
+            for _ in range(3):  # looped, generated, reused
+                f.eval((0.7, -1.3))
+                f.eval_and_grad((0.7, -1.3))
+        assert products == []
+        assert composed.eval_exact((3, -2)) == Fraction(1343, 349)
+        assert products  # the pair was composed for it
+        assert composed.eval_exact(("1/2", 5)) == Fraction(-2953, 41918)
+        numer, denom = composed.numer, composed.denom
+        assert composed.numer is numer and composed.denom is denom
+        assert numer == p.compose(inner) * h and denom == q.compose(inner) * h
+        assert plain.numer == x * y * plain_h and plain.denom == plain_h * plain_h
+        assert plain.numer is plain.numer and plain.denom is plain.denom
+
+    @pytest.mark.parametrize("case, error", [
+        ("p and q variable counts", DimensionError),
+        ("h variable count", DimensionError),
+        ("inner count", DimensionError),
+        ("inner and h variable counts", DimensionError),
+        ("zero q", ValueError),
+        ("zero h", ValueError),
+        ("q zero after composition", ValueError),
+    ])
+    def test_common_factor_rejected_at_construction(self, case, error):
+        x, y = _vars()
+        u0, u1, u2 = _vars(3)
+        p, q = u0 ** 3 * u2 - u1, 1 + u0 * u0 + u1 ** 2
+        inner = [x * x - y, x * y ** 3, Polynomial.constant(2, 2)]
+        args = {
+            "p and q variable counts": (x, u0 + 1, 1 + x * x),
+            "h variable count": (x * y, 1 + x * x, Polynomial.constant(3, 1)),
+            "inner count": (p, q, 1 + x * x, inner[:2]),
+            "inner and h variable counts": (p, q, Polynomial.constant(3, 1), inner),
+            "zero q": (x, Polynomial.zero(2), 1 + x * x),
+            "zero h": (x, 1 + x * x, Polynomial.zero(2)),
+            "q zero after composition": (u0, u0 - u1, 1 + x * x, [x, x, y]),
+        }[case]
+        with pytest.raises(error):
+            RationalFunction.with_common_factor(*args)
 
     def test_gradient_matches_finite_differences(self):
         x, y = _vars()
