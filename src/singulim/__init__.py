@@ -15,7 +15,6 @@ from .singan import (
     UnsafeDirectionError,
     analyze_singularity,
     direction_verdict,
-    radius_lower_bound,
     taylor_line,
 )
 from .descent import (

@@ -20,11 +20,12 @@ that cancellation then happens once per entry u_j instead of inside every
 term of r and G multiplied out in x.
 
 Building f_hat forms R and G in the u_j and the common factor G(tau(x))
-only.  r and G in x, and the stored form (r G)/G^2, are multiplied out the
-first time something reads them (RationalFunction.with_common_factor):
-exact evaluation, equality, analyze_singularity and the problem file that
-`singulim tensor --emit-problem` writes.  DEFAULT_PARAM_BUDGET guards that
-expansion.
+only, and every reader takes f_hat in that one form
+(RationalFunction.with_common_factor): exact evaluation evaluates the u_j
+exactly, then R and G, and equality and analyze_singularity compose r and G
+in x.  Only repr and the problem file that `singulim tensor --emit-problem`
+writes multiply out the stored form (r G)/G^2.  DEFAULT_PARAM_BUDGET guards
+those expansions.
 """
 
 from __future__ import annotations
@@ -41,9 +42,10 @@ from .descent import ConditionReport, DescentTrace, check_conditions, trace_from
 from .polyalg import Polynomial, RationalFunction
 
 # Beyond this many scalar parameters the stored form over ||tau||^4, which
-# emit-problem and the exact analysis multiply out, gets unreasonably large for
-# a desk tool; the builder refuses instead of thrashing.  Building f_hat and
-# evaluating it in float expand only G(tau(x)) (module docstring).
+# emit-problem multiplies out, and r and G in x, which equality and
+# analyze_singularity compose, get unreasonably large for a desk tool; the
+# builder refuses instead of thrashing.  Building f_hat and evaluating it,
+# in float or exactly, expand only G(tau(x)) (module docstring).
 DEFAULT_PARAM_BUDGET = 12
 
 EULER_TOL = 1e-8
@@ -178,7 +180,7 @@ def build_cp_objective(model: CPModel, target) -> HomogenizedObjective:
     Stored over the common denominator ||tau||^4 so that the denominator
     structure is a checkable polynomial identity; evaluated as r/G composed
     with the entries of tau (module docstring).  Only G(tau(x)) is composed
-    here; the stored form and r, G in x are built on first read.
+    here; the stored form is built on first read.
     ||T||^2 is the exact sum of the squared entries, so f_hat >= 0 holds in
     exact arithmetic (Cauchy-Schwarz).
     """

@@ -624,26 +624,27 @@ class RationalFunction:
     The domain is implicitly the set where the denominator does not vanish;
     evaluation below DENOM_FLOOR raises DomainViolation.
 
-    numer and denom are the stored form: the one __eq__, problem files and
-    the symbolic analysis see.  Evaluation, float and exact, divides an
-    evaluation pair instead.  It is (numer, denom) unless the function was
-    built by with_common_factor(p, q, h), which stores p*h over q*h and
-    evaluates p/q: fewer terms, no cancellation of h, and DENOM_FLOOR tested
-    on q rather than on q*h.  with_common_factor(p, q, h, inner=u) also keeps
-    p and q as compositions p(u(x)), q(u(x)), and float evaluation sums the
-    inner polynomials u first (_Evaluator); the evaluation pair is their
-    exact composition all the same.
+    The function is held as its factors, and they are the one form that
+    evaluation, float and exact, __eq__ and the symbolic analysis read:
+    p and q, optionally polynomials in inner polynomials u = (u_0, ...)
+    that stand for p(u(x)) and q(u(x)), and optionally a common factor h.
+    RationalFunction(numer, denom) has p = numer and q = denom and neither
+    u nor h.  with_common_factor(p, q, h) stands for (p*h)/(q*h), so p/q is
+    evaluated: fewer terms, no cancellation of h, and DENOM_FLOOR tested on
+    q rather than on q*h.  With inner = u, float evaluation sums the u_k
+    first (_Evaluator) and exact evaluation evaluates each u_k exactly, then
+    p and q at those values; _eval_pair composes p(u(x)) and q(u(x)) for
+    __eq__ and the pencil, afresh on each read.
 
-    RationalFunction(numer, denom) holds both forms from the start.
-    with_common_factor keeps only its factors: the evaluation pair is
-    composed on its first read (eval_exact, or numer and denom, which need
-    it), the stored numer and denom are multiplied out on theirs, and each is
-    kept on the instance.  Float evaluation reads neither.
+    numer and denom are the stored form, p*h and q*h composed with u: what
+    repr shows and a problem file holds.  Nothing else reads them; each is
+    multiplied out, composing only its own factor, on its first read and
+    kept on the instance.
 
-    Float evaluation of p and q as stored, an expansion about the origin,
-    loses accuracy far from it, where the terms cancel.  singular_points
-    declares the points where accuracy matters.  A point nearer to a declared
-    point c than to the origin and to every other declared point is
+    Float evaluation of p and q, expansions about the origin, loses accuracy
+    far from it, where the terms cancel.  singular_points declares the
+    points where accuracy matters.  A point nearer to a declared point c
+    than to the origin and to every other declared point is
     evaluated in the local chart p(c + d)/q(c + d) at d = x - c.  The chart
     is centred at the float nearest c, so x - c is exact near c (Sterbenz),
     and its coefficients are exact Taylor shifts of p and q, built on first
@@ -652,7 +653,7 @@ class RationalFunction:
     """
 
     __slots__ = (
-        "n_vars", "_numer", "_denom", "_pair", "_factors", "_inner", "_origin",
+        "n_vars", "_numer", "_denom", "_factors", "_inner", "_origin",
         "_centres", "_charts", "_pencils",
     )
 
@@ -665,9 +666,9 @@ class RationalFunction:
             raise ValueError("denominator is identically zero")
         self._numer = numer
         self._denom = denom
-        self._pair = (numer, denom)
-        # with_common_factor's (p, q, h) and inner polynomials, else None.
-        self._factors: tuple | None = None
+        # (p, q, h) and the inner polynomials u; h and u are None unless set
+        # by with_common_factor.
+        self._factors = (numer, denom, None)
         self._inner: tuple | None = None
         self._init_charts(numer.n_vars, singular_points)
 
@@ -705,17 +706,16 @@ class RationalFunction:
         h: Polynomial,
         inner: Sequence[Polynomial] | None = None,
     ) -> "RationalFunction":
-        """(p*h)/(q*h) as stored, evaluated as p/q.
+        """(p*h)/(q*h) as stored, evaluated and analysed as p/q.
 
         The stored form equals p/q by construction; h must not vanish on the
-        domain of p/q.  Nothing is multiplied out here: numer = p*h and
-        denom = q*h are formed on their first read (class docstring).
+        domain of p/q.  Nothing is multiplied out here, and only repr and a
+        problem file read numer = p*h and denom = q*h (class docstring).
 
         With inner = (u_0, ..., u_{m-1}), polynomials in the variables of h,
         p and q are polynomials in m variables that stand for p(u(x)) and
-        q(u(x)).  Their exact compositions are the evaluation pair, formed on
-        first read; float evaluation sums the u_k first and evaluates p and q
-        in them.
+        q(u(x)).  Evaluation, float and exact, evaluates the u_k first and
+        p and q at their values; __eq__ and analyze_singularity compose them.
 
         Raises DimensionError when the variable counts disagree or inner
         does not hold one polynomial per variable of p and q, and ValueError
@@ -738,39 +738,41 @@ class RationalFunction:
             raise ValueError("denominator is identically zero")
         f = cls.__new__(cls)
         f._numer = f._denom = None
-        f._pair = None if inner is not None else (p, q)
         f._factors = (p, q, h)
         f._inner = inner
         f._init_charts(h.n_vars, ())
         return f
 
+    def _composed(self, index: int) -> Polynomial:
+        """Factor index (0 for p, 1 for q) in the variables x."""
+        factor = self._factors[index]
+        return factor if self._inner is None else factor.compose(self._inner)
+
     @property
     def _eval_pair(self) -> tuple[Polynomial, Polynomial]:
-        """(p, q) evaluated exactly; composed on first read when inner is set."""
-        if self._pair is None:
-            p, q, _ = self._factors
-            self._pair = (p.compose(self._inner), q.compose(self._inner))
-        return self._pair
+        """(p, q) in the variables x, composed afresh when inner is set."""
+        return self._composed(0), self._composed(1)
 
     @property
     def numer(self) -> Polynomial:
         """The stored numerator (p*h after with_common_factor)."""
         if self._numer is None:
-            self._numer = self._eval_pair[0] * self._factors[2]
+            self._numer = self._composed(0) * self._factors[2]
         return self._numer
 
     @property
     def denom(self) -> Polynomial:
         """The stored denominator (q*h after with_common_factor)."""
         if self._denom is None:
-            self._denom = self._eval_pair[1] * self._factors[2]
+            self._denom = self._composed(1) * self._factors[2]
         return self._denom
 
     def _chart(self, x: Sequence[float]) -> _Evaluator:
         """The chart that evaluates x: the evaluator of p/q about its centre.
 
-        p and q are the evaluation pair, exactly shifted to the centre, or
-        the factors it is composed from (with_common_factor's inner).
+        The origin's chart evaluates the factors p and q, through inner when
+        it is set; a declared centre's chart evaluates their exact shifts.
+        with_common_factor declares no centre, so inner has no shifted chart.
         """
         if len(x) != self.n_vars:
             raise DimensionError(
@@ -787,25 +789,17 @@ class RationalFunction:
                     centre, nearest = c, d
         chart = self._charts.get(centre)
         if chart is None:
-            if self._inner is not None:
-                # with_common_factor declares no singular point, so the
-                # origin's chart is the only one.
-                outer_p, outer_q, _ = self._factors
-                chart = _Evaluator(
-                    self.n_vars, outer_p.terms, outer_q.terms,
-                    inner=[u.terms for u in self._inner],
-                )
+            p, q, _ = self._factors
+            if centre is self._origin:
+                inner = None if self._inner is None else [u.terms for u in self._inner]
+                chart = _Evaluator(self.n_vars, p.terms, q.terms, inner=inner)
             else:
-                p, q = self._eval_pair
-                if centre is self._origin:
-                    chart = _Evaluator(self.n_vars, p.terms, q.terms)
-                else:
-                    chart = _Evaluator(
-                        self.n_vars,
-                        _shift_terms(p.terms, centre),
-                        _shift_terms(q.terms, centre),
-                        centre,
-                    )
+                chart = _Evaluator(
+                    self.n_vars,
+                    _shift_terms(p.terms, centre),
+                    _shift_terms(q.terms, centre),
+                    centre,
+                )
             self._charts[centre] = chart
         return chart
 
@@ -813,11 +807,13 @@ class RationalFunction:
         return self._chart(x).evaluate(x, False)
 
     def eval_exact(self, x: Sequence) -> Fraction:
-        p, q = self._eval_pair
-        q_value = q.eval_exact(x)
+        """p/q exactly at x; with inner, at the exact values of the u_k."""
+        p, q, _ = self._factors
+        at = x if self._inner is None else [u.eval_exact(x) for u in self._inner]
+        q_value = q.eval_exact(at)
         if q_value == 0:
             raise DomainViolation([float(v) for v in x], 0.0)
-        return p.eval_exact(x) / q_value
+        return p.eval_exact(at) / q_value
 
     def eval_and_grad(self, x: Sequence[float]) -> tuple[float, list[float]]:
         """Value and gradient; _Evaluator says how the gradient is formed."""
@@ -826,8 +822,11 @@ class RationalFunction:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        # Cross-multiplied exact identity, not merely structural equality.
-        return (self.numer * other.denom - other.numer * self.denom).is_zero()
+        # Cross-multiplied exact identity of the pairs p/q and r/s, not merely
+        # structural equality; exact for common factors h and k, since
+        # p*h*s*k - r*k*q*h = h*k*(p*s - r*q) and h, k are not zero.
+        (p, q), (r, s) = self._eval_pair, other._eval_pair
+        return (p * s - r * q).is_zero()
 
     def __repr__(self) -> str:
         return f"RationalFunction({self.numer!r}, {self.denom!r})"

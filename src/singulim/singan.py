@@ -96,7 +96,9 @@ def analyze_singularity(f: RationalFunction, x_star: Sequence) -> LinePencil:
     """Build the line pencil of f at x* and locate the common vanishing order.
 
     x_star must have exact rational coordinates so that the identically-zero
-    tests deciding n_min are exact decisions.
+    tests deciding n_min are exact decisions.  The pencil is that of f's
+    evaluation pair p/q, so a common factor h of with_common_factor, which
+    does not vanish on the domain, adds no order to n_min.
 
     At the origin and at each of f's declared singular points the pencil is
     built once per function and kept on f: later calls there return the same
@@ -111,13 +113,12 @@ def analyze_singularity(f: RationalFunction, x_star: Sequence) -> LinePencil:
     pencil = memo.get(base)
     if pencil is not None:
         return pencil
-    denom_coeffs = tuple(f.denom.compose_line(base))
-    numer_coeffs = tuple(f.numer.compose_line(base))
-    n_min = next(
-        (k for k, poly in enumerate(denom_coeffs) if not poly.is_zero()), None
-    )
-    if n_min is None:
-        raise ValueError("denominator is identically zero")  # unreachable: ctor forbids
+    numer, denom = f._eval_pair
+    denom_coeffs = tuple(denom.compose_line(base))
+    numer_coeffs = tuple(numer.compose_line(base))
+    # Constructors reject a zero denominator, and a Taylor shift keeps it
+    # nonzero.
+    n_min = next(k for k, poly in enumerate(denom_coeffs) if not poly.is_zero())
     numer_order = next(
         (k for k, poly in enumerate(numer_coeffs) if not poly.is_zero()),
         len(numer_coeffs),
@@ -256,11 +257,6 @@ def taylor_line(
         recurrence_weights=tuple(float(w) for w in weights),
         radius_lower_bound=companion_radius_bound(weights),
     )
-
-
-def radius_lower_bound(line: TaylorLine) -> float:
-    """Guaranteed-convergence radius bound of a Taylor line."""
-    return companion_radius_bound(line.recurrence_weights)
 
 
 def series_eval(coeffs: Sequence[float], t: float) -> float:

@@ -20,6 +20,7 @@ from singulim.homog import (
     normalized_a1_check,
 )
 from singulim.polyalg import DomainViolation, Polynomial, RationalFunction
+from singulim.singan import analyze_singularity, direction_verdict, taylor_line
 
 
 def _rank1_2x2(target):
@@ -291,6 +292,63 @@ class TestOnDemandForms:
         assert numer == (gram.scale(t_sq) - inner * inner) * gram
         assert denom == gram * gram
         assert obj.f_hat.numer is numer and obj.f_hat.denom is denom
+
+
+class TestPairAnalysis:
+    """The pencil of f_hat is that of its evaluation pair r/G; the stored
+    form (r G)/G^2 has the same safe set and limits at twice the order."""
+
+    MODEL = CPModel((2, 2), 2)
+    TARGET = [[1, 2], [3, 4]]
+    # Term 2 is (-a) (x) b for term 1's a (x) b, so tau = 0 there.
+    CONE = (1, 2, Fraction(1, 2), 3, -1, -2, Fraction(1, 2), 3)
+    ORIGIN = (0,) * 8
+    DIRECTIONS = [
+        (1, 0, 0, 0, -1, 0, 0, 0),  # tau stays 0 along the line: unsafe
+        (0, 0, 1, 0, 0, 0, 0, 0),
+        (0, 1, 0, 1, 0, 0, 1, 0),
+        (1, -1, 2, 0, 1, 1, -1, 2),
+    ]
+
+    @pytest.mark.parametrize("base, pair_order, stored_order", [
+        (CONE, 2, 4), (ORIGIN, 4, 8),
+    ], ids=["cone", "origin"])
+    def test_pair_and_stored_pencils_agree(self, base, pair_order, stored_order):
+        f = build_cp_objective(self.MODEL, self.TARGET).f_hat
+        pair = analyze_singularity(f, base)
+        assert f == build_cp_objective(self.MODEL, self.TARGET).f_hat
+        assert f._numer is None and f._denom is None
+        stored = analyze_singularity(RationalFunction(f.numer, f.denom), base)
+        assert (pair.n_min, stored.n_min) == (pair_order, stored_order)
+        safe = []
+        for d in self.DIRECTIONS:
+            ours, theirs = direction_verdict(pair, d), direction_verdict(stored, d)
+            assert ours.in_safe_set == theirs.in_safe_set, d
+            assert ours.limit_value == theirs.limit_value, d
+            if ours.in_safe_set:
+                safe.append(d)
+                lines = [taylor_line(f, base, d, n_terms=6, pencil=p)
+                         for p in (pair, stored)]
+                assert lines[0].coeffs == lines[1].coeffs, d
+        assert self.DIRECTIONS[0] not in safe and len(safe) >= 2
+
+    @pytest.mark.parametrize("base", [CONE, ORIGIN], ids=["cone", "origin"])
+    def test_common_factor_scales_the_leading_pencil(self, base):
+        """A factor h with h(base) != 0 keeps n_min and scales the leading
+        pencil polynomial of the stored form by h(base)."""
+        p, q = build_cp_objective(self.MODEL, self.TARGET).f_hat._eval_pair
+        x0, x5 = Polynomial.variable(8, 0), Polynomial.variable(8, 5)
+        h = 1 + x0 * x0 + x5 * x5
+        g = RationalFunction.with_common_factor(p, q, h)
+        pair = analyze_singularity(g, base)
+        stored = analyze_singularity(RationalFunction(g.numer, g.denom), base)
+        assert stored.n_min == pair.n_min
+        assert stored.leading == pair.leading.scale(h.eval_exact(base))
+
+    def test_equality_tells_targets_apart(self):
+        f = build_cp_objective(self.MODEL, self.TARGET).f_hat
+        g = build_cp_objective(self.MODEL, [[1, 2], [3, 5]]).f_hat
+        assert not f == g
 
 
 class TestNearCone:

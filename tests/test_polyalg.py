@@ -521,6 +521,13 @@ class TestRationalFunction:
         with pytest.raises(DomainViolation):
             f.eval((0.0, 0.0))
 
+    def test_common_factor_equality_compares_the_pairs(self):
+        x, y = _vars()
+        r2 = x * x + y * y
+        f = RationalFunction.with_common_factor(x * y, r2, r2)
+        assert not f == RationalFunction(x, r2)
+        assert f._numer is None and f._denom is None
+
     def test_composed_common_factor_evaluates_through_inner(self):
         """p(u)/q(u) with u = (x^2 - y, x*y^3, 2): powers of both x and u, and
         du_k/dx_i that vanish identically."""
@@ -548,9 +555,9 @@ class TestRationalFunction:
             assert gradient == pytest.approx(ref_gradient, rel=1e-10, abs=1e-10)
 
     def test_common_factor_forms_built_on_first_read(self, products):
-        """Construction and float evaluation multiply nothing; numer, denom
-        and the composed evaluation pair are built when first read, then
-        kept."""
+        """Construction, float and exact evaluation multiply nothing; numer
+        and denom are built when first read, each composing only its own
+        factor, then kept."""
         x, y = _vars()
         inner = [x * x - y, x * y ** 3, Polynomial.constant(2, 2)]
         u0, u1, u2 = _vars(3)
@@ -566,9 +573,11 @@ class TestRationalFunction:
                 f.eval_and_grad((0.7, -1.3))
         assert products == []
         assert composed.eval_exact((3, -2)) == Fraction(1343, 349)
-        assert products  # the pair was composed for it
         assert composed.eval_exact(("1/2", 5)) == Fraction(-2953, 41918)
-        numer, denom = composed.numer, composed.denom
+        assert products == []  # each u_k evaluated, nothing composed
+        denom = composed.denom
+        assert products.count("compose") == 1  # q alone
+        numer = composed.numer
         assert composed.numer is numer and composed.denom is denom
         assert numer == p.compose(inner) * h and denom == q.compose(inner) * h
         assert plain.numer == x * y * plain_h and plain.denom == plain_h * plain_h

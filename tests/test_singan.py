@@ -17,7 +17,6 @@ from singulim.singan import (
     companion_radius_bound,
     direction_verdict,
     extend_by_recurrence,
-    radius_lower_bound,
     recurrence_weights,
     series_divide,
     series_eval,
@@ -138,14 +137,14 @@ class TestSeriesAndRecurrence:
         line = taylor_line(f, (0,), (1,), n_terms=10)
         assert line.coeffs == (1.0,) * 10
         assert line.recurrence_weights == (1.0,)
-        assert radius_lower_bound(line) == pytest.approx(0.5)
+        assert line.radius_lower_bound == pytest.approx(0.5)
 
     def test_fibonacci_series(self):
         f = _univariate([1], [1, -1, -1])  # 1 / (1 - t - t^2)
         line = taylor_line(f, (0,), (1,), n_terms=8)
         assert line.coeffs == (1.0, 1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 21.0)
         assert line.recurrence_weights == (1.0, 1.0)
-        assert radius_lower_bound(line) == pytest.approx(0.25)
+        assert line.radius_lower_bound == pytest.approx(0.25)
 
     def test_recurrence_matches_division_exactly(self):
         rng = random.Random(23)
