@@ -1,10 +1,15 @@
 """Exact sparse multivariate polynomial and rational-function algebra.
 
-A polynomial is stored as a dict mapping exponent tuples to Fraction
-coefficients; zero coefficients are never stored, so structural equality of
-the term maps is exact polynomial equality.  All symbolic work (arithmetic,
-differentiation, line composition, identically-zero tests) happens over the
-rationals; floats appear only in evaluation.
+A polynomial is stored as a dict mapping exponent tuples to exact rational
+coefficients: an int where the coefficient is integral, else a Fraction.
+Zero coefficients are never stored, so structural equality of the term maps
+is exact polynomial equality (2 == Fraction(2), with equal hashes and equal
+str).  All symbolic work (arithmetic, differentiation, line composition,
+identically-zero tests) happens over the rationals, and floats appear only
+in evaluation.  Products, sums, scaling, partials and composition work on
+integer numerators over one common denominator, and exact evaluation on the
+point scaled to integers, so each result takes one gcd per coefficient or
+value instead of one per operation.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import math
 import sys
 from fractions import Fraction
 from numbers import Rational
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 # Exponent tuple: entry i is the power of variable x_i.
@@ -57,6 +63,14 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
+def _coefficient(value):
+    """value as a stored coefficient: an int where it is integral, else a Fraction."""
+    if type(value) is int:
+        return value
+    value = _as_fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
 class Polynomial:
     """Sparse multivariate polynomial with exact rational coefficients."""
 
@@ -76,11 +90,24 @@ class Polynomial:
                     )
                 if any(e < 0 for e in exps):
                     raise ValueError(f"negative exponent in {exps}")
-                coeff = _as_fraction(coeff)
+                coeff = _coefficient(coeff)
                 if coeff != 0:
                     canonical[exps] = coeff
         self.terms = canonical
         self._evaluator: _Evaluator | None = None
+
+    @classmethod
+    def _trusted(cls, n_vars: int, terms: dict) -> "Polynomial":
+        """A polynomial that takes terms as they are, unchecked.
+
+        terms must be canonical: exponent tuples of length n_vars, no zero
+        coefficient, ints where integral.  It is not copied.
+        """
+        poly = cls.__new__(cls)
+        poly.n_vars = n_vars
+        poly.terms = terms
+        poly._evaluator = None
+        return poly
 
     # -- constructors ------------------------------------------------------
 
@@ -146,15 +173,22 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             other = Polynomial.constant(self.n_vars, other)
         self._check_same_vars(other)
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            out[exps] = out.get(exps, Fraction(0)) + coeff
-        return Polynomial(self.n_vars, out)
+        da, a = _integer_form(self.terms)
+        db, b = _integer_form(other.terms)
+        d = math.lcm(da, db)
+        if d != da:
+            a = {e: c * (d // da) for e, c in a.items()}
+        if d != db:
+            b = {e: c * (d // db) for e, c in b.items()}
+        out = dict(a)
+        for exps, coeff in b.items():
+            out[exps] = out.get(exps, 0) + coeff
+        return _polynomial(self.n_vars, out, d)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.n_vars, {e: -c for e, c in self.terms.items()})
+        return Polynomial._trusted(self.n_vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -168,18 +202,19 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return self.scale(other)
         self._check_same_vars(other)
-        out: dict[Exponent, Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                key = tuple(a + b for a, b in zip(ea, eb))
-                out[key] = out.get(key, Fraction(0)) + ca * cb
-        return Polynomial(self.n_vars, out)
+        da, a = _integer_form(self.terms)
+        db, b = _integer_form(other.terms)
+        return _polynomial(self.n_vars, _mul_terms(a, b), da * db)
 
     __rmul__ = __mul__
 
     def scale(self, scalar) -> "Polynomial":
         s = _as_fraction(scalar)
-        return Polynomial(self.n_vars, {e: c * s for e, c in self.terms.items()})
+        d, numerators = _integer_form(self.terms)
+        k = s.numerator
+        return _polynomial(
+            self.n_vars, {e: c * k for e, c in numerators.items()}, d * s.denominator
+        )
 
     def __pow__(self, power: int) -> "Polynomial":
         if power < 0:
@@ -199,16 +234,8 @@ class Polynomial:
         """Exact formal partial derivative with respect to variable index."""
         if not 0 <= index < self.n_vars:
             raise IndexError(f"variable index {index} out of range")
-        out: dict[Exponent, Fraction] = {}
-        for exps, coeff in self.terms.items():
-            e = exps[index]
-            if e == 0:
-                continue
-            new = list(exps)
-            new[index] = e - 1
-            key = tuple(new)
-            out[key] = out.get(key, Fraction(0)) + coeff * e
-        return Polynomial(self.n_vars, out)
+        d, numerators = _partial_form(_integer_form(self.terms), index)
+        return _polynomial(self.n_vars, numerators, d)
 
     def gradient(self) -> list["Polynomial"]:
         return [self.partial(i) for i in range(self.n_vars)]
@@ -239,20 +266,13 @@ class Polynomial:
     def eval_exact(self, x: Sequence) -> Fraction:
         """Exact evaluation at a point with rational coordinates."""
         self._check_point(x)
-        coords = [_as_fraction(v) for v in x]
-        total = Fraction(0)
-        for exps, coeff in self.terms.items():
-            term = coeff
-            for i, e in enumerate(exps):
-                if e:
-                    term *= coords[i] ** e
-            total += term
-        return total
+        values, d = _exact_numerators([_integer_form(self.terms)], *_scaled_point(x))
+        return Fraction(values[0], d)
 
     def shift(self, offset: Sequence) -> "Polynomial":
         """Exact Taylor shift: the polynomial d -> p(offset + d)."""
         self._check_point(offset)
-        return Polynomial(self.n_vars, _shift_terms(self.terms, offset))
+        return Polynomial._trusted(self.n_vars, _shift_terms(self.terms, offset))
 
     def compose(self, inner: Sequence["Polynomial"]) -> "Polynomial":
         """Exact substitution: x -> p(u_0(x), ..., u_{m-1}(x)).
@@ -265,19 +285,33 @@ class Polynomial:
                 f"{len(inner)} inner polynomials for {self.n_vars} variables"
             )
         n_vars = inner[0].n_vars
-        # powers[k][e] is u_k^e, extended on demand.
-        powers = [[Polynomial.constant(n_vars, 1)] for _ in inner]
-        out: dict[Exponent, Fraction] = {}
-        for exps, coeff in self.terms.items():
-            term = Polynomial.constant(n_vars, coeff)
-            for row, u, e in zip(powers, inner, exps):
+        for u in inner:
+            u._check_same_vars(inner[0])
+        # u_k = n_k / d_k with integer n_k.  A term c * prod u_k^e_k of p is
+        # summed as c * prod n_k^e_k * d_k^(top_k - e_k) over the common
+        # denominator prod d_k^top_k, top_k the highest power of u_k in p.
+        d, numerators = _integer_form(self.terms)
+        forms = [_integer_form(u.terms) for u in inner]
+        tops = _max_degrees(self.n_vars, [self.terms])
+        for (d_k, _), top in zip(forms, tops):
+            d *= d_k ** top
+        one = (0,) * n_vars
+        # powers[k][e] is n_k^e, extended on demand.
+        powers = [[{one: 1}] for _ in inner]
+        out: dict[Exponent, int] = {}
+        for exps, coeff in numerators.items():
+            for (d_k, _), top, e in zip(forms, tops, exps):
+                if d_k != 1:
+                    coeff *= d_k ** (top - e)
+            term = {one: coeff}
+            for row, (_, n_k), e in zip(powers, forms, exps):
                 while len(row) <= e:
-                    row.append(row[-1] * u)
+                    row.append(_mul_terms(row[-1], n_k))
                 if e:
-                    term = term * row[e]
-            for key, c in term.terms.items():
-                out[key] = out.get(key, Fraction(0)) + c
-        return Polynomial(n_vars, out)
+                    term = _mul_terms(term, row[e])
+            for key, c in term.items():
+                out[key] = out.get(key, 0) + c
+        return _polynomial(n_vars, out, d)
 
     # -- line composition --------------------------------------------------
 
@@ -293,24 +327,112 @@ class Polynomial:
         out: list[dict[Exponent, Fraction]] = [{} for _ in range(self.degree() + 1)]
         for exps, coeff in _shift_terms(self.terms, base).items():
             out[sum(exps)][exps] = coeff
-        return [Polynomial(self.n_vars, bucket) for bucket in out]
+        return [Polynomial._trusted(self.n_vars, bucket) for bucket in out]
 
 
-def _integral(value):
-    """A rational as an int when it is integral, else unchanged."""
-    return value.numerator if value.denominator == 1 else value
+def _integer_form(terms: Mapping[Exponent, Rational]) -> tuple[int, Mapping]:
+    """(d, numerators): d the lcm of the coefficients' denominators, and the
+    term map times d, all ints.  An all-int term map is returned as it is."""
+    d = 1
+    for c in terms.values():
+        if type(c) is not int:
+            d = math.lcm(d, c.denominator)
+    if d == 1:
+        return 1, terms
+    return d, {
+        e: c * d if type(c) is int else c.numerator * (d // c.denominator)
+        for e, c in terms.items()
+    }
 
 
-def _shift_terms(terms: Mapping[Exponent, Fraction], offset: Sequence) -> dict:
+def _polynomial(n_vars: int, numerators: Mapping[Exponent, int], d: int) -> Polynomial:
+    """The polynomial numerators / d, zero terms left out."""
+    if d == 1:
+        terms = {e: c for e, c in numerators.items() if c}
+    else:
+        terms = {e: _coefficient(Fraction(c, d)) for e, c in numerators.items() if c}
+    return Polynomial._trusted(n_vars, terms)
+
+
+def _mul_terms(a: Mapping[Exponent, int], b: Mapping[Exponent, int]) -> dict:
+    """The product of two integer term maps, zero terms left out.
+
+    Terms come in the order of their first product, so results keep the
+    term order, and with it the float evaluation order, that products of
+    Fraction term maps had.
+    """
+    out: dict[Exponent, int] = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(map(add, ea, eb))
+            out[key] = out.get(key, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _partial_form(form: tuple[int, Mapping], index: int) -> tuple[int, dict]:
+    """The integer form (_integer_form) of the partial derivative in x_index."""
+    d, numerators = form
+    # Lowering the power of x_index keeps distinct exponents distinct.
+    return d, {
+        exps[:index] + (exps[index] - 1,) + exps[index + 1:]: c * exps[index]
+        for exps, c in numerators.items()
+        if exps[index]
+    }
+
+
+def _scaled_point(x: Sequence) -> tuple[list[int], int]:
+    """(n, s): x = n/s with integer n, s the lcm of the coordinates'
+    denominators (a power of two for floats)."""
+    coords = [_as_fraction(v) for v in x]
+    s = math.lcm(*(c.denominator for c in coords))
+    return [c.numerator * (s // c.denominator) for c in coords], s
+
+
+def _exact_numerators(
+    forms: Sequence[tuple[int, Mapping]], point: Sequence[int], s: int
+) -> tuple[list[int], int]:
+    """Exact values at x = point/s of polynomials in integer form.
+
+    Returns their integer numerators over one common denominator D.  With
+    top the highest degree and d the lcm of the forms' denominators, D is
+    d * s^top, and the numerator of d_f * p = sum_e C_e x^e is the sum of the
+    integer terms (d/d_f) * C_e * point^e * s^(top - |e|).
+    """
+    top = max(max(map(sum, numerators), default=0) for _, numerators in forms)
+    d = math.lcm(*(d_f for d_f, _ in forms))
+    # powers[i][e] is point_i^e, and s_powers[e] is s^e.
+    powers = []
+    for n in point:
+        row = [1, n]
+        while len(row) <= top:
+            row.append(row[-1] * n)
+        powers.append(row)
+    s_powers = [1]
+    while len(s_powers) <= top:
+        s_powers.append(s_powers[-1] * s)
+    totals = []
+    for d_f, numerators in forms:
+        total = 0
+        for exps, term in numerators.items():
+            if s != 1:
+                term *= s_powers[top - sum(exps)]
+            for row, e in zip(powers, exps):
+                if e:
+                    term *= row[e]
+            total += term
+        totals.append(total * (d // d_f))
+    return totals, d * s_powers[top]
+
+
+def _shift_terms(terms: Mapping[Exponent, Rational], offset: Sequence) -> dict:
     """Coefficients of d -> p(offset + d), p given by its term map.
 
     Shifts one variable at a time, each by the Horner recurrence
-    a_j += c * a_{j+1} on the coefficient rows of that variable.  Integral
-    values stay ints, which keeps integer problems out of Fraction arithmetic.
+    a_j += c * a_{j+1} on the coefficient rows of that variable, and returns
+    the coefficients in the stored form, ints where integral.
     """
-    terms = {exps: _integral(c) for exps, c in terms.items()}
     for i, value in enumerate(offset):
-        c = _integral(_as_fraction(value))
+        c = _coefficient(value)
         if c == 0:
             continue
         rows: dict[Exponent, list] = {}
@@ -328,7 +450,7 @@ def _shift_terms(terms: Mapping[Exponent, Fraction], offset: Sequence) -> dict:
             for e, coeff in enumerate(row):
                 if coeff:
                     terms[rest[:i] + (e,) + rest[i:]] = coeff
-    return terms
+    return {e: _coefficient(c) for e, c in terms.items()}
 
 
 def _compile_terms(terms: Mapping[Exponent, Rational]) -> Compiled:
@@ -338,16 +460,23 @@ def _compile_terms(terms: Mapping[Exponent, Rational]) -> Compiled:
     ]
 
 
-def _compile_partial(terms: Mapping[Exponent, Rational], index: int) -> Compiled:
-    """_compile_terms of the partial derivative in x_index, built term by term."""
-    out = []
+def _compile_gradient(terms: Mapping[Exponent, Rational], n_vars: int) -> list[Compiled]:
+    """_compile_terms of each partial derivative, in one pass over the terms.
+
+    Each coefficient is float(c*e), formed for a Fraction c as the int
+    quotient c.numerator*e / c.denominator: correctly rounded, like float(),
+    so the same float.
+    """
+    out: list[Compiled] = [[] for _ in range(n_vars)]
     for exps, coeff in terms.items():
-        e = exps[index]
-        if e:
-            lowered = exps[:index] + (e - 1,) + exps[index + 1:]
-            out.append(
-                (float(coeff * e), tuple((i, k) for i, k in enumerate(lowered) if k))
+        pairs = tuple((i, e) for i, e in enumerate(exps) if e)
+        for j, (i, e) in enumerate(pairs):
+            lowered = ((i, e - 1),) if e > 1 else ()
+            value = (
+                float(coeff * e) if type(coeff) is int
+                else coeff.numerator * e / coeff.denominator
             )
+            out[i].append((value, pairs[:j] + lowered + pairs[j + 1:]))
     return out
 
 
@@ -477,24 +606,22 @@ class _Evaluator:
         inner: Sequence[Mapping[Exponent, Rational]] | None = None,
     ):
         term_maps = [numer] if denom is None else [numer, denom]
-        term_maps = [{e: _integral(c) for e, c in t.items()} for t in term_maps]
         # The variables of numer and denom: x itself, or the u_k.
         n_outer = n_vars if inner is None else len(inner)
         self.values = [_compile_terms(t) for t in term_maps]
         self.partials = [
-            [_compile_partial(t, k) for k in range(n_outer)] for t in term_maps
+            _compile_gradient(t, n_outer) for t in term_maps
         ] if denom is not None else []
         self.outer_max_deg = _max_degrees(n_outer, term_maps)
         if inner is None:
             self.inner = self.jacobian = None
             self.max_deg = self.outer_max_deg
         else:
-            inner = [{e: _integral(c) for e, c in t.items()} for t in inner]
             self.inner = [_compile_terms(t) for t in inner]
             # Row i: (k, du_k/dx_i) for each u_k that depends on x_i.
+            inner_gradients = [_compile_gradient(t, n_vars) for t in inner]
             self.jacobian = [
-                [(k, du) for k, du in enumerate(_compile_partial(t, i) for t in inner)
-                 if du]
+                [(k, g[i]) for k, g in enumerate(inner_gradients) if g[i]]
                 for i in range(n_vars)
             ]
             self.max_deg = _max_degrees(n_vars, inner)
@@ -808,12 +935,69 @@ class RationalFunction:
 
     def eval_exact(self, x: Sequence) -> Fraction:
         """p/q exactly at x; with inner, at the exact values of the u_k."""
+        return self._exact(x, False)
+
+    def eval_exact_and_grad(self, x: Sequence) -> tuple[Fraction, list[Fraction]]:
+        """p/q and its gradient (q grad p - p grad q) / q^2 exactly at x.
+
+        With inner, grad p and grad q follow by the chain rule,
+        dp/dx_i = sum_k dp/du_k(u(x)) * du_k/dx_i(x).
+        """
+        return self._exact(x, True)
+
+    def _exact(self, x: Sequence, grad: bool):
+        """eval_exact, or eval_exact_and_grad when grad is set.
+
+        Raises DomainViolation at x, each coordinate as a float, where q is 0.
+        """
+        self._check_point(x)
         p, q, _ = self._factors
-        at = x if self._inner is None else [u.eval_exact(x) for u in self._inner]
-        q_value = q.eval_exact(at)
+        m = p.n_vars
+        forms = [_integer_form(p.terms), _integer_form(q.terms)]
+        if grad:
+            forms += [_partial_form(form, k) for form in forms for k in range(m)]
+        point, s = _scaled_point(x)
+        # Values are numerators over a common denominator.  That of p, q and
+        # their partials cancels in p/q and in the gradient; that of the
+        # du_k/dx_i, jacobian_d, stays in the gradient.
+        jacobian_d = 1
+        if self._inner is not None:
+            inner = [_integer_form(u.terms) for u in self._inner]
+            # (k, i, du_k/dx_i) for each partial that is not identically zero.
+            jacobian = []
+            for k, form in enumerate(inner if grad else ()):
+                for i in range(self.n_vars):
+                    du = _partial_form(form, i)
+                    if du[1]:
+                        jacobian.append((k, i, du))
+            inner_values, s = _exact_numerators(
+                inner + [form for _, _, form in jacobian], point, s
+            )
+            point, jacobian_d = inner_values[:m], s
+        values, _ = _exact_numerators(forms, point, s)
+        p_value, q_value = values[:2]
         if q_value == 0:
-            raise DomainViolation([float(v) for v in x], 0.0)
-        return p.eval_exact(at) / q_value
+            raise DomainViolation([float(_as_fraction(v)) for v in x], 0.0)
+        f = Fraction(p_value, q_value)
+        if not grad:
+            return f
+        grad_p, grad_q = values[2:2 + m], values[2 + m:]
+        if self._inner is not None:
+            outer_p, outer_q = grad_p, grad_q
+            grad_p, grad_q = [0] * self.n_vars, [0] * self.n_vars
+            for (k, i, _), du in zip(jacobian, inner_values[m:]):
+                grad_p[i] += outer_p[k] * du
+                grad_q[i] += outer_q[k] * du
+        q_sq = q_value * q_value * jacobian_d
+        return f, [
+            Fraction(q_value * a - p_value * b, q_sq) for a, b in zip(grad_p, grad_q)
+        ]
+
+    def _check_point(self, x: Sequence) -> None:
+        if len(x) != self.n_vars:
+            raise DimensionError(
+                f"point has {len(x)} coordinates, function has {self.n_vars} vars"
+            )
 
     def eval_and_grad(self, x: Sequence[float]) -> tuple[float, list[float]]:
         """Value and gradient; _Evaluator says how the gradient is formed."""

@@ -266,8 +266,8 @@ class TestExactAgreement:
 
 
 class TestOnDemandForms:
-    """f_hat keeps its factors; the stored form and the evaluation pair in x
-    are built when first read."""
+    """f_hat keeps its factors.  The stored form is built when first read and
+    then kept; the evaluation pair in x is composed afresh on each read."""
 
     def test_build_composes_only_the_common_factor(self, products):
         model = CPModel((2, 2, 2), 2)

@@ -9,7 +9,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from singulim.polyalg import (
@@ -29,7 +29,8 @@ def _vars(n=2):
 
 
 @st.composite
-def polynomials(draw, n_vars=N_VARS, max_degree=4, max_terms=5):
+def polynomials(draw, n_vars=N_VARS, max_degree=4, max_terms=5,
+                coefficients=st.integers(-9, 9)):
     n_terms = draw(st.integers(0, max_terms))
     terms = {}
     for _ in range(n_terms):
@@ -37,12 +38,47 @@ def polynomials(draw, n_vars=N_VARS, max_degree=4, max_terms=5):
             draw(st.integers(0, max_degree // max(1, n_vars - 1)))
             for _ in range(n_vars)
         )
-        coeff = draw(st.integers(-9, 9))
+        coeff = draw(coefficients)
         terms[exps] = terms.get(exps, 0) + coeff
     return Polynomial(n_vars, {e: Fraction(c) for e, c in terms.items() if c})
 
 
 points = st.tuples(*([st.integers(-5, 5)] * N_VARS))
+
+small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+# Rational coefficients whose products and sums are often integral.
+rationals = st.one_of(st.integers(-9, 9), small_fractions)
+# Exact coordinates in every accepted form: ints, Fractions, "p/q" strings and
+# floats, with subnormals, the extremes of the exponent range and -0.0.
+coordinates = st.one_of(
+    st.integers(-20, 20),
+    small_fractions,
+    small_fractions.map(lambda v: f"{v.numerator}/{v.denominator}"),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([
+        5e-324, -2.5e-323, 2.2250738585072009e-308, 1e-300, -1e-300,
+        1e300, -1e300, -0.0,
+    ]),
+)
+
+
+def _substituted(poly, x):
+    """poly at x by plain Fraction arithmetic, term by term."""
+    coords = [Fraction(v) for v in x]
+    total = Fraction(0)
+    for exps, coeff in poly.terms.items():
+        term = Fraction(coeff)
+        for v, e in zip(coords, exps):
+            term *= v ** e
+        total += term
+    return total
+
+
+def _assert_stored_form(poly):
+    """Each coefficient is an int where it is integral, else a Fraction."""
+    for coeff in poly.terms.values():
+        assert coeff != 0
+        assert type(coeff) is (int if Fraction(coeff).denominator == 1 else Fraction)
 
 
 class TestRingLaws:
@@ -227,6 +263,93 @@ class TestCompose:
         x, y = _vars()
         with pytest.raises(DimensionError):
             (x * y).compose([x])
+
+
+class TestExactLayer:
+    """Integer-arithmetic exact layer against plain Fraction substitution."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(polynomials(coefficients=rationals), st.tuples(*[coordinates] * N_VARS))
+    def test_eval_exact_matches_substitution(self, p, x):
+        value = p.eval_exact(x)
+        assert type(value) is Fraction
+        assert value == _substituted(p, x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(polynomials(n_vars=2, max_degree=3, max_terms=4, coefficients=rationals),
+           polynomials(n_vars=2, max_degree=2, max_terms=3, coefficients=rationals),
+           st.lists(polynomials(max_degree=2, max_terms=3, coefficients=rationals),
+                    min_size=2, max_size=2),
+           st.tuples(*[coordinates] * N_VARS))
+    def test_composed_eval_exact_matches_composing_first(self, p, q, inner, x):
+        h = 1 + Polynomial.variable(N_VARS, 0) ** 2
+        q = q + 1
+        assume(not q.compose(inner).is_zero())
+        f = RationalFunction.with_common_factor(p, q, h, inner=inner)
+        denom = _substituted(q.compose(inner), x)
+        if denom == 0:
+            with pytest.raises(DomainViolation):
+                f.eval_exact(x)
+        else:
+            assert f.eval_exact(x) == _substituted(p.compose(inner), x) / denom
+
+    @settings(max_examples=60, deadline=None)
+    @given(polynomials(n_vars=2, max_degree=3, max_terms=4, coefficients=rationals),
+           polynomials(n_vars=2, max_degree=2, max_terms=3, coefficients=rationals),
+           st.lists(polynomials(max_degree=2, max_terms=3, coefficients=rationals),
+                    min_size=2, max_size=2),
+           st.booleans(),
+           st.tuples(*[st.one_of(st.integers(-9, 9), small_fractions, st.floats(-4, 4))]
+                     * N_VARS))
+    def test_exact_gradient_is_the_quotient_rule(self, p, q, inner, composed, x):
+        q = q + 1
+        if composed:
+            assume(not q.compose(inner).is_zero())
+            h = 1 + Polynomial.variable(N_VARS, 0) ** 2
+            f = RationalFunction.with_common_factor(p, q, h, inner=inner)
+        else:
+            f = RationalFunction(p, q)
+        numer, denom = f._eval_pair
+        x = x[:f.n_vars]
+        q_value = _substituted(denom, x)
+        if q_value == 0:
+            with pytest.raises(DomainViolation):
+                f.eval_exact_and_grad(x)
+            return
+        p_value = _substituted(numer, x)
+        value, grad = f.eval_exact_and_grad(x)
+        assert value == p_value / q_value == f.eval_exact(x)
+        assert grad == [
+            (q_value * _substituted(numer.partial(i), x)
+             - p_value * _substituted(denom.partial(i), x)) / q_value ** 2
+            for i in range(f.n_vars)
+        ]
+        assert all(type(g) is Fraction for g in grad)
+
+    @settings(max_examples=60, deadline=None)
+    @given(polynomials(n_vars=2, coefficients=rationals),
+           polynomials(n_vars=2, coefficients=rationals),
+           rationals,
+           st.lists(polynomials(n_vars=2, max_degree=2, max_terms=3,
+                                coefficients=rationals), min_size=2, max_size=2),
+           st.tuples(small_fractions, small_fractions))
+    def test_integral_coefficients_come_back_as_int(self, a, b, k, inner, offset):
+        _assert_stored_form(a)
+        for result in (
+            a * b, a + b, a - b, -a, a.scale(k), a.partial(0), a.partial(1),
+            a.compose(inner), a.shift(offset), *a.compose_line(offset),
+        ):
+            _assert_stored_form(result)
+
+    def test_stored_coefficients_read_as_before(self):
+        half = Fraction(1, 2)
+        p = Polynomial(2, {(1, 0): Fraction(4, 2), (0, 1): half, (0, 0): 3.0})
+        assert p.terms == {(1, 0): 2, (0, 1): half, (0, 0): 3}
+        assert [type(c) for c in p.terms.values()] == [int, Fraction, int]
+        assert p == Polynomial(2, {(1, 0): Fraction(2), (0, 1): half, (0, 0): Fraction(3)})
+        assert hash(p) == hash(Polynomial(2, {(0, 0): 3, (0, 1): half, (1, 0): 2}))
+        assert repr(p) == "Polynomial(2, 3 + 1/2*x1 + 2*x0)"
+        assert type((p * p.scale(2)).terms[(1, 1)]) is int
 
 
 class TestLocalCharts:
@@ -502,6 +625,14 @@ class TestRationalFunction:
         with pytest.raises(DomainViolation) as err:
             f.eval((0.0, 0.0))
         assert err.value.point == (0.0, 0.0)
+
+    def test_exact_domain_violation_reports_string_point(self):
+        x, y = _vars()
+        f = RationalFunction(x, x * x + y * y)
+        for evaluate in (f.eval_exact, f.eval_exact_and_grad):
+            with pytest.raises(DomainViolation) as err:
+                evaluate(("0/1", 0))
+            assert err.value.point == (0.0, 0.0)
 
     def test_cross_multiplied_equality(self):
         x = Polynomial.variable(1, 0)
