@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import hashlib
 import json
 import math
 import os
@@ -21,7 +22,9 @@ import random
 import sys
 from dataclasses import asdict
 from fractions import Fraction
+from pathlib import Path
 
+from . import __version__
 from .descent import (
     DescentConfig,
     check_conditions,
@@ -112,6 +115,7 @@ def _seeded_rng() -> random.Random:
 def cmd_optimize(args) -> int:
     _check_output_dirs(args.trace_out, args.grid_out)
     f = load_problem(args.problem).rational()
+    problem_sha256 = hashlib.sha256(Path(args.problem).read_bytes()).hexdigest()
     x0 = _parse_csv_point(args.x0, "--x0")
     cfg = DescentConfig(
         sigma_armijo=args.sigma,
@@ -131,7 +135,11 @@ def cmd_optimize(args) -> int:
             _require(ok, "--grid-bounds", args.grid_bounds,
                      "four numbers x_lo,x_hi,y_lo,y_hi with lo < hi")
     trace = optimize(f, x0, cfg)
-    write_trace_csv(trace, args.trace_out)
+    write_trace_csv(trace, args.trace_out, {
+        "config": asdict(cfg),
+        "singulim_version": __version__,
+        "problem_sha256": problem_sha256,
+    })
     if args.grid_out:
         _write_grid(f, trace, bounds, args)
     final = trace.iterates[-1]

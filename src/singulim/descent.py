@@ -23,7 +23,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .polyalg import DomainViolation, RationalFunction, check_finite_point
 
@@ -268,12 +268,15 @@ def _meta_path(path) -> str:
     return f"{path}.meta.json"
 
 
-def write_trace_csv(trace: DescentTrace, path) -> None:
+def write_trace_csv(
+    trace: DescentTrace, path, metadata: Mapping | None = None
+) -> None:
     """Write a trace as CSV with 17-significant-digit decimals.
 
     Columns: k, x_1..x_n, f, grad_norm, step_norm, alpha.  The trailing step
     fields of the final row are left empty.  The stop reason goes to the
-    sidecar file <path>.meta.json.
+    sidecar file <path>.meta.json, with metadata's JSON-serialisable entries
+    beside it when given; read_trace_meta returns them.
     """
     n = len(trace.iterates[0])
     fmt = lambda v: f"{v:.17g}"
@@ -294,7 +297,7 @@ def write_trace_csv(trace: DescentTrace, path) -> None:
                 row += ["", ""]
             writer.writerow(row)
     with open(_meta_path(path), "w") as handle:
-        json.dump({"stop_reason": trace.stop_reason}, handle)
+        json.dump({**(metadata or {}), "stop_reason": trace.stop_reason}, handle)
         handle.write("\n")
 
 
@@ -325,21 +328,30 @@ def read_trace_csv(path, stop_reason: str = STOP_MAX_ITERS) -> DescentTrace:
                 alphas.append(float(row[4 + n]))
     if not iterates:
         raise ValueError(f"{path}: empty trace")
-    meta_path = _meta_path(path)
-    try:
-        with open(meta_path) as handle:
-            meta = json.load(handle)
-    except FileNotFoundError:
-        pass
-    else:
-        if not isinstance(meta, dict) or meta.get("stop_reason") not in STOP_REASONS:
-            raise ValueError(f"{meta_path}: no valid stop_reason")
-        stop_reason = meta["stop_reason"]
+    meta = read_trace_meta(path)
     return DescentTrace(
         tuple(iterates),
         tuple(f_values),
         tuple(grad_norms),
         tuple(step_norms),
         tuple(alphas),
-        stop_reason,
+        meta.get("stop_reason", stop_reason),
     )
+
+
+def read_trace_meta(path) -> dict:
+    """The sidecar <path>.meta.json of a trace written by write_trace_csv.
+
+    Returns {} where there is no sidecar.  Raises ValueError where it is not
+    a JSON object with a valid stop_reason; any other entries are returned
+    as written (a sidecar may hold the stop reason alone).
+    """
+    meta_path = _meta_path(path)
+    try:
+        with open(meta_path) as handle:
+            meta = json.load(handle)
+    except FileNotFoundError:
+        return {}
+    if not isinstance(meta, dict) or meta.get("stop_reason") not in STOP_REASONS:
+        raise ValueError(f"{meta_path}: no valid stop_reason")
+    return meta

@@ -428,29 +428,48 @@ def _shift_terms(terms: Mapping[Exponent, Rational], offset: Sequence) -> dict:
     """Coefficients of d -> p(offset + d), p given by its term map.
 
     Shifts one variable at a time, each by the Horner recurrence
-    a_j += c * a_{j+1} on the coefficient rows of that variable, and returns
-    the coefficients in the stored form, ints where integral.
+    a_j += c * a_{j+1} on the coefficient rows of that variable, in integer
+    numerators over one common denominator, and returns the coefficients in
+    the stored form, ints where integral.  For an offset c = a/b and T the
+    highest power of the variable, a row sum_j a_j y^j is shifted as
+    P(z) = sum_j a_j b^(T-j) z^j, whose coefficients stay integers, by the
+    integer a; then P(b*y + a) = b^T * sum_j a_j (y + c)^j, so entry j of the
+    shifted row times b^j is the new numerator over a denominator b^T times
+    larger.
     """
+    d, numerators = _integer_form(terms)
     for i, value in enumerate(offset):
-        c = _coefficient(value)
+        c = _as_fraction(value)
         if c == 0:
             continue
+        a, b = c.numerator, c.denominator
         rows: dict[Exponent, list] = {}
-        for exps, coeff in terms.items():
+        for exps, coeff in numerators.items():
             row = rows.setdefault(exps[:i] + exps[i + 1:], [])
             if len(row) <= exps[i]:
                 row.extend([0] * (exps[i] + 1 - len(row)))
             row[exps[i]] = coeff
-        terms = {}
+        # An integer offset (b = 1) needs no scaling.
+        scaled = b != 1
+        if scaled:
+            top = max(map(len, rows.values()), default=1) - 1
+            b_powers = [b ** j for j in range(top + 1)]
+            d *= b_powers[top]
+        numerators = {}
         for rest, row in rows.items():
-            top = len(row) - 1
-            for k in range(top):
-                for j in range(top - 1, k - 1, -1):
-                    row[j] += c * row[j + 1]
+            last = len(row) - 1
+            if scaled:
+                for j in range(last + 1):
+                    row[j] *= b_powers[top - j]
+            for k in range(last):
+                for j in range(last - 1, k - 1, -1):
+                    row[j] += a * row[j + 1]
             for e, coeff in enumerate(row):
                 if coeff:
-                    terms[rest[:i] + (e,) + rest[i:]] = coeff
-    return {e: _coefficient(c) for e, c in terms.items()}
+                    if scaled:
+                        coeff *= b_powers[e]
+                    numerators[rest[:i] + (e,) + rest[i:]] = coeff
+    return _polynomial(len(offset), numerators, d).terms
 
 
 def _compile_terms(terms: Mapping[Exponent, Rational]) -> Compiled:
@@ -557,6 +576,10 @@ def _sum_source(
     ])
 
 
+def _indent(lines: Sequence[str]) -> list[str]:
+    return ["    " + line for line in lines]
+
+
 def _chain_sum(outer_grad: Sequence[float], row: Sequence[tuple[int, float]]) -> float:
     """sum_k outer_grad[k] * du_k/dx_i over a Jacobian row, left to right from 0.0."""
     total = 0.0
@@ -595,6 +618,20 @@ class _Evaluator:
     freed with its owner, not by the cycle collector.  Generating costs about
     a hundred looped evaluations, which a polynomial evaluated once never
     pays back.
+
+    The generated code of a quotient keeps one entry, (d, p, q): the
+    coordinates d after the centre and the p and q of its last value-only
+    call, stored as one tuple once q has passed the floor test, so a point
+    that raised DomainViolation leaves none.  A gradient call at a d that
+    compares equal, coordinate by coordinate, takes p and q from the entry
+    and sums only the powers, partials and quotient; any other call sums
+    as above.  Keyed by value, not identity: an equal new tuple or a list
+    changed in place is matched by its coordinates, and NaN matches
+    nothing.  The same d gives the same powers and sums, so the reused p
+    and q have the bits of summing them again; -0.0 and 0.0 match because
+    every sum starts from 0.0, where a signed zero term leaves the same
+    bits.  This is the Armijo pattern: the accepted trial's eval is
+    followed by its eval_and_grad.  The looped first call keeps no entry.
     """
 
     def __init__(
@@ -692,17 +729,29 @@ class _Evaluator:
                 lines += _sum_source(f"u{k}", compiled, "x", unit_free=True)
             lines += _power_lines("u", self.outer_max_deg)
             var = "u"
-        lines += _sum_source("p", self.values[0], var)
         if not self.partials:
+            lines += _sum_source("p", self.values[0], var)
             lines.append("    return p")
         else:
-            lines += _sum_source("q", self.values[1], var)
+            # The last value-only call's (d, p, q), d the coordinates after
+            # the centre: a gradient call at equal d takes p and q from it.
+            keys = [f"k{i}" for i in range(len(names))]
             lines += [
-                "    if abs(q) < DENOM_FLOOR:",
-                "        raise DomainViolation(x, q)",
+                "    if grad:",
+                "        (" + "".join(f"{k}, " for k in keys) + "p, q) = last",
+                "    if not grad or " + " or ".join(
+                    f"{n} != {k}" for n, k in zip(names, keys)
+                ) + ":",
+            ]
+            lines += _indent(_sum_source("p", self.values[0], var))
+            lines += _indent(_sum_source("q", self.values[1], var))
+            lines += [
+                "        if abs(q) < DENOM_FLOOR:",
+                "            raise DomainViolation(x, q)",
+                "        if not grad:",
+                "            last = (" + "".join(f"{n}, " for n in names) + "p, q)",
+                "            return p / q",
                 "    f = p / q",
-                "    if not grad:",
-                "        return f",
             ]
             grad_p = [f"p_{i}" for i in range(len(names))]
             grad_q = [f"q_{i}" for i in range(len(names))]
@@ -737,12 +786,22 @@ class _Evaluator:
                 + _list_source([f"(q * {a} - p * {b}) / q_sq" for a, b in pairs]),
                 "    return f, " + _list_source([f"({a} - f * {b}) / q" for a, b in pairs]),
             ]
+        if self.partials:
+            # NaN compares unequal to every coordinate, so nothing matches
+            # before the first value-only call.
+            lines[1:1] = ["    nonlocal last"]
+            lines = [
+                "def build():",
+                f"    last = (nan,) * {len(names) + 2}",
+                *_indent(lines),
+                "    return chart",
+            ]
         namespace = {
             "DENOM_FLOOR": DENOM_FLOOR, "FLOAT_MIN": sys.float_info.min,
-            "inf": math.inf, "DomainViolation": DomainViolation,
+            "inf": math.inf, "nan": math.nan, "DomainViolation": DomainViolation,
         }
         exec(compile("\n".join(lines), "<polyalg chart>", "exec"), namespace)
-        return namespace["chart"]
+        return namespace["build"]() if self.partials else namespace["chart"]
 
 
 class RationalFunction:

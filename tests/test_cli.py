@@ -7,9 +7,14 @@ import os
 
 import pytest
 
-from singulim import cli
+from singulim import __version__, cli
 from singulim.cli import main
-from singulim.descent import check_conditions, read_trace_csv, trace_from_points
+from singulim.descent import (
+    check_conditions,
+    read_trace_csv,
+    read_trace_meta,
+    trace_from_points,
+)
 from singulim.polyalg import Polynomial
 from singulim.problems import (
     ProblemFormatError,
@@ -112,6 +117,21 @@ class TestCli:
         trace = read_trace_csv(trace_path)
         assert len(trace) == 201
         assert trace.iterates[0] == (2.0, -0.1)
+
+    def test_optimize_sidecar_names_config_version_and_problem(self, workdir):
+        problem = workdir / "fig1.problem"
+        trace_path = workdir / "fig1.meta.trace.csv"
+        assert main([
+            "optimize", "--problem", str(problem), "--x0", "2,-0.1",
+            "--max-iters", "30", "--sigma", "0.2", "--trace-out", str(trace_path),
+        ]) == 0
+        assert read_trace_meta(trace_path) == {
+            "stop_reason": read_trace_csv(trace_path).stop_reason,
+            "config": {"sigma_armijo": 0.2, "backtrack_factor": 0.5,
+                       "initial_step": 1.0, "max_iters": 30, "grad_tol": 1e-12},
+            "singulim_version": __version__,
+            "problem_sha256": hashlib.sha256(problem.read_bytes()).hexdigest(),
+        }
 
     def test_diagnose_round_trips_conditions(self, workdir):
         trace_path = workdir / "fig1.trace.csv"

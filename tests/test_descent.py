@@ -1,5 +1,7 @@
 """Armijo descent, condition certification, trace persistence."""
 
+import hashlib
+import json
 import math
 
 import pytest
@@ -11,6 +13,7 @@ from singulim.descent import (
     check_conditions,
     optimize,
     read_trace_csv,
+    read_trace_meta,
     trace_from_points,
     write_trace_csv,
 )
@@ -153,6 +156,39 @@ class TestOptimize:
             optimize(_pinch(), (float("nan"), 0.0))
 
 
+def _trace_digest(trace):
+    """SHA-256 over float.hex of the iterates, f values and gradient norms."""
+    digest = hashlib.sha256()
+    for values in (trace.iterates, trace.f_values, trace.grad_norms):
+        for value in values:
+            for v in value if isinstance(value, tuple) else (value,):
+                digest.update(float.hex(v).encode() + b",")
+        digest.update(b";")
+    return digest.hexdigest()
+
+
+class TestPinnedBits:
+    """Two runs pinned bit for bit.  A change of these digests changes what
+    optimize computes, and is made on purpose, not as a side effect of a
+    speed-up."""
+
+    def test_fig1_reference_run(self):
+        trace = optimize(load_bundled("fig1").rational(), (2.0, -0.1), DescentConfig())
+        assert (len(trace) - 1, trace.stop_reason) == (581, "grad_tol")
+        assert _trace_digest(trace) == (
+            "f9c0b427076e67d565dbc2276a4a9cae06c54be59af1a622146fe14d16fb2bc8"
+        )
+
+    def test_multi3_run_into_the_chart_at_0_3(self):
+        trace = optimize(
+            load_bundled("multi3").rational(), (2.5, 3.5), DescentConfig(max_iters=200)
+        )
+        assert (len(trace) - 1, trace.stop_reason) == (200, "max_iters")
+        assert _trace_digest(trace) == (
+            "560b8cf5d3f3cadc7c7aed414d46a1945a8f17f4eaa31f149aeabc9c20dc6427"
+        )
+
+
 class TestLineSearch:
     def test_search_that_rounds_back_to_x_stops_there(self, monkeypatch):
         """counterex from this start stops on f_stationary after 4 steps: its
@@ -244,6 +280,26 @@ class TestTracePersistence:
         back = read_trace_csv(path)
         assert check_conditions(back, 10) == check_conditions(trace, 10)
 
+    def test_metadata_round_trip(self, tmp_path):
+        trace = optimize(_pinch(), (2.0, -0.1), DescentConfig(max_iters=20))
+        path = tmp_path / "run.trace.csv"
+        metadata = {"config": {"max_iters": 20}, "singulim_version": "0.1.0"}
+        write_trace_csv(trace, path, metadata)
+        assert read_trace_meta(path) == {"stop_reason": trace.stop_reason, **metadata}
+        assert read_trace_csv(path) == trace
+
+    def test_sidecar_with_stop_reason_only_still_read(self, tmp_path):
+        trace = optimize(_pinch(), (2.0, -0.1), DescentConfig(max_iters=20))
+        path = tmp_path / "run.trace.csv"
+        write_trace_csv(trace, path)
+        assert json.loads((tmp_path / "run.trace.csv.meta.json").read_text()) == {
+            "stop_reason": trace.stop_reason
+        }
+        assert read_trace_csv(path, stop_reason="grad_tol") == trace
+        (tmp_path / "run.trace.csv.meta.json").unlink()
+        assert read_trace_meta(path) == {}
+        assert read_trace_csv(path, stop_reason="grad_tol").stop_reason == "grad_tol"
+
     def test_malformed_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
@@ -254,7 +310,8 @@ class TestTracePersistence:
         trace = optimize(_pinch(), (2.0, -0.1), DescentConfig(max_iters=5))
         path = tmp_path / "run.trace.csv"
         write_trace_csv(trace, path)
-        for text in ("{not json", '{"stop_reason": "done"}', "[]"):
+        for text in ("{not json", '{"stop_reason": "done"}', "[]",
+                     '{"problem_sha256": "00"}'):
             (tmp_path / "run.trace.csv.meta.json").write_text(text)
             with pytest.raises(ValueError):
                 read_trace_csv(path)

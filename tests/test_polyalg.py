@@ -17,6 +17,7 @@ from singulim.polyalg import (
     DomainViolation,
     Polynomial,
     RationalFunction,
+    _shift_terms,
 )
 from singulim.homog import CPModel, build_cp_objective
 from singulim.problems import BUNDLED_NAMES, load_bundled
@@ -240,6 +241,42 @@ class TestComposeLine:
         assert coeffs[1] == Polynomial.variable(1, 0)
 
 
+def _fraction_shift_terms(terms, offset):
+    """Reference Taylor shift: the Horner recurrence a_j += c * a_{j+1} on
+    each variable's coefficient rows, in Fraction arithmetic."""
+    for i, value in enumerate(offset):
+        c = Fraction(value)
+        if c == 0:
+            continue
+        rows = {}
+        for exps, coeff in terms.items():
+            row = rows.setdefault(exps[:i] + exps[i + 1:], [])
+            if len(row) <= exps[i]:
+                row.extend([0] * (exps[i] + 1 - len(row)))
+            row[exps[i]] = coeff
+        terms = {}
+        for rest, row in rows.items():
+            top = len(row) - 1
+            for k in range(top):
+                for j in range(top - 1, k - 1, -1):
+                    row[j] += c * row[j + 1]
+            for e, coeff in enumerate(row):
+                if coeff:
+                    terms[rest[:i] + (e,) + rest[i:]] = coeff
+    return {e: int(c) if Fraction(c).denominator == 1 else Fraction(c)
+            for e, c in terms.items()}
+
+
+def _assert_shift_matches_reference(terms, offset):
+    """Equal coefficients, of equal type, in the reference's term order (the
+    float evaluation order of a chart built from them)."""
+    shifted = _shift_terms(terms, offset)
+    reference = _fraction_shift_terms(terms, offset)
+    assert shifted == reference
+    assert list(shifted) == list(reference)
+    assert [type(c) for c in shifted.values()] == [type(c) for c in reference.values()]
+
+
 class TestShift:
     @settings(max_examples=40, deadline=None)
     @given(polynomials(n_vars=2),
@@ -248,6 +285,28 @@ class TestShift:
     def test_shift_is_exact_substitution(self, p, offset, d):
         moved = tuple(o + di for o, di in zip(offset, d))
         assert p.shift(offset).eval_exact(d) == p.eval_exact(moved)
+
+    @settings(max_examples=80, deadline=None)
+    @given(polynomials(coefficients=rationals, max_degree=6, max_terms=8),
+           st.tuples(*[st.one_of(st.integers(-9, 9), small_fractions,
+                                 st.floats(-4, 4))] * N_VARS))
+    def test_integer_shift_matches_fraction_reference(self, p, offset):
+        _assert_shift_matches_reference(p.terms, offset)
+
+    @pytest.mark.parametrize("name", BUNDLED_NAMES)
+    def test_integer_shift_matches_reference_at_declared_centres(self, name):
+        """Exact points and the float centres the charts are built at."""
+        problem = load_bundled(name)
+        for point in problem.singular_points:
+            for offset in (point, tuple(float(v) for v in point)):
+                for poly in (problem.numer, problem.denom):
+                    _assert_shift_matches_reference(poly.terms, offset)
+
+    def test_integer_shift_matches_reference_on_cp_objective(self):
+        half = Fraction(1, 2)
+        offset = (1, 2, half, 3, -1, 2, -1, -2, half, 3, -1, 2)
+        for poly in _cp_f_hat()._eval_pair:
+            _assert_shift_matches_reference(poly.terms, offset)
 
 
 class TestCompose:
@@ -588,6 +647,96 @@ class TestEvaluator:
         assert [numer.eval_float(x) for x in points] == [
             numer._evaluator.loop(x, False) for x in points
         ]
+
+
+def _outcome(evaluate, x):
+    """evaluate(x) as float.hex strings, or the DomainViolation it raised."""
+    try:
+        return _hex(evaluate(x))
+    except DomainViolation as err:
+        return "DomainViolation", err.point, err.denom_value.hex()
+
+
+def _entry(f, x):
+    """The (d..., p, q) entry kept by the generated chart that evaluates x."""
+    (cell,) = f._chart(x).evaluate.__closure__
+    return cell.cell_contents
+
+
+class TestValueReuse:
+    """eval(a), then eval_and_grad(b): the result has the bits of a fresh
+    function's eval_and_grad(b), whether or not the chart reuses a's p and q."""
+
+    @staticmethod
+    def _assert_fresh_bits(f, make, b):
+        assert _outcome(f.eval_and_grad, b) == _outcome(make().eval_and_grad, b), b
+
+    @pytest.mark.parametrize("label, make, centre", CHARTS,
+                             ids=[c[0] for c in CHARTS])
+    def test_same_coordinates(self, label, make, centre):
+        """b is a itself, an equal new tuple, and an equal list."""
+        points = _points_near(centre, label)
+        f = make()
+        f.eval(points[0])  # looped: keeps no entry
+        for a in points[1:7]:
+            assert _outcome(f.eval, a) == _outcome(make().eval, a)
+            assert _entry(f, a)[:-2] == tuple(float(v) - c for v, c in zip(a, centre))
+            for b in (a, tuple(list(a)), list(a)):
+                self._assert_fresh_bits(f, make, b)
+
+    @pytest.mark.parametrize("label, make, centre", CHARTS,
+                             ids=[c[0] for c in CHARTS])
+    def test_list_changed_in_place(self, label, make, centre):
+        points = _points_near(centre, label)
+        f = make()
+        f.eval(points[0])  # looped
+        x = list(points[1])
+        f.eval(x)
+        x[-1] = points[2][-1]
+        self._assert_fresh_bits(f, make, x)
+        f.eval(x)
+        x[:] = points[3]
+        self._assert_fresh_bits(f, make, x)
+
+    @pytest.mark.parametrize("label, make, centre", CHARTS,
+                             ids=[c[0] for c in CHARTS])
+    def test_signed_zero_coordinates(self, label, make, centre):
+        """-0.0 and 0.0 compare equal: the reused p and q keep their bits."""
+        point = list(_points_near(centre, label)[0])
+        zero_at = centre.index(0.0)
+        for a_zero, b_zero in ((-0.0, 0.0), (0.0, -0.0)):
+            a, b = list(point), list(point)
+            a[zero_at], b[zero_at] = a_zero, b_zero
+            f = make()
+            f.eval(point)  # looped
+            f.eval(tuple(a))
+            self._assert_fresh_bits(f, make, tuple(b))
+
+    def test_another_chart_of_multi3(self):
+        make = _bundled("multi3")
+        near = [_points_near(c, "multi3")[:2] for c in ((0.0, 0.0), (3.0, 0.0), (0.0, 3.0))]
+        f = make()
+        for warm, _ in near:
+            f.eval(warm)  # looped
+        for _, a in near:
+            for _, b in near:
+                f.eval(a)
+                self._assert_fresh_bits(f, make, b)
+
+    @pytest.mark.parametrize("label, make, centre", CHARTS,
+                             ids=[c[0] for c in CHARTS])
+    def test_domain_violation_keeps_no_entry(self, label, make, centre):
+        """Each chart's centre is a point where its denominator vanishes."""
+        points = _points_near(centre, label)
+        f = make()
+        f.eval(points[0])  # looped
+        f.eval(points[1])
+        entry = _entry(f, points[1])
+        with pytest.raises(DomainViolation):
+            f.eval(centre)
+        assert _entry(f, centre) is entry
+        self._assert_fresh_bits(f, make, centre)
+        self._assert_fresh_bits(f, make, points[1])
 
 
 class TestRationalFunction:
