@@ -479,16 +479,18 @@ def _compile_terms(terms: Mapping[Exponent, Rational]) -> Compiled:
     ]
 
 
-def _compile_gradient(terms: Mapping[Exponent, Rational], n_vars: int) -> list[Compiled]:
+def _compile_gradient(
+    terms: Mapping[Exponent, Rational], compiled: Compiled, n_vars: int
+) -> list[Compiled]:
     """_compile_terms of each partial derivative, in one pass over the terms.
 
-    Each coefficient is float(c*e), formed for a Fraction c as the int
-    quotient c.numerator*e / c.denominator: correctly rounded, like float(),
-    so the same float.
+    compiled is _compile_terms(terms), whose (variable, power) pairs it
+    reuses.  Each coefficient is float(c*e), formed for a Fraction c as the
+    int quotient c.numerator*e / c.denominator: correctly rounded, like
+    float(), so the same float.
     """
     out: list[Compiled] = [[] for _ in range(n_vars)]
-    for exps, coeff in terms.items():
-        pairs = tuple((i, e) for i, e in enumerate(exps) if e)
+    for coeff, (_, pairs) in zip(terms.values(), compiled):
         for j, (i, e) in enumerate(pairs):
             lowered = ((i, e - 1),) if e > 1 else ()
             value = (
@@ -647,7 +649,7 @@ class _Evaluator:
         n_outer = n_vars if inner is None else len(inner)
         self.values = [_compile_terms(t) for t in term_maps]
         self.partials = [
-            _compile_gradient(t, n_outer) for t in term_maps
+            _compile_gradient(t, c, n_outer) for t, c in zip(term_maps, self.values)
         ] if denom is not None else []
         self.outer_max_deg = _max_degrees(n_outer, term_maps)
         if inner is None:
@@ -656,7 +658,9 @@ class _Evaluator:
         else:
             self.inner = [_compile_terms(t) for t in inner]
             # Row i: (k, du_k/dx_i) for each u_k that depends on x_i.
-            inner_gradients = [_compile_gradient(t, n_vars) for t in inner]
+            inner_gradients = [
+                _compile_gradient(t, c, n_vars) for t, c in zip(inner, self.inner)
+            ]
             self.jacobian = [
                 [(k, g[i]) for k, g in enumerate(inner_gradients) if g[i]]
                 for i in range(n_vars)

@@ -4,6 +4,17 @@ A .problem file is JSON: n_vars, numerator and denominator as term lists
 ({"coeff": "num/den", "exps": [...]}), plus optional metadata.  Serialization
 is canonical (terms sorted by exponent tuple, fixed indentation) so that a
 write -> read -> write round trip is byte-identical.
+
+Format rules, each enforced on load with a ProblemFormatError that names the
+field ("numer[3]", "singular_points[0]"):
+
+- a coefficient is a rational: a string that Fraction reads ("-3", "7/2",
+  "0.25", "1e-3") or a JSON number; the writer emits str(Fraction);
+- "exps" is a list of n_vars JSON integers >= 0 (not true, false or 1.0);
+- terms with equal exponents are summed, and the denominator must not sum
+  to zero;
+- "singular_points", if present, is a list of points, each a list of
+  n_vars rational coordinates.
 """
 
 from __future__ import annotations
@@ -14,9 +25,10 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from .polyalg import Polynomial, RationalFunction
+from .polyalg import Polynomial, RationalFunction, _coefficient
 
 BUNDLED_NAMES = ("fig1", "multi3", "counterex")
+_INT = frozenset({int})
 
 
 class ProblemFormatError(ValueError):
@@ -42,23 +54,59 @@ def poly_to_terms(poly: Polynomial) -> list[dict]:
     ]
 
 
+def _parse_coefficient(raw):
+    """A term's "coeff" as a stored coefficient: an int where integral.
+
+    The writer's form, str(Fraction) in ASCII digits ("a" or "a/b"), is read
+    by int(); any other value goes through Fraction(raw), so the loader
+    accepts and rejects what Fraction does.
+    """
+    if type(raw) is str and raw.isascii():
+        num, slash, den = raw.partition("/")
+        if num.isdigit() or num[:1] == "-" and num[1:].isdigit():
+            if not slash:
+                return int(num)
+            if den.isdigit():
+                return _coefficient(Fraction(int(num), int(den)))
+    return _coefficient(Fraction(raw))
+
+
 def poly_from_terms(terms, n_vars: int, field_name: str) -> Polynomial:
+    """The polynomial of a term list, each term checked once.
+
+    Terms with equal exponents are summed; the polynomial keeps its terms in
+    the order their exponents first appear, without those that sum to 0.
+    """
     if not isinstance(terms, list):
         raise ProblemFormatError(f"field {field_name!r} must be a list of terms")
-    acc: dict[tuple[int, ...], Fraction] = {}
+    acc: dict[tuple[int, ...], int | Fraction] = {}
     for i, term in enumerate(terms):
         try:
-            coeff = Fraction(term["coeff"])
-            exps = tuple(int(e) for e in term["exps"])
+            coeff = _parse_coefficient(term["coeff"])
+            exps = term["exps"]
         except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise ProblemFormatError(f"{field_name}[{i}]: {exc}") from exc
+        if type(exps) is not list:
+            raise ProblemFormatError(
+                f"{field_name}[{i}]: exponents {exps!r} are not a list"
+            )
         if len(exps) != n_vars:
             raise ProblemFormatError(
-                f"{field_name}[{i}]: exponent tuple {list(exps)} does not have "
+                f"{field_name}[{i}]: exponent tuple {exps} does not have "
                 f"n_vars = {n_vars} entries"
             )
-        acc[exps] = acc.get(exps, Fraction(0)) + coeff
-    return Polynomial(n_vars, acc)
+        exps = tuple(exps)
+        # type() is int, not isinstance: JSON true and false are bools.
+        if not _INT.issuperset(map(type, exps)) or exps and min(exps) < 0:
+            raise ProblemFormatError(
+                f"{field_name}[{i}]: exponents {list(exps)} are not all "
+                f"non-negative integers"
+            )
+        if exps in acc:
+            acc[exps] = _coefficient(acc[exps] + coeff)
+        else:
+            acc[exps] = coeff
+    return Polynomial._trusted(n_vars, {e: c for e, c in acc.items() if c})
 
 
 def problem_to_json(problem: ProblemFile) -> str:
@@ -97,8 +145,15 @@ def problem_from_json(text: str, source: str = "<string>") -> ProblemFile:
         raise ProblemFormatError(f"{source}: {exc}") from exc
     if denom.is_zero():
         raise ProblemFormatError(f"{source}: field 'denom' is identically zero")
+    raw_points = doc.get("singular_points", [])
+    if not isinstance(raw_points, list):
+        raise ProblemFormatError(f"{source}: field 'singular_points' must be a list")
     points = []
-    for j, raw in enumerate(doc.get("singular_points", [])):
+    for j, raw in enumerate(raw_points):
+        if not isinstance(raw, list):
+            raise ProblemFormatError(
+                f"{source}: singular_points[{j}] must be a list of coordinates"
+            )
         try:
             point = tuple(Fraction(c) for c in raw)
         except (TypeError, ValueError, ArithmeticError) as exc:

@@ -4,8 +4,12 @@ import hashlib
 import json
 import math
 import os
+from fractions import Fraction
+from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singulim import __version__, cli
 from singulim.cli import main
@@ -22,6 +26,7 @@ from singulim.problems import (
     bundled_examples,
     load_bundled,
     load_problem,
+    poly_from_terms,
     problem_from_json,
     problem_to_json,
     save_problem,
@@ -73,6 +78,27 @@ class TestProblemFiles:
           "denom": [{"coeff": "1", "exps": [0, 0]}]}, "numer"),
         ({"n_vars": 2, "numer": [{"coeff": "1", "exps": [1]}],
           "denom": [{"coeff": "1", "exps": [0, 0]}]}, "numer"),
+        ({"n_vars": 2, "numer": [{"coeff": "1", "exps": [-1, 0]}],
+          "denom": [{"coeff": "1", "exps": [0, 0]}]}, "numer[0]"),
+        ({"n_vars": 2, "numer": [{"coeff": "1", "exps": [0, 0]}],
+          "denom": [{"coeff": "1", "exps": [0, 0]},
+                    {"coeff": "1", "exps": [0, -2]}]}, "denom[1]"),
+        ({"n_vars": 2, "numer": [{"coeff": "1", "exps": [1.5, 0]}],
+          "denom": [{"coeff": "1", "exps": [0, 0]}]}, "numer[0]"),
+        ({"n_vars": 2, "numer": [{"coeff": "1", "exps": [1e30, 0]}],
+          "denom": [{"coeff": "1", "exps": [0, 0]}]}, "numer[0]"),
+        ({"n_vars": 2, "numer": [{"coeff": "1", "exps": [1.0, 0]}],
+          "denom": [{"coeff": "1", "exps": [0, 0]}]}, "numer[0]"),
+        ({"n_vars": 2, "numer": [{"coeff": "1", "exps": [True, 0]}],
+          "denom": [{"coeff": "1", "exps": [0, 0]}]}, "numer[0]"),
+        ({"n_vars": 2, "numer": [{"coeff": "1", "exps": ["1", 0]}],
+          "denom": [{"coeff": "1", "exps": [0, 0]}]}, "numer[0]"),
+        ({"n_vars": 2, "numer": [{"coeff": "1", "exps": "10"}],
+          "denom": [{"coeff": "1", "exps": [0, 0]}]}, "numer[0]"),
+        ({"n_vars": 2, "numer": [], "denom": [{"coeff": "1", "exps": [0, 0]}],
+          "singular_points": ["00"]}, "singular_points[0]"),
+        ({"n_vars": 1, "numer": [], "denom": [{"coeff": "1", "exps": [0]}],
+          "singular_points": "00"}, "singular_points"),
     ])
     def test_malformed_documents_name_offending_field(self, doc, field):
         with pytest.raises(ProblemFormatError) as err:
@@ -86,6 +112,93 @@ class TestProblemFiles:
     def test_unknown_bundled_name(self):
         with pytest.raises(KeyError):
             load_bundled("missing")
+
+
+def reference_poly_from_terms(terms, n_vars, field_name):
+    """The loader that poly_from_terms replaced: a Fraction per coefficient,
+    duplicates summed as Fractions, every term checked again by Polynomial."""
+    if not isinstance(terms, list):
+        raise ProblemFormatError(f"field {field_name!r} must be a list of terms")
+    acc = {}
+    for i, term in enumerate(terms):
+        try:
+            coeff = Fraction(term["coeff"])
+            exps = tuple(int(e) for e in term["exps"])
+        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
+            raise ProblemFormatError(f"{field_name}[{i}]: {exc}") from exc
+        if len(exps) != n_vars:
+            raise ProblemFormatError(
+                f"{field_name}[{i}]: exponent tuple {list(exps)} does not have "
+                f"n_vars = {n_vars} entries"
+            )
+        acc[exps] = acc.get(exps, Fraction(0)) + coeff
+    return Polynomial(n_vars, acc)
+
+
+def _loaded(loader, terms, n_vars=2):
+    """The terms in order with their value types, or "rejected"."""
+    try:
+        poly = loader(terms, n_vars, "numer")
+    except ProblemFormatError:
+        return "rejected"
+    assert poly.n_vars == n_vars
+    return [(exps, c, type(c)) for exps, c in poly.terms.items()]
+
+
+_digits = st.integers(-10 ** 25, 10 ** 25)
+_spaces = st.sampled_from(["", " ", "\t", " \n"])
+_coefficients = st.one_of(
+    _digits,
+    _digits.map(str),
+    st.tuples(_digits, st.integers(-3, 10 ** 12)).map(lambda t: f"{t[0]}/{t[1]}"),
+    st.decimals(allow_nan=False, allow_infinity=False).map(str),
+    st.floats(),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.tuples(_spaces, _digits.map(str), _spaces).map("".join),
+    st.sampled_from(["1", "-1", "1/2", "-1/2", "2/4", "-0.5", "0", "-0", "+3",
+                     "1 / 2", "1/", "/2", "-", "--1", "1/-2", "1.2.3", "1e", "x",
+                     "", "1_000", "\u0661\u0662", "Infinity", True, None, [1]]),
+    st.text(max_size=5),
+)
+_term_lists = st.lists(
+    st.fixed_dictionaries({
+        "coeff": _coefficients,
+        "exps": st.lists(st.integers(0, 2), min_size=2, max_size=2),
+    }),
+    max_size=12,
+)
+
+
+class TestLoaderAgainstReference:
+    """poly_from_terms gives reference_poly_from_terms' terms, in its order and
+    with its value types, and rejects exactly the term lists it rejects."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_term_lists)
+    def test_term_lists(self, terms):
+        assert _loaded(poly_from_terms, terms) == _loaded(reference_poly_from_terms, terms)
+
+    @pytest.mark.parametrize("name", ["fig1", "multi3", "counterex"])
+    def test_bundled_files(self, name):
+        text = resources.files("singulim").joinpath(f"data/{name}.problem").read_text()
+        self._check_document(json.loads(text))
+
+    def test_emitted_cp_file(self, workdir):
+        target = workdir / "loader.target222.json"
+        target.write_text("[[[1, 2], [0, -1]], [[3, 0], [1, 1]]]")
+        out_problem = workdir / "loader.cp222.problem"
+        assert main([
+            "tensor", "--dims", "2,2,2", "--rank", "2",
+            "--target", str(target), "--emit-problem", str(out_problem),
+        ]) == 0
+        self._check_document(json.loads(out_problem.read_text()))
+
+    @staticmethod
+    def _check_document(doc):
+        for key in ("numer", "denom"):
+            loaded = _loaded(poly_from_terms, doc[key], doc["n_vars"])
+            assert loaded != "rejected" and loaded
+            assert loaded == _loaded(reference_poly_from_terms, doc[key], doc["n_vars"])
 
 
 @pytest.fixture(scope="module")
@@ -300,7 +413,7 @@ class TestCli:
 @pytest.fixture(scope="module")
 def misuse_dir(workdir):
     """workdir plus a short fig1 trace, a CP target, an unbounded problem and
-    problem files whose numbers JSON accepts but Fraction or int does not."""
+    problem files whose numbers JSON accepts but the format rejects."""
     from singulim.problems import ProblemFile
 
     assert main([
@@ -318,6 +431,8 @@ def misuse_dir(workdir):
         ("inf-vars", {"n_vars": 1e400, "numer": one, "denom": one}),
         ("inf-point", {"n_vars": 1, "numer": one, "denom": one,
                        "singular_points": [[1e400]]}),
+        ("neg-exp", {"n_vars": 1, "numer": [{"coeff": "1", "exps": [-1]}],
+                     "denom": one}),
     ]:
         (workdir / f"{name}.problem").write_text(json.dumps(doc))
     return workdir
@@ -375,6 +490,8 @@ _TEN = ["tensor", "--dims", "2,2", "--emit-problem", "{d}/misuse.cp.problem"]
                  id="problem-infinite-n-vars"),
     pytest.param(["analyze", "--problem", "{d}/inf-point.problem", "--point", "0"], 2,
                  id="problem-infinite-singular-point"),
+    pytest.param(["analyze", "--problem", "{d}/neg-exp.problem", "--point", "0"], 2,
+                 id="problem-negative-exponent"),
 ])
 def test_misuse_ends_in_one_error_line(misuse_dir, capsys, argv, code):
     argv = [arg.format(d=misuse_dir) for arg in argv]
