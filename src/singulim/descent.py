@@ -14,6 +14,13 @@ s = x_k - x_{k-1} and y = grad_k - grad_{k-1}, capped at initial_step; it is
 initial_step itself on the first iteration and wherever s'y <= 0.  Restarting
 every line search at initial_step instead lets the iterates approach the
 essential singularity of fig1 only as ||x_k|| ~ k^(-1/2).
+
+_line_search is the search, written over an objective's eval.  On a
+RationalFunction, optimize runs it as f.line_search instead: the same ladder
+inside each chart's generated code, one call per search rather than one per
+trial, with the same bits (polyalg._Evaluator).  sigma, the backtrack factor
+and MAX_BACKTRACKS are passed to it from here.  Any other objective with eval
+and eval_and_grad runs _line_search itself.
 """
 
 from __future__ import annotations
@@ -108,7 +115,8 @@ def _line_search(evaluate, x, fx, grad, g_sq, alpha, cfg):
     (Sterbenz), so the test compares the decrease itself with the required
     one instead of f_trial with the rounded threshold fx - sigma*alpha*g_sq.
     evaluate is the objective's eval.  Returns (trial, f_trial, alpha), or
-    None after MAX_BACKTRACKS trials.
+    None after MAX_BACKTRACKS trials.  RationalFunction.line_search returns
+    the same bits, and the tests compare the two.
 
     A trial that rounds back to x ends the search with None at once: every
     smaller alpha rounds to x too (rounding is monotone), where f is fx and
@@ -141,8 +149,9 @@ def optimize(
     to decrease f (stationarity enforcement of the no-cycling rule), on the
     iteration cap, or on a domain violation at the start point.
 
-    The accepted trial's gradient needs no domain check: eval has just passed
-    the same denominator test at the same point, in the same chart.
+    The accepted trial's gradient needs no domain check: the search has just
+    passed the same denominator test at the same point, in the same chart.
+    f.line_search runs the search where f has one (module docstring).
     """
     if cfg is None:
         cfg = DescentConfig()
@@ -159,7 +168,18 @@ def optimize(
     alphas: list[float] = []
     stop_reason = STOP_MAX_ITERS
 
-    evaluate, evaluate_and_grad = f.eval, f.eval_and_grad
+    if hasattr(f, "line_search"):
+        sigma, factor = cfg.sigma_armijo, cfg.backtrack_factor
+
+        def search(x, fx, grad, g_sq, alpha):
+            return f.line_search(x, fx, grad, g_sq, alpha, sigma, factor, MAX_BACKTRACKS)
+    else:
+        evaluate = f.eval
+
+        def search(x, fx, grad, g_sq, alpha):
+            return _line_search(evaluate, x, fx, grad, g_sq, alpha, cfg)
+
+    evaluate_and_grad = f.eval_and_grad
     initial_step, grad_tol = cfg.initial_step, cfg.grad_tol
     first_step = initial_step
     for _ in range(cfg.max_iters):
@@ -168,9 +188,9 @@ def optimize(
             stop_reason = STOP_GRAD_TOL
             break
         g_sq = gnorm * gnorm
-        accepted = _line_search(evaluate, x, fx, grad, g_sq, first_step, cfg)
+        accepted = search(x, fx, grad, g_sq, first_step)
         if accepted is None and first_step != initial_step:
-            accepted = _line_search(evaluate, x, fx, grad, g_sq, initial_step, cfg)
+            accepted = search(x, fx, grad, g_sq, initial_step)
         if accepted is None:
             stop_reason = STOP_F_STATIONARY
             break

@@ -550,6 +550,10 @@ def _list_source(items: Sequence[str]) -> str:
     return "[" + ", ".join(items) + "]"
 
 
+def _tuple_source(items: Iterable[str]) -> str:
+    return "(" + "".join(f"{item}, " for item in items) + ")"
+
+
 def _sum_lines(name: str, terms: Sequence[str]) -> list[str]:
     """Statements that leave the sum of the terms, left to right from 0.0, in name."""
     lines = [f"    {name} = 0.0"]
@@ -615,25 +619,36 @@ class _Evaluator:
     straight-line function that forms the same differences, powers, products,
     sums, quotients and comparisons in the same order, so every call returns
     the same bits.  It goes into the instance dict (hence no __slots__),
-    where it shadows the evaluate method, so later calls run it directly and
-    no stored bound method ties the evaluator into a reference cycle: it is
-    freed with its owner, not by the cycle collector.  Generating costs about
-    a hundred looped evaluations, which a polynomial evaluated once never
-    pays back.
+    where it shadows the evaluate method (a quotient's search likewise), so
+    later calls run it directly and no stored bound method ties the
+    evaluator into a reference cycle: it is freed with its owner, not by the
+    cycle collector.  Generating costs about a hundred looped evaluations,
+    which a polynomial evaluated once never pays back.
 
-    The generated code of a quotient keeps one entry, (d, p, q): the
-    coordinates d after the centre and the p and q of its last value-only
-    call, stored as one tuple once q has passed the floor test, so a point
-    that raised DomainViolation leaves none.  A gradient call at a d that
-    compares equal, coordinate by coordinate, takes p and q from the entry
-    and sums only the powers, partials and quotient; any other call sums
-    as above.  Keyed by value, not identity: an equal new tuple or a list
-    changed in place is matched by its coordinates, and NaN matches
-    nothing.  The same d gives the same powers and sums, so the reused p
-    and q have the bits of summing them again; -0.0 and 0.0 match because
-    every sum starts from 0.0, where a signed zero term leaves the same
-    bits.  This is the Armijo pattern: the accepted trial's eval is
-    followed by its eval_and_grad.  The looped first call keeps no entry.
+    The generated code of a quotient also holds search(x, fx, grad, g_sq,
+    alpha, sigma, factor, budget, charts), the Armijo search of
+    descent._line_search over RationalFunction.eval in one frame: trials
+    t = x - alpha*grad as locals, the exit at a trial that rounds back to x,
+    with dispatch set (the function's chart centres) RationalFunction._chart's
+    nearest-centre test, the DENOM_FLOOR test as a backtrack,
+    isfinite(f) and fx - f >= sigma*alpha*g_sq > 0, and alpha *= factor.  A
+    trial nearer another centre goes, with the budget left, to that centre's
+    chart: charts(centre).search(...).  Each trial sums the same powers and
+    terms as the chart's eval, so the search returns the bits of
+    _line_search: (trial, f, alpha) for the accepted trial, or None.  The
+    first search generates the code at once.
+
+    The accepted trial leaves one entry, (d, p, q): the coordinates d after
+    the centre and its p and q; value-only calls keep nothing.  A gradient
+    call at a d that compares equal, coordinate by coordinate, takes p and q
+    from the entry and sums only the powers, partials and quotient; any other
+    call sums as above.  Keyed by value, not identity: an equal new tuple or
+    a list changed in place is matched by its coordinates, and NaN matches
+    nothing.  The same d gives the same powers and sums, so the reused p and
+    q have the bits of summing them again; -0.0 and 0.0 match because every
+    sum starts from 0.0, where a signed zero term leaves the same bits.  This
+    is the Armijo pattern: the accepted trial's eval_and_grad follows its
+    search.
     """
 
     def __init__(
@@ -643,6 +658,7 @@ class _Evaluator:
         denom: Mapping[Exponent, Rational] | None = None,
         centre: tuple[float, ...] | None = None,
         inner: Sequence[Mapping[Exponent, Rational]] | None = None,
+        dispatch: tuple[tuple[float, ...], ...] | None = None,
     ):
         term_maps = [numer] if denom is None else [numer, denom]
         # The variables of numer and denom: x itself, or the u_k.
@@ -667,6 +683,7 @@ class _Evaluator:
             ]
             self.max_deg = _max_degrees(n_vars, inner)
         self.centre = centre
+        self.dispatch = dispatch
         self._used = False
 
     @property
@@ -679,8 +696,13 @@ class _Evaluator:
         if not self._used:
             self._used = True
             return self.loop(x, grad)
-        self.evaluate = self.generate()
+        vars(self).update(self.generate())
         return self.evaluate(x, grad)
+
+    def search(self, x, fx, grad, g_sq, alpha, sigma, factor, budget, charts):
+        """A quotient's Armijo search from x; see the class docstring."""
+        vars(self).update(self.generate())
+        return self.search(x, fx, grad, g_sq, alpha, sigma, factor, budget, charts)
 
     def loop(self, x: Sequence, grad: bool):
         """The reference evaluation: term by term from a power table."""
@@ -718,94 +740,150 @@ class _Evaluator:
             return f, [(q * a - p * b) / q_sq for a, b in zip(grad_p, grad_q)]
         return f, [(a - f * b) / q for a, b in zip(grad_p, grad_q)]
 
-    def generate(self):
-        """loop as one straight-line function of (x, grad)."""
+    def generate(self) -> dict:
+        """loop as straight-line code: {"evaluate": chart}, plus "search" for
+        a quotient (class docstring)."""
         names = [f"x{i}" for i in range(len(self.max_deg))]
-        lines = ["def chart(x, grad):", "    (" + "".join(f"{n}, " for n in names) + ") = x"]
+        # The powers of x0, x1, ... (and, composed, the u_k and their
+        # powers) that chart and search share.
+        powers = _power_lines("x", self.max_deg)
+        var = "x"
+        if self.inner is not None:
+            for k, compiled in enumerate(self.inner):
+                powers += _sum_source(f"u{k}", compiled, "x", unit_free=True)
+            powers += _power_lines("u", self.outer_max_deg)
+            var = "u"
+        lines = ["def chart(x, grad):", f"    {_tuple_source(names)} = x"]
         if self.centre is None:
             lines += [f"    {n} = float({n})" for n in names]
         else:
             lines += [f"    {n} = float({n}) - {c!r}" for n, c in zip(names, self.centre)]
-        lines += _power_lines("x", self.max_deg)
-        var = "x"
-        if self.inner is not None:
-            for k, compiled in enumerate(self.inner):
-                lines += _sum_source(f"u{k}", compiled, "x", unit_free=True)
-            lines += _power_lines("u", self.outer_max_deg)
-            var = "u"
+        lines += powers
         if not self.partials:
             lines += _sum_source("p", self.values[0], var)
             lines.append("    return p")
+            namespace = {}
+            exec(compile("\n".join(lines), "<polyalg chart>", "exec"), namespace)
+            return {"evaluate": namespace["chart"]}
+        sums = _sum_source("p", self.values[0], var) + _sum_source("q", self.values[1], var)
+        # The search's accepted trial leaves its (d, p, q), d the coordinates
+        # after the centre: a gradient call at equal d takes p and q from it.
+        keys = [f"k{i}" for i in range(len(names))]
+        lines += [
+            "    if grad:",
+            f"        {_tuple_source(keys + ['p', 'q'])} = last",
+            "    if not grad or " + " or ".join(
+                f"{n} != {k}" for n, k in zip(names, keys)
+            ) + ":",
+            *_indent(sums),
+            "        if abs(q) < DENOM_FLOOR:",
+            "            raise DomainViolation(x, q)",
+            "        if not grad:",
+            "            return p / q",
+            "    f = p / q",
+        ]
+        grad_p = [f"p_{i}" for i in range(len(names))]
+        grad_q = [f"q_{i}" for i in range(len(names))]
+        if self.inner is None:
+            for row_names, row in zip((grad_p, grad_q), self.partials):
+                for name, compiled in zip(row_names, row):
+                    lines += _sum_source(name, compiled, "x")
         else:
-            # The last value-only call's (d, p, q), d the coordinates after
-            # the centre: a gradient call at equal d takes p and q from it.
-            keys = [f"k{i}" for i in range(len(names))]
-            lines += [
-                "    if grad:",
-                "        (" + "".join(f"{k}, " for k in keys) + "p, q) = last",
-                "    if not grad or " + " or ".join(
-                    f"{n} != {k}" for n, k in zip(names, keys)
-                ) + ":",
-            ]
-            lines += _indent(_sum_source("p", self.values[0], var))
-            lines += _indent(_sum_source("q", self.values[1], var))
-            lines += [
-                "        if abs(q) < DENOM_FLOOR:",
-                "            raise DomainViolation(x, q)",
-                "        if not grad:",
-                "            last = (" + "".join(f"{n}, " for n in names) + "p, q)",
-                "            return p / q",
-                "    f = p / q",
-            ]
-            grad_p = [f"p_{i}" for i in range(len(names))]
-            grad_q = [f"q_{i}" for i in range(len(names))]
-            if self.inner is None:
-                for row_names, row in zip((grad_p, grad_q), self.partials):
-                    for name, compiled in zip(row_names, row):
-                        lines += _sum_source(name, compiled, "x")
-            else:
-                for prefix, row in zip(("p_u", "q_u"), self.partials):
-                    for k, compiled in enumerate(row):
-                        lines += _sum_source(f"{prefix}{k}", compiled, "u")
-                # Each distinct du_k/dx_i is summed once, under the name of
-                # its first (i, k); equal term lists give equal bits.
-                shared: dict[tuple, str] = {}
-                du_rows = []
-                for i, row in enumerate(self.jacobian):
-                    du_rows.append([])
-                    for k, compiled in row:
-                        du = shared.get(tuple(compiled))
-                        if du is None:
-                            du = shared[tuple(compiled)] = f"du{k}_{i}"
-                            lines += _sum_source(du, compiled, "x", unit_free=True)
-                        du_rows[i].append((k, du))
-                for prefix, row_names in zip(("p_u", "q_u"), (grad_p, grad_q)):
-                    for name, row in zip(row_names, du_rows):
-                        lines += _sum_lines(name, [f"{prefix}{k} * {du}" for k, du in row])
-            pairs = list(zip(grad_p, grad_q))
-            lines += [
-                "    q_sq = q * q",
-                "    if FLOAT_MIN <= q_sq < inf:",
-                "        return f, "
-                + _list_source([f"(q * {a} - p * {b}) / q_sq" for a, b in pairs]),
-                "    return f, " + _list_source([f"({a} - f * {b}) / q" for a, b in pairs]),
-            ]
-        if self.partials:
-            # NaN compares unequal to every coordinate, so nothing matches
-            # before the first value-only call.
-            lines[1:1] = ["    nonlocal last"]
-            lines = [
-                "def build():",
-                f"    last = (nan,) * {len(names) + 2}",
-                *_indent(lines),
-                "    return chart",
-            ]
+            for prefix, row in zip(("p_u", "q_u"), self.partials):
+                for k, compiled in enumerate(row):
+                    lines += _sum_source(f"{prefix}{k}", compiled, "u")
+            # Each distinct du_k/dx_i is summed once, under the name of
+            # its first (i, k); equal term lists give equal bits.
+            shared: dict[tuple, str] = {}
+            du_rows = []
+            for i, row in enumerate(self.jacobian):
+                du_rows.append([])
+                for k, compiled in row:
+                    du = shared.get(tuple(compiled))
+                    if du is None:
+                        du = shared[tuple(compiled)] = f"du{k}_{i}"
+                        lines += _sum_source(du, compiled, "x", unit_free=True)
+                    du_rows[i].append((k, du))
+            for prefix, row_names in zip(("p_u", "q_u"), (grad_p, grad_q)):
+                for name, row in zip(row_names, du_rows):
+                    lines += _sum_lines(name, [f"{prefix}{k} * {du}" for k, du in row])
+        pairs = list(zip(grad_p, grad_q))
+        lines += [
+            "    q_sq = q * q",
+            "    if FLOAT_MIN <= q_sq < inf:",
+            "        return f, "
+            + _list_source([f"(q * {a} - p * {b}) / q_sq" for a, b in pairs]),
+            "    return f, " + _list_source([f"({a} - f * {b}) / q" for a, b in pairs]),
+        ]
+        lines += self._search_lines(names, powers + sums)
+        # NaN compares unequal to every coordinate, so nothing matches before
+        # the first accepted trial.
+        lines = [
+            "def build():",
+            f"    last = (nan,) * {len(names) + 2}",
+            *_indent(lines),
+            "    return chart, search",
+        ]
         namespace = {
             "DENOM_FLOOR": DENOM_FLOOR, "FLOAT_MIN": sys.float_info.min,
             "inf": math.inf, "nan": math.nan, "DomainViolation": DomainViolation,
+            "dist": math.dist, "isfinite": math.isfinite, "CENTRES": self.dispatch,
         }
         exec(compile("\n".join(lines), "<polyalg chart>", "exec"), namespace)
-        return namespace["build"]() if self.partials else namespace["chart"]
+        chart, search = namespace["build"]()
+        return {"evaluate": chart, "search": search}
+
+    def _search_lines(self, names: Sequence[str], value: Sequence[str]) -> list[str]:
+        """search(x, fx, grad, g_sq, alpha, sigma, factor, budget, charts) as
+        the statements of descent._line_search over eval, one trial per pass
+        of its loop; value leaves p and q at the coordinates names."""
+        n = len(names)
+        # Trial coordinates; in the origin's chart, the coordinates themselves.
+        trial = names if self.centre is None else [f"t{i}" for i in range(n)]
+        lines = [
+            "def search(x, fx, grad, g_sq, alpha, sigma, factor, budget, charts):",
+            "    nonlocal last",
+            f"    {_tuple_source(f'a{i}' for i in range(n))} = x",
+            f"    {_tuple_source(f'g{i}' for i in range(n))} = grad",
+            "    while budget > 0:",
+            *(f"        {t} = a{i} - alpha * g{i}" for i, t in enumerate(trial)),
+            "        if " + " and ".join(f"{t} == a{i}" for i, t in enumerate(trial)) + ":",
+            "            return None",
+        ]
+        if self.dispatch is not None:
+            # RationalFunction._chart's rule: the first nearest centre, the
+            # origin where every distance is NaN.
+            own = 0 if self.centre is None else self.dispatch.index(self.centre)
+            lines += [f"        t = {_tuple_source(trial)}", "        j, nearest = 0, inf"]
+            for j, c in enumerate(self.dispatch):
+                lines += [
+                    f"        e = dist(t, {c!r})",
+                    f"        if e < nearest: j, nearest = {j}, e",
+                ]
+            lines += [
+                f"        if j != {own}:",
+                "            return charts(CENTRES[j]).search("
+                "x, fx, grad, g_sq, alpha, sigma, factor, budget, charts)",
+            ]
+        lines.append("        budget -= 1")
+        if self.centre is not None:
+            lines += [
+                f"        {n_} = {t} - {c!r}"
+                for n_, t, c in zip(names, trial, self.centre)
+            ]
+        lines += _indent(value)
+        lines += [
+            "        if abs(q) < DENOM_FLOOR:",
+            "            alpha *= factor",
+            "            continue",
+            "        f = p / q",
+            "        if isfinite(f) and fx - f >= sigma * alpha * g_sq > 0.0:",
+            f"            last = {_tuple_source(list(names) + ['p', 'q'])}",
+            f"            return {_tuple_source(trial)}, f, alpha",
+            "        alpha *= factor",
+            "    return None",
+        ]
+        return lines
 
 
 class RationalFunction:
@@ -977,24 +1055,58 @@ class RationalFunction:
                 d = math.dist(x, c)
                 if d < nearest:
                     centre, nearest = c, d
+        return self._charts.get(centre) or self._chart_at(centre)
+
+    def _chart_at(self, centre: tuple[float, ...]) -> _Evaluator:
+        """The chart about centre, one of the origin and _centres."""
         chart = self._charts.get(centre)
         if chart is None:
             p, q, _ = self._factors
             if centre is self._origin:
                 inner = None if self._inner is None else [u.terms for u in self._inner]
-                chart = _Evaluator(self.n_vars, p.terms, q.terms, inner=inner)
+                chart = _Evaluator(
+                    self.n_vars, p.terms, q.terms, inner=inner, dispatch=self._centres
+                )
             else:
                 chart = _Evaluator(
                     self.n_vars,
                     _shift_terms(p.terms, centre),
                     _shift_terms(q.terms, centre),
                     centre,
+                    dispatch=self._centres,
                 )
             self._charts[centre] = chart
         return chart
 
     def eval(self, x: Sequence[float]) -> float:
         return self._chart(x).evaluate(x, False)
+
+    def line_search(
+        self,
+        x: tuple[float, ...],
+        fx: float,
+        grad: Sequence[float],
+        g_sq: float,
+        alpha: float,
+        sigma: float,
+        factor: float,
+        max_trials: int,
+    ):
+        """descent._line_search(self.eval, ...) in the charts' generated code.
+
+        Backtracks from alpha by factor, for at most max_trials trials, to
+        the first trial x - alpha*grad where f is finite and
+        fx - f >= sigma*alpha*g_sq > 0, and returns (trial, f, alpha); None
+        after max_trials trials or at a trial that rounds back to x.  x is
+        a tuple and grad a sequence of floats, as descent.optimize passes
+        them.  Each trial is evaluated in the chart eval would use, with the
+        same bits, and rejected where eval raises DomainViolation; the
+        accepted trial's chart keeps its p and q for the eval_and_grad that
+        follows (_Evaluator).
+        """
+        return self._chart(x).search(
+            x, fx, grad, g_sq, alpha, sigma, factor, max_trials, self._chart_at
+        )
 
     def eval_exact(self, x: Sequence) -> Fraction:
         """p/q exactly at x; with inner, at the exact values of the u_k."""

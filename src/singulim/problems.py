@@ -8,13 +8,15 @@ write -> read -> write round trip is byte-identical.
 Format rules, each enforced on load with a ProblemFormatError that names the
 field ("numer[3]", "singular_points[0]"):
 
+- "n_vars" is a JSON integer >= 1 (not true, 2.0 or "2");
 - a coefficient is a rational: a string that Fraction reads ("-3", "7/2",
-  "0.25", "1e-3") or a JSON number; the writer emits str(Fraction);
+  "0.25", "1e-3") or a JSON number, not true or false; the writer emits
+  str(Fraction);
 - "exps" is a list of n_vars JSON integers >= 0 (not true, false or 1.0);
 - terms with equal exponents are summed, and the denominator must not sum
   to zero;
 - "singular_points", if present, is a list of points, each a list of
-  n_vars rational coordinates.
+  n_vars rational coordinates, strings or JSON numbers as coefficients are.
 """
 
 from __future__ import annotations
@@ -58,8 +60,7 @@ def _parse_coefficient(raw):
     """A term's "coeff" as a stored coefficient: an int where integral.
 
     The writer's form, str(Fraction) in ASCII digits ("a" or "a/b"), is read
-    by int(); any other value goes through Fraction(raw), so the loader
-    accepts and rejects what Fraction does.
+    by int(); any other value goes through _parse_rational.
     """
     if type(raw) is str and raw.isascii():
         num, slash, den = raw.partition("/")
@@ -68,7 +69,15 @@ def _parse_coefficient(raw):
                 return int(num)
             if den.isdigit():
                 return _coefficient(Fraction(int(num), int(den)))
-    return _coefficient(Fraction(raw))
+    return _coefficient(_parse_rational(raw))
+
+
+def _parse_rational(raw) -> Fraction:
+    """Fraction(raw), but not for JSON true and false, which it reads as 1
+    and 0."""
+    if type(raw) is bool:
+        raise ValueError(f"{raw!r} is not a rational")
+    return Fraction(raw)
 
 
 def poly_from_terms(terms, n_vars: int, field_name: str) -> Polynomial:
@@ -129,9 +138,9 @@ def problem_from_json(text: str, source: str = "<string>") -> ProblemFile:
         raise ProblemFormatError(f"{source}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ProblemFormatError(f"{source}: top level must be an object")
-    try:
-        n_vars = int(doc["n_vars"])
-    except (KeyError, TypeError, ValueError, OverflowError):
+    n_vars = doc.get("n_vars")
+    # type() is int, not isinstance: JSON true and false are bools.
+    if type(n_vars) is not int:
         raise ProblemFormatError(f"{source}: missing or invalid field 'n_vars'")
     if n_vars < 1:
         raise ProblemFormatError(f"{source}: n_vars must be positive")
@@ -155,7 +164,7 @@ def problem_from_json(text: str, source: str = "<string>") -> ProblemFile:
                 f"{source}: singular_points[{j}] must be a list of coordinates"
             )
         try:
-            point = tuple(Fraction(c) for c in raw)
+            point = tuple(_parse_rational(c) for c in raw)
         except (TypeError, ValueError, ArithmeticError) as exc:
             raise ProblemFormatError(f"{source}: singular_points[{j}]: {exc}")
         if len(point) != n_vars:

@@ -99,6 +99,16 @@ class TestProblemFiles:
           "singular_points": ["00"]}, "singular_points[0]"),
         ({"n_vars": 1, "numer": [], "denom": [{"coeff": "1", "exps": [0]}],
           "singular_points": "00"}, "singular_points"),
+        ({"n_vars": 2.5, "numer": [], "denom": [{"coeff": "1", "exps": [0, 0]}]},
+         "n_vars"),
+        ({"n_vars": True, "numer": [], "denom": [{"coeff": "1", "exps": [0]}]},
+         "n_vars"),
+        ({"n_vars": "2", "numer": [], "denom": [{"coeff": "1", "exps": [0, 0]}]},
+         "n_vars"),
+        ({"n_vars": 1, "numer": [{"coeff": True, "exps": [1]}],
+          "denom": [{"coeff": "1", "exps": [0]}]}, "numer[0]"),
+        ({"n_vars": 1, "numer": [], "denom": [{"coeff": "1", "exps": [0]}],
+          "singular_points": [[False]]}, "singular_points[0]"),
     ])
     def test_malformed_documents_name_offending_field(self, doc, field):
         with pytest.raises(ProblemFormatError) as err:
@@ -157,7 +167,7 @@ _coefficients = st.one_of(
     st.tuples(_spaces, _digits.map(str), _spaces).map("".join),
     st.sampled_from(["1", "-1", "1/2", "-1/2", "2/4", "-0.5", "0", "-0", "+3",
                      "1 / 2", "1/", "/2", "-", "--1", "1/-2", "1.2.3", "1e", "x",
-                     "", "1_000", "\u0661\u0662", "Infinity", True, None, [1]]),
+                     "", "1_000", "\u0661\u0662", "Infinity", True, False, None, [1]]),
     st.text(max_size=5),
 )
 _term_lists = st.lists(
@@ -171,12 +181,16 @@ _term_lists = st.lists(
 
 class TestLoaderAgainstReference:
     """poly_from_terms gives reference_poly_from_terms' terms, in its order and
-    with its value types, and rejects exactly the term lists it rejects."""
+    with its value types, and rejects exactly the term lists it rejects and
+    those with a JSON true or false coefficient, which it read as 1 or 0."""
 
     @settings(max_examples=400, deadline=None)
     @given(_term_lists)
     def test_term_lists(self, terms):
-        assert _loaded(poly_from_terms, terms) == _loaded(reference_poly_from_terms, terms)
+        expected = _loaded(reference_poly_from_terms, terms)
+        if any(type(term["coeff"]) is bool for term in terms):
+            expected = "rejected"
+        assert _loaded(poly_from_terms, terms) == expected
 
     @pytest.mark.parametrize("name", ["fig1", "multi3", "counterex"])
     def test_bundled_files(self, name):
@@ -429,6 +443,7 @@ def misuse_dir(workdir):
     for name, doc in [
         ("zero-den", {"n_vars": 1, "numer": [{"coeff": "1/0", "exps": [0]}], "denom": one}),
         ("inf-vars", {"n_vars": 1e400, "numer": one, "denom": one}),
+        ("bool-vars", {"n_vars": True, "numer": one, "denom": one}),
         ("inf-point", {"n_vars": 1, "numer": one, "denom": one,
                        "singular_points": [[1e400]]}),
         ("neg-exp", {"n_vars": 1, "numer": [{"coeff": "1", "exps": [-1]}],
@@ -488,6 +503,8 @@ _TEN = ["tensor", "--dims", "2,2", "--emit-problem", "{d}/misuse.cp.problem"]
                  id="problem-coeff-over-zero"),
     pytest.param(["analyze", "--problem", "{d}/inf-vars.problem", "--point", "0"], 2,
                  id="problem-infinite-n-vars"),
+    pytest.param(["analyze", "--problem", "{d}/bool-vars.problem", "--point", "0"], 2,
+                 id="problem-boolean-n-vars"),
     pytest.param(["analyze", "--problem", "{d}/inf-point.problem", "--point", "0"], 2,
                  id="problem-infinite-singular-point"),
     pytest.param(["analyze", "--problem", "{d}/neg-exp.problem", "--point", "0"], 2,

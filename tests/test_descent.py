@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import random
 
 import pytest
 
@@ -17,6 +18,7 @@ from singulim.descent import (
     trace_from_points,
     write_trace_csv,
 )
+from singulim.homog import CPModel, build_cp_objective
 from singulim.polyalg import DomainViolation, Polynomial, RationalFunction
 from singulim.problems import load_bundled
 
@@ -213,6 +215,172 @@ class TestLineSearch:
         monkeypatch.setattr(descent, "_line_search", _full_ladder)
         assert optimize(reference, x0, cfg) == trace
         assert reference.calls > run_calls
+
+
+def _hex(values):
+    """A search result as float.hex strings, so equality means equal bits."""
+    if values is None or isinstance(values, float):
+        return values if values is None else values.hex()
+    return [_hex(v) for v in values]
+
+
+def _cp_f_hat():
+    rng = random.Random(43)
+    target = [[[rng.gauss(0.0, 1.0) for _ in range(2)] for _ in range(2)]
+              for _ in range(2)]
+    return build_cp_objective(CPModel((2, 2, 2), 2), target).f_hat
+
+
+def _polynomial_objective(numer):
+    """numer(x, y) over 1, numer given as a function of the variables."""
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    return RationalFunction(numer(x, y), Polynomial.constant(2, 1))
+
+
+class TestGeneratedSearch:
+    """RationalFunction.line_search gives the bits of
+    descent._line_search(f.eval, ...), ladder by ladder and run by run."""
+
+    CFG = DescentConfig()
+
+    @classmethod
+    def _search(cls, f, x, fx, grad, g_sq, alpha, max_trials=MAX_BACKTRACKS):
+        cfg = cls.CFG
+        return f.line_search(
+            x, fx, grad, g_sq, alpha, cfg.sigma_armijo, cfg.backtrack_factor, max_trials
+        )
+
+    @classmethod
+    def _assert_same(cls, make, x, alpha, fx=None, grad=None):
+        """One ladder from x on a fresh function against the reference on
+        another; the gradient call after an accepted trial too."""
+        f, reference = make(), make()
+        fx_x, grad_x = reference.eval_and_grad(x)
+        fx = fx_x if fx is None else fx
+        grad = grad_x if grad is None else grad
+        g_sq = math.fsum(g * g for g in grad)
+        expected = descent._line_search(reference.eval, x, fx, grad, g_sq, alpha, cls.CFG)
+        result = cls._search(f, x, fx, grad, g_sq, alpha)
+        assert _hex(result) == _hex(expected), (x, alpha)
+        if result is not None:
+            trial = result[0]
+            assert _hex(f.eval_and_grad(trial)) == _hex(reference.eval_and_grad(trial))
+        return expected
+
+    @pytest.mark.parametrize("name", ["fig1", "counterex", "multi3"])
+    def test_bundled_ladders(self, name):
+        """Starts over [-1, 4]^2, where multi3's ladders cross between its
+        three charts, with alpha up to 2^12."""
+        make = lambda: load_bundled(name).rational()
+        f = make()
+        rng = random.Random(name)
+        crossings = accepted_elsewhere = 0
+        for _ in range(150):
+            x = (rng.uniform(-1.0, 4.0), rng.uniform(-1.0, 4.0))
+            alpha = 2.0 ** rng.randint(-4, 12)
+            result = self._assert_same(make, x, alpha)
+            _, grad = f.eval_and_grad(x)
+            first = tuple(xi - alpha * gi for xi, gi in zip(x, grad))
+            crossings += f._chart(first) is not f._chart(x)
+            accepted_elsewhere += (
+                result is not None and f._chart(result[0]) is not f._chart(x)
+            )
+        if name == "multi3":
+            assert crossings > 20 and accepted_elsewhere > 20
+
+    def test_cp_f_hat_ladders(self):
+        """The composed chart of the (2,2,2) rank-2 f_hat."""
+        rng = random.Random(222)
+        for _ in range(20):
+            x = tuple(rng.gauss(0.0, 1.0) for _ in range(12))
+            self._assert_same(_cp_f_hat, x, 2.0 ** rng.randint(-3, 3))
+
+    @pytest.mark.parametrize("fx", [None, 1.0])
+    def test_trial_at_the_floor_backtracks(self, fx):
+        """_pinch from (1, 1) along (1, 1): the first trial is the origin,
+        where q = 0, and the second is (0.5, 0.5)."""
+        with pytest.raises(DomainViolation):
+            _pinch().eval((0.0, 0.0))
+        expected = self._assert_same(_pinch, (1.0, 1.0), 1.0, fx, (1.0, 1.0))
+        if fx is not None:
+            assert expected[0] == (0.5, 0.5)
+        assert self._search(_pinch(), (1.0, 1.0), 1.0, (1.0, 1.0), 2.0, 1.0, 1) is None
+
+    @pytest.mark.parametrize("numer", [
+        lambda x, y: -x ** 4 - y ** 4,  # -inf
+        lambda x, y: x ** 4 - y ** 4 - x,  # inf - inf = nan
+    ], ids=["-inf", "nan"])
+    def test_non_finite_trials_backtrack(self, numer):
+        """From (1, 1) along (1, 1) with alpha = 2^300, f is not finite
+        until the trials fall below 2^256."""
+        make = lambda: _polynomial_objective(numer)
+        f = make()
+        assert not math.isfinite(f.eval((2.0 ** 300, 2.0 ** 300)))
+        expected = self._assert_same(make, (1.0, 1.0), 2.0 ** 300, grad=(-1.0, -1.0))
+        assert 2.0 ** 250 < expected[0][0] < 2.0 ** 256
+
+    def test_trial_that_rounds_back_to_x(self):
+        """counterex at the last iterate of the run in TestLineSearch, and
+        fig1 far out with a step below half an ulp of x."""
+        x0 = (0.2967700716400383, 0.17165480523348187)
+        make = lambda: load_bundled("counterex").rational()
+        trace = optimize(make(), x0, self.CFG)
+        assert self._assert_same(make, trace.iterates[-1], 1.0) is None
+        fig1 = lambda: load_bundled("fig1").rational()
+        assert self._assert_same(fig1, (1e10, -1e10), 1e-17, grad=(1.0, 1.0)) is None
+
+    @pytest.mark.parametrize("name, x, alpha", [
+        ("fig1", (0.7, -0.4), 1.0),
+        ("multi3", (3.5797240586549055, 1.3702676827356326), 64.0),
+    ])
+    def test_ladder_of_max_backtracks_trials(self, name, x, alpha):
+        """alpha0 = 2^60 times the accepted alpha of a search from x: the
+        reference rejects all MAX_BACKTRACKS trials, and trial 61 would be
+        accepted.  On multi3, x is in the chart at (3, 0), the ladder starts
+        in the one at the origin and trial 61 lies in the one at (0, 3)."""
+        make = lambda: load_bundled(name).rational()
+        f = make()
+        fx, grad = f.eval_and_grad(x)
+        g_sq = math.fsum(g * g for g in grad)
+        accepted = descent._line_search(f.eval, x, fx, grad, g_sq, alpha, self.CFG)
+        alpha0 = accepted[2] * 2.0 ** MAX_BACKTRACKS
+        assert self._assert_same(make, x, alpha0) is None
+        assert _hex(self._search(f, x, fx, grad, g_sq, alpha0, MAX_BACKTRACKS + 1)) == (
+            _hex(accepted)
+        )
+        if name == "multi3":
+            first = tuple(xi - alpha0 * gi for xi, gi in zip(x, grad))
+            assert f._chart(first) is f._charts[(0.0, 0.0)]
+            assert f._chart(x) is f._charts[(3.0, 0.0)]
+            assert f._chart(accepted[0]) is f._charts[(0.0, 3.0)]
+
+    def test_decrease_compared_not_the_rounded_threshold(self):
+        """t^2 from 1 with alpha*grad = 2: the first trial, -1, has f = fx and
+        the decrease 0, below the required 0.1 * 2^-51, although
+        fx - required rounds to fx.  The second trial, 0, is accepted."""
+        t = Polynomial.variable(1, 0)
+        make = lambda: RationalFunction(t * t, Polynomial.constant(1, 1))
+        expected = self._assert_same(make, (1.0,), 2.0 ** 53, 1.0, (2.0 ** -52,))
+        assert expected == ((0.0,), 0.0, 2.0 ** 52)
+
+    @pytest.mark.parametrize("name, x0, max_iters", [
+        ("fig1", (2.0, -0.1), 100_000),
+        ("fig1", (1.0453078611082531, -0.8124589664396993), 300),
+        ("counterex", (0.2967700716400383, 0.17165480523348187), 100),
+        ("multi3", (2.5, 3.5), 300),
+        ("multi3", (-0.9, 3.7), 300),
+        ("multi3", (1.6, 1.4), 300),
+        ("cp_f_hat", (1.0, 0.5, 0.8, -0.2, 0.3, 1.1, -0.7, 0.4, 0.9, 0.2, -0.5, 1.3), 50),
+    ])
+    def test_optimize_matches_the_reference_path(self, name, x0, max_iters):
+        """optimize through line_search against optimize through
+        _line_search (an objective with eval and eval_and_grad only)."""
+        make = _cp_f_hat if name == "cp_f_hat" else lambda: load_bundled(name).rational()
+        cfg = DescentConfig(max_iters=max_iters)
+        trace = optimize(make(), x0, cfg)
+        reference = optimize(_Counted(make()), x0, cfg)
+        assert _trace_digest(trace) == _trace_digest(reference)
+        assert trace == reference
 
 
 class TestCheckConditions:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from singulim.descent import MAX_BACKTRACKS, DescentConfig
 from singulim.polyalg import (
     DimensionError,
     DomainViolation,
@@ -663,24 +664,59 @@ def _entry(f, x):
     return cell.cell_contents
 
 
+def _search_to(f, a, max_trials=MAX_BACKTRACKS):
+    """f.line_search whose first trial is a, bit for bit.
+
+    alpha = 1 and, per coordinate, x = 2a and grad = a (2a - a is a exactly),
+    x = grad = 1.0 where a is 0.0 and x = -0.0, grad = 0.0 where a is -0.0;
+    fx = inf accepts the first finite trial that passes the floor test.
+    """
+    x, grad = [], []
+    for v in map(float, a):
+        if v:
+            x_i, g_i = 2.0 * v, v
+        elif math.copysign(1.0, v) > 0:
+            x_i, g_i = 1.0, 1.0
+        else:
+            x_i, g_i = -0.0, 0.0
+        x.append(x_i)
+        grad.append(g_i)
+    cfg = DescentConfig()
+    return f.line_search(
+        tuple(x), math.inf, grad, 1.0, 1.0,
+        cfg.sigma_armijo, cfg.backtrack_factor, max_trials,
+    )
+
+
 class TestValueReuse:
-    """eval(a), then eval_and_grad(b): the result has the bits of a fresh
-    function's eval_and_grad(b), whether or not the chart reuses a's p and q."""
+    """A search accepts a, then eval_and_grad(b): the result has the bits of
+    a fresh function's eval_and_grad(b), whether or not the chart reuses a's
+    p and q."""
 
     @staticmethod
     def _assert_fresh_bits(f, make, b):
         assert _outcome(f.eval_and_grad, b) == _outcome(make().eval_and_grad, b), b
 
+    @staticmethod
+    def _accept(f, make, a):
+        """Search to a; the accepted trial is a, with the bits of eval(a)."""
+        trial, f_trial, _ = _search_to(f, a)
+        assert _hex(list(trial)) == _hex([float(v) for v in a])
+        assert f_trial.hex() == make().eval(a).hex()
+
     @pytest.mark.parametrize("label, make, centre", CHARTS,
                              ids=[c[0] for c in CHARTS])
     def test_same_coordinates(self, label, make, centre):
-        """b is a itself, an equal new tuple, and an equal list."""
+        """b is a itself, an equal new tuple, and an equal list; a value-only
+        eval in between keeps no entry."""
         points = _points_near(centre, label)
         f = make()
-        f.eval(points[0])  # looped: keeps no entry
-        for a in points[1:7]:
-            assert _outcome(f.eval, a) == _outcome(make().eval, a)
-            assert _entry(f, a)[:-2] == tuple(float(v) - c for v, c in zip(a, centre))
+        for a, other in zip(points[1:7], points[7:]):
+            self._accept(f, make, a)
+            entry = _entry(f, a)
+            assert entry[:-2] == tuple(float(v) - c for v, c in zip(a, centre))
+            assert _outcome(f.eval, other) == _outcome(make().eval, other)
+            assert _entry(f, a) is entry
             for b in (a, tuple(list(a)), list(a)):
                 self._assert_fresh_bits(f, make, b)
 
@@ -689,12 +725,11 @@ class TestValueReuse:
     def test_list_changed_in_place(self, label, make, centre):
         points = _points_near(centre, label)
         f = make()
-        f.eval(points[0])  # looped
         x = list(points[1])
-        f.eval(x)
+        self._accept(f, make, x)
         x[-1] = points[2][-1]
         self._assert_fresh_bits(f, make, x)
-        f.eval(x)
+        self._accept(f, make, x)
         x[:] = points[3]
         self._assert_fresh_bits(f, make, x)
 
@@ -708,30 +743,30 @@ class TestValueReuse:
             a, b = list(point), list(point)
             a[zero_at], b[zero_at] = a_zero, b_zero
             f = make()
-            f.eval(point)  # looped
-            f.eval(tuple(a))
+            self._accept(f, make, tuple(a))
+            assert math.copysign(1.0, _entry(f, a)[zero_at]) == math.copysign(1.0, a_zero)
             self._assert_fresh_bits(f, make, tuple(b))
 
     def test_another_chart_of_multi3(self):
         make = _bundled("multi3")
-        near = [_points_near(c, "multi3")[:2] for c in ((0.0, 0.0), (3.0, 0.0), (0.0, 3.0))]
+        near = [_points_near(c, "multi3")[1] for c in ((0.0, 0.0), (3.0, 0.0), (0.0, 3.0))]
         f = make()
-        for warm, _ in near:
-            f.eval(warm)  # looped
-        for _, a in near:
-            for _, b in near:
-                f.eval(a)
+        for a in near:
+            for b in near:
+                self._accept(f, make, a)
                 self._assert_fresh_bits(f, make, b)
 
     @pytest.mark.parametrize("label, make, centre", CHARTS,
                              ids=[c[0] for c in CHARTS])
     def test_domain_violation_keeps_no_entry(self, label, make, centre):
-        """Each chart's centre is a point where its denominator vanishes."""
+        """Each chart's centre is a point where its denominator vanishes: a
+        search whose one trial is the centre backtracks at the floor test and
+        keeps the entry, and so does eval raising DomainViolation there."""
         points = _points_near(centre, label)
         f = make()
-        f.eval(points[0])  # looped
-        f.eval(points[1])
+        self._accept(f, make, points[1])
         entry = _entry(f, points[1])
+        assert _search_to(f, centre, max_trials=1) is None
         with pytest.raises(DomainViolation):
             f.eval(centre)
         assert _entry(f, centre) is entry
