@@ -15,12 +15,11 @@ initial_step itself on the first iteration and wherever s'y <= 0.  Restarting
 every line search at initial_step instead lets the iterates approach the
 essential singularity of fig1 only as ||x_k|| ~ k^(-1/2).
 
-_line_search is the search, written over an objective's eval.  On a
-RationalFunction, optimize runs it as f.line_search instead: the same ladder
-inside each chart's generated code, one call per search rather than one per
-trial, with the same bits (polyalg._Evaluator).  sigma, the backtrack factor
-and MAX_BACKTRACKS are passed to it from here.  Any other objective with eval
-and eval_and_grad runs _line_search itself.
+The search itself is RationalFunction.line_search: the ladder runs inside
+each chart's generated code and hands back the accepted trial's gradient,
+so optimize makes one Python call per search (polyalg._Evaluator, whose
+search_loop is the reference).  sigma, the backtrack factor and
+MAX_BACKTRACKS are passed to it from here.
 """
 
 from __future__ import annotations
@@ -108,37 +107,6 @@ def _norm(v: Sequence[float]) -> float:
     return math.sqrt(math.fsum(map(operator.mul, v, v)))
 
 
-def _line_search(evaluate, x, fx, grad, g_sq, alpha, cfg):
-    """Backtrack from alpha to the first step with an exact Armijo decrease.
-
-    fx - f_trial is exact whenever f_trial lies within a factor two of fx
-    (Sterbenz), so the test compares the decrease itself with the required
-    one instead of f_trial with the rounded threshold fx - sigma*alpha*g_sq.
-    evaluate is the objective's eval.  Returns (trial, f_trial, alpha), or
-    None after MAX_BACKTRACKS trials.  RationalFunction.line_search returns
-    the same bits, and the tests compare the two.
-
-    A trial that rounds back to x ends the search with None at once: every
-    smaller alpha rounds to x too (rounding is monotone), where f is fx and
-    the decrease 0, so the remaining trials would all fail.
-    """
-    sigma, factor = cfg.sigma_armijo, cfg.backtrack_factor
-    for _ in range(MAX_BACKTRACKS):
-        trial = tuple([xi - alpha * gi for xi, gi in zip(x, grad)])
-        if trial == x:
-            return None
-        try:
-            f_trial = evaluate(trial)
-        except (DomainViolation, OverflowError):
-            alpha *= factor
-            continue
-        required = sigma * alpha * g_sq
-        if math.isfinite(f_trial) and fx - f_trial >= required > 0.0:
-            return trial, f_trial, alpha
-        alpha *= factor
-    return None
-
-
 def optimize(
     f: RationalFunction, x0: Sequence[float], cfg: DescentConfig | None = None
 ) -> DescentTrace:
@@ -149,9 +117,10 @@ def optimize(
     to decrease f (stationarity enforcement of the no-cycling rule), on the
     iteration cap, or on a domain violation at the start point.
 
-    The accepted trial's gradient needs no domain check: the search has just
-    passed the same denominator test at the same point, in the same chart.
-    f.line_search runs the search where f has one (module docstring).
+    f is a RationalFunction, or any objective with eval_and_grad and a
+    line_search that returns what RationalFunction.line_search does: the
+    accepted trial with its value, step and gradient.  Each search is one
+    f.line_search call, and eval_and_grad runs at x0 only.
     """
     if cfg is None:
         cfg = DescentConfig()
@@ -161,54 +130,46 @@ def optimize(
     except DomainViolation:
         return DescentTrace((x,), (), (), (), (), STOP_DOMAIN_VIOLATION)
 
+    gnorm = _norm(grad)
     iterates = [x]
     f_values = [fx]
-    grad_norms = [_norm(grad)]
+    grad_norms = [gnorm]
     step_norms: list[float] = []
     alphas: list[float] = []
     stop_reason = STOP_MAX_ITERS
 
-    if hasattr(f, "line_search"):
-        sigma, factor = cfg.sigma_armijo, cfg.backtrack_factor
-
-        def search(x, fx, grad, g_sq, alpha):
-            return f.line_search(x, fx, grad, g_sq, alpha, sigma, factor, MAX_BACKTRACKS)
-    else:
-        evaluate = f.eval
-
-        def search(x, fx, grad, g_sq, alpha):
-            return _line_search(evaluate, x, fx, grad, g_sq, alpha, cfg)
-
-    evaluate_and_grad = f.eval_and_grad
+    line_search = f.line_search
+    # Bound once: the loop below runs once per accepted step.
+    fsum, sqrt, sub, mul = math.fsum, math.sqrt, operator.sub, operator.mul
+    sigma, factor = cfg.sigma_armijo, cfg.backtrack_factor
     initial_step, grad_tol = cfg.initial_step, cfg.grad_tol
     first_step = initial_step
     for _ in range(cfg.max_iters):
-        gnorm = grad_norms[-1]
         if gnorm <= grad_tol:
             stop_reason = STOP_GRAD_TOL
             break
         g_sq = gnorm * gnorm
-        accepted = search(x, fx, grad, g_sq, first_step)
+        accepted = line_search(x, fx, grad, g_sq, first_step, sigma, factor, MAX_BACKTRACKS)
         if accepted is None and first_step != initial_step:
-            accepted = search(x, fx, grad, g_sq, initial_step)
+            accepted = line_search(
+                x, fx, grad, g_sq, initial_step, sigma, factor, MAX_BACKTRACKS
+            )
         if accepted is None:
             stop_reason = STOP_F_STATIONARY
             break
-        trial, f_trial, alpha = accepted
-        _, grad_trial = evaluate_and_grad(trial)
-        s = list(map(operator.sub, trial, x))
-        y = list(map(operator.sub, grad_trial, grad))
-        s_y = math.fsum(map(operator.mul, s, y))
-        s_s = math.fsum(map(operator.mul, s, s))
-        first_step = min(initial_step, s_s / s_y) if s_y > 0.0 else initial_step
+        trial, f_trial, alpha, grad_trial = accepted
+        s = list(map(sub, trial, x))
+        s_y = fsum(map(mul, s, map(sub, grad_trial, grad)))
+        s_s = fsum(map(mul, s, s))
+        two_point = s_s / s_y if s_y > 0.0 else initial_step
+        first_step = two_point if two_point < initial_step else initial_step
         x, fx, grad = trial, f_trial, grad_trial
+        gnorm = sqrt(fsum(map(mul, grad, grad)))
         iterates.append(x)
         f_values.append(fx)
-        grad_norms.append(_norm(grad))
-        step_norms.append(math.sqrt(s_s))
+        grad_norms.append(gnorm)
+        step_norms.append(sqrt(s_s))
         alphas.append(alpha)
-    else:
-        stop_reason = STOP_MAX_ITERS
 
     return DescentTrace(
         tuple(iterates),

@@ -563,19 +563,17 @@ def _sum_lines(name: str, terms: Sequence[str]) -> list[str]:
     return lines
 
 
-def _sum_source(
-    name: str, compiled: Compiled, var: str, unit_free: bool = False
-) -> list[str]:
+def _sum_source(name: str, compiled: Compiled, var: str) -> list[str]:
     """Statements that leave _eval_compiled(compiled, powers) in name.
 
     powers are those of var0, var1, ...  Same products, left to right from
     the coefficient, and the same sum, left to right from 0.0, so the value
-    has the same bits.  With unit_free, a coefficient 1.0 in front of powers
-    is left out: 1.0*a is a exactly.
+    has the same bits.  A coefficient 1.0 in front of powers is left out:
+    1.0*a is a exactly.
     """
     return _sum_lines(name, [
         "*".join(
-            ([] if unit_free and coeff == 1.0 and pairs else [repr(coeff)])
+            ([] if coeff == 1.0 and pairs else [repr(coeff)])
             + [_power_name(var, i, e) for i, e in pairs]
         )
         for coeff, pairs in compiled
@@ -615,40 +613,34 @@ class _Evaluator:
     accuracy relative to u_k only, where the multiplied-out p and q would
     repeat it in every term.
 
-    The first call runs the term loops (loop).  The second generates one
-    straight-line function that forms the same differences, powers, products,
-    sums, quotients and comparisons in the same order, so every call returns
-    the same bits.  It goes into the instance dict (hence no __slots__),
-    where it shadows the evaluate method (a quotient's search likewise), so
-    later calls run it directly and no stored bound method ties the
-    evaluator into a reference cycle: it is freed with its owner, not by the
-    cycle collector.  Generating costs about a hundred looped evaluations,
-    which a polynomial evaluated once never pays back.
+    A quotient's evaluator also runs the Armijo search, search(x, fx, grad,
+    g_sq, alpha, sigma, factor, budget, charts): search_loop below.  It
+    backtracks from alpha by factor, for at most budget trials, to the first
+    trial t = x - alpha*grad where f is finite and
+    fx - f >= sigma*alpha*g_sq > 0, and returns (t, f, alpha, grad f at t).
+    It returns None after budget trials, or at once at a trial that rounds
+    back to x: every smaller alpha rounds to x too and decreases nothing.
+    fx - f is exact whenever f lies within a factor two of fx (Sterbenz), so
+    the decrease itself is compared, not f with the rounded threshold.  A
+    trial below the DENOM_FLOOR test is rejected like a failed decrease.  With
+    dispatch set (the function's chart centres), a trial nearer another
+    centre, by RationalFunction._chart's rule, goes with the budget left to
+    that centre's chart: charts(centre).search(...).  Each trial sums the
+    same powers and terms as evaluate at t, and the accepted trial's
+    gradient comes from them, so the search returns the bits of
+    evaluate(t, True) at the accepted t.
 
-    The generated code of a quotient also holds search(x, fx, grad, g_sq,
-    alpha, sigma, factor, budget, charts), the Armijo search of
-    descent._line_search over RationalFunction.eval in one frame: trials
-    t = x - alpha*grad as locals, the exit at a trial that rounds back to x,
-    with dispatch set (the function's chart centres) RationalFunction._chart's
-    nearest-centre test, the DENOM_FLOOR test as a backtrack,
-    isfinite(f) and fx - f >= sigma*alpha*g_sq > 0, and alpha *= factor.  A
-    trial nearer another centre goes, with the budget left, to that centre's
-    chart: charts(centre).search(...).  Each trial sums the same powers and
-    terms as the chart's eval, so the search returns the bits of
-    _line_search: (trial, f, alpha) for the accepted trial, or None.  The
-    first search generates the code at once.
-
-    The accepted trial leaves one entry, (d, p, q): the coordinates d after
-    the centre and its p and q; value-only calls keep nothing.  A gradient
-    call at a d that compares equal, coordinate by coordinate, takes p and q
-    from the entry and sums only the powers, partials and quotient; any other
-    call sums as above.  Keyed by value, not identity: an equal new tuple or
-    a list changed in place is matched by its coordinates, and NaN matches
-    nothing.  The same d gives the same powers and sums, so the reused p and
-    q have the bits of summing them again; -0.0 and 0.0 match because every
-    sum starts from 0.0, where a signed zero term leaves the same bits.  This
-    is the Armijo pattern: the accepted trial's eval_and_grad follows its
-    search.
+    loop and search_loop are the references: term by term from power tables.
+    The first evaluate call runs loop.  The second generates one
+    straight-line function per method that forms the same differences,
+    powers, products, sums, quotients and comparisons in the same order, so
+    every call returns the same bits; search generates at once, with trials
+    as locals and the whole ladder in one frame.  They go into the instance
+    dict (hence no __slots__), where they shadow the methods, so later calls
+    run them directly and no stored bound method ties the evaluator into a
+    reference cycle: it is freed with its owner, not by the cycle collector.
+    Generating costs about a hundred looped evaluations, which a polynomial
+    evaluated once never pays back.
     """
 
     def __init__(
@@ -706,6 +698,45 @@ class _Evaluator:
 
     def loop(self, x: Sequence, grad: bool):
         """The reference evaluation: term by term from a power table."""
+        powers, outer, values = self._sums(x)
+        if not self.partials:
+            return values[0]
+        p, q = values
+        if abs(q) < DENOM_FLOOR:
+            raise DomainViolation(x, q)
+        f = p / q
+        if not grad:
+            return f
+        return f, self._gradient(powers, outer, p, q, f)
+
+    def search_loop(self, x, fx, grad, g_sq, alpha, sigma, factor, budget, charts):
+        """The reference search, statement for statement the generated one,
+        over the term loops; x is a tuple and grad a sequence of floats."""
+        while budget > 0:
+            trial = tuple([a - alpha * g for a, g in zip(x, grad)])
+            if all(t == a for t, a in zip(trial, x)):
+                return None
+            if self.dispatch is not None:
+                chart = charts(_nearest(trial, self.dispatch))
+                if chart is not self:
+                    return chart.search_loop(
+                        x, fx, grad, g_sq, alpha, sigma, factor, budget, charts
+                    )
+            budget -= 1
+            powers, outer, (p, q) = self._sums(trial)
+            if abs(q) < DENOM_FLOOR:
+                alpha *= factor
+                continue
+            f = p / q
+            if math.isfinite(f) and fx - f >= sigma * alpha * g_sq > 0.0:
+                return trial, f, alpha, self._gradient(powers, outer, p, q, f)
+            alpha *= factor
+        return None
+
+    def _sums(self, x: Sequence) -> tuple[list, list, list[float]]:
+        """(powers, outer, values) at x: the power tables of the coordinates
+        after the centre and of the term maps' variables (the same table
+        without inner), and the term maps' values."""
         if self.centre is None:
             coords = [float(v) for v in x]
         else:
@@ -715,15 +746,10 @@ class _Evaluator:
         if self.inner is not None:
             u = [_eval_compiled(c, powers) for c in self.inner]
             outer = _power_table(u, self.outer_max_deg)
-        p = _eval_compiled(self.values[0], outer)
-        if not self.partials:
-            return p
-        q = _eval_compiled(self.values[1], outer)
-        if abs(q) < DENOM_FLOOR:
-            raise DomainViolation(x, q)
-        f = p / q
-        if not grad:
-            return f
+        return powers, outer, [_eval_compiled(c, outer) for c in self.values]
+
+    def _gradient(self, powers, outer, p: float, q: float, f: float) -> list[float]:
+        """grad f from _sums' power tables, p, q and f = p/q."""
         grad_p, grad_q = (
             [_eval_compiled(c, outer) for c in row] for row in self.partials
         )
@@ -737,53 +763,62 @@ class _Evaluator:
             )
         q_sq = q * q
         if sys.float_info.min <= q_sq < math.inf:
-            return f, [(q * a - p * b) / q_sq for a, b in zip(grad_p, grad_q)]
-        return f, [(a - f * b) / q for a, b in zip(grad_p, grad_q)]
+            return [(q * a - p * b) / q_sq for a, b in zip(grad_p, grad_q)]
+        return [(a - f * b) / q for a, b in zip(grad_p, grad_q)]
 
     def generate(self) -> dict:
-        """loop as straight-line code: {"evaluate": chart}, plus "search" for
-        a quotient (class docstring)."""
+        """loop and, for a quotient, search_loop as straight-line code:
+        {"evaluate": ..., "search": ...}."""
         names = [f"x{i}" for i in range(len(self.max_deg))]
         # The powers of x0, x1, ... (and, composed, the u_k and their
-        # powers) that chart and search share.
+        # powers) that evaluate and search share.
         powers = _power_lines("x", self.max_deg)
         var = "x"
         if self.inner is not None:
             for k, compiled in enumerate(self.inner):
-                powers += _sum_source(f"u{k}", compiled, "x", unit_free=True)
+                powers += _sum_source(f"u{k}", compiled, "x")
             powers += _power_lines("u", self.outer_max_deg)
             var = "u"
-        lines = ["def chart(x, grad):", f"    {_tuple_source(names)} = x"]
+        lines = ["def evaluate(x, grad):", f"    {_tuple_source(names)} = x"]
         if self.centre is None:
             lines += [f"    {n} = float({n})" for n in names]
         else:
             lines += [f"    {n} = float({n}) - {c!r}" for n, c in zip(names, self.centre)]
         lines += powers
+        namespace = {}
         if not self.partials:
             lines += _sum_source("p", self.values[0], var)
             lines.append("    return p")
-            namespace = {}
-            exec(compile("\n".join(lines), "<polyalg chart>", "exec"), namespace)
-            return {"evaluate": namespace["chart"]}
-        sums = _sum_source("p", self.values[0], var) + _sum_source("q", self.values[1], var)
-        # The search's accepted trial leaves its (d, p, q), d the coordinates
-        # after the centre: a gradient call at equal d takes p and q from it.
-        keys = [f"k{i}" for i in range(len(names))]
-        lines += [
-            "    if grad:",
-            f"        {_tuple_source(keys + ['p', 'q'])} = last",
-            "    if not grad or " + " or ".join(
-                f"{n} != {k}" for n, k in zip(names, keys)
-            ) + ":",
-            *_indent(sums),
-            "        if abs(q) < DENOM_FLOOR:",
-            "            raise DomainViolation(x, q)",
-            "        if not grad:",
-            "            return p / q",
-            "    f = p / q",
-        ]
-        grad_p = [f"p_{i}" for i in range(len(names))]
-        grad_q = [f"q_{i}" for i in range(len(names))]
+        else:
+            sums = _sum_source("p", self.values[0], var)
+            sums += _sum_source("q", self.values[1], var)
+            lines += [
+                *sums,
+                "    if abs(q) < DENOM_FLOOR:",
+                "        raise DomainViolation(x, q)",
+                "    f = p / q",
+                "    if not grad:",
+                "        return f",
+                *self._gradient_lines("f"),
+                *self._search_lines(names, powers + sums),
+            ]
+            namespace = {
+                "DENOM_FLOOR": DENOM_FLOOR, "FLOAT_MIN": sys.float_info.min,
+                "inf": math.inf, "DomainViolation": DomainViolation,
+                "dist": math.dist, "isfinite": math.isfinite, "CENTRES": self.dispatch,
+            }
+        exec(compile("\n".join(lines), "<polyalg chart>", "exec"), namespace)
+        # Taken out of the namespace, which is their globals: left in it,
+        # each function would form a reference cycle with that dict.
+        return {name: namespace.pop(name) for name in ("evaluate", "search")
+                if name in namespace}
+
+    def _gradient_lines(self, result: str) -> list[str]:
+        """Statements that return result and _gradient's list, from the
+        powers, p, q and f that precede them."""
+        grad_p = [f"p_{i}" for i in range(len(self.max_deg))]
+        grad_q = [f"q_{i}" for i in range(len(self.max_deg))]
+        lines = []
         if self.inner is None:
             for row_names, row in zip((grad_p, grad_q), self.partials):
                 for name, compiled in zip(row_names, row):
@@ -802,47 +837,29 @@ class _Evaluator:
                     du = shared.get(tuple(compiled))
                     if du is None:
                         du = shared[tuple(compiled)] = f"du{k}_{i}"
-                        lines += _sum_source(du, compiled, "x", unit_free=True)
+                        lines += _sum_source(du, compiled, "x")
                     du_rows[i].append((k, du))
             for prefix, row_names in zip(("p_u", "q_u"), (grad_p, grad_q)):
                 for name, row in zip(row_names, du_rows):
                     lines += _sum_lines(name, [f"{prefix}{k} * {du}" for k, du in row])
         pairs = list(zip(grad_p, grad_q))
-        lines += [
+        return lines + [
             "    q_sq = q * q",
             "    if FLOAT_MIN <= q_sq < inf:",
-            "        return f, "
+            f"        return {result}, "
             + _list_source([f"(q * {a} - p * {b}) / q_sq" for a, b in pairs]),
-            "    return f, " + _list_source([f"({a} - f * {b}) / q" for a, b in pairs]),
+            f"    return {result}, "
+            + _list_source([f"({a} - f * {b}) / q" for a, b in pairs]),
         ]
-        lines += self._search_lines(names, powers + sums)
-        # NaN compares unequal to every coordinate, so nothing matches before
-        # the first accepted trial.
-        lines = [
-            "def build():",
-            f"    last = (nan,) * {len(names) + 2}",
-            *_indent(lines),
-            "    return chart, search",
-        ]
-        namespace = {
-            "DENOM_FLOOR": DENOM_FLOOR, "FLOAT_MIN": sys.float_info.min,
-            "inf": math.inf, "nan": math.nan, "DomainViolation": DomainViolation,
-            "dist": math.dist, "isfinite": math.isfinite, "CENTRES": self.dispatch,
-        }
-        exec(compile("\n".join(lines), "<polyalg chart>", "exec"), namespace)
-        chart, search = namespace["build"]()
-        return {"evaluate": chart, "search": search}
 
     def _search_lines(self, names: Sequence[str], value: Sequence[str]) -> list[str]:
-        """search(x, fx, grad, g_sq, alpha, sigma, factor, budget, charts) as
-        the statements of descent._line_search over eval, one trial per pass
-        of its loop; value leaves p and q at the coordinates names."""
+        """search_loop as statements, one trial per pass of its loop; value
+        leaves p and q at the coordinates names."""
         n = len(names)
         # Trial coordinates; in the origin's chart, the coordinates themselves.
         trial = names if self.centre is None else [f"t{i}" for i in range(n)]
         lines = [
             "def search(x, fx, grad, g_sq, alpha, sigma, factor, budget, charts):",
-            "    nonlocal last",
             f"    {_tuple_source(f'a{i}' for i in range(n))} = x",
             f"    {_tuple_source(f'g{i}' for i in range(n))} = grad",
             "    while budget > 0:",
@@ -851,8 +868,8 @@ class _Evaluator:
             "            return None",
         ]
         if self.dispatch is not None:
-            # RationalFunction._chart's rule: the first nearest centre, the
-            # origin where every distance is NaN.
+            # _nearest's rule: the first nearest centre, the origin where
+            # every distance is NaN.
             own = 0 if self.centre is None else self.dispatch.index(self.centre)
             lines += [f"        t = {_tuple_source(trial)}", "        j, nearest = 0, inf"]
             for j, c in enumerate(self.dispatch):
@@ -878,12 +895,24 @@ class _Evaluator:
             "            continue",
             "        f = p / q",
             "        if isfinite(f) and fx - f >= sigma * alpha * g_sq > 0.0:",
-            f"            last = {_tuple_source(list(names) + ['p', 'q'])}",
-            f"            return {_tuple_source(trial)}, f, alpha",
+            "            break",
             "        alpha *= factor",
-            "    return None",
+            "    else:",
+            "        return None",
+            *self._gradient_lines(f"{_tuple_source(trial)}, f, alpha"),
         ]
         return lines
+
+
+def _nearest(x: Sequence, centres: Sequence[tuple[float, ...]]) -> tuple[float, ...]:
+    """The first of centres nearest to x, as with min(); the first where a
+    NaN or infinite coordinate makes every distance compare false."""
+    centre, nearest = centres[0], math.inf
+    for c in centres:
+        d = math.dist(x, c)
+        if d < nearest:
+            centre, nearest = c, d
+    return centre
 
 
 class RationalFunction:
@@ -1046,15 +1075,7 @@ class RationalFunction:
             raise DimensionError(
                 f"point has {len(x)} coordinates, function has {self.n_vars} vars"
             )
-        centre = self._origin
-        if self._centres is not None:
-            # The first nearest centre wins, as with min(); a NaN or infinite
-            # coordinate compares false everywhere and keeps the origin.
-            nearest = math.inf
-            for c in self._centres:
-                d = math.dist(x, c)
-                if d < nearest:
-                    centre, nearest = c, d
+        centre = self._origin if self._centres is None else _nearest(x, self._centres)
         return self._charts.get(centre) or self._chart_at(centre)
 
     def _chart_at(self, centre: tuple[float, ...]) -> _Evaluator:
@@ -1092,17 +1113,12 @@ class RationalFunction:
         factor: float,
         max_trials: int,
     ):
-        """descent._line_search(self.eval, ...) in the charts' generated code.
+        """The Armijo search from x (_Evaluator), run by the chart eval
+        would use and handed on across charts: (trial, f, alpha, grad f at
+        trial) with the bits of eval_and_grad(trial), or None.
 
-        Backtracks from alpha by factor, for at most max_trials trials, to
-        the first trial x - alpha*grad where f is finite and
-        fx - f >= sigma*alpha*g_sq > 0, and returns (trial, f, alpha); None
-        after max_trials trials or at a trial that rounds back to x.  x is
-        a tuple and grad a sequence of floats, as descent.optimize passes
-        them.  Each trial is evaluated in the chart eval would use, with the
-        same bits, and rejected where eval raises DomainViolation; the
-        accepted trial's chart keeps its p and q for the eval_and_grad that
-        follows (_Evaluator).
+        x is a tuple and grad a sequence of floats, as descent.optimize
+        passes them; max_trials caps the trials in all charts together.
         """
         return self._chart(x).search(
             x, fx, grad, g_sq, alpha, sigma, factor, max_trials, self._chart_at

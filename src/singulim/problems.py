@@ -12,7 +12,8 @@ field ("numer[3]", "singular_points[0]"):
 - a coefficient is a rational: a string that Fraction reads ("-3", "7/2",
   "0.25", "1e-3") or a JSON number, not true or false; the writer emits
   str(Fraction);
-- "exps" is a list of n_vars JSON integers >= 0 (not true, false or 1.0);
+- "exps" is a list of n_vars JSON integers from 0 to MAX_EXPONENT (not
+  true, false or 1.0);
 - terms with equal exponents are summed, and the denominator must not sum
   to zero;
 - "singular_points", if present, is a list of points, each a list of
@@ -31,6 +32,10 @@ from .polyalg import Polynomial, RationalFunction, _coefficient
 
 BUNDLED_NAMES = ("fig1", "multi3", "counterex")
 _INT = frozenset({int})
+# The largest exponent a problem file may hold.  Taylor shifts and pencils
+# grow faster than the square of the degree: on a 2-core VM, analyze on
+# x^1000/(1 + x^2) takes 0.2 s, on x^8000 10 s, on x^20000 over 20 s.
+MAX_EXPONENT = 1000
 
 
 class ProblemFormatError(ValueError):
@@ -110,6 +115,11 @@ def poly_from_terms(terms, n_vars: int, field_name: str) -> Polynomial:
             raise ProblemFormatError(
                 f"{field_name}[{i}]: exponents {list(exps)} are not all "
                 f"non-negative integers"
+            )
+        if exps and max(exps) > MAX_EXPONENT:
+            raise ProblemFormatError(
+                f"{field_name}[{i}]: exponent {max(exps)} above "
+                f"MAX_EXPONENT = {MAX_EXPONENT}"
             )
         if exps in acc:
             acc[exps] = _coefficient(acc[exps] + coeff)

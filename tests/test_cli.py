@@ -109,6 +109,11 @@ class TestProblemFiles:
           "denom": [{"coeff": "1", "exps": [0]}]}, "numer[0]"),
         ({"n_vars": 1, "numer": [], "denom": [{"coeff": "1", "exps": [0]}],
           "singular_points": [[False]]}, "singular_points[0]"),
+        ({"n_vars": 2, "numer": [{"coeff": "1", "exps": [0, 1001]}],
+          "denom": [{"coeff": "1", "exps": [0, 0]}]}, "numer[0]"),
+        ({"n_vars": 1, "numer": [{"coeff": "1", "exps": [1000]}],
+          "denom": [{"coeff": "1", "exps": [0]},
+                    {"coeff": "1", "exps": [20000]}]}, "denom[1]"),
     ])
     def test_malformed_documents_name_offending_field(self, doc, field):
         with pytest.raises(ProblemFormatError) as err:
@@ -448,6 +453,8 @@ def misuse_dir(workdir):
                        "singular_points": [[1e400]]}),
         ("neg-exp", {"n_vars": 1, "numer": [{"coeff": "1", "exps": [-1]}],
                      "denom": one}),
+        ("big-exp", {"n_vars": 1, "numer": [{"coeff": "1", "exps": [20000]}],
+                     "denom": [{"coeff": "1", "exps": [0]}, {"coeff": "1", "exps": [2]}]}),
     ]:
         (workdir / f"{name}.problem").write_text(json.dumps(doc))
     return workdir
@@ -509,6 +516,8 @@ _TEN = ["tensor", "--dims", "2,2", "--emit-problem", "{d}/misuse.cp.problem"]
                  id="problem-infinite-singular-point"),
     pytest.param(["analyze", "--problem", "{d}/neg-exp.problem", "--point", "0"], 2,
                  id="problem-negative-exponent"),
+    pytest.param(["analyze", "--problem", "{d}/big-exp.problem", "--point", "1",
+                  "--direction", "1"], 2, id="problem-exponent-above-cap"),
 ])
 def test_misuse_ends_in_one_error_line(misuse_dir, capsys, argv, code):
     argv = [arg.format(d=misuse_dir) for arg in argv]

@@ -1,5 +1,6 @@
 """Armijo descent, condition certification, trace persistence."""
 
+import functools
 import hashlib
 import json
 import math
@@ -7,7 +8,6 @@ import random
 
 import pytest
 
-from singulim import descent
 from singulim.descent import (
     MAX_BACKTRACKS,
     DescentConfig,
@@ -30,11 +30,17 @@ def _pinch():
     return RationalFunction(x * y, r2 * (1 + r2))
 
 
-def _full_ladder(evaluate, x, fx, grad, g_sq, alpha, cfg):
-    """descent._line_search without its early exit at a trial equal to x."""
-    sigma, factor = cfg.sigma_armijo, cfg.backtrack_factor
-    for _ in range(MAX_BACKTRACKS):
+def _line_search(
+    evaluate, x, fx, grad, g_sq, alpha, sigma, factor, max_trials, stop_at_x=True
+):
+    """The Armijo search as a Python loop over an objective's eval: (trial,
+    f_trial, alpha) for the first trial with an exact Armijo decrease, or
+    None after max_trials trials or, with stop_at_x, at a trial that rounds
+    back to x."""
+    for _ in range(max_trials):
         trial = tuple([xi - alpha * gi for xi, gi in zip(x, grad)])
+        if stop_at_x and trial == x:
+            return None
         try:
             f_trial = evaluate(trial)
         except (DomainViolation, OverflowError):
@@ -47,11 +53,21 @@ def _full_ladder(evaluate, x, fx, grad, g_sq, alpha, cfg):
     return None
 
 
-class _Counted:
-    """An objective's eval and eval_and_grad, counting eval calls."""
+# _line_search without its early exit at a trial equal to x.
+_full_ladder = functools.partial(_line_search, stop_at_x=False)
 
-    def __init__(self, f):
-        self.f, self.calls = f, 0
+
+# sigma, factor and max_trials as optimize passes them by default.
+_ARGS = (DescentConfig().sigma_armijo, DescentConfig().backtrack_factor, MAX_BACKTRACKS)
+
+
+class _Reference:
+    """An objective whose line_search runs ladder (_line_search unless
+    given) over eval, then eval_and_grad at the accepted trial; it counts
+    eval calls."""
+
+    def __init__(self, f, ladder=_line_search):
+        self.f, self.ladder, self.calls = f, ladder, 0
 
     def eval(self, x):
         self.calls += 1
@@ -59,6 +75,44 @@ class _Counted:
 
     def eval_and_grad(self, x):
         return self.f.eval_and_grad(x)
+
+    def line_search(self, x, fx, grad, g_sq, alpha, sigma, factor, max_trials):
+        accepted = self.ladder(
+            self.eval, x, fx, grad, g_sq, alpha, sigma, factor, max_trials
+        )
+        if accepted is None:
+            return None
+        return (*accepted, self.f.eval_and_grad(accepted[0])[1])
+
+
+class _LoopSearch:
+    """An objective whose line_search is the reference search_loop of the
+    chart that holds x."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def eval_and_grad(self, x):
+        return self.f.eval_and_grad(x)
+
+    def line_search(self, x, *args):
+        return self.f._chart(x).search_loop(x, *args, self.f._chart_at)
+
+
+class _Calls:
+    """f's eval_and_grad and line_search, logging each call."""
+
+    def __init__(self, f):
+        self.f, self.log = f, []
+
+    def eval_and_grad(self, x):
+        self.log.append(("eval_and_grad", x))
+        return self.f.eval_and_grad(x)
+
+    def line_search(self, x, fx, grad, g_sq, alpha, *args):
+        accepted = self.f.line_search(x, fx, grad, g_sq, alpha, *args)
+        self.log.append(("line_search", x, alpha, accepted is not None))
+        return accepted
 
 
 def _quadratic_1d():
@@ -192,11 +246,11 @@ class TestPinnedBits:
 
 
 class TestLineSearch:
-    def test_search_that_rounds_back_to_x_stops_there(self, monkeypatch):
+    def test_search_that_rounds_back_to_x_stops_there(self):
         """counterex from this start stops on f_stationary after 4 steps: its
         last searches halve alpha until x - alpha*g rounds back to x."""
         x0, cfg = (0.2967700716400383, 0.17165480523348187), DescentConfig()
-        counted = _Counted(load_bundled("counterex").rational())
+        counted = _Reference(load_bundled("counterex").rational())
         trace = optimize(counted, x0, cfg)
         assert trace.stop_reason == "f_stationary"
         run_calls = counted.calls
@@ -205,16 +259,40 @@ class TestLineSearch:
         _, grad = counted.eval_and_grad(x)
         g_sq = trace.grad_norms[-1] ** 2
         counted.calls = 0
-        assert descent._line_search(counted.eval, x, fx, grad, g_sq, 1.0, cfg) is None
+        assert _line_search(counted.eval, x, fx, grad, g_sq, 1.0, *_ARGS) is None
         assert 0 < counted.calls < MAX_BACKTRACKS
         counted.calls = 0
-        assert _full_ladder(counted.eval, x, fx, grad, g_sq, 1.0, cfg) is None
+        assert _full_ladder(counted.eval, x, fx, grad, g_sq, 1.0, *_ARGS) is None
         assert counted.calls == MAX_BACKTRACKS
 
-        reference = _Counted(load_bundled("counterex").rational())
-        monkeypatch.setattr(descent, "_line_search", _full_ladder)
+        reference = _Reference(load_bundled("counterex").rational(), _full_ladder)
         assert optimize(reference, x0, cfg) == trace
         assert reference.calls > run_calls
+
+    @pytest.mark.parametrize("name, x0, max_iters", [
+        ("fig1", (2.0, -0.1), 100_000),
+        ("counterex", (0.2967700716400383, 0.17165480523348187), 100),
+        ("multi3", (1.6, 1.4), 300),
+    ])
+    def test_one_line_search_call_per_search(self, name, x0, max_iters):
+        """optimize calls eval_and_grad at x0 only, and line_search once per
+        search: a search that fails is retried once from initial_step, or
+        the run ends."""
+        cfg = DescentConfig(max_iters=max_iters)
+        f = _Calls(load_bundled(name).rational())
+        trace = optimize(f, x0, cfg)
+        assert f.log[0] == ("eval_and_grad", x0)
+        calls = f.log[1:]
+        assert {call[0] for call in calls} == {"line_search"}
+        steps = len(trace.step_norms)
+        assert [x for _, x, _, ok in calls if ok] == list(trace.iterates[:steps])
+        for i, (_, x, alpha, ok) in enumerate(calls[:-1]):
+            if not ok:
+                _, retry_x, retry_alpha, retry_ok = calls[i + 1]
+                assert alpha != cfg.initial_step
+                assert (retry_x, retry_alpha) == (x, cfg.initial_step)
+                assert retry_ok or i + 2 == len(calls)
+        assert calls[-1][3] == (trace.stop_reason != "f_stationary")
 
 
 def _hex(values):
@@ -238,8 +316,9 @@ def _polynomial_objective(numer):
 
 
 class TestGeneratedSearch:
-    """RationalFunction.line_search gives the bits of
-    descent._line_search(f.eval, ...), ladder by ladder and run by run."""
+    """RationalFunction.line_search gives the bits of _line_search(f.eval,
+    ...) and eval_and_grad at the accepted trial, and of the chart's
+    search_loop, ladder by ladder and run by run."""
 
     CFG = DescentConfig()
 
@@ -253,18 +332,22 @@ class TestGeneratedSearch:
     @classmethod
     def _assert_same(cls, make, x, alpha, fx=None, grad=None):
         """One ladder from x on a fresh function against the reference on
-        another; the gradient call after an accepted trial too."""
-        f, reference = make(), make()
+        another, and against search_loop on a third."""
+        f, reference, looped = make(), make(), make()
         fx_x, grad_x = reference.eval_and_grad(x)
         fx = fx_x if fx is None else fx
         grad = grad_x if grad is None else grad
         g_sq = math.fsum(g * g for g in grad)
-        expected = descent._line_search(reference.eval, x, fx, grad, g_sq, alpha, cls.CFG)
+        expected = _line_search(reference.eval, x, fx, grad, g_sq, alpha, *_ARGS)
         result = cls._search(f, x, fx, grad, g_sq, alpha)
-        assert _hex(result) == _hex(expected), (x, alpha)
-        if result is not None:
-            trial = result[0]
-            assert _hex(f.eval_and_grad(trial)) == _hex(reference.eval_and_grad(trial))
+        assert _hex(looped._chart(x).search_loop(
+            x, fx, grad, g_sq, alpha, *_ARGS, looped._chart_at
+        )) == _hex(result), (x, alpha)
+        if result is None:
+            assert expected is None, (x, alpha)
+        else:
+            assert _hex(result[:3]) == _hex(expected), (x, alpha)
+            assert _hex(result[3]) == _hex(reference.eval_and_grad(result[0])[1])
         return expected
 
     @pytest.mark.parametrize("name", ["fig1", "counterex", "multi3"])
@@ -342,10 +425,10 @@ class TestGeneratedSearch:
         f = make()
         fx, grad = f.eval_and_grad(x)
         g_sq = math.fsum(g * g for g in grad)
-        accepted = descent._line_search(f.eval, x, fx, grad, g_sq, alpha, self.CFG)
+        accepted = _line_search(f.eval, x, fx, grad, g_sq, alpha, *_ARGS)
         alpha0 = accepted[2] * 2.0 ** MAX_BACKTRACKS
         assert self._assert_same(make, x, alpha0) is None
-        assert _hex(self._search(f, x, fx, grad, g_sq, alpha0, MAX_BACKTRACKS + 1)) == (
+        assert _hex(self._search(f, x, fx, grad, g_sq, alpha0, MAX_BACKTRACKS + 1)[:3]) == (
             _hex(accepted)
         )
         if name == "multi3":
@@ -373,14 +456,16 @@ class TestGeneratedSearch:
         ("cp_f_hat", (1.0, 0.5, 0.8, -0.2, 0.3, 1.1, -0.7, 0.4, 0.9, 0.2, -0.5, 1.3), 50),
     ])
     def test_optimize_matches_the_reference_path(self, name, x0, max_iters):
-        """optimize through line_search against optimize through
-        _line_search (an objective with eval and eval_and_grad only)."""
+        """optimize through line_search against optimize through objectives
+        whose line_search is _line_search over eval, then eval_and_grad, and
+        the charts' search_loop."""
         make = _cp_f_hat if name == "cp_f_hat" else lambda: load_bundled(name).rational()
         cfg = DescentConfig(max_iters=max_iters)
         trace = optimize(make(), x0, cfg)
-        reference = optimize(_Counted(make()), x0, cfg)
-        assert _trace_digest(trace) == _trace_digest(reference)
-        assert trace == reference
+        reference = optimize(_Reference(make()), x0, cfg)
+        looped = optimize(_LoopSearch(make()), x0, cfg)
+        assert _trace_digest(trace) == _trace_digest(reference) == _trace_digest(looped)
+        assert trace == reference == looped
 
 
 class TestCheckConditions:

@@ -601,19 +601,29 @@ class TestEvaluator:
         assert raised[0] == raised[1] == raised[2]
 
     def test_evaluators_are_freed_without_the_cycle_collector(self):
-        f = _bundled("fig1")()
-        poly = Polynomial(f.n_vars, f.denom.terms)
-        for _ in range(3):
-            f.eval((0.3, -0.2))
-            poly.eval_float((0.3, -0.2))
-        refs = [weakref.ref(f._chart((0.3, -0.2))), weakref.ref(poly._evaluator)]
-        first = _bundled("fig1")()
-        first.eval((0.3, -0.2))  # looped only
-        refs.append(weakref.ref(first._chart((0.3, -0.2))))
+        """Freed by reference counting: no weak reference outlives its del,
+        and the cycle collector finds nothing left of a function with
+        generated charts or of a polynomial with a generated evaluator."""
         gc.disable()
         try:
-            del f, poly, first
+            gc.collect()
+            f = _bundled("fig1")()
+            poly = Polynomial(f.n_vars, f.denom.terms)
+            for _ in range(3):
+                f.eval((0.3, -0.2))
+                poly.eval_float((0.3, -0.2))
+            assert f._chart((0.3, -0.2)).generated and poly._evaluator.generated
+            refs = [weakref.ref(f._chart((0.3, -0.2))), weakref.ref(poly._evaluator)]
+            first = _bundled("fig1")()
+            first.eval((0.3, -0.2))  # looped only
+            refs.append(weakref.ref(first._chart((0.3, -0.2))))
+            gc.collect()
+            del f
+            assert refs[0]() is None
+            assert gc.collect() == 0
+            del poly, first
             assert [ref() for ref in refs] == [None] * 3
+            assert gc.collect() == 0
         finally:
             gc.enable()
 
@@ -658,14 +668,9 @@ def _outcome(evaluate, x):
         return "DomainViolation", err.point, err.denom_value.hex()
 
 
-def _entry(f, x):
-    """The (d..., p, q) entry kept by the generated chart that evaluates x."""
-    (cell,) = f._chart(x).evaluate.__closure__
-    return cell.cell_contents
-
-
-def _search_to(f, a, max_trials=MAX_BACKTRACKS):
-    """f.line_search whose first trial is a, bit for bit.
+def _search_args(a):
+    """(x, fx, grad, g_sq, alpha) of a search whose first trial is a, bit
+    for bit.
 
     alpha = 1 and, per coordinate, x = 2a and grad = a (2a - a is a exactly),
     x = grad = 1.0 where a is 0.0 and x = -0.0, grad = 0.0 where a is -0.0;
@@ -681,17 +686,20 @@ def _search_to(f, a, max_trials=MAX_BACKTRACKS):
             x_i, g_i = -0.0, 0.0
         x.append(x_i)
         grad.append(g_i)
+    return tuple(x), math.inf, grad, 1.0, 1.0
+
+
+def _search_to(f, a, max_trials=MAX_BACKTRACKS):
+    """f.line_search whose first trial is a (_search_args)."""
     cfg = DescentConfig()
     return f.line_search(
-        tuple(x), math.inf, grad, 1.0, 1.0,
-        cfg.sigma_armijo, cfg.backtrack_factor, max_trials,
+        *_search_args(a), cfg.sigma_armijo, cfg.backtrack_factor, max_trials
     )
 
 
 class TestValueReuse:
     """A search accepts a, then eval_and_grad(b): the result has the bits of
-    a fresh function's eval_and_grad(b), whether or not the chart reuses a's
-    p and q."""
+    a fresh function's eval_and_grad(b), whatever a was."""
 
     @staticmethod
     def _assert_fresh_bits(f, make, b):
@@ -699,24 +707,22 @@ class TestValueReuse:
 
     @staticmethod
     def _accept(f, make, a):
-        """Search to a; the accepted trial is a, with the bits of eval(a)."""
-        trial, f_trial, _ = _search_to(f, a)
+        """Search to a; the accepted trial is a, with the bits of
+        eval_and_grad(a)."""
+        trial, f_trial, _, grad = _search_to(f, a)
         assert _hex(list(trial)) == _hex([float(v) for v in a])
-        assert f_trial.hex() == make().eval(a).hex()
+        assert _hex([f_trial, grad]) == _hex(make().eval_and_grad(a))
 
     @pytest.mark.parametrize("label, make, centre", CHARTS,
                              ids=[c[0] for c in CHARTS])
     def test_same_coordinates(self, label, make, centre):
-        """b is a itself, an equal new tuple, and an equal list; a value-only
-        eval in between keeps no entry."""
+        """b is a itself, an equal new tuple, and an equal list, after a
+        value-only eval in between."""
         points = _points_near(centre, label)
         f = make()
         for a, other in zip(points[1:7], points[7:]):
             self._accept(f, make, a)
-            entry = _entry(f, a)
-            assert entry[:-2] == tuple(float(v) - c for v, c in zip(a, centre))
             assert _outcome(f.eval, other) == _outcome(make().eval, other)
-            assert _entry(f, a) is entry
             for b in (a, tuple(list(a)), list(a)):
                 self._assert_fresh_bits(f, make, b)
 
@@ -736,7 +742,8 @@ class TestValueReuse:
     @pytest.mark.parametrize("label, make, centre", CHARTS,
                              ids=[c[0] for c in CHARTS])
     def test_signed_zero_coordinates(self, label, make, centre):
-        """-0.0 and 0.0 compare equal: the reused p and q keep their bits."""
+        """A search to a, then b, with -0.0 and 0.0 swapped at one
+        coordinate."""
         point = list(_points_near(centre, label)[0])
         zero_at = centre.index(0.0)
         for a_zero, b_zero in ((-0.0, 0.0), (0.0, -0.0)):
@@ -744,7 +751,6 @@ class TestValueReuse:
             a[zero_at], b[zero_at] = a_zero, b_zero
             f = make()
             self._accept(f, make, tuple(a))
-            assert math.copysign(1.0, _entry(f, a)[zero_at]) == math.copysign(1.0, a_zero)
             self._assert_fresh_bits(f, make, tuple(b))
 
     def test_another_chart_of_multi3(self):
@@ -760,18 +766,105 @@ class TestValueReuse:
                              ids=[c[0] for c in CHARTS])
     def test_domain_violation_keeps_no_entry(self, label, make, centre):
         """Each chart's centre is a point where its denominator vanishes: a
-        search whose one trial is the centre backtracks at the floor test and
-        keeps the entry, and so does eval raising DomainViolation there."""
+        search whose one trial is the centre backtracks at the floor test,
+        and eval raises DomainViolation there."""
         points = _points_near(centre, label)
         f = make()
         self._accept(f, make, points[1])
-        entry = _entry(f, points[1])
         assert _search_to(f, centre, max_trials=1) is None
         with pytest.raises(DomainViolation):
             f.eval(centre)
-        assert _entry(f, centre) is entry
         self._assert_fresh_bits(f, make, centre)
         self._assert_fresh_bits(f, make, points[1])
+
+
+# Dyadic rationals: exact as floats, so a quotient built to vanish at one
+# has q = 0.0 there in the chart about it.
+dyadics = st.builds(Fraction, st.integers(-16, 16), st.sampled_from([1, 2, 4, 8]))
+
+
+@st.composite
+def quotients(draw):
+    """(f, zero): a random quotient in 1-3 variables whose denominator is 0
+    at the point zero.
+
+    Declared centres: p/q with q = r * sum_i (x_i - zero_i)^2, zero declared
+    first and up to two random rational centres after it.  Composed:
+    with_common_factor(p, q, 1, inner=u), 1-3 polynomials u_k that vanish at
+    zero, the origin, and q = r * sum_k y_k^2 in their variables y.
+    """
+    n = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        zero = tuple(draw(dyadics) for _ in range(n))
+        s = sum((v - z) ** 2 for v, z in zip(_vars(n), zero))
+        r = 1 + draw(polynomials(n, max_degree=2, max_terms=3))
+        assume(not r.is_zero())
+        centres = draw(st.lists(st.tuples(*[rationals] * n), max_size=2))
+        return RationalFunction(draw(polynomials(n)), r * s, [zero] + centres), zero
+    m = draw(st.integers(1, 3))
+    zero = (0,) * n
+    inner = []
+    for _ in range(m):
+        u = draw(polynomials(n, max_degree=2, max_terms=3))
+        inner.append(u - u.terms.get(zero, 0))
+    r = 1 + draw(polynomials(m, max_degree=2, max_terms=3))
+    q = r * sum(y * y for y in _vars(m))
+    try:
+        f = RationalFunction.with_common_factor(
+            draw(polynomials(m)), q, Polynomial.constant(n, 1), inner
+        )
+    except ValueError:  # q(u(x)) is identically zero
+        assume(False)
+    return f, zero
+
+
+class TestGeneratedCode:
+    """Over random quotients, generated evaluate and search return the bits
+    of loop and search_loop: values, DomainViolations, trials, steps and
+    gradients."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(quotients(), st.data())
+    def test_generated_code_returns_the_loops_bits(self, case, data):
+        f, zero = case
+        zero_point = tuple(map(float, zero))
+        with pytest.raises(DomainViolation):
+            f._chart(zero).loop(zero, False)
+        # The first search's first trial is zero: a floor rejection.  Each
+        # search from zero to a declared centre's float is handed off to
+        # that centre's chart where it is another.
+        searches = [_search_args(zero)]
+        for c in (f._centres or ())[1:]:
+            grad = [a - b for a, b in zip(zero_point, c)]
+            searches.append((zero_point, math.inf, grad, math.fsum(g * g for g in grad), 1.0))
+        steps = st.integers(-64, 64).map(lambda k: k / 16)
+        for _ in range(4):
+            x = tuple(data.draw(steps) for _ in range(f.n_vars))
+            grad = [data.draw(steps) for _ in range(f.n_vars)]
+            fx = math.inf
+            if data.draw(st.booleans()):
+                try:
+                    fx, grad = f._chart(x).loop(x, True)
+                except DomainViolation:
+                    pass
+            alpha = 2.0 ** data.draw(st.integers(-4, 6))
+            searches.append((x, fx, grad, math.fsum(g * g for g in grad), alpha))
+        cfg = DescentConfig()
+        points = [zero]
+        for x, fx, grad, g_sq, alpha in searches:
+            args = (x, fx, grad, g_sq, alpha,
+                    cfg.sigma_armijo, cfg.backtrack_factor, MAX_BACKTRACKS)
+            expected = f._chart(x).search_loop(*args, f._chart_at)
+            assert _hex(f.line_search(*args)) == _hex(expected), args
+            points += [x] if expected is None else [x, expected[0]]
+        for x in points:
+            chart = f._chart(x)
+            for grad in (False, True):
+                for _ in range(2):  # generated by the second call at the latest
+                    outcome = _outcome(functools.partial(chart.evaluate, grad=grad), x)
+                assert chart.generated
+                expected = _outcome(functools.partial(chart.loop, grad=grad), x)
+                assert outcome == expected, x
 
 
 class TestRationalFunction:
