@@ -34,12 +34,15 @@ from .descent import (
 )
 from .homog import CPModel, build_cp_objective
 from .limits import (
+    CLUSTER_TOL,
     DEFAULT_THETA_GRID,
+    cluster_window,
     direction_trail,
     find_cluster_point,
     lojasiewicz_probe,
     rate_classify,
     trail_certifies_safe_approach,
+    verify_certificate,
 )
 from .polyalg import DomainViolation
 from .problems import (
@@ -246,6 +249,8 @@ def cmd_diagnose(args) -> int:
 
     cluster = find_cluster_point(trace)
     report["cluster_point"] = list(cluster) if cluster is not None else None
+    report["cluster_spread"] = cluster_window(trace)[1]
+    report["cluster_tol"] = CLUSTER_TOL
 
     x_star = None
     if args.x_star:
@@ -269,7 +274,11 @@ def cmd_diagnose(args) -> int:
                                               tail_start))
     try:
         certs = lojasiewicz_probe(trace, tail_start, DEFAULT_THETA_GRID)
-        report["certificates"] = [asdict(c) for c in certs]
+        report["certificates"] = [
+            {**asdict(c),
+             "violations": verify_certificate(trace, c) if c.feasible else None}
+            for c in certs
+        ]
     except ValueError as exc:
         report["certificates"] = {"error": str(exc)}
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"

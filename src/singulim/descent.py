@@ -31,6 +31,8 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .polyalg import DomainViolation, RationalFunction, check_finite_point
 
 STOP_GRAD_TOL = "grad_tol"
@@ -215,32 +217,36 @@ def check_conditions(trace: DescentTrace, tail_start: int) -> ConditionReport:
     """Recompute sufficient-decrease and step-length ratios over a trace tail.
 
     sigma_hat is the minimum of (f_k - f_{k+1}) / (||grad_k|| * step_k) and
-    kappa_hat the minimum of step_k / ||grad_k|| over steps k >= tail_start.
-    a2_violations counts zero-progress steps of nonzero length.
+    kappa_hat the minimum of step_k / ||grad_k|| over steps k >= tail_start
+    with step_k != 0 and ||grad_k|| > 0.  a2_violations counts zero-progress
+    steps of nonzero length, degenerate_steps zero steps at a nonzero
+    gradient.
+
+    The tail is one array: each ratio is the elementwise IEEE quotient that
+    a loop over the steps would form, and the minima are taken over Python
+    floats in step order, so NaN and signed zeros count as in that loop and
+    the report has its bits.  Where grad_k * step_k underflows to 0, the
+    ratio is the quotient by 0 (inf, or NaN at df = 0).
     """
     n_steps = len(trace.step_norms)
     if n_steps and tail_start >= n_steps:
         raise ValueError(f"tail_start {tail_start} beyond last step {n_steps - 1}")
-    sigma_hat = None
-    kappa_hat = None
-    a2_violations = 0
-    degenerate = 0
-    for k in range(max(tail_start, 0), n_steps):
-        df = trace.f_values[k] - trace.f_values[k + 1]
-        g = trace.grad_norms[k]
-        s = trace.step_norms[k]
-        if df == 0.0 and s > 0.0:
-            a2_violations += 1
-        if s == 0.0:
-            if g > 0.0:
-                degenerate += 1
-            continue
-        if g > 0.0:
-            sigma = df / (g * s)
-            kappa = s / g
-            sigma_hat = sigma if sigma_hat is None else min(sigma_hat, sigma)
-            kappa_hat = kappa if kappa_hat is None else min(kappa_hat, kappa)
-    return ConditionReport(sigma_hat, kappa_hat, a2_violations, tail_start, degenerate)
+    start = max(tail_start, 0)
+    f = np.array(trace.f_values[start:n_steps + 1], dtype=float)
+    g = np.array(trace.grad_norms[start:n_steps], dtype=float)
+    s = np.array(trace.step_norms[start:n_steps], dtype=float)
+    with np.errstate(all="ignore"):
+        df = f[:-1] - f[1:]
+        ratios = (s != 0.0) & (g > 0.0)
+        sigmas = (df[ratios] / (g[ratios] * s[ratios])).tolist()
+        kappas = (s[ratios] / g[ratios]).tolist()
+        a2_violations = int(np.count_nonzero((df == 0.0) & (s > 0.0)))
+        degenerate = int(np.count_nonzero((s == 0.0) & (g > 0.0)))
+    return ConditionReport(
+        min(sigmas) if sigmas else None,
+        min(kappas) if kappas else None,
+        a2_violations, tail_start, degenerate,
+    )
 
 
 # -- trace persistence -----------------------------------------------------

@@ -691,6 +691,18 @@ class _Evaluator:
         vars(self).update(self.generate())
         return self.evaluate(x, grad)
 
+    def evaluate_columns(self, columns: Sequence):
+        """A polynomial's values at many points at once.
+
+        columns[i] holds the i-th coordinates of the points, as numpy float
+        arrays of one length; the evaluator has no denominator, centre or
+        inner.  _power_table and _eval_compiled run unchanged on the
+        columns, so each entry is formed by the same products and sums, in
+        the same order, as evaluate at that point, and has the same bits.
+        A polynomial with no variable in any term returns its float value.
+        """
+        return _eval_compiled(self.values[0], _power_table(columns, self.max_deg))
+
     def search(self, x, fx, grad, g_sq, alpha, sigma, factor, budget, charts):
         """A quotient's Armijo search from x; see the class docstring."""
         vars(self).update(self.generate())

@@ -4,6 +4,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 from fractions import Fraction
 from importlib import resources
 
@@ -18,7 +20,9 @@ from singulim.descent import (
     read_trace_csv,
     read_trace_meta,
     trace_from_points,
+    write_trace_csv,
 )
+from singulim.limits import CLUSTER_TOL, DEFAULT_THETA_GRID
 from singulim.polyalg import Polynomial
 from singulim.problems import (
     ProblemFormatError,
@@ -293,6 +297,66 @@ class TestCli:
                      "--problem", problem]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["stop_reason"] == printed
+
+    def test_diagnose_verifies_certificates_and_names_the_cluster_spread(
+        self, workdir, capsys
+    ):
+        """Criterion 1's reference run: fig1 from (2, -0.1), default cap."""
+        problem = str(workdir / "fig1.problem")
+        trace_path = workdir / "fig1.reference.trace.csv"
+        assert main(["optimize", "--problem", problem, "--x0", "2,-0.1",
+                     "--trace-out", str(trace_path)]) == 0
+        capsys.readouterr()
+        assert main(["diagnose", "--trace", str(trace_path), "--problem", problem]) == 0
+        report = json.loads(capsys.readouterr().out)
+        certificates = report["certificates"]
+        assert len(certificates) == len(DEFAULT_THETA_GRID)
+        assert all(c["feasible"] and c["violations"] == 0 for c in certificates)
+        # The run ends short of the cluster tolerance: the report says by how much.
+        assert report["cluster_point"] is None
+        assert report["cluster_tol"] == CLUSTER_TOL
+        assert report["cluster_spread"] == pytest.approx(3.745e-4, rel=1e-3)
+
+    def test_diagnose_gives_infeasible_certificates_no_violation_count(
+        self, workdir, capsys
+    ):
+        """(y^2 - x^2)/(x^2 + y^2) at critical points e1, e2/2, e1/4, ...:
+        zero gradients beside nonzero residuals make every certificate
+        infeasible."""
+        from singulim.problems import ProblemFile
+
+        x = Polynomial.variable(2, 0)
+        y = Polynomial.variable(2, 1)
+        f_problem = ProblemFile(2, y * y - x * x, x * x + y * y, name="axes")
+        problem = workdir / "axes.problem"
+        save_problem(f_problem, problem)
+        points = [(2.0 ** -k, 0.0) if k % 2 == 0 else (0.0, 2.0 ** -k) for k in range(12)]
+        trace_path = workdir / "axes.trace.csv"
+        write_trace_csv(trace_from_points(f_problem.rational(), points), trace_path)
+        assert main(["diagnose", "--trace", str(trace_path),
+                     "--problem", str(problem)]) == 0
+        certificates = json.loads(capsys.readouterr().out)["certificates"]
+        assert certificates
+        assert all(not c["feasible"] and c["violations"] is None for c in certificates)
+
+    def test_python_dash_m_runs_the_cli(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        problem = str(resources.files("singulim") / "data" / "fig1.problem")
+        done = subprocess.run(
+            [sys.executable, "-m", "singulim", "analyze", "--problem", problem,
+             "--point", "0,0", "--direction", "1,-1"],
+            capture_output=True, text=True, env=env, cwd=tmp_path,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "limit=-0.5" in done.stdout
+        failed = subprocess.run(
+            [sys.executable, "-m", "singulim", "analyze", "--problem", problem,
+             "--point", "x"],
+            capture_output=True, text=True, env=env, cwd=tmp_path,
+        )
+        assert failed.returncode == 2
+        assert failed.stderr.startswith("error: --point")
 
     def test_series_prints_coefficients(self, workdir, capsys):
         code = main([

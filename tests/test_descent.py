@@ -7,10 +7,15 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singulim.descent import (
     MAX_BACKTRACKS,
+    STOP_MAX_ITERS,
+    ConditionReport,
     DescentConfig,
+    DescentTrace,
     check_conditions,
     optimize,
     read_trace_csv,
@@ -508,6 +513,109 @@ class TestCheckConditions:
         trace = trace_from_points(f, [(1.0, 1.0), (-1.0, -1.0)])
         report = check_conditions(trace, 0)
         assert report.a2_violations == 1
+
+
+def _looped_conditions(trace, tail_start):
+    """check_conditions as a loop over the steps with a running minimum: the
+    reference for the array form's bits."""
+    n_steps = len(trace.step_norms)
+    if n_steps and tail_start >= n_steps:
+        raise ValueError(f"tail_start {tail_start} beyond last step {n_steps - 1}")
+    sigma_hat = None
+    kappa_hat = None
+    a2_violations = 0
+    degenerate = 0
+    for k in range(max(tail_start, 0), n_steps):
+        df = trace.f_values[k] - trace.f_values[k + 1]
+        g = trace.grad_norms[k]
+        s = trace.step_norms[k]
+        if df == 0.0 and s > 0.0:
+            a2_violations += 1
+        if s == 0.0:
+            if g > 0.0:
+                degenerate += 1
+            continue
+        if g > 0.0:
+            sigma = df / (g * s)
+            kappa = s / g
+            sigma_hat = sigma if sigma_hat is None else min(sigma_hat, sigma)
+            kappa_hat = kappa if kappa_hat is None else min(kappa_hat, kappa)
+    return ConditionReport(sigma_hat, kappa_hat, a2_violations, tail_start, degenerate)
+
+
+def _report_bits(report):
+    hexed = lambda v: None if v is None else (type(v), v.hex())
+    return (hexed(report.sigma_hat), hexed(report.kappa_hat), report.a2_violations,
+            report.tail_start, report.degenerate_steps)
+
+
+def _assert_conditions_match_loop(trace, tail_start):
+    try:
+        want = _looped_conditions(trace, tail_start)
+    except ValueError:
+        with pytest.raises(ValueError, match="beyond last step"):
+            check_conditions(trace, tail_start)
+        return
+    except ZeroDivisionError:
+        # The loop divides by g*s in Python floats, which raises where the
+        # product underflows to 0; the array form takes the quotient by 0.
+        got = check_conditions(trace, tail_start)
+        start = max(tail_start, 0)
+        assert any(
+            s != 0.0 and g > 0.0 and g * s == 0.0
+            for g, s in zip(trace.grad_norms[start:], trace.step_norms[start:])
+        )
+        assert got.sigma_hat is not None
+        return
+    assert _report_bits(check_conditions(trace, tail_start)) == _report_bits(want)
+
+
+# Values with ties (df = 0), zeros of both signs, tiny products that
+# underflow, huge ones that overflow, and non-finite entries.
+_trace_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 0.5, 2.0, 1e-170, 5e-324, 1e200,
+                     math.inf, -math.inf, math.nan]),
+    st.floats(-10, 10),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@st.composite
+def _condition_cases(draw):
+    n_steps = draw(st.integers(0, 12))
+    f_values = tuple(draw(_trace_values) for _ in range(n_steps + 1))
+    grad_norms = tuple(draw(_trace_values) for _ in range(n_steps + 1))
+    step_norms = tuple(draw(_trace_values) for _ in range(n_steps))
+    trace = DescentTrace(((0.0,),) * (n_steps + 1), f_values, grad_norms,
+                         step_norms, (1.0,) * n_steps, STOP_MAX_ITERS)
+    return trace, draw(st.integers(-2, n_steps + 1))
+
+
+class TestCheckConditionsBits:
+    """The array form returns the step loop's bits and counts."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(_condition_cases())
+    def test_drawn_traces(self, case):
+        _assert_conditions_match_loop(*case)
+
+    @pytest.mark.parametrize("name, x0", [
+        ("fig1", (2.0, -0.1)), ("fig1", (0.5, -2.0)),
+        ("multi3", (-0.9, 3.7)), ("multi3", (3.5, 0.4)),
+    ])
+    def test_descent_traces(self, name, x0):
+        trace = optimize(load_bundled(name).rational(), x0, DescentConfig(max_iters=300))
+        for tail_start in (0, len(trace.step_norms) // 2, len(trace.step_norms) - 1):
+            _assert_conditions_match_loop(trace, tail_start)
+
+    def test_nan_ratio_first_in_the_tail_is_the_minimum(self):
+        """min keeps its first argument unless a later one is smaller, and
+        nothing compares smaller than NaN."""
+        trace = DescentTrace(((0.0,),) * 3, (math.inf, math.inf, 0.0), (1.0, 1.0, 1.0),
+                             (1.0, 1.0), (1.0, 1.0), STOP_MAX_ITERS)
+        report = check_conditions(trace, 0)
+        assert math.isnan(report.sigma_hat)
+        _assert_conditions_match_loop(trace, 0)
 
 
 class TestTracePersistence:

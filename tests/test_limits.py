@@ -1,14 +1,24 @@
 """Trace diagnostics: cluster points, direction trails, certificates, rates."""
 
 import dataclasses
+import functools
 import math
+import operator
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from singulim.descent import DescentConfig, optimize, trace_from_points
+from singulim.descent import DescentConfig, DescentTrace, optimize, trace_from_points
 from singulim.limits import (
+    CLUSTER_TOL,
     DEFAULT_THETA_GRID,
+    DirectionTrail,
+    _linear_fit,
+    cluster_window,
     direction_trail,
     estimate_limit,
     find_cluster_point,
@@ -18,7 +28,8 @@ from singulim.limits import (
     verify_certificate,
 )
 from singulim.polyalg import Polynomial, RationalFunction
-from singulim.singan import analyze_singularity
+from singulim.problems import load_bundled
+from singulim.singan import LinePencil, analyze_singularity
 
 
 def _pinch():
@@ -72,6 +83,19 @@ class TestFindClusterPoint:
         trace = trace_from_points(f, [(0.25,)] * 10)
         assert find_cluster_point(trace) == (0.25,)
 
+    @pytest.mark.parametrize("points, spread", [
+        ([(2.0 ** -k,) for k in range(40)] + [(0.0,)] * 60, 0.0),
+        # Window of 5: 45, ..., 49 about their mean 47.
+        ([(float(k),) for k in range(1, 50)], 2.0),
+        # Window of 2, 2e-8 apart: just outside the tolerance.
+        ([(1.0,), (1.0 + 2e-8,)], 1e-8),
+    ])
+    def test_window_spread_decides_the_cluster_point(self, points, spread):
+        trace = trace_from_points(_quadratic_1d(), points)
+        _, got = cluster_window(trace)
+        assert got == pytest.approx(spread, rel=1e-6)
+        assert (find_cluster_point(trace) is None) is (got > CLUSTER_TOL)
+
 
 class TestDirectionTrail:
     def test_pinch_trail_pencil_values_are_one(self):
@@ -115,6 +139,233 @@ class TestDirectionTrail:
         pencil = analyze_singularity(f, (0,))
         trail = direction_trail(trace, pencil)
         assert len(trail.unit_directions) == 1
+
+
+def _looped_trail(trace, pencil, tail_start=None):
+    """direction_trail as a loop over the iterates, one point at a time: the
+    reference for the array form's bits."""
+    center = tuple(float(v) for v in pencil.base)
+    if len(center) != len(trace.iterates[0]):
+        raise ValueError("pencil base dimension does not match trace")
+    leading = pencil.leading._float_evaluator()
+    directions = []
+    values = []
+    skipped = 0
+    for point in trace.iterates:
+        delta = list(map(operator.sub, point, center))
+        norm = math.sqrt(math.fsum(map(operator.mul, delta, delta)))
+        if norm == 0.0:
+            skipped += 1
+            continue
+        unit = tuple([d / norm for d in delta])
+        directions.append(unit)
+        values.append(leading.evaluate(unit, False))
+    if not directions:
+        raise ValueError("every iterate coincides with the pencil base")
+    if tail_start is None:
+        tail_start = len(directions) // 2
+    tail_start = min(tail_start, len(directions) - 1)
+    min_tail = min(values[tail_start:])
+    return DirectionTrail(center, tuple(directions), tuple(values), min_tail, skipped)
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type of the ValueError or OverflowError it raised
+    (math.fsum overflows on squares that sum past the largest float)."""
+    try:
+        return fn(*args)
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+def _trail_bits(trail):
+    """A trail's fields with every float as float.hex, and its float types."""
+    assert all(type(v) is float for u in trail.unit_directions for v in u)
+    assert all(type(v) is float for v in trail.pencil_values)
+    return (
+        [v.hex() for v in trail.center],
+        [[v.hex() for v in u] for u in trail.unit_directions],
+        [v.hex() for v in trail.pencil_values],
+        trail.min_tail_pencil.hex(),
+        trail.skipped,
+    )
+
+
+def _assert_trail_matches_loop(trace, pencil, tail_start):
+    got = _outcome(direction_trail, trace, pencil, tail_start)
+    want = _outcome(_looped_trail, trace, pencil, tail_start)
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert _trail_bits(got) == _trail_bits(want)
+
+
+def _points_trace(points):
+    """A trace of the given iterates; direction_trail reads nothing else."""
+    m = len(points)
+    return DescentTrace(tuple(points), (0.0,) * m, (0.0,) * m, (0.0,) * (m - 1),
+                        (0.0,) * (m - 1), "max_iters")
+
+
+# Offsets from the base: moderate, tiny, huge and non-finite values, so that
+# squares underflow, overflow, and sum past the largest float.
+_offsets = st.one_of(
+    st.floats(-4, 4),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-170, 1e154, 1e200, math.inf,
+                     -math.inf, math.nan]),
+)
+_small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=8)
+
+
+@st.composite
+def _leading_polynomials(draw, n_vars):
+    """Up to 5 terms of degree up to 3 in each variable; constants included."""
+    top = draw(st.sampled_from([0, 1, 3]))
+    terms = {}
+    for _ in range(draw(st.integers(1, 5))):
+        exps = tuple(draw(st.integers(0, top)) for _ in range(n_vars))
+        terms[exps] = draw(_small_fractions.filter(bool))
+    return Polynomial(n_vars, terms)
+
+
+@st.composite
+def _iterates(draw, base, max_points=12):
+    """Points near base: some equal to it, some with one coordinate on it."""
+    center = [float(v) for v in base]
+    points = []
+    for _ in range(draw(st.integers(1, max_points))):
+        kind = draw(st.sampled_from(["base", "offset", "offset", "offset"]))
+        if kind == "base":
+            points.append(tuple(center))
+        else:
+            points.append(tuple(
+                c + draw(st.sampled_from([0.0, 1.0]) | _offsets) for c in center
+            ))
+    return points
+
+
+@st.composite
+def _trail_cases(draw):
+    n_vars = draw(st.sampled_from([1, 2, 3, 4, 12]))
+    base = tuple(draw(_small_fractions) for _ in range(n_vars))
+    leading = draw(_leading_polynomials(n_vars))
+    pencil = LinePencil(base, (leading,), (Polynomial.constant(n_vars, 1),), 0)
+    points = draw(_iterates(base))
+    tail_start = draw(st.none() | st.integers(0, len(points) + 2))
+    return _points_trace(points), pencil, tail_start
+
+
+@functools.cache
+def _bundled_pencils():
+    """The leading pencils of fig1 at the origin and multi3 at its centres."""
+    pencils = []
+    for name in ("fig1", "multi3"):
+        problem = load_bundled(name)
+        f = problem.rational()
+        pencils += [analyze_singularity(f, c) for c in problem.singular_points]
+    return pencils
+
+
+class TestDirectionTrailBits:
+    """The array form returns the per-point loop's bits."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_trail_cases())
+    def test_drawn_traces_and_pencils(self, case):
+        _assert_trail_matches_loop(*case)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_drawn_traces_on_bundled_pencils(self, data):
+        pencils = _bundled_pencils()
+        pencil = pencils[data.draw(st.integers(0, len(pencils) - 1))]
+        points = data.draw(_iterates(pencil.base))
+        tail_start = data.draw(st.none() | st.integers(0, len(points)))
+        _assert_trail_matches_loop(_points_trace(points), pencil, tail_start)
+
+    @pytest.mark.parametrize("name, x0", [
+        ("fig1", (2.0, -0.1)), ("fig1", (0.5, -2.0)),
+        ("multi3", (-0.9, 3.7)), ("multi3", (3.5, 0.4)), ("multi3", (1.0, 1.0)),
+    ])
+    def test_descent_traces(self, name, x0):
+        problem = load_bundled(name)
+        f = problem.rational()
+        trace = optimize(f, x0, DescentConfig(max_iters=300))
+        for centre in problem.singular_points:
+            pencil = analyze_singularity(f, centre)
+            for tail_start in (None, 0, len(trace) - 1):
+                _assert_trail_matches_loop(trace, pencil, tail_start)
+
+    def test_constant_leading_polynomial(self):
+        pencil = LinePencil((0, 0), (Polynomial.constant(2, Fraction(3, 7)),),
+                            (Polynomial.constant(2, 1),), 0)
+        trace = _points_trace([(1.0, 2.0), (0.0, 0.0), (math.nan, 1.0), (-3.0, 0.5)])
+        trail = direction_trail(trace, pencil)
+        assert trail.pencil_values == (3 / 7,) * 3
+        assert trail.skipped == 1
+        _assert_trail_matches_loop(trace, pencil, None)
+
+    def test_every_iterate_on_the_base_rejected(self):
+        pencil = _bundled_pencils()[0]
+        trace = _points_trace([(0.0, 0.0), (-0.0, 0.0)])
+        with pytest.raises(ValueError, match="coincides"):
+            direction_trail(trace, pencil)
+
+
+def _polyfit_reference(x, y):
+    """The line and R^2 from np.polyfit's least-squares solve."""
+    slope, intercept = np.polyfit(x, y, 1)
+    if np.all(y == y[0]):
+        return slope, intercept, 0.0
+    fitted = slope * x + intercept
+    ss_res = float(np.sum((y - fitted) ** 2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    return slope, intercept, 1.0 - ss_res / ss_tot
+
+
+_fit_values = st.floats(-1e3, 1e3).map(lambda v: round(v, 6))
+
+
+class TestLinearFit:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_fit_values, _fit_values), min_size=3, max_size=40))
+    def test_matches_polyfit(self, pairs):
+        x = np.array([p[0] for p in pairs])
+        y = np.array([p[1] for p in pairs])
+        # Well-posed: x spread over at least a thousandth of its range.
+        span = float(np.ptp(x))
+        if span < 1e-3 * (1.0 + float(np.max(np.abs(x)))):
+            return
+        slope, intercept, r2 = _linear_fit(x, y)
+        ref_slope, ref_intercept, ref_r2 = _polyfit_reference(x, y)
+        scale = 1.0 + float(np.max(np.abs(y)))
+        assert slope == pytest.approx(ref_slope, rel=1e-9, abs=1e-9 * scale / span)
+        assert intercept == pytest.approx(
+            ref_intercept, rel=1e-9, abs=1e-9 * scale * (1.0 + float(np.max(np.abs(x))) / span)
+        )
+        assert r2 == pytest.approx(ref_r2, rel=1e-9, abs=1e-9)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(3, 40))
+    def test_recovers_an_exact_line(self, a, b, n):
+        x = np.arange(n, dtype=float) - n // 3
+        y = a * x + b
+        slope, intercept, r2 = _linear_fit(x, y)
+        assert slope == pytest.approx(a, abs=1e-12)
+        assert intercept == pytest.approx(b, abs=1e-12)
+        assert r2 == (0.0 if a == 0 else pytest.approx(1.0, abs=1e-12))
+
+    def test_constant_y_has_r2_zero(self):
+        x = np.log(np.arange(1.0, 12.0))
+        slope, _, r2 = _linear_fit(x, np.full(11, math.log(0.1)))
+        assert r2 == 0.0
+        assert slope == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("x", [[2.0] * 5, [0.1] * 3, [1e-200, 2e-200, 3e-200]])
+    def test_x_without_spread_raises_value_error(self, x):
+        with pytest.raises(ValueError, match="no spread"):
+            _linear_fit(np.array(x), np.arange(len(x), dtype=float))
 
 
 class TestEstimateLimit:
