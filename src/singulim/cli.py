@@ -2,7 +2,7 @@
 
 Exit codes: 0 success; 1 when the library rejects an input (a ValueError
 such as a dimension mismatch, a non-finite point, an unsafe direction or an
-unbounded function); 2 for malformed input (an unparsable list, an option
+unbounded function) or overflows a float (an OverflowError); 2 for malformed input (an unparsable list, an option
 out of range, a malformed problem file or trace) and for file errors.  main
 is the one place that maps a failure to its code, and it reports each as
 one `error:` line on stderr.
@@ -260,7 +260,7 @@ def cmd_diagnose(args) -> int:
     if x_star is not None:
         try:
             pencil = analyze_singularity(f, x_star)
-            trail = direction_trail(trace, pencil)
+            trail = direction_trail(trace, pencil, tail_start)
             report["direction_trail"] = {
                 "center": [float(v) for v in x_star],
                 "n_min": pencil.n_min,
@@ -415,7 +415,7 @@ def main(argv=None) -> int:
         message, code = f"file {exc.filename!r} not found", EXIT_MALFORMED
     except (ProblemFormatError, OSError) as exc:
         message, code = str(exc), EXIT_MALFORMED
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         message, code = str(exc), EXIT_INVALID
     print(f"error: {message}", file=sys.stderr)
     return code

@@ -24,7 +24,10 @@ from typing import Sequence
 import numpy as np
 
 from .descent import DescentTrace
-from .singan import LinePencil, SAFE_MARGIN
+from .singan import LinePencil
+
+# Least relative margin of a trail's tail directions (min_tail_pencil).
+SAFE_MARGIN = 1e-9
 
 # Cluster detection: trailing window fraction and diameter tolerance.
 CLUSTER_WINDOW_FRACTION = 0.1
@@ -37,7 +40,8 @@ DEFAULT_THETA_GRID = tuple(round(0.05 * i, 2) for i in range(1, 11))
 
 @dataclass(frozen=True)
 class DirectionTrail:
-    """Unit approach directions of a trace with their pencil values."""
+    """Unit approach directions of a trace with their signed pencil values,
+    and the tail's margin min_tail_pencil (direction_trail)."""
 
     center: tuple[float, ...]
     unit_directions: tuple[tuple[float, ...], ...]
@@ -116,9 +120,10 @@ def direction_trail(
 ) -> DirectionTrail:
     """Evaluate the leading pencil polynomial on unit approach directions.
 
-    Iterates equal to the pencil base are skipped and counted.  The minimum
-    pencil value over indices >= tail_start (default: second half) is the
-    empirical safe-approach margin.
+    Iterates equal to the pencil base are skipped and counted.  The margin
+    is min |f_{n_min}(u)| over the directions from index tail_start on
+    (default: the second half), divided by the largest |coefficient| of
+    f_{n_min}, so the sign and scale in which f is written do not move it.
 
     The whole trace is one array: each difference, square, quotient and
     square root is the elementwise IEEE operation a loop over the iterates
@@ -150,7 +155,8 @@ def direction_trail(
     if tail_start is None:
         tail_start = len(values) // 2
     tail_start = min(tail_start, len(values) - 1)
-    min_tail = min(values[tail_start:])
+    scale = float(max(map(abs, pencil.leading.terms.values())))
+    min_tail = min(map(abs, values[tail_start:])) / scale
     return DirectionTrail(
         center, tuple(map(tuple, units.tolist())), tuple(values), min_tail,
         len(norms) - len(units),
@@ -158,7 +164,7 @@ def direction_trail(
 
 
 def trail_certifies_safe_approach(trail: DirectionTrail) -> bool:
-    """Closed-set membership proxy: tail directions keep SAFE_MARGIN."""
+    """Closed-set membership proxy: the tail's margin exceeds SAFE_MARGIN."""
     return trail.min_tail_pencil > SAFE_MARGIN
 
 

@@ -237,9 +237,6 @@ class Polynomial:
         d, numerators = _partial_form(_integer_form(self.terms), index)
         return _polynomial(self.n_vars, numerators, d)
 
-    def gradient(self) -> list["Polynomial"]:
-        return [self.partial(i) for i in range(self.n_vars)]
-
     # -- evaluation --------------------------------------------------------
 
     def _check_point(self, x: Sequence) -> None:
@@ -1083,10 +1080,7 @@ class RationalFunction:
         it is set; a declared centre's chart evaluates their exact shifts.
         with_common_factor declares no centre, so inner has no shifted chart.
         """
-        if len(x) != self.n_vars:
-            raise DimensionError(
-                f"point has {len(x)} coordinates, function has {self.n_vars} vars"
-            )
+        self._check_point(x)
         centre = self._origin if self._centres is None else _nearest(x, self._centres)
         return self._charts.get(centre) or self._chart_at(centre)
 

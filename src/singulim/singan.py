@@ -7,6 +7,10 @@ defines the safe-direction set {d : f_{n_min}(d) != 0}; along safe directions
 the function extends to an analytic series in t whose trailing coefficients
 obey a linear recurrence, which in turn yields a conservative lower bound on
 the radius of convergence.
+
+Membership is decided by that definition, exactly, for every direction (a
+float coordinate is an exact dyadic rational), so no verdict depends on the
+sign or scale in which p and q are written.
 """
 
 from __future__ import annotations
@@ -16,9 +20,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .polyalg import Polynomial, RationalFunction, _as_fraction
-
-# Relative margin deciding safe-set membership for floating-point directions.
-SAFE_MARGIN = 1e-9
 
 # Default truncation order for Taylor lines.
 DEFAULT_N_TERMS = 64
@@ -134,17 +135,15 @@ def analyze_singularity(f: RationalFunction, x_star: Sequence) -> LinePencil:
 def direction_verdict(pencil: LinePencil, d: Sequence) -> DirectionVerdict:
     """Decide safe-set membership of a direction and its directional limit.
 
-    Exact rational directions are decided exactly; float directions use a
-    relative margin |f_{n_min}(d)| > SAFE_MARGIN * ||d||^deg.
+    Every direction is decided exactly, f_{n_min}(d) != 0; pencil_value and
+    limit_value are the exact values, each rounded to float once.
     """
-    direction, exact = _checked_direction(pencil, d)
-    value = _evaluate(pencil.leading, direction, exact)
-    in_safe = _in_safe_set(pencil, direction, exact, value)
+    direction, _ = _checked_direction(pencil, d)
+    value = pencil.leading.eval_exact(direction)
     limit = None
-    if in_safe:
-        numer_lead = _evaluate(pencil.numer_coeffs[pencil.n_min], direction, exact)
-        limit = float(numer_lead / value) if exact else numer_lead / value
-    return DirectionVerdict(direction, in_safe, float(value), limit)
+    if value:
+        limit = float(pencil.numer_coeffs[pencil.n_min].eval_exact(direction) / value)
+    return DirectionVerdict(direction, value != 0, float(value), limit)
 
 
 def _checked_direction(pencil: LinePencil, d: Sequence) -> tuple[tuple, bool]:
@@ -157,18 +156,6 @@ def _checked_direction(pencil: LinePencil, d: Sequence) -> tuple[tuple, bool]:
     if all(v == 0 for v in direction):
         raise ValueError("direction must be nonzero")
     return direction, all(isinstance(v, (int, Fraction)) for v in direction)
-
-
-def _evaluate(poly: Polynomial, direction: tuple, exact: bool):
-    return poly.eval_exact(direction) if exact else poly.eval_float(direction)
-
-
-def _in_safe_set(pencil, direction, exact, value) -> bool:
-    """Safe-set test on value, the leading pencil polynomial at direction."""
-    if exact:
-        return value != 0
-    norm = max(abs(float(v)) for v in direction)
-    return abs(value) > SAFE_MARGIN * norm ** pencil.leading.degree()
 
 
 def series_divide(numer: Sequence, denom: Sequence, n_terms: int) -> list:
@@ -236,16 +223,21 @@ def taylor_line(
 
     Both line-restricted numerator and denominator are divided by t^{n_min}
     before the power-series division; the recurrence weights come from the
-    shifted denominator.  Each pencil polynomial from n_min on is evaluated
-    once, and the safe-set test reads the leading one's value.
+    shifted denominator.  f_{n_min}(d) is evaluated exactly, as in
+    direction_verdict: that one value decides membership and, rounded once
+    at a float direction, leads the series' denominator.  Every other pencil
+    polynomial is evaluated once, in float at a float direction.
     """
     if pencil is None:
         pencil = analyze_singularity(f, x_star)
     direction, exact = _checked_direction(pencil, d)
-    denom = [_evaluate(p, direction, exact) for p in pencil.denom_coeffs[pencil.n_min:]]
-    if not _in_safe_set(pencil, direction, exact, denom[0]):
+    lead = pencil.leading.eval_exact(direction)
+    if not lead:
         raise UnsafeDirectionError(direction, pencil.leading)
-    numer = [_evaluate(p, direction, exact) for p in pencil.numer_coeffs[pencil.n_min:]]
+    evaluate = Polynomial.eval_exact if exact else Polynomial.eval_float
+    denom = [lead if exact else float(lead)]
+    denom += [evaluate(p, direction) for p in pencil.denom_coeffs[pencil.n_min + 1:]]
+    numer = [evaluate(p, direction) for p in pencil.numer_coeffs[pencil.n_min:]]
     while denom and denom[-1] == 0:
         denom.pop()
     weights = recurrence_weights(denom)

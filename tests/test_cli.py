@@ -16,13 +16,14 @@ from hypothesis import strategies as st
 from singulim import __version__, cli
 from singulim.cli import main
 from singulim.descent import (
+    DescentTrace,
     check_conditions,
     read_trace_csv,
     read_trace_meta,
     trace_from_points,
     write_trace_csv,
 )
-from singulim.limits import CLUSTER_TOL, DEFAULT_THETA_GRID
+from singulim.limits import CLUSTER_TOL, DEFAULT_THETA_GRID, direction_trail
 from singulim.polyalg import Polynomial
 from singulim.problems import (
     ProblemFormatError,
@@ -339,6 +340,66 @@ class TestCli:
         assert certificates
         assert all(not c["feasible"] and c["violations"] is None for c in certificates)
 
+    def _diagnose(self, capsys, problem, points, *options):
+        """The diagnose report on a trace of the given iterates."""
+        trace_path = problem.with_suffix(".trace.csv")
+        write_trace_csv(trace_from_points(load_problem(problem).rational(), points),
+                        trace_path)
+        assert main(["diagnose", "--trace", str(trace_path),
+                     "--problem", str(problem), *options]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def test_diagnose_tail_fraction_reaches_the_trail(self, workdir, capsys):
+        """x^2 / (x^2 + 2y^2): the margin is 1/2 along the x axis and 1 along
+        the y axis.  18 iterates approach along the first, the last 2 along
+        the second, so the last half and the last tenth differ."""
+        from singulim.problems import ProblemFile
+
+        x = Polynomial.variable(2, 0)
+        y = Polynomial.variable(2, 1)
+        problem = workdir / "ellipse.problem"
+        save_problem(ProblemFile(2, x * x, x * x + 2 * y * y, name="ellipse"), problem)
+        points = [(2.0 ** -k, 0.0) for k in range(18)] + [(0.0, 2.0 ** -18),
+                                                          (0.0, 2.0 ** -19)]
+        default = self._diagnose(capsys, problem, points, "--x-star", "0,0")
+        tenth = self._diagnose(capsys, problem, points, "--x-star", "0,0",
+                               "--tail-fraction", "0.9")
+        assert default["direction_trail"]["min_tail_pencil"] == 0.5
+        assert tenth["direction_trail"]["min_tail_pencil"] == 1.0
+        # At the default fraction the report keeps the library's default tail.
+        trace = read_trace_csv(problem.with_suffix(".trace.csv"))
+        pencil = analyze_singularity(load_problem(problem).rational(), (0, 0))
+        assert (default["direction_trail"]["min_tail_pencil"]
+                == direction_trail(trace, pencil).min_tail_pencil)
+
+    def test_diagnose_takes_x_star_from_an_integral_cluster_point(
+        self, workdir, capsys
+    ):
+        points = [(2.0 ** -k, -(2.0 ** -k)) for k in range(40)]
+        report = self._diagnose(capsys, workdir / "fig1.problem", points)
+        assert report["cluster_point"] == [0.0, 0.0]
+        assert report["direction_trail"]["center"] == [0.0, 0.0]
+        assert report["direction_trail"]["safe_approach"] is True
+
+    def test_diagnose_reports_an_unbounded_function_at_x_star(
+        self, misuse_dir, capsys
+    ):
+        """x / (x^2 + y^2), misuse_dir's pole, is unbounded at the origin."""
+        points = [(2.0 ** -k, 2.0 ** -k) for k in range(8)]
+        report = self._diagnose(capsys, misuse_dir / "pole.problem", points,
+                                "--x-star", "0,0")
+        assert "unbounded" in report["direction_trail"]["error"]
+        assert report["rate"]["regime"] == "linear"
+
+    def test_diagnose_reports_a_non_monotone_tail(self, workdir, capsys):
+        """f rises and falls on the tail while every gradient is nonzero."""
+        points = [(1.0, 0.5), (1.0, -0.5), (0.5, 0.5), (1.0, -1.0), (1.0, 0.25),
+                  (1.0, -0.5)]
+        report = self._diagnose(capsys, workdir / "fig1.problem", points)
+        assert report["certificates"] == {
+            "error": "f-values are not monotone on the tail"
+        }
+
     def test_python_dash_m_runs_the_cli(self, tmp_path):
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = {**os.environ, "PYTHONPATH": src}
@@ -504,6 +565,11 @@ def misuse_dir(workdir):
         "--max-iters", "20", "--trace-out", str(workdir / "misuse.trace.csv"),
     ]) == 0
     (workdir / "misuse.target.json").write_text("[[1, 0], [0, 0]]")
+    # Squared offsets from 0 that sum past the largest float.
+    huge = [(1.2e154, 1.2e154), (1.2e154, -1.2e154), (-1.2e154, 1.2e154)]
+    write_trace_csv(DescentTrace(tuple(huge), (3.0, 2.0, 1.0), (1.0,) * 3,
+                                 (1.0,) * 2, (1.0,) * 2, "max_iters"),
+                    workdir / "huge.trace.csv")
     x = Polynomial.variable(2, 0)
     y = Polynomial.variable(2, 1)
     save_problem(ProblemFile(2, x, x * x + y * y, name="pole"),
@@ -570,6 +636,11 @@ _TEN = ["tensor", "--dims", "2,2", "--emit-problem", "{d}/misuse.cp.problem"]
                  id="tensor-missing-target"),
     pytest.param(["diagnose", "--problem", "{d}/fig1.problem",
                   "--trace", "{d}/no-such.csv"], 2, id="diagnose-missing-trace"),
+    pytest.param(["diagnose", "--problem", "{d}/fig1.problem", "--trace",
+                  "{d}/huge.trace.csv", "--x-star", "0,0"], 1,
+                 id="diagnose-fsum-overflow"),
+    pytest.param(_ANA + ["--direction", "1e200,1e200"], 1, id="analyze-overflow"),
+    pytest.param(_SER + ["--direction", "1e200,1e200"], 1, id="series-overflow"),
     pytest.param(["analyze", "--problem", "{d}/zero-den.problem", "--point", "0"], 2,
                  id="problem-coeff-over-zero"),
     pytest.param(["analyze", "--problem", "{d}/inf-vars.problem", "--point", "0"], 2,

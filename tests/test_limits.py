@@ -165,7 +165,8 @@ def _looped_trail(trace, pencil, tail_start=None):
     if tail_start is None:
         tail_start = len(directions) // 2
     tail_start = min(tail_start, len(directions) - 1)
-    min_tail = min(values[tail_start:])
+    scale = max(abs(float(c)) for c in pencil.leading.terms.values())
+    min_tail = min(abs(v) for v in values[tail_start:]) / scale
     return DirectionTrail(center, tuple(directions), tuple(values), min_tail, skipped)
 
 

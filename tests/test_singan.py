@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from singulim.descent import DescentConfig, optimize
-from singulim.limits import direction_trail
+from singulim.limits import direction_trail, trail_certifies_safe_approach
 from singulim.polyalg import Polynomial, RationalFunction
 from singulim.problems import load_bundled
 from singulim.singan import (
@@ -263,12 +263,13 @@ class TestPencilMemo:
             pencil = analyze_singularity(f, centre)
             trail = direction_trail(trace, pencil)
             line = taylor_line(f, centre, direction, pencil=pencil)
-        used = pencil.denom_coeffs[pencil.n_min:] + pencil.numer_coeffs[pencil.n_min:]
+        # taylor_line evaluates the leading polynomial exactly, never in float.
+        used = pencil.denom_coeffs[pencil.n_min + 1:] + pencil.numer_coeffs[pencil.n_min:]
         assert all(p._evaluator.generated for p in used)
 
         fresh = analyze_singularity(load_bundled(name).rational(), centre)
         fresh_line = taylor_line(f, centre, direction, pencil=fresh)
-        fresh_used = fresh.denom_coeffs[fresh.n_min:] + fresh.numer_coeffs[fresh.n_min:]
+        fresh_used = fresh.denom_coeffs[fresh.n_min + 1:] + fresh.numer_coeffs[fresh.n_min:]
         assert not any(p._evaluator.generated for p in fresh_used)
         fresh_trail = direction_trail(trace, fresh)
         assert _hex(trail.pencil_values) == _hex(fresh_trail.pencil_values)
@@ -277,3 +278,69 @@ class TestPencilMemo:
         assert _hex(line.coeffs) == _hex(fresh_line.coeffs)
         assert _hex(line.recurrence_weights) == _hex(fresh_line.recurrence_weights)
         assert line.radius_lower_bound.hex() == fresh_line.radius_lower_bound.hex()
+
+
+def _float_units(count, seed):
+    """count seeded unit directions in the plane, as float pairs."""
+    rng = random.Random(seed)
+    units = []
+    for _ in range(count):
+        raw = (rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
+        norm = math.hypot(*raw)
+        units.append((raw[0] / norm, raw[1] / norm))
+    return units
+
+
+def _verdict_bits(pencil, d):
+    """Safe-set membership and the limit's bits at d."""
+    verdict = direction_verdict(pencil, d)
+    limit = verdict.limit_value
+    return verdict.in_safe_set, None if limit is None else limit.hex()
+
+
+def _line_raises(f, centre, d, pencil):
+    try:
+        taylor_line(f, centre, d, n_terms=4, pencil=pencil)
+    except UnsafeDirectionError:
+        return True
+    return False
+
+
+class TestRepresentationInvariance:
+    """c*p / c*q is the same function as p/q, for any rational c != 0, so it
+    has the same safe set, directional limits, Taylor lines and trail
+    verdict: none of them may depend on the sign or scale of the pair."""
+
+    SCALES = [-1, Fraction(1, 10 ** 12), 10 ** 12, Fraction(-3, 7)]
+    DIRECTIONS = [(1, 0), (0, 1), (1, -1), (3, -7)] + _float_units(200, 18)
+
+    @staticmethod
+    def _scaled(problem, c):
+        f = problem.rational()
+        g = RationalFunction(problem.numer.scale(c), problem.denom.scale(c),
+                             problem.singular_points)
+        assert g == f
+        return f, g
+
+    @pytest.mark.parametrize("c", SCALES, ids=str)
+    @pytest.mark.parametrize("name, centre", [
+        ("fig1", (0, 0)), ("multi3", (0, 0)), ("multi3", (3, 0)),
+        ("multi3", (0, 3)), ("counterex", (0, 0)),
+    ])
+    def test_verdicts_and_taylor_lines(self, name, centre, c):
+        f, g = self._scaled(load_bundled(name), c)
+        ours, theirs = analyze_singularity(f, centre), analyze_singularity(g, centre)
+        for d in self.DIRECTIONS:
+            assert _verdict_bits(ours, d) == _verdict_bits(theirs, d), d
+            assert (_line_raises(f, centre, d, ours)
+                    == _line_raises(g, centre, d, theirs)), d
+
+    @pytest.mark.parametrize("c", SCALES, ids=str)
+    def test_trail_of_the_fig1_reference_run(self, c):
+        f, g = self._scaled(load_bundled("fig1"), c)
+        trace = optimize(f, (2.0, -0.1), DescentConfig())
+        ours = direction_trail(trace, analyze_singularity(f, (0, 0)))
+        theirs = direction_trail(trace, analyze_singularity(g, (0, 0)))
+        assert trail_certifies_safe_approach(ours) is True
+        assert trail_certifies_safe_approach(theirs) is True
+        assert theirs.min_tail_pencil == pytest.approx(ours.min_tail_pencil, rel=1e-15)
