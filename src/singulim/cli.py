@@ -2,10 +2,11 @@
 
 Exit codes: 0 success; 1 when the library rejects an input (a ValueError
 such as a dimension mismatch, a non-finite point, an unsafe direction or an
-unbounded function) or overflows a float (an OverflowError); 2 for malformed input (an unparsable list, an option
-out of range, a malformed problem file or trace) and for file errors.  main
-is the one place that maps a failure to its code, and it reports each as
-one `error:` line on stderr.
+unbounded function) or overflows a float (an OverflowError); 2 for malformed
+input (an unparsable list, an option out of range, a malformed problem file,
+trace or tensor target) and for file errors.  main is the one place that
+maps a failure to its code, and it reports each as one `error:` line on
+stderr.
 Every produced artifact is deterministic for fixed inputs; randomized helpers
 (--random-directions) honor the SINGULIM_SEED environment variable.
 """
@@ -50,6 +51,7 @@ from .problems import (
     ProblemFormatError,
     load_problem,
     poly_to_terms,
+    problem_from_bytes,
     save_problem,
     write_bundled,
 )
@@ -101,6 +103,28 @@ def _require(ok: bool, flag: str, value, need: str) -> None:
         raise CliError(f"{flag}: got {value}, need {need}", EXIT_MALFORMED)
 
 
+def _check_target(nested) -> None:
+    """Raise CliError unless nested is a rectangular nested list of finite
+    JSON numbers (true and false are not numbers), level by level, so that
+    no depth of nesting recurses."""
+    level = [nested]
+    while level and isinstance(level[0], list):
+        if not all(isinstance(v, list) and len(v) == len(level[0]) for v in level):
+            break
+        level = [v for row in level for v in row]
+    if any(isinstance(v, list) for v in level):
+        raise CliError("--target: nested lists of unequal lengths or depths",
+                       EXIT_MALFORMED)
+    for v in level:
+        try:
+            finite = type(v) in (int, float) and math.isfinite(v)
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not finite:
+            text = "an object" if isinstance(v, dict) else json.dumps(v)
+            raise CliError(f"--target: {text} is not a finite number", EXIT_MALFORMED)
+
+
 def _check_output_dirs(*paths) -> None:
     """Fail before anything is computed or written when an output's
     directory is missing, so a failed command leaves no output behind."""
@@ -117,8 +141,11 @@ def _seeded_rng() -> random.Random:
 
 def cmd_optimize(args) -> int:
     _check_output_dirs(args.trace_out, args.grid_out)
-    f = load_problem(args.problem).rational()
-    problem_sha256 = hashlib.sha256(Path(args.problem).read_bytes()).hexdigest()
+    # One read: the sidecar's digest is of the bytes that were optimized.
+    path = Path(args.problem)
+    data = path.read_bytes()
+    f = problem_from_bytes(data, source=str(path)).rational()
+    problem_sha256 = hashlib.sha256(data).hexdigest()
     x0 = _parse_csv_point(args.x0, "--x0")
     cfg = DescentConfig(
         sigma_armijo=args.sigma,
@@ -298,11 +325,14 @@ def cmd_tensor(args) -> int:
     except ValueError:
         raise CliError(f"--dims: {args.dims!r} is not a comma-separated integer list",
                        EXIT_MALFORMED)
-    with open(args.target) as handle:
+    with open(args.target, encoding="utf-8") as handle:
         try:
             nested = json.load(handle)
-        except json.JSONDecodeError as exc:
+        # Invalid JSON or UTF-8, an integer past the digit limit, or nesting
+        # too deep for the decoder.
+        except (ValueError, RecursionError) as exc:
             raise CliError(f"--target: invalid JSON: {exc}", EXIT_MALFORMED)
+    _check_target(nested)
     model = CPModel(dims, args.rank)
     obj = build_cp_objective(model, nested)
     problem = ProblemFile(

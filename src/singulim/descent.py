@@ -64,11 +64,12 @@ class DescentConfig:
             raise ValueError("sigma_armijo must lie in (0, 1)")
         if not 0.0 < self.backtrack_factor < 1.0:
             raise ValueError("backtrack_factor must lie in (0, 1)")
-        if self.initial_step <= 0.0:
-            raise ValueError("initial_step must be positive")
+        if not 0.0 < self.initial_step < math.inf:
+            raise ValueError("initial_step must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if self.grad_tol < 0.0:
+        # inf, stop at once, is allowed; NaN fails the comparison.
+        if not self.grad_tol >= 0.0:
             raise ValueError("grad_tol must be non-negative")
 
 
@@ -291,6 +292,9 @@ def write_trace_csv(
 def read_trace_csv(path, stop_reason: str = STOP_MAX_ITERS) -> DescentTrace:
     """Re-ingest a trace CSV written by write_trace_csv.
 
+    The rows must have the writer's layout: f and grad_norm on every row (on
+    none of a one-row trace, whose start is outside the domain), step_norm
+    and alpha on every row but the last; anything else raises ValueError.
     The stop reason comes from the sidecar <path>.meta.json; stop_reason is
     used for a trace that has none.
     """
@@ -302,19 +306,29 @@ def read_trace_csv(path, stop_reason: str = STOP_MAX_ITERS) -> DescentTrace:
         n = len(header) - 5
         if n < 1:
             raise ValueError(f"{path}: malformed trace header {header}")
-        iterates, f_values, grad_norms, step_norms, alphas = [], [], [], [], []
-        for row in reader:
-            if len(row) != len(header):
-                raise ValueError(f"{path}: row length mismatch: {row}")
-            iterates.append(tuple(float(v) for v in row[1:1 + n]))
-            if row[1 + n]:
-                f_values.append(float(row[1 + n]))
-                grad_norms.append(float(row[2 + n]))
-            if row[3 + n]:
-                step_norms.append(float(row[3 + n]))
-                alphas.append(float(row[4 + n]))
-    if not iterates:
+        rows = list(reader)
+    if not rows:
         raise ValueError(f"{path}: empty trace")
+    last = len(rows) - 1
+    with_values = last > 0 or any(rows[0][1 + n:3 + n])
+    iterates, f_values, grad_norms, step_norms, alphas = [], [], [], [], []
+    for k, row in enumerate(rows):
+        if len(row) != len(header):
+            raise ValueError(f"{path}: row length mismatch: {row}")
+        iterates.append(tuple(float(v) for v in row[1:1 + n]))
+        values, steps = row[1 + n:3 + n], row[3 + n:]
+        if any(bool(v) != with_values for v in values):
+            raise ValueError(f"{path}: row {k}: f and grad_norm must be on every row")
+        if any(bool(v) != (k < last) for v in steps):
+            raise ValueError(
+                f"{path}: row {k}: step_norm and alpha must be on every row but the last"
+            )
+        if with_values:
+            f_values.append(float(values[0]))
+            grad_norms.append(float(values[1]))
+        if k < last:
+            step_norms.append(float(steps[0]))
+            alphas.append(float(steps[1]))
     meta = read_trace_meta(path)
     return DescentTrace(
         tuple(iterates),

@@ -257,7 +257,7 @@ class Polynomial:
         points once.
         """
         if self._evaluator is None:
-            self._evaluator = _Evaluator(self.n_vars, self.terms)
+            self._evaluator = _Evaluator((0.0,) * self.n_vars, self.terms)
         return self._evaluator
 
     def eval_exact(self, x: Sequence) -> Fraction:
@@ -593,8 +593,9 @@ class _Evaluator:
     """Float value of a polynomial, or of a quotient p/q with its gradient.
 
     Called as evaluator.evaluate(x, grad) at a point x of the right length,
-    it evaluates at d = x - centre (at x itself without a centre), each
-    coordinate converted by float().  Built from one term map, it returns the
+    it evaluates at d = x - centre, each coordinate converted by float(); the
+    centre's length is the number of variables, and a polynomial's centre is
+    the origin.  Built from one term map, it returns the
     polynomial's value and ignores grad.  Built from a numerator and a
     denominator, it raises DomainViolation(x, q) where |q| < DENOM_FLOOR,
     else returns f = p/q, or (f, grad f) when grad is set.  The gradient is
@@ -631,7 +632,9 @@ class _Evaluator:
     The first evaluate call runs loop.  The second generates one
     straight-line function per method that forms the same differences,
     powers, products, sums, quotients and comparisons in the same order, so
-    every call returns the same bits; search generates at once, with trials
+    every call returns the same bits.  It leaves out the difference for each
+    coordinate of the centre that is 0.0, since v - 0.0 is v bit for bit
+    (-0.0, infinities and NaN included); search generates at once, with trials
     as locals and the whole ladder in one frame.  They go into the instance
     dict (hence no __slots__), where they shadow the methods, so later calls
     run them directly and no stored bound method ties the evaluator into a
@@ -642,13 +645,13 @@ class _Evaluator:
 
     def __init__(
         self,
-        n_vars: int,
+        centre: tuple[float, ...],
         numer: Mapping[Exponent, Rational],
         denom: Mapping[Exponent, Rational] | None = None,
-        centre: tuple[float, ...] | None = None,
         inner: Sequence[Mapping[Exponent, Rational]] | None = None,
         dispatch: tuple[tuple[float, ...], ...] | None = None,
     ):
+        n_vars = len(centre)
         term_maps = [numer] if denom is None else [numer, denom]
         # The variables of numer and denom: x itself, or the u_k.
         n_outer = n_vars if inner is None else len(inner)
@@ -692,8 +695,8 @@ class _Evaluator:
         """A polynomial's values at many points at once.
 
         columns[i] holds the i-th coordinates of the points, as numpy float
-        arrays of one length; the evaluator has no denominator, centre or
-        inner.  _power_table and _eval_compiled run unchanged on the
+        arrays of one length; the evaluator has no denominator or inner,
+        and the origin as its centre.  _power_table and _eval_compiled run unchanged on the
         columns, so each entry is formed by the same products and sums, in
         the same order, as evaluate at that point, and has the same bits.
         A polynomial with no variable in any term returns its float value.
@@ -746,10 +749,7 @@ class _Evaluator:
         """(powers, outer, values) at x: the power tables of the coordinates
         after the centre and of the term maps' variables (the same table
         without inner), and the term maps' values."""
-        if self.centre is None:
-            coords = [float(v) for v in x]
-        else:
-            coords = [float(v) - c for v, c in zip(x, self.centre)]
+        coords = [float(v) - c for v, c in zip(x, self.centre)]
         powers = _power_table(coords, self.max_deg)
         outer = powers
         if self.inner is not None:
@@ -789,10 +789,10 @@ class _Evaluator:
             powers += _power_lines("u", self.outer_max_deg)
             var = "u"
         lines = ["def evaluate(x, grad):", f"    {_tuple_source(names)} = x"]
-        if self.centre is None:
-            lines += [f"    {n} = float({n})" for n in names]
-        else:
-            lines += [f"    {n} = float({n}) - {c!r}" for n, c in zip(names, self.centre)]
+        lines += [
+            f"    {n} = float({n})" + (f" - {c!r}" if c else "")
+            for n, c in zip(names, self.centre)
+        ]
         lines += powers
         namespace = {}
         if not self.partials:
@@ -865,8 +865,9 @@ class _Evaluator:
         """search_loop as statements, one trial per pass of its loop; value
         leaves p and q at the coordinates names."""
         n = len(names)
-        # Trial coordinates; in the origin's chart, the coordinates themselves.
-        trial = names if self.centre is None else [f"t{i}" for i in range(n)]
+        # Trial coordinates: t_i where the centre's coordinate is not 0.0,
+        # else x_i itself.
+        trial = [f"t{i}" if c else names[i] for i, c in enumerate(self.centre)]
         lines = [
             "def search(x, fx, grad, g_sq, alpha, sigma, factor, budget, charts):",
             f"    {_tuple_source(f'a{i}' for i in range(n))} = x",
@@ -879,7 +880,7 @@ class _Evaluator:
         if self.dispatch is not None:
             # _nearest's rule: the first nearest centre, the origin where
             # every distance is NaN.
-            own = 0 if self.centre is None else self.dispatch.index(self.centre)
+            own = self.dispatch.index(self.centre)
             lines += [f"        t = {_tuple_source(trial)}", "        j, nearest = 0, inf"]
             for j, c in enumerate(self.dispatch):
                 lines += [
@@ -892,11 +893,9 @@ class _Evaluator:
                 "x, fx, grad, g_sq, alpha, sigma, factor, budget, charts)",
             ]
         lines.append("        budget -= 1")
-        if self.centre is not None:
-            lines += [
-                f"        {n_} = {t} - {c!r}"
-                for n_, t, c in zip(names, trial, self.centre)
-            ]
+        lines += [
+            f"        {x} = {t} - {c!r}" for x, t, c in zip(names, trial, self.centre) if c
+        ]
         lines += _indent(value)
         lines += [
             "        if abs(q) < DENOM_FLOOR:",
@@ -949,9 +948,9 @@ class RationalFunction:
 
     Float evaluation of p and q, expansions about the origin, loses accuracy
     far from it, where the terms cancel.  singular_points declares the
-    points where accuracy matters.  A point nearer to a declared point c
-    than to the origin and to every other declared point is
-    evaluated in the local chart p(c + d)/q(c + d) at d = x - c.  The chart
+    points where accuracy matters; they and the origin are the centres.  A
+    point is evaluated in the chart of its nearest centre c, the local chart
+    p(c + d)/q(c + d) at d = x - c.  The chart
     is centred at the float nearest c, so x - c is exact near c (Sterbenz),
     and its coefficients are exact Taylor shifts of p and q, built on first
     use.  Each chart is an _Evaluator: looped on its first call, straight-line
@@ -987,7 +986,9 @@ class RationalFunction:
         for point in singular_points:
             point = tuple(point)
             bases.append(point)
-            centre = tuple(float(v) for v in point)
+            # + 0.0 turns -0.0 into 0.0.  A chart leaves out the difference
+            # for a zero coordinate, the identity for 0.0 only.
+            centre = tuple(float(v) + 0.0 for v in point)
             if len(centre) != n_vars:
                 raise DimensionError(
                     f"singular point {centre} has {len(centre)} coordinates, "
@@ -1074,35 +1075,29 @@ class RationalFunction:
         return self._denom
 
     def _chart(self, x: Sequence[float]) -> _Evaluator:
-        """The chart that evaluates x: the evaluator of p/q about its centre.
-
-        The origin's chart evaluates the factors p and q, through inner when
-        it is set; a declared centre's chart evaluates their exact shifts.
-        with_common_factor declares no centre, so inner has no shifted chart.
-        """
+        """The chart that evaluates x: the evaluator of p/q about its centre,
+        the nearest of the origin and the declared centres."""
         self._check_point(x)
         centre = self._origin if self._centres is None else _nearest(x, self._centres)
         return self._charts.get(centre) or self._chart_at(centre)
 
     def _chart_at(self, centre: tuple[float, ...]) -> _Evaluator:
-        """The chart about centre, one of the origin and _centres."""
+        """The chart about centre, one of the origin and _centres.
+
+        Its term maps are those of p and q, exactly Taylor-shifted to a
+        centre other than the origin, in the variables of inner when it is
+        set.  with_common_factor declares no centre, so inner only ever meets
+        the origin.
+        """
         chart = self._charts.get(centre)
         if chart is None:
-            p, q, _ = self._factors
-            if centre is self._origin:
-                inner = None if self._inner is None else [u.terms for u in self._inner]
-                chart = _Evaluator(
-                    self.n_vars, p.terms, q.terms, inner=inner, dispatch=self._centres
-                )
-            else:
-                chart = _Evaluator(
-                    self.n_vars,
-                    _shift_terms(p.terms, centre),
-                    _shift_terms(q.terms, centre),
-                    centre,
-                    dispatch=self._centres,
-                )
-            self._charts[centre] = chart
+            terms = [factor.terms for factor in self._factors[:2]]
+            if any(centre):
+                terms = [_shift_terms(t, centre) for t in terms]
+            inner = None if self._inner is None else [u.terms for u in self._inner]
+            chart = self._charts[centre] = _Evaluator(
+                centre, *terms, inner=inner, dispatch=self._centres
+            )
         return chart
 
     def eval(self, x: Sequence[float]) -> float:

@@ -8,6 +8,7 @@ write -> read -> write round trip is byte-identical.
 Format rules, each enforced on load with a ProblemFormatError that names the
 field ("numer[3]", "singular_points[0]"):
 
+- the file is UTF-8 text;
 - "n_vars" is a JSON integer >= 1 (not true, 2.0 or "2");
 - a coefficient is a rational: a string that Fraction reads ("-3", "7/2",
   "0.25", "1e-3") or a JSON number, not true or false; the writer emits
@@ -144,7 +145,9 @@ def problem_to_json(problem: ProblemFile) -> str:
 def problem_from_json(text: str, source: str = "<string>") -> ProblemFile:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # Invalid JSON, an integer past the digit limit, or nesting too deep for
+    # the decoder.
+    except (ValueError, RecursionError) as exc:
         raise ProblemFormatError(f"{source}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ProblemFormatError(f"{source}: top level must be an object")
@@ -187,9 +190,18 @@ def problem_from_json(text: str, source: str = "<string>") -> ProblemFile:
     )
 
 
+def problem_from_bytes(data: bytes, source: str) -> ProblemFile:
+    """problem_from_json of a problem file's bytes, decoded as UTF-8."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ProblemFormatError(f"{source}: not UTF-8 text: {exc}") from exc
+    return problem_from_json(text, source=source)
+
+
 def load_problem(path) -> ProblemFile:
     path = Path(path)
-    return problem_from_json(path.read_text(), source=str(path))
+    return problem_from_bytes(path.read_bytes(), source=str(path))
 
 
 def save_problem(problem: ProblemFile, path) -> None:

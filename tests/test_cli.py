@@ -556,15 +556,47 @@ class TestCli:
 
 @pytest.fixture(scope="module")
 def misuse_dir(workdir):
-    """workdir plus a short fig1 trace, a CP target, an unbounded problem and
-    problem files whose numbers JSON accepts but the format rejects."""
+    """workdir plus a short fig1 trace and copies of it off the writer's
+    layout, CP targets, an unbounded problem, problem files whose numbers
+    JSON accepts but the format rejects, and problem files that are not
+    UTF-8, nest too deep for the JSON decoder or hold an integer past its
+    digit limit."""
     from singulim.problems import ProblemFile
 
     assert main([
         "optimize", "--problem", str(workdir / "fig1.problem"), "--x0", "2,-0.1",
         "--max-iters", "20", "--trace-out", str(workdir / "misuse.trace.csv"),
     ]) == 0
+    rows = [line.split(",") for line in
+            (workdir / "misuse.trace.csv").read_text().splitlines()]
+    assert len(rows) == 22  # the header and 21 iterates
+    for name, row, columns, value in [
+        ("blank-f", 10, (3, 4), ""),
+        ("last-step", 21, (5, 6), "1"),
+        ("blank-step", 10, (5, 6), ""),
+    ]:
+        changed = [list(r) for r in rows]
+        for column in columns:
+            changed[row][column] = value
+        (workdir / f"{name}.trace.csv").write_text(
+            "".join(",".join(r) + "\n" for r in changed)
+        )
     (workdir / "misuse.target.json").write_text("[[1, 0], [0, 0]]")
+    for name, text in [
+        ("object", b'{"a": 1}'),
+        ("string", b'[[1, "a"], [2, 3]]'),
+        ("ragged", b"[[1, 2], [3]]"),
+        ("nan", b"[[NaN, 2], [3, 4]]"),
+        ("inf", b"[[1, 2], [Infinity, 4]]"),
+        ("bool", b"[[true, 2], [3, 4]]"),
+        ("latin1", b"[[1, 2], [3, 4]] \xff"),
+        ("deep", b"[" * 100_000 + b"]" * 100_000),
+        ("digits", b"[[1" + b"0" * 5000 + b", 2], [3, 4]]"),
+    ]:
+        (workdir / f"{name}.target.json").write_bytes(text)
+    (workdir / "latin1.problem").write_bytes(
+        (workdir / "fig1.problem").read_bytes().replace(b'"fig1"', b'"fig1\xff"')
+    )
     # Squared offsets from 0 that sum past the largest float.
     huge = [(1.2e154, 1.2e154), (1.2e154, -1.2e154), (-1.2e154, 1.2e154)]
     write_trace_csv(DescentTrace(tuple(huge), (3.0, 2.0, 1.0), (1.0,) * 3,
@@ -587,6 +619,8 @@ def misuse_dir(workdir):
                      "denom": [{"coeff": "1", "exps": [0]}, {"coeff": "1", "exps": [2]}]}),
     ]:
         (workdir / f"{name}.problem").write_text(json.dumps(doc))
+    (workdir / "deep.problem").write_text("[" * 100_000 + "]" * 100_000)
+    (workdir / "digits.problem").write_text('{"n_vars": 1' + "0" * 5000 + "}")
     return workdir
 
 
@@ -634,6 +668,23 @@ _TEN = ["tensor", "--dims", "2,2", "--emit-problem", "{d}/misuse.cp.problem"]
                  id="tensor-bad-rank"),
     pytest.param(_TEN + ["--rank", "1", "--target", "{d}/no-such.json"], 2,
                  id="tensor-missing-target"),
+    *(pytest.param(_TEN + ["--rank", "1", "--target", f"{{d}}/{name}.target.json"], 2,
+                   id=f"tensor-target-{name}")
+      for name in ("object", "string", "ragged", "nan", "inf", "bool", "latin1",
+                   "deep", "digits")),
+    *(pytest.param(_OPT + ["--x0", "2,-0.1", option, value,
+                           "--trace-out", "{d}/misuse.out.csv"], 1,
+                   id=f"optimize{option[1:]}-{value}")
+      for option, value in [("--step0", "nan"), ("--step0", "inf"),
+                            ("--grad-tol", "nan")]),
+    *(pytest.param(["diagnose", "--problem", "{d}/fig1.problem",
+                    "--trace", f"{{d}}/{name}.trace.csv"], 2, id=f"diagnose-{name}")
+      for name in ("blank-f", "last-step", "blank-step")),
+    pytest.param(["analyze", "--problem", "{d}/latin1.problem", "--point", "0,0"], 2,
+                 id="analyze-problem-not-utf8"),
+    pytest.param(["optimize", "--problem", "{d}/latin1.problem", "--x0", "2,-0.1",
+                  "--trace-out", "{d}/misuse.out.csv"], 2,
+                 id="optimize-problem-not-utf8"),
     pytest.param(["diagnose", "--problem", "{d}/fig1.problem",
                   "--trace", "{d}/no-such.csv"], 2, id="diagnose-missing-trace"),
     pytest.param(["diagnose", "--problem", "{d}/fig1.problem", "--trace",
@@ -653,6 +704,10 @@ _TEN = ["tensor", "--dims", "2,2", "--emit-problem", "{d}/misuse.cp.problem"]
                  id="problem-negative-exponent"),
     pytest.param(["analyze", "--problem", "{d}/big-exp.problem", "--point", "1",
                   "--direction", "1"], 2, id="problem-exponent-above-cap"),
+    pytest.param(["analyze", "--problem", "{d}/deep.problem", "--point", "0"], 2,
+                 id="problem-nesting-too-deep"),
+    pytest.param(["analyze", "--problem", "{d}/digits.problem", "--point", "0"], 2,
+                 id="problem-integer-too-long"),
 ])
 def test_misuse_ends_in_one_error_line(misuse_dir, capsys, argv, code):
     argv = [arg.format(d=misuse_dir) for arg in argv]

@@ -138,10 +138,17 @@ class TestConfig:
         {"initial_step": 0.0},
         {"max_iters": 0},
         {"grad_tol": -1.0},
+        {"initial_step": math.nan},
+        {"initial_step": math.inf},
+        {"grad_tol": math.nan},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             DescentConfig(**kwargs)
+
+    def test_infinite_grad_tol_stops_at_once(self):
+        trace = optimize(_pinch(), (2.0, -0.1), DescentConfig(grad_tol=math.inf))
+        assert len(trace) == 1 and trace.stop_reason == "grad_tol"
 
 
 class TestOptimize:
@@ -676,6 +683,38 @@ class TestTracePersistence:
             (tmp_path / "run.trace.csv.meta.json").write_text(text)
             with pytest.raises(ValueError):
                 read_trace_csv(path)
+
+    @pytest.mark.parametrize("trace", [
+        DescentTrace(((3.0, 0.0),), (), (), (), (), "domain_violation"),
+        DescentTrace(((2.0, -0.1),), (0.5,), (1.0,), (), (), "grad_tol"),
+    ], ids=["start-outside-domain", "stop-at-start"])
+    def test_one_row_traces_round_trip(self, tmp_path, trace):
+        path = tmp_path / "one.trace.csv"
+        write_trace_csv(trace, path)
+        assert read_trace_csv(path) == trace
+
+    @pytest.mark.parametrize("row, columns, value", [
+        (10, (3, 4), ""),
+        (20, (5, 6), "1"),
+        (10, (5, 6), ""),
+        (0, (3, 4), ""),
+        (20, (3, 4), ""),
+    ], ids=["blank-f-middle", "step-on-last-row", "blank-step-middle",
+            "blank-f-first", "blank-f-last"])
+    def test_rows_off_the_writers_layout_rejected(self, tmp_path, row, columns, value):
+        """f and grad_norm belong on every row, step_norm and alpha on
+        every row but the last; a row without them would misalign the
+        columns against the iterates."""
+        trace = optimize(_pinch(), (2.0, -0.1), DescentConfig(max_iters=20))
+        assert len(trace) == 21
+        path = tmp_path / "run.trace.csv"
+        write_trace_csv(trace, path)
+        lines = [line.split(",") for line in path.read_text().splitlines()]
+        for column in columns:
+            lines[1 + row][column] = value
+        path.write_text("".join(",".join(line) + "\n" for line in lines))
+        with pytest.raises(ValueError, match=f"row {row}:"):
+            read_trace_csv(path)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -789,7 +789,10 @@ def quotients(draw):
     at the point zero.
 
     Declared centres: p/q with q = r * sum_i (x_i - zero_i)^2, zero declared
-    first and up to two random rational centres after it.  Composed:
+    first, up to two random rational centres after it and, in 2-3
+    variables, one centre with a zero and a non-zero coordinate, as multi3's
+    (3, 0), whose charts' generated code subtracts the non-zero ones only.
+    Composed:
     with_common_factor(p, q, 1, inner=u), 1-3 polynomials u_k that vanish at
     zero, the origin, and q = r * sum_k y_k^2 in their variables y.
     """
@@ -800,6 +803,11 @@ def quotients(draw):
         r = 1 + draw(polynomials(n, max_degree=2, max_terms=3))
         assume(not r.is_zero())
         centres = draw(st.lists(st.tuples(*[rationals] * n), max_size=2))
+        if n > 1:
+            mixed = [draw(rationals) for _ in range(n)]
+            i, j = draw(st.permutations(range(n)))[:2]
+            mixed[i], mixed[j] = 0, draw(rationals.filter(bool))
+            centres.append(tuple(mixed))
         return RationalFunction(draw(polynomials(n)), r * s, [zero] + centres), zero
     m = draw(st.integers(1, 3))
     zero = (0,) * n
@@ -837,7 +845,8 @@ class TestGeneratedCode:
         for c in (f._centres or ())[1:]:
             grad = [a - b for a, b in zip(zero_point, c)]
             searches.append((zero_point, math.inf, grad, math.fsum(g * g for g in grad), 1.0))
-        steps = st.integers(-64, 64).map(lambda k: k / 16)
+        # Sixteenths in [-4, 4], and -0.0 about one draw in nine.
+        steps = st.integers(-64, 80).map(lambda k: k / 16 if k <= 64 else -0.0)
         for _ in range(4):
             x = tuple(data.draw(steps) for _ in range(f.n_vars))
             grad = [data.draw(steps) for _ in range(f.n_vars)]
