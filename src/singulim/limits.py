@@ -5,12 +5,13 @@ Covers cluster-point detection, direction trails against a line pencil
 sequence-level Lojasiewicz certificates, and convergence-rate classification
 into linear / sublinear regimes.
 
-direction_trail works on the whole trace as arrays, with the bits of a loop
-over the iterates, and the line fits are closed-form.  The residual powers
-r ** (1 - theta) of lojasiewicz_probe and verify_certificate stay a loop
-over Python floats: np.power is not the C library's pow, and on an AVX-512
-machine it differed from it in the last bit on 10 620 of 200 000 residuals
-at exponent 0.95, which would move certificate constants.
+direction_trail works on the whole trace as arrays (eval_float on numpy
+columns), with the bits of a loop over the iterates, and the line fits are
+closed-form.  The residual powers r ** (1 - theta) of lojasiewicz_probe and
+verify_certificate stay a loop over Python floats: np.power is not the C
+library's pow, and on an AVX-512 machine it differed from it in the last bit
+on 10 620 of 200 000 residuals at exponent 0.95, which would move
+certificate constants.
 """
 
 from __future__ import annotations
@@ -128,10 +129,10 @@ def direction_trail(
     The whole trace is one array: each difference, square, quotient and
     square root is the elementwise IEEE operation a loop over the iterates
     would make, each squared norm is math.fsum over its row, and the leading
-    polynomial runs once over the columns of unit directions
-    (_Evaluator.evaluate_columns), so every direction and value has the bits
-    of the per-point loop.  The minimum is taken over Python floats, so a
-    NaN value counts where that loop's would.
+    polynomial's eval_float runs once over the columns of unit directions,
+    so every direction and value has the bits of the per-point loop.  The
+    minimum is taken over Python floats, so a NaN value counts where that
+    loop's would.
     """
     center = tuple(float(v) for v in pencil.base)
     if len(center) != len(trace.iterates[0]):
@@ -148,9 +149,7 @@ def direction_trail(
         units = delta[kept] / norms[kept, None]
         if not len(units):
             raise ValueError("every iterate coincides with the pencil base")
-        # Every unit direction has the base's length, so the leading
-        # polynomial's evaluator is called without eval_float's check.
-        values = pencil.leading._float_evaluator().evaluate_columns(list(units.T))
+        values = pencil.leading.eval_float(list(units.T))
     values = np.broadcast_to(values, len(units)).tolist()
     if tail_start is None:
         tail_start = len(values) // 2
@@ -330,9 +329,10 @@ def rate_classify(
         sub_slope, _, sub_r2 = _linear_fit(np.log(k_arr[positive]), log_r[positive])
     else:
         sub_slope, sub_r2 = 0.0, -math.inf
-    if max(lin_r2, sub_r2) < MIN_FIT_QUALITY:
-        return RateEstimate("inconclusive", fit_quality=max(lin_r2, sub_r2),
-                            detail="both regressions fit poorly")
+    best = max(lin_r2, sub_r2)
+    if best < MIN_FIT_QUALITY:
+        detail = f"both regressions fit poorly: best R^2 {best:.6g} < {MIN_FIT_QUALITY}"
+        return RateEstimate("inconclusive", fit_quality=best, detail=detail)
     if lin_r2 >= sub_r2:
         return RateEstimate("linear", q=math.exp(lin_slope), fit_quality=lin_r2)
     p = -sub_slope

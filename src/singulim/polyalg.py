@@ -30,9 +30,9 @@ Compiled = list[tuple[float, tuple[tuple[int, int], ...]]]
 # of an expression and overflows the C stack on sums of a few thousand terms.
 TERMS_PER_STATEMENT = 200
 
-# Evaluation treats |denominator| below this as a domain violation (the
-# denominator of RationalFunction's evaluation pair); the optimizer's stopping
-# rules keep iterates off the singular set itself.
+# Evaluation treats |denominator| below this as a domain violation (q of
+# RationalFunction's evaluation pair, in its chart's scale: _Evaluator); the
+# optimizer's stopping rules keep iterates off the singular set itself.
 DENOM_FLOOR = 1e-300
 
 
@@ -74,7 +74,7 @@ def _coefficient(value):
 class Polynomial:
     """Sparse multivariate polynomial with exact rational coefficients."""
 
-    __slots__ = ("n_vars", "terms", "_evaluator")
+    __slots__ = ("n_vars", "terms")
 
     def __init__(self, n_vars: int, terms: Mapping[Exponent, Fraction] | None = None):
         if n_vars < 0:
@@ -94,7 +94,6 @@ class Polynomial:
                 if coeff != 0:
                     canonical[exps] = coeff
         self.terms = canonical
-        self._evaluator: _Evaluator | None = None
 
     @classmethod
     def _trusted(cls, n_vars: int, terms: dict) -> "Polynomial":
@@ -106,7 +105,6 @@ class Polynomial:
         poly = cls.__new__(cls)
         poly.n_vars = n_vars
         poly.terms = terms
-        poly._evaluator = None
         return poly
 
     # -- constructors ------------------------------------------------------
@@ -246,19 +244,14 @@ class Polynomial:
             )
 
     def eval_float(self, x: Sequence[float]) -> float:
-        """Floating-point evaluation, summing the terms in dict order."""
-        self._check_point(x)
-        return self._float_evaluator().evaluate(x, False)
+        """Floating-point evaluation, summing the terms in dict order.
 
-    def _float_evaluator(self) -> "_Evaluator":
-        """The evaluator behind eval_float.
-
-        Its evaluate(x, False) checks nothing, for loops that validate their
-        points once.
+        Coordinates given as numpy arrays of one length give each entry the
+        bits of the evaluation at that point (a constant gives one float).
         """
-        if self._evaluator is None:
-            self._evaluator = _Evaluator((0.0,) * self.n_vars, self.terms)
-        return self._evaluator
+        self._check_point(x)
+        max_deg = _max_degrees(self.n_vars, [self.terms])
+        return _eval_compiled(_compile_terms(self.terms, 0), _power_table(x, max_deg))
 
     def eval_exact(self, x: Sequence) -> Fraction:
         """Exact evaluation at a point with rational coordinates."""
@@ -469,31 +462,39 @@ def _shift_terms(terms: Mapping[Exponent, Rational], offset: Sequence) -> dict:
     return _polynomial(len(offset), numerators, d).terms
 
 
-def _compile_terms(terms: Mapping[Exponent, Rational]) -> Compiled:
+def _binary_exponent(value: Rational) -> int:
+    """The e with 2^e <= |value| < 2^(e+1), value a non-zero rational."""
+    n, d = abs(value.numerator), value.denominator
+    e = n.bit_length() - d.bit_length()
+    return e if n << max(-e, 0) >= d << max(e, 0) else e - 1
+
+
+def _rounded(n: int, d: int, k: int) -> float:
+    """n * 2^k / d as a float: int true division rounds it once, correctly,
+    as float(Fraction(n * 2^k, d)) does."""
+    return (n << k) / d if k >= 0 else n / (d << -k)
+
+
+def _compile_terms(terms: Mapping[Exponent, Rational], k: int) -> Compiled:
+    """The float form of the term map times 2^k, each coefficient rounded once."""
     return [
-        (float(coeff), tuple((i, e) for i, e in enumerate(exps) if e))
+        (_rounded(coeff.numerator, coeff.denominator, k),
+         tuple((i, e) for i, e in enumerate(exps) if e))
         for exps, coeff in terms.items()
     ]
 
 
 def _compile_gradient(
-    terms: Mapping[Exponent, Rational], compiled: Compiled, n_vars: int
+    terms: Mapping[Exponent, Rational], compiled: Compiled, n_vars: int, k: int
 ) -> list[Compiled]:
-    """_compile_terms of each partial derivative, in one pass over the terms.
-
-    compiled is _compile_terms(terms), whose (variable, power) pairs it
-    reuses.  Each coefficient is float(c*e), formed for a Fraction c as the
-    int quotient c.numerator*e / c.denominator: correctly rounded, like
-    float(), so the same float.
-    """
+    """_compile_terms(_, k) of each partial derivative, in one pass over the
+    terms; compiled is _compile_terms(terms, k), whose (variable, power)
+    pairs it reuses."""
     out: list[Compiled] = [[] for _ in range(n_vars)]
     for coeff, (_, pairs) in zip(terms.values(), compiled):
         for j, (i, e) in enumerate(pairs):
             lowered = ((i, e - 1),) if e > 1 else ()
-            value = (
-                float(coeff * e) if type(coeff) is int
-                else coeff.numerator * e / coeff.denominator
-            )
+            value = _rounded(coeff.numerator * e, coeff.denominator, k)
             out[i].append((value, pairs[:j] + lowered + pairs[j + 1:]))
     return out
 
@@ -590,17 +591,20 @@ def _chain_sum(outer_grad: Sequence[float], row: Sequence[tuple[int, float]]) ->
 
 
 class _Evaluator:
-    """Float value of a polynomial, or of a quotient p/q with its gradient.
+    """Float value of a quotient chart p/q, with its gradient, and its
+    Armijo search.
 
     Called as evaluator.evaluate(x, grad) at a point x of the right length,
-    it evaluates at d = x - centre, each coordinate converted by float(); the
-    centre's length is the number of variables, and a polynomial's centre is
-    the origin.  Built from one term map, it returns the
-    polynomial's value and ignores grad.  Built from a numerator and a
-    denominator, it raises DomainViolation(x, q) where |q| < DENOM_FLOOR,
-    else returns f = p/q, or (f, grad f) when grad is set.  The gradient is
-    (q grad p - p grad q) / q^2, or (grad p - f grad q) / q where q^2 is zero,
-    subnormal or infinite although q is not.
+    it evaluates p and q at d = x - centre, each coordinate converted by
+    float(); the centre's length is the number of variables.  It raises
+    DomainViolation(x, q) where |q| < DENOM_FLOOR, else returns f = p/q, or
+    (f, grad f) when grad is set.  The gradient is (q grad p - p grad q) / q^2,
+    or (grad p - f grad q) / q where q^2 is zero, subnormal or infinite
+    although q is not.  p and q are compiled times 2^k, the power of two
+    that brings q's largest |coefficient| into [1, 2), each coefficient
+    rounded once from the exact product.  That commutes with every float
+    operation short of under- and overflow, and both tests see q in that
+    scale.
 
     Built with inner = (u_0, ..., u_{m-1}), term maps in the n_vars
     variables, it evaluates a composed pair: numer and denom are term maps in
@@ -611,8 +615,8 @@ class _Evaluator:
     accuracy relative to u_k only, where the multiplied-out p and q would
     repeat it in every term.
 
-    A quotient's evaluator also runs the Armijo search, search(x, fx, grad,
-    g_sq, alpha, sigma, factor, budget, charts): search_loop below.  It
+    The evaluator also runs the Armijo search, search(x, fx, grad, g_sq,
+    alpha, sigma, factor, budget, charts): search_loop below.  It
     backtracks from alpha by factor, for at most budget trials, to the first
     trial t = x - alpha*grad where f is finite and
     fx - f >= sigma*alpha*g_sq > 0, and returns (t, f, alpha, grad f at t).
@@ -639,7 +643,7 @@ class _Evaluator:
     dict (hence no __slots__), where they shadow the methods, so later calls
     run them directly and no stored bound method ties the evaluator into a
     reference cycle: it is freed with its owner, not by the cycle collector.
-    Generating costs about a hundred looped evaluations, which a polynomial
+    Generating costs about a hundred looped evaluations, which a chart
     evaluated once never pays back.
     """
 
@@ -647,27 +651,29 @@ class _Evaluator:
         self,
         centre: tuple[float, ...],
         numer: Mapping[Exponent, Rational],
-        denom: Mapping[Exponent, Rational] | None = None,
+        denom: Mapping[Exponent, Rational],
         inner: Sequence[Mapping[Exponent, Rational]] | None = None,
         dispatch: tuple[tuple[float, ...], ...] | None = None,
     ):
         n_vars = len(centre)
-        term_maps = [numer] if denom is None else [numer, denom]
+        term_maps = [numer, denom]
         # The variables of numer and denom: x itself, or the u_k.
         n_outer = n_vars if inner is None else len(inner)
-        self.values = [_compile_terms(t) for t in term_maps]
+        # p and q times 2^k, with q's largest |coefficient| in [1, 2).
+        k = -_binary_exponent(max(map(abs, denom.values())))
+        self.values = [_compile_terms(t, k) for t in term_maps]
         self.partials = [
-            _compile_gradient(t, c, n_outer) for t, c in zip(term_maps, self.values)
-        ] if denom is not None else []
+            _compile_gradient(t, c, n_outer, k) for t, c in zip(term_maps, self.values)
+        ]
         self.outer_max_deg = _max_degrees(n_outer, term_maps)
         if inner is None:
             self.inner = self.jacobian = None
             self.max_deg = self.outer_max_deg
         else:
-            self.inner = [_compile_terms(t) for t in inner]
+            self.inner = [_compile_terms(t, 0) for t in inner]
             # Row i: (k, du_k/dx_i) for each u_k that depends on x_i.
             inner_gradients = [
-                _compile_gradient(t, c, n_vars) for t, c in zip(inner, self.inner)
+                _compile_gradient(t, c, n_vars, 0) for t, c in zip(inner, self.inner)
             ]
             self.jacobian = [
                 [(k, g[i]) for k, g in enumerate(inner_gradients) if g[i]]
@@ -691,29 +697,14 @@ class _Evaluator:
         vars(self).update(self.generate())
         return self.evaluate(x, grad)
 
-    def evaluate_columns(self, columns: Sequence):
-        """A polynomial's values at many points at once.
-
-        columns[i] holds the i-th coordinates of the points, as numpy float
-        arrays of one length; the evaluator has no denominator or inner,
-        and the origin as its centre.  _power_table and _eval_compiled run unchanged on the
-        columns, so each entry is formed by the same products and sums, in
-        the same order, as evaluate at that point, and has the same bits.
-        A polynomial with no variable in any term returns its float value.
-        """
-        return _eval_compiled(self.values[0], _power_table(columns, self.max_deg))
-
     def search(self, x, fx, grad, g_sq, alpha, sigma, factor, budget, charts):
-        """A quotient's Armijo search from x; see the class docstring."""
+        """The Armijo search from x; see the class docstring."""
         vars(self).update(self.generate())
         return self.search(x, fx, grad, g_sq, alpha, sigma, factor, budget, charts)
 
     def loop(self, x: Sequence, grad: bool):
         """The reference evaluation: term by term from a power table."""
-        powers, outer, values = self._sums(x)
-        if not self.partials:
-            return values[0]
-        p, q = values
+        powers, outer, (p, q) = self._sums(x)
         if abs(q) < DENOM_FLOOR:
             raise DomainViolation(x, q)
         f = p / q
@@ -776,7 +767,7 @@ class _Evaluator:
         return [(a - f * b) / q for a, b in zip(grad_p, grad_q)]
 
     def generate(self) -> dict:
-        """loop and, for a quotient, search_loop as straight-line code:
+        """loop and search_loop as straight-line code:
         {"evaluate": ..., "search": ...}."""
         names = [f"x{i}" for i in range(len(self.max_deg))]
         # The powers of x0, x1, ... (and, composed, the u_k and their
@@ -793,34 +784,28 @@ class _Evaluator:
             f"    {n} = float({n})" + (f" - {c!r}" if c else "")
             for n, c in zip(names, self.centre)
         ]
-        lines += powers
-        namespace = {}
-        if not self.partials:
-            lines += _sum_source("p", self.values[0], var)
-            lines.append("    return p")
-        else:
-            sums = _sum_source("p", self.values[0], var)
-            sums += _sum_source("q", self.values[1], var)
-            lines += [
-                *sums,
-                "    if abs(q) < DENOM_FLOOR:",
-                "        raise DomainViolation(x, q)",
-                "    f = p / q",
-                "    if not grad:",
-                "        return f",
-                *self._gradient_lines("f"),
-                *self._search_lines(names, powers + sums),
-            ]
-            namespace = {
-                "DENOM_FLOOR": DENOM_FLOOR, "FLOAT_MIN": sys.float_info.min,
-                "inf": math.inf, "DomainViolation": DomainViolation,
-                "dist": math.dist, "isfinite": math.isfinite, "CENTRES": self.dispatch,
-            }
+        sums = _sum_source("p", self.values[0], var)
+        sums += _sum_source("q", self.values[1], var)
+        lines += [
+            *powers,
+            *sums,
+            "    if abs(q) < DENOM_FLOOR:",
+            "        raise DomainViolation(x, q)",
+            "    f = p / q",
+            "    if not grad:",
+            "        return f",
+            *self._gradient_lines("f"),
+            *self._search_lines(names, powers + sums),
+        ]
+        namespace = {
+            "DENOM_FLOOR": DENOM_FLOOR, "FLOAT_MIN": sys.float_info.min,
+            "inf": math.inf, "DomainViolation": DomainViolation,
+            "dist": math.dist, "isfinite": math.isfinite, "CENTRES": self.dispatch,
+        }
         exec(compile("\n".join(lines), "<polyalg chart>", "exec"), namespace)
         # Taken out of the namespace, which is their globals: left in it,
         # each function would form a reference cycle with that dict.
-        return {name: namespace.pop(name) for name in ("evaluate", "search")
-                if name in namespace}
+        return {name: namespace.pop(name) for name in ("evaluate", "search")}
 
     def _gradient_lines(self, result: str) -> list[str]:
         """Statements that return result and _gradient's list, from the
@@ -953,8 +938,10 @@ class RationalFunction:
     p(c + d)/q(c + d) at d = x - c.  The chart
     is centred at the float nearest c, so x - c is exact near c (Sterbenz),
     and its coefficients are exact Taylor shifts of p and q, built on first
-    use.  Each chart is an _Evaluator: looped on its first call, straight-line
-    code from its second, with the same bits.
+    use.  Each chart is an _Evaluator: looped on its first call,
+    straight-line code from its second, with the same bits, and scaled by a
+    power of two so that the scale in which p and q are written does not
+    reach the floats.
     """
 
     __slots__ = (
@@ -1086,8 +1073,8 @@ class RationalFunction:
 
         Its term maps are those of p and q, exactly Taylor-shifted to a
         centre other than the origin, in the variables of inner when it is
-        set.  with_common_factor declares no centre, so inner only ever meets
-        the origin.
+        set.  with_common_factor declares no centre, so inner only ever
+        meets the origin.
         """
         chart = self._charts.get(centre)
         if chart is None:

@@ -8,9 +8,9 @@ the function extends to an analytic series in t whose trailing coefficients
 obey a linear recurrence, which in turn yields a conservative lower bound on
 the radius of convergence.
 
-Membership is decided by that definition, exactly, for every direction (a
-float coordinate is an exact dyadic rational), so no verdict depends on the
-sign or scale in which p and q are written.
+Membership and the series are decided from exact values at the direction (a
+float coordinate is an exact dyadic rational), so neither depends on the sign
+or scale in which p and q are written.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .polyalg import Polynomial, RationalFunction, _as_fraction
+from .polyalg import _exact_numerators, _integer_form, _scaled_point
 
 # Default truncation order for Taylor lines.
 DEFAULT_N_TERMS = 64
@@ -103,9 +104,9 @@ def analyze_singularity(f: RationalFunction, x_star: Sequence) -> LinePencil:
 
     At the origin and at each of f's declared singular points the pencil is
     built once per function and kept on f: later calls there return the same
-    object, whose polynomials keep their generated evaluators.  The pencil is
-    therefore shared and must not be mutated.  At any other point a fresh
-    pencil is built and nothing is kept.
+    object, so the Taylor shifts are not repeated.  The pencil is therefore
+    shared and must not be mutated.  At any other point a fresh pencil is
+    built and nothing is kept.
     """
     base = tuple(_as_fraction(v) for v in x_star)
     if len(base) != f.n_vars:
@@ -223,22 +224,29 @@ def taylor_line(
 
     Both line-restricted numerator and denominator are divided by t^{n_min}
     before the power-series division; the recurrence weights come from the
-    shifted denominator.  f_{n_min}(d) is evaluated exactly, as in
-    direction_verdict: that one value decides membership and, rounded once
-    at a float direction, leads the series' denominator.  Every other pencil
-    polynomial is evaluated once, in float at a float direction.
+    shifted denominator.  Each pencil polynomial is evaluated exactly at d,
+    in one pass, and divided by the exact f_{n_min}(d), which decides
+    membership as in direction_verdict; each ratio stays exact at an exact
+    direction and is rounded once at a float one.
     """
     if pencil is None:
         pencil = analyze_singularity(f, x_star)
     direction, exact = _checked_direction(pencil, d)
-    lead = pencil.leading.eval_exact(direction)
-    if not lead:
+    polys = pencil.denom_coeffs[pencil.n_min:] + pencil.numer_coeffs[pencil.n_min:]
+    forms = [_integer_form(p.terms) for p in polys]
+    values, _ = _exact_numerators(forms, *_scaled_point(direction))
+    if not values[0]:
         raise UnsafeDirectionError(direction, pencil.leading)
-    evaluate = Polynomial.eval_exact if exact else Polynomial.eval_float
-    denom = [lead if exact else float(lead)]
-    denom += [evaluate(p, direction) for p in pencil.denom_coeffs[pencil.n_min + 1:]]
-    numer = [evaluate(p, direction) for p in pencil.numer_coeffs[pencil.n_min:]]
-    while denom and denom[-1] == 0:
+    # Numerators over one denominator, so v / lead is the exact ratio.  Int
+    # true division rounds it correctly and, over a positive lead, gives an
+    # exact 0 as 0.0: the bits of float(Fraction(v, lead)).
+    if values[0] < 0:
+        values = [-v for v in values]
+    lead = values[0]
+    ratios = [Fraction(v, lead) if exact else v / lead for v in values]
+    split = len(pencil.denom_coeffs) - pencil.n_min
+    denom, numer = ratios[:split], ratios[split:]
+    while denom[-1] == 0:
         denom.pop()
     weights = recurrence_weights(denom)
     coeffs = series_divide(numer, denom, n_terms)

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -255,6 +256,33 @@ class TestPinnedBits:
         assert _trace_digest(trace) == (
             "560b8cf5d3f3cadc7c7aed414d46a1945a8f17f4eaa31f149aeabc9c20dc6427"
         )
+
+
+def _fig1_times(c):
+    """fig1 written as c*p / c*q."""
+    problem = load_bundled("fig1")
+    return RationalFunction(problem.numer.scale(c), problem.denom.scale(c),
+                            problem.singular_points)
+
+
+class TestScaledPair:
+    """A chart scales p and q by the power of two that brings q's largest
+    coefficient into [1, 2), so the scale of the written pair does not reach
+    the floats."""
+
+    @pytest.mark.parametrize("c", [Fraction(1, 2 ** 1100), 2 ** 1100],
+                             ids=["2^-1100", "2^1100"])
+    def test_power_of_two_scale_keeps_the_reference_run(self, c):
+        reference = optimize(load_bundled("fig1").rational(), (2.0, -0.1), DescentConfig())
+        trace = optimize(_fig1_times(c), (2.0, -0.1), DescentConfig())
+        assert (len(trace), trace.stop_reason) == (len(reference), reference.stop_reason)
+        assert _trace_digest(trace) == _trace_digest(reference)
+
+    def test_coefficients_below_the_float_range_still_descend(self):
+        """Each coefficient of 10^-400 * p rounds to 0.0 as a float."""
+        trace = optimize(_fig1_times(Fraction(1, 10 ** 400)), (2.0, -0.1), DescentConfig())
+        assert (len(trace) - 1, trace.stop_reason) == (442, "f_stationary")
+        assert trace.f_values[-1] == pytest.approx(-0.5, abs=1e-8)
 
 
 class TestLineSearch:

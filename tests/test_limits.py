@@ -16,6 +16,7 @@ from singulim.descent import DescentConfig, DescentTrace, optimize, trace_from_p
 from singulim.limits import (
     CLUSTER_TOL,
     DEFAULT_THETA_GRID,
+    MIN_FIT_QUALITY,
     DirectionTrail,
     _linear_fit,
     cluster_window,
@@ -147,7 +148,6 @@ def _looped_trail(trace, pencil, tail_start=None):
     center = tuple(float(v) for v in pencil.base)
     if len(center) != len(trace.iterates[0]):
         raise ValueError("pencil base dimension does not match trace")
-    leading = pencil.leading._float_evaluator()
     directions = []
     values = []
     skipped = 0
@@ -159,7 +159,7 @@ def _looped_trail(trace, pencil, tail_start=None):
             continue
         unit = tuple([d / norm for d in delta])
         directions.append(unit)
-        values.append(leading.evaluate(unit, False))
+        values.append(pencil.leading.eval_float(unit))
     if not directions:
         raise ValueError("every iterate coincides with the pencil base")
     if tail_start is None:
@@ -501,3 +501,14 @@ class TestRateClassify:
         trace = self._trace_with_radii([1.0, 0.5])
         est = rate_classify(trace, (0.0,), 0)
         assert est.regime == "inconclusive"
+
+    def test_poor_fits_name_the_best_r2_and_the_floor(self):
+        """A tail that zigzags down fits neither regime; the detail says how
+        well the better fit did and what it missed."""
+        radii = [1.0, 0.1, 0.9, 0.1, 0.8, 0.1, 0.7, 0.1, 0.6, 0.1, 0.5, 0.1, 0.4]
+        est = rate_classify(self._trace_with_radii(radii), (0.0,), 0)
+        assert est.regime == "inconclusive"
+        assert 0.0 <= est.fit_quality < MIN_FIT_QUALITY
+        assert est.detail == (
+            f"both regressions fit poorly: best R^2 {est.fit_quality:.6g} < 0.95"
+        )

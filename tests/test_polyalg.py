@@ -529,13 +529,6 @@ class TestEvaluator:
             assert f._chart(x) is chart
             for grad in (False, True):
                 assert _hex(chart.evaluate(x, grad)) == _hex(chart.loop(x, grad)), x
-        for poly in f._eval_pair:
-            fresh = Polynomial(poly.n_vars, poly.terms)
-            values = [fresh.eval_float(x) for x in points[:1] + points]
-            assert values[0].hex() == values[1].hex()
-            assert fresh._evaluator.generated
-            for x, value in zip(points, values[1:]):
-                assert value.hex() == fresh._evaluator.loop(x, False).hex(), x
 
     def test_composed_chart_sums_each_jacobian_entry_once(self):
         """(2,2,2) rank 2: the 48 nonzero du_k/dx_i are 24 distinct
@@ -603,17 +596,15 @@ class TestEvaluator:
     def test_evaluators_are_freed_without_the_cycle_collector(self):
         """Freed by reference counting: no weak reference outlives its del,
         and the cycle collector finds nothing left of a function with
-        generated charts or of a polynomial with a generated evaluator."""
+        generated charts."""
         gc.disable()
         try:
             gc.collect()
             f = _bundled("fig1")()
-            poly = Polynomial(f.n_vars, f.denom.terms)
             for _ in range(3):
                 f.eval((0.3, -0.2))
-                poly.eval_float((0.3, -0.2))
-            assert f._chart((0.3, -0.2)).generated and poly._evaluator.generated
-            refs = [weakref.ref(f._chart((0.3, -0.2))), weakref.ref(poly._evaluator)]
+            assert f._chart((0.3, -0.2)).generated
+            refs = [weakref.ref(f._chart((0.3, -0.2)))]
             first = _bundled("fig1")()
             first.eval((0.3, -0.2))  # looped only
             refs.append(weakref.ref(first._chart((0.3, -0.2))))
@@ -621,8 +612,8 @@ class TestEvaluator:
             del f
             assert refs[0]() is None
             assert gc.collect() == 0
-            del poly, first
-            assert [ref() for ref in refs] == [None] * 3
+            del first
+            assert [ref() for ref in refs] == [None] * 2
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -654,10 +645,6 @@ class TestEvaluator:
         for x in points:
             for grad in (False, True):
                 assert _hex(chart.evaluate(x, grad)) == _hex(chart.loop(x, grad))
-        numer = Polynomial(f.n_vars, f.numer.terms)
-        assert [numer.eval_float(x) for x in points] == [
-            numer._evaluator.loop(x, False) for x in points
-        ]
 
 
 def _outcome(evaluate, x):

@@ -175,17 +175,19 @@ class TestSeriesAndRecurrence:
             taylor_line(f, (0, 0), (1, 0))
 
     @pytest.mark.parametrize("name, centre", [
-        ("fig1", (0, 0)), ("multi3", (3, 0)), ("multi3", (0, 3)),
+        ("fig1", (0, 0)), ("multi3", (0, 0)), ("multi3", (3, 0)), ("multi3", (0, 3)),
     ])
-    def test_taylor_line_generates_no_code(self, name, centre):
-        """One call evaluates each pencil polynomial once, so none is compiled."""
+    def test_float_direction_weights_are_the_exact_ratios_rounded(self, name, centre):
+        """At a float direction each weight is -g_j/g_0 of the exact pencil
+        values, rounded once."""
         f = load_bundled(name).rational()
         pencil = analyze_singularity(f, centre)
-        taylor_line(f, centre, (0.6, -0.8), pencil=pencil)
-        polys = pencil.numer_coeffs + pencil.denom_coeffs
-        assert any(p._evaluator is not None for p in polys)
-        for poly in polys:
-            assert poly._evaluator is None or not poly._evaluator.generated
+        direction = (0.6, -0.8)
+        line = taylor_line(f, centre, direction, pencil=pencil)
+        g = [p.eval_exact(direction) for p in pencil.denom_coeffs[pencil.n_min:]]
+        while g[-1] == 0:
+            g.pop()
+        assert line.recurrence_weights == tuple(float(-v / g[0]) for v in g[1:])
 
     def test_series_divide_rejects_zero_leading_coefficient(self):
         with pytest.raises(ZeroDivisionError):
@@ -255,7 +257,7 @@ class TestPencilMemo:
         ("multi3", (0, 3), (0.3, 2.6)),
     ])
     def test_memoized_pencil_gives_the_same_bits(self, name, centre, x0):
-        """Generated evaluators on a kept pencil match a fresh pencil's loops."""
+        """A kept pencil, used again, gives a fresh pencil's bits."""
         f = load_bundled(name).rational()
         trace = optimize(f, x0, DescentConfig(max_iters=60))
         direction = (0.6, -0.8)
@@ -263,14 +265,8 @@ class TestPencilMemo:
             pencil = analyze_singularity(f, centre)
             trail = direction_trail(trace, pencil)
             line = taylor_line(f, centre, direction, pencil=pencil)
-        # taylor_line evaluates the leading polynomial exactly, never in float.
-        used = pencil.denom_coeffs[pencil.n_min + 1:] + pencil.numer_coeffs[pencil.n_min:]
-        assert all(p._evaluator.generated for p in used)
-
         fresh = analyze_singularity(load_bundled(name).rational(), centre)
         fresh_line = taylor_line(f, centre, direction, pencil=fresh)
-        fresh_used = fresh.denom_coeffs[fresh.n_min + 1:] + fresh.numer_coeffs[fresh.n_min:]
-        assert not any(p._evaluator.generated for p in fresh_used)
         fresh_trail = direction_trail(trace, fresh)
         assert _hex(trail.pencil_values) == _hex(fresh_trail.pencil_values)
         assert _hex(trail.unit_directions) == _hex(fresh_trail.unit_directions)
@@ -298,12 +294,14 @@ def _verdict_bits(pencil, d):
     return verdict.in_safe_set, None if limit is None else limit.hex()
 
 
-def _line_raises(f, centre, d, pencil):
+def _line_bits(f, centre, d, pencil):
+    """The bits of the Taylor line along d, or "unsafe" where it raises."""
     try:
-        taylor_line(f, centre, d, n_terms=4, pencil=pencil)
+        line = taylor_line(f, centre, d, n_terms=4, pencil=pencil)
     except UnsafeDirectionError:
-        return True
-    return False
+        return "unsafe"
+    return (_hex(line.coeffs), _hex(line.recurrence_weights),
+            line.radius_lower_bound.hex())
 
 
 class TestRepresentationInvariance:
@@ -332,8 +330,8 @@ class TestRepresentationInvariance:
         ours, theirs = analyze_singularity(f, centre), analyze_singularity(g, centre)
         for d in self.DIRECTIONS:
             assert _verdict_bits(ours, d) == _verdict_bits(theirs, d), d
-            assert (_line_raises(f, centre, d, ours)
-                    == _line_raises(g, centre, d, theirs)), d
+            assert (_line_bits(f, centre, d, ours)
+                    == _line_bits(g, centre, d, theirs)), d
 
     @pytest.mark.parametrize("c", SCALES, ids=str)
     def test_trail_of_the_fig1_reference_run(self, c):
