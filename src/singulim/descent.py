@@ -15,11 +15,14 @@ initial_step itself on the first iteration and wherever s'y <= 0.  Restarting
 every line search at initial_step instead lets the iterates approach the
 essential singularity of fig1 only as ||x_k|| ~ k^(-1/2).
 
-The search itself is RationalFunction.line_search: the ladder runs inside
-each chart's generated code and hands back the accepted trial's gradient,
-so optimize makes one Python call per search (polyalg._Evaluator, whose
-search_loop is the reference).  sigma, the backtrack factor and
-MAX_BACKTRACKS are passed to it from here.
+The loop itself is RationalFunction.descend: the stop tests, the ladder
+with its retry, the accepted trial's gradient and the two-point step run
+inside each chart's generated code, which appends each step to the trace
+and returns only at a stop or where a trial belongs to another chart.  So
+optimize makes one Python call per chart visit, not per step or search
+(polyalg._Evaluator, whose descend_loop is the reference).  sigma, the
+backtrack factor, initial_step, grad_tol, max_iters and MAX_BACKTRACKS are
+passed to it from here.
 """
 
 from __future__ import annotations
@@ -33,11 +36,15 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .polyalg import DomainViolation, RationalFunction, check_finite_point
+from .polyalg import (
+    STOP_F_STATIONARY,
+    STOP_GRAD_TOL,
+    STOP_MAX_ITERS,
+    DomainViolation,
+    RationalFunction,
+    check_finite_point,
+)
 
-STOP_GRAD_TOL = "grad_tol"
-STOP_F_STATIONARY = "f_stationary"
-STOP_MAX_ITERS = "max_iters"
 STOP_DOMAIN_VIOLATION = "domain_violation"
 STOP_REASONS = (STOP_GRAD_TOL, STOP_F_STATIONARY, STOP_MAX_ITERS, STOP_DOMAIN_VIOLATION)
 
@@ -66,8 +73,9 @@ class DescentConfig:
             raise ValueError("backtrack_factor must lie in (0, 1)")
         if not 0.0 < self.initial_step < math.inf:
             raise ValueError("initial_step must be positive and finite")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
+        # An int: the loop counts the iterations left down to 0.
+        if type(self.max_iters) is not int or self.max_iters < 1:
+            raise ValueError("max_iters must be a positive int")
         # inf, stop at once, is allowed; NaN fails the comparison.
         if not self.grad_tol >= 0.0:
             raise ValueError("grad_tol must be non-negative")
@@ -120,10 +128,9 @@ def optimize(
     to decrease f (stationarity enforcement of the no-cycling rule), on the
     iteration cap, or on a domain violation at the start point.
 
-    f is a RationalFunction, or any objective with eval_and_grad and a
-    line_search that returns what RationalFunction.line_search does: the
-    accepted trial with its value, step and gradient.  Each search is one
-    f.line_search call, and eval_and_grad runs at x0 only.
+    f is a RationalFunction.  eval_and_grad runs at x0 only, and the whole
+    run is one f.descend call, which calls each chart's generated descend
+    once per visit.
     """
     if cfg is None:
         cfg = DescentConfig()
@@ -132,56 +139,13 @@ def optimize(
         fx, grad = f.eval_and_grad(x)
     except DomainViolation:
         return DescentTrace((x,), (), (), (), (), STOP_DOMAIN_VIOLATION)
-
     gnorm = _norm(grad)
-    iterates = [x]
-    f_values = [fx]
-    grad_norms = [gnorm]
-    step_norms: list[float] = []
-    alphas: list[float] = []
-    stop_reason = STOP_MAX_ITERS
-
-    line_search = f.line_search
-    # Bound once: the loop below runs once per accepted step.
-    fsum, sqrt, sub, mul = math.fsum, math.sqrt, operator.sub, operator.mul
-    sigma, factor = cfg.sigma_armijo, cfg.backtrack_factor
-    initial_step, grad_tol = cfg.initial_step, cfg.grad_tol
-    first_step = initial_step
-    for _ in range(cfg.max_iters):
-        if gnorm <= grad_tol:
-            stop_reason = STOP_GRAD_TOL
-            break
-        g_sq = gnorm * gnorm
-        accepted = line_search(x, fx, grad, g_sq, first_step, sigma, factor, MAX_BACKTRACKS)
-        if accepted is None and first_step != initial_step:
-            accepted = line_search(
-                x, fx, grad, g_sq, initial_step, sigma, factor, MAX_BACKTRACKS
-            )
-        if accepted is None:
-            stop_reason = STOP_F_STATIONARY
-            break
-        trial, f_trial, alpha, grad_trial = accepted
-        s = list(map(sub, trial, x))
-        s_y = fsum(map(mul, s, map(sub, grad_trial, grad)))
-        s_s = fsum(map(mul, s, s))
-        two_point = s_s / s_y if s_y > 0.0 else initial_step
-        first_step = two_point if two_point < initial_step else initial_step
-        x, fx, grad = trial, f_trial, grad_trial
-        gnorm = sqrt(fsum(map(mul, grad, grad)))
-        iterates.append(x)
-        f_values.append(fx)
-        grad_norms.append(gnorm)
-        step_norms.append(sqrt(s_s))
-        alphas.append(alpha)
-
-    return DescentTrace(
-        tuple(iterates),
-        tuple(f_values),
-        tuple(grad_norms),
-        tuple(step_norms),
-        tuple(alphas),
-        stop_reason,
+    lists = ([x], [fx], [gnorm], [], [])
+    stop_reason, _ = f.descend(
+        x, fx, grad, gnorm, lists, cfg.sigma_armijo, cfg.backtrack_factor,
+        cfg.initial_step, cfg.grad_tol, cfg.max_iters, MAX_BACKTRACKS,
     )
+    return DescentTrace(*map(tuple, lists), stop_reason)
 
 
 def trace_from_points(

@@ -35,6 +35,11 @@ TERMS_PER_STATEMENT = 200
 # optimizer's stopping rules keep iterates off the singular set itself.
 DENOM_FLOOR = 1e-300
 
+# Stop reasons of RationalFunction.descend (descent exports them).
+STOP_GRAD_TOL = "grad_tol"
+STOP_F_STATIONARY = "f_stationary"
+STOP_MAX_ITERS = "max_iters"
+
 
 class DimensionError(ValueError):
     """Operands disagree on the ambient variable count."""
@@ -591,8 +596,8 @@ def _chain_sum(outer_grad: Sequence[float], row: Sequence[tuple[int, float]]) ->
 
 
 class _Evaluator:
-    """Float value of a quotient chart p/q, with its gradient, and its
-    Armijo search.
+    """Float value of a quotient chart p/q, with its gradient, and the
+    Armijo descent through it.
 
     Called as evaluator.evaluate(x, grad) at a point x of the right length,
     it evaluates p and q at d = x - centre, each coordinate converted by
@@ -615,36 +620,48 @@ class _Evaluator:
     accuracy relative to u_k only, where the multiplied-out p and q would
     repeat it in every term.
 
-    The evaluator also runs the Armijo search, search(x, fx, grad, g_sq,
-    alpha, sigma, factor, budget, charts): search_loop below.  It
+    The evaluator also runs steepest descent with Armijo backtracking:
+    descend(*state, lists, sigma, factor, initial_step, grad_tol, max_trials),
+    descend_loop below, with state = (x, fx, grad, gnorm, first_step, alpha,
+    budget, retry, iters).  Each pass of its loop stops on iters == 0
+    (max_iters) or gnorm <= grad_tol (grad_tol), then searches: it
     backtracks from alpha by factor, for at most budget trials, to the first
-    trial t = x - alpha*grad where f is finite and
-    fx - f >= sigma*alpha*g_sq > 0, and returns (t, f, alpha, grad f at t).
-    It returns None after budget trials, or at once at a trial that rounds
-    back to x: every smaller alpha rounds to x too and decreases nothing.
-    fx - f is exact whenever f lies within a factor two of fx (Sterbenz), so
-    the decrease itself is compared, not f with the rounded threshold.  A
-    trial below the DENOM_FLOOR test is rejected like a failed decrease.  With
-    dispatch set (the function's chart centres), a trial nearer another
-    centre, by RationalFunction._chart's rule, goes with the budget left to
-    that centre's chart: charts(centre).search(...).  Each trial sums the
-    same powers and terms as evaluate at t, and the accepted trial's
-    gradient comes from them, so the search returns the bits of
-    evaluate(t, True) at the accepted t.
+    trial t = x - alpha*grad where f is finite and fx - f >= sigma*alpha*g_sq
+    > 0, g_sq = gnorm*gnorm.  The search fails after budget trials, or at
+    once at a trial that rounds back to x: every smaller alpha rounds to x
+    too and decreases nothing.  A failed search is retried once from
+    initial_step, with max_trials trials, unless it started there (retry
+    records the retry); a second failure stops the run (f_stationary).  fx - f
+    is exact whenever f lies within a factor two of fx (Sterbenz), so the
+    decrease itself is compared, not f with the rounded threshold.  A trial
+    below the DENOM_FLOOR test is rejected like a failed decrease.  At an
+    accepted t it takes the gradient there from the powers and terms that
+    gave f, so f and grad f have the bits of evaluate(t, True), and appends
+    t, f, ||grad f||, ||t - x|| and alpha to the five lists.  The next search
+    starts from the two-point step s's / s'y, s = t - x and y = grad f(t) -
+    grad, capped at initial_step, with max_trials trials.  Every norm and
+    inner product is the fsum of the products, taken in coordinate order.
 
-    loop and search_loop are the references: term by term from power tables.
-    The first evaluate call runs loop.  The second generates one
+    descend returns (stop, state), stop the stop reason, or, with dispatch
+    set (the function's chart centres), (j, state) at a trial nearer another
+    centre, by RationalFunction._chart's rule: j is that centre's index in
+    dispatch, and state resumes the same ladder at that trial in that
+    centre's chart.  So each trial is evaluated in the chart of its nearest
+    centre, and the state carries across charts.
+
+    loop and descend_loop are the references: term by term from power
+    tables.  The first evaluate call runs loop.  The second generates one
     straight-line function per method that forms the same differences,
     powers, products, sums, quotients and comparisons in the same order, so
     every call returns the same bits.  It leaves out the difference for each
     coordinate of the centre that is 0.0, since v - 0.0 is v bit for bit
-    (-0.0, infinities and NaN included); search generates at once, with trials
-    as locals and the whole ladder in one frame.  They go into the instance
-    dict (hence no __slots__), where they shadow the methods, so later calls
-    run them directly and no stored bound method ties the evaluator into a
-    reference cycle: it is freed with its owner, not by the cycle collector.
-    Generating costs about a hundred looped evaluations, which a chart
-    evaluated once never pays back.
+    (-0.0, infinities and NaN included); descend generates at once, with the
+    iterate, the trial and the gradients as locals and the whole loop in one
+    frame.  They go into the instance dict (hence no __slots__), where they
+    shadow the methods, so later calls run them directly and no stored bound
+    method ties the evaluator into a reference cycle: it is freed with its
+    owner, not by the cycle collector.  Generating costs about a hundred
+    looped evaluations, which a chart evaluated once never pays back.
     """
 
     def __init__(
@@ -697,10 +714,10 @@ class _Evaluator:
         vars(self).update(self.generate())
         return self.evaluate(x, grad)
 
-    def search(self, x, fx, grad, g_sq, alpha, sigma, factor, budget, charts):
-        """The Armijo search from x; see the class docstring."""
+    def descend(self, *args):
+        """The Armijo descent from a state; see the class docstring."""
         vars(self).update(self.generate())
-        return self.search(x, fx, grad, g_sq, alpha, sigma, factor, budget, charts)
+        return self.descend(*args)
 
     def loop(self, x: Sequence, grad: bool):
         """The reference evaluation: term by term from a power table."""
@@ -712,29 +729,55 @@ class _Evaluator:
             return f
         return f, self._gradient(powers, outer, p, q, f)
 
-    def search_loop(self, x, fx, grad, g_sq, alpha, sigma, factor, budget, charts):
-        """The reference search, statement for statement the generated one,
+    def descend_loop(
+        self, x, fx, grad, gnorm, first_step, alpha, budget, retry, iters,
+        lists, sigma, factor, initial_step, grad_tol, max_trials,
+    ):
+        """The reference descent, statement for statement the generated one,
         over the term loops; x is a tuple and grad a sequence of floats."""
-        while budget > 0:
-            trial = tuple([a - alpha * g for a, g in zip(x, grad)])
-            if all(t == a for t, a in zip(trial, x)):
-                return None
-            if self.dispatch is not None:
-                chart = charts(_nearest(trial, self.dispatch))
-                if chart is not self:
-                    return chart.search_loop(
-                        x, fx, grad, g_sq, alpha, sigma, factor, budget, charts
-                    )
-            budget -= 1
-            powers, outer, (p, q) = self._sums(trial)
-            if abs(q) < DENOM_FLOOR:
+        iterates, f_values, grad_norms, step_norms, alphas = lists
+        state = lambda: (x, fx, grad, gnorm, first_step, alpha, budget, retry, iters)
+        while True:
+            if iters == 0:
+                return STOP_MAX_ITERS, state()
+            if gnorm <= grad_tol:
+                return STOP_GRAD_TOL, state()
+            g_sq = gnorm * gnorm
+            while True:
+                trial = tuple([a - alpha * g for a, g in zip(x, grad)])
+                if budget <= 0 or all(t == a for t, a in zip(trial, x)):
+                    if retry or first_step == initial_step:
+                        return STOP_F_STATIONARY, state()
+                    retry, alpha, budget = True, initial_step, max_trials
+                    continue
+                if self.dispatch is not None:
+                    centre = _nearest(trial, self.dispatch)
+                    if centre != self.centre:
+                        return self.dispatch.index(centre), state()
+                budget -= 1
+                powers, outer, (p, q) = self._sums(trial)
+                if abs(q) < DENOM_FLOOR:
+                    alpha *= factor
+                    continue
+                f = p / q
+                if math.isfinite(f) and fx - f >= sigma * alpha * g_sq > 0.0:
+                    break
                 alpha *= factor
-                continue
-            f = p / q
-            if math.isfinite(f) and fx - f >= sigma * alpha * g_sq > 0.0:
-                return trial, f, alpha, self._gradient(powers, outer, p, q, f)
-            alpha *= factor
-        return None
+            grad_trial = self._gradient(powers, outer, p, q, f)
+            s = [t - a for t, a in zip(trial, x)]
+            s_y = math.fsum([d * (h - g) for d, h, g in zip(s, grad_trial, grad)])
+            s_s = math.fsum([d * d for d in s])
+            two_point = s_s / s_y if s_y > 0.0 else initial_step
+            first_step = two_point if two_point < initial_step else initial_step
+            x, fx, grad = trial, f, grad_trial
+            gnorm = math.sqrt(math.fsum([h * h for h in grad]))
+            iterates.append(x)
+            f_values.append(fx)
+            grad_norms.append(gnorm)
+            step_norms.append(math.sqrt(s_s))
+            alphas.append(alpha)
+            iters -= 1
+            alpha, budget, retry = first_step, max_trials, False
 
     def _sums(self, x: Sequence) -> tuple[list, list, list[float]]:
         """(powers, outer, values) at x: the power tables of the coordinates
@@ -767,11 +810,11 @@ class _Evaluator:
         return [(a - f * b) / q for a, b in zip(grad_p, grad_q)]
 
     def generate(self) -> dict:
-        """loop and search_loop as straight-line code:
-        {"evaluate": ..., "search": ...}."""
+        """loop and descend_loop as straight-line code:
+        {"evaluate": ..., "descend": ...}."""
         names = [f"x{i}" for i in range(len(self.max_deg))]
         # The powers of x0, x1, ... (and, composed, the u_k and their
-        # powers) that evaluate and search share.
+        # powers) that evaluate and descend share.
         powers = _power_lines("x", self.max_deg)
         var = "x"
         if self.inner is not None:
@@ -786,6 +829,7 @@ class _Evaluator:
         ]
         sums = _sum_source("p", self.values[0], var)
         sums += _sum_source("q", self.values[1], var)
+        gradient = [f"h{i}" for i in range(len(names))]
         lines += [
             *powers,
             *sums,
@@ -794,22 +838,25 @@ class _Evaluator:
             "    f = p / q",
             "    if not grad:",
             "        return f",
-            *self._gradient_lines("f"),
-            *self._search_lines(names, powers + sums),
+            *self._gradient_lines(gradient),
+            f"    return f, {_list_source(gradient)}",
+            *self._descend_lines(names, powers + sums, gradient),
         ]
         namespace = {
             "DENOM_FLOOR": DENOM_FLOOR, "FLOAT_MIN": sys.float_info.min,
             "inf": math.inf, "DomainViolation": DomainViolation,
-            "dist": math.dist, "isfinite": math.isfinite, "CENTRES": self.dispatch,
+            "dist": math.dist, "isfinite": math.isfinite, "fsum": math.fsum,
+            "sqrt": math.sqrt, "STOP_GRAD_TOL": STOP_GRAD_TOL,
+            "STOP_F_STATIONARY": STOP_F_STATIONARY, "STOP_MAX_ITERS": STOP_MAX_ITERS,
         }
         exec(compile("\n".join(lines), "<polyalg chart>", "exec"), namespace)
         # Taken out of the namespace, which is their globals: left in it,
         # each function would form a reference cycle with that dict.
-        return {name: namespace.pop(name) for name in ("evaluate", "search")}
+        return {name: namespace.pop(name) for name in ("evaluate", "descend")}
 
-    def _gradient_lines(self, result: str) -> list[str]:
-        """Statements that return result and _gradient's list, from the
-        powers, p, q and f that precede them."""
+    def _gradient_lines(self, out: Sequence[str]) -> list[str]:
+        """Statements that leave _gradient's entries in the names out, from
+        the powers, p, q and f that precede them."""
         grad_p = [f"p_{i}" for i in range(len(self.max_deg))]
         grad_q = [f"q_{i}" for i in range(len(self.max_deg))]
         lines = []
@@ -836,63 +883,102 @@ class _Evaluator:
             for prefix, row_names in zip(("p_u", "q_u"), (grad_p, grad_q)):
                 for name, row in zip(row_names, du_rows):
                     lines += _sum_lines(name, [f"{prefix}{k} * {du}" for k, du in row])
-        pairs = list(zip(grad_p, grad_q))
+        pairs = list(zip(out, grad_p, grad_q))
         return lines + [
             "    q_sq = q * q",
             "    if FLOAT_MIN <= q_sq < inf:",
-            f"        return {result}, "
-            + _list_source([f"(q * {a} - p * {b}) / q_sq" for a, b in pairs]),
-            f"    return {result}, "
-            + _list_source([f"({a} - f * {b}) / q" for a, b in pairs]),
+            *(f"        {h} = (q * {a} - p * {b}) / q_sq" for h, a, b in pairs),
+            "    else:",
+            *(f"        {h} = ({a} - f * {b}) / q" for h, a, b in pairs),
         ]
 
-    def _search_lines(self, names: Sequence[str], value: Sequence[str]) -> list[str]:
-        """search_loop as statements, one trial per pass of its loop; value
-        leaves p and q at the coordinates names."""
+    def _descend_lines(
+        self, names: Sequence[str], value: Sequence[str], gradient: Sequence[str]
+    ) -> list[str]:
+        """descend_loop as statements, one trial per pass of its inner loop;
+        value leaves p and q at the coordinates names, and _gradient_lines
+        the gradient in the names gradient."""
         n = len(names)
+        x = [f"a{i}" for i in range(n)]
+        grad = [f"g{i}" for i in range(n)]
         # Trial coordinates: t_i where the centre's coordinate is not 0.0,
         # else x_i itself.
         trial = [f"t{i}" if c else names[i] for i, c in enumerate(self.centre)]
+        state = (
+            f"({_tuple_source(x)}, fx, {_tuple_source(grad)}, gnorm, first_step,"
+            " alpha, budget, retry, iters)"
+        )
         lines = [
-            "def search(x, fx, grad, g_sq, alpha, sigma, factor, budget, charts):",
-            f"    {_tuple_source(f'a{i}' for i in range(n))} = x",
-            f"    {_tuple_source(f'g{i}' for i in range(n))} = grad",
-            "    while budget > 0:",
-            *(f"        {t} = a{i} - alpha * g{i}" for i, t in enumerate(trial)),
-            "        if " + " and ".join(f"{t} == a{i}" for i, t in enumerate(trial)) + ":",
-            "            return None",
+            "def descend(x, fx, grad, gnorm, first_step, alpha, budget, retry, iters,"
+            " lists, sigma, factor, initial_step, grad_tol, max_trials):",
+            f"    {_tuple_source(x)} = x",
+            f"    {_tuple_source(grad)} = grad",
+            "    iterates, f_values, grad_norms, step_norms, alphas = lists",
+            "    while True:",
+            "        if iters == 0:",
+            f"            return STOP_MAX_ITERS, {state}",
+            "        if gnorm <= grad_tol:",
+            f"            return STOP_GRAD_TOL, {state}",
+            "        g_sq = gnorm * gnorm",
+            "        while True:",
+            *(f"            {t} = {a} - alpha * {g}" for t, a, g in zip(trial, x, grad)),
+            "            if budget <= 0 or "
+            + " and ".join(f"{t} == {a}" for t, a in zip(trial, x)) + ":",
+            "                if retry or first_step == initial_step:",
+            f"                    return STOP_F_STATIONARY, {state}",
+            "                retry, alpha, budget = True, initial_step, max_trials",
+            "                continue",
         ]
         if self.dispatch is not None:
             # _nearest's rule: the first nearest centre, the origin where
             # every distance is NaN.
-            own = self.dispatch.index(self.centre)
-            lines += [f"        t = {_tuple_source(trial)}", "        j, nearest = 0, inf"]
+            lines += [
+                f"            t = {_tuple_source(trial)}",
+                "            j, nearest = 0, inf",
+            ]
             for j, c in enumerate(self.dispatch):
                 lines += [
-                    f"        e = dist(t, {c!r})",
-                    f"        if e < nearest: j, nearest = {j}, e",
+                    f"            e = dist(t, {c!r})",
+                    f"            if e < nearest: j, nearest = {j}, e",
                 ]
             lines += [
-                f"        if j != {own}:",
-                "            return charts(CENTRES[j]).search("
-                "x, fx, grad, g_sq, alpha, sigma, factor, budget, charts)",
+                f"            if j != {self.dispatch.index(self.centre)}:",
+                f"                return j, {state}",
             ]
-        lines.append("        budget -= 1")
+        lines.append("            budget -= 1")
         lines += [
-            f"        {x} = {t} - {c!r}" for x, t, c in zip(names, trial, self.centre) if c
+            f"            {d} = {t} - {c!r}"
+            for d, t, c in zip(names, trial, self.centre) if c
         ]
-        lines += _indent(value)
+        lines += _indent(_indent(value))
+        steps = [f"s{i}" for i in range(n)]
         lines += [
-            "        if abs(q) < DENOM_FLOOR:",
+            "            if abs(q) < DENOM_FLOOR:",
+            "                alpha *= factor",
+            "                continue",
+            "            f = p / q",
+            "            if isfinite(f) and fx - f >= sigma * alpha * g_sq > 0.0:",
+            "                break",
             "            alpha *= factor",
-            "            continue",
-            "        f = p / q",
-            "        if isfinite(f) and fx - f >= sigma * alpha * g_sq > 0.0:",
-            "            break",
-            "        alpha *= factor",
-            "    else:",
-            "        return None",
-            *self._gradient_lines(f"{_tuple_source(trial)}, f, alpha"),
+            *_indent(self._gradient_lines(gradient)),
+            *(f"        {s} = {t} - {a}" for s, t, a in zip(steps, trial, x)),
+            "        s_y = fsum("
+            + _tuple_source(f"{s} * ({h} - {g})" for s, h, g in zip(steps, gradient, grad))
+            + ")",
+            f"        s_s = fsum({_tuple_source(f'{s} * {s}' for s in steps)})",
+            "        two_point = s_s / s_y if s_y > 0.0 else initial_step",
+            "        first_step = two_point if two_point < initial_step else initial_step",
+            f"        {_tuple_source(x)} = {_tuple_source(trial)}",
+            "        fx = f",
+            f"        {_tuple_source(grad)} = {_tuple_source(gradient)}",
+            f"        gnorm = sqrt(fsum({_tuple_source(f'{g} * {g}' for g in grad)}))",
+            f"        iterates.append({_tuple_source(x)})",
+            "        f_values.append(fx)",
+            "        grad_norms.append(gnorm)",
+            "        step_norms.append(sqrt(s_s))",
+            "        alphas.append(alpha)",
+            "        iters -= 1",
+            "        alpha, budget, retry = first_step, max_trials, False",
         ]
         return lines
 
@@ -1090,27 +1176,42 @@ class RationalFunction:
     def eval(self, x: Sequence[float]) -> float:
         return self._chart(x).evaluate(x, False)
 
-    def line_search(
+    def descend(
         self,
         x: tuple[float, ...],
         fx: float,
         grad: Sequence[float],
-        g_sq: float,
-        alpha: float,
+        gnorm: float,
+        lists: tuple[list, ...],
         sigma: float,
         factor: float,
+        initial_step: float,
+        grad_tol: float,
+        max_iters: int,
         max_trials: int,
-    ):
-        """The Armijo search from x (_Evaluator), run by the chart eval
-        would use and handed on across charts: (trial, f, alpha, grad f at
-        trial) with the bits of eval_and_grad(trial), or None.
+    ) -> tuple[str, tuple]:
+        """Steepest descent with Armijo backtracking from x (_Evaluator),
+        for at most max_iters accepted steps, each appended to lists =
+        (iterates, f_values, grad_norms, step_norms, alphas).
 
-        x is a tuple and grad a sequence of floats, as descent.optimize
-        passes them; max_trials caps the trials in all charts together.
+        fx, grad and gnorm are f, grad f and ||grad f|| at x, with x a tuple
+        and grad a sequence of floats; the first search starts from
+        initial_step, and every search makes at most max_trials trials in
+        all charts together.  Each chart visit is one call of that chart's
+        descend, which returns at a stop or hands the state on to the chart
+        of the centre nearest its trial; the loop here resumes it there.
+        Returns the stop reason and the final state (_Evaluator), whose
+        gradient the lists do not keep.
         """
-        return self._chart(x).search(
-            x, fx, grad, g_sq, alpha, sigma, factor, max_trials, self._chart_at
-        )
+        state = (x, fx, grad, gnorm, initial_step, initial_step, max_trials, False, max_iters)
+        chart = self._chart(x)
+        while True:
+            to, state = chart.descend(
+                *state, lists, sigma, factor, initial_step, grad_tol, max_trials
+            )
+            if type(to) is str:
+                return to, state
+            chart = self._chart_at(self._centres[to])
 
     def eval_exact(self, x: Sequence) -> Fraction:
         """p/q exactly at x; with inner, at the exact values of the u_k."""

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .polyalg import Polynomial, RationalFunction, _as_fraction
@@ -73,6 +74,17 @@ class LinePencil:
     @property
     def leading(self) -> Polynomial:
         return self.denom_coeffs[self.n_min]
+
+    @cached_property
+    def _series_forms(self) -> tuple[list, list[int]]:
+        """The integer forms (polyalg._integer_form) of f_{n_min}, ... of
+        the denominator, then of the numerator, with the degree n of each
+        f_n: what taylor_line evaluates, built on first use and kept with
+        the pencil."""
+        polys = self.denom_coeffs[self.n_min:] + self.numer_coeffs[self.n_min:]
+        degrees = [*range(self.n_min, len(self.denom_coeffs)),
+                   *range(self.n_min, len(self.numer_coeffs))]
+        return [_integer_form(p.terms) for p in polys], degrees
 
 
 @dataclass(frozen=True)
@@ -225,18 +237,25 @@ def taylor_line(
     Both line-restricted numerator and denominator are divided by t^{n_min}
     before the power-series division; the recurrence weights come from the
     shifted denominator.  Each pencil polynomial is evaluated exactly at d,
-    in one pass, and divided by the exact f_{n_min}(d), which decides
-    membership as in direction_verdict; each ratio stays exact at an exact
-    direction and is rounded once at a float one.
+    in one pass over the integer forms kept with the pencil, and divided by
+    the exact f_{n_min}(d), which decides membership as in direction_verdict;
+    each ratio stays exact at an exact direction and is rounded once at a
+    float one.
     """
     if pencil is None:
         pencil = analyze_singularity(f, x_star)
     direction, exact = _checked_direction(pencil, d)
-    polys = pencil.denom_coeffs[pencil.n_min:] + pencil.numer_coeffs[pencil.n_min:]
-    forms = [_integer_form(p.terms) for p in polys]
-    values, _ = _exact_numerators(forms, *_scaled_point(direction))
+    forms, degrees = pencil._series_forms
+    # d = point/s.  f_n is homogeneous of degree n, so f_n(d) = f_n(point)/s^n:
+    # each f_n is evaluated at the integer point and brought over the common
+    # denominator by one power of s.
+    point, s = _scaled_point(direction)
+    values, _ = _exact_numerators(forms, point, 1)
     if not values[0]:
         raise UnsafeDirectionError(direction, pencil.leading)
+    if s != 1:
+        top = max(degrees)
+        values = [v * s ** (top - n) for v, n in zip(values, degrees)]
     # Numerators over one denominator, so v / lead is the exact ratio.  Int
     # true division rounds it correctly and, over a positive lead, gives an
     # exact 0 as 0.0: the bits of float(Fraction(v, lead)).

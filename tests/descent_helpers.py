@@ -1,0 +1,136 @@
+"""Reference paths for the Armijo descent, shared by the test modules.
+
+line_search and step_loop are the descent as plain Python loops over an
+objective's eval and eval_and_grad: the reference that RationalFunction.descend
+must reproduce bit for bit.  search runs exactly one search through
+f.descend, and looped gives a copy of f whose charts run descend_loop.
+"""
+
+import copy
+import functools
+import math
+
+from singulim.descent import (
+    MAX_BACKTRACKS,
+    STOP_DOMAIN_VIOLATION,
+    DescentConfig,
+    DescentTrace,
+    _norm,
+)
+from singulim.polyalg import (
+    STOP_F_STATIONARY,
+    STOP_GRAD_TOL,
+    STOP_MAX_ITERS,
+    DomainViolation,
+    check_finite_point,
+)
+
+# sigma and factor as optimize passes them by default.
+SIGMA, FACTOR = DescentConfig().sigma_armijo, DescentConfig().backtrack_factor
+
+
+def line_search(
+    evaluate, x, fx, grad, g_sq, alpha, sigma, factor, max_trials, stop_at_x=True
+):
+    """The Armijo search as a Python loop over an objective's eval: (trial,
+    f_trial, alpha) for the first trial with an exact Armijo decrease, or
+    None after max_trials trials or, with stop_at_x, at a trial that rounds
+    back to x."""
+    for _ in range(max_trials):
+        trial = tuple([xi - alpha * gi for xi, gi in zip(x, grad)])
+        if stop_at_x and trial == x:
+            return None
+        try:
+            f_trial = evaluate(trial)
+        except (DomainViolation, OverflowError):
+            alpha *= factor
+            continue
+        required = sigma * alpha * g_sq
+        if math.isfinite(f_trial) and fx - f_trial >= required > 0.0:
+            return trial, f_trial, alpha
+        alpha *= factor
+    return None
+
+
+# line_search without its early exit at a trial equal to x.
+full_ladder = functools.partial(line_search, stop_at_x=False)
+
+
+def step_loop(f, x0, cfg, ladder=line_search, evaluate=None):
+    """The trace of optimize(f, x0, cfg) from a Python loop over the steps.
+
+    Each search is ladder over evaluate (f.eval unless given), retried once
+    from initial_step where it started below it, and the accepted trial's
+    gradient is eval_and_grad's there; the step sums are the fsums of the
+    products that optimize's loop forms.
+    """
+    evaluate = f.eval if evaluate is None else evaluate
+    x = check_finite_point(x0)
+    try:
+        fx, grad = f.eval_and_grad(x)
+    except DomainViolation:
+        return DescentTrace((x,), (), (), (), (), STOP_DOMAIN_VIOLATION)
+    gnorm = _norm(grad)
+    iterates, f_values, grad_norms, step_norms, alphas = [x], [fx], [gnorm], [], []
+    stop_reason = STOP_MAX_ITERS
+    sigma, factor, initial_step = cfg.sigma_armijo, cfg.backtrack_factor, cfg.initial_step
+    first_step = initial_step
+    for _ in range(cfg.max_iters):
+        if gnorm <= cfg.grad_tol:
+            stop_reason = STOP_GRAD_TOL
+            break
+        g_sq = gnorm * gnorm
+        accepted = ladder(evaluate, x, fx, grad, g_sq, first_step, sigma, factor,
+                          MAX_BACKTRACKS)
+        if accepted is None and first_step != initial_step:
+            accepted = ladder(evaluate, x, fx, grad, g_sq, initial_step, sigma, factor,
+                              MAX_BACKTRACKS)
+        if accepted is None:
+            stop_reason = STOP_F_STATIONARY
+            break
+        trial, f_trial, alpha = accepted
+        grad_trial = f.eval_and_grad(trial)[1]
+        s = [t - a for t, a in zip(trial, x)]
+        s_y = math.fsum([d * (h - g) for d, h, g in zip(s, grad_trial, grad)])
+        s_s = math.fsum([d * d for d in s])
+        two_point = s_s / s_y if s_y > 0.0 else initial_step
+        first_step = two_point if two_point < initial_step else initial_step
+        x, fx, grad = trial, f_trial, grad_trial
+        gnorm = _norm(grad)
+        iterates.append(x)
+        f_values.append(fx)
+        grad_norms.append(gnorm)
+        step_norms.append(math.sqrt(s_s))
+        alphas.append(alpha)
+    return DescentTrace(tuple(iterates), tuple(f_values), tuple(grad_norms),
+                        tuple(step_norms), tuple(alphas), stop_reason)
+
+
+def search(f, x, fx, grad, gnorm, alpha, max_trials=MAX_BACKTRACKS):
+    """One Armijo search from x through f.descend: (trial, f, alpha, grad f
+    at trial), or None where it fails.
+
+    With max_iters = 1 and initial_step = alpha, descend runs exactly one
+    search, which is never retried, and grad_tol = -inf stops nothing
+    before it; the accepted alpha is the one step's entry in the lists.
+    """
+    lists = ([], [], [], [], [])
+    stop, state = f.descend(
+        x, fx, grad, gnorm, lists, SIGMA, FACTOR, alpha, -math.inf, 1, max_trials
+    )
+    if stop == STOP_F_STATIONARY:
+        assert lists == ([], [], [], [], [])
+        return None
+    assert stop == STOP_MAX_ITERS and lists[0] == [state[0]]
+    return state[0], state[1], lists[4][0], state[2]
+
+
+def looped(f):
+    """A copy of f, with charts of its own, whose descend runs each chart's
+    descend_loop: the reference loops through the same driver."""
+    f = copy.copy(f)
+    f._charts = {}
+    for centre in f._centres or (f._origin,):
+        chart = f._chart_at(centre)
+        vars(chart)["descend"] = chart.descend_loop
+    return f

@@ -1,6 +1,5 @@
 """Armijo descent, condition certification, trace persistence."""
 
-import functools
 import hashlib
 import json
 import math
@@ -28,6 +27,16 @@ from singulim.homog import CPModel, build_cp_objective
 from singulim.polyalg import DomainViolation, Polynomial, RationalFunction
 from singulim.problems import load_bundled
 
+from descent_helpers import (
+    FACTOR,
+    SIGMA,
+    full_ladder,
+    line_search,
+    looped,
+    search,
+    step_loop,
+)
+
 
 def _pinch():
     x = Polynomial.variable(2, 0)
@@ -36,89 +45,38 @@ def _pinch():
     return RationalFunction(x * y, r2 * (1 + r2))
 
 
-def _line_search(
-    evaluate, x, fx, grad, g_sq, alpha, sigma, factor, max_trials, stop_at_x=True
-):
-    """The Armijo search as a Python loop over an objective's eval: (trial,
-    f_trial, alpha) for the first trial with an exact Armijo decrease, or
-    None after max_trials trials or, with stop_at_x, at a trial that rounds
-    back to x."""
-    for _ in range(max_trials):
-        trial = tuple([xi - alpha * gi for xi, gi in zip(x, grad)])
-        if stop_at_x and trial == x:
-            return None
-        try:
-            f_trial = evaluate(trial)
-        except (DomainViolation, OverflowError):
-            alpha *= factor
-            continue
-        required = sigma * alpha * g_sq
-        if math.isfinite(f_trial) and fx - f_trial >= required > 0.0:
-            return trial, f_trial, alpha
-        alpha *= factor
-    return None
-
-
-# _line_search without its early exit at a trial equal to x.
-_full_ladder = functools.partial(_line_search, stop_at_x=False)
-
-
 # sigma, factor and max_trials as optimize passes them by default.
-_ARGS = (DescentConfig().sigma_armijo, DescentConfig().backtrack_factor, MAX_BACKTRACKS)
+_ARGS = (SIGMA, FACTOR, MAX_BACKTRACKS)
 
 
-class _Reference:
-    """An objective whose line_search runs ladder (_line_search unless
-    given) over eval, then eval_and_grad at the accepted trial; it counts
-    eval calls."""
+class _Counted:
+    """f.eval, counting its calls."""
 
-    def __init__(self, f, ladder=_line_search):
-        self.f, self.ladder, self.calls = f, ladder, 0
+    def __init__(self, f):
+        self.f, self.calls = f, 0
 
-    def eval(self, x):
+    def __call__(self, x):
         self.calls += 1
         return self.f.eval(x)
 
-    def eval_and_grad(self, x):
-        return self.f.eval_and_grad(x)
 
-    def line_search(self, x, fx, grad, g_sq, alpha, sigma, factor, max_trials):
-        accepted = self.ladder(
-            self.eval, x, fx, grad, g_sq, alpha, sigma, factor, max_trials
-        )
-        if accepted is None:
-            return None
-        return (*accepted, self.f.eval_and_grad(accepted[0])[1])
+def _log_visits(f):
+    """Wrap each chart's generated descend to log (its centre, what it
+    returned to the driver: a centre index or the stop reason, and the
+    state).  Generated up front, so no evaluate call replaces the wrapper."""
+    log = []
+    for centre in f._centres or (f._origin,):
+        chart = f._chart_at(centre)
+        vars(chart).update(chart.generate())
+        generated = chart.descend
 
+        def logged(*args, _centre=centre, _descend=generated):
+            to, state = _descend(*args)
+            log.append((_centre, to, state))
+            return to, state
 
-class _LoopSearch:
-    """An objective whose line_search is the reference search_loop of the
-    chart that holds x."""
-
-    def __init__(self, f):
-        self.f = f
-
-    def eval_and_grad(self, x):
-        return self.f.eval_and_grad(x)
-
-    def line_search(self, x, *args):
-        return self.f._chart(x).search_loop(x, *args, self.f._chart_at)
-
-
-class _Calls:
-    """f's eval_and_grad and line_search, logging each call."""
-
-    def __init__(self, f):
-        self.f, self.log = f, []
-
-    def eval_and_grad(self, x):
-        self.log.append(("eval_and_grad", x))
-        return self.f.eval_and_grad(x)
-
-    def line_search(self, x, fx, grad, g_sq, alpha, *args):
-        accepted = self.f.line_search(x, fx, grad, g_sq, alpha, *args)
-        self.log.append(("line_search", x, alpha, accepted is not None))
-        return accepted
+        vars(chart)["descend"] = logged
+    return log
 
 
 def _quadratic_1d():
@@ -142,6 +100,10 @@ class TestConfig:
         {"initial_step": math.nan},
         {"initial_step": math.inf},
         {"grad_tol": math.nan},
+        {"max_iters": 2.5},
+        {"max_iters": math.nan},
+        {"max_iters": True},
+        {"max_iters": 100.0},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -290,49 +252,69 @@ class TestLineSearch:
         """counterex from this start stops on f_stationary after 4 steps: its
         last searches halve alpha until x - alpha*g rounds back to x."""
         x0, cfg = (0.2967700716400383, 0.17165480523348187), DescentConfig()
-        counted = _Reference(load_bundled("counterex").rational())
-        trace = optimize(counted, x0, cfg)
+        f = load_bundled("counterex").rational()
+        trace = optimize(f, x0, cfg)
         assert trace.stop_reason == "f_stationary"
+        counted = _Counted(load_bundled("counterex").rational())
+        assert step_loop(counted.f, x0, cfg, evaluate=counted) == trace
         run_calls = counted.calls
 
         x, fx = trace.iterates[-1], trace.f_values[-1]
-        _, grad = counted.eval_and_grad(x)
+        _, grad = f.eval_and_grad(x)
         g_sq = trace.grad_norms[-1] ** 2
         counted.calls = 0
-        assert _line_search(counted.eval, x, fx, grad, g_sq, 1.0, *_ARGS) is None
+        assert line_search(counted, x, fx, grad, g_sq, 1.0, *_ARGS) is None
         assert 0 < counted.calls < MAX_BACKTRACKS
         counted.calls = 0
-        assert _full_ladder(counted.eval, x, fx, grad, g_sq, 1.0, *_ARGS) is None
+        assert full_ladder(counted, x, fx, grad, g_sq, 1.0, *_ARGS) is None
         assert counted.calls == MAX_BACKTRACKS
 
-        reference = _Reference(load_bundled("counterex").rational(), _full_ladder)
-        assert optimize(reference, x0, cfg) == trace
-        assert reference.calls > run_calls
+        full = _Counted(load_bundled("counterex").rational())
+        assert step_loop(full.f, x0, cfg, full_ladder, full) == trace
+        assert full.calls > run_calls
 
     @pytest.mark.parametrize("name, x0, max_iters", [
         ("fig1", (2.0, -0.1), 100_000),
         ("counterex", (0.2967700716400383, 0.17165480523348187), 100),
         ("multi3", (1.6, 1.4), 300),
+        ("multi3", (3.182307256371944, 1.3817660434966745), 300),
     ])
-    def test_one_line_search_call_per_search(self, name, x0, max_iters):
-        """optimize calls eval_and_grad at x0 only, and line_search once per
-        search: a search that fails is retried once from initial_step, or
-        the run ends."""
+    def test_one_descend_call_per_chart_visit(self, name, x0, max_iters, monkeypatch):
+        """optimize calls eval_and_grad at x0 only, eval never, and each
+        chart's descend once per visit: once in all on the one-chart
+        problems, and 1 + hand-offs on multi3, where every visit but the
+        last hands on to the chart of the centre nearest its trial.  The
+        hand-offs are the changes of chart along the trials of the Python
+        step loop: none from (1.6, 1.4), several from the other start."""
         cfg = DescentConfig(max_iters=max_iters)
-        f = _Calls(load_bundled(name).rational())
+        f = load_bundled(name).rational()
+        visits = _log_visits(f)
+        calls = []
+        for method in ("eval", "eval_and_grad"):
+            def logged(self, x, _method=method, _original=getattr(RationalFunction, method)):
+                calls.append((_method, x))
+                return _original(self, x)
+
+            monkeypatch.setattr(RationalFunction, method, logged)
         trace = optimize(f, x0, cfg)
-        assert f.log[0] == ("eval_and_grad", x0)
-        calls = f.log[1:]
-        assert {call[0] for call in calls} == {"line_search"}
-        steps = len(trace.step_norms)
-        assert [x for _, x, _, ok in calls if ok] == list(trace.iterates[:steps])
-        for i, (_, x, alpha, ok) in enumerate(calls[:-1]):
-            if not ok:
-                _, retry_x, retry_alpha, retry_ok = calls[i + 1]
-                assert alpha != cfg.initial_step
-                assert (retry_x, retry_alpha) == (x, cfg.initial_step)
-                assert retry_ok or i + 2 == len(calls)
-        assert calls[-1][3] == (trace.stop_reason != "f_stationary")
+        monkeypatch.undo()
+        assert calls == [("eval_and_grad", x0)]
+        assert visits[0][0] == f._chart(x0).centre
+        assert visits[-1][1] == trace.stop_reason
+        assert [to for _, to, _ in visits[:-1]] == [
+            f._centres.index(centre) for centre, _, _ in visits[1:]
+        ]
+
+        charts = [f._chart(x0)]
+
+        def evaluate(t):
+            charts.append(f._chart(t))
+            return f.eval(t)
+
+        assert step_loop(f, x0, cfg, evaluate=evaluate) == trace
+        hand_offs = sum(a is not b for a, b in zip(charts, charts[1:]))
+        assert len(visits) == 1 + hand_offs
+        assert (hand_offs > 0) == (x0[0] > 3.0)
 
 
 def _hex(values):
@@ -340,6 +322,13 @@ def _hex(values):
     if values is None or isinstance(values, float):
         return values if values is None else values.hex()
     return [_hex(v) for v in values]
+
+
+def _trace_hex(trace):
+    """Every float of a trace as float.hex, with its stop reason."""
+    return [_hex(list(field)) for field in (
+        trace.iterates, trace.f_values, trace.grad_norms, trace.step_norms, trace.alphas
+    )] + [trace.stop_reason]
 
 
 def _cp_f_hat():
@@ -356,33 +345,25 @@ def _polynomial_objective(numer):
 
 
 class TestGeneratedSearch:
-    """RationalFunction.line_search gives the bits of _line_search(f.eval,
-    ...) and eval_and_grad at the accepted trial, and of the chart's
-    search_loop, ladder by ladder and run by run."""
+    """One search through RationalFunction.descend gives the bits of
+    line_search(f.eval, ...) and eval_and_grad at the accepted trial, and of
+    the charts' descend_loop, ladder by ladder; whole runs give the bits of
+    the Python step loop."""
 
-    CFG = DescentConfig()
-
-    @classmethod
-    def _search(cls, f, x, fx, grad, g_sq, alpha, max_trials=MAX_BACKTRACKS):
-        cfg = cls.CFG
-        return f.line_search(
-            x, fx, grad, g_sq, alpha, cfg.sigma_armijo, cfg.backtrack_factor, max_trials
-        )
-
-    @classmethod
-    def _assert_same(cls, make, x, alpha, fx=None, grad=None):
+    @staticmethod
+    def _assert_same(make, x, alpha, fx=None, grad=None, loop=None):
         """One ladder from x on a fresh function against the reference on
-        another, and against search_loop on a third."""
-        f, reference, looped = make(), make(), make()
+        another, and against descend_loop on a third, or on loop where
+        given: descend_loop keeps nothing from one call to the next."""
+        f, reference = make(), make()
         fx_x, grad_x = reference.eval_and_grad(x)
         fx = fx_x if fx is None else fx
         grad = grad_x if grad is None else grad
-        g_sq = math.fsum(g * g for g in grad)
-        expected = _line_search(reference.eval, x, fx, grad, g_sq, alpha, *_ARGS)
-        result = cls._search(f, x, fx, grad, g_sq, alpha)
-        assert _hex(looped._chart(x).search_loop(
-            x, fx, grad, g_sq, alpha, *_ARGS, looped._chart_at
-        )) == _hex(result), (x, alpha)
+        gnorm = math.sqrt(math.fsum(g * g for g in grad))
+        expected = line_search(reference.eval, x, fx, grad, gnorm * gnorm, alpha, *_ARGS)
+        result = search(f, x, fx, grad, gnorm, alpha)
+        loop = looped(make()) if loop is None else loop
+        assert _hex(search(loop, x, fx, grad, gnorm, alpha)) == _hex(result), (x, alpha)
         if result is None:
             assert expected is None, (x, alpha)
         else:
@@ -395,13 +376,13 @@ class TestGeneratedSearch:
         """Starts over [-1, 4]^2, where multi3's ladders cross between its
         three charts, with alpha up to 2^12."""
         make = lambda: load_bundled(name).rational()
-        f = make()
+        f, loop = make(), looped(make())
         rng = random.Random(name)
         crossings = accepted_elsewhere = 0
         for _ in range(150):
             x = (rng.uniform(-1.0, 4.0), rng.uniform(-1.0, 4.0))
             alpha = 2.0 ** rng.randint(-4, 12)
-            result = self._assert_same(make, x, alpha)
+            result = self._assert_same(make, x, alpha, loop=loop)
             _, grad = f.eval_and_grad(x)
             first = tuple(xi - alpha * gi for xi, gi in zip(x, grad))
             crossings += f._chart(first) is not f._chart(x)
@@ -427,7 +408,7 @@ class TestGeneratedSearch:
         expected = self._assert_same(_pinch, (1.0, 1.0), 1.0, fx, (1.0, 1.0))
         if fx is not None:
             assert expected[0] == (0.5, 0.5)
-        assert self._search(_pinch(), (1.0, 1.0), 1.0, (1.0, 1.0), 2.0, 1.0, 1) is None
+        assert search(_pinch(), (1.0, 1.0), 1.0, (1.0, 1.0), math.sqrt(2.0), 1.0, 1) is None
 
     @pytest.mark.parametrize("numer", [
         lambda x, y: -x ** 4 - y ** 4,  # -inf
@@ -447,7 +428,7 @@ class TestGeneratedSearch:
         fig1 far out with a step below half an ulp of x."""
         x0 = (0.2967700716400383, 0.17165480523348187)
         make = lambda: load_bundled("counterex").rational()
-        trace = optimize(make(), x0, self.CFG)
+        trace = optimize(make(), x0, DescentConfig())
         assert self._assert_same(make, trace.iterates[-1], 1.0) is None
         fig1 = lambda: load_bundled("fig1").rational()
         assert self._assert_same(fig1, (1e10, -1e10), 1e-17, grad=(1.0, 1.0)) is None
@@ -464,11 +445,11 @@ class TestGeneratedSearch:
         make = lambda: load_bundled(name).rational()
         f = make()
         fx, grad = f.eval_and_grad(x)
-        g_sq = math.fsum(g * g for g in grad)
-        accepted = _line_search(f.eval, x, fx, grad, g_sq, alpha, *_ARGS)
+        gnorm = math.sqrt(math.fsum(g * g for g in grad))
+        accepted = line_search(f.eval, x, fx, grad, gnorm * gnorm, alpha, *_ARGS)
         alpha0 = accepted[2] * 2.0 ** MAX_BACKTRACKS
         assert self._assert_same(make, x, alpha0) is None
-        assert _hex(self._search(f, x, fx, grad, g_sq, alpha0, MAX_BACKTRACKS + 1)[:3]) == (
+        assert _hex(search(f, x, fx, grad, gnorm, alpha0, MAX_BACKTRACKS + 1)[:3]) == (
             _hex(accepted)
         )
         if name == "multi3":
@@ -486,6 +467,17 @@ class TestGeneratedSearch:
         expected = self._assert_same(make, (1.0,), 2.0 ** 53, 1.0, (2.0 ** -52,))
         assert expected == ((0.0,), 0.0, 2.0 ** 52)
 
+    @staticmethod
+    def _assert_same_run(make, x0, cfg):
+        """optimize through descend against optimize through the charts'
+        descend_loop and the Python step loop over line_search, float.hex of
+        every entry; returns the trace."""
+        trace = optimize(make(), x0, cfg)
+        loop = optimize(looped(make()), x0, cfg)
+        reference = step_loop(make(), x0, cfg)
+        assert _trace_hex(trace) == _trace_hex(loop) == _trace_hex(reference)
+        return trace
+
     @pytest.mark.parametrize("name, x0, max_iters", [
         ("fig1", (2.0, -0.1), 100_000),
         ("fig1", (1.0453078611082531, -0.8124589664396993), 300),
@@ -496,16 +488,76 @@ class TestGeneratedSearch:
         ("cp_f_hat", (1.0, 0.5, 0.8, -0.2, 0.3, 1.1, -0.7, 0.4, 0.9, 0.2, -0.5, 1.3), 50),
     ])
     def test_optimize_matches_the_reference_path(self, name, x0, max_iters):
-        """optimize through line_search against optimize through objectives
-        whose line_search is _line_search over eval, then eval_and_grad, and
-        the charts' search_loop."""
+        """optimize through descend against the Python step loop over
+        line_search and eval_and_grad, and the charts' descend_loop."""
         make = _cp_f_hat if name == "cp_f_hat" else lambda: load_bundled(name).rational()
         cfg = DescentConfig(max_iters=max_iters)
         trace = optimize(make(), x0, cfg)
-        reference = optimize(_Reference(make()), x0, cfg)
-        looped = optimize(_LoopSearch(make()), x0, cfg)
-        assert _trace_digest(trace) == _trace_digest(reference) == _trace_digest(looped)
-        assert trace == reference == looped
+        reference = step_loop(make(), x0, cfg)
+        loop = optimize(looped(make()), x0, cfg)
+        assert _trace_digest(trace) == _trace_digest(reference) == _trace_digest(loop)
+        assert trace == reference == loop
+        assert _trace_hex(trace) == _trace_hex(reference) == _trace_hex(loop)
+
+    def test_hand_off_mid_ladder(self):
+        """multi3 from a point in the chart at (3, 0): a search hands on to
+        the origin's chart at its first trial, and one there hands back
+        after trials of its own, with the budget left."""
+        make = lambda: load_bundled("multi3").rational()
+        x0 = (3.182307256371944, 1.3817660434966745)
+        self._assert_same_run(make, x0, DescentConfig(max_iters=300))
+        f = make()
+        visits = _log_visits(f)
+        optimize(f, x0, DescentConfig(max_iters=300))
+        budgets = [state[6] for _, to, state in visits if type(to) is int]
+        assert any(0 < budget < MAX_BACKTRACKS for budget in budgets)
+
+    def test_retry_from_initial_step(self):
+        """fig1 from this start: searches whose two-point start fails are
+        retried from initial_step, and the run goes on to stop on grad_tol."""
+        x0, cfg = (-0.39555020097096794, 0.6634759268006456), DescentConfig(max_iters=300)
+        make = lambda: load_bundled("fig1").rational()
+        trace = self._assert_same_run(make, x0, cfg)
+        log = []
+
+        def ladder(evaluate, x, fx, grad, g_sq, alpha, *args):
+            accepted = line_search(evaluate, x, fx, grad, g_sq, alpha, *args)
+            log.append((x, alpha, accepted is not None))
+            return accepted
+
+        assert step_loop(make(), x0, cfg, ladder) == trace
+        retries = [i for i, (x, _, ok) in enumerate(log[:-1]) if not ok]
+        assert retries and trace.stop_reason == "grad_tol"
+        for i in retries:
+            assert log[i + 1][:2] == (log[i][0], cfg.initial_step) and log[i + 1][2]
+
+    def test_floor_rejection_in_a_run(self):
+        """_pinch from (1, -1) with initial_step 9: the first trial is the
+        origin, where q = 0, and the run backtracks past it."""
+        cfg = DescentConfig(max_iters=50, initial_step=9.0)
+        rejected = []
+
+        def evaluate(t):
+            try:
+                return f.eval(t)
+            except DomainViolation:
+                rejected.append(t)
+                raise
+
+        f = _pinch()
+        trace = self._assert_same_run(_pinch, (1.0, -1.0), cfg)
+        assert step_loop(f, (1.0, -1.0), cfg, evaluate=evaluate) == trace
+        assert rejected[0] == (0.0, 0.0) and len(trace) > 2
+
+    @pytest.mark.parametrize("cfg, stop, steps", [
+        (DescentConfig(grad_tol=math.inf), "grad_tol", 0),
+        (DescentConfig(max_iters=1), "max_iters", 1),
+    ], ids=["grad_tol=inf", "max_iters=1"])
+    def test_first_pass_stops(self, cfg, stop, steps):
+        for name, x0 in (("fig1", (2.0, -0.1)), ("multi3", (1.6, 1.4))):
+            make = lambda: load_bundled(name).rational()
+            trace = self._assert_same_run(make, x0, cfg)
+            assert (trace.stop_reason, len(trace.step_norms)) == (stop, steps)
 
 
 class TestCheckConditions:

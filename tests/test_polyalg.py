@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from singulim.descent import MAX_BACKTRACKS, DescentConfig
+from singulim.descent import MAX_BACKTRACKS, DescentConfig, optimize
 from singulim.polyalg import (
     DimensionError,
     DomainViolation,
@@ -22,6 +22,8 @@ from singulim.polyalg import (
 )
 from singulim.homog import CPModel, build_cp_objective
 from singulim.problems import BUNDLED_NAMES, load_bundled
+
+from descent_helpers import looped, search, step_loop
 
 N_VARS = 3
 
@@ -656,7 +658,7 @@ def _outcome(evaluate, x):
 
 
 def _search_args(a):
-    """(x, fx, grad, g_sq, alpha) of a search whose first trial is a, bit
+    """(x, fx, grad, gnorm, alpha) of a search whose first trial is a, bit
     for bit.
 
     alpha = 1 and, per coordinate, x = 2a and grad = a (2a - a is a exactly),
@@ -677,11 +679,8 @@ def _search_args(a):
 
 
 def _search_to(f, a, max_trials=MAX_BACKTRACKS):
-    """f.line_search whose first trial is a (_search_args)."""
-    cfg = DescentConfig()
-    return f.line_search(
-        *_search_args(a), cfg.sigma_armijo, cfg.backtrack_factor, max_trials
-    )
+    """One search through f.descend whose first trial is a (_search_args)."""
+    return search(f, *_search_args(a), max_trials)
 
 
 class TestValueReuse:
@@ -814,9 +813,9 @@ def quotients(draw):
 
 
 class TestGeneratedCode:
-    """Over random quotients, generated evaluate and search return the bits
-    of loop and search_loop: values, DomainViolations, trials, steps and
-    gradients."""
+    """Over random quotients, generated evaluate and descend return the bits
+    of loop and descend_loop: values, DomainViolations, trials, steps and
+    gradients, and whole runs those of the Python step loop."""
 
     @settings(max_examples=80, deadline=None)
     @given(quotients(), st.data())
@@ -829,9 +828,10 @@ class TestGeneratedCode:
         # search from zero to a declared centre's float is handed off to
         # that centre's chart where it is another.
         searches = [_search_args(zero)]
+        norm = lambda grad: math.sqrt(math.fsum(g * g for g in grad))
         for c in (f._centres or ())[1:]:
             grad = [a - b for a, b in zip(zero_point, c)]
-            searches.append((zero_point, math.inf, grad, math.fsum(g * g for g in grad), 1.0))
+            searches.append((zero_point, math.inf, grad, norm(grad), 1.0))
         # Sixteenths in [-4, 4], and -0.0 about one draw in nine.
         steps = st.integers(-64, 80).map(lambda k: k / 16 if k <= 64 else -0.0)
         for _ in range(4):
@@ -844,14 +844,13 @@ class TestGeneratedCode:
                 except DomainViolation:
                     pass
             alpha = 2.0 ** data.draw(st.integers(-4, 6))
-            searches.append((x, fx, grad, math.fsum(g * g for g in grad), alpha))
-        cfg = DescentConfig()
+            searches.append((x, fx, grad, norm(grad), alpha))
+        reference = looped(f)
         points = [zero]
-        for x, fx, grad, g_sq, alpha in searches:
-            args = (x, fx, grad, g_sq, alpha,
-                    cfg.sigma_armijo, cfg.backtrack_factor, MAX_BACKTRACKS)
-            expected = f._chart(x).search_loop(*args, f._chart_at)
-            assert _hex(f.line_search(*args)) == _hex(expected), args
+        for args in searches:
+            expected = search(reference, *args)
+            assert _hex(search(f, *args)) == _hex(expected), args
+            x = args[0]
             points += [x] if expected is None else [x, expected[0]]
         for x in points:
             chart = f._chart(x)
@@ -861,6 +860,33 @@ class TestGeneratedCode:
                 assert chart.generated
                 expected = _outcome(functools.partial(chart.loop, grad=grad), x)
                 assert outcome == expected, x
+
+    @settings(max_examples=40, deadline=None)
+    @given(quotients(), st.data())
+    def test_descend_returns_the_step_loops_bits(self, case, data):
+        """Whole runs from drawn starts, with drawn caps and initial steps:
+        optimize through the generated descend, through descend_loop, and
+        the Python step loop over line_search give the same trace, float.hex
+        of every entry, or raise the same error."""
+        f, _ = case
+        sixteenths = st.integers(-64, 64).map(lambda k: k / 16)
+        x0 = tuple(data.draw(sixteenths) for _ in range(f.n_vars))
+        cfg = DescentConfig(
+            max_iters=data.draw(st.integers(1, 40)),
+            initial_step=2.0 ** data.draw(st.integers(-3, 3)),
+        )
+
+        def outcome(run, g):
+            try:
+                trace = run(g, x0, cfg)
+            except (ValueError, OverflowError) as err:
+                return type(err).__name__
+            return _hex([trace.iterates, trace.f_values, trace.grad_norms,
+                         trace.step_norms, trace.alphas]), trace.stop_reason
+
+        generated = outcome(optimize, f)
+        assert outcome(optimize, looped(f)) == generated
+        assert outcome(step_loop, f) == generated
 
 
 class TestRationalFunction:

@@ -9,6 +9,7 @@ import pytest
 from singulim.descent import DescentConfig, optimize
 from singulim.limits import direction_trail, trail_certifies_safe_approach
 from singulim.polyalg import Polynomial, RationalFunction
+from singulim import singan
 from singulim.problems import load_bundled
 from singulim.singan import (
     UnboundedFunctionError,
@@ -274,6 +275,32 @@ class TestPencilMemo:
         assert _hex(line.coeffs) == _hex(fresh_line.coeffs)
         assert _hex(line.recurrence_weights) == _hex(fresh_line.recurrence_weights)
         assert line.radius_lower_bound.hex() == fresh_line.radius_lower_bound.hex()
+
+
+    @pytest.mark.parametrize("name, centre", [("fig1", (0, 0)), ("multi3", (3, 0))])
+    def test_taylor_line_keeps_the_integer_forms(self, name, centre, monkeypatch):
+        """The pencil's integer forms are formed on the first Taylor line at
+        a declared centre and read from the kept pencil after.  At exact
+        directions, integer and fractional, each line is the exact series of
+        the pencil values, each coefficient rounded once."""
+        f = load_bundled(name).rational()
+        pencil = analyze_singularity(f, centre)
+        calls = []
+        original = singan._integer_form
+        monkeypatch.setattr(
+            singan, "_integer_form", lambda terms: calls.append(1) or original(terms)
+        )
+        directions = [(3, 1), (Fraction(1, 3), Fraction(-2, 7)), (Fraction(3, 4), 1)]
+        for direction in directions:
+            line = taylor_line(f, centre, direction, n_terms=12,
+                               pencil=analyze_singularity(f, centre))
+            g = [p.eval_exact(direction) for p in pencil.denom_coeffs[pencil.n_min:]]
+            a = [p.eval_exact(direction) for p in pencil.numer_coeffs[pencil.n_min:]]
+            while g[-1] == 0:
+                g.pop()
+            assert line.coeffs == tuple(float(c) for c in series_divide(a, g, 12))
+        n_polys = len(pencil.denom_coeffs) + len(pencil.numer_coeffs) - 2 * pencil.n_min
+        assert len(calls) == n_polys
 
 
 def _float_units(count, seed):
