@@ -15,14 +15,15 @@ initial_step itself on the first iteration and wherever s'y <= 0.  Restarting
 every line search at initial_step instead lets the iterates approach the
 essential singularity of fig1 only as ||x_k|| ~ k^(-1/2).
 
-The loop itself is RationalFunction.descend: the stop tests, the ladder
-with its retry, the accepted trial's gradient and the two-point step run
-inside each chart's generated code, which appends each step to the trace
-and returns only at a stop or where a trial belongs to another chart.  So
-optimize makes one Python call per chart visit, not per step or search
-(polyalg._Evaluator, whose descend_loop is the reference).  sigma, the
-backtrack factor, initial_step, grad_tol, max_iters and MAX_BACKTRACKS are
-passed to it from here.
+The loop itself is RationalFunction.descend: the stop tests, the ladder,
+the accepted trial's gradient and the two-point step run inside each
+chart's generated code, which appends each step to the trace and returns
+only at a stop or where a trial belongs to another chart.
+RationalFunction.descend decides each stop, the retry from initial_step
+included.  So optimize makes one Python call per chart visit or retry,
+not per step or search (polyalg._Evaluator, whose descend_loop is the
+reference).  sigma, the backtrack factor, initial_step, grad_tol,
+max_iters and MAX_BACKTRACKS are passed to it from here.
 """
 
 from __future__ import annotations
@@ -130,7 +131,7 @@ def optimize(
 
     f is a RationalFunction.  eval_and_grad runs at x0 only, and the whole
     run is one f.descend call, which calls each chart's generated descend
-    once per visit.
+    once per visit or retry.
     """
     if cfg is None:
         cfg = DescentConfig()
@@ -185,7 +186,8 @@ def check_conditions(trace: DescentTrace, tail_start: int) -> ConditionReport:
     kappa_hat the minimum of step_k / ||grad_k|| over steps k >= tail_start
     with step_k != 0 and ||grad_k|| > 0.  a2_violations counts zero-progress
     steps of nonzero length, degenerate_steps zero steps at a nonzero
-    gradient.
+    gradient.  A negative tail_start reads as 0, and the report records the
+    index read.
 
     The tail is one array: each ratio is the elementwise IEEE quotient that
     a loop over the steps would form, and the minima are taken over Python
@@ -210,7 +212,7 @@ def check_conditions(trace: DescentTrace, tail_start: int) -> ConditionReport:
     return ConditionReport(
         min(sigmas) if sigmas else None,
         min(kappas) if kappas else None,
-        a2_violations, tail_start, degenerate,
+        a2_violations, start, degenerate,
     )
 
 

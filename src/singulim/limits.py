@@ -122,9 +122,12 @@ def direction_trail(
     """Evaluate the leading pencil polynomial on unit approach directions.
 
     Iterates equal to the pencil base are skipped and counted.  The margin
-    is min |f_{n_min}(u)| over the directions from index tail_start on
-    (default: the second half), divided by the largest |coefficient| of
-    f_{n_min}, so the sign and scale in which f is written do not move it.
+    is min |f_{n_min}(u)| over the tail, divided by the largest
+    |coefficient| of f_{n_min}, so the sign and scale in which f is written
+    do not move it.  The tail is the directions of the iterates from index
+    tail_start on (default: the second half of the iterates; a negative
+    tail_start reads as 0), or the last direction where no iterate there
+    has one.
 
     The whole trace is one array: each difference, square, quotient and
     square root is the elementwise IEEE operation a loop over the iterates
@@ -152,10 +155,11 @@ def direction_trail(
         values = pencil.leading.eval_float(list(units.T))
     values = np.broadcast_to(values, len(units)).tolist()
     if tail_start is None:
-        tail_start = len(values) // 2
-    tail_start = min(tail_start, len(values) - 1)
+        tail_start = len(trace.iterates) // 2
+    # The directions of iterates before tail_start come first in values.
+    first = min(np.count_nonzero(kept[:max(tail_start, 0)]), len(values) - 1)
     scale = float(max(map(abs, pencil.leading.terms.values())))
-    min_tail = min(map(abs, values[tail_start:])) / scale
+    min_tail = min(map(abs, values[first:])) / scale
     return DirectionTrail(
         center, tuple(map(tuple, units.tolist())), tuple(values), min_tail,
         len(norms) - len(units),
@@ -210,7 +214,10 @@ def lojasiewicz_probe(
     obstruction itself is the reported diagnosis.  A non-monotone tail with
     positive gradients violates the monotone-images hypothesis and raises.
     The powers r ** (1 - theta) are Python's (see the module docstring).
+    The tail is the trace from index tail_start on; a negative tail_start
+    reads as 0, and the certificates record the index read.
     """
+    tail_start = max(tail_start, 0)
     thetas = sorted(theta_grid)
     for theta in thetas:
         _check_theta(theta)
@@ -304,12 +311,13 @@ def rate_classify(
     Fits log r_k against k (linear regime, slope -> q = e^slope) and against
     log k (sublinear regime, slope -> p with theta = p/(1+2p)); the regime
     with the better R^2 wins, and both below the quality floor means
-    inconclusive.
+    inconclusive.  The tail is the iterates from index tail_start on; a
+    negative tail_start reads as 0.
     """
     center = tuple(float(v) for v in x_star)
     ks = []
     rs = []
-    for k in range(tail_start, len(trace.iterates)):
+    for k in range(max(tail_start, 0), len(trace.iterates)):
         r = math.dist(trace.iterates[k], center)
         if r > 0.0:
             ks.append(k)

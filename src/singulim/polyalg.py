@@ -623,15 +623,13 @@ class _Evaluator:
     The evaluator also runs steepest descent with Armijo backtracking:
     descend(*state, lists, sigma, factor, initial_step, grad_tol, max_trials),
     descend_loop below, with state = (x, fx, grad, gnorm, first_step, alpha,
-    budget, retry, iters).  Each pass of its loop stops on iters == 0
+    budget, iters).  Each pass of its loop stops on iters == 0
     (max_iters) or gnorm <= grad_tol (grad_tol), then searches: it
     backtracks from alpha by factor, for at most budget trials, to the first
     trial t = x - alpha*grad where f is finite and fx - f >= sigma*alpha*g_sq
     > 0, g_sq = gnorm*gnorm.  The search fails after budget trials, or at
     once at a trial that rounds back to x: every smaller alpha rounds to x
-    too and decreases nothing.  A failed search is retried once from
-    initial_step, with max_trials trials, unless it started there (retry
-    records the retry); a second failure stops the run (f_stationary).  fx - f
+    too and decreases nothing; a failed search returns f_stationary.  fx - f
     is exact whenever f lies within a factor two of fx (Sterbenz), so the
     decrease itself is compared, not f with the rounded threshold.  A trial
     below the DENOM_FLOOR test is rejected like a failed decrease.  At an
@@ -650,18 +648,21 @@ class _Evaluator:
     centre, and the state carries across charts.
 
     loop and descend_loop are the references: term by term from power
-    tables.  The first evaluate call runs loop.  The second generates one
-    straight-line function per method that forms the same differences,
+    tables.  The first evaluate call runs loop, and the second generates
+    evaluate, a straight-line function that forms the same differences,
     powers, products, sums, quotients and comparisons in the same order, so
-    every call returns the same bits.  It leaves out the difference for each
-    coordinate of the centre that is 0.0, since v - 0.0 is v bit for bit
-    (-0.0, infinities and NaN included); descend generates at once, with the
-    iterate, the trial and the gradients as locals and the whole loop in one
-    frame.  They go into the instance dict (hence no __slots__), where they
-    shadow the methods, so later calls run them directly and no stored bound
-    method ties the evaluator into a reference cycle: it is freed with its
-    owner, not by the cycle collector.  Generating costs about a hundred
-    looped evaluations, which a chart evaluated once never pays back.
+    every call returns the same bits.  The first descend call generates
+    descend likewise, with the iterate, the trial and the gradients as
+    locals and the whole loop in one frame.  Each function is generated on
+    its own first use, so a chart that is only evaluated compiles no
+    descent, and one reached only by a hand-off no evaluate.  Both leave out
+    the difference for each coordinate of the centre that is 0.0, since
+    v - 0.0 is v bit for bit (-0.0, infinities and NaN included).  They go
+    into the instance dict (hence no __slots__), where they shadow the
+    methods, so later calls run them directly and no stored bound method
+    ties the evaluator into a reference cycle: it is freed with its owner,
+    not by the cycle collector.  Generating costs about a hundred looped
+    evaluations, which a chart evaluated once never pays back.
     """
 
     def __init__(
@@ -711,12 +712,12 @@ class _Evaluator:
         if not self._used:
             self._used = True
             return self.loop(x, grad)
-        vars(self).update(self.generate())
+        self.evaluate = self.generate("evaluate")
         return self.evaluate(x, grad)
 
     def descend(self, *args):
         """The Armijo descent from a state; see the class docstring."""
-        vars(self).update(self.generate())
+        self.descend = self.generate("descend")
         return self.descend(*args)
 
     def loop(self, x: Sequence, grad: bool):
@@ -730,13 +731,13 @@ class _Evaluator:
         return f, self._gradient(powers, outer, p, q, f)
 
     def descend_loop(
-        self, x, fx, grad, gnorm, first_step, alpha, budget, retry, iters,
+        self, x, fx, grad, gnorm, first_step, alpha, budget, iters,
         lists, sigma, factor, initial_step, grad_tol, max_trials,
     ):
         """The reference descent, statement for statement the generated one,
         over the term loops; x is a tuple and grad a sequence of floats."""
         iterates, f_values, grad_norms, step_norms, alphas = lists
-        state = lambda: (x, fx, grad, gnorm, first_step, alpha, budget, retry, iters)
+        state = lambda: (x, fx, grad, gnorm, first_step, alpha, budget, iters)
         while True:
             if iters == 0:
                 return STOP_MAX_ITERS, state()
@@ -746,10 +747,7 @@ class _Evaluator:
             while True:
                 trial = tuple([a - alpha * g for a, g in zip(x, grad)])
                 if budget <= 0 or all(t == a for t, a in zip(trial, x)):
-                    if retry or first_step == initial_step:
-                        return STOP_F_STATIONARY, state()
-                    retry, alpha, budget = True, initial_step, max_trials
-                    continue
+                    return STOP_F_STATIONARY, state()
                 if self.dispatch is not None:
                     centre = _nearest(trial, self.dispatch)
                     if centre != self.centre:
@@ -777,7 +775,7 @@ class _Evaluator:
             step_norms.append(math.sqrt(s_s))
             alphas.append(alpha)
             iters -= 1
-            alpha, budget, retry = first_step, max_trials, False
+            alpha, budget = first_step, max_trials
 
     def _sums(self, x: Sequence) -> tuple[list, list, list[float]]:
         """(powers, outer, values) at x: the power tables of the coordinates
@@ -809,39 +807,39 @@ class _Evaluator:
             return [(q * a - p * b) / q_sq for a, b in zip(grad_p, grad_q)]
         return [(a - f * b) / q for a, b in zip(grad_p, grad_q)]
 
-    def generate(self) -> dict:
-        """loop and descend_loop as straight-line code:
-        {"evaluate": ..., "descend": ...}."""
+    def generate(self, name: str):
+        """loop (name "evaluate") or descend_loop (name "descend") as
+        straight-line code."""
         names = [f"x{i}" for i in range(len(self.max_deg))]
         # The powers of x0, x1, ... (and, composed, the u_k and their
-        # powers) that evaluate and descend share.
-        powers = _power_lines("x", self.max_deg)
+        # powers), then p and q.
+        value = _power_lines("x", self.max_deg)
         var = "x"
         if self.inner is not None:
             for k, compiled in enumerate(self.inner):
-                powers += _sum_source(f"u{k}", compiled, "x")
-            powers += _power_lines("u", self.outer_max_deg)
+                value += _sum_source(f"u{k}", compiled, "x")
+            value += _power_lines("u", self.outer_max_deg)
             var = "u"
-        lines = ["def evaluate(x, grad):", f"    {_tuple_source(names)} = x"]
-        lines += [
-            f"    {n} = float({n})" + (f" - {c!r}" if c else "")
-            for n, c in zip(names, self.centre)
-        ]
-        sums = _sum_source("p", self.values[0], var)
-        sums += _sum_source("q", self.values[1], var)
+        value += _sum_source("p", self.values[0], var)
+        value += _sum_source("q", self.values[1], var)
         gradient = [f"h{i}" for i in range(len(names))]
-        lines += [
-            *powers,
-            *sums,
-            "    if abs(q) < DENOM_FLOOR:",
-            "        raise DomainViolation(x, q)",
-            "    f = p / q",
-            "    if not grad:",
-            "        return f",
-            *self._gradient_lines(gradient),
-            f"    return f, {_list_source(gradient)}",
-            *self._descend_lines(names, powers + sums, gradient),
-        ]
+        if name == "descend":
+            lines = self._descend_lines(names, value, gradient)
+        else:
+            lines = [
+                "def evaluate(x, grad):",
+                f"    {_tuple_source(names)} = x",
+                *(f"    {n} = float({n})" + (f" - {c!r}" if c else "")
+                  for n, c in zip(names, self.centre)),
+                *value,
+                "    if abs(q) < DENOM_FLOOR:",
+                "        raise DomainViolation(x, q)",
+                "    f = p / q",
+                "    if not grad:",
+                "        return f",
+                *self._gradient_lines(gradient),
+                f"    return f, {_list_source(gradient)}",
+            ]
         namespace = {
             "DENOM_FLOOR": DENOM_FLOOR, "FLOAT_MIN": sys.float_info.min,
             "inf": math.inf, "DomainViolation": DomainViolation,
@@ -850,9 +848,9 @@ class _Evaluator:
             "STOP_F_STATIONARY": STOP_F_STATIONARY, "STOP_MAX_ITERS": STOP_MAX_ITERS,
         }
         exec(compile("\n".join(lines), "<polyalg chart>", "exec"), namespace)
-        # Taken out of the namespace, which is their globals: left in it,
-        # each function would form a reference cycle with that dict.
-        return {name: namespace.pop(name) for name in ("evaluate", "descend")}
+        # Taken out of the namespace, which is its globals: left in it, the
+        # function would form a reference cycle with that dict.
+        return namespace.pop(name)
 
     def _gradient_lines(self, out: Sequence[str]) -> list[str]:
         """Statements that leave _gradient's entries in the names out, from
@@ -906,10 +904,10 @@ class _Evaluator:
         trial = [f"t{i}" if c else names[i] for i, c in enumerate(self.centre)]
         state = (
             f"({_tuple_source(x)}, fx, {_tuple_source(grad)}, gnorm, first_step,"
-            " alpha, budget, retry, iters)"
+            " alpha, budget, iters)"
         )
         lines = [
-            "def descend(x, fx, grad, gnorm, first_step, alpha, budget, retry, iters,"
+            "def descend(x, fx, grad, gnorm, first_step, alpha, budget, iters,"
             " lists, sigma, factor, initial_step, grad_tol, max_trials):",
             f"    {_tuple_source(x)} = x",
             f"    {_tuple_source(grad)} = grad",
@@ -924,10 +922,7 @@ class _Evaluator:
             *(f"            {t} = {a} - alpha * {g}" for t, a, g in zip(trial, x, grad)),
             "            if budget <= 0 or "
             + " and ".join(f"{t} == {a}" for t, a in zip(trial, x)) + ":",
-            "                if retry or first_step == initial_step:",
-            f"                    return STOP_F_STATIONARY, {state}",
-            "                retry, alpha, budget = True, initial_step, max_trials",
-            "                continue",
+            f"                return STOP_F_STATIONARY, {state}",
         ]
         if self.dispatch is not None:
             # _nearest's rule: the first nearest centre, the origin where
@@ -978,7 +973,7 @@ class _Evaluator:
             "        step_norms.append(sqrt(s_s))",
             "        alphas.append(alpha)",
             "        iters -= 1",
-            "        alpha, budget, retry = first_step, max_trials, False",
+            "        alpha, budget = first_step, max_trials",
         ]
         return lines
 
@@ -1200,18 +1195,23 @@ class RationalFunction:
         all charts together.  Each chart visit is one call of that chart's
         descend, which returns at a stop or hands the state on to the chart
         of the centre nearest its trial; the loop here resumes it there.
-        Returns the stop reason and the final state (_Evaluator), whose
-        gradient the lists do not keep.
+        A failed search that started below initial_step is retried once,
+        from initial_step in the same chart; any other stops the run
+        (f_stationary).  Returns the stop reason and the final state
+        (_Evaluator), whose gradient the lists do not keep.
         """
-        state = (x, fx, grad, gnorm, initial_step, initial_step, max_trials, False, max_iters)
+        state = (x, fx, grad, gnorm, initial_step, initial_step, max_trials, max_iters)
         chart = self._chart(x)
         while True:
             to, state = chart.descend(
                 *state, lists, sigma, factor, initial_step, grad_tol, max_trials
             )
-            if type(to) is str:
+            if type(to) is int:
+                chart = self._chart_at(self._centres[to])
+            elif to == STOP_F_STATIONARY and state[4] != initial_step:
+                state = (*state[:4], initial_step, initial_step, max_trials, state[7])
+            else:
                 return to, state
-            chart = self._chart_at(self._centres[to])
 
     def eval_exact(self, x: Sequence) -> Fraction:
         """p/q exactly at x; with inner, at the exact values of the u_k."""

@@ -61,18 +61,16 @@ class _Counted:
 
 
 def _log_visits(f):
-    """Wrap each chart's generated descend to log (its centre, what it
-    returned to the driver: a centre index or the stop reason, and the
-    state).  Generated up front, so no evaluate call replaces the wrapper."""
+    """Wrap each chart's generated descend to log (its centre, the state it
+    was called with, what it returned to the driver: a centre index or the
+    stop reason, and the state it returned)."""
     log = []
     for centre in f._centres or (f._origin,):
         chart = f._chart_at(centre)
-        vars(chart).update(chart.generate())
-        generated = chart.descend
 
-        def logged(*args, _centre=centre, _descend=generated):
+        def logged(*args, _centre=centre, _descend=chart.generate("descend")):
             to, state = _descend(*args)
-            log.append((_centre, to, state))
+            log.append((_centre, args[:8], to, state))
             return to, state
 
         vars(chart)["descend"] = logged
@@ -280,12 +278,15 @@ class TestLineSearch:
         ("multi3", (3.182307256371944, 1.3817660434966745), 300),
     ])
     def test_one_descend_call_per_chart_visit(self, name, x0, max_iters, monkeypatch):
-        """optimize calls eval_and_grad at x0 only, eval never, and each
-        chart's descend once per visit: once in all on the one-chart
-        problems, and 1 + hand-offs on multi3, where every visit but the
-        last hands on to the chart of the centre nearest its trial.  The
-        hand-offs are the changes of chart along the trials of the Python
-        step loop: none from (1.6, 1.4), several from the other start."""
+        """optimize calls eval_and_grad at x0 only, eval never, and the
+        charts' descend 1 + hand-offs + retries times.  Every call but the
+        last hands on to the chart of the centre nearest its trial, or stops
+        on f_stationary and is followed by a call on the same chart, the
+        retry, with first_step = alpha = initial_step.  The hand-offs are
+        the changes of chart along the trials of the Python step loop (none
+        on the one-chart problems and from (1.6, 1.4), several from the
+        other multi3 start), and the retries its failed searches that are
+        searched again: fig1's reference run retries."""
         cfg = DescentConfig(max_iters=max_iters)
         f = load_bundled(name).rational()
         visits = _log_visits(f)
@@ -300,21 +301,33 @@ class TestLineSearch:
         monkeypatch.undo()
         assert calls == [("eval_and_grad", x0)]
         assert visits[0][0] == f._chart(x0).centre
-        assert visits[-1][1] == trace.stop_reason
-        assert [to for _, to, _ in visits[:-1]] == [
-            f._centres.index(centre) for centre, _, _ in visits[1:]
-        ]
+        assert visits[-1][2] == trace.stop_reason
+        for (centre, _, to, state), (next_centre, args, _, _) in zip(visits, visits[1:]):
+            if to == "f_stationary":
+                step = cfg.initial_step
+                assert state[4] != step and next_centre == centre
+                assert args == (*state[:4], step, step, MAX_BACKTRACKS, state[7])
+            else:
+                assert f._centres[to] == next_centre and args == state
 
         charts = [f._chart(x0)]
+        searches = []
 
         def evaluate(t):
             charts.append(f._chart(t))
             return f.eval(t)
 
-        assert step_loop(f, x0, cfg, evaluate=evaluate) == trace
+        def ladder(evaluate, x, fx, grad, g_sq, alpha, *args):
+            accepted = line_search(evaluate, x, fx, grad, g_sq, alpha, *args)
+            searches.append(accepted is not None)
+            return accepted
+
+        assert step_loop(f, x0, cfg, ladder, evaluate) == trace
         hand_offs = sum(a is not b for a, b in zip(charts, charts[1:]))
-        assert len(visits) == 1 + hand_offs
+        retries = searches[:-1].count(False)
+        assert len(visits) == 1 + hand_offs + retries
         assert (hand_offs > 0) == (x0[0] > 3.0)
+        assert retries > 0 or name != "fig1"
 
 
 def _hex(values):
@@ -509,7 +522,7 @@ class TestGeneratedSearch:
         f = make()
         visits = _log_visits(f)
         optimize(f, x0, DescentConfig(max_iters=300))
-        budgets = [state[6] for _, to, state in visits if type(to) is int]
+        budgets = [state[6] for _, _, to, state in visits if type(to) is int]
         assert any(0 < budget < MAX_BACKTRACKS for budget in budgets)
 
     def test_retry_from_initial_step(self):
@@ -627,7 +640,9 @@ def _looped_conditions(trace, tail_start):
             kappa = s / g
             sigma_hat = sigma if sigma_hat is None else min(sigma_hat, sigma)
             kappa_hat = kappa if kappa_hat is None else min(kappa_hat, kappa)
-    return ConditionReport(sigma_hat, kappa_hat, a2_violations, tail_start, degenerate)
+    return ConditionReport(
+        sigma_hat, kappa_hat, a2_violations, max(tail_start, 0), degenerate
+    )
 
 
 def _report_bits(report):

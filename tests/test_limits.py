@@ -60,6 +60,12 @@ def _alternating_axes():
     return f, trace_from_points(f, points)
 
 
+@functools.cache
+def _fig1_trace():
+    """300 steps of fig1 from its reference start."""
+    return optimize(load_bundled("fig1").rational(), (2.0, -0.1), DescentConfig(max_iters=300))
+
+
 class TestFindClusterPoint:
     def test_converging_trace_snaps_to_lattice(self):
         f = _quadratic_1d()
@@ -141,6 +147,18 @@ class TestDirectionTrail:
         trail = direction_trail(trace, pencil)
         assert len(trail.unit_directions) == 1
 
+    def test_tail_start_indexes_the_iterates(self):
+        """x^2/(x^2 + 2y^2) at the origin: iterates 3 to 5 point along y, x
+        and y, and x^2 + 2y^2 over its largest coefficient is 1/2 at (1, 0).
+        The two iterates on the base do not shift the tail onto (0, 1)
+        alone, whose margin is 1."""
+        x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+        f = RationalFunction(x * x, x * x + 2 * y * y)
+        points = [(1.0, 0.0), (0.0, 0.0), (0.0, 0.0), (0.0, 0.5), (0.5, 0.0), (0.0, 0.25)]
+        pencil = analyze_singularity(f, (0, 0))
+        trail = direction_trail(_points_trace(points), pencil, 3)
+        assert trail.skipped == 2 and trail.min_tail_pencil == 0.5
+
 
 def _looped_trail(trace, pencil, tail_start=None):
     """direction_trail as a loop over the iterates, one point at a time: the
@@ -150,8 +168,11 @@ def _looped_trail(trace, pencil, tail_start=None):
         raise ValueError("pencil base dimension does not match trace")
     directions = []
     values = []
+    tail = []
     skipped = 0
-    for point in trace.iterates:
+    if tail_start is None:
+        tail_start = len(trace.iterates) // 2
+    for k, point in enumerate(trace.iterates):
         delta = list(map(operator.sub, point, center))
         norm = math.sqrt(math.fsum(map(operator.mul, delta, delta)))
         if norm == 0.0:
@@ -160,13 +181,12 @@ def _looped_trail(trace, pencil, tail_start=None):
         unit = tuple([d / norm for d in delta])
         directions.append(unit)
         values.append(pencil.leading.eval_float(unit))
+        if k >= tail_start:
+            tail.append(values[-1])
     if not directions:
         raise ValueError("every iterate coincides with the pencil base")
-    if tail_start is None:
-        tail_start = len(directions) // 2
-    tail_start = min(tail_start, len(directions) - 1)
     scale = max(abs(float(c)) for c in pencil.leading.terms.values())
-    min_tail = min(abs(v) for v in values[tail_start:]) / scale
+    min_tail = min(abs(v) for v in tail or values[-1:]) / scale
     return DirectionTrail(center, tuple(directions), tuple(values), min_tail, skipped)
 
 
@@ -253,7 +273,7 @@ def _trail_cases(draw):
     leading = draw(_leading_polynomials(n_vars))
     pencil = LinePencil(base, (leading,), (Polynomial.constant(n_vars, 1),), 0)
     points = draw(_iterates(base))
-    tail_start = draw(st.none() | st.integers(0, len(points) + 2))
+    tail_start = draw(st.none() | st.integers(-2, len(points) + 2))
     return _points_trace(points), pencil, tail_start
 
 
@@ -439,6 +459,14 @@ class TestLojasiewiczProbe:
         with pytest.raises(ValueError):
             lojasiewicz_probe(trace, 5, [0.5])
 
+    def test_negative_tail_start_reads_as_zero(self):
+        """Not as a count from the end of the trace: the last points alone
+        would fit a much smaller c."""
+        trace = _fig1_trace()
+        certs = lojasiewicz_probe(trace, 0)
+        assert lojasiewicz_probe(trace, -3) == certs
+        assert certs[0].tail_start == 0
+
     def test_theta_outside_unit_interval_rejected(self):
         """f = 1e-100, 1e-200, 0: r ** (1 - 3) would overflow at theta = 3."""
         f = _quadratic_1d()
@@ -496,6 +524,14 @@ class TestRateClassify:
         trace = trace_from_points(_pinch(), points)
         est = rate_classify(trace, (0, 0), 0)
         assert est.regime != "sublinear"
+
+    @pytest.mark.parametrize("tail_start", [-1, -3])
+    def test_negative_tail_start_reads_as_zero(self, tail_start):
+        """Not as iterates counted from the end, which would put the last
+        radii ahead of the first and spoil the fit."""
+        for trace in (self._trace_with_radii([0.8 ** k for k in range(40)]), _fig1_trace()):
+            est = rate_classify(trace, (0.0,) * len(trace.iterates[0]), tail_start)
+            assert est == rate_classify(trace, (0.0,) * len(trace.iterates[0]), 0)
 
     def test_short_tail_inconclusive(self):
         trace = self._trace_with_radii([1.0, 0.5])

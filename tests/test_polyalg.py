@@ -532,6 +532,25 @@ class TestEvaluator:
             for grad in (False, True):
                 assert _hex(chart.evaluate(x, grad)) == _hex(chart.loop(x, grad)), x
 
+    def test_each_function_generated_on_its_own_first_use(self):
+        """A chart evaluated twice holds a generated evaluate and no
+        descend.  multi3 from a start near (3, 0) hands off to other charts,
+        which descend only and hold a generated descend and no evaluate."""
+        generated = lambda chart: {"evaluate", "descend"} & set(vars(chart))
+        f = _bundled("multi3")()
+        for _ in range(2):
+            f.eval((0.3, -0.2))
+        assert generated(f._chart((0.3, -0.2))) == {"evaluate"}
+
+        f = _bundled("multi3")()
+        x0 = (3.182307256371944, 1.3817660434966745)
+        optimize(f, x0, DescentConfig(max_iters=300))
+        start = f._chart(x0)
+        assert generated(start) == {"descend"}  # evaluated once, looped
+        handed = [chart for chart in f._charts.values() if chart is not start]
+        assert handed and all(generated(chart) == {"descend"} for chart in handed)
+        assert not any(chart._used for chart in handed)
+
     def test_composed_chart_sums_each_jacobian_entry_once(self):
         """(2,2,2) rank 2: the 48 nonzero du_k/dx_i are 24 distinct
         products, each appearing twice (du0/dx0 = du4/dx1 = x2*x4)."""
