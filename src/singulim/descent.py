@@ -17,8 +17,9 @@ essential singularity of fig1 only as ||x_k|| ~ k^(-1/2).
 
 The loop itself is RationalFunction.descend: the stop tests, the ladder,
 the accepted trial's gradient and the two-point step run inside each
-chart's generated code, which appends each step to the trace and returns
-only at a stop or where a trial belongs to another chart.
+chart's generated code, which appends each step's row to the run's rows
+(DescentTrace.from_rows) and returns only at a stop or where a trial
+belongs to another chart.
 RationalFunction.descend decides each stop, the retry from initial_step
 included.  So optimize makes one Python call per chart visit or retry,
 not per step or search (polyalg._Evaluator, whose descend_loop is the
@@ -86,8 +87,9 @@ class DescentConfig:
 class DescentTrace:
     """Immutable record of an optimization run.
 
-    step_norms and alphas are one entry shorter than iterates; f_values and
-    grad_norms align with iterates.
+    f_values and grad_norms align with iterates, or are empty where the
+    start is outside the domain; step_norms and alphas are one entry
+    shorter than iterates.
     """
 
     iterates: tuple[tuple[float, ...], ...]
@@ -99,6 +101,17 @@ class DescentTrace:
 
     def __len__(self) -> int:
         return len(self.iterates)
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[tuple], stop_reason: str) -> "DescentTrace":
+        """The trace of a run recorded as rows: rows[0] = (x, f, ||grad f||)
+        at the start, or (x,) where the start is outside the domain, then
+        one row (x, f, ||grad f||, ||s||, alpha) per accepted step."""
+        # zip stops at rows[0]'s length, so the start's row sets the columns.
+        iterates, *values = zip(*rows)
+        f_values, grad_norms = values or ((), ())
+        steps = list(zip(*rows[1:]))[3:] or ((), ())
+        return cls(iterates, f_values, grad_norms, *steps, stop_reason)
 
 
 @dataclass(frozen=True)
@@ -139,14 +152,13 @@ def optimize(
     try:
         fx, grad = f.eval_and_grad(x)
     except DomainViolation:
-        return DescentTrace((x,), (), (), (), (), STOP_DOMAIN_VIOLATION)
-    gnorm = _norm(grad)
-    lists = ([x], [fx], [gnorm], [], [])
+        return DescentTrace.from_rows([(x,)], STOP_DOMAIN_VIOLATION)
+    rows = [(x, fx, _norm(grad))]
     stop_reason, _ = f.descend(
-        x, fx, grad, gnorm, lists, cfg.sigma_armijo, cfg.backtrack_factor,
-        cfg.initial_step, cfg.grad_tol, cfg.max_iters, MAX_BACKTRACKS,
+        rows, grad, cfg.sigma_armijo, cfg.backtrack_factor, cfg.initial_step,
+        cfg.grad_tol, cfg.max_iters, MAX_BACKTRACKS,
     )
-    return DescentTrace(*map(tuple, lists), stop_reason)
+    return DescentTrace.from_rows(rows, stop_reason)
 
 
 def trace_from_points(
@@ -158,25 +170,14 @@ def trace_from_points(
     iterates = [check_finite_point(p) for p in points]
     if not iterates:
         raise ValueError("empty point sequence")
-    f_values = []
-    grad_norms = []
+    rows = []
     for p in iterates:
         fp, gp = f.eval_and_grad(p)
-        f_values.append(fp)
-        grad_norms.append(_norm(gp))
-    step_norms = [
-        _norm([a - b for a, b in zip(iterates[k + 1], iterates[k])])
-        for k in range(len(iterates) - 1)
-    ]
-    alphas = [float("nan")] * len(step_norms)
-    return DescentTrace(
-        tuple(iterates),
-        tuple(f_values),
-        tuple(grad_norms),
-        tuple(step_norms),
-        tuple(alphas),
-        stop_reason,
-    )
+        row = (p, fp, _norm(gp))
+        if rows:
+            row += (_norm(list(map(operator.sub, p, rows[-1][0]))), math.nan)
+        rows.append(row)
+    return DescentTrace.from_rows(rows, stop_reason)
 
 
 def check_conditions(trace: DescentTrace, tail_start: int) -> ConditionReport:
@@ -255,14 +256,14 @@ def write_trace_csv(
         handle.write("\n")
 
 
-def read_trace_csv(path, stop_reason: str = STOP_MAX_ITERS) -> DescentTrace:
+def read_trace_csv(path) -> DescentTrace:
     """Re-ingest a trace CSV written by write_trace_csv.
 
     The rows must have the writer's layout: f and grad_norm on every row (on
     none of a one-row trace, whose start is outside the domain), step_norm
     and alpha on every row but the last; anything else raises ValueError.
-    The stop reason comes from the sidecar <path>.meta.json; stop_reason is
-    used for a trace that has none.
+    The stop reason comes from the sidecar <path>.meta.json; a trace that
+    has none reads as max_iters.
     """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -277,11 +278,11 @@ def read_trace_csv(path, stop_reason: str = STOP_MAX_ITERS) -> DescentTrace:
         raise ValueError(f"{path}: empty trace")
     last = len(rows) - 1
     with_values = last > 0 or any(rows[0][1 + n:3 + n])
-    iterates, f_values, grad_norms, step_norms, alphas = [], [], [], [], []
+    run, step = [], ()
     for k, row in enumerate(rows):
         if len(row) != len(header):
             raise ValueError(f"{path}: row length mismatch: {row}")
-        iterates.append(tuple(float(v) for v in row[1:1 + n]))
+        point = tuple(float(v) for v in row[1:1 + n])
         values, steps = row[1 + n:3 + n], row[3 + n:]
         if any(bool(v) != with_values for v in values):
             raise ValueError(f"{path}: row {k}: f and grad_norm must be on every row")
@@ -289,21 +290,11 @@ def read_trace_csv(path, stop_reason: str = STOP_MAX_ITERS) -> DescentTrace:
             raise ValueError(
                 f"{path}: row {k}: step_norm and alpha must be on every row but the last"
             )
-        if with_values:
-            f_values.append(float(values[0]))
-            grad_norms.append(float(values[1]))
-        if k < last:
-            step_norms.append(float(steps[0]))
-            alphas.append(float(steps[1]))
-    meta = read_trace_meta(path)
-    return DescentTrace(
-        tuple(iterates),
-        tuple(f_values),
-        tuple(grad_norms),
-        tuple(step_norms),
-        tuple(alphas),
-        meta.get("stop_reason", stop_reason),
-    )
+        # A CSV row holds the step from its iterate, a run's row the step to it.
+        run.append((point, *map(float, filter(None, values)), *step))
+        step = tuple(map(float, filter(None, steps)))
+    stop_reason = read_trace_meta(path).get("stop_reason", STOP_MAX_ITERS)
+    return DescentTrace.from_rows(run, stop_reason)
 
 
 def read_trace_meta(path) -> dict:

@@ -125,9 +125,9 @@ def direction_trail(
     is min |f_{n_min}(u)| over the tail, divided by the largest
     |coefficient| of f_{n_min}, so the sign and scale in which f is written
     do not move it.  The tail is the directions of the iterates from index
-    tail_start on (default: the second half of the iterates; a negative
-    tail_start reads as 0), or the last direction where no iterate there
-    has one.
+    tail_start on (default: the second half of the iterates; _tail_index
+    reads tail_start), or the last direction where no iterate there has
+    one.
 
     The whole trace is one array: each difference, square, quotient and
     square root is the elementwise IEEE operation a loop over the iterates
@@ -140,6 +140,9 @@ def direction_trail(
     center = tuple(float(v) for v in pencil.base)
     if len(center) != len(trace.iterates[0]):
         raise ValueError("pencil base dimension does not match trace")
+    if tail_start is None:
+        tail_start = len(trace.iterates) // 2
+    tail_start = _tail_index(trace, tail_start)
     # Non-finite entries give inf and NaN here as they do in float
     # arithmetic, without numpy's warnings.
     with np.errstate(all="ignore"):
@@ -154,16 +157,23 @@ def direction_trail(
             raise ValueError("every iterate coincides with the pencil base")
         values = pencil.leading.eval_float(list(units.T))
     values = np.broadcast_to(values, len(units)).tolist()
-    if tail_start is None:
-        tail_start = len(trace.iterates) // 2
     # The directions of iterates before tail_start come first in values.
-    first = min(np.count_nonzero(kept[:max(tail_start, 0)]), len(values) - 1)
+    first = min(np.count_nonzero(kept[:tail_start]), len(values) - 1)
     scale = float(max(map(abs, pencil.leading.terms.values())))
     min_tail = min(map(abs, values[first:])) / scale
     return DirectionTrail(
         center, tuple(map(tuple, units.tolist())), tuple(values), min_tail,
         len(norms) - len(units),
     )
+
+
+def _tail_index(trace: DescentTrace, tail_start: int) -> int:
+    """tail_start as an index into the iterates: a negative one reads as 0,
+    and one past the last iterate raises ValueError."""
+    last = len(trace.iterates) - 1
+    if tail_start > last:
+        raise ValueError(f"tail_start {tail_start} beyond last iterate {last}")
+    return max(tail_start, 0)
 
 
 def trail_certifies_safe_approach(trail: DirectionTrail) -> bool:
@@ -214,10 +224,11 @@ def lojasiewicz_probe(
     obstruction itself is the reported diagnosis.  A non-monotone tail with
     positive gradients violates the monotone-images hypothesis and raises.
     The powers r ** (1 - theta) are Python's (see the module docstring).
-    The tail is the trace from index tail_start on; a negative tail_start
-    reads as 0, and the certificates record the index read.
+    The tail is the trace from index tail_start on (_tail_index), and the
+    certificates record the index read; without L, a tail of the last
+    iterate alone, where estimate_limit takes L, raises ValueError.
     """
-    tail_start = max(tail_start, 0)
+    tail_start = _tail_index(trace, tail_start)
     thetas = sorted(theta_grid)
     for theta in thetas:
         _check_theta(theta)
@@ -226,6 +237,8 @@ def lojasiewicz_probe(
     if not tail_f:
         raise ValueError("empty tail")
     if L is None:
+        if len(tail_f) == 1:
+            raise ValueError("tail is the last iterate alone, where L is estimated")
         L, _ = estimate_limit(trace.f_values)
     residuals = [abs(fv - L) for fv in tail_f]
     # The tail points with a residual.  A zero gradient at one of them (the
@@ -311,13 +324,13 @@ def rate_classify(
     Fits log r_k against k (linear regime, slope -> q = e^slope) and against
     log k (sublinear regime, slope -> p with theta = p/(1+2p)); the regime
     with the better R^2 wins, and both below the quality floor means
-    inconclusive.  The tail is the iterates from index tail_start on; a
-    negative tail_start reads as 0.
+    inconclusive.  The tail is the iterates from index tail_start on
+    (_tail_index).
     """
     center = tuple(float(v) for v in x_star)
     ks = []
     rs = []
-    for k in range(max(tail_start, 0), len(trace.iterates)):
+    for k in range(_tail_index(trace, tail_start), len(trace.iterates)):
         r = math.dist(trace.iterates[k], center)
         if r > 0.0:
             ks.append(k)

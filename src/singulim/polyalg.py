@@ -621,11 +621,12 @@ class _Evaluator:
     repeat it in every term.
 
     The evaluator also runs steepest descent with Armijo backtracking:
-    descend(*state, lists, sigma, factor, initial_step, grad_tol, max_trials),
-    descend_loop below, with state = (x, fx, grad, gnorm, first_step, alpha,
-    budget, iters).  Each pass of its loop stops on iters == 0
-    (max_iters) or gnorm <= grad_tol (grad_tol), then searches: it
-    backtracks from alpha by factor, for at most budget trials, to the first
+    descend(*state, rows, sigma, factor, initial_step, grad_tol, max_trials),
+    descend_loop below, from (x, fx, gnorm) = rows[-1][:3] and state =
+    (grad, first_step, alpha, budget, iters), what the rows do not hold.
+    Each pass of its loop stops on iters == 0 (max_iters) or gnorm <=
+    grad_tol (grad_tol), then searches: it backtracks from alpha by
+    factor, for at most budget trials, to the first
     trial t = x - alpha*grad where f is finite and fx - f >= sigma*alpha*g_sq
     > 0, g_sq = gnorm*gnorm.  The search fails after budget trials, or at
     once at a trial that rounds back to x: every smaller alpha rounds to x
@@ -635,7 +636,7 @@ class _Evaluator:
     below the DENOM_FLOOR test is rejected like a failed decrease.  At an
     accepted t it takes the gradient there from the powers and terms that
     gave f, so f and grad f have the bits of evaluate(t, True), and appends
-    t, f, ||grad f||, ||t - x|| and alpha to the five lists.  The next search
+    the row (t, f, ||grad f||, ||t - x||, alpha) to rows.  The next search
     starts from the two-point step s's / s'y, s = t - x and y = grad f(t) -
     grad, capped at initial_step, with max_trials trials.  Every norm and
     inner product is the fsum of the products, taken in coordinate order.
@@ -643,9 +644,9 @@ class _Evaluator:
     descend returns (stop, state), stop the stop reason, or, with dispatch
     set (the function's chart centres), (j, state) at a trial nearer another
     centre, by RationalFunction._chart's rule: j is that centre's index in
-    dispatch, and state resumes the same ladder at that trial in that
-    centre's chart.  So each trial is evaluated in the chart of its nearest
-    centre, and the state carries across charts.
+    dispatch, and state and rows resume the same ladder at that trial in
+    that centre's chart.  So each trial is evaluated in the chart of its
+    nearest centre, and the state carries across charts.
 
     loop and descend_loop are the references: term by term from power
     tables.  The first evaluate call runs loop, and the second generates
@@ -731,13 +732,14 @@ class _Evaluator:
         return f, self._gradient(powers, outer, p, q, f)
 
     def descend_loop(
-        self, x, fx, grad, gnorm, first_step, alpha, budget, iters,
-        lists, sigma, factor, initial_step, grad_tol, max_trials,
+        self, grad, first_step, alpha, budget, iters,
+        rows, sigma, factor, initial_step, grad_tol, max_trials,
     ):
         """The reference descent, statement for statement the generated one,
-        over the term loops; x is a tuple and grad a sequence of floats."""
-        iterates, f_values, grad_norms, step_norms, alphas = lists
-        state = lambda: (x, fx, grad, gnorm, first_step, alpha, budget, iters)
+        over the term loops; rows[-1] holds x, a tuple, and grad is a
+        sequence of floats."""
+        x, fx, gnorm = rows[-1][:3]
+        state = lambda: (grad, first_step, alpha, budget, iters)
         while True:
             if iters == 0:
                 return STOP_MAX_ITERS, state()
@@ -769,11 +771,7 @@ class _Evaluator:
             first_step = two_point if two_point < initial_step else initial_step
             x, fx, grad = trial, f, grad_trial
             gnorm = math.sqrt(math.fsum([h * h for h in grad]))
-            iterates.append(x)
-            f_values.append(fx)
-            grad_norms.append(gnorm)
-            step_norms.append(math.sqrt(s_s))
-            alphas.append(alpha)
+            rows.append((x, fx, gnorm, math.sqrt(s_s), alpha))
             iters -= 1
             alpha, budget = first_step, max_trials
 
@@ -902,16 +900,12 @@ class _Evaluator:
         # Trial coordinates: t_i where the centre's coordinate is not 0.0,
         # else x_i itself.
         trial = [f"t{i}" if c else names[i] for i, c in enumerate(self.centre)]
-        state = (
-            f"({_tuple_source(x)}, fx, {_tuple_source(grad)}, gnorm, first_step,"
-            " alpha, budget, iters)"
-        )
+        state = f"({_tuple_source(grad)}, first_step, alpha, budget, iters)"
         lines = [
-            "def descend(x, fx, grad, gnorm, first_step, alpha, budget, iters,"
-            " lists, sigma, factor, initial_step, grad_tol, max_trials):",
-            f"    {_tuple_source(x)} = x",
+            "def descend(grad, first_step, alpha, budget, iters,"
+            " rows, sigma, factor, initial_step, grad_tol, max_trials):",
+            f"    {_tuple_source(x)}, fx, gnorm = rows[-1][:3]",
             f"    {_tuple_source(grad)} = grad",
-            "    iterates, f_values, grad_norms, step_norms, alphas = lists",
             "    while True:",
             "        if iters == 0:",
             f"            return STOP_MAX_ITERS, {state}",
@@ -967,11 +961,7 @@ class _Evaluator:
             "        fx = f",
             f"        {_tuple_source(grad)} = {_tuple_source(gradient)}",
             f"        gnorm = sqrt(fsum({_tuple_source(f'{g} * {g}' for g in grad)}))",
-            f"        iterates.append({_tuple_source(x)})",
-            "        f_values.append(fx)",
-            "        grad_norms.append(gnorm)",
-            "        step_norms.append(sqrt(s_s))",
-            "        alphas.append(alpha)",
+            f"        rows.append(({_tuple_source(x)}, fx, gnorm, sqrt(s_s), alpha))",
             "        iters -= 1",
             "        alpha, budget = first_step, max_trials",
         ]
@@ -1173,11 +1163,8 @@ class RationalFunction:
 
     def descend(
         self,
-        x: tuple[float, ...],
-        fx: float,
+        rows: list[tuple],
         grad: Sequence[float],
-        gnorm: float,
-        lists: tuple[list, ...],
         sigma: float,
         factor: float,
         initial_step: float,
@@ -1185,31 +1172,31 @@ class RationalFunction:
         max_iters: int,
         max_trials: int,
     ) -> tuple[str, tuple]:
-        """Steepest descent with Armijo backtracking from x (_Evaluator),
-        for at most max_iters accepted steps, each appended to lists =
-        (iterates, f_values, grad_norms, step_norms, alphas).
+        """Steepest descent with Armijo backtracking (_Evaluator) from
+        rows[-1] = (x, f, ||grad f||, ...), x a tuple, for at most max_iters
+        accepted steps, each appended to rows as (x, f, ||grad f||, ||s||,
+        alpha).
 
-        fx, grad and gnorm are f, grad f and ||grad f|| at x, with x a tuple
-        and grad a sequence of floats; the first search starts from
-        initial_step, and every search makes at most max_trials trials in
-        all charts together.  Each chart visit is one call of that chart's
-        descend, which returns at a stop or hands the state on to the chart
-        of the centre nearest its trial; the loop here resumes it there.
-        A failed search that started below initial_step is retried once,
-        from initial_step in the same chart; any other stops the run
+        grad is grad f at x, a sequence of floats; the first search starts
+        from initial_step, and every search makes at most max_trials trials
+        in all charts together.  Each chart visit is one call of that
+        chart's descend, which returns at a stop or hands the state on to
+        the chart of the centre nearest its trial; the loop here resumes it
+        there.  A failed search that started below initial_step is retried
+        once, from initial_step in the same chart; any other stops the run
         (f_stationary).  Returns the stop reason and the final state
-        (_Evaluator), whose gradient the lists do not keep.
+        (_Evaluator), whose gradient the rows do not hold.
         """
-        state = (x, fx, grad, gnorm, initial_step, initial_step, max_trials, max_iters)
-        chart = self._chart(x)
+        state = (grad, initial_step, initial_step, max_trials, max_iters)
+        chart = self._chart(rows[-1][0])
         while True:
             to, state = chart.descend(
-                *state, lists, sigma, factor, initial_step, grad_tol, max_trials
+                *state, rows, sigma, factor, initial_step, grad_tol, max_trials
             )
             if type(to) is int:
                 chart = self._chart_at(self._centres[to])
-            elif to == STOP_F_STATIONARY and state[4] != initial_step:
-                state = (*state[:4], initial_step, initial_step, max_trials, state[7])
+            elif to == STOP_F_STATIONARY and state[1] != initial_step:
+                state = (state[0], initial_step, initial_step, max_trials, state[4])
             else:
                 return to, state
 

@@ -149,13 +149,18 @@ def direction_verdict(pencil: LinePencil, d: Sequence) -> DirectionVerdict:
     """Decide safe-set membership of a direction and its directional limit.
 
     Every direction is decided exactly, f_{n_min}(d) != 0; pencil_value and
-    limit_value are the exact values, each rounded to float once.
+    limit_value are the exact values at d/||d||_inf, each rounded to float
+    once.  Both coefficients are homogeneous of degree n_min, so that exact
+    scaling keeps the sign and the limit, and the value cannot overflow.
     """
     direction, _ = _checked_direction(pencil, d)
-    value = pencil.leading.eval_exact(direction)
+    exact = [Fraction(v) for v in direction]
+    top = max(map(abs, exact))
+    unit = [v / top for v in exact]
+    value = pencil.leading.eval_exact(unit)
     limit = None
     if value:
-        limit = float(pencil.numer_coeffs[pencil.n_min].eval_exact(direction) / value)
+        limit = float(pencil.numer_coeffs[pencil.n_min].eval_exact(unit) / value)
     return DirectionVerdict(direction, value != 0, float(value), limit)
 
 

@@ -69,9 +69,9 @@ def step_loop(f, x0, cfg, ladder=line_search, evaluate=None):
     try:
         fx, grad = f.eval_and_grad(x)
     except DomainViolation:
-        return DescentTrace((x,), (), (), (), (), STOP_DOMAIN_VIOLATION)
+        return DescentTrace.from_rows([(x,)], STOP_DOMAIN_VIOLATION)
     gnorm = _norm(grad)
-    iterates, f_values, grad_norms, step_norms, alphas = [x], [fx], [gnorm], [], []
+    rows = [(x, fx, gnorm)]
     stop_reason = STOP_MAX_ITERS
     sigma, factor, initial_step = cfg.sigma_armijo, cfg.backtrack_factor, cfg.initial_step
     first_step = initial_step
@@ -97,13 +97,8 @@ def step_loop(f, x0, cfg, ladder=line_search, evaluate=None):
         first_step = two_point if two_point < initial_step else initial_step
         x, fx, grad = trial, f_trial, grad_trial
         gnorm = _norm(grad)
-        iterates.append(x)
-        f_values.append(fx)
-        grad_norms.append(gnorm)
-        step_norms.append(math.sqrt(s_s))
-        alphas.append(alpha)
-    return DescentTrace(tuple(iterates), tuple(f_values), tuple(grad_norms),
-                        tuple(step_norms), tuple(alphas), stop_reason)
+        rows.append((x, fx, gnorm, math.sqrt(s_s), alpha))
+    return DescentTrace.from_rows(rows, stop_reason)
 
 
 def search(f, x, fx, grad, gnorm, alpha, max_trials=MAX_BACKTRACKS):
@@ -112,17 +107,18 @@ def search(f, x, fx, grad, gnorm, alpha, max_trials=MAX_BACKTRACKS):
 
     With max_iters = 1 and initial_step = alpha, descend runs exactly one
     search, which is never retried, and grad_tol = -inf stops nothing
-    before it; the accepted alpha is the one step's entry in the lists.
+    before it; the accepted trial, f and alpha are the one step's row.
     """
-    lists = ([], [], [], [], [])
+    rows = [(x, fx, gnorm)]
     stop, state = f.descend(
-        x, fx, grad, gnorm, lists, SIGMA, FACTOR, alpha, -math.inf, 1, max_trials
+        rows, grad, SIGMA, FACTOR, alpha, -math.inf, 1, max_trials
     )
     if stop == STOP_F_STATIONARY:
-        assert lists == ([], [], [], [], [])
+        assert len(rows) == 1
         return None
-    assert stop == STOP_MAX_ITERS and lists[0] == [state[0]]
-    return state[0], state[1], lists[4][0], state[2]
+    assert stop == STOP_MAX_ITERS and len(rows) == 2
+    trial, f_trial, _, _, alpha = rows[1]
+    return trial, f_trial, alpha, state[0]
 
 
 def looped(f):

@@ -70,7 +70,7 @@ def _log_visits(f):
 
         def logged(*args, _centre=centre, _descend=chart.generate("descend")):
             to, state = _descend(*args)
-            log.append((_centre, args[:8], to, state))
+            log.append((_centre, args[:5], to, state))
             return to, state
 
         vars(chart)["descend"] = logged
@@ -305,8 +305,8 @@ class TestLineSearch:
         for (centre, _, to, state), (next_centre, args, _, _) in zip(visits, visits[1:]):
             if to == "f_stationary":
                 step = cfg.initial_step
-                assert state[4] != step and next_centre == centre
-                assert args == (*state[:4], step, step, MAX_BACKTRACKS, state[7])
+                assert state[1] != step and next_centre == centre
+                assert args == (state[0], step, step, MAX_BACKTRACKS, state[4])
             else:
                 assert f._centres[to] == next_centre and args == state
 
@@ -522,7 +522,7 @@ class TestGeneratedSearch:
         f = make()
         visits = _log_visits(f)
         optimize(f, x0, DescentConfig(max_iters=300))
-        budgets = [state[6] for _, _, to, state in visits if type(to) is int]
+        budgets = [state[3] for _, _, to, state in visits if type(to) is int]
         assert any(0 < budget < MAX_BACKTRACKS for budget in budgets)
 
     def test_retry_from_initial_step(self):
@@ -725,7 +725,7 @@ class TestTracePersistence:
         trace = optimize(_pinch(), (2.0, -0.1), DescentConfig(max_iters=50))
         path = tmp_path / "run.trace.csv"
         write_trace_csv(trace, path)
-        back = read_trace_csv(path, stop_reason=trace.stop_reason)
+        back = read_trace_csv(path)
         assert back == trace
 
     def test_round_trip_write_is_byte_identical(self, tmp_path):
@@ -758,10 +758,10 @@ class TestTracePersistence:
         assert json.loads((tmp_path / "run.trace.csv.meta.json").read_text()) == {
             "stop_reason": trace.stop_reason
         }
-        assert read_trace_csv(path, stop_reason="grad_tol") == trace
+        assert read_trace_csv(path) == trace
         (tmp_path / "run.trace.csv.meta.json").unlink()
         assert read_trace_meta(path) == {}
-        assert read_trace_csv(path, stop_reason="grad_tol").stop_reason == "grad_tol"
+        assert read_trace_csv(path).stop_reason == STOP_MAX_ITERS
 
     def test_malformed_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

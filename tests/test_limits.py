@@ -12,7 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singulim.descent import DescentConfig, DescentTrace, optimize, trace_from_points
+from singulim.descent import (
+    DescentConfig,
+    DescentTrace,
+    check_conditions,
+    optimize,
+    trace_from_points,
+)
 from singulim.limits import (
     CLUSTER_TOL,
     DEFAULT_THETA_GRID,
@@ -172,6 +178,8 @@ def _looped_trail(trace, pencil, tail_start=None):
     skipped = 0
     if tail_start is None:
         tail_start = len(trace.iterates) // 2
+    if tail_start >= len(trace.iterates):
+        raise ValueError("tail_start beyond the last iterate")
     for k, point in enumerate(trace.iterates):
         delta = list(map(operator.sub, point, center))
         norm = math.sqrt(math.fsum(map(operator.mul, delta, delta)))
@@ -548,3 +556,35 @@ class TestRateClassify:
         assert est.detail == (
             f"both regressions fit poorly: best R^2 {est.fit_quality:.6g} < 0.95"
         )
+
+
+def test_tail_readers_raise_past_what_they_read():
+    """A 50-step fig1 trace from (2, -0.1), iterates 0 to 50.  check_conditions
+    reads steps and raises from 50; the other readers read iterates and raise
+    from 51, and lojasiewicz_probe without L also at 50, where the tail is
+    the one point at which estimate_limit takes L."""
+    f = load_bundled("fig1").rational()
+    trace = optimize(f, (2.0, -0.1), DescentConfig(max_iters=50))
+    assert len(trace.step_norms) == 50
+    pencil = analyze_singularity(f, (0, 0))
+    readers = {
+        "check_conditions": lambda k: check_conditions(trace, k),
+        "direction_trail": lambda k: direction_trail(trace, pencil, k),
+        "lojasiewicz_probe": lambda k: lojasiewicz_probe(trace, k),
+        "lojasiewicz_probe at L": lambda k: lojasiewicz_probe(trace, k, L=-0.5),
+        "rate_classify": lambda k: rate_classify(trace, (0.0, 0.0), k),
+    }
+    raising = {50: {"check_conditions", "lojasiewicz_probe"}, 51: set(readers),
+               56: set(readers)}
+    for tail_start, names in raising.items():
+        for name, read in readers.items():
+            if name in names:
+                with pytest.raises(ValueError):
+                    read(tail_start)
+            else:
+                read(tail_start)
+    last = direction_trail(trace, pencil, 50)
+    assert last.min_tail_pencil == direction_trail(_points_trace(trace.iterates[-1:]),
+                                                   pencil).min_tail_pencil
+    assert rate_classify(trace, (0.0, 0.0), 50).detail == "tail too short"
+    assert [c.tail_start for c in lojasiewicz_probe(trace, 50, L=-0.5)] == [50] * 10

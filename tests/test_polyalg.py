@@ -9,7 +9,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from singulim.descent import MAX_BACKTRACKS, DescentConfig, optimize
@@ -23,7 +23,7 @@ from singulim.polyalg import (
 from singulim.homog import CPModel, build_cp_objective
 from singulim.problems import BUNDLED_NAMES, load_bundled
 
-from descent_helpers import looped, search, step_loop
+from descent_helpers import line_search, looped, search, step_loop
 
 N_VARS = 3
 
@@ -363,12 +363,18 @@ class TestExactLayer:
            st.booleans(),
            st.tuples(*[st.one_of(st.integers(-9, 9), small_fractions, st.floats(-4, 4))]
                      * N_VARS))
+    @example(p=Polynomial.zero(2), q=Polynomial.constant(2, -1),
+             inner=[Polynomial.zero(N_VARS)] * 2, composed=False, x=(0, 0, 0))
     def test_exact_gradient_is_the_quotient_rule(self, p, q, inner, composed, x):
         q = q + 1
         if composed:
             assume(not q.compose(inner).is_zero())
             h = 1 + Polynomial.variable(N_VARS, 0) ** 2
             f = RationalFunction.with_common_factor(p, q, h, inner=inner)
+        elif q.is_zero():
+            with pytest.raises(ValueError, match="identically zero"):
+                RationalFunction(p, q)
+            return
         else:
             f = RationalFunction(p, q)
         numer, denom = f._eval_pair
@@ -883,10 +889,8 @@ class TestGeneratedCode:
     @settings(max_examples=40, deadline=None)
     @given(quotients(), st.data())
     def test_descend_returns_the_step_loops_bits(self, case, data):
-        """Whole runs from drawn starts, with drawn caps and initial steps:
-        optimize through the generated descend, through descend_loop, and
-        the Python step loop over line_search give the same trace, float.hex
-        of every entry, or raise the same error."""
+        """Whole runs from drawn starts, with drawn caps and initial steps,
+        give the same outcome three ways (_assert_same_runs)."""
         f, _ = case
         sixteenths = st.integers(-64, 64).map(lambda k: k / 16)
         x0 = tuple(data.draw(sixteenths) for _ in range(f.n_vars))
@@ -894,10 +898,45 @@ class TestGeneratedCode:
             max_iters=data.draw(st.integers(1, 40)),
             initial_step=2.0 ** data.draw(st.integers(-3, 3)),
         )
+        self._assert_same_runs(f, x0, cfg)
 
-        def outcome(run, g):
+    @pytest.mark.parametrize("case", ["centred", "composed"])
+    def test_a_run_that_retries(self, case):
+        """Two quotients() cases whose run retries one search from
+        initial_step, so that RationalFunction.descend's retry branch runs
+        on every test run: x^3 / (-3 (x + 1/4)^2) with the centre -1/4, and
+        1 / (y0^2 + y1^2) at y = (0, x - x^2)."""
+        x = Polynomial.variable(1, 0)
+        if case == "centred":
+            f = RationalFunction(x ** 3, -3 * (x + Fraction(1, 4)) ** 2,
+                                 [(Fraction(-1, 4),)])
+            x0 = (-0.6875,)
+        else:
+            y0, y1 = _vars(2)
+            f = RationalFunction.with_common_factor(
+                Polynomial.constant(2, 1), y0 * y0 + y1 * y1,
+                Polynomial.constant(1, 1), [Polynomial.zero(1), x - x * x],
+            )
+            x0 = (0.0625,)
+        assert self._assert_same_runs(f, x0, DescentConfig(max_iters=8)) == 1
+
+    @staticmethod
+    def _assert_same_runs(f, x0, cfg):
+        """optimize through the generated descend, through descend_loop, and
+        the Python step loop over line_search give the same trace, float.hex
+        of every entry, or raise the same error.  Returns the step loop's
+        retries: each failed search but the last is searched again from
+        initial_step."""
+        searches = []
+
+        def ladder(*args):
+            accepted = line_search(*args)
+            searches.append(accepted is not None)
+            return accepted
+
+        def outcome(run, g, *args):
             try:
-                trace = run(g, x0, cfg)
+                trace = run(g, x0, cfg, *args)
             except (ValueError, OverflowError) as err:
                 return type(err).__name__
             return _hex([trace.iterates, trace.f_values, trace.grad_norms,
@@ -905,7 +944,8 @@ class TestGeneratedCode:
 
         generated = outcome(optimize, f)
         assert outcome(optimize, looped(f)) == generated
-        assert outcome(step_loop, f) == generated
+        assert outcome(step_loop, f, ladder) == generated
+        return searches[:-1].count(False)
 
 
 class TestRationalFunction:
