@@ -134,7 +134,11 @@ def _check_output_dirs(*paths) -> None:
 
 
 def _seeded_rng() -> random.Random:
-    return random.Random(int(os.environ.get("SINGULIM_SEED", "0")))
+    text = os.environ.get("SINGULIM_SEED", "0")
+    try:
+        return random.Random(int(text))
+    except ValueError:
+        raise CliError(f"SINGULIM_SEED: {text!r} is not an integer", EXIT_MALFORMED)
 
 
 # -- subcommands -----------------------------------------------------------
@@ -215,25 +219,25 @@ def _poly_text(poly) -> str:
 def cmd_analyze(args) -> int:
     _require(args.random_directions >= 0, "--random-directions",
              args.random_directions, "at least 0")
+    rng = _seeded_rng()
     f = load_problem(args.problem).rational()
     point = _parse_exact_point(args.point, "--point")
+    # (text, d): each --direction echoed as typed.
+    directions = [(text, _parse_exact_point(text, "--direction"))
+                  for text in args.direction or []]
     pencil = analyze_singularity(f, point)
     print(f"n_min: {pencil.n_min}")
     print(f"leading_pencil: {_poly_text(pencil.leading)}")
-    directions = []
-    for text in args.direction or []:
-        directions.append(_parse_exact_point(text, "--direction"))
-    rng = _seeded_rng()
     for _ in range(args.random_directions):
         raw = [rng.gauss(0.0, 1.0) for _ in range(f.n_vars)]
         norm = math.sqrt(math.fsum(v * v for v in raw))
-        directions.append(tuple(v / norm for v in raw))
-    for d in directions:
+        d = tuple(v / norm for v in raw)
+        directions.append((",".join(map(str, d)), d))
+    for text, d in directions:
         verdict = direction_verdict(pencil, d)
         limit = "undefined" if verdict.limit_value is None else f"{verdict.limit_value:.17g}"
-        coords = ",".join(str(v) for v in d)
         print(
-            f"direction {coords}: safe={verdict.in_safe_set} "
+            f"direction {text}: safe={verdict.in_safe_set} "
             f"pencil={verdict.pencil_value:.17g} limit={limit}"
         )
     return EXIT_OK

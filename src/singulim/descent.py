@@ -22,8 +22,8 @@ chart's generated code, which appends each step's row to the run's rows
 belongs to another chart.
 RationalFunction.descend decides each stop, the retry from initial_step
 included.  So optimize makes one Python call per chart visit or retry,
-not per step or search (polyalg._Evaluator, whose descend_loop is the
-reference).  sigma, the backtrack factor, initial_step, grad_tol,
+not per step or search (polyalg._Evaluator).  The tests' reference is a
+Python step loop over each chart's term-loop evaluation.  sigma, the backtrack factor, initial_step, grad_tol,
 max_iters and MAX_BACKTRACKS are passed to it from here.
 """
 

@@ -621,9 +621,9 @@ class _Evaluator:
     repeat it in every term.
 
     The evaluator also runs steepest descent with Armijo backtracking:
-    descend(*state, rows, sigma, factor, initial_step, grad_tol, max_trials),
-    descend_loop below, from (x, fx, gnorm) = rows[-1][:3] and state =
-    (grad, first_step, alpha, budget, iters), what the rows do not hold.
+    descend(*state, rows, sigma, factor, initial_step, grad_tol, max_trials)
+    from (x, fx, gnorm) = rows[-1][:3] and state = (grad, first_step, alpha,
+    budget, iters), what the rows do not hold.
     Each pass of its loop stops on iters == 0 (max_iters) or gnorm <=
     grad_tol (grad_tol), then searches: it backtracks from alpha by
     factor, for at most budget trials, to the first
@@ -648,13 +648,14 @@ class _Evaluator:
     that centre's chart.  So each trial is evaluated in the chart of its
     nearest centre, and the state carries across charts.
 
-    loop and descend_loop are the references: term by term from power
-    tables.  The first evaluate call runs loop, and the second generates
-    evaluate, a straight-line function that forms the same differences,
-    powers, products, sums, quotients and comparisons in the same order, so
-    every call returns the same bits.  The first descend call generates
-    descend likewise, with the iterate, the trial and the gradients as
-    locals and the whole loop in one frame.  Each function is generated on
+    loop is the reference: term by term from power tables.  The first
+    evaluate call runs loop, and the second generates evaluate, a
+    straight-line function that forms the same differences, powers,
+    products, sums, quotients and comparisons in the same order, so every
+    call returns the same bits.  The first descend call generates descend,
+    the descent's one implementation, with the iterate, the trial and the
+    gradients as locals and the whole loop in one frame; the tests compare
+    it with a Python step loop over loop.  Each function is generated on
     its own first use, so a chart that is only evaluated compiles no
     descent, and one reached only by a hand-off no evaluate.  Both leave out
     the difference for each coordinate of the centre that is 0.0, since
@@ -731,50 +732,6 @@ class _Evaluator:
             return f
         return f, self._gradient(powers, outer, p, q, f)
 
-    def descend_loop(
-        self, grad, first_step, alpha, budget, iters,
-        rows, sigma, factor, initial_step, grad_tol, max_trials,
-    ):
-        """The reference descent, statement for statement the generated one,
-        over the term loops; rows[-1] holds x, a tuple, and grad is a
-        sequence of floats."""
-        x, fx, gnorm = rows[-1][:3]
-        state = lambda: (grad, first_step, alpha, budget, iters)
-        while True:
-            if iters == 0:
-                return STOP_MAX_ITERS, state()
-            if gnorm <= grad_tol:
-                return STOP_GRAD_TOL, state()
-            g_sq = gnorm * gnorm
-            while True:
-                trial = tuple([a - alpha * g for a, g in zip(x, grad)])
-                if budget <= 0 or all(t == a for t, a in zip(trial, x)):
-                    return STOP_F_STATIONARY, state()
-                if self.dispatch is not None:
-                    centre = _nearest(trial, self.dispatch)
-                    if centre != self.centre:
-                        return self.dispatch.index(centre), state()
-                budget -= 1
-                powers, outer, (p, q) = self._sums(trial)
-                if abs(q) < DENOM_FLOOR:
-                    alpha *= factor
-                    continue
-                f = p / q
-                if math.isfinite(f) and fx - f >= sigma * alpha * g_sq > 0.0:
-                    break
-                alpha *= factor
-            grad_trial = self._gradient(powers, outer, p, q, f)
-            s = [t - a for t, a in zip(trial, x)]
-            s_y = math.fsum([d * (h - g) for d, h, g in zip(s, grad_trial, grad)])
-            s_s = math.fsum([d * d for d in s])
-            two_point = s_s / s_y if s_y > 0.0 else initial_step
-            first_step = two_point if two_point < initial_step else initial_step
-            x, fx, grad = trial, f, grad_trial
-            gnorm = math.sqrt(math.fsum([h * h for h in grad]))
-            rows.append((x, fx, gnorm, math.sqrt(s_s), alpha))
-            iters -= 1
-            alpha, budget = first_step, max_trials
-
     def _sums(self, x: Sequence) -> tuple[list, list, list[float]]:
         """(powers, outer, values) at x: the power tables of the coordinates
         after the centre and of the term maps' variables (the same table
@@ -806,8 +763,8 @@ class _Evaluator:
         return [(a - f * b) / q for a, b in zip(grad_p, grad_q)]
 
     def generate(self, name: str):
-        """loop (name "evaluate") or descend_loop (name "descend") as
-        straight-line code."""
+        """loop (name "evaluate") as straight-line code, or the descent
+        (name "descend") over that code."""
         names = [f"x{i}" for i in range(len(self.max_deg))]
         # The powers of x0, x1, ... (and, composed, the u_k and their
         # powers), then p and q.
@@ -891,9 +848,9 @@ class _Evaluator:
     def _descend_lines(
         self, names: Sequence[str], value: Sequence[str], gradient: Sequence[str]
     ) -> list[str]:
-        """descend_loop as statements, one trial per pass of its inner loop;
-        value leaves p and q at the coordinates names, and _gradient_lines
-        the gradient in the names gradient."""
+        """descend as statements (see the class docstring), one trial per
+        pass of its inner loop; value leaves p and q at the coordinates
+        names, and _gradient_lines the gradient in the names gradient."""
         n = len(names)
         x = [f"a{i}" for i in range(n)]
         grad = [f"g{i}" for i in range(n)]

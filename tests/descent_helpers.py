@@ -3,7 +3,9 @@
 line_search and step_loop are the descent as plain Python loops over an
 objective's eval and eval_and_grad: the reference that RationalFunction.descend
 must reproduce bit for bit.  search runs exactly one search through
-f.descend, and looped gives a copy of f whose charts run descend_loop.
+f.descend, and reference_search the same search through line_search.
+looped gives a copy of f whose charts evaluate by their term loops, so the
+reference paths over it never run generated code.
 """
 
 import copy
@@ -121,12 +123,23 @@ def search(f, x, fx, grad, gnorm, alpha, max_trials=MAX_BACKTRACKS):
     return trial, f_trial, alpha, state[0]
 
 
+def reference_search(f, x, fx, grad, gnorm, alpha, max_trials=MAX_BACKTRACKS):
+    """search's result from line_search over f.eval and f.eval_and_grad at
+    the accepted trial."""
+    accepted = line_search(
+        f.eval, x, fx, grad, gnorm * gnorm, alpha, SIGMA, FACTOR, max_trials
+    )
+    if accepted is None:
+        return None
+    return (*accepted, f.eval_and_grad(accepted[0])[1])
+
+
 def looped(f):
-    """A copy of f, with charts of its own, whose descend runs each chart's
-    descend_loop: the reference loops through the same driver."""
+    """A copy of f, with charts of its own, whose eval and eval_and_grad run
+    each chart's term loop and never generate code."""
     f = copy.copy(f)
     f._charts = {}
     for centre in f._centres or (f._origin,):
         chart = f._chart_at(centre)
-        vars(chart)["descend"] = chart.descend_loop
+        vars(chart)["evaluate"] = chart.loop
     return f

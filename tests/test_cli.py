@@ -253,6 +253,33 @@ class TestCli:
         assert code == 0
         assert "safe=True pencil=2 limit=0.5" in capsys.readouterr().out
 
+    def test_analyze_echoes_each_direction_as_typed(self, workdir, capsys):
+        """Typed directions are printed as given, not as their exact
+        fractions; random ones as their float coordinates."""
+        code = main([
+            "analyze", "--problem", str(workdir / "fig1.problem"), "--point", "0,0",
+            "--direction", "0.1,1", "--direction", "1e20,3",
+            "--random-directions", "1",
+        ])
+        assert code == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("direction ")]
+        assert [line.split(":")[0] for line in lines[:2]] == [
+            "direction 0.1,1", "direction 1e20,3"
+        ]
+        coords = lines[2].split(":")[0].removeprefix("direction ").split(",")
+        assert len(coords) == 2 and all(v == str(float(v)) for v in coords)
+
+    def test_malformed_seed_fails_before_any_output(self, workdir, capsys, monkeypatch):
+        monkeypatch.setenv("SINGULIM_SEED", "abc")
+        code = main([
+            "analyze", "--problem", str(workdir / "fig1.problem"), "--point", "0,0",
+            "--random-directions", "1",
+        ])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "error: SINGULIM_SEED: 'abc' is not an integer\n"
+
     def test_optimize_writes_trace(self, workdir, capsys):
         trace_path = workdir / "fig1.trace.csv"
         code = main([

@@ -33,6 +33,7 @@ from descent_helpers import (
     full_ladder,
     line_search,
     looped,
+    reference_search,
     search,
     step_loop,
 )
@@ -359,15 +360,16 @@ def _polynomial_objective(numer):
 
 class TestGeneratedSearch:
     """One search through RationalFunction.descend gives the bits of
-    line_search(f.eval, ...) and eval_and_grad at the accepted trial, and of
-    the charts' descend_loop, ladder by ladder; whole runs give the bits of
-    the Python step loop."""
+    line_search(f.eval, ...) and eval_and_grad at the accepted trial, over
+    generated code and over the charts' term loops, ladder by ladder; whole
+    runs give the bits of the Python step loop over both."""
 
     @staticmethod
     def _assert_same(make, x, alpha, fx=None, grad=None, loop=None):
         """One ladder from x on a fresh function against the reference on
-        another, and against descend_loop on a third, or on loop where
-        given: descend_loop keeps nothing from one call to the next."""
+        another, and against reference_search over the term loops on a
+        third, or on loop where given: the term loops keep nothing from one
+        call to the next."""
         f, reference = make(), make()
         fx_x, grad_x = reference.eval_and_grad(x)
         fx = fx_x if fx is None else fx
@@ -376,7 +378,8 @@ class TestGeneratedSearch:
         expected = line_search(reference.eval, x, fx, grad, gnorm * gnorm, alpha, *_ARGS)
         result = search(f, x, fx, grad, gnorm, alpha)
         loop = looped(make()) if loop is None else loop
-        assert _hex(search(loop, x, fx, grad, gnorm, alpha)) == _hex(result), (x, alpha)
+        expected_loop = reference_search(loop, x, fx, grad, gnorm, alpha)
+        assert _hex(expected_loop) == _hex(result), (x, alpha)
         if result is None:
             assert expected is None, (x, alpha)
         else:
@@ -482,11 +485,11 @@ class TestGeneratedSearch:
 
     @staticmethod
     def _assert_same_run(make, x0, cfg):
-        """optimize through descend against optimize through the charts'
-        descend_loop and the Python step loop over line_search, float.hex of
-        every entry; returns the trace."""
+        """optimize through descend against the Python step loop over
+        line_search, over the charts' term loops and over generated code,
+        float.hex of every entry; returns the trace."""
         trace = optimize(make(), x0, cfg)
-        loop = optimize(looped(make()), x0, cfg)
+        loop = step_loop(looped(make()), x0, cfg)
         reference = step_loop(make(), x0, cfg)
         assert _trace_hex(trace) == _trace_hex(loop) == _trace_hex(reference)
         return trace
@@ -502,12 +505,13 @@ class TestGeneratedSearch:
     ])
     def test_optimize_matches_the_reference_path(self, name, x0, max_iters):
         """optimize through descend against the Python step loop over
-        line_search and eval_and_grad, and the charts' descend_loop."""
+        line_search and eval_and_grad, over generated code and over the
+        charts' term loops."""
         make = _cp_f_hat if name == "cp_f_hat" else lambda: load_bundled(name).rational()
         cfg = DescentConfig(max_iters=max_iters)
         trace = optimize(make(), x0, cfg)
         reference = step_loop(make(), x0, cfg)
-        loop = optimize(looped(make()), x0, cfg)
+        loop = step_loop(looped(make()), x0, cfg)
         assert _trace_digest(trace) == _trace_digest(reference) == _trace_digest(loop)
         assert trace == reference == loop
         assert _trace_hex(trace) == _trace_hex(reference) == _trace_hex(loop)
@@ -524,6 +528,25 @@ class TestGeneratedSearch:
         optimize(f, x0, DescentConfig(max_iters=300))
         budgets = [state[3] for _, _, to, state in visits if type(to) is int]
         assert any(0 < budget < MAX_BACKTRACKS for budget in budgets)
+
+    def test_the_reference_runs_no_generated_code(self):
+        """The step loop over looped(multi3) from the start above tries
+        points in more than one chart, and every chart of the copy still
+        evaluates by its term loop and holds no descend: the comparisons
+        with the reference never compare generated code with itself."""
+        f = looped(load_bundled("multi3").rational())
+        visited = set()
+
+        def evaluate(t):
+            visited.add(f._chart(t).centre)
+            return f.eval(t)
+
+        x0 = (3.182307256371944, 1.3817660434966745)
+        step_loop(f, x0, DescentConfig(max_iters=300), evaluate=evaluate)
+        assert len(visited) >= 2
+        for chart in f._charts.values():
+            assert vars(chart)["evaluate"] == chart.loop
+            assert "descend" not in vars(chart)
 
     def test_retry_from_initial_step(self):
         """fig1 from this start: searches whose two-point start fails are

@@ -23,7 +23,7 @@ from singulim.polyalg import (
 from singulim.homog import CPModel, build_cp_objective
 from singulim.problems import BUNDLED_NAMES, load_bundled
 
-from descent_helpers import line_search, looped, search, step_loop
+from descent_helpers import line_search, looped, reference_search, search, step_loop
 
 N_VARS = 3
 
@@ -839,8 +839,8 @@ def quotients(draw):
 
 class TestGeneratedCode:
     """Over random quotients, generated evaluate and descend return the bits
-    of loop and descend_loop: values, DomainViolations, trials, steps and
-    gradients, and whole runs those of the Python step loop."""
+    of loop and of the Python search and step loops over it: values,
+    DomainViolations, trials, steps and gradients, and whole runs."""
 
     @settings(max_examples=80, deadline=None)
     @given(quotients(), st.data())
@@ -873,7 +873,7 @@ class TestGeneratedCode:
         reference = looped(f)
         points = [zero]
         for args in searches:
-            expected = search(reference, *args)
+            expected = reference_search(reference, *args)
             assert _hex(search(f, *args)) == _hex(expected), args
             x = args[0]
             points += [x] if expected is None else [x, expected[0]]
@@ -922,11 +922,11 @@ class TestGeneratedCode:
 
     @staticmethod
     def _assert_same_runs(f, x0, cfg):
-        """optimize through the generated descend, through descend_loop, and
-        the Python step loop over line_search give the same trace, float.hex
-        of every entry, or raise the same error.  Returns the step loop's
-        retries: each failed search but the last is searched again from
-        initial_step."""
+        """optimize through the generated descend, and the Python step loop
+        over line_search, over the charts' term loops and over generated
+        code, give the same trace, float.hex of every entry, or raise the
+        same error.  Returns the step loop's retries: each failed search but
+        the last is searched again from initial_step."""
         searches = []
 
         def ladder(*args):
@@ -943,7 +943,7 @@ class TestGeneratedCode:
                          trace.step_norms, trace.alphas]), trace.stop_reason
 
         generated = outcome(optimize, f)
-        assert outcome(optimize, looped(f)) == generated
+        assert outcome(step_loop, looped(f)) == generated
         assert outcome(step_loop, f, ladder) == generated
         return searches[:-1].count(False)
 
