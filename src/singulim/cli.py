@@ -226,15 +226,17 @@ def cmd_analyze(args) -> int:
     directions = [(text, _parse_exact_point(text, "--direction"))
                   for text in args.direction or []]
     pencil = analyze_singularity(f, point)
-    print(f"n_min: {pencil.n_min}")
-    print(f"leading_pencil: {_poly_text(pencil.leading)}")
     for _ in range(args.random_directions):
         raw = [rng.gauss(0.0, 1.0) for _ in range(f.n_vars)]
         norm = math.sqrt(math.fsum(v * v for v in raw))
         d = tuple(v / norm for v in raw)
         directions.append((",".join(map(str, d)), d))
-    for text, d in directions:
-        verdict = direction_verdict(pencil, d)
+    # Every direction is decided before anything is printed, so a wrong
+    # coordinate count or a zero direction prints nothing but the error.
+    verdicts = [(text, direction_verdict(pencil, d)) for text, d in directions]
+    print(f"n_min: {pencil.n_min}")
+    print(f"leading_pencil: {_poly_text(pencil.leading)}")
+    for text, verdict in verdicts:
         limit = "undefined" if verdict.limit_value is None else f"{verdict.limit_value:.17g}"
         print(
             f"direction {text}: safe={verdict.in_safe_set} "

@@ -12,20 +12,21 @@ the homogeneity and boundedness claims are checkable as polynomial facts.
 It is evaluated in the reduced form r/G with I = <tau, T>, G = ||tau||^2 and
 r = ||T||^2 G - I^2, and the domain test (DENOM_FLOOR) applies to G, not to
 G^2, so f_hat's value neither underflows nor overflows where G^2 would.
-Exactly, r and G are polynomials in x.  In float they are evaluated through
-tau: the entries u_j of tau(x) are summed first, then R(u) = ||T||^2 sum u_j^2
-- (sum T_j u_j)^2 and G(u) = sum u_j^2, and the gradient follows by the chain
-rule.  Where the rank-1 terms of tau cancel, near the singular cone tau = 0,
-that cancellation then happens once per entry u_j instead of inside every
-term of r and G multiplied out in x.
+Exactly, r and G are polynomials in x.  In float they are evaluated
+through two inner levels: the entries u_j of tau(x) are summed first, then
+w = (G(u), I(u)) = (sum u_j^2, sum T_j u_j), then r = ||T||^2 w_0 - w_1^2
+and G = w_0.  The gradient is the quotient rule once, at w, carried back
+through dw/du and du/dx by the chain rule.  Where the rank-1 terms of tau
+cancel, near the singular cone tau = 0, that cancellation then happens once
+per entry u_j instead of inside every term of r and G multiplied out in x.
 
-Building f_hat forms R and G in the u_j and the common factor G(tau(x))
-only, and every reader takes f_hat in that one form
-(RationalFunction.with_common_factor): exact evaluation evaluates the u_j
-exactly, then R and G, and equality and analyze_singularity compose r and G
-in x.  Only repr and the problem file that `singulim tensor --emit-problem`
-writes multiply out the stored form (r G)/G^2.  DEFAULT_PARAM_BUDGET guards
-those expansions.
+Building f_hat forms G and I in the u_j, r and G in w, and the common
+factor G(tau(x)) only, and every reader takes f_hat in that one form
+(RationalFunction.with_common_factor): exact evaluation evaluates the u_j,
+then w, exactly, then r and G, and equality and analyze_singularity compose
+r and G in x.  Only repr and the problem file that `singulim tensor
+--emit-problem` writes multiply out the stored form (r G)/G^2.
+DEFAULT_PARAM_BUDGET guards those expansions.
 """
 
 from __future__ import annotations
@@ -178,9 +179,9 @@ def build_cp_objective(model: CPModel, target) -> HomogenizedObjective:
     """Construct f_hat = ||T||^2 - <tau, T>^2 / ||tau||^2 symbolically.
 
     Stored over the common denominator ||tau||^4 so that the denominator
-    structure is a checkable polynomial identity; evaluated as r/G composed
-    with the entries of tau (module docstring).  Only G(tau(x)) is composed
-    here; the stored form is built on first read.
+    structure is a checkable polynomial identity; evaluated as r/G through
+    the entries of tau and w = (G, I) (module docstring).  Only G(tau(x)) is
+    composed here; the stored form is built on first read.
     ||T||^2 is the exact sum of the squared entries, so f_hat >= 0 holds in
     exact arithmetic (Cauchy-Schwarz).
     """
@@ -197,14 +198,16 @@ def build_cp_objective(model: CPModel, target) -> HomogenizedObjective:
     entries = _tau_entries(model)
     t = [Fraction(float(v)) for v in target.flat]
     m = len(entries)
-    # R and G as polynomials in u = the entries of tau.
+    # G and I as polynomials in u = the entries of tau.
     u = [Polynomial.variable(m, k) for k in range(m)]
     gram_u = sum((u_k * u_k for u_k in u), Polynomial.zero(m))
     inner_u = sum((u_k.scale(t_k) for u_k, t_k in zip(u, t)), Polynomial.zero(m))
     t_sq = sum(t_k * t_k for t_k in t)
-    reduced_u = gram_u.scale(t_sq) - inner_u * inner_u
+    # r and G as polynomials in w = (G, I).
+    w0, w1 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
     f_hat = RationalFunction.with_common_factor(
-        reduced_u, gram_u, gram_u.compose(entries), inner=entries
+        w0.scale(t_sq) - w1 * w1, w0, gram_u.compose(entries),
+        inner=[entries, (gram_u, inner_u)],
     )
     return HomogenizedObjective(model, f_hat, float(t_sq))
 

@@ -587,11 +587,14 @@ def _indent(lines: Sequence[str]) -> list[str]:
     return ["    " + line for line in lines]
 
 
-def _chain_sum(outer_grad: Sequence[float], row: Sequence[tuple[int, float]]) -> float:
-    """sum_k outer_grad[k] * du_k/dx_i over a Jacobian row, left to right from 0.0."""
+def _chain_sum(
+    grad: Sequence[float], row: Sequence[tuple[int, Compiled]], powers: Sequence
+) -> float:
+    """sum_k grad[k] * du_k/dv_i over a Jacobian row, each du_k/dv_i summed
+    from the power table of v, left to right from 0.0."""
     total = 0.0
     for k, du in row:
-        total += outer_grad[k] * du
+        total += grad[k] * _eval_compiled(du, powers)
     return total
 
 
@@ -611,14 +614,18 @@ class _Evaluator:
     operation short of under- and overflow, and both tests see q in that
     scale.
 
-    Built with inner = (u_0, ..., u_{m-1}), term maps in the n_vars
-    variables, it evaluates a composed pair: numer and denom are term maps in
-    m variables, and p, q are their values at u(d).  Each u_k is summed
-    first, then p and q in the u_k, and the gradient of p is formed by the
-    chain rule, dp/dx_i = sum_k dp/du_k * du_k/dx_i, k ascending over the u_k
-    that depend on x_i (q likewise).  Cancellation inside a u_k then costs
-    accuracy relative to u_k only, where the multiplied-out p and q would
-    repeat it in every term.
+    Built with levels = (L_0, ..., L_{n-1}), a chain of inner levels, it
+    evaluates a composed pair.  Each level is a tuple of term maps: those of
+    L_0 in the n_vars variables, those of L_j in the values of L_{j-1}, and
+    numer and denom in the values of the last level.  Each level is summed
+    from the powers of the level before, then p and q from the last
+    level's powers.  The quotient rule is taken once, on f, at the last
+    level's variables, and that gradient is carried back through each
+    level's Jacobian: df/dv_i = sum_k df/du_k * du_k/dv_i, k ascending over
+    the values u_k of the level that depend on v_i.  Cancellation inside a
+    value then costs accuracy relative to that value only, where p and q
+    multiplied out in x would repeat it in every term.  Without levels p
+    and q are in the n_vars variables themselves.
 
     The evaluator also runs steepest descent with Armijo backtracking:
     descend(*state, rows, sigma, factor, initial_step, grad_tol, max_trials)
@@ -672,34 +679,32 @@ class _Evaluator:
         centre: tuple[float, ...],
         numer: Mapping[Exponent, Rational],
         denom: Mapping[Exponent, Rational],
-        inner: Sequence[Mapping[Exponent, Rational]] | None = None,
+        levels: Sequence[Sequence[Mapping[Exponent, Rational]]] = (),
         dispatch: tuple[tuple[float, ...], ...] | None = None,
     ):
-        n_vars = len(centre)
         term_maps = [numer, denom]
-        # The variables of numer and denom: x itself, or the u_k.
-        n_outer = n_vars if inner is None else len(inner)
+        # The variable count of each power table: x, then each level's values.
+        counts = [len(centre)] + [len(level) for level in levels]
         # p and q times 2^k, with q's largest |coefficient| in [1, 2).
         k = -_binary_exponent(max(map(abs, denom.values())))
         self.values = [_compile_terms(t, k) for t in term_maps]
         self.partials = [
-            _compile_gradient(t, c, n_outer, k) for t, c in zip(term_maps, self.values)
+            _compile_gradient(t, c, counts[-1], k) for t, c in zip(term_maps, self.values)
         ]
-        self.outer_max_deg = _max_degrees(n_outer, term_maps)
-        if inner is None:
-            self.inner = self.jacobian = None
-            self.max_deg = self.outer_max_deg
-        else:
-            self.inner = [_compile_terms(t, 0) for t in inner]
-            # Row i: (k, du_k/dx_i) for each u_k that depends on x_i.
-            inner_gradients = [
-                _compile_gradient(t, c, n_vars, 0) for t, c in zip(inner, self.inner)
-            ]
-            self.jacobian = [
-                [(k, g[i]) for k, g in enumerate(inner_gradients) if g[i]]
-                for i in range(n_vars)
-            ]
-            self.max_deg = _max_degrees(n_vars, inner)
+        self.levels = [[_compile_terms(t, 0) for t in level] for level in levels]
+        # jacobians[j][i]: (k, du_k/dv_i) for each value u_k of level j that
+        # depends on variable v_i of the table before it.
+        self.jacobians = []
+        for level, compiled, n in zip(levels, self.levels, counts):
+            gradients = [_compile_gradient(t, c, n, 0) for t, c in zip(level, compiled)]
+            self.jacobians.append([
+                [(k, g[i]) for k, g in enumerate(gradients) if g[i]] for i in range(n)
+            ])
+        # max_deg[j]: the highest powers in power table j, those its
+        # consumers (the next level, or p and q) raise it to.
+        self.max_deg = [
+            _max_degrees(n, maps) for n, maps in zip(counts, [*levels, term_maps])
+        ]
         self.centre = centre
         self.dispatch = dispatch
         self._used = False
@@ -723,60 +728,51 @@ class _Evaluator:
         return self.descend(*args)
 
     def loop(self, x: Sequence, grad: bool):
-        """The reference evaluation: term by term from a power table."""
-        powers, outer, (p, q) = self._sums(x)
+        """The reference evaluation: term by term from power tables."""
+        tables, (p, q) = self._sums(x)
         if abs(q) < DENOM_FLOOR:
             raise DomainViolation(x, q)
         f = p / q
         if not grad:
             return f
-        return f, self._gradient(powers, outer, p, q, f)
+        return f, self._gradient(tables, p, q, f)
 
-    def _sums(self, x: Sequence) -> tuple[list, list, list[float]]:
-        """(powers, outer, values) at x: the power tables of the coordinates
-        after the centre and of the term maps' variables (the same table
-        without inner), and the term maps' values."""
+    def _sums(self, x: Sequence) -> tuple[list, list[float]]:
+        """(tables, values) at x: the power tables of the coordinates after
+        the centre and of each level's values, and the values of p and q."""
         coords = [float(v) - c for v, c in zip(x, self.centre)]
-        powers = _power_table(coords, self.max_deg)
-        outer = powers
-        if self.inner is not None:
-            u = [_eval_compiled(c, powers) for c in self.inner]
-            outer = _power_table(u, self.outer_max_deg)
-        return powers, outer, [_eval_compiled(c, outer) for c in self.values]
+        tables = [_power_table(coords, self.max_deg[0])]
+        for level, top in zip(self.levels, self.max_deg[1:]):
+            tables.append(_power_table([_eval_compiled(c, tables[-1]) for c in level], top))
+        return tables, [_eval_compiled(c, tables[-1]) for c in self.values]
 
-    def _gradient(self, powers, outer, p: float, q: float, f: float) -> list[float]:
+    def _gradient(self, tables, p: float, q: float, f: float) -> list[float]:
         """grad f from _sums' power tables, p, q and f = p/q."""
         grad_p, grad_q = (
-            [_eval_compiled(c, outer) for c in row] for row in self.partials
+            [_eval_compiled(c, tables[-1]) for c in row] for row in self.partials
         )
-        if self.inner is not None:
-            jacobian = [
-                [(k, _eval_compiled(du, powers)) for k, du in row]
-                for row in self.jacobian
-            ]
-            grad_p, grad_q = (
-                [_chain_sum(g, row) for row in jacobian] for g in (grad_p, grad_q)
-            )
         q_sq = q * q
         if sys.float_info.min <= q_sq < math.inf:
-            return [(q * a - p * b) / q_sq for a, b in zip(grad_p, grad_q)]
-        return [(a - f * b) / q for a, b in zip(grad_p, grad_q)]
+            grad = [(q * a - p * b) / q_sq for a, b in zip(grad_p, grad_q)]
+        else:
+            grad = [(a - f * b) / q for a, b in zip(grad_p, grad_q)]
+        for table, jacobian in zip(reversed(tables[:-1]), reversed(self.jacobians)):
+            grad = [_chain_sum(grad, row, table) for row in jacobian]
+        return grad
 
     def generate(self, name: str):
         """loop (name "evaluate") as straight-line code, or the descent
         (name "descend") over that code."""
-        names = [f"x{i}" for i in range(len(self.max_deg))]
-        # The powers of x0, x1, ... (and, composed, the u_k and their
-        # powers), then p and q.
-        value = _power_lines("x", self.max_deg)
-        var = "x"
-        if self.inner is not None:
-            for k, compiled in enumerate(self.inner):
-                value += _sum_source(f"u{k}", compiled, "x")
-            value += _power_lines("u", self.outer_max_deg)
-            var = "u"
-        value += _sum_source("p", self.values[0], var)
-        value += _sum_source("q", self.values[1], var)
+        names = [f"x{i}" for i in range(len(self.max_deg[0]))]
+        # The powers of x0, x1, ..., each level's values u{j}_0, u{j}_1, ...
+        # and their powers, then p and q.
+        value = _power_lines("x", self.max_deg[0])
+        for j, level in enumerate(self.levels):
+            for k, compiled in enumerate(level):
+                value += _sum_source(f"u{j}_{k}", compiled, self._var(j))
+            value += _power_lines(self._var(j + 1), self.max_deg[j + 1])
+        value += _sum_source("p", self.values[0], self._var(len(self.levels)))
+        value += _sum_source("q", self.values[1], self._var(len(self.levels)))
         gradient = [f"h{i}" for i in range(len(names))]
         if name == "descend":
             lines = self._descend_lines(names, value, gradient)
@@ -807,43 +803,53 @@ class _Evaluator:
         # function would form a reference cycle with that dict.
         return namespace.pop(name)
 
+    @staticmethod
+    def _var(j: int) -> str:
+        """The name stem of power table j's variables: x, then u{j-1}_."""
+        return "x" if j == 0 else f"u{j - 1}_"
+
     def _gradient_lines(self, out: Sequence[str]) -> list[str]:
         """Statements that leave _gradient's entries in the names out, from
         the powers, p, q and f that precede them."""
-        grad_p = [f"p_{i}" for i in range(len(self.max_deg))]
-        grad_q = [f"q_{i}" for i in range(len(self.max_deg))]
+        var = self._var(len(self.levels))
+        # The partials of p and q in the last table's variables: p_0, ... in
+        # x, p_u{j}_0, ... in a level's values.
+        stem = var if self.levels else ""
+        grad_p, grad_q = (
+            [f"{prefix}_{stem}{i}" for i in range(len(self.max_deg[-1]))]
+            for prefix in ("p", "q")
+        )
+        # grads[j]: the names of df/dv_i for table j's variables v.
+        grads = [out] + [
+            [f"f_{self._var(j)}{i}" for i in range(len(top))]
+            for j, top in enumerate(self.max_deg[1:], 1)
+        ]
         lines = []
-        if self.inner is None:
-            for row_names, row in zip((grad_p, grad_q), self.partials):
-                for name, compiled in zip(row_names, row):
-                    lines += _sum_source(name, compiled, "x")
-        else:
-            for prefix, row in zip(("p_u", "q_u"), self.partials):
-                for k, compiled in enumerate(row):
-                    lines += _sum_source(f"{prefix}{k}", compiled, "u")
-            # Each distinct du_k/dx_i is summed once, under the name of
-            # its first (i, k); equal term lists give equal bits.
-            shared: dict[tuple, str] = {}
-            du_rows = []
-            for i, row in enumerate(self.jacobian):
-                du_rows.append([])
-                for k, compiled in row:
-                    du = shared.get(tuple(compiled))
-                    if du is None:
-                        du = shared[tuple(compiled)] = f"du{k}_{i}"
-                        lines += _sum_source(du, compiled, "x")
-                    du_rows[i].append((k, du))
-            for prefix, row_names in zip(("p_u", "q_u"), (grad_p, grad_q)):
-                for name, row in zip(row_names, du_rows):
-                    lines += _sum_lines(name, [f"{prefix}{k} * {du}" for k, du in row])
-        pairs = list(zip(out, grad_p, grad_q))
-        return lines + [
+        for row_names, row in zip((grad_p, grad_q), self.partials):
+            for name, compiled in zip(row_names, row):
+                lines += _sum_source(name, compiled, var)
+        pairs = list(zip(grads[-1], grad_p, grad_q))
+        lines += [
             "    q_sq = q * q",
             "    if FLOAT_MIN <= q_sq < inf:",
             *(f"        {h} = (q * {a} - p * {b}) / q_sq" for h, a, b in pairs),
             "    else:",
             *(f"        {h} = ({a} - f * {b}) / q" for h, a, b in pairs),
         ]
+        for j in reversed(range(len(self.levels))):
+            # Each distinct du_k/dv_i of the level is summed once, under the
+            # name of its first (i, k); equal term lists give equal bits.
+            shared: dict[tuple, str] = {}
+            for i, (name, row) in enumerate(zip(grads[j], self.jacobians[j])):
+                products = []
+                for k, compiled in row:
+                    du = shared.get(tuple(compiled))
+                    if du is None:
+                        du = shared[tuple(compiled)] = f"du{j}_{k}_{i}"
+                        lines += _sum_source(du, compiled, self._var(j))
+                    products.append(f"{grads[j + 1][k]} * {du}")
+                lines += _sum_lines(name, products)
+        return lines
 
     def _descend_lines(
         self, names: Sequence[str], value: Sequence[str], gradient: Sequence[str]
@@ -944,20 +950,23 @@ class RationalFunction:
 
     The function is held as its factors, and they are the one form that
     evaluation, float and exact, __eq__ and the symbolic analysis read:
-    p and q, optionally polynomials in inner polynomials u = (u_0, ...)
+    p and q, optionally polynomials at the end of a chain of inner levels
     that stand for p(u(x)) and q(u(x)), and optionally a common factor h.
+    Each level is a tuple of polynomials in the values of the level before,
+    the first in x, and u(x) is the last level's values.
     RationalFunction(numer, denom) has p = numer and q = denom and neither
-    u nor h.  with_common_factor(p, q, h) stands for (p*h)/(q*h), so p/q is
-    evaluated: fewer terms, no cancellation of h, and DENOM_FLOOR tested on
-    q rather than on q*h.  With inner = u, float evaluation sums the u_k
-    first (_Evaluator) and exact evaluation evaluates each u_k exactly, then
-    p and q at those values; _eval_pair composes p(u(x)) and q(u(x)) for
-    __eq__ and the pencil, afresh on each read.
+    levels nor h.  with_common_factor(p, q, h) stands for (p*h)/(q*h), so
+    p/q is evaluated: fewer terms, no cancellation of h, and DENOM_FLOOR
+    tested on q rather than on q*h.  With levels, float evaluation sums each
+    level from the one before (_Evaluator) and exact evaluation evaluates
+    each level exactly, then p and q at the last level's values; _eval_pair
+    composes p(u(x)) and q(u(x)) for __eq__ and the pencil, afresh on each
+    read.
 
-    numer and denom are the stored form, p*h and q*h composed with u: what
-    repr shows and a problem file holds.  Nothing else reads them; each is
-    multiplied out, composing only its own factor, on its first read and
-    kept on the instance.
+    numer and denom are the stored form, p*h and q*h composed through the
+    levels: what repr shows and a problem file holds.  Nothing else reads
+    them; each is multiplied out, composing only its own factor, on its
+    first read and kept on the instance.
 
     Float evaluation of p and q, expansions about the origin, loses accuracy
     far from it, where the terms cancel.  singular_points declares the
@@ -973,7 +982,7 @@ class RationalFunction:
     """
 
     __slots__ = (
-        "n_vars", "_numer", "_denom", "_factors", "_inner", "_origin",
+        "n_vars", "_numer", "_denom", "_factors", "_levels", "_origin",
         "_centres", "_charts", "_pencils",
     )
 
@@ -986,10 +995,10 @@ class RationalFunction:
             raise ValueError("denominator is identically zero")
         self._numer = numer
         self._denom = denom
-        # (p, q, h) and the inner polynomials u; h and u are None unless set
-        # by with_common_factor.
+        # (p, q, h) and the chain of inner levels; h is None and the chain
+        # empty unless set by with_common_factor.
         self._factors = (numer, denom, None)
-        self._inner: tuple | None = None
+        self._levels: tuple[tuple[Polynomial, ...], ...] = ()
         self._init_charts(numer.n_vars, singular_points)
 
     def _init_charts(self, n_vars: int, singular_points: Iterable) -> None:
@@ -1026,7 +1035,7 @@ class RationalFunction:
         p: Polynomial,
         q: Polynomial,
         h: Polynomial,
-        inner: Sequence[Polynomial] | None = None,
+        inner: Sequence[Sequence[Polynomial]] = (),
     ) -> "RationalFunction":
         """(p*h)/(q*h) as stored, evaluated and analysed as p/q.
 
@@ -1034,45 +1043,53 @@ class RationalFunction:
         domain of p/q.  Nothing is multiplied out here, and only repr and a
         problem file read numer = p*h and denom = q*h (class docstring).
 
-        With inner = (u_0, ..., u_{m-1}), polynomials in the variables of h,
-        p and q are polynomials in m variables that stand for p(u(x)) and
-        q(u(x)).  Evaluation, float and exact, evaluates the u_k first and
-        p and q at their values; __eq__ and analyze_singularity compose them.
+        inner is a chain of levels, each a sequence of polynomials: those of
+        the first in the variables of h, those of each later level in one
+        variable per polynomial of the level before, and p and q in one
+        variable per polynomial of the last level.  p and q then stand for
+        their composition through the levels.  Evaluation, float and exact,
+        evaluates each level at the values of the one before, and p and q at
+        the last; the gradient is the quotient rule once, in the last
+        level's variables, carried back through each level's Jacobian.
+        __eq__ and analyze_singularity compose p and q through the levels.
 
-        Raises DimensionError when the variable counts disagree or inner
-        does not hold one polynomial per variable of p and q, and ValueError
-        when q*h is identically zero, all here.  Whether q(u(x)) vanishes is
-        settled by its exact value at one integer point, and by composing
-        only where that value is 0.
+        Raises DimensionError when the variable counts disagree along the
+        chain, and ValueError when q*h is identically zero, all here.
+        Whether q composed through the levels vanishes is settled by its
+        exact value at one integer point, and by composing only where that
+        value is 0.
         """
         p._check_same_vars(q)
-        if inner is None:
-            h._check_same_vars(p)
-        else:
-            inner = tuple(inner)
-            if len(inner) != p.n_vars or not inner:
-                raise DimensionError(
-                    f"{len(inner)} inner polynomials for {p.n_vars} variables"
-                )
-            for u in inner:
-                h._check_same_vars(u)
-        if h.is_zero() or _vanishes(q, inner):
+        levels = tuple(tuple(level) for level in inner)
+        # The variable count that each level, then p and q, must have.
+        n_vars = h.n_vars
+        for level in levels:
+            if not level:
+                raise DimensionError("an inner level holds no polynomial")
+            for u in level:
+                if u.n_vars != n_vars:
+                    raise DimensionError(
+                        f"inner polynomial in {u.n_vars} variables, expected {n_vars}"
+                    )
+            n_vars = len(level)
+        if p.n_vars != n_vars:
+            raise DimensionError(f"p and q in {p.n_vars} variables, expected {n_vars}")
+        if h.is_zero() or _vanishes(q, levels):
             raise ValueError("denominator is identically zero")
         f = cls.__new__(cls)
         f._numer = f._denom = None
         f._factors = (p, q, h)
-        f._inner = inner
+        f._levels = levels
         f._init_charts(h.n_vars, ())
         return f
 
     def _composed(self, index: int) -> Polynomial:
         """Factor index (0 for p, 1 for q) in the variables x."""
-        factor = self._factors[index]
-        return factor if self._inner is None else factor.compose(self._inner)
+        return _through(self._factors[index], self._levels)
 
     @property
     def _eval_pair(self) -> tuple[Polynomial, Polynomial]:
-        """(p, q) in the variables x, composed afresh when inner is set."""
+        """(p, q) in the variables x, composed afresh through the levels."""
         return self._composed(0), self._composed(1)
 
     @property
@@ -1100,18 +1117,18 @@ class RationalFunction:
         """The chart about centre, one of the origin and _centres.
 
         Its term maps are those of p and q, exactly Taylor-shifted to a
-        centre other than the origin, in the variables of inner when it is
-        set.  with_common_factor declares no centre, so inner only ever
-        meets the origin.
+        centre other than the origin, and those of the levels.
+        with_common_factor declares no centre, so levels only ever meet the
+        origin.
         """
         chart = self._charts.get(centre)
         if chart is None:
             terms = [factor.terms for factor in self._factors[:2]]
             if any(centre):
                 terms = [_shift_terms(t, centre) for t in terms]
-            inner = None if self._inner is None else [u.terms for u in self._inner]
+            levels = [[u.terms for u in level] for level in self._levels]
             chart = self._charts[centre] = _Evaluator(
-                centre, *terms, inner=inner, dispatch=self._centres
+                centre, *terms, levels, dispatch=self._centres
             )
         return chart
 
@@ -1158,14 +1175,15 @@ class RationalFunction:
                 return to, state
 
     def eval_exact(self, x: Sequence) -> Fraction:
-        """p/q exactly at x; with inner, at the exact values of the u_k."""
+        """p/q exactly at x; with levels, at the exact values of the last."""
         return self._exact(x, False)
 
     def eval_exact_and_grad(self, x: Sequence) -> tuple[Fraction, list[Fraction]]:
         """p/q and its gradient (q grad p - p grad q) / q^2 exactly at x.
 
-        With inner, grad p and grad q follow by the chain rule,
-        dp/dx_i = sum_k dp/du_k(u(x)) * du_k/dx_i(x).
+        With levels, the gradient is taken in the last level's variables and
+        carried back through each level's Jacobian by the chain rule,
+        df/dv_i = sum_k df/du_k * du_k/dv_i.
         """
         return self._exact(x, True)
 
@@ -1182,22 +1200,28 @@ class RationalFunction:
             forms += [_partial_form(form, k) for form in forms for k in range(m)]
         point, s = _scaled_point(x)
         # Values are numerators over a common denominator.  That of p, q and
-        # their partials cancels in p/q and in the gradient; that of the
-        # du_k/dx_i, jacobian_d, stays in the gradient.
+        # their partials cancels in p/q and in the gradient; those of the
+        # levels' Jacobian entries, whose product is jacobian_d, stay in it.
         jacobian_d = 1
-        if self._inner is not None:
-            inner = [_integer_form(u.terms) for u in self._inner]
-            # (k, i, du_k/dx_i) for each partial that is not identically zero.
-            jacobian = []
-            for k, form in enumerate(inner if grad else ()):
-                for i in range(self.n_vars):
+        # Per level, the variable count before it and (k, i, du_k/dv_i) for
+        # each partial that is not identically zero.
+        jacobians = []
+        for level in self._levels:
+            level_forms = [_integer_form(u.terms) for u in level]
+            entries = []
+            for k, form in enumerate(level_forms if grad else ()):
+                for i in range(len(point)):
                     du = _partial_form(form, i)
                     if du[1]:
-                        jacobian.append((k, i, du))
-            inner_values, s = _exact_numerators(
-                inner + [form for _, _, form in jacobian], point, s
+                        entries.append((k, i, du))
+            values, s = _exact_numerators(
+                level_forms + [form for _, _, form in entries], point, s
             )
-            point, jacobian_d = inner_values[:m], s
+            jacobians.append((len(point), [
+                (k, i, du) for (k, i, _), du in zip(entries, values[len(level):])
+            ]))
+            point = values[:len(level)]
+            jacobian_d *= s
         values, _ = _exact_numerators(forms, point, s)
         p_value, q_value = values[:2]
         if q_value == 0:
@@ -1205,17 +1229,16 @@ class RationalFunction:
         f = Fraction(p_value, q_value)
         if not grad:
             return f
-        grad_p, grad_q = values[2:2 + m], values[2 + m:]
-        if self._inner is not None:
-            outer_p, outer_q = grad_p, grad_q
-            grad_p, grad_q = [0] * self.n_vars, [0] * self.n_vars
-            for (k, i, _), du in zip(jacobian, inner_values[m:]):
-                grad_p[i] += outer_p[k] * du
-                grad_q[i] += outer_q[k] * du
-        q_sq = q_value * q_value * jacobian_d
-        return f, [
-            Fraction(q_value * a - p_value * b, q_sq) for a, b in zip(grad_p, grad_q)
+        gradient = [
+            q_value * a - p_value * b for a, b in zip(values[2:2 + m], values[2 + m:])
         ]
+        for n_vars, entries in reversed(jacobians):
+            back = [0] * n_vars
+            for k, i, du in entries:
+                back[i] += gradient[k] * du
+            gradient = back
+        q_sq = q_value * q_value * jacobian_d
+        return f, [Fraction(a, q_sq) for a in gradient]
 
     def _check_point(self, x: Sequence) -> None:
         if len(x) != self.n_vars:
@@ -1240,18 +1263,29 @@ class RationalFunction:
         return f"RationalFunction({self.numer!r}, {self.denom!r})"
 
 
-def _vanishes(q: Polynomial, inner: Sequence[Polynomial] | None) -> bool:
-    """Whether q, or q(u(x)) with inner = u, is identically zero.
+def _through(poly: Polynomial, levels: Sequence[Sequence[Polynomial]]) -> Polynomial:
+    """poly composed through a chain of inner levels, the last level first:
+    a polynomial in the variables of the first level's polynomials."""
+    for level in reversed(levels):
+        poly = poly.compose(level)
+    return poly
+
+
+def _vanishes(q: Polynomial, levels: Sequence[Sequence[Polynomial]]) -> bool:
+    """Whether q, composed through the chain of inner levels, is identically
+    zero.
 
     A nonzero exact value at one integer point settles the composed case
     without composing; only a zero there falls back to the composition.
     """
-    if q.is_zero() or inner is None:
+    if q.is_zero() or not levels:
         return q.is_zero()
-    probe = range(2, inner[0].n_vars + 2)
-    if q.eval_exact([u.eval_exact(probe) for u in inner]) != 0:
+    values = range(2, levels[0][0].n_vars + 2)
+    for level in levels:
+        values = [u.eval_exact(values) for u in level]
+    if q.eval_exact(values) != 0:
         return False
-    return q.compose(inner).is_zero()
+    return _through(q, levels).is_zero()
 
 
 def check_finite_point(x: Sequence[float]) -> tuple[float, ...]:

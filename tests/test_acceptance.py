@@ -217,6 +217,59 @@ def test_criterion_09_homogeneity_and_euler_suite():
     assert euler_failures == 0
 
 
+# Relative bound on criterion 9's f_hat against exact arithmetic (below).
+CP_ACCURACY_TOL = 2e-13
+
+
+def test_criterion_09_float_value_and_gradient_match_exact():
+    """eval_and_grad of criterion 9's f_hat against eval_exact_and_grad at
+    300 seeded points: value errors relative to |f_hat|, gradient errors
+    (largest entry) relative to the exact gradient's largest entry.
+
+    Two thirds of the points are Gaussian.  The rest lie within about 1e-6
+    of the singular cone tau = 0: the second rank-1 term is (-a, b, c + d)
+    for the first's (a, b, c), so tau = -a (x) b (x) d, with entries of
+    a, b, c multiples of 2^-5 up to 2 and of d multiples of 2^-26 up to
+    64 * 2^-26 < 1e-6.
+    Each entry of tau is then exact in float, and the error measured is
+    that of the levels after tau.  (With Gaussian coordinates 1e-6 apart,
+    rounding in the cancelling entries of tau alone costs about 1e-10 in
+    the value and 6e-9 in the gradient.)
+    """
+    rng = random.Random(43)
+    model = CPModel((2, 2, 2), 2)
+    target = np.array(
+        [[[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)]
+         for _ in range(2)], dtype=float)
+    target[0, 0, 0] = target[0, 0, 0] or 1.0
+    obj = build_cp_objective(model, target)
+    rng = random.Random(2026)
+
+    def dyadic(k):
+        return rng.choice([-1, 1]) * rng.randint(1, 64) * 2.0 ** -k
+
+    worst_value = worst_grad = Fraction(0)
+    for j in range(300):
+        if j % 3:
+            x = [rng.gauss(0.0, 1.0) for _ in range(model.n_params)]
+        else:
+            a, b, c = ([dyadic(5) for _ in range(2)] for _ in range(3))
+            d = [dyadic(26) for _ in range(2)]
+            x = a + b + c + [-v for v in a] + b + [v + e for v, e in zip(c, d)]
+            assert 0 < np.abs(model.tau(x)).max() <= 4 * 64 * 2.0 ** -26
+        value, grad = obj.eval_and_grad(x)
+        exact, exact_grad = obj.f_hat.eval_exact_and_grad(x)
+        worst_value = max(worst_value, abs(Fraction(value) - exact) / abs(exact))
+        top = max(map(abs, exact_grad))
+        worst_grad = max(worst_grad, max(
+            abs(Fraction(g) - e) for g, e in zip(grad, exact_grad)) / top)
+    ok = max(worst_value, worst_grad) <= CP_ACCURACY_TOL
+    _report(9, ok, f"300 samples against exact: value error {float(worst_value):.2e}, "
+                   f"gradient error {float(worst_grad):.2e} (bound {CP_ACCURACY_TOL:g})")
+    assert worst_value <= CP_ACCURACY_TOL
+    assert worst_grad <= CP_ACCURACY_TOL
+
+
 def _power_iteration_sigma1(matrix, iters=500):
     m = np.asarray(matrix, dtype=float)
     gram = m.T @ m

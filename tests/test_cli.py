@@ -691,6 +691,9 @@ _TEN = ["tensor", "--dims", "2,2", "--emit-problem", "{d}/misuse.cp.problem"]
     pytest.param(["analyze", "--problem", "{d}/fig1.problem", "--point", "0,0,0"], 1,
                  id="analyze-point-dimension"),
     pytest.param(_ANA + ["--direction", "1,2,3"], 1, id="analyze-direction-dimension"),
+    pytest.param(_ANA + ["--direction", "1,2", "--direction", "1,2,3"], 1,
+                 id="analyze-later-direction-dimension"),
+    pytest.param(_ANA + ["--direction", "0,0"], 1, id="analyze-zero-direction"),
     pytest.param(["series", "--problem", "{d}/fig1.problem", "--point", "0,0,0",
                   "--direction", "1,0,0"], 1, id="series-point-dimension"),
     pytest.param(_SER + ["--direction", "1,0,0"], 1, id="series-direction-dimension"),
@@ -746,9 +749,12 @@ _TEN = ["tensor", "--dims", "2,2", "--emit-problem", "{d}/misuse.cp.problem"]
                  id="problem-integer-too-long"),
 ])
 def test_misuse_ends_in_one_error_line(misuse_dir, capsys, argv, code):
+    """Each misuse exits with its code, one error line on stderr and nothing
+    on stdout."""
     argv = [arg.format(d=misuse_dir) for arg in argv]
     assert main(argv) == code
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     if argv[0] == "optimize":

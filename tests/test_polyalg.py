@@ -49,6 +49,29 @@ def polynomials(draw, n_vars=N_VARS, max_degree=4, max_terms=5,
 
 points = st.tuples(*([st.integers(-5, 5)] * N_VARS))
 
+
+@st.composite
+def chains(draw, n_vars, n_out, **kwargs):
+    """A chain of inner levels from n_vars variables to n_out values: one
+    level, or two whose first holds 1-3 polynomials.  kwargs go to
+    polynomials()."""
+    sizes = [n_out]
+    if draw(st.booleans()):
+        sizes.insert(0, draw(st.integers(1, 3)))
+    levels = []
+    for size in sizes:
+        levels.append([draw(polynomials(n_vars, **kwargs)) for _ in range(size)])
+        n_vars = size
+    return levels
+
+
+def _compose_through(poly, levels):
+    """poly composed with the last level, that with the one before, and so
+    on: a polynomial in the first level's variables."""
+    for level in reversed(levels):
+        poly = poly.compose(level)
+    return poly
+
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 # Rational coefficients whose products and sums are often integral.
 rationals = st.one_of(st.integers(-9, 9), small_fractions)
@@ -340,35 +363,36 @@ class TestExactLayer:
     @settings(max_examples=60, deadline=None)
     @given(polynomials(n_vars=2, max_degree=3, max_terms=4, coefficients=rationals),
            polynomials(n_vars=2, max_degree=2, max_terms=3, coefficients=rationals),
-           st.lists(polynomials(max_degree=2, max_terms=3, coefficients=rationals),
-                    min_size=2, max_size=2),
+           chains(N_VARS, 2, max_degree=2, max_terms=3, coefficients=rationals),
            st.tuples(*[coordinates] * N_VARS))
     def test_composed_eval_exact_matches_composing_first(self, p, q, inner, x):
+        """One- and two-level chains."""
         h = 1 + Polynomial.variable(N_VARS, 0) ** 2
         q = q + 1
-        assume(not q.compose(inner).is_zero())
+        assume(not _compose_through(q, inner).is_zero())
         f = RationalFunction.with_common_factor(p, q, h, inner=inner)
-        denom = _substituted(q.compose(inner), x)
+        denom = _substituted(_compose_through(q, inner), x)
         if denom == 0:
             with pytest.raises(DomainViolation):
                 f.eval_exact(x)
         else:
-            assert f.eval_exact(x) == _substituted(p.compose(inner), x) / denom
+            assert f.eval_exact(x) == _substituted(_compose_through(p, inner), x) / denom
 
     @settings(max_examples=60, deadline=None)
     @given(polynomials(n_vars=2, max_degree=3, max_terms=4, coefficients=rationals),
            polynomials(n_vars=2, max_degree=2, max_terms=3, coefficients=rationals),
-           st.lists(polynomials(max_degree=2, max_terms=3, coefficients=rationals),
-                    min_size=2, max_size=2),
+           chains(N_VARS, 2, max_degree=2, max_terms=3, coefficients=rationals),
            st.booleans(),
            st.tuples(*[st.one_of(st.integers(-9, 9), small_fractions, st.floats(-4, 4))]
                      * N_VARS))
     @example(p=Polynomial.zero(2), q=Polynomial.constant(2, -1),
-             inner=[Polynomial.zero(N_VARS)] * 2, composed=False, x=(0, 0, 0))
+             inner=[[Polynomial.zero(N_VARS)] * 2], composed=False, x=(0, 0, 0))
     def test_exact_gradient_is_the_quotient_rule(self, p, q, inner, composed, x):
+        """Plain quotients, and quotients through one- and two-level chains,
+        against the quotient rule on the pair composed first."""
         q = q + 1
         if composed:
-            assume(not q.compose(inner).is_zero())
+            assume(not _compose_through(q, inner).is_zero())
             h = 1 + Polynomial.variable(N_VARS, 0) ** 2
             f = RationalFunction.with_common_factor(p, q, h, inner=inner)
         elif q.is_zero():
@@ -558,16 +582,22 @@ class TestEvaluator:
         assert not any(chart._used for chart in handed)
 
     def test_composed_chart_sums_each_jacobian_entry_once(self):
-        """(2,2,2) rank 2: the 48 nonzero du_k/dx_i are 24 distinct
-        products, each appearing twice (du0/dx0 = du4/dx1 = x2*x4)."""
+        """(2,2,2) rank 2, through u = tau(x) and w = (G(u), I(u)).  The tau
+        level's 48 nonzero du_k/dx_i are 24 distinct products, each
+        appearing twice (du0/dx0 = du4/dx1 = x2*x4).  The w level sums 8 + 8
+        terms for G and I, p and q 2 + 1 in w, and its 16 partials
+        dG/du_k = 2 u_k and dI/du_k = T_k are distinct."""
         f = _cp_f_hat()
         x = (0.3,) * 12
         f.eval_and_grad(x)
         f.eval_and_grad(x)  # generated
         chart = f._chart(x)
-        assert sum(len(row) for row in chart.jacobian) == 48
+        assert [len(compiled) for compiled in chart.levels[1]] == [8, 8]
+        assert [len(compiled) for compiled in chart.values] == [2, 1]
+        assert [sum(len(row) for row in j) for j in chart.jacobians] == [48, 16]
         local_names = chart.evaluate.__code__.co_varnames
-        assert sum(name.startswith("du") for name in local_names) == 24
+        assert sum(name.startswith("du0_") for name in local_names) == 24
+        assert sum(name.startswith("du1_") for name in local_names) == 16
 
     @pytest.mark.parametrize("norm", [1e-80, 1e60, 1e80])
     def test_gradient_fallback_first_and_later_calls_agree(self, norm):
@@ -804,8 +834,9 @@ def quotients(draw):
     variables, one centre with a zero and a non-zero coordinate, as multi3's
     (3, 0), whose charts' generated code subtracts the non-zero ones only.
     Composed:
-    with_common_factor(p, q, 1, inner=u), 1-3 polynomials u_k that vanish at
-    zero, the origin, and q = r * sum_k y_k^2 in their variables y.
+    with_common_factor(p, q, 1, inner=levels), a chain of one or two levels
+    of 1-3 polynomials each that vanish at the origin, zero, and q = r *
+    sum_k y_k^2 in the last level's variables y.
     """
     n = draw(st.integers(1, 3))
     if draw(st.booleans()):
@@ -820,17 +851,21 @@ def quotients(draw):
             mixed[i], mixed[j] = 0, draw(rationals.filter(bool))
             centres.append(tuple(mixed))
         return RationalFunction(draw(polynomials(n)), r * s, [zero] + centres), zero
-    m = draw(st.integers(1, 3))
-    zero = (0,) * n
-    inner = []
-    for _ in range(m):
-        u = draw(polynomials(n, max_degree=2, max_terms=3))
-        inner.append(u - u.terms.get(zero, 0))
+    levels = []
+    m = n
+    for _ in range(draw(st.integers(1, 2))):
+        level = []
+        for _ in range(draw(st.integers(1, 3))):
+            u = draw(polynomials(m, max_degree=2, max_terms=3))
+            level.append(u - u.terms.get((0,) * m, 0))
+        levels.append(level)
+        m = len(level)
     r = 1 + draw(polynomials(m, max_degree=2, max_terms=3))
     q = r * sum(y * y for y in _vars(m))
+    zero = (0,) * n
     try:
         f = RationalFunction.with_common_factor(
-            draw(polynomials(m)), q, Polynomial.constant(n, 1), inner
+            draw(polynomials(m)), q, Polynomial.constant(n, 1), levels
         )
     except ValueError:  # q(u(x)) is identically zero
         assume(False)
@@ -915,7 +950,7 @@ class TestGeneratedCode:
             y0, y1 = _vars(2)
             f = RationalFunction.with_common_factor(
                 Polynomial.constant(2, 1), y0 * y0 + y1 * y1,
-                Polynomial.constant(1, 1), [Polynomial.zero(1), x - x * x],
+                Polynomial.constant(1, 1), [[Polynomial.zero(1), x - x * x]],
             )
             x0 = (0.0625,)
         assert self._assert_same_runs(f, x0, DescentConfig(max_iters=8)) == 1
@@ -1024,7 +1059,7 @@ class TestRationalFunction:
         inner = [x * x - y, x * y ** 3, Polynomial.constant(2, 2)]
         u0, u1, u2 = _vars(3)
         p, q = u0 ** 3 * u2 - u1, 1 + u0 * u0 + u1 ** 2
-        f = RationalFunction.with_common_factor(p, q, 1 + x * x, inner=inner)
+        f = RationalFunction.with_common_factor(p, q, 1 + x * x, inner=[inner])
         expanded = RationalFunction(p.compose(inner), q.compose(inner))
         assert f._eval_pair == (expanded.numer, expanded.denom)
         assert f == expanded
@@ -1053,7 +1088,7 @@ class TestRationalFunction:
         p, q, h = u0 ** 3 * u2 - u1, 1 + u0 * u0 + u1 ** 2, 1 + x * x
         plain_h = x * x + y * y
         products.clear()
-        composed = RationalFunction.with_common_factor(p, q, h, inner=inner)
+        composed = RationalFunction.with_common_factor(p, q, h, inner=[inner])
         plain = RationalFunction.with_common_factor(x * y, plain_h, plain_h)
         products.clear()  # x * y above is the caller's
         for f in (composed, plain):
@@ -1077,6 +1112,8 @@ class TestRationalFunction:
         ("h variable count", DimensionError),
         ("inner count", DimensionError),
         ("inner and h variable counts", DimensionError),
+        ("second level count", DimensionError),
+        ("empty level", DimensionError),
         ("zero q", ValueError),
         ("zero h", ValueError),
         ("q zero after composition", ValueError),
@@ -1089,11 +1126,13 @@ class TestRationalFunction:
         args = {
             "p and q variable counts": (x, u0 + 1, 1 + x * x),
             "h variable count": (x * y, 1 + x * x, Polynomial.constant(3, 1)),
-            "inner count": (p, q, 1 + x * x, inner[:2]),
-            "inner and h variable counts": (p, q, Polynomial.constant(3, 1), inner),
+            "inner count": (p, q, 1 + x * x, [inner[:2]]),
+            "inner and h variable counts": (p, q, Polynomial.constant(3, 1), [inner]),
+            "second level count": (p, q, 1 + x * x, [inner, inner]),
+            "empty level": (p, q, 1 + x * x, [inner, []]),
             "zero q": (x, Polynomial.zero(2), 1 + x * x),
             "zero h": (x, 1 + x * x, Polynomial.zero(2)),
-            "q zero after composition": (u0, u0 - u1, 1 + x * x, [x, x, y]),
+            "q zero after composition": (u0, u0 - u1, 1 + x * x, [[x, x, y]]),
         }[case]
         with pytest.raises(error):
             RationalFunction.with_common_factor(*args)
