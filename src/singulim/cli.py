@@ -342,7 +342,7 @@ def cmd_tensor(args) -> int:
     model = CPModel(dims, args.rank)
     obj = build_cp_objective(model, nested)
     problem = ProblemFile(
-        model.n_params, obj.f_hat.numer, obj.f_hat.denom,
+        model.n_params, *obj.stored_form(),
         name=f"cp_{'x'.join(map(str, dims))}_rank{args.rank}",
     )
     save_problem(problem, args.emit_problem)

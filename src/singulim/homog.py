@@ -7,11 +7,12 @@ multilinear parameterization tau and target tensor T,
     f_hat(x) = || <tau(x), T> / ||tau(x)||^2 * tau(x) - T ||^2
              = ||T||^2 - <tau(x), T>^2 / ||tau(x)||^2,
 
-whose stored form is a rational function with denominator ||tau(x)||^4, so
-the homogeneity and boundedness claims are checkable as polynomial facts.
-It is evaluated in the reduced form r/G with I = <tau, T>, G = ||tau||^2 and
-r = ||T||^2 G - I^2, and the domain test (DENOM_FLOOR) applies to G, not to
-G^2, so f_hat's value neither underflows nor overflows where G^2 would.
+whose stored form (HomogenizedObjective.stored_form) is a rational
+function with denominator ||tau(x)||^4, so the homogeneity and boundedness
+claims are checkable as polynomial facts.  f_hat itself is the reduced form
+r/G with I = <tau, T>, G = ||tau||^2 and r = ||T||^2 G - I^2, and the domain
+test (DENOM_FLOOR) applies to G, not to G^2, so f_hat's value neither
+underflows nor overflows where G^2 would.
 Exactly, r and G are polynomials in x.  In float they are evaluated
 through two inner levels: the entries u_j of tau(x) are summed first, then
 w = (G(u), I(u)) = (sum u_j^2, sum T_j u_j), then r = ||T||^2 w_0 - w_1^2
@@ -20,12 +21,11 @@ through dw/du and du/dx by the chain rule.  Where the rank-1 terms of tau
 cancel, near the singular cone tau = 0, that cancellation then happens once
 per entry u_j instead of inside every term of r and G multiplied out in x.
 
-Building f_hat forms G and I in the u_j, r and G in w, and the common
-factor G(tau(x)) only, and every reader takes f_hat in that one form
-(RationalFunction.with_common_factor): exact evaluation evaluates the u_j,
-then w, exactly, then r and G, and equality and analyze_singularity compose
-r and G in x.  Only repr and the problem file that `singulim tensor
---emit-problem` writes multiply out the stored form (r G)/G^2.
+Building f_hat forms G and I in the u_j and r and G in w, and composes
+nothing (RationalFunction.composed): exact evaluation evaluates the u_j,
+then w, exactly, then r and G.  Equality, repr and analyze_singularity read
+r and G in x, composed on first read and kept.  Only stored_form, which
+`singulim tensor --emit-problem` writes, multiplies out (r G)/G^2.
 DEFAULT_PARAM_BUDGET guards those expansions.
 """
 
@@ -46,7 +46,7 @@ from .polyalg import Polynomial, RationalFunction
 # emit-problem multiplies out, and r and G in x, which equality and
 # analyze_singularity compose, get unreasonably large for a desk tool; the
 # builder refuses instead of thrashing.  Building f_hat and evaluating it,
-# in float or exactly, expand only G(tau(x)) (module docstring).
+# in float or exactly, expand nothing in x (module docstring).
 DEFAULT_PARAM_BUDGET = 12
 
 EULER_TOL = 1e-8
@@ -129,6 +129,12 @@ class HomogenizedObjective:
     def eval_and_grad(self, x: Sequence[float]) -> tuple[float, list[float]]:
         return self.f_hat.eval_and_grad(x)
 
+    def stored_form(self) -> tuple[Polynomial, Polynomial]:
+        """(r G, G^2) in x: f_hat over ||tau(x)||^4, the pair a problem
+        file holds (module docstring)."""
+        r, gram = self.f_hat.numer, self.f_hat.denom
+        return r * gram, gram * gram
+
 
 def normalize(v: Sequence[float]) -> tuple[float, ...]:
     """Return v / ||v||, rescaling first so tiny vectors do not underflow."""
@@ -178,10 +184,8 @@ def _tau_entries(model: CPModel) -> list[Polynomial]:
 def build_cp_objective(model: CPModel, target) -> HomogenizedObjective:
     """Construct f_hat = ||T||^2 - <tau, T>^2 / ||tau||^2 symbolically.
 
-    Stored over the common denominator ||tau||^4 so that the denominator
-    structure is a checkable polynomial identity; evaluated as r/G through
-    the entries of tau and w = (G, I) (module docstring).  Only G(tau(x)) is
-    composed here; the stored form is built on first read.
+    f_hat is r/G composed through the entries of tau and w = (G, I); nothing
+    is composed here (module docstring).
     ||T||^2 is the exact sum of the squared entries, so f_hat >= 0 holds in
     exact arithmetic (Cauchy-Schwarz).
     """
@@ -205,9 +209,8 @@ def build_cp_objective(model: CPModel, target) -> HomogenizedObjective:
     t_sq = sum(t_k * t_k for t_k in t)
     # r and G as polynomials in w = (G, I).
     w0, w1 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
-    f_hat = RationalFunction.with_common_factor(
-        w0.scale(t_sq) - w1 * w1, w0, gram_u.compose(entries),
-        inner=[entries, (gram_u, inner_u)],
+    f_hat = RationalFunction.composed(
+        w0.scale(t_sq) - w1 * w1, w0, [entries, (gram_u, inner_u)]
     )
     return HomogenizedObjective(model, f_hat, float(t_sq))
 

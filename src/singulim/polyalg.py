@@ -31,7 +31,7 @@ Compiled = list[tuple[float, tuple[tuple[int, int], ...]]]
 TERMS_PER_STATEMENT = 200
 
 # Evaluation treats |denominator| below this as a domain violation (q of
-# RationalFunction's evaluation pair, in its chart's scale: _Evaluator); the
+# RationalFunction's pair p/q, in its chart's scale: _Evaluator); the
 # optimizer's stopping rules keep iterates off the singular set itself.
 DENOM_FLOOR = 1e-300
 
@@ -948,25 +948,19 @@ class RationalFunction:
     The domain is implicitly the set where the denominator does not vanish;
     evaluation below DENOM_FLOOR raises DomainViolation.
 
-    The function is held as its factors, and they are the one form that
-    evaluation, float and exact, __eq__ and the symbolic analysis read:
-    p and q, optionally polynomials at the end of a chain of inner levels
-    that stand for p(u(x)) and q(u(x)), and optionally a common factor h.
-    Each level is a tuple of polynomials in the values of the level before,
-    the first in x, and u(x) is the last level's values.
-    RationalFunction(numer, denom) has p = numer and q = denom and neither
-    levels nor h.  with_common_factor(p, q, h) stands for (p*h)/(q*h), so
-    p/q is evaluated: fewer terms, no cancellation of h, and DENOM_FLOOR
-    tested on q rather than on q*h.  With levels, float evaluation sums each
-    level from the one before (_Evaluator) and exact evaluation evaluates
-    each level exactly, then p and q at the last level's values; _eval_pair
-    composes p(u(x)) and q(u(x)) for __eq__ and the pencil, afresh on each
-    read.
+    The function is held as the pair p and q, optionally polynomials at the
+    end of a chain of inner levels that stand for p(u(x)) and q(u(x)).  Each
+    level is a tuple of polynomials in the values of the level before, the
+    first in x, and u(x) is the last level's values.
+    RationalFunction(numer, denom) has p = numer and q = denom and no
+    levels; composed(p, q, levels) has levels.  With levels, float
+    evaluation sums each level from the one before (_Evaluator) and exact
+    evaluation evaluates each level exactly, then p and q at the last
+    level's values.
 
-    numer and denom are the stored form, p*h and q*h composed through the
-    levels: what repr shows and a problem file holds.  Nothing else reads
-    them; each is multiplied out, composing only its own factor, on its
-    first read and kept on the instance.
+    numer and denom are p and q in the variables x: what __eq__, repr and
+    the line pencil read.  With levels, each is composed on its first read
+    and kept on the instance.
 
     Float evaluation of p and q, expansions about the origin, loses accuracy
     far from it, where the terms cancel.  singular_points declares the
@@ -995,9 +989,8 @@ class RationalFunction:
             raise ValueError("denominator is identically zero")
         self._numer = numer
         self._denom = denom
-        # (p, q, h) and the chain of inner levels; h is None and the chain
-        # empty unless set by with_common_factor.
-        self._factors = (numer, denom, None)
+        # (p, q) and the chain of inner levels, empty unless set by composed.
+        self._factors = (numer, denom)
         self._levels: tuple[tuple[Polynomial, ...], ...] = ()
         self._init_charts(numer.n_vars, singular_points)
 
@@ -1030,80 +1023,65 @@ class RationalFunction:
         self._pencils: dict[tuple, object] = dict.fromkeys(bases)
 
     @classmethod
-    def with_common_factor(
+    def composed(
         cls,
         p: Polynomial,
         q: Polynomial,
-        h: Polynomial,
-        inner: Sequence[Sequence[Polynomial]] = (),
+        levels: Sequence[Sequence[Polynomial]],
     ) -> "RationalFunction":
-        """(p*h)/(q*h) as stored, evaluated and analysed as p/q.
+        """p(u(x))/q(u(x)), p and q composed through a chain of inner levels.
 
-        The stored form equals p/q by construction; h must not vanish on the
-        domain of p/q.  Nothing is multiplied out here, and only repr and a
-        problem file read numer = p*h and denom = q*h (class docstring).
-
-        inner is a chain of levels, each a sequence of polynomials: those of
-        the first in the variables of h, those of each later level in one
+        levels is a sequence of levels, each a sequence of polynomials: those
+        of the first in the variables x, those of each later level in one
         variable per polynomial of the level before, and p and q in one
-        variable per polynomial of the last level.  p and q then stand for
-        their composition through the levels.  Evaluation, float and exact,
-        evaluates each level at the values of the one before, and p and q at
-        the last; the gradient is the quotient rule once, in the last
-        level's variables, carried back through each level's Jacobian.
-        __eq__ and analyze_singularity compose p and q through the levels.
+        variable per polynomial of the last level.  Nothing is composed
+        here but where the test below needs it.  Evaluation, float and
+        exact, evaluates each level at the values of the one before, and p
+        and q at the last; the gradient is the quotient rule once, in the
+        last level's variables, carried back through each level's Jacobian.
 
         Raises DimensionError when the variable counts disagree along the
-        chain, and ValueError when q*h is identically zero, all here.
-        Whether q composed through the levels vanishes is settled by its
-        exact value at one integer point, and by composing only where that
-        value is 0.
+        chain, and ValueError when q composed through the levels is
+        identically zero, all here.  That is settled by its exact value at
+        one integer point, and by composing only where that value is 0.
         """
         p._check_same_vars(q)
-        levels = tuple(tuple(level) for level in inner)
+        levels = tuple(tuple(level) for level in levels)
+        if not all(levels):
+            raise DimensionError("an inner level holds no polynomial")
         # The variable count that each level, then p and q, must have.
-        n_vars = h.n_vars
+        n_vars = levels[0][0].n_vars if levels else p.n_vars
+        count = n_vars
         for level in levels:
-            if not level:
-                raise DimensionError("an inner level holds no polynomial")
             for u in level:
-                if u.n_vars != n_vars:
+                if u.n_vars != count:
                     raise DimensionError(
-                        f"inner polynomial in {u.n_vars} variables, expected {n_vars}"
+                        f"inner polynomial in {u.n_vars} variables, expected {count}"
                     )
-            n_vars = len(level)
-        if p.n_vars != n_vars:
-            raise DimensionError(f"p and q in {p.n_vars} variables, expected {n_vars}")
-        if h.is_zero() or _vanishes(q, levels):
+            count = len(level)
+        if p.n_vars != count:
+            raise DimensionError(f"p and q in {p.n_vars} variables, expected {count}")
+        if _vanishes(q, levels):
             raise ValueError("denominator is identically zero")
         f = cls.__new__(cls)
         f._numer = f._denom = None
-        f._factors = (p, q, h)
+        f._factors = (p, q)
         f._levels = levels
-        f._init_charts(h.n_vars, ())
+        f._init_charts(n_vars, ())
         return f
-
-    def _composed(self, index: int) -> Polynomial:
-        """Factor index (0 for p, 1 for q) in the variables x."""
-        return _through(self._factors[index], self._levels)
-
-    @property
-    def _eval_pair(self) -> tuple[Polynomial, Polynomial]:
-        """(p, q) in the variables x, composed afresh through the levels."""
-        return self._composed(0), self._composed(1)
 
     @property
     def numer(self) -> Polynomial:
-        """The stored numerator (p*h after with_common_factor)."""
+        """p in the variables x, composed on first read."""
         if self._numer is None:
-            self._numer = self._composed(0) * self._factors[2]
+            self._numer = _through(self._factors[0], self._levels)
         return self._numer
 
     @property
     def denom(self) -> Polynomial:
-        """The stored denominator (q*h after with_common_factor)."""
+        """q in the variables x, composed on first read."""
         if self._denom is None:
-            self._denom = self._composed(1) * self._factors[2]
+            self._denom = _through(self._factors[1], self._levels)
         return self._denom
 
     def _chart(self, x: Sequence[float]) -> _Evaluator:
@@ -1117,13 +1095,12 @@ class RationalFunction:
         """The chart about centre, one of the origin and _centres.
 
         Its term maps are those of p and q, exactly Taylor-shifted to a
-        centre other than the origin, and those of the levels.
-        with_common_factor declares no centre, so levels only ever meet the
-        origin.
+        centre other than the origin, and those of the levels.  composed
+        declares no centre, so levels only ever meet the origin.
         """
         chart = self._charts.get(centre)
         if chart is None:
-            terms = [factor.terms for factor in self._factors[:2]]
+            terms = [factor.terms for factor in self._factors]
             if any(centre):
                 terms = [_shift_terms(t, centre) for t in terms]
             levels = [[u.terms for u in level] for level in self._levels]
@@ -1193,7 +1170,7 @@ class RationalFunction:
         Raises DomainViolation at x, each coordinate as a float, where q is 0.
         """
         self._check_point(x)
-        p, q, _ = self._factors
+        p, q = self._factors
         m = p.n_vars
         forms = [_integer_form(p.terms), _integer_form(q.terms)]
         if grad:
@@ -1253,10 +1230,11 @@ class RationalFunction:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        # Cross-multiplied exact identity of the pairs p/q and r/s, not merely
-        # structural equality; exact for common factors h and k, since
-        # p*h*s*k - r*k*q*h = h*k*(p*s - r*q) and h, k are not zero.
-        (p, q), (r, s) = self._eval_pair, other._eval_pair
+        if self.n_vars != other.n_vars:
+            return False
+        # Cross-multiplied exact identity of p/q and r/s, not merely
+        # structural equality.
+        p, q, r, s = self.numer, self.denom, other.numer, other.denom
         return (p * s - r * q).is_zero()
 
     def __repr__(self) -> str:

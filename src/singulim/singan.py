@@ -111,8 +111,7 @@ def analyze_singularity(f: RationalFunction, x_star: Sequence) -> LinePencil:
 
     x_star must have exact rational coordinates so that the identically-zero
     tests deciding n_min are exact decisions.  The pencil is that of f's
-    evaluation pair p/q, so a common factor h of with_common_factor, which
-    does not vanish on the domain, adds no order to n_min.
+    pair p/q in x (f.numer and f.denom).
 
     At the origin and at each of f's declared singular points the pencil is
     built once per function and kept on f: later calls there return the same
@@ -127,7 +126,7 @@ def analyze_singularity(f: RationalFunction, x_star: Sequence) -> LinePencil:
     pencil = memo.get(base)
     if pencil is not None:
         return pencil
-    numer, denom = f._eval_pair
+    numer, denom = f.numer, f.denom
     denom_coeffs = tuple(denom.compose_line(base))
     numer_coeffs = tuple(numer.compose_line(base))
     # Constructors reject a zero denominator, and a Taylor shift keeps it

@@ -141,7 +141,8 @@ class TestBuildCPObjective:
             x = [rng.gauss(0, 1) for _ in range(4)]
             tau = model.tau(x)
             gram = float(np.sum(tau * tau))
-            assert obj.f_hat.denom.eval_float(x) == pytest.approx(gram ** 2, rel=1e-10)
+            denom = obj.stored_form()[1]
+            assert denom.eval_float(x) == pytest.approx(gram ** 2, rel=1e-10)
 
     def test_degree_zero_homogeneity(self):
         _, obj = _rank1_2x2([[1.0, -2.0], [0.5, 3.0]])
@@ -231,9 +232,11 @@ class TestExactAgreement:
         _, obj = _rank1_2x2(self.TARGET)
         inner, gram = _rank1_2x2_polys(self.TARGET)
         t_sq = sum(Fraction(v) ** 2 for row in self.TARGET for v in row)
-        assert obj.f_hat._eval_pair == (gram.scale(t_sq) - inner * inner, gram)
-        assert obj.f_hat.numer == (gram.scale(t_sq) - inner * inner) * gram
-        assert obj.f_hat.denom == gram * gram
+        assert obj.f_hat.numer == gram.scale(t_sq) - inner * inner
+        assert obj.f_hat.denom == gram
+        numer, denom = obj.stored_form()
+        assert numer == (gram.scale(t_sq) - inner * inner) * gram
+        assert denom == gram * gram
 
     def test_reduced_form_equals_stored_form(self):
         _, obj = _rank1_2x2(self.TARGET)
@@ -245,7 +248,7 @@ class TestExactAgreement:
     @given(st.integers(0, 10 ** 9))
     def test_float_matches_exact(self, seed):
         _, obj = _rank1_2x2(self.TARGET)
-        numer, denom = obj.f_hat.numer, obj.f_hat.denom
+        numer, denom = obj.stored_form()
         rng = random.Random(seed)
         x = [rng.gauss(0.0, 1.0) for _ in range(4)]
         exact = obj.f_hat.eval_exact(x)
@@ -266,13 +269,13 @@ class TestExactAgreement:
 
 
 class TestOnDemandForms:
-    """f_hat keeps its factors.  The stored form is built when first read and
-    then kept; the evaluation pair in x is composed afresh on each read."""
+    """Building and evaluating f_hat composes nothing.  r and G in x are
+    composed when first read and then kept; stored_form multiplies them out."""
 
-    def test_build_composes_only_the_common_factor(self, products):
+    def test_build_composes_nothing(self, products):
         model = CPModel((2, 2, 2), 2)
         obj = build_cp_objective(model, [[[1, 2], [0, -1]], [[3, 0], [1, 1]]])
-        assert products.count("compose") == 1  # h = G(tau)
+        assert products.count("compose") == 0
         products.clear()
         rng = random.Random(10)
         for _ in range(3):  # looped, generated, reused
@@ -289,14 +292,14 @@ class TestOnDemandForms:
         inner, gram = _rank1_2x2_polys(target)
         t_sq = sum(Fraction(v) ** 2 for row in target for v in row)
         numer, denom = obj.f_hat.numer, obj.f_hat.denom
-        assert numer == (gram.scale(t_sq) - inner * inner) * gram
-        assert denom == gram * gram
+        assert numer == gram.scale(t_sq) - inner * inner and denom == gram
         assert obj.f_hat.numer is numer and obj.f_hat.denom is denom
+        assert obj.stored_form() == (numer * gram, gram * gram)
 
 
 class TestPairAnalysis:
-    """The pencil of f_hat is that of its evaluation pair r/G; the stored
-    form (r G)/G^2 has the same safe set and limits at twice the order."""
+    """The pencil of f_hat is that of its pair r/G; the stored form
+    (r G)/G^2 has the same safe set and limits at twice the order."""
 
     MODEL = CPModel((2, 2), 2)
     TARGET = [[1, 2], [3, 4]]
@@ -314,11 +317,11 @@ class TestPairAnalysis:
         (CONE, 2, 4), (ORIGIN, 4, 8),
     ], ids=["cone", "origin"])
     def test_pair_and_stored_pencils_agree(self, base, pair_order, stored_order):
-        f = build_cp_objective(self.MODEL, self.TARGET).f_hat
+        obj = build_cp_objective(self.MODEL, self.TARGET)
+        f = obj.f_hat
         pair = analyze_singularity(f, base)
         assert f == build_cp_objective(self.MODEL, self.TARGET).f_hat
-        assert f._numer is None and f._denom is None
-        stored = analyze_singularity(RationalFunction(f.numer, f.denom), base)
+        stored = analyze_singularity(RationalFunction(*obj.stored_form()), base)
         assert (pair.n_min, stored.n_min) == (pair_order, stored_order)
         safe = []
         for d in self.DIRECTIONS:
@@ -335,15 +338,24 @@ class TestPairAnalysis:
     @pytest.mark.parametrize("base", [CONE, ORIGIN], ids=["cone", "origin"])
     def test_common_factor_scales_the_leading_pencil(self, base):
         """A factor h with h(base) != 0 keeps n_min and scales the leading
-        pencil polynomial of the stored form by h(base)."""
-        p, q = build_cp_objective(self.MODEL, self.TARGET).f_hat._eval_pair
+        pencil polynomial of (p h)/(q h) by h(base)."""
+        f = build_cp_objective(self.MODEL, self.TARGET).f_hat
+        p, q = f.numer, f.denom
         x0, x5 = Polynomial.variable(8, 0), Polynomial.variable(8, 5)
         h = 1 + x0 * x0 + x5 * x5
-        g = RationalFunction.with_common_factor(p, q, h)
-        pair = analyze_singularity(g, base)
-        stored = analyze_singularity(RationalFunction(g.numer, g.denom), base)
+        pair = analyze_singularity(RationalFunction(p, q), base)
+        stored = analyze_singularity(RationalFunction(p * h, q * h), base)
         assert stored.n_min == pair.n_min
         assert stored.leading == pair.leading.scale(h.eval_exact(base))
+
+    @pytest.mark.parametrize("model, target", [
+        (MODEL, TARGET),
+        (MODEL, [[1, 2], [3, 5]]),
+        (CPModel((2, 2, 2), 2), [[[1, 2], [0, -1]], [[3, 0], [1, 1]]]),
+    ], ids=["2x2", "2x2-apart", "2x2x2"])
+    def test_stored_form_is_the_same_function(self, model, target):
+        obj = build_cp_objective(model, target)
+        assert RationalFunction(*obj.stored_form()) == obj.f_hat
 
     def test_equality_tells_targets_apart(self):
         f = build_cp_objective(self.MODEL, self.TARGET).f_hat

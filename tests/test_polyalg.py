@@ -331,7 +331,8 @@ class TestShift:
     def test_integer_shift_matches_reference_on_cp_objective(self):
         half = Fraction(1, 2)
         offset = (1, 2, half, 3, -1, 2, -1, -2, half, 3, -1, 2)
-        for poly in _cp_f_hat()._eval_pair:
+        f = _cp_f_hat()
+        for poly in (f.numer, f.denom):
             _assert_shift_matches_reference(poly.terms, offset)
 
 
@@ -367,10 +368,9 @@ class TestExactLayer:
            st.tuples(*[coordinates] * N_VARS))
     def test_composed_eval_exact_matches_composing_first(self, p, q, inner, x):
         """One- and two-level chains."""
-        h = 1 + Polynomial.variable(N_VARS, 0) ** 2
         q = q + 1
         assume(not _compose_through(q, inner).is_zero())
-        f = RationalFunction.with_common_factor(p, q, h, inner=inner)
+        f = RationalFunction.composed(p, q, inner)
         denom = _substituted(_compose_through(q, inner), x)
         if denom == 0:
             with pytest.raises(DomainViolation):
@@ -393,15 +393,14 @@ class TestExactLayer:
         q = q + 1
         if composed:
             assume(not _compose_through(q, inner).is_zero())
-            h = 1 + Polynomial.variable(N_VARS, 0) ** 2
-            f = RationalFunction.with_common_factor(p, q, h, inner=inner)
+            f = RationalFunction.composed(p, q, inner)
         elif q.is_zero():
             with pytest.raises(ValueError, match="identically zero"):
                 RationalFunction(p, q)
             return
         else:
             f = RationalFunction(p, q)
-        numer, denom = f._eval_pair
+        numer, denom = f.numer, f.denom
         x = x[:f.n_vars]
         q_value = _substituted(denom, x)
         if q_value == 0:
@@ -834,7 +833,7 @@ def quotients(draw):
     variables, one centre with a zero and a non-zero coordinate, as multi3's
     (3, 0), whose charts' generated code subtracts the non-zero ones only.
     Composed:
-    with_common_factor(p, q, 1, inner=levels), a chain of one or two levels
+    composed(p, q, levels), a chain of one or two levels
     of 1-3 polynomials each that vanish at the origin, zero, and q = r *
     sum_k y_k^2 in the last level's variables y.
     """
@@ -864,9 +863,7 @@ def quotients(draw):
     q = r * sum(y * y for y in _vars(m))
     zero = (0,) * n
     try:
-        f = RationalFunction.with_common_factor(
-            draw(polynomials(m)), q, Polynomial.constant(n, 1), levels
-        )
+        f = RationalFunction.composed(draw(polynomials(m)), q, levels)
     except ValueError:  # q(u(x)) is identically zero
         assume(False)
     return f, zero
@@ -948,9 +945,9 @@ class TestGeneratedCode:
             x0 = (-0.6875,)
         else:
             y0, y1 = _vars(2)
-            f = RationalFunction.with_common_factor(
+            f = RationalFunction.composed(
                 Polynomial.constant(2, 1), y0 * y0 + y1 * y1,
-                Polynomial.constant(1, 1), [[Polynomial.zero(1), x - x * x]],
+                [[Polynomial.zero(1), x - x * x]],
             )
             x0 = (0.0625,)
         assert self._assert_same_runs(f, x0, DescentConfig(max_iters=8)) == 1
@@ -1033,24 +1030,39 @@ class TestRationalFunction:
         b = RationalFunction(Polynomial.constant(1, 1), x)  # 1 / x
         assert a == b
 
-    def test_common_factor_stored_and_cancelled_in_evaluation(self):
-        x, y = _vars()
-        r2 = x * x + y * y
-        f = RationalFunction.with_common_factor(x * y, r2, r2)
-        assert f.numer == x * y * r2 and f.denom == r2 * r2
-        assert f == RationalFunction(x * y, r2)
-        assert f.eval_exact((1, 2)) == Fraction(2, 5)
-        # r2^2 underflows below DENOM_FLOOR here, r2 does not.
-        assert f.eval((1e-100, 2e-100)) == pytest.approx(0.4, rel=1e-15)
-        with pytest.raises(DomainViolation):
-            f.eval((0.0, 0.0))
+    def test_equality_across_variable_counts_is_false(self):
+        """As for Polynomial: functions in different variable counts differ."""
+        x = Polynomial.variable(1, 0)
+        big_x = Polynomial.variable(2, 0)
+        f = RationalFunction(x, x * x + 1)
+        g = RationalFunction(big_x, big_x * big_x + 1)
+        assert not f == g and not g == f
+        assert f != g and g != f
 
     def test_common_factor_equality_compares_the_pairs(self):
+        """A common factor cancels in the cross-multiplied comparison."""
         x, y = _vars()
         r2 = x * x + y * y
-        f = RationalFunction.with_common_factor(x * y, r2, r2)
+        f = RationalFunction(x * y, r2)
+        assert f == RationalFunction(x * y * r2, r2 * r2)
         assert not f == RationalFunction(x, r2)
-        assert f._numer is None and f._denom is None
+
+    def test_composed_accepts_a_q_zero_at_the_test_point(self):
+        """q = u0 - 2 through the level [x] is 0 at the integer point 2 that
+        decides most cases, and only its composition x - 2 shows that it is
+        not identically zero."""
+        x = Polynomial.variable(1, 0)
+        u0 = Polynomial.variable(1, 0)
+        q = u0 - 2
+        assert q.eval_exact([2]) == 0
+        f = RationalFunction.composed(Polynomial.constant(1, 1), q, [[x]])
+        assert f.denom == x - 2
+        assert f.eval_exact((3,)) == 1
+        assert f.eval_exact_and_grad((Fraction(5, 2),)) == (2, [-4])
+        assert f.eval((3.0,)) == 1.0
+        assert f.eval_and_grad((2.5,)) == (2.0, [-4.0])
+        with pytest.raises(DomainViolation):
+            f.eval((2.0,))
 
     def test_composed_common_factor_evaluates_through_inner(self):
         """p(u)/q(u) with u = (x^2 - y, x*y^3, 2): powers of both x and u, and
@@ -1059,9 +1071,9 @@ class TestRationalFunction:
         inner = [x * x - y, x * y ** 3, Polynomial.constant(2, 2)]
         u0, u1, u2 = _vars(3)
         p, q = u0 ** 3 * u2 - u1, 1 + u0 * u0 + u1 ** 2
-        f = RationalFunction.with_common_factor(p, q, 1 + x * x, inner=[inner])
+        f = RationalFunction.composed(p, q, [inner])
         expanded = RationalFunction(p.compose(inner), q.compose(inner))
-        assert f._eval_pair == (expanded.numer, expanded.denom)
+        assert (f.numer, f.denom) == (expanded.numer, expanded.denom)
         assert f == expanded
         rng = random.Random(3)
         points = [(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(20)]
@@ -1081,15 +1093,15 @@ class TestRationalFunction:
     def test_common_factor_forms_built_on_first_read(self, products):
         """Construction, float and exact evaluation multiply nothing; numer
         and denom are built when first read, each composing only its own
-        factor, then kept."""
+        factor, then kept, and == reads them."""
         x, y = _vars()
         inner = [x * x - y, x * y ** 3, Polynomial.constant(2, 2)]
         u0, u1, u2 = _vars(3)
-        p, q, h = u0 ** 3 * u2 - u1, 1 + u0 * u0 + u1 ** 2, 1 + x * x
-        plain_h = x * x + y * y
+        p, q = u0 ** 3 * u2 - u1, 1 + u0 * u0 + u1 ** 2
+        plain_q = x * x + y * y
         products.clear()
-        composed = RationalFunction.with_common_factor(p, q, h, inner=[inner])
-        plain = RationalFunction.with_common_factor(x * y, plain_h, plain_h)
+        composed = RationalFunction.composed(p, q, [inner])
+        plain = RationalFunction(x * y, plain_q)
         products.clear()  # x * y above is the caller's
         for f in (composed, plain):
             for _ in range(3):  # looped, generated, reused
@@ -1103,19 +1115,19 @@ class TestRationalFunction:
         assert products.count("compose") == 1  # q alone
         numer = composed.numer
         assert composed.numer is numer and composed.denom is denom
-        assert numer == p.compose(inner) * h and denom == q.compose(inner) * h
-        assert plain.numer == x * y * plain_h and plain.denom == plain_h * plain_h
+        assert composed == RationalFunction(numer, denom)
+        assert products.count("compose") == 2  # == reads the kept pair
+        assert numer == p.compose(inner) and denom == q.compose(inner)
+        assert plain.numer == x * y and plain.denom == plain_q
         assert plain.numer is plain.numer and plain.denom is plain.denom
 
     @pytest.mark.parametrize("case, error", [
         ("p and q variable counts", DimensionError),
-        ("h variable count", DimensionError),
         ("inner count", DimensionError),
-        ("inner and h variable counts", DimensionError),
+        ("first level variable counts", DimensionError),
         ("second level count", DimensionError),
         ("empty level", DimensionError),
         ("zero q", ValueError),
-        ("zero h", ValueError),
         ("q zero after composition", ValueError),
     ])
     def test_common_factor_rejected_at_construction(self, case, error):
@@ -1124,18 +1136,17 @@ class TestRationalFunction:
         p, q = u0 ** 3 * u2 - u1, 1 + u0 * u0 + u1 ** 2
         inner = [x * x - y, x * y ** 3, Polynomial.constant(2, 2)]
         args = {
-            "p and q variable counts": (x, u0 + 1, 1 + x * x),
-            "h variable count": (x * y, 1 + x * x, Polynomial.constant(3, 1)),
-            "inner count": (p, q, 1 + x * x, [inner[:2]]),
-            "inner and h variable counts": (p, q, Polynomial.constant(3, 1), [inner]),
-            "second level count": (p, q, 1 + x * x, [inner, inner]),
-            "empty level": (p, q, 1 + x * x, [inner, []]),
-            "zero q": (x, Polynomial.zero(2), 1 + x * x),
-            "zero h": (x, 1 + x * x, Polynomial.zero(2)),
-            "q zero after composition": (u0, u0 - u1, 1 + x * x, [[x, x, y]]),
+            "p and q variable counts": (x, u0 + 1, []),
+            "inner count": (p, q, [inner[:2]]),
+            "first level variable counts":
+                (p, q, [inner[:2] + [Polynomial.constant(3, 2)]]),
+            "second level count": (p, q, [inner, inner]),
+            "empty level": (p, q, [inner, []]),
+            "zero q": (x, Polynomial.zero(2), []),
+            "q zero after composition": (u0, u0 - u1, [[x, x, y]]),
         }[case]
         with pytest.raises(error):
-            RationalFunction.with_common_factor(*args)
+            RationalFunction.composed(*args)
 
     def test_gradient_matches_finite_differences(self):
         x, y = _vars()
