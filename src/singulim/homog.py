@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -216,7 +217,7 @@ def build_cp_objective(model: CPModel, target) -> HomogenizedObjective:
 
 
 def _radial(grad: Sequence[float], x: Sequence[float]) -> float:
-    return math.fsum(g * xi for g, xi in zip(grad, x))
+    return math.fsum(map(operator.mul, grad, x))
 
 
 def euler_check(obj: HomogenizedObjective, x: Sequence[float]) -> float:

@@ -558,11 +558,13 @@ def _tuple_source(items: Iterable[str]) -> str:
 
 
 def _sum_lines(name: str, terms: Sequence[str]) -> list[str]:
-    """Statements that leave the sum of the terms, left to right from 0.0, in name."""
-    lines = [f"    {name} = 0.0"]
-    for start in range(0, len(terms), TERMS_PER_STATEMENT):
+    """Statements that leave the sum of the terms, left to right from 0.0, in
+    name: one per TERMS_PER_STATEMENT terms, the first from 0.0 itself, so
+    that compile() folds a sum of literals into one."""
+    lines = []
+    for start in range(0, max(len(terms), 1), TERMS_PER_STATEMENT):
         chunk = terms[start:start + TERMS_PER_STATEMENT]
-        lines.append(f"    {name} = {name} + " + " + ".join(chunk))
+        lines.append(f"    {name} = " + " + ".join([name if start else "0.0", *chunk]))
     return lines
 
 
@@ -651,8 +653,9 @@ class _Evaluator:
     descend returns (stop, state), stop the stop reason, or, with dispatch
     set (the function's chart centres), (j, state) at a trial nearer another
     centre, by RationalFunction._chart's rule: j is that centre's index in
-    dispatch, and state and rows resume the same ladder at that trial in
-    that centre's chart.  So each trial is evaluated in the chart of its
+    dispatch, as _nearest returns it and as RationalFunction holds that
+    centre's chart, and state and rows resume the same ladder at that trial
+    in that chart.  So each trial is evaluated in the chart of its
     nearest centre, and the state carries across charts.
 
     loop is the reference: term by term from power tables.  The first
@@ -931,15 +934,15 @@ class _Evaluator:
         return lines
 
 
-def _nearest(x: Sequence, centres: Sequence[tuple[float, ...]]) -> tuple[float, ...]:
-    """The first of centres nearest to x, as with min(); the first where a
-    NaN or infinite coordinate makes every distance compare false."""
-    centre, nearest = centres[0], math.inf
-    for c in centres:
+def _nearest(x: Sequence, centres: Sequence[tuple[float, ...]]) -> int:
+    """The index of the first of centres nearest to x, as with min(); 0 where
+    a NaN or infinite coordinate makes every distance compare false."""
+    j, nearest = 0, math.inf
+    for i, c in enumerate(centres):
         d = math.dist(x, c)
         if d < nearest:
-            centre, nearest = c, d
-    return centre
+            j, nearest = i, d
+    return j
 
 
 class RationalFunction:
@@ -959,14 +962,15 @@ class RationalFunction:
     level's values.
 
     numer and denom are p and q in the variables x: what __eq__, repr and
-    the line pencil read.  With levels, each is composed on its first read
+    the line pencil read.  With levels, each is composed when first needed
     and kept on the instance.
 
     Float evaluation of p and q, expansions about the origin, loses accuracy
     far from it, where the terms cancel.  singular_points declares the
-    points where accuracy matters; they and the origin are the centres.  A
-    point is evaluated in the chart of its nearest centre c, the local chart
-    p(c + d)/q(c + d) at d = x - c.  The chart
+    points where accuracy matters; they and the origin are the centres, held
+    by index with the origin at 0, and so are their charts.  A point is
+    evaluated in the chart of its nearest centre c (_nearest returns its
+    index), the local chart p(c + d)/q(c + d) at d = x - c.  The chart
     is centred at the float nearest c, so x - c is exact near c (Sterbenz),
     and its coefficients are exact Taylor shifts of p and q, built on first
     use.  Each chart is an _Evaluator: looped on its first call,
@@ -995,7 +999,7 @@ class RationalFunction:
         self._init_charts(numer.n_vars, singular_points)
 
     def _init_charts(self, n_vars: int, singular_points: Iterable) -> None:
-        """n_vars, the chart centres and the pencil slots."""
+        """n_vars, the chart centres, the chart slots and the pencil slots."""
         self.n_vars = n_vars
         self._origin = (0.0,) * n_vars
         centres = [self._origin]
@@ -1015,7 +1019,9 @@ class RationalFunction:
                 centres.append(centre)
         # None when the origin's chart, p/q as stored, serves every point.
         self._centres = tuple(centres) if len(centres) > 1 else None
-        self._charts: dict[tuple[float, ...], _Evaluator] = {}
+        # The chart about centre j in slot j, the origin's in slot 0, each
+        # built on first use.
+        self._charts: list[_Evaluator | None] = [None] * len(centres)
         # singan.analyze_singularity's line pencils: one slot for the origin
         # and one per declared point, keyed by the point as given (numbers
         # that compare equal hash equal, so an exact base finds its slot),
@@ -1043,7 +1049,8 @@ class RationalFunction:
         Raises DimensionError when the variable counts disagree along the
         chain, and ValueError when q composed through the levels is
         identically zero, all here.  That is settled by its exact value at
-        one integer point, and by composing only where that value is 0.
+        one integer point, and by composing only where that value is 0; that
+        composition is kept as denom.
         """
         p._check_same_vars(q)
         levels = tuple(tuple(level) for level in levels)
@@ -1061,10 +1068,15 @@ class RationalFunction:
             count = len(level)
         if p.n_vars != count:
             raise DimensionError(f"p and q in {p.n_vars} variables, expected {count}")
-        if _vanishes(q, levels):
-            raise ValueError("denominator is identically zero")
+        # q in x, composed here only where its test value is 0, else on first
+        # read of denom.
+        denom = None
+        if not levels or _test_value(q, levels) == 0:
+            denom = _through(q, levels)
+            if denom.is_zero():
+                raise ValueError("denominator is identically zero")
         f = cls.__new__(cls)
-        f._numer = f._denom = None
+        f._numer, f._denom = None, denom
         f._factors = (p, q)
         f._levels = levels
         f._init_charts(n_vars, ())
@@ -1087,24 +1099,26 @@ class RationalFunction:
     def _chart(self, x: Sequence[float]) -> _Evaluator:
         """The chart that evaluates x: the evaluator of p/q about its centre,
         the nearest of the origin and the declared centres."""
-        self._check_point(x)
-        centre = self._origin if self._centres is None else _nearest(x, self._centres)
-        return self._charts.get(centre) or self._chart_at(centre)
+        if len(x) != self.n_vars:
+            self._check_point(x)
+        j = 0 if self._centres is None else _nearest(x, self._centres)
+        return self._charts[j] or self._chart_at(j)
 
-    def _chart_at(self, centre: tuple[float, ...]) -> _Evaluator:
-        """The chart about centre, one of the origin and _centres.
+    def _chart_at(self, j: int) -> _Evaluator:
+        """The chart about centre j of _centres, or the origin's (j = 0).
 
         Its term maps are those of p and q, exactly Taylor-shifted to a
         centre other than the origin, and those of the levels.  composed
         declares no centre, so levels only ever meet the origin.
         """
-        chart = self._charts.get(centre)
+        chart = self._charts[j]
         if chart is None:
+            centre = self._centres[j] if self._centres else self._origin
             terms = [factor.terms for factor in self._factors]
             if any(centre):
                 terms = [_shift_terms(t, centre) for t in terms]
             levels = [[u.terms for u in level] for level in self._levels]
-            chart = self._charts[centre] = _Evaluator(
+            chart = self._charts[j] = _Evaluator(
                 centre, *terms, levels, dispatch=self._centres
             )
         return chart
@@ -1145,7 +1159,7 @@ class RationalFunction:
                 *state, rows, sigma, factor, initial_step, grad_tol, max_trials
             )
             if type(to) is int:
-                chart = self._chart_at(self._centres[to])
+                chart = self._chart_at(to)
             elif to == STOP_F_STATIONARY and state[1] != initial_step:
                 state = (state[0], initial_step, initial_step, max_trials, state[4])
             else:
@@ -1249,21 +1263,14 @@ def _through(poly: Polynomial, levels: Sequence[Sequence[Polynomial]]) -> Polyno
     return poly
 
 
-def _vanishes(q: Polynomial, levels: Sequence[Sequence[Polynomial]]) -> bool:
-    """Whether q, composed through the chain of inner levels, is identically
-    zero.
-
-    A nonzero exact value at one integer point settles the composed case
-    without composing; only a zero there falls back to the composition.
-    """
-    if q.is_zero() or not levels:
-        return q.is_zero()
+def _test_value(q: Polynomial, levels: Sequence[Sequence[Polynomial]]) -> Fraction:
+    """q composed through the chain of inner levels, exactly at the integer
+    point (2, 3, ...): where it is not 0, that composition is not identically
+    zero, which settles the test without composing."""
     values = range(2, levels[0][0].n_vars + 2)
     for level in levels:
         values = [u.eval_exact(values) for u in level]
-    if q.eval_exact(values) != 0:
-        return False
-    return _through(q, levels).is_zero()
+    return q.eval_exact(values)
 
 
 def check_finite_point(x: Sequence[float]) -> tuple[float, ...]:

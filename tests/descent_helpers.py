@@ -138,8 +138,8 @@ def looped(f):
     """A copy of f, with charts of its own, whose eval and eval_and_grad run
     each chart's term loop and never generate code."""
     f = copy.copy(f)
-    f._charts = {}
-    for centre in f._centres or (f._origin,):
-        chart = f._chart_at(centre)
+    f._charts = [None] * len(f._charts)
+    for j in range(len(f._charts)):
+        chart = f._chart_at(j)
         vars(chart)["evaluate"] = chart.loop
     return f

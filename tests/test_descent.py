@@ -66,8 +66,8 @@ def _log_visits(f):
     was called with, what it returned to the driver: a centre index or the
     stop reason, and the state it returned)."""
     log = []
-    for centre in f._centres or (f._origin,):
-        chart = f._chart_at(centre)
+    for j, centre in enumerate(f._centres or (f._origin,)):
+        chart = f._chart_at(j)
 
         def logged(*args, _centre=centre, _descend=chart.generate("descend")):
             to, state = _descend(*args)
@@ -198,7 +198,7 @@ def _trace_digest(trace):
 
 
 class TestPinnedBits:
-    """Two runs pinned bit for bit.  A change of these digests changes what
+    """Three runs pinned bit for bit.  A change of these digests changes what
     optimize computes, and is made on purpose, not as a side effect of a
     speed-up."""
 
@@ -216,6 +216,22 @@ class TestPinnedBits:
         assert (len(trace) - 1, trace.stop_reason) == (200, "max_iters")
         assert _trace_digest(trace) == (
             "560b8cf5d3f3cadc7c7aed414d46a1945a8f17f4eaa31f149aeabc9c20dc6427"
+        )
+
+    def test_cp_f_hat_run_through_the_composed_chart(self):
+        """Criterion 9's (2,2,2) rank-2 f_hat, whose one chart sums two inner
+        levels before p and q."""
+        rng = random.Random(43)
+        target = [[[float(rng.randint(-3, 3)) for _ in range(2)] for _ in range(2)]
+                  for _ in range(2)]
+        target[0][0][0] = target[0][0][0] or 1.0
+        f = build_cp_objective(CPModel((2, 2, 2), 2), target).f_hat
+        rng = random.Random(9)
+        x0 = [rng.gauss(0.0, 1.0) for _ in range(12)]
+        trace = optimize(f, x0, DescentConfig(max_iters=50))
+        assert (len(trace) - 1, trace.stop_reason) == (50, "max_iters")
+        assert _trace_digest(trace) == (
+            "67e99110939c17af577296b01b612b35eb398da03fa0d1869e0bb1ef9c055c62"
         )
 
 
@@ -470,9 +486,9 @@ class TestGeneratedSearch:
         )
         if name == "multi3":
             first = tuple(xi - alpha0 * gi for xi, gi in zip(x, grad))
-            assert f._chart(first) is f._charts[(0.0, 0.0)]
-            assert f._chart(x) is f._charts[(3.0, 0.0)]
-            assert f._chart(accepted[0]) is f._charts[(0.0, 3.0)]
+            assert f._chart(first) is f._charts[0]
+            assert f._chart(x) is f._charts[1]
+            assert f._chart(accepted[0]) is f._charts[2]
 
     def test_decrease_compared_not_the_rounded_threshold(self):
         """t^2 from 1 with alpha*grad = 2: the first trial, -1, has f = fx and
@@ -544,7 +560,7 @@ class TestGeneratedSearch:
         x0 = (3.182307256371944, 1.3817660434966745)
         step_loop(f, x0, DescentConfig(max_iters=300), evaluate=evaluate)
         assert len(visited) >= 2
-        for chart in f._charts.values():
+        for chart in f._charts:
             assert vars(chart)["evaluate"] == chart.loop
             assert "descend" not in vars(chart)
 

@@ -1,9 +1,11 @@
 """Exact polynomial/rational algebra: ring laws, calculus, evaluation."""
 
+import ast
 import functools
 import gc
 import math
 import random
+import re
 import sys
 import weakref
 from fractions import Fraction
@@ -12,8 +14,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from singulim import polyalg
 from singulim.descent import MAX_BACKTRACKS, DescentConfig, optimize
 from singulim.polyalg import (
+    TERMS_PER_STATEMENT,
     DimensionError,
     DomainViolation,
     Polynomial,
@@ -485,7 +489,7 @@ class TestLocalCharts:
         points += [(rng.uniform(-1, 4), rng.uniform(-1, 4)) for _ in range(500)]
         for x in points:
             coords = [float(v) for v in x]
-            expected = min(centres, key=functools.partial(math.dist, coords))
+            expected = min(range(len(centres)), key=lambda j: math.dist(coords, centres[j]))
             assert f._chart(x) is f._charts[expected], x
 
 
@@ -576,7 +580,7 @@ class TestEvaluator:
         optimize(f, x0, DescentConfig(max_iters=300))
         start = f._chart(x0)
         assert generated(start) == {"descend"}  # evaluated once, looped
-        handed = [chart for chart in f._charts.values() if chart is not start]
+        handed = [chart for chart in f._charts if chart is not None and chart is not start]
         assert handed and all(generated(chart) == {"descend"} for chart in handed)
         assert not any(chart._used for chart in handed)
 
@@ -597,6 +601,32 @@ class TestEvaluator:
         local_names = chart.evaluate.__code__.co_varnames
         assert sum(name.startswith("du0_") for name in local_names) == 24
         assert sum(name.startswith("du1_") for name in local_names) == 16
+
+    def test_composed_chart_sums_in_one_statement_each(self, monkeypatch):
+        """The f_hat chart's generated evaluate, as generate compiles it:
+        each name is assigned once in the function body, so each sum is one
+        statement, 0.0 + at most TERMS_PER_STATEMENT terms, and no constant
+        partial is added to its name on a line of its own: the sum 0.0 + c
+        is one literal to the compiler."""
+        sources = []
+
+        def capture(source, *args):
+            sources.append(source)
+            return compile(source, *args)
+
+        monkeypatch.setattr(polyalg, "compile", capture, raising=False)
+        _cp_f_hat()._chart((0.3,) * 12).generate("evaluate")
+        monkeypatch.undo()
+        (source,) = sources
+        assert re.search(r"^ *(\w+) = \1 \+ [-+.\de]+$", source, re.MULTILINE) is None
+        (function,) = ast.parse(source).body
+        assigned = [
+            statement.targets[0].id for statement in function.body
+            if isinstance(statement, ast.Assign) and isinstance(statement.targets[0], ast.Name)
+        ]
+        assert len(assigned) == len(set(assigned))
+        sums = [line for line in source.splitlines() if " = 0.0 + " in line]
+        assert sums and all(line.count(" + ") <= TERMS_PER_STATEMENT for line in sums)
 
     @pytest.mark.parametrize("norm", [1e-80, 1e60, 1e80])
     def test_gradient_fallback_first_and_later_calls_agree(self, norm):
@@ -981,6 +1011,19 @@ class TestGeneratedCode:
 
 
 class TestRationalFunction:
+    @pytest.mark.parametrize("make", [_bundled("fig1"), _bundled("multi3"), _cp_f_hat],
+                             ids=["fig1", "multi3", "cp-f-hat"])
+    def test_wrong_length_point_raises_dimension_error(self, make):
+        """One chart (fig1), three centres (multi3) and two inner levels
+        (f_hat), each at a point one coordinate short and one too long."""
+        f = make()
+        for n in (f.n_vars - 1, f.n_vars + 1):
+            x = (0.25,) * n
+            for call in (f.eval, f.eval_and_grad, f.eval_exact,
+                         functools.partial(optimize, f, cfg=DescentConfig(max_iters=5))):
+                with pytest.raises(DimensionError):
+                    call(x)
+
     def test_zero_denominator_rejected(self):
         x = Polynomial.variable(1, 0)
         with pytest.raises(ValueError):
@@ -1047,16 +1090,27 @@ class TestRationalFunction:
         assert f == RationalFunction(x * y * r2, r2 * r2)
         assert not f == RationalFunction(x, r2)
 
-    def test_composed_accepts_a_q_zero_at_the_test_point(self):
+    def test_composed_accepts_a_q_zero_at_the_test_point(self, monkeypatch):
         """q = u0 - 2 through the level [x] is 0 at the integer point 2 that
         decides most cases, and only its composition x - 2 shows that it is
-        not identically zero."""
+        not identically zero.  That composition is the one denom reads."""
         x = Polynomial.variable(1, 0)
         u0 = Polynomial.variable(1, 0)
         q = u0 - 2
         assert q.eval_exact([2]) == 0
+        composes = []
+        compose = Polynomial.compose
+
+        def counted(self, inner):
+            composes.append(self)
+            return compose(self, inner)
+
+        monkeypatch.setattr(Polynomial, "compose", counted)
         f = RationalFunction.composed(Polynomial.constant(1, 1), q, [[x]])
+        assert len(composes) == 1
         assert f.denom == x - 2
+        assert len(composes) == 1
+        monkeypatch.undo()
         assert f.eval_exact((3,)) == 1
         assert f.eval_exact_and_grad((Fraction(5, 2),)) == (2, [-4])
         assert f.eval((3.0,)) == 1.0
