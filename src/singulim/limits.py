@@ -131,11 +131,14 @@ def direction_trail(
 
     The whole trace is one array: each difference, square, quotient and
     square root is the elementwise IEEE operation a loop over the iterates
-    would make, each squared norm is math.fsum over its row, and the leading
-    polynomial's eval_float runs once over the columns of unit directions,
-    so every direction and value has the bits of the per-point loop.  The
-    minimum is taken over Python floats, so a NaN value counts where that
-    loop's would.
+    would make, each squared norm has the bits of math.fsum over its row,
+    and the leading polynomial's eval_float runs once over the columns of
+    unit directions, so every direction and value has the bits of the
+    per-point loop.  Up to two coordinates the squared norms are the rows'
+    plain sums, which fsum's correctly rounded sum equals wherever they are
+    finite; where one is not, each row is summed with fsum, which returns
+    or raises as it does in that loop.  The minimum is taken over Python
+    floats, so a NaN value counts where that loop's would.
     """
     center = tuple(float(v) for v in pencil.base)
     if len(center) != len(trace.iterates[0]):
@@ -150,7 +153,11 @@ def direction_trail(
             itertools.chain.from_iterable(trace.iterates), float,
         ).reshape(len(trace.iterates), len(center))
         delta = points - center
-        norms = np.sqrt(list(map(math.fsum, (delta * delta).tolist())))
+        squares = delta * delta
+        sums = squares.sum(axis=1)
+        if len(center) > 2 or not np.isfinite(sums).all():
+            sums = list(map(math.fsum, squares.tolist()))
+        norms = np.sqrt(sums)
         kept = norms != 0.0
         units = delta[kept] / norms[kept, None]
         if not len(units):
@@ -273,14 +280,14 @@ def verify_certificate(
     """Count pointwise violations of a certificate on its tail (0 = sound).
 
     Python's powers, as in lojasiewicz_probe, so a certificate is checked
-    with the bits it was fitted with.
+    with the bits it was fitted with.  The tail is the trace from index
+    cert.tail_start on (_tail_index).
     """
     _check_theta(cert.theta)
     L, exponent, c, slack = cert.L, 1.0 - cert.theta, cert.c, 1 + 1e-12
+    tail_start = _tail_index(trace, cert.tail_start)
     violations = 0
-    for fv, g in zip(
-        trace.f_values[cert.tail_start:], trace.grad_norms[cert.tail_start:]
-    ):
+    for fv, g in zip(trace.f_values[tail_start:], trace.grad_norms[tail_start:]):
         if abs(fv - L) ** exponent > c * g * slack:
             violations += 1
     return violations
@@ -296,16 +303,18 @@ def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     deviations that underflow) has no slope and raises ValueError.
     A constant y has nothing to explain, so its R^2 is 0; the rounded mean
     can leave its deviations tiny but non-zero, so the test is on the values
-    themselves.
+    themselves.  The means are np.add.reduce(v) / len(v) and the spread
+    tests (v == v[0]).all(): the reductions that v.mean() and np.all wrap,
+    with their bits, without the wrappers' cost.
     """
-    x_mean, y_mean = x.mean(), y.mean()
+    x_mean, y_mean = np.add.reduce(x) / len(x), np.add.reduce(y) / len(y)
     dx, dy = x - x_mean, y - y_mean
     ss_x = float(dx @ dx)
-    if ss_x == 0.0 or np.all(x == x[0]):
+    if ss_x == 0.0 or (x == x[0]).all():
         raise ValueError("cannot fit a line: x has no spread")
     slope = float(dx @ dy) / ss_x
     intercept = float(y_mean) - slope * float(x_mean)
-    if np.all(y == y[0]):
+    if (y == y[0]).all():
         return slope, intercept, 0.0
     residuals = dy - slope * dx
     return slope, intercept, 1.0 - float(residuals @ residuals) / float(dy @ dy)

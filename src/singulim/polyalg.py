@@ -568,6 +568,22 @@ def _sum_lines(name: str, terms: Sequence[str]) -> list[str]:
     return lines
 
 
+def _step_sum_lines(name: str, terms: Sequence[str]) -> list[str]:
+    """Statements, in descend's loop, that leave fsum(terms) in name.
+
+    Up to two terms it is the plain sum from 0.0, with fsum only where that
+    sum is inf or NaN: fsum rounds correctly and so does one addition, so a
+    finite sum has fsum's bits, and where it is not, fsum returns or raises
+    as it would have.  With more terms only fsum gives those bits."""
+    call = f"fsum({_tuple_source(terms)})"
+    if len(terms) > 2:
+        return [f"        {name} = {call}"]
+    return [
+        f"        {name} = " + " + ".join(["0.0", *terms]),
+        f"        if not -inf < {name} < inf: {name} = {call}",
+    ]
+
+
 def _sum_source(name: str, compiled: Compiled, var: str) -> list[str]:
     """Statements that leave _eval_compiled(compiled, powers) in name.
 
@@ -648,7 +664,9 @@ class _Evaluator:
     the row (t, f, ||grad f||, ||t - x||, alpha) to rows.  The next search
     starts from the two-point step s's / s'y, s = t - x and y = grad f(t) -
     grad, capped at initial_step, with max_trials trials.  Every norm and
-    inner product is the fsum of the products, taken in coordinate order.
+    inner product has the bits of the fsum of the products, taken in
+    coordinate order: up to two variables it is their plain sum, with fsum
+    only where that sum is inf or NaN (_step_sum_lines).
 
     descend returns (stop, state), stop the stop reason, or, with dispatch
     set (the function's chart centres), (j, state) at a trial nearer another
@@ -917,16 +935,17 @@ class _Evaluator:
             "            alpha *= factor",
             *_indent(self._gradient_lines(gradient)),
             *(f"        {s} = {t} - {a}" for s, t, a in zip(steps, trial, x)),
-            "        s_y = fsum("
-            + _tuple_source(f"{s} * ({h} - {g})" for s, h, g in zip(steps, gradient, grad))
-            + ")",
-            f"        s_s = fsum({_tuple_source(f'{s} * {s}' for s in steps)})",
+            *_step_sum_lines(
+                "s_y", [f"{s} * ({h} - {g})" for s, h, g in zip(steps, gradient, grad)]
+            ),
+            *_step_sum_lines("s_s", [f"{s} * {s}" for s in steps]),
             "        two_point = s_s / s_y if s_y > 0.0 else initial_step",
             "        first_step = two_point if two_point < initial_step else initial_step",
             f"        {_tuple_source(x)} = {_tuple_source(trial)}",
             "        fx = f",
             f"        {_tuple_source(grad)} = {_tuple_source(gradient)}",
-            f"        gnorm = sqrt(fsum({_tuple_source(f'{g} * {g}' for g in grad)}))",
+            *_step_sum_lines("g_g", [f"{g} * {g}" for g in grad]),
+            "        gnorm = sqrt(g_g)",
             f"        rows.append(({_tuple_source(x)}, fx, gnorm, sqrt(s_s), alpha))",
             "        iters -= 1",
             "        alpha, budget = first_step, max_trials",

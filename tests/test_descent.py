@@ -611,6 +611,39 @@ class TestGeneratedSearch:
             trace = self._assert_same_run(make, x0, cfg)
             assert (trace.stop_reason, len(trace.step_norms)) == (stop, steps)
 
+    @pytest.mark.parametrize("numer, x0, initial_step", [
+        (lambda x, y: -x - y, (0.0, 0.0), 1e154),
+        (lambda x, y: -x ** 4 - y ** 4, (1.0, 1.0), 3.5e50),
+    ], ids=["s_s", "g_g"])
+    def test_step_sums_past_the_largest_float_raise(self, numer, x0, initial_step):
+        """The first step's squares are finite but sum past the largest
+        float: ||s||^2 from s = (1e154, 1e154), ||grad f||^2 from a gradient
+        of about (-1.1e154, -1.1e154) at the trial.  The plain sum is inf,
+        and fsum raises OverflowError as it does in the step loop."""
+        cfg = DescentConfig(max_iters=3, initial_step=initial_step)
+        make = lambda: _polynomial_objective(numer)
+        with pytest.raises(OverflowError):
+            step_loop(make(), x0, cfg)
+        with pytest.raises(OverflowError):
+            step_loop(looped(make()), x0, cfg)
+        with pytest.raises(OverflowError):
+            optimize(make(), x0, cfg)
+
+    @pytest.mark.parametrize("make, x0, initial_step", [
+        (lambda: _polynomial_objective(lambda x, y: -x - y), (0.0, 0.0), 1e200),
+        (lambda: _polynomial_objective(lambda x, y: -x ** 3 - y), (1.0, 0.0), 3e99),
+        (lambda: RationalFunction(-Polynomial.variable(1, 0) ** 3,
+                                  Polynomial.constant(1, 1)), (1.0,), 3e99),
+    ], ids=["s*s=inf", "g*g=inf", "one-variable"])
+    def test_step_sums_with_an_inf_product(self, make, x0, initial_step):
+        """A product is inf: s0*s0 from s0 = 1e200, or g0*g0 from a gradient
+        of about -2.4e200 at the trial.  The plain sum is not finite, and
+        fsum's inf (or NaN) goes into the rows as in the step loop."""
+        cfg = DescentConfig(max_iters=3, initial_step=initial_step)
+        trace = self._assert_same_run(make, x0, cfg)
+        norms = trace.step_norms + trace.grad_norms
+        assert math.inf in norms and len(trace.step_norms) >= 1
+
 
 class TestCheckConditions:
     def test_synthetic_halving_trace(self):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import hashlib
 import math
 import operator
 import random
@@ -36,7 +37,7 @@ from singulim.limits import (
 )
 from singulim.polyalg import Polynomial, RationalFunction
 from singulim.problems import load_bundled
-from singulim.singan import LinePencil, analyze_singularity
+from singulim.singan import LinePencil, analyze_singularity, taylor_line
 
 
 def _pinch():
@@ -326,6 +327,17 @@ class TestDirectionTrailBits:
             for tail_start in (None, 0, len(trace) - 1):
                 _assert_trail_matches_loop(trace, pencil, tail_start)
 
+    @pytest.mark.parametrize("points", [
+        [(1.0, 2.0), (1e154, 1e154)],
+        [(1.0, 2.0), (1e200, 1.0), (-3.0, 0.5)],
+        [(1.0, 2.0), (math.inf, 1.0), (-math.inf, math.nan)],
+    ], ids=["sum-past-max", "inf-square", "non-finite"])
+    def test_squared_norms_that_are_not_finite(self, points):
+        """Rows whose plain sum of squares is inf or NaN: the trail sums
+        every row with fsum, which raises OverflowError on the first and
+        returns inf or NaN on the others, as in the loop."""
+        _assert_trail_matches_loop(_points_trace(points), _bundled_pencils()[0], None)
+
     def test_constant_leading_polynomial(self):
         pencil = LinePencil((0, 0), (Polynomial.constant(2, Fraction(3, 7)),),
                             (Polynomial.constant(2, 1),), 0)
@@ -562,12 +574,18 @@ def test_tail_readers_raise_past_what_they_read():
     """A 50-step fig1 trace from (2, -0.1), iterates 0 to 50.  check_conditions
     reads steps and raises from 50; the other readers read iterates and raise
     from 51, and lojasiewicz_probe without L also at 50, where the tail is
-    the one point at which estimate_limit takes L."""
+    the one point at which estimate_limit takes L.  A negative tail_start
+    reads from 0."""
     f = load_bundled("fig1").rational()
     trace = optimize(f, (2.0, -0.1), DescentConfig(max_iters=50))
     assert len(trace.step_norms) == 50
     pencil = analyze_singularity(f, (0, 0))
+    # c = 1e-30 is violated at every tail point but the last.
+    cert = dataclasses.replace(lojasiewicz_probe(trace, 25)[0], c=1e-30)
     readers = {
+        "verify_certificate": lambda k: verify_certificate(
+            trace, dataclasses.replace(cert, tail_start=k)
+        ),
         "check_conditions": lambda k: check_conditions(trace, k),
         "direction_trail": lambda k: direction_trail(trace, pencil, k),
         "lojasiewicz_probe": lambda k: lojasiewicz_probe(trace, k),
@@ -588,3 +606,66 @@ def test_tail_readers_raise_past_what_they_read():
                                                    pencil).min_tail_pencil
     assert rate_classify(trace, (0.0, 0.0), 50).detail == "tail too short"
     assert [c.tail_start for c in lojasiewicz_probe(trace, 50, L=-0.5)] == [50] * 10
+    assert [readers["verify_certificate"](k) for k in (25, 0, -3)] == [25, 50, 50]
+
+
+def _diagnose(f, singular_points, trace):
+    """The diagnostic pass of singulim diagnose, as the benchmark runs it
+    after each solve: conditions and certificates on the second half of
+    the steps, the pencil and rate at the declared singular point nearest
+    the final iterate, and the Taylor line along the last unit direction."""
+    tail = min(len(trace) // 2, len(trace.step_norms) - 1)
+    final = trace.iterates[-1]
+    centre = min(singular_points, key=lambda c: math.dist(final, [float(v) for v in c]))
+    centre_f = [float(v) for v in centre]
+    pencil = analyze_singularity(f, centre)
+    certificates = lojasiewicz_probe(trace, tail)
+    delta = [a - b for a, b in zip(final, centre_f)]
+    norm = math.hypot(*delta)
+    return (
+        check_conditions(trace, tail), find_cluster_point(trace),
+        direction_trail(trace, pencil), certificates,
+        [verify_certificate(trace, c) for c in certificates if c.feasible],
+        rate_classify(trace, centre_f, tail),
+        taylor_line(f, centre, tuple(d / norm for d in delta), pencil=pencil),
+    )
+
+
+def _digest(value, digest=None):
+    """SHA-256 over a nested result: float.hex of each float, repr of each
+    other leaf, with the structure marked."""
+    top = digest is None
+    digest = hashlib.sha256() if top else digest
+    if dataclasses.is_dataclass(value):
+        value = [getattr(value, field.name) for field in dataclasses.fields(value)]
+    if isinstance(value, (tuple, list)):
+        digest.update(b"(")
+        for item in value:
+            _digest(item, digest)
+        digest.update(b")")
+    else:
+        leaf = float.hex(value) if isinstance(value, float) else repr(value)
+        digest.update(leaf.encode() + b",")
+    return digest.hexdigest() if top else None
+
+
+class TestPinnedDiagnostics:
+    """The diagnostic pass over the two pinned descent runs, bit for bit.  A
+    change of these digests changes what the diagnostics compute, and is
+    made on purpose, not as a side effect of a speed-up."""
+
+    def test_fig1_reference_run(self):
+        problem = load_bundled("fig1")
+        f = problem.rational()
+        trace = optimize(f, (2.0, -0.1), DescentConfig())
+        assert _digest(_diagnose(f, problem.singular_points, trace)) == (
+            "fca53b42acf69600283746a68b672555bb67dac51993f5aae6d9066f21d4814a"
+        )
+
+    def test_multi3_run_into_the_chart_at_0_3(self):
+        problem = load_bundled("multi3")
+        f = problem.rational()
+        trace = optimize(f, (2.5, 3.5), DescentConfig(max_iters=200))
+        assert _digest(_diagnose(f, problem.singular_points, trace)) == (
+            "6c262055a1b53060b484f5ebe5a99cfa9347bb0e751a71b77ad750a93efe7f43"
+        )
