@@ -56,6 +56,7 @@ from .problems import (
     write_bundled,
 )
 from .singan import (
+    DEFAULT_N_TERMS,
     UnboundedFunctionError,
     analyze_singularity,
     direction_verdict,
@@ -374,11 +375,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("optimize", help="run Armijo gradient descent")
     p_opt.add_argument("--problem", required=True)
     p_opt.add_argument("--x0", required=True, help="start point, comma-separated")
-    p_opt.add_argument("--sigma", type=float, default=0.1)
-    p_opt.add_argument("--beta", type=float, default=0.5)
-    p_opt.add_argument("--step0", type=float, default=1.0)
-    p_opt.add_argument("--max-iters", type=int, default=100_000)
-    p_opt.add_argument("--grad-tol", type=float, default=1e-12)
+    p_opt.add_argument("--sigma", type=float, default=DescentConfig.sigma_armijo)
+    p_opt.add_argument("--beta", type=float, default=DescentConfig.backtrack_factor)
+    p_opt.add_argument("--step0", type=float, default=DescentConfig.initial_step)
+    p_opt.add_argument("--max-iters", type=int, default=DescentConfig.max_iters)
+    p_opt.add_argument("--grad-tol", type=float, default=DescentConfig.grad_tol)
     p_opt.add_argument("--trace-out", required=True)
     p_opt.add_argument("--grid-out", help="CSV of f-samples for plotting")
     p_opt.add_argument("--grid-bounds", help="x_lo,x_hi,y_lo,y_hi for --grid-out")
@@ -398,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ser.add_argument("--problem", required=True)
     p_ser.add_argument("--point", required=True)
     p_ser.add_argument("--direction", required=True)
-    p_ser.add_argument("--n-terms", type=int, default=64)
+    p_ser.add_argument("--n-terms", type=int, default=DEFAULT_N_TERMS)
     p_ser.set_defaults(func=cmd_series)
 
     p_dia = sub.add_parser("diagnose", help="convergence diagnostics on a trace")

@@ -975,10 +975,12 @@ class RationalFunction:
     level is a tuple of polynomials in the values of the level before, the
     first in x, and u(x) is the last level's values.
     RationalFunction(numer, denom) has p = numer and q = denom and no
-    levels; composed(p, q, levels) has levels.  With levels, float
-    evaluation sums each level from the one before (_Evaluator) and exact
-    evaluation evaluates each level exactly, then p and q at the last
-    level's values.
+    levels; composed(p, q, levels) has levels; both are built by _setup.
+    With levels, float evaluation sums each level from the one before
+    (_Evaluator) and exact evaluation evaluates each level exactly, then p
+    and q at the last level's values.  Exact evaluation reads the integer
+    forms of p, q, the levels and their partials, built on first use and
+    kept like the charts (_exact_forms).
 
     numer and denom are p and q in the variables x: what __eq__, repr and
     the line pencil read.  With levels, each is composed when first needed
@@ -1000,26 +1002,69 @@ class RationalFunction:
 
     __slots__ = (
         "n_vars", "_numer", "_denom", "_factors", "_levels", "_origin",
-        "_centres", "_charts", "_pencils",
+        "_centres", "_charts", "_pencils", "_exact_forms",
     )
 
     def __init__(
         self, numer: Polynomial, denom: Polynomial, singular_points: Iterable = ()
     ):
-        if numer.n_vars != denom.n_vars:
-            raise DimensionError("numerator and denominator variable counts differ")
-        if denom.is_zero():
-            raise ValueError("denominator is identically zero")
-        self._numer = numer
-        self._denom = denom
-        # (p, q) and the chain of inner levels, empty unless set by composed.
-        self._factors = (numer, denom)
-        self._levels: tuple[tuple[Polynomial, ...], ...] = ()
-        self._init_charts(numer.n_vars, singular_points)
+        self._setup(numer, denom, (), singular_points)
 
-    def _init_charts(self, n_vars: int, singular_points: Iterable) -> None:
-        """n_vars, the chart centres, the chart slots and the pencil slots."""
+    @classmethod
+    def composed(
+        cls,
+        p: Polynomial,
+        q: Polynomial,
+        levels: Sequence[Sequence[Polynomial]],
+    ) -> "RationalFunction":
+        """p(u(x))/q(u(x)), p and q composed through a chain of inner levels.
+
+        levels is a sequence of levels, each a sequence of polynomials: those
+        of the first in the variables x, those of each later level in one
+        variable per polynomial of the level before, and p and q in one
+        variable per polynomial of the last level.  Nothing is composed
+        here but where _setup's zero test needs it.  Evaluation, float and
+        exact, evaluates each level at the values of the one before, and p
+        and q at the last; the gradient is the quotient rule once, in the
+        last level's variables, carried back through each level's Jacobian.
+        """
+        f = cls.__new__(cls)
+        f._setup(p, q, levels, ())
+        return f
+
+    def _setup(
+        self, p: Polynomial, q: Polynomial, levels: Sequence, singular_points: Iterable
+    ) -> None:
+        """Fill every slot from p, q, the levels and the singular points.
+
+        Raises DimensionError where variable counts disagree along the chain
+        or a singular point has the wrong length, and ValueError where q
+        composed through the levels is identically zero: with levels, where
+        the exact value at the integer point (2, 3, ...) is not 0 it is not,
+        and elsewhere q is composed and the composition kept as denom.
+        """
+        p._check_same_vars(q)
+        levels = tuple(tuple(level) for level in levels)
+        if not all(levels):
+            raise DimensionError("an inner level holds no polynomial")
+        # The variable count that each level, then p and q, must have.
+        n_vars = levels[0][0].n_vars if levels else p.n_vars
+        count = n_vars
+        for level in levels:
+            for u in level:
+                if u.n_vars != count:
+                    raise DimensionError(
+                        f"inner polynomial in {u.n_vars} variables, expected {count}"
+                    )
+            count = len(level)
+        if p.n_vars != count:
+            raise DimensionError(f"p and q in {p.n_vars} variables, expected {count}")
         self.n_vars = n_vars
+        self._factors = (p, q)
+        self._levels = levels
+        # p and q in x; with levels, composed on first read.
+        self._numer, self._denom = (None, None) if levels else (p, q)
+        self._exact_forms = None
         self._origin = (0.0,) * n_vars
         centres = [self._origin]
         bases = [self._origin]
@@ -1046,60 +1091,13 @@ class RationalFunction:
         # that compare equal hash equal, so an exact base finds its slot),
         # filled on first use.
         self._pencils: dict[tuple, object] = dict.fromkeys(bases)
-
-    @classmethod
-    def composed(
-        cls,
-        p: Polynomial,
-        q: Polynomial,
-        levels: Sequence[Sequence[Polynomial]],
-    ) -> "RationalFunction":
-        """p(u(x))/q(u(x)), p and q composed through a chain of inner levels.
-
-        levels is a sequence of levels, each a sequence of polynomials: those
-        of the first in the variables x, those of each later level in one
-        variable per polynomial of the level before, and p and q in one
-        variable per polynomial of the last level.  Nothing is composed
-        here but where the test below needs it.  Evaluation, float and
-        exact, evaluates each level at the values of the one before, and p
-        and q at the last; the gradient is the quotient rule once, in the
-        last level's variables, carried back through each level's Jacobian.
-
-        Raises DimensionError when the variable counts disagree along the
-        chain, and ValueError when q composed through the levels is
-        identically zero, all here.  That is settled by its exact value at
-        one integer point, and by composing only where that value is 0; that
-        composition is kept as denom.
-        """
-        p._check_same_vars(q)
-        levels = tuple(tuple(level) for level in levels)
-        if not all(levels):
-            raise DimensionError("an inner level holds no polynomial")
-        # The variable count that each level, then p and q, must have.
-        n_vars = levels[0][0].n_vars if levels else p.n_vars
-        count = n_vars
-        for level in levels:
-            for u in level:
-                if u.n_vars != count:
-                    raise DimensionError(
-                        f"inner polynomial in {u.n_vars} variables, expected {count}"
-                    )
-            count = len(level)
-        if p.n_vars != count:
-            raise DimensionError(f"p and q in {p.n_vars} variables, expected {count}")
-        # q in x, composed here only where its test value is 0, else on first
-        # read of denom.
-        denom = None
-        if not levels or _test_value(q, levels) == 0:
-            denom = _through(q, levels)
-            if denom.is_zero():
-                raise ValueError("denominator is identically zero")
-        f = cls.__new__(cls)
-        f._numer, f._denom = None, denom
-        f._factors = (p, q)
-        f._levels = levels
-        f._init_charts(n_vars, ())
-        return f
+        if levels:
+            try:
+                self.eval_exact(range(2, n_vars + 2))
+            except DomainViolation:
+                q = self.denom
+        if q.is_zero():
+            raise ValueError("denominator is identically zero")
 
     @property
     def numer(self) -> Polynomial:
@@ -1203,52 +1201,60 @@ class RationalFunction:
         Raises DomainViolation at x, each coordinate as a float, where q is 0.
         """
         self._check_point(x)
-        p, q = self._factors
-        m = p.n_vars
-        forms = [_integer_form(p.terms), _integer_form(q.terms)]
-        if grad:
-            forms += [_partial_form(form, k) for form in forms for k in range(m)]
+        pair, levels = self._exact_forms or self._build_exact_forms()
         point, s = _scaled_point(x)
         # Values are numerators over a common denominator.  That of p, q and
         # their partials cancels in p/q and in the gradient; those of the
         # levels' Jacobian entries, whose product is jacobian_d, stay in it.
         jacobian_d = 1
-        # Per level, the variable count before it and (k, i, du_k/dv_i) for
-        # each partial that is not identically zero.
+        # Per level, the variable count before it, the (k, i) of its Jacobian
+        # entries and their values.
         jacobians = []
-        for level in self._levels:
-            level_forms = [_integer_form(u.terms) for u in level]
-            entries = []
-            for k, form in enumerate(level_forms if grad else ()):
-                for i in range(len(point)):
-                    du = _partial_form(form, i)
-                    if du[1]:
-                        entries.append((k, i, du))
-            values, s = _exact_numerators(
-                level_forms + [form for _, _, form in entries], point, s
-            )
-            jacobians.append((len(point), [
-                (k, i, du) for (k, i, _), du in zip(entries, values[len(level):])
-            ]))
-            point = values[:len(level)]
+        for forms, count, entries in levels:
+            values, s = _exact_numerators(forms if grad else forms[:count], point, s)
+            jacobians.append((len(point), entries, values[count:]))
+            point = values[:count]
             jacobian_d *= s
-        values, _ = _exact_numerators(forms, point, s)
+        values, _ = _exact_numerators(pair if grad else pair[:2], point, s)
         p_value, q_value = values[:2]
         if q_value == 0:
             raise DomainViolation([float(_as_fraction(v)) for v in x], 0.0)
         f = Fraction(p_value, q_value)
         if not grad:
             return f
+        m = self._factors[0].n_vars
         gradient = [
             q_value * a - p_value * b for a, b in zip(values[2:2 + m], values[2 + m:])
         ]
-        for n_vars, entries in reversed(jacobians):
+        for n_vars, entries, du_values in reversed(jacobians):
             back = [0] * n_vars
-            for k, i, du in entries:
+            for (k, i), du in zip(entries, du_values):
                 back[i] += gradient[k] * du
             gradient = back
         q_sq = q_value * q_value * jacobian_d
         return f, [Fraction(a, q_sq) for a in gradient]
+
+    def _build_exact_forms(self) -> tuple:
+        """_exact_forms, built and kept: the integer forms of p, q and their
+        partials in the last level's variables, and per level its forms
+        followed by those of its Jacobian entries du_k/dv_i that are not
+        identically zero, the count of its forms and each entry's (k, i)."""
+        p, q = self._factors
+        pair = [_integer_form(p.terms), _integer_form(q.terms)]
+        pair += [_partial_form(form, k) for form in pair for k in range(p.n_vars)]
+        levels = []
+        for level in self._levels:
+            forms = [_integer_form(u.terms) for u in level]
+            entries, partials = [], []
+            for k, form in enumerate(forms):
+                for i in range(level[0].n_vars):
+                    du = _partial_form(form, i)
+                    if du[1]:
+                        entries.append((k, i))
+                        partials.append(du)
+            levels.append((forms + partials, len(forms), entries))
+        self._exact_forms = pair, levels
+        return self._exact_forms
 
     def _check_point(self, x: Sequence) -> None:
         if len(x) != self.n_vars:
@@ -1280,16 +1286,6 @@ def _through(poly: Polynomial, levels: Sequence[Sequence[Polynomial]]) -> Polyno
     for level in reversed(levels):
         poly = poly.compose(level)
     return poly
-
-
-def _test_value(q: Polynomial, levels: Sequence[Sequence[Polynomial]]) -> Fraction:
-    """q composed through the chain of inner levels, exactly at the integer
-    point (2, 3, ...): where it is not 0, that composition is not identically
-    zero, which settles the test without composing."""
-    values = range(2, levels[0][0].n_vars + 2)
-    for level in levels:
-        values = [u.eval_exact(values) for u in level]
-    return q.eval_exact(values)
 
 
 def check_finite_point(x: Sequence[float]) -> tuple[float, ...]:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .polyalg import Polynomial, RationalFunction, _as_fraction
+from .polyalg import DimensionError, Polynomial, RationalFunction, _as_fraction
 from .polyalg import _exact_numerators, _integer_form, _scaled_point
 
 # Default truncation order for Taylor lines.
@@ -121,7 +121,7 @@ def analyze_singularity(f: RationalFunction, x_star: Sequence) -> LinePencil:
     """
     base = tuple(_as_fraction(v) for v in x_star)
     if len(base) != f.n_vars:
-        raise ValueError(f"point has {len(base)} coordinates, expected {f.n_vars}")
+        raise DimensionError(f"point has {len(base)} coordinates, expected {f.n_vars}")
     memo = f._pencils
     pencil = memo.get(base)
     if pencil is not None:
@@ -129,6 +129,10 @@ def analyze_singularity(f: RationalFunction, x_star: Sequence) -> LinePencil:
     numer, denom = f.numer, f.denom
     denom_coeffs = tuple(denom.compose_line(base))
     numer_coeffs = tuple(numer.compose_line(base))
+    if numer.is_zero():
+        # f = 0 is bounded: zero coefficients as far as the denominator's,
+        # so every limit and series coefficient is 0.
+        numer_coeffs = (numer,) * len(denom_coeffs)
     # Constructors reject a zero denominator, and a Taylor shift keeps it
     # nonzero.
     n_min = next(k for k, poly in enumerate(denom_coeffs) if not poly.is_zero())
@@ -147,20 +151,22 @@ def analyze_singularity(f: RationalFunction, x_star: Sequence) -> LinePencil:
 def direction_verdict(pencil: LinePencil, d: Sequence) -> DirectionVerdict:
     """Decide safe-set membership of a direction and its directional limit.
 
-    Every direction is decided exactly, f_{n_min}(d) != 0; pencil_value and
+    Every direction is decided exactly, f_{n_min}(d) != 0, from the integer
+    forms kept with the pencil, as in taylor_line; pencil_value and
     limit_value are the exact values at d/||d||_inf, each rounded to float
     once.  Both coefficients are homogeneous of degree n_min, so that exact
     scaling keeps the sign and the limit, and the value cannot overflow.
     """
     direction, _ = _checked_direction(pencil, d)
-    exact = [Fraction(v) for v in direction]
-    top = max(map(abs, exact))
-    unit = [v / top for v in exact]
-    value = pencil.leading.eval_exact(unit)
-    limit = None
-    if value:
-        limit = float(pencil.numer_coeffs[pencil.n_min].eval_exact(unit) / value)
-    return DirectionVerdict(direction, value != 0, float(value), limit)
+    forms, _ = pencil._series_forms
+    split = len(pencil.denom_coeffs) - pencil.n_min
+    # d = point/s, so d/||d||_inf = point/max|point|, and each value at it is
+    # the value at the integer point over max|point|^n_min.
+    point, _ = _scaled_point(direction)
+    (lead, numer), denominator = _exact_numerators([forms[0], forms[split]], point, 1)
+    scale = denominator * max(map(abs, point)) ** pencil.n_min
+    limit = float(Fraction(numer, lead)) if lead else None
+    return DirectionVerdict(direction, lead != 0, float(Fraction(lead, scale)), limit)
 
 
 def _checked_direction(pencil: LinePencil, d: Sequence) -> tuple[tuple, bool]:

@@ -119,6 +119,12 @@ class TestProblemFiles:
         ({"n_vars": 1, "numer": [{"coeff": "1", "exps": [1000]}],
           "denom": [{"coeff": "1", "exps": [0]},
                     {"coeff": "1", "exps": [20000]}]}, "denom[1]"),
+        ({"n_vars": 2, "numer": [], "denom": [{"coeff": "1", "exps": [0, 0]}],
+          "singular_points": [[0, 0], [1, 2, 3]]}, "singular_points[1]"),
+        ([{"n_vars": 1, "numer": [], "denom": []}], "top level"),
+        ({"n_vars": 0, "numer": [], "denom": [{"coeff": "1", "exps": []}]}, "n_vars"),
+        ({"n_vars": 1, "numer": {"coeff": "1", "exps": [0]},
+          "denom": [{"coeff": "1", "exps": [0]}]}, "numer"),
     ])
     def test_malformed_documents_name_offending_field(self, doc, field):
         with pytest.raises(ProblemFormatError) as err:
@@ -242,6 +248,25 @@ class TestCli:
         assert code == 0
         assert "n_min: 2" in out
         assert "limit=-0.5" in out
+
+    def test_zero_numerator_is_bounded(self, workdir, capsys):
+        """f = 0 over x^2 + y^2: limit 0 along every direction and a zero
+        series, not an unbounded function."""
+        path = workdir / "zero-numer.problem"
+        path.write_text(json.dumps({"n_vars": 2, "numer": [], "denom": [
+            {"coeff": "1", "exps": [2, 0]}, {"coeff": "1", "exps": [0, 2]}]}))
+        assert main(["analyze", "--problem", str(path), "--point", "0,0",
+                     "--direction", "1,0", "--direction", "3,-7"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "n_min: 2"
+        assert lines[2:] == [
+            "direction 1,0: safe=True pencil=1 limit=0",
+            f"direction 3,-7: safe=True pencil={58 / 49:.17g} limit=0",
+        ]
+        assert main(["series", "--problem", str(path), "--point", "0,0",
+                     "--direction", "1,0", "--n-terms", "3"]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[-3:] == ["c_0: 0", "c_1: 0", "c_2: 0"]
 
     def test_analyze_decides_a_huge_direction(self, workdir, capsys):
         """The pencil is evaluated at d/||d||_inf, so f_2(d) = 2e400 does
@@ -563,6 +588,35 @@ class TestCli:
         assert code == 1
         assert "unsafe" in capsys.readouterr().err
 
+    def test_grid_without_bounds_pads_the_iterates_box(self, workdir, capsys):
+        """Without --grid-bounds the grid spans the iterates' box, padded by
+        a tenth of its width on each side: n^2 rows, corners included."""
+        grid = workdir / "auto.grid.csv"
+        trace_out = workdir / "auto.trace.csv"
+        assert main([
+            "optimize", "--problem", str(workdir / "fig1.problem"),
+            "--x0", "2,-0.1", "--max-iters", "30", "--trace-out", str(trace_out),
+            "--grid-out", str(grid), "--grid-n", "4",
+        ]) == 0
+        capsys.readouterr()
+        iterates = read_trace_csv(trace_out).iterates
+        box = []
+        for i in range(2):
+            lo, hi = min(p[i] for p in iterates), max(p[i] for p in iterates)
+            assert hi > lo
+            pad = 0.1 * (hi - lo)
+            box.append((lo - pad, hi + pad))
+        rows = [tuple(map(float, line.split(",")))
+                for line in grid.read_text().splitlines()[1:]]
+        assert len(rows) == 16
+        (x_lo, x_hi), (y_lo, y_hi) = box
+        assert [row[:2] for row in rows] == [
+            (x_lo + (x_hi - x_lo) * i / 3, y_lo + (y_hi - y_lo) * j / 3)
+            for i in range(4) for j in range(4)
+        ]
+        assert rows[-1][:2] == pytest.approx((x_hi, y_hi), rel=1e-15)
+        assert all(math.isfinite(f) for _, _, f in rows)
+
     def test_grid_emission(self, workdir, capsys):
         grid = workdir / "grid.csv"
         code = main([
@@ -654,6 +708,8 @@ def misuse_dir(workdir):
                      "denom": one}),
         ("big-exp", {"n_vars": 1, "numer": [{"coeff": "1", "exps": [20000]}],
                      "denom": [{"coeff": "1", "exps": [0]}, {"coeff": "1", "exps": [2]}]}),
+        ("three-vars", {"n_vars": 3, "numer": [],
+                        "denom": [{"coeff": "1", "exps": [0, 0, 0]}]}),
     ]:
         (workdir / f"{name}.problem").write_text(json.dumps(doc))
     (workdir / "deep.problem").write_text("[" * 100_000 + "]" * 100_000)
@@ -747,6 +803,14 @@ _TEN = ["tensor", "--dims", "2,2", "--emit-problem", "{d}/misuse.cp.problem"]
                  id="problem-nesting-too-deep"),
     pytest.param(["analyze", "--problem", "{d}/digits.problem", "--point", "0"], 2,
                  id="problem-integer-too-long"),
+    pytest.param(["optimize", "--problem", "{d}/three-vars.problem", "--x0", "1,1,1",
+                  "--trace-out", "{d}/misuse.out.csv", "--grid-out",
+                  "{d}/misuse.grid.csv"], 1, id="grid-out-three-vars"),
+    pytest.param(["tensor", "--dims", "2,a", "--rank", "1", "--target",
+                  "{d}/misuse.target.json", "--emit-problem", "{d}/misuse.cp.problem"],
+                 2, id="tensor-dims-not-integers"),
+    pytest.param(_OPT + ["--x0", "1,abc", "--trace-out", "{d}/misuse.out.csv"], 2,
+                 id="optimize-x0-not-numbers"),
 ])
 def test_misuse_ends_in_one_error_line(misuse_dir, capsys, argv, code):
     """Each misuse exits with its code, one error line on stderr and nothing

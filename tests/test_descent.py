@@ -883,6 +883,18 @@ class TestTracePersistence:
         with pytest.raises(ValueError, match=f"row {row}:"):
             read_trace_csv(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("k,f,grad_norm,step_norm,alpha\n0,1,1,,\n", "malformed trace header"),
+        ("k,x_1,f,grad_norm,step_norm,alpha\n", "empty trace"),
+        ("k,x_1,f,grad_norm,step_norm,alpha\n0,1,1,1,1,1\n1,0.5,1,1\n",
+         "row length mismatch"),
+    ], ids=["no-coordinates", "empty-body", "ragged-row"])
+    def test_malformed_csv_rejected(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            read_trace_csv(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

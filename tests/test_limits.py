@@ -423,6 +423,10 @@ class TestEstimateLimit:
         assert method == "last_value"
         assert limit == values[-1]
 
+    @pytest.mark.parametrize("values", [[0.7], [2.0, 1.5]])
+    def test_fewer_than_three_values_give_the_last(self, values):
+        assert estimate_limit(values) == (values[-1], "last_value")
+
     def test_constant_decrements_fall_back_to_last_value(self):
         # Every log-decrement is log(1/4) exactly: no contraction to fit.
         values = [1.0 - 0.25 * k for k in range(30)]
@@ -552,6 +556,22 @@ class TestRateClassify:
         for trace in (self._trace_with_radii([0.8 ** k for k in range(40)]), _fig1_trace()):
             est = rate_classify(trace, (0.0,) * len(trace.iterates[0]), tail_start)
             assert est == rate_classify(trace, (0.0,) * len(trace.iterates[0]), 0)
+
+    def test_three_iterates_from_zero_fit_only_the_line(self):
+        """k = 0, 1, 2 leaves two positive k, too few for the log k fit, so
+        the linear fit alone decides, though its R^2 is below 1."""
+        est = rate_classify(self._trace_with_radii([1.0, 0.5, 0.3]), (0.0,), 0)
+        assert est.regime == "linear"
+        assert est.q == pytest.approx(math.sqrt(0.3), rel=1e-12)
+        assert est.fit_quality == pytest.approx(0.99241397, rel=1e-6)
+
+    def test_three_positive_k_fit_the_power_law(self):
+        """k = 1, 2, 3 are just enough for the log k fit, which an exact
+        k^-2 decay wins."""
+        trace = self._trace_with_radii([1.0] + [float(k) ** -2 for k in range(1, 4)])
+        est = rate_classify(trace, (0.0,), 1)
+        assert est.regime == "sublinear"
+        assert est.p == pytest.approx(2.0, rel=1e-12)
 
     def test_short_tail_inconclusive(self):
         trace = self._trace_with_radii([1.0, 0.5])

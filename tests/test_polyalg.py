@@ -1202,6 +1202,52 @@ class TestRationalFunction:
         with pytest.raises(error):
             RationalFunction.composed(*args)
 
+    def test_plain_pair_in_different_variable_counts_rejected(self):
+        x, _ = _vars()
+        with pytest.raises(DimensionError):
+            RationalFunction(x, Polynomial.variable(3, 0) + 1)
+
+    def test_singular_point_of_the_wrong_length_rejected(self):
+        x, y = _vars()
+        with pytest.raises(DimensionError, match="singular point"):
+            RationalFunction(x * y, x * x + y * y, [(1, 0), (1, 2, 3)])
+
+    @pytest.mark.parametrize("make", [_bundled("multi3"), _cp_f_hat],
+                             ids=["multi3", "cp_f_hat"])
+    def test_exact_forms_built_once(self, make, monkeypatch):
+        """The integer forms of p, q, the levels and their partials are built
+        on first use and kept: later exact calls build none and give the
+        same values."""
+        f = make()
+        x = (Fraction(5, 2), Fraction(-1, 3)) + (Fraction(3, 4),) * (f.n_vars - 2)
+        first = f.eval_exact_and_grad(x)
+        built = []
+        for name in ("_integer_form", "_partial_form"):
+            def counted(*args, _original=getattr(polyalg, name), _name=name):
+                built.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(polyalg, name, counted)
+        assert f.eval_exact_and_grad(x) == first
+        assert f.eval_exact(x) == first[0]
+        y = (2.5,) * f.n_vars
+        assert f.eval_exact_and_grad(y)[0] == f.eval_exact(y)
+        assert built == []
+
+    def test_composed_composes_nothing_where_the_test_value_is_nonzero(self, products):
+        """Through a two-level chain, q's exact value at (2, 3) is not 0:
+        construction composes nothing and keeps no denom."""
+        x, y = _vars()
+        u0, u1 = _vars()
+        levels = [[x * x - y, x * y + 1], [u0 + u1, u0 * u1 - 1]]
+        p, q = u0 - u1, 1 + u0 * u0 + u1 * u1
+        products.clear()
+        f = RationalFunction.composed(p, q, levels)
+        assert products == [] and f._numer is None and f._denom is None
+        denom = _compose_through(q, levels)
+        assert denom.eval_exact((2, 3)) != 0
+        assert f == RationalFunction(_compose_through(p, levels), denom)
+
     def test_gradient_matches_finite_differences(self):
         x, y = _vars()
         r2 = x * x + y * y

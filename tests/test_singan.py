@@ -8,7 +8,7 @@ import pytest
 
 from singulim.descent import DescentConfig, optimize
 from singulim.limits import direction_trail, trail_certifies_safe_approach
-from singulim.polyalg import Polynomial, RationalFunction
+from singulim.polyalg import DimensionError, Polynomial, RationalFunction
 from singulim import singan
 from singulim.problems import load_bundled
 from singulim.singan import (
@@ -76,6 +76,28 @@ class TestAnalyzeSingularity:
         assert err.value.numer_order == 1
         assert err.value.n_min == 2
 
+    @pytest.mark.parametrize("base", [(0, 0), (1, 2)])
+    def test_zero_numerator_is_bounded(self, base):
+        """f = 0 is bounded wherever q is not identically zero: its pencil
+        has zero numerator coefficients as far as the denominator's, so
+        every limit and every series coefficient is 0."""
+        x = Polynomial.variable(2, 0)
+        y = Polynomial.variable(2, 1)
+        f = RationalFunction(Polynomial.zero(2), x * x + y * y)
+        pencil = analyze_singularity(f, base)
+        assert pencil.n_min == (2 if base == (0, 0) else 0)
+        assert len(pencil.numer_coeffs) == len(pencil.denom_coeffs)
+        assert all(poly.is_zero() for poly in pencil.numer_coeffs)
+        for d in [(1, 0), (3, -7), (0.6, 0.8)]:
+            verdict = direction_verdict(pencil, d)
+            assert verdict.in_safe_set and verdict.limit_value == 0.0
+            line = taylor_line(f, base, d, n_terms=6, pencil=pencil)
+            assert line.coeffs == (0.0,) * 6
+
+    def test_point_of_the_wrong_length_is_a_dimension_error(self):
+        with pytest.raises(DimensionError):
+            analyze_singularity(_pinch(), (0, 0, 0))
+
 
 class TestDirectionVerdict:
     def test_directional_limits_of_pinch(self):
@@ -101,6 +123,29 @@ class TestDirectionVerdict:
             verdict = direction_verdict(pencil, d)
             numeric = f.eval((1e-7 * d[0], 1e-7 * d[1]))
             assert verdict.limit_value == pytest.approx(numeric, abs=1e-6)
+
+    @pytest.mark.parametrize("name, centre", [
+        ("fig1", (0, 0)), ("multi3", (3, 0)), ("counterex", (0, 0)),
+    ])
+    def test_values_are_the_exact_values_at_the_unit_direction(self, name, centre):
+        """pencil_value and limit_value are f_{n_min} and the limit exactly
+        at d/||d||_inf, each rounded once."""
+        pencil = analyze_singularity(load_bundled(name).rational(), centre)
+        lead = pencil.leading
+        numer = pencil.numer_coeffs[pencil.n_min]
+        directions = [(1, 0), (0, 1), (1, -1), (Fraction(1, 3), 7), (1e200, -3.5),
+                      (5e-324, 1.0)] + _float_units(50, 5)
+        for d in directions:
+            exact = [Fraction(v) for v in d]
+            unit = [v / max(map(abs, exact)) for v in exact]
+            value = lead.eval_exact(unit)
+            verdict = direction_verdict(pencil, d)
+            assert verdict.in_safe_set == (value != 0)
+            assert verdict.pencil_value.hex() == float(value).hex(), d
+            expected = float(numer.eval_exact(unit) / value) if value else None
+            assert verdict.limit_value == expected, d
+            if value:
+                assert verdict.limit_value.hex() == expected.hex()
 
     def test_zero_direction_rejected(self):
         pencil = analyze_singularity(_pinch(), (0, 0))
