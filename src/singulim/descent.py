@@ -223,6 +223,12 @@ def _meta_path(path) -> str:
     return f"{path}.meta.json"
 
 
+def _trace_header(n: int) -> list[str]:
+    """The header row of a trace CSV of n coordinates."""
+    coords = [f"x_{i + 1}" for i in range(n)]
+    return ["k", *coords, "f", "grad_norm", "step_norm", "alpha"]
+
+
 def write_trace_csv(
     trace: DescentTrace, path, metadata: Mapping | None = None
 ) -> None:
@@ -233,13 +239,10 @@ def write_trace_csv(
     sidecar file <path>.meta.json, with metadata's JSON-serialisable entries
     beside it when given; read_trace_meta returns them.
     """
-    n = len(trace.iterates[0])
     fmt = lambda v: f"{v:.17g}"
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(
-            ["k"] + [f"x_{i + 1}" for i in range(n)] + ["f", "grad_norm", "step_norm", "alpha"]
-        )
+        writer.writerow(_trace_header(len(trace.iterates[0])))
         for k, point in enumerate(trace.iterates):
             row = [str(k)] + [fmt(v) for v in point]
             if k < len(trace.f_values):
@@ -259,7 +262,8 @@ def write_trace_csv(
 def read_trace_csv(path) -> DescentTrace:
     """Re-ingest a trace CSV written by write_trace_csv.
 
-    The rows must have the writer's layout: f and grad_norm on every row (on
+    The header must be the writer's for its number of coordinates, and the
+    rows must have the writer's layout: f and grad_norm on every row (on
     none of a one-row trace, whose start is outside the domain), step_norm
     and alpha on every row but the last; anything else raises ValueError.
     The stop reason comes from the sidecar <path>.meta.json; a trace that
@@ -271,7 +275,7 @@ def read_trace_csv(path) -> DescentTrace:
         if not header or header[0] != "k":
             raise ValueError(f"{path}: not a trace CSV (missing header)")
         n = len(header) - 5
-        if n < 1:
+        if n < 1 or header != _trace_header(n):
             raise ValueError(f"{path}: malformed trace header {header}")
         rows = list(reader)
     if not rows:

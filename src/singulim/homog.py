@@ -36,6 +36,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -65,7 +66,13 @@ class CPModel:
     rank: int
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        dims = tuple(self.dims)
+        # int() would truncate 2.5 to 2 and read True as 1.
+        if not all(isinstance(v, Integral) and not isinstance(v, bool)
+                   for v in (*dims, self.rank)):
+            raise ValueError(f"dims {dims} and rank {self.rank!r} must be integers")
+        object.__setattr__(self, "dims", tuple(map(int, dims)))
+        object.__setattr__(self, "rank", int(self.rank))
         if len(self.dims) < 2:
             raise ValueError("tensor order must be at least 2")
         if any(d < 1 for d in self.dims) or self.rank < 1:
@@ -138,8 +145,13 @@ class HomogenizedObjective:
 
 
 def normalize(v: Sequence[float]) -> tuple[float, ...]:
-    """Return v / ||v||, rescaling first so tiny vectors do not underflow."""
+    """Return v / ||v||, rescaling first so tiny vectors do not underflow.
+
+    Raises ValueError for the zero vector and for a non-finite entry.
+    """
     coords = [float(x) for x in v]
+    if not all(map(math.isfinite, coords)):
+        raise ValueError(f"cannot normalize {tuple(coords)}: non-finite entries")
     scale = max(abs(x) for x in coords) if coords else 0.0
     if scale == 0.0:
         raise ValueError("cannot normalize the zero vector")

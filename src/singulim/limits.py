@@ -230,6 +230,9 @@ def lojasiewicz_probe(
     that case the non-monotonicity of the tail is not an error, since the
     obstruction itself is the reported diagnosis.  A non-monotone tail with
     positive gradients violates the monotone-images hypothesis and raises.
+    A NaN ratio r ** (1 - theta) / ||grad|| at a tail point with a residual
+    (a NaN gradient norm, or a NaN residual through L) makes c NaN, and the
+    certificate infeasible: the inequality was never checked there.
     The powers r ** (1 - theta) are Python's (see the module docstring).
     The tail is the trace from index tail_start on (_tail_index), and the
     certificates record the index read; without L, a tail of the last
@@ -261,7 +264,10 @@ def lojasiewicz_probe(
             c = math.inf
         else:
             exponent = 1.0 - theta
-            c = max([0.0] + [r ** exponent / g for r, g in live])
+            ratios = [r ** exponent / g for r, g in live]
+            # The sum is NaN where a ratio is, which max() would pass over
+            # after the first entry.
+            c = math.nan if math.isnan(sum(ratios)) else max([0.0] + ratios)
         certificates.append(LojasiewiczCertificate(
             theta, c, L, tail_start, not stalled and math.isfinite(c)
         ))
@@ -281,14 +287,15 @@ def verify_certificate(
 
     Python's powers, as in lojasiewicz_probe, so a certificate is checked
     with the bits it was fitted with.  The tail is the trace from index
-    cert.tail_start on (_tail_index).
+    cert.tail_start on (_tail_index).  A point where the inequality does not
+    hold is a violation, one where either side is NaN included.
     """
     _check_theta(cert.theta)
     L, exponent, c, slack = cert.L, 1.0 - cert.theta, cert.c, 1 + 1e-12
     tail_start = _tail_index(trace, cert.tail_start)
     violations = 0
     for fv, g in zip(trace.f_values[tail_start:], trace.grad_norms[tail_start:]):
-        if abs(fv - L) ** exponent > c * g * slack:
+        if not abs(fv - L) ** exponent <= c * g * slack:
             violations += 1
     return violations
 

@@ -59,13 +59,15 @@ class DomainViolation(ValueError):
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, Rational)):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (Rational, float, str)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def _check_point(x: Sequence, n_vars: int) -> None:
+    """Raise DimensionError unless the point x has n_vars coordinates."""
+    if len(x) != n_vars:
+        raise DimensionError(f"point has {len(x)} coordinates, expected {n_vars}")
 
 
 def _coefficient(value):
@@ -242,31 +244,25 @@ class Polynomial:
 
     # -- evaluation --------------------------------------------------------
 
-    def _check_point(self, x: Sequence) -> None:
-        if len(x) != self.n_vars:
-            raise DimensionError(
-                f"point has {len(x)} coordinates, polynomial has {self.n_vars} vars"
-            )
-
     def eval_float(self, x: Sequence[float]) -> float:
         """Floating-point evaluation, summing the terms in dict order.
 
         Coordinates given as numpy arrays of one length give each entry the
         bits of the evaluation at that point (a constant gives one float).
         """
-        self._check_point(x)
+        _check_point(x, self.n_vars)
         max_deg = _max_degrees(self.n_vars, [self.terms])
         return _eval_compiled(_compile_terms(self.terms, 0), _power_table(x, max_deg))
 
     def eval_exact(self, x: Sequence) -> Fraction:
         """Exact evaluation at a point with rational coordinates."""
-        self._check_point(x)
+        _check_point(x, self.n_vars)
         values, d = _exact_numerators([_integer_form(self.terms)], *_scaled_point(x))
         return Fraction(values[0], d)
 
     def shift(self, offset: Sequence) -> "Polynomial":
         """Exact Taylor shift: the polynomial d -> p(offset + d)."""
-        self._check_point(offset)
+        _check_point(offset, self.n_vars)
         return Polynomial._trusted(self.n_vars, _shift_terms(self.terms, offset))
 
     def compose(self, inner: Sequence["Polynomial"]) -> "Polynomial":
@@ -318,7 +314,7 @@ class Polynomial:
         exact Taylor shift, p(base + t*d) = q(t*d), so f_n is the homogeneous
         degree-n part of q.
         """
-        self._check_point(base)
+        _check_point(base, self.n_vars)
         out: list[dict[Exponent, Fraction]] = [{} for _ in range(self.degree() + 1)]
         for exps, coeff in _shift_terms(self.terms, base).items():
             out[sum(exps)][exps] = coeff
@@ -749,37 +745,30 @@ class _Evaluator:
         return self.descend(*args)
 
     def loop(self, x: Sequence, grad: bool):
-        """The reference evaluation: term by term from power tables."""
-        tables, (p, q) = self._sums(x)
+        """The reference evaluation: term by term from power tables, in the
+        order of the generated evaluate.  The power tables are those of the
+        coordinates after the centre, then of each level's values."""
+        coords = [float(v) - c for v, c in zip(x, self.centre)]
+        tables = [_power_table(coords, self.max_deg[0])]
+        for level, top in zip(self.levels, self.max_deg[1:]):
+            tables.append(_power_table([_eval_compiled(c, tables[-1]) for c in level], top))
+        p, q = [_eval_compiled(c, tables[-1]) for c in self.values]
         if abs(q) < DENOM_FLOOR:
             raise DomainViolation(x, q)
         f = p / q
         if not grad:
             return f
-        return f, self._gradient(tables, p, q, f)
-
-    def _sums(self, x: Sequence) -> tuple[list, list[float]]:
-        """(tables, values) at x: the power tables of the coordinates after
-        the centre and of each level's values, and the values of p and q."""
-        coords = [float(v) - c for v, c in zip(x, self.centre)]
-        tables = [_power_table(coords, self.max_deg[0])]
-        for level, top in zip(self.levels, self.max_deg[1:]):
-            tables.append(_power_table([_eval_compiled(c, tables[-1]) for c in level], top))
-        return tables, [_eval_compiled(c, tables[-1]) for c in self.values]
-
-    def _gradient(self, tables, p: float, q: float, f: float) -> list[float]:
-        """grad f from _sums' power tables, p, q and f = p/q."""
         grad_p, grad_q = (
             [_eval_compiled(c, tables[-1]) for c in row] for row in self.partials
         )
         q_sq = q * q
         if sys.float_info.min <= q_sq < math.inf:
-            grad = [(q * a - p * b) / q_sq for a, b in zip(grad_p, grad_q)]
+            gradient = [(q * a - p * b) / q_sq for a, b in zip(grad_p, grad_q)]
         else:
-            grad = [(a - f * b) / q for a, b in zip(grad_p, grad_q)]
+            gradient = [(a - f * b) / q for a, b in zip(grad_p, grad_q)]
         for table, jacobian in zip(reversed(tables[:-1]), reversed(self.jacobians)):
-            grad = [_chain_sum(grad, row, table) for row in jacobian]
-        return grad
+            gradient = [_chain_sum(gradient, row, table) for row in jacobian]
+        return f, gradient
 
     def generate(self, name: str):
         """loop (name "evaluate") as straight-line code, or the descent
@@ -830,8 +819,8 @@ class _Evaluator:
         return "x" if j == 0 else f"u{j - 1}_"
 
     def _gradient_lines(self, out: Sequence[str]) -> list[str]:
-        """Statements that leave _gradient's entries in the names out, from
-        the powers, p, q and f that precede them."""
+        """Statements that leave loop's gradient entries in the names out,
+        from the powers, p, q and f that precede them."""
         var = self._var(len(self.levels))
         # The partials of p and q in the last table's variables: p_0, ... in
         # x, p_u{j}_0, ... in a level's values.
@@ -1116,8 +1105,9 @@ class RationalFunction:
     def _chart(self, x: Sequence[float]) -> _Evaluator:
         """The chart that evaluates x: the evaluator of p/q about its centre,
         the nearest of the origin and the declared centres."""
+        # Every float evaluation passes here: call the check only to raise.
         if len(x) != self.n_vars:
-            self._check_point(x)
+            _check_point(x, self.n_vars)
         j = 0 if self._centres is None else _nearest(x, self._centres)
         return self._charts[j] or self._chart_at(j)
 
@@ -1200,7 +1190,7 @@ class RationalFunction:
 
         Raises DomainViolation at x, each coordinate as a float, where q is 0.
         """
-        self._check_point(x)
+        _check_point(x, self.n_vars)
         pair, levels = self._exact_forms or self._build_exact_forms()
         point, s = _scaled_point(x)
         # Values are numerators over a common denominator.  That of p, q and
@@ -1255,12 +1245,6 @@ class RationalFunction:
             levels.append((forms + partials, len(forms), entries))
         self._exact_forms = pair, levels
         return self._exact_forms
-
-    def _check_point(self, x: Sequence) -> None:
-        if len(x) != self.n_vars:
-            raise DimensionError(
-                f"point has {len(x)} coordinates, function has {self.n_vars} vars"
-            )
 
     def eval_and_grad(self, x: Sequence[float]) -> tuple[float, list[float]]:
         """Value and gradient; _Evaluator says how the gradient is formed."""

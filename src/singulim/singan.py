@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .polyalg import DimensionError, Polynomial, RationalFunction, _as_fraction
+from .polyalg import Polynomial, RationalFunction, _as_fraction, _check_point
 from .polyalg import _exact_numerators, _integer_form, _scaled_point
 
 # Default truncation order for Taylor lines.
@@ -120,8 +120,7 @@ def analyze_singularity(f: RationalFunction, x_star: Sequence) -> LinePencil:
     built and nothing is kept.
     """
     base = tuple(_as_fraction(v) for v in x_star)
-    if len(base) != f.n_vars:
-        raise DimensionError(f"point has {len(base)} coordinates, expected {f.n_vars}")
+    _check_point(base, f.n_vars)
     memo = f._pencils
     pencil = memo.get(base)
     if pencil is not None:
@@ -250,8 +249,10 @@ def taylor_line(
     in one pass over the integer forms kept with the pencil, and divided by
     the exact f_{n_min}(d), which decides membership as in direction_verdict;
     each ratio stays exact at an exact direction and is rounded once at a
-    float one.
+    float one.  n_terms, the number of series coefficients, is at least 1.
     """
+    if n_terms < 1:
+        raise ValueError(f"n_terms {n_terms} must be at least 1")
     if pencil is None:
         pencil = analyze_singularity(f, x_star)
     direction, exact = _checked_direction(pencil, d)

@@ -1,4 +1,5 @@
-"""Reference paths for the Armijo descent, shared by the test modules.
+"""Reference paths for the Armijo descent, and the objectives and helpers
+that several test modules share.
 
 line_search and step_loop are the descent as plain Python loops over an
 objective's eval and eval_and_grad: the reference that RationalFunction.descend
@@ -11,6 +12,9 @@ reference paths over it never run generated code.
 import copy
 import functools
 import math
+import random
+
+import numpy as np
 
 from singulim.descent import (
     MAX_BACKTRACKS,
@@ -19,11 +23,14 @@ from singulim.descent import (
     DescentTrace,
     _norm,
 )
+from singulim.homog import CPModel, build_cp_objective
 from singulim.polyalg import (
     STOP_F_STATIONARY,
     STOP_GRAD_TOL,
     STOP_MAX_ITERS,
     DomainViolation,
+    Polynomial,
+    RationalFunction,
     check_finite_point,
 )
 
@@ -143,3 +150,47 @@ def looped(f):
         chart = f._chart_at(j)
         vars(chart)["evaluate"] = chart.loop
     return f
+
+
+def pinch():
+    """xy / ((x^2+y^2)(1+x^2+y^2)): bounded, essential singularity at 0."""
+    x = Polynomial.variable(2, 0)
+    y = Polynomial.variable(2, 1)
+    r2 = x * x + y * y
+    return RationalFunction(x * y, r2 * (1 + r2))
+
+
+def quadratic_1d():
+    """t^2 over 1."""
+    t = Polynomial.variable(1, 0)
+    return RationalFunction(t * t, Polynomial.constant(1, 1))
+
+
+def cp_f_hat():
+    """f_hat of the (2,2,2) rank-2 CP model on a Gaussian target."""
+    rng = random.Random(43)
+    target = [[[rng.gauss(0.0, 1.0) for _ in range(2)] for _ in range(2)]
+              for _ in range(2)]
+    return build_cp_objective(CPModel((2, 2, 2), 2), target).f_hat
+
+
+def criterion_9_objective():
+    """(rng, obj): criterion 9's (2,2,2) rank-2 objective on its integer
+    target, and the random.Random(43) that drew the target, for the draws
+    that follow it."""
+    rng = random.Random(43)
+    target = np.array(
+        [[[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)]
+         for _ in range(2)], dtype=float)
+    target[0, 0, 0] = target[0, 0, 0] or 1.0
+    return rng, build_cp_objective(CPModel((2, 2, 2), 2), target)
+
+
+def float_hex(values):
+    """Nested floats as float.hex strings, so equality means equal bits;
+    None stays None."""
+    if values is None:
+        return None
+    if isinstance(values, float):
+        return values.hex()
+    return [float_hex(v) for v in values]

@@ -33,6 +33,8 @@ from singulim.singan import (
     taylor_line,
 )
 
+from descent_helpers import criterion_9_objective
+
 FIG1_START = (2.0, -0.1)
 
 
@@ -189,13 +191,8 @@ def test_criterion_08_normalization_bound_mass_test():
 
 
 def test_criterion_09_homogeneity_and_euler_suite():
-    rng = random.Random(43)
-    model = CPModel((2, 2, 2), 2)
-    target = np.array(
-        [[[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)]
-         for _ in range(2)], dtype=float)
-    target[0, 0, 0] = target[0, 0, 0] or 1.0
-    obj = build_cp_objective(model, target)
+    rng, obj = criterion_9_objective()
+    model = obj.model
     homog_failures = 0
     euler_failures = 0
     for _ in range(1000):
@@ -236,13 +233,8 @@ def test_criterion_09_float_value_and_gradient_match_exact():
     rounding in the cancelling entries of tau alone costs about 1e-10 in
     the value and 6e-9 in the gradient.)
     """
-    rng = random.Random(43)
-    model = CPModel((2, 2, 2), 2)
-    target = np.array(
-        [[[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)]
-         for _ in range(2)], dtype=float)
-    target[0, 0, 0] = target[0, 0, 0] or 1.0
-    obj = build_cp_objective(model, target)
+    obj = criterion_9_objective()[1]
+    model = obj.model
     rng = random.Random(2026)
 
     def dyadic(k):

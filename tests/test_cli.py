@@ -139,6 +139,10 @@ class TestProblemFiles:
         with pytest.raises(KeyError):
             load_bundled("missing")
 
+    def test_unknown_bundled_name_not_built(self):
+        with pytest.raises(KeyError, match="unknown bundled problem 'nope'"):
+            build_bundled("nope")
+
 
 def reference_poly_from_terms(terms, n_vars, field_name):
     """The loader that poly_from_terms replaced: a Fraction per coefficient,
@@ -400,6 +404,31 @@ class TestCli:
                      "--problem", str(problem)]) == 0
         certificates = json.loads(capsys.readouterr().out)["certificates"]
         assert certificates
+        assert all(not c["feasible"] and c["violations"] is None for c in certificates)
+
+    def test_diagnose_certifies_nothing_across_a_nan_gradient_norm(
+        self, workdir, capsys
+    ):
+        """A 200-step fig1 run with one tail ||grad|| set to nan (k = 148):
+        no certificate is feasible with 0 violations, since the inequality
+        was never checked there."""
+        problem = str(workdir / "fig1.problem")
+        trace_path = workdir / "fig1.200.trace.csv"
+        assert main(["optimize", "--problem", problem, "--x0", "2,-0.1",
+                     "--max-iters", "200", "--trace-out", str(trace_path)]) == 0
+        rows = [line.split(",") for line in trace_path.read_text().splitlines()]
+        assert rows[0][4] == "grad_norm" and rows[149][0] == "148"
+        rows[149][4] = "nan"
+        holed = workdir / "fig1.nan.trace.csv"
+        holed.write_text("".join(",".join(r) + "\n" for r in rows))
+        (workdir / "fig1.nan.trace.csv.meta.json").write_bytes(
+            (workdir / "fig1.200.trace.csv.meta.json").read_bytes()
+        )
+        capsys.readouterr()
+        assert main(["diagnose", "--trace", str(holed), "--problem", problem,
+                     "--x-star", "0,0"]) == 0
+        certificates = json.loads(capsys.readouterr().out)["certificates"]
+        assert len(certificates) == len(DEFAULT_THETA_GRID)
         assert all(not c["feasible"] and c["violations"] is None for c in certificates)
 
     def _diagnose(self, capsys, problem, points, *options):
@@ -672,6 +701,14 @@ def misuse_dir(workdir):
         (workdir / f"{name}.trace.csv").write_text(
             "".join(",".join(r) + "\n" for r in changed)
         )
+    # Headers of the writer's width that do not name its columns.
+    for name, header in [
+        ("swapped-header", rows[0][:3] + ["grad_norm", "f"] + rows[0][5:]),
+        ("unnamed-header", list("kabcdeg")),
+    ]:
+        (workdir / f"{name}.trace.csv").write_text(
+            "".join(",".join(r) + "\n" for r in [header, *rows[1:]])
+        )
     (workdir / "misuse.target.json").write_text("[[1, 0], [0, 0]]")
     for name, text in [
         ("object", b'{"a": 1}'),
@@ -683,6 +720,8 @@ def misuse_dir(workdir):
         ("latin1", b"[[1, 2], [3, 4]] \xff"),
         ("deep", b"[" * 100_000 + b"]" * 100_000),
         ("digits", b"[[1" + b"0" * 5000 + b", 2], [3, 4]]"),
+        # Within the decoder's digit limit, past the float range.
+        ("wide-int", b"[[1" + b"0" * 399 + b", 2], [3, 4]]"),
     ]:
         (workdir / f"{name}.target.json").write_bytes(text)
     (workdir / "latin1.problem").write_bytes(
@@ -767,7 +806,7 @@ _TEN = ["tensor", "--dims", "2,2", "--emit-problem", "{d}/misuse.cp.problem"]
     *(pytest.param(_TEN + ["--rank", "1", "--target", f"{{d}}/{name}.target.json"], 2,
                    id=f"tensor-target-{name}")
       for name in ("object", "string", "ragged", "nan", "inf", "bool", "latin1",
-                   "deep", "digits")),
+                   "deep", "digits", "wide-int")),
     *(pytest.param(_OPT + ["--x0", "2,-0.1", option, value,
                            "--trace-out", "{d}/misuse.out.csv"], 1,
                    id=f"optimize{option[1:]}-{value}")
@@ -775,7 +814,8 @@ _TEN = ["tensor", "--dims", "2,2", "--emit-problem", "{d}/misuse.cp.problem"]
                             ("--grad-tol", "nan")]),
     *(pytest.param(["diagnose", "--problem", "{d}/fig1.problem",
                     "--trace", f"{{d}}/{name}.trace.csv"], 2, id=f"diagnose-{name}")
-      for name in ("blank-f", "last-step", "blank-step")),
+      for name in ("blank-f", "last-step", "blank-step", "swapped-header",
+                   "unnamed-header")),
     pytest.param(["analyze", "--problem", "{d}/latin1.problem", "--point", "0,0"], 2,
                  id="analyze-problem-not-utf8"),
     pytest.param(["optimize", "--problem", "{d}/latin1.problem", "--x0", "2,-0.1",

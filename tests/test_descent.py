@@ -23,27 +23,24 @@ from singulim.descent import (
     trace_from_points,
     write_trace_csv,
 )
-from singulim.homog import CPModel, build_cp_objective
 from singulim.polyalg import DomainViolation, Polynomial, RationalFunction
 from singulim.problems import load_bundled
 
 from descent_helpers import (
     FACTOR,
     SIGMA,
+    cp_f_hat,
+    criterion_9_objective,
+    float_hex,
     full_ladder,
     line_search,
     looped,
+    pinch,
+    quadratic_1d,
     reference_search,
     search,
     step_loop,
 )
-
-
-def _pinch():
-    x = Polynomial.variable(2, 0)
-    y = Polynomial.variable(2, 1)
-    r2 = x * x + y * y
-    return RationalFunction(x * y, r2 * (1 + r2))
 
 
 # sigma, factor and max_trials as optimize passes them by default.
@@ -78,11 +75,6 @@ def _log_visits(f):
     return log
 
 
-def _quadratic_1d():
-    t = Polynomial.variable(1, 0)
-    return RationalFunction(t * t, Polynomial.constant(1, 1))
-
-
 class TestConfig:
     def test_defaults_valid(self):
         cfg = DescentConfig()
@@ -109,13 +101,13 @@ class TestConfig:
             DescentConfig(**kwargs)
 
     def test_infinite_grad_tol_stops_at_once(self):
-        trace = optimize(_pinch(), (2.0, -0.1), DescentConfig(grad_tol=math.inf))
+        trace = optimize(pinch(), (2.0, -0.1), DescentConfig(grad_tol=math.inf))
         assert len(trace) == 1 and trace.stop_reason == "grad_tol"
 
 
 class TestOptimize:
     def test_monotone_decrease_and_armijo(self):
-        f = _pinch()
+        f = pinch()
         cfg = DescentConfig(max_iters=300)
         trace = optimize(f, (2.0, -0.1), cfg)
         # Strict decrease on every step.
@@ -129,7 +121,7 @@ class TestOptimize:
             assert decrease >= required * (1 - 1e-12)
 
     def test_sigma_hat_at_least_configured(self):
-        trace = optimize(_pinch(), (2.0, -0.1), DescentConfig(max_iters=300))
+        trace = optimize(pinch(), (2.0, -0.1), DescentConfig(max_iters=300))
         report = check_conditions(trace, 0)
         assert report.sigma_hat >= 0.1
 
@@ -176,14 +168,14 @@ class TestOptimize:
         assert len(trace.f_values) == 0
 
     def test_determinism(self):
-        f = _pinch()
+        f = pinch()
         t1 = optimize(f, (2.0, -0.1), DescentConfig(max_iters=200))
         t2 = optimize(f, (2.0, -0.1), DescentConfig(max_iters=200))
         assert t1 == t2
 
     def test_non_finite_start_rejected(self):
         with pytest.raises(ValueError):
-            optimize(_pinch(), (float("nan"), 0.0))
+            optimize(pinch(), (float("nan"), 0.0))
 
 
 def _trace_digest(trace):
@@ -221,11 +213,7 @@ class TestPinnedBits:
     def test_cp_f_hat_run_through_the_composed_chart(self):
         """Criterion 9's (2,2,2) rank-2 f_hat, whose one chart sums two inner
         levels before p and q."""
-        rng = random.Random(43)
-        target = [[[float(rng.randint(-3, 3)) for _ in range(2)] for _ in range(2)]
-                  for _ in range(2)]
-        target[0][0][0] = target[0][0][0] or 1.0
-        f = build_cp_objective(CPModel((2, 2, 2), 2), target).f_hat
+        f = criterion_9_objective()[1].f_hat
         rng = random.Random(9)
         x0 = [rng.gauss(0.0, 1.0) for _ in range(12)]
         trace = optimize(f, x0, DescentConfig(max_iters=50))
@@ -347,25 +335,11 @@ class TestLineSearch:
         assert retries > 0 or name != "fig1"
 
 
-def _hex(values):
-    """A search result as float.hex strings, so equality means equal bits."""
-    if values is None or isinstance(values, float):
-        return values if values is None else values.hex()
-    return [_hex(v) for v in values]
-
-
 def _trace_hex(trace):
     """Every float of a trace as float.hex, with its stop reason."""
-    return [_hex(list(field)) for field in (
+    return [float_hex(list(field)) for field in (
         trace.iterates, trace.f_values, trace.grad_norms, trace.step_norms, trace.alphas
     )] + [trace.stop_reason]
-
-
-def _cp_f_hat():
-    rng = random.Random(43)
-    target = [[[rng.gauss(0.0, 1.0) for _ in range(2)] for _ in range(2)]
-              for _ in range(2)]
-    return build_cp_objective(CPModel((2, 2, 2), 2), target).f_hat
 
 
 def _polynomial_objective(numer):
@@ -395,12 +369,12 @@ class TestGeneratedSearch:
         result = search(f, x, fx, grad, gnorm, alpha)
         loop = looped(make()) if loop is None else loop
         expected_loop = reference_search(loop, x, fx, grad, gnorm, alpha)
-        assert _hex(expected_loop) == _hex(result), (x, alpha)
+        assert float_hex(expected_loop) == float_hex(result), (x, alpha)
         if result is None:
             assert expected is None, (x, alpha)
         else:
-            assert _hex(result[:3]) == _hex(expected), (x, alpha)
-            assert _hex(result[3]) == _hex(reference.eval_and_grad(result[0])[1])
+            assert float_hex(result[:3]) == float_hex(expected), (x, alpha)
+            assert float_hex(result[3]) == float_hex(reference.eval_and_grad(result[0])[1])
         return expected
 
     @pytest.mark.parametrize("name", ["fig1", "counterex", "multi3"])
@@ -429,18 +403,18 @@ class TestGeneratedSearch:
         rng = random.Random(222)
         for _ in range(20):
             x = tuple(rng.gauss(0.0, 1.0) for _ in range(12))
-            self._assert_same(_cp_f_hat, x, 2.0 ** rng.randint(-3, 3))
+            self._assert_same(cp_f_hat, x, 2.0 ** rng.randint(-3, 3))
 
     @pytest.mark.parametrize("fx", [None, 1.0])
     def test_trial_at_the_floor_backtracks(self, fx):
-        """_pinch from (1, 1) along (1, 1): the first trial is the origin,
+        """pinch from (1, 1) along (1, 1): the first trial is the origin,
         where q = 0, and the second is (0.5, 0.5)."""
         with pytest.raises(DomainViolation):
-            _pinch().eval((0.0, 0.0))
-        expected = self._assert_same(_pinch, (1.0, 1.0), 1.0, fx, (1.0, 1.0))
+            pinch().eval((0.0, 0.0))
+        expected = self._assert_same(pinch, (1.0, 1.0), 1.0, fx, (1.0, 1.0))
         if fx is not None:
             assert expected[0] == (0.5, 0.5)
-        assert search(_pinch(), (1.0, 1.0), 1.0, (1.0, 1.0), math.sqrt(2.0), 1.0, 1) is None
+        assert search(pinch(), (1.0, 1.0), 1.0, (1.0, 1.0), math.sqrt(2.0), 1.0, 1) is None
 
     @pytest.mark.parametrize("numer", [
         lambda x, y: -x ** 4 - y ** 4,  # -inf
@@ -481,8 +455,8 @@ class TestGeneratedSearch:
         accepted = line_search(f.eval, x, fx, grad, gnorm * gnorm, alpha, *_ARGS)
         alpha0 = accepted[2] * 2.0 ** MAX_BACKTRACKS
         assert self._assert_same(make, x, alpha0) is None
-        assert _hex(search(f, x, fx, grad, gnorm, alpha0, MAX_BACKTRACKS + 1)[:3]) == (
-            _hex(accepted)
+        assert float_hex(search(f, x, fx, grad, gnorm, alpha0, MAX_BACKTRACKS + 1)[:3]) == (
+            float_hex(accepted)
         )
         if name == "multi3":
             first = tuple(xi - alpha0 * gi for xi, gi in zip(x, grad))
@@ -523,7 +497,7 @@ class TestGeneratedSearch:
         """optimize through descend against the Python step loop over
         line_search and eval_and_grad, over generated code and over the
         charts' term loops."""
-        make = _cp_f_hat if name == "cp_f_hat" else lambda: load_bundled(name).rational()
+        make = cp_f_hat if name == "cp_f_hat" else lambda: load_bundled(name).rational()
         cfg = DescentConfig(max_iters=max_iters)
         trace = optimize(make(), x0, cfg)
         reference = step_loop(make(), x0, cfg)
@@ -584,7 +558,7 @@ class TestGeneratedSearch:
             assert log[i + 1][:2] == (log[i][0], cfg.initial_step) and log[i + 1][2]
 
     def test_floor_rejection_in_a_run(self):
-        """_pinch from (1, -1) with initial_step 9: the first trial is the
+        """pinch from (1, -1) with initial_step 9: the first trial is the
         origin, where q = 0, and the run backtracks past it."""
         cfg = DescentConfig(max_iters=50, initial_step=9.0)
         rejected = []
@@ -596,8 +570,8 @@ class TestGeneratedSearch:
                 rejected.append(t)
                 raise
 
-        f = _pinch()
-        trace = self._assert_same_run(_pinch, (1.0, -1.0), cfg)
+        f = pinch()
+        trace = self._assert_same_run(pinch, (1.0, -1.0), cfg)
         assert step_loop(f, (1.0, -1.0), cfg, evaluate=evaluate) == trace
         assert rejected[0] == (0.0, 0.0) and len(trace) > 2
 
@@ -651,7 +625,7 @@ class TestCheckConditions:
 
         f_k - f_{k+1} = 3*4^{-k-1}, ||grad|| = 2^{1-k}, step = 2^{-k-1}.
         """
-        f = _quadratic_1d()
+        f = quadratic_1d()
         points = [(2.0 ** -k,) for k in range(10)]
         trace = trace_from_points(f, points)
         report = check_conditions(trace, 0)
@@ -659,28 +633,32 @@ class TestCheckConditions:
         assert report.kappa_hat == pytest.approx(0.25)
         assert report.a2_violations == 0
 
+    def test_no_points_no_trace(self):
+        with pytest.raises(ValueError, match="empty point sequence"):
+            trace_from_points(quadratic_1d(), [])
+
     def test_single_point_trace_reports_none(self):
-        f = _quadratic_1d()
+        f = quadratic_1d()
         trace = trace_from_points(f, [(1.0,)])
         report = check_conditions(trace, 0)
         assert report.sigma_hat is None
         assert report.kappa_hat is None
 
     def test_degenerate_steps_counted_not_fatal(self):
-        f = _quadratic_1d()
+        f = quadratic_1d()
         trace = trace_from_points(f, [(1.0,), (1.0,), (0.5,)])
         report = check_conditions(trace, 0)
         assert report.degenerate_steps == 1
         assert report.sigma_hat is not None
 
     def test_tail_start_beyond_last_step_rejected(self):
-        f = _quadratic_1d()
+        f = quadratic_1d()
         trace = trace_from_points(f, [(1.0,), (0.5,)])
         with pytest.raises(ValueError):
             check_conditions(trace, 1)
 
     def test_zero_progress_step_counts_a2_violation(self):
-        f = _pinch()
+        f = pinch()
         # Symmetric points with identical f-value but nonzero step.
         trace = trace_from_points(f, [(1.0, 1.0), (-1.0, -1.0)])
         report = check_conditions(trace, 0)
@@ -794,14 +772,14 @@ class TestCheckConditionsBits:
 
 class TestTracePersistence:
     def test_round_trip_is_bit_exact(self, tmp_path):
-        trace = optimize(_pinch(), (2.0, -0.1), DescentConfig(max_iters=50))
+        trace = optimize(pinch(), (2.0, -0.1), DescentConfig(max_iters=50))
         path = tmp_path / "run.trace.csv"
         write_trace_csv(trace, path)
         back = read_trace_csv(path)
         assert back == trace
 
     def test_round_trip_write_is_byte_identical(self, tmp_path):
-        trace = optimize(_pinch(), (2.0, -0.1), DescentConfig(max_iters=50))
+        trace = optimize(pinch(), (2.0, -0.1), DescentConfig(max_iters=50))
         p1 = tmp_path / "a.csv"
         p2 = tmp_path / "b.csv"
         write_trace_csv(trace, p1)
@@ -809,14 +787,14 @@ class TestTracePersistence:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_reingested_trace_reproduces_conditions(self, tmp_path):
-        trace = optimize(_pinch(), (2.0, -0.1), DescentConfig(max_iters=80))
+        trace = optimize(pinch(), (2.0, -0.1), DescentConfig(max_iters=80))
         path = tmp_path / "run.trace.csv"
         write_trace_csv(trace, path)
         back = read_trace_csv(path)
         assert check_conditions(back, 10) == check_conditions(trace, 10)
 
     def test_metadata_round_trip(self, tmp_path):
-        trace = optimize(_pinch(), (2.0, -0.1), DescentConfig(max_iters=20))
+        trace = optimize(pinch(), (2.0, -0.1), DescentConfig(max_iters=20))
         path = tmp_path / "run.trace.csv"
         metadata = {"config": {"max_iters": 20}, "singulim_version": "0.1.0"}
         write_trace_csv(trace, path, metadata)
@@ -824,7 +802,7 @@ class TestTracePersistence:
         assert read_trace_csv(path) == trace
 
     def test_sidecar_with_stop_reason_only_still_read(self, tmp_path):
-        trace = optimize(_pinch(), (2.0, -0.1), DescentConfig(max_iters=20))
+        trace = optimize(pinch(), (2.0, -0.1), DescentConfig(max_iters=20))
         path = tmp_path / "run.trace.csv"
         write_trace_csv(trace, path)
         assert json.loads((tmp_path / "run.trace.csv.meta.json").read_text()) == {
@@ -842,7 +820,7 @@ class TestTracePersistence:
             read_trace_csv(path)
 
     def test_malformed_sidecar_rejected(self, tmp_path):
-        trace = optimize(_pinch(), (2.0, -0.1), DescentConfig(max_iters=5))
+        trace = optimize(pinch(), (2.0, -0.1), DescentConfig(max_iters=5))
         path = tmp_path / "run.trace.csv"
         write_trace_csv(trace, path)
         for text in ("{not json", '{"stop_reason": "done"}', "[]",
@@ -872,7 +850,7 @@ class TestTracePersistence:
         """f and grad_norm belong on every row, step_norm and alpha on
         every row but the last; a row without them would misalign the
         columns against the iterates."""
-        trace = optimize(_pinch(), (2.0, -0.1), DescentConfig(max_iters=20))
+        trace = optimize(pinch(), (2.0, -0.1), DescentConfig(max_iters=20))
         assert len(trace) == 21
         path = tmp_path / "run.trace.csv"
         write_trace_csv(trace, path)
@@ -888,7 +866,11 @@ class TestTracePersistence:
         ("k,x_1,f,grad_norm,step_norm,alpha\n", "empty trace"),
         ("k,x_1,f,grad_norm,step_norm,alpha\n0,1,1,1,1,1\n1,0.5,1,1\n",
          "row length mismatch"),
-    ], ids=["no-coordinates", "empty-body", "ragged-row"])
+        ("k,x_1,x_2,grad_norm,f,step_norm,alpha\n0,1,1,2,0.5,,\n",
+         "malformed trace header"),
+        ("k,a,b,c,d,e,g\n0,1,1,0.5,2,,\n", "malformed trace header"),
+    ], ids=["no-coordinates", "empty-body", "ragged-row", "f-and-grad_norm-swapped",
+            "unnamed-columns"])
     def test_malformed_csv_rejected(self, tmp_path, text, message):
         path = tmp_path / "bad.csv"
         path.write_text(text)

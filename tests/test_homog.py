@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from singulim.descent import DescentConfig, check_conditions, optimize, trace_from_points
 from singulim.homog import (
     CPModel,
+    HomogenizedObjective,
     build_cp_objective,
     euler_check,
     euler_residual_ok,
@@ -21,6 +22,8 @@ from singulim.homog import (
 )
 from singulim.polyalg import DomainViolation, Polynomial, RationalFunction
 from singulim.singan import analyze_singularity, direction_verdict, taylor_line
+
+from descent_helpers import criterion_9_objective
 
 
 def _rank1_2x2(target):
@@ -70,6 +73,13 @@ class TestNormalize:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             normalize((0.0, 0.0))
+
+    @pytest.mark.parametrize("v", [(math.inf, 1.0), (1.0, -math.inf), (math.nan, 1.0)],
+                             ids=["inf", "minus-inf", "nan"])
+    def test_non_finite_entry_rejected(self, v):
+        """Not returned as (nan, nan): inf / inf is NaN."""
+        with pytest.raises(ValueError, match="non-finite"):
+            normalize(v)
 
 
 class TestNormalizationBound:
@@ -122,6 +132,33 @@ class TestCPModel:
         with pytest.raises(ValueError):
             CPModel((2, 2), 0)
 
+    @pytest.mark.parametrize("dims, rank", [
+        ((2, 2.5), 1), ((2, True), 1), ((2, 2.0), 1), ((2, "2"), 1), ((2, 2), 1.5),
+        ((2, 2), True),
+    ], ids=["float-dim", "bool-dim", "integral-float-dim", "str-dim", "float-rank",
+            "bool-rank"])
+    def test_non_integer_dims_and_rank_rejected(self, dims, rank):
+        """Not truncated by int(): (2, 2.5) read as (2, 2), True as 1."""
+        with pytest.raises(ValueError, match="must be integers"):
+            CPModel(dims, rank)
+
+    def test_numpy_integers_read_as_ints(self):
+        model = CPModel(np.array([2, 3]), np.int64(2))
+        assert model == CPModel((2, 3), 2)
+        assert type(model.n_params) is int and model.n_params == 10
+
+    @pytest.mark.parametrize("term, mode, coord", [
+        (2, 0, 0), (-1, 0, 0), (0, 2, 0), (0, -1, 0), (0, 1, 3), (0, 0, -1),
+    ])
+    def test_var_index_out_of_range(self, term, mode, coord):
+        model = CPModel((2, 3), 2)
+        with pytest.raises(IndexError, match="out of range"):
+            model.var_index(term, mode, coord)
+
+    def test_factors_of_the_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="has 3 entries, expected 4"):
+            CPModel((2, 2), 1).factors([1.0, 2.0, 3.0])
+
 
 class TestBuildCPObjective:
     def test_rank1_matrix_closed_form(self):
@@ -165,13 +202,8 @@ class TestBuildCPObjective:
 
     def test_extreme_scales_keep_value(self):
         """Criterion 9's target: G^2 under- and overflows at these scales, G does not."""
-        rng = random.Random(43)
-        model = CPModel((2, 2, 2), 2)
-        target = np.array(
-            [[[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)]
-             for _ in range(2)], dtype=float)
-        target[0, 0, 0] = target[0, 0, 0] or 1.0
-        obj = build_cp_objective(model, target)
+        rng, obj = criterion_9_objective()
+        model = obj.model
         for _ in range(20):
             x = [rng.gauss(0.0, 1.0) for _ in range(model.n_params)]
             fx = obj.eval(x)
@@ -183,13 +215,8 @@ class TestBuildCPObjective:
     def test_extreme_scales_keep_gradient(self):
         """Degree-0 homogeneity: grad f(c x) = grad f(x) / c, where G^2 under-
         and overflows although G does not."""
-        rng = random.Random(43)
-        model = CPModel((2, 2, 2), 2)
-        target = np.array(
-            [[[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)]
-             for _ in range(2)], dtype=float)
-        target[0, 0, 0] = target[0, 0, 0] or 1.0
-        obj = build_cp_objective(model, target)
+        rng, obj = criterion_9_objective()
+        model = obj.model
         for _ in range(20):
             x = [rng.gauss(0.0, 1.0) for _ in range(model.n_params)]
             _, grad = obj.eval_and_grad(x)
@@ -438,6 +465,18 @@ class TestNormalizedA1:
         original = check_conditions(trace, 0)
         assert normalized.sigma_hat == pytest.approx(original.sigma_hat)
         assert normalized.kappa_hat == pytest.approx(original.kappa_hat)
+
+    def test_objective_not_of_degree_zero_rejected(self):
+        """x0^2 + x1^2 + x2^2 + x3^2 in place of f_hat: its radial derivative
+        2 f(x) is not zero at the trace's endpoints."""
+        model, obj = _rank1_2x2([[1.0, 0.0], [0.0, 1.0]])
+        x = [Polynomial.variable(4, i) for i in range(4)]
+        square = RationalFunction(sum((v * v for v in x), Polynomial.zero(4)),
+                                  Polynomial.constant(4, 1))
+        wrong = HomogenizedObjective(model, square, obj.target_norm_sq)
+        trace = trace_from_points(square, [(1.0, 0.5, 0.6, -0.4), (0.5, 0.25, 0.3, -0.2)])
+        with pytest.raises(ValueError, match="not degree-0 homogeneous"):
+            normalized_a1_check(trace, wrong)
 
     def test_trace_with_zero_vector_rejected(self):
         t_points = [(1.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 0.0)]

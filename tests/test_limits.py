@@ -39,17 +39,7 @@ from singulim.polyalg import Polynomial, RationalFunction
 from singulim.problems import load_bundled
 from singulim.singan import LinePencil, analyze_singularity, taylor_line
 
-
-def _pinch():
-    x = Polynomial.variable(2, 0)
-    y = Polynomial.variable(2, 1)
-    r2 = x * x + y * y
-    return RationalFunction(x * y, r2 * (1 + r2))
-
-
-def _quadratic_1d():
-    t = Polynomial.variable(1, 0)
-    return RationalFunction(t * t, Polynomial.constant(1, 1))
+from descent_helpers import pinch, quadratic_1d
 
 
 def _alternating_axes():
@@ -75,25 +65,25 @@ def _fig1_trace():
 
 class TestFindClusterPoint:
     def test_converging_trace_snaps_to_lattice(self):
-        f = _quadratic_1d()
+        f = quadratic_1d()
         points = [(2.0 ** -k,) for k in range(40)] + [(0.0,)] * 60
         trace = trace_from_points(f, points)
         assert find_cluster_point(trace) == (0.0,)
 
     def test_snap_to_small_denominator(self):
-        f = _quadratic_1d()
+        f = quadratic_1d()
         points = [(0.5 + 2.0 ** -k,) for k in range(60)]
         trace = trace_from_points(f, points)
         assert find_cluster_point(trace) == (0.5,)
 
     def test_divergent_trace_returns_none(self):
-        f = _quadratic_1d()
+        f = quadratic_1d()
         points = [(float(k),) for k in range(1, 50)]
         trace = trace_from_points(f, points)
         assert find_cluster_point(trace) is None
 
     def test_constant_trace_returns_start(self):
-        f = _quadratic_1d()
+        f = quadratic_1d()
         trace = trace_from_points(f, [(0.25,)] * 10)
         assert find_cluster_point(trace) == (0.25,)
 
@@ -105,15 +95,24 @@ class TestFindClusterPoint:
         ([(1.0,), (1.0 + 2e-8,)], 1e-8),
     ])
     def test_window_spread_decides_the_cluster_point(self, points, spread):
-        trace = trace_from_points(_quadratic_1d(), points)
+        trace = trace_from_points(quadratic_1d(), points)
         _, got = cluster_window(trace)
         assert got == pytest.approx(spread, rel=1e-6)
         assert (find_cluster_point(trace) is None) is (got > CLUSTER_TOL)
 
+    def test_empty_trace_has_no_window(self):
+        with pytest.raises(ValueError, match="empty trace"):
+            cluster_window(DescentTrace((), (), (), (), (), "max_iters"))
+
 
 class TestDirectionTrail:
+    def test_pencil_of_another_dimension_rejected(self):
+        pencil = analyze_singularity(quadratic_1d(), (0,))
+        with pytest.raises(ValueError, match="pencil base dimension"):
+            direction_trail(_fig1_trace(), pencil)
+
     def test_pinch_trail_pencil_values_are_one(self):
-        f = _pinch()
+        f = pinch()
         trace = optimize(f, (2.0, -0.1), DescentConfig(max_iters=400))
         pencil = analyze_singularity(f, (0, 0))
         trail = direction_trail(trace, pencil)
@@ -124,7 +123,7 @@ class TestDirectionTrail:
         assert trail_certifies_safe_approach(trail)
 
     def test_unit_norm_invariant(self):
-        f = _pinch()
+        f = pinch()
         trace = optimize(f, (2.0, -0.1), DescentConfig(max_iters=50))
         pencil = analyze_singularity(f, (0, 0))
         trail = direction_trail(trace, pencil)
@@ -140,7 +139,7 @@ class TestDirectionTrail:
         assert all(v == pytest.approx((-1.0) ** (k + 1)) for k, v in enumerate(values))
 
     def test_base_iterate_skipped(self):
-        f = _quadratic_1d()
+        f = quadratic_1d()
         trace = trace_from_points(f, [(1.0,), (0.0,), (0.5,)])
         pencil = analyze_singularity(f, (0,))
         trail = direction_trail(trace, pencil)
@@ -148,7 +147,7 @@ class TestDirectionTrail:
         assert len(trail.unit_directions) == 2
 
     def test_single_step_trace(self):
-        f = _quadratic_1d()
+        f = quadratic_1d()
         trace = trace_from_points(f, [(1.0,)])
         pencil = analyze_singularity(f, (0,))
         trail = direction_trail(trace, pencil)
@@ -438,7 +437,7 @@ class TestEstimateLimit:
 class TestLojasiewiczProbe:
     def test_halving_trace_certificate_constants(self):
         """x_k = 2^-k on f = x^2: |f|^{1/2} = |x| = c * ||grad|| with c = 1/2."""
-        f = _quadratic_1d()
+        f = quadratic_1d()
         points = [(2.0 ** -k,) for k in range(20)]
         trace = trace_from_points(f, points)
         certs = lojasiewicz_probe(trace, 0, theta_grid=[0.5], L=0.0)
@@ -447,7 +446,7 @@ class TestLojasiewiczProbe:
         assert certs[0].c == pytest.approx(0.5)
 
     def test_certificates_sorted_and_verified(self):
-        f = _pinch()
+        f = pinch()
         trace = optimize(f, (2.0, -0.1), DescentConfig(max_iters=400))
         tail = len(trace) // 2
         certs = lojasiewicz_probe(trace, tail, DEFAULT_THETA_GRID)
@@ -459,7 +458,7 @@ class TestLojasiewiczProbe:
 
     def test_theta_to_c_map_monotone(self):
         """With residuals below 1, larger theta can only raise c."""
-        f = _pinch()
+        f = pinch()
         trace = optimize(f, (2.0, -0.1), DescentConfig(max_iters=400))
         tail = len(trace) // 2
         certs = lojasiewicz_probe(trace, tail, DEFAULT_THETA_GRID)
@@ -472,16 +471,51 @@ class TestLojasiewiczProbe:
         assert all(not c.feasible for c in certs)
 
     def test_non_monotone_tail_without_obstruction_raises(self):
-        f = _quadratic_1d()
+        f = quadratic_1d()
         trace = trace_from_points(f, [(1.0,), (0.25,), (0.5,)])
         with pytest.raises(ValueError):
             lojasiewicz_probe(trace, 0, [0.5], L=0.0)
 
     def test_empty_tail_rejected(self):
-        f = _quadratic_1d()
+        f = quadratic_1d()
         trace = trace_from_points(f, [(1.0,), (0.5,)])
         with pytest.raises(ValueError):
             lojasiewicz_probe(trace, 5, [0.5])
+
+    def test_start_outside_the_domain_has_an_empty_tail(self):
+        """The one row of such a trace holds no f and no gradient norm."""
+        trace = DescentTrace(((3.0, 0.0),), (), (), (), (), "domain_violation")
+        with pytest.raises(ValueError, match="empty tail"):
+            lojasiewicz_probe(trace, 0)
+
+    def test_nan_gradient_norm_in_the_tail_is_no_certificate(self):
+        """One NaN ||grad|| in the tail of fig1's run: the inequality is
+        never checked there, so no c is fitted and every certificate that
+        held on the clean trace counts that point as its one violation."""
+        trace = _fig1_trace()
+        tail = len(trace) // 2
+        clean = lojasiewicz_probe(trace, tail)
+        assert all(c.feasible and verify_certificate(trace, c) == 0 for c in clean)
+        grad_norms = list(trace.grad_norms)
+        grad_norms[tail + 48] = math.nan
+        holed = dataclasses.replace(trace, grad_norms=tuple(grad_norms))
+        certs = lojasiewicz_probe(holed, tail)
+        assert len(certs) == len(clean)
+        assert all(not c.feasible and math.isnan(c.c) for c in certs)
+        assert [verify_certificate(holed, c) for c in clean] == [1] * len(clean)
+
+    def test_nan_residual_through_l_is_no_certificate(self):
+        """L = NaN makes every residual NaN: no certificate is feasible, and
+        each point of the tail violates one fitted with that L."""
+        trace = _fig1_trace()
+        tail = len(trace) // 2
+        certs = lojasiewicz_probe(trace, tail, L=math.nan)
+        assert certs and all(not c.feasible and math.isnan(c.c) for c in certs)
+        clean = lojasiewicz_probe(trace, tail)
+        for cert in clean:
+            assert verify_certificate(trace, dataclasses.replace(cert, L=math.nan)) == (
+                len(trace) - tail
+            )
 
     def test_negative_tail_start_reads_as_zero(self):
         """Not as a count from the end of the trace: the last points alone
@@ -493,7 +527,7 @@ class TestLojasiewiczProbe:
 
     def test_theta_outside_unit_interval_rejected(self):
         """f = 1e-100, 1e-200, 0: r ** (1 - 3) would overflow at theta = 3."""
-        f = _quadratic_1d()
+        f = quadratic_1d()
         trace = trace_from_points(f, [(1e-50,), (1e-100,), (0.0,)])
         assert trace.f_values == (1e-100, 1e-200, 0.0)
         with pytest.raises(ValueError, match="theta=3.0"):
@@ -506,7 +540,7 @@ class TestLojasiewiczProbe:
 
 class TestRateClassify:
     def _trace_with_radii(self, radii):
-        f = _quadratic_1d()
+        f = quadratic_1d()
         return trace_from_points(f, [(r,) for r in radii])
 
     def test_planted_geometric(self):
@@ -545,7 +579,7 @@ class TestRateClassify:
         # One move, then the distance to x* stays 0.5: log r against log k is
         # constant, which fits no power law.
         points = [(1.0, 0.0)] + [(0.5, 0.0)] * (n_iterates - 1)
-        trace = trace_from_points(_pinch(), points)
+        trace = trace_from_points(pinch(), points)
         est = rate_classify(trace, (0, 0), 0)
         assert est.regime != "sublinear"
 

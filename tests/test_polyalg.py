@@ -8,6 +8,7 @@ import random
 import re
 import sys
 import weakref
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -22,12 +23,20 @@ from singulim.polyalg import (
     DomainViolation,
     Polynomial,
     RationalFunction,
+    _as_fraction,
     _shift_terms,
 )
-from singulim.homog import CPModel, build_cp_objective
 from singulim.problems import BUNDLED_NAMES, load_bundled
 
-from descent_helpers import line_search, looped, reference_search, search, step_loop
+from descent_helpers import (
+    cp_f_hat,
+    float_hex,
+    line_search,
+    looped,
+    reference_search,
+    search,
+    step_loop,
+)
 
 N_VARS = 3
 
@@ -176,6 +185,67 @@ class TestCanonicalForm:
         p = x + 2 * y + 1
         assert p ** 4 == p * p * p * p
         assert p ** 0 == Polynomial.constant(2, 1)
+
+
+class TestRejectedInputsAndOperators:
+    """Checks and operators that the algebra tests above do not reach."""
+
+    def test_negative_variable_count_rejected(self):
+        with pytest.raises(ValueError, match="n_vars must be non-negative"):
+            Polynomial(-1)
+
+    def test_exponent_tuple_of_the_wrong_length_rejected(self):
+        with pytest.raises(DimensionError, match="has length 1, expected 2"):
+            Polynomial(2, {(1,): 1})
+
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError, match="negative exponent"):
+            Polynomial(2, {(1, -1): 1})
+
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_variable_index_out_of_range(self, index):
+        with pytest.raises(IndexError, match="out of range"):
+            Polynomial.variable(2, index)
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(ValueError, match="negative polynomial power"):
+            Polynomial.variable(2, 0) ** -1
+
+    def test_number_minus_polynomial(self):
+        x, _ = _vars()
+        assert (2 - x).terms == {(0, 0): 2, (1, 0): -1}
+
+    def test_equality_with_a_number_is_false(self):
+        one = Polynomial.constant(2, 1)
+        assert (one == 1) is False
+        assert (RationalFunction(one, one) == 1) is False
+
+    def test_rational_function_repr(self):
+        x, y = _vars()
+        assert repr(RationalFunction(x, 1 + y)) == (
+            "RationalFunction(Polynomial(2, 1*x0), Polynomial(2, 1 + 1*x1))"
+        )
+
+    @pytest.mark.parametrize("value, expected", [
+        (Fraction(1, 3), Fraction(1, 3)),
+        (3, Fraction(3)),
+        (True, Fraction(1)),
+        (0.5, Fraction(1, 2)),
+        ("-2/6", Fraction(-1, 3)),
+    ], ids=["fraction", "int", "bool", "float", "str"])
+    def test_as_fraction_accepts_rationals_floats_and_strings(self, value, expected):
+        assert _as_fraction(value) == expected
+        assert type(_as_fraction(value)) is Fraction
+
+    def test_as_fraction_returns_a_fraction_as_it_is(self):
+        value = Fraction(2, 7)
+        assert _as_fraction(value) is value
+
+    @pytest.mark.parametrize("value", [object(), Decimal("0.5"), None, 1j],
+                             ids=["object", "decimal", "none", "complex"])
+    def test_as_fraction_rejects_anything_else(self, value):
+        with pytest.raises(TypeError, match="as an exact rational"):
+            _as_fraction(value)
 
 
 class TestEvaluation:
@@ -335,7 +405,7 @@ class TestShift:
     def test_integer_shift_matches_reference_on_cp_objective(self):
         half = Fraction(1, 2)
         offset = (1, 2, half, 3, -1, 2, -1, -2, half, 3, -1, 2)
-        f = _cp_f_hat()
+        f = cp_f_hat()
         for poly in (f.numer, f.denom):
             _assert_shift_matches_reference(poly.terms, offset)
 
@@ -493,15 +563,6 @@ class TestLocalCharts:
             assert f._chart(x) is f._charts[expected], x
 
 
-def _hex(values):
-    """Nested values as float.hex strings, so equality means equal bits."""
-    if values is None:
-        return None
-    if isinstance(values, float):
-        return values.hex()
-    return [_hex(v) for v in values]
-
-
 def _domain_decision(evaluate, x):
     """None where evaluate(x) returns, else the rejected denominator's hex."""
     try:
@@ -510,13 +571,6 @@ def _domain_decision(evaluate, x):
         assert err.point == x
         return err.denom_value.hex()
     return None
-
-
-def _cp_f_hat():
-    rng = random.Random(43)
-    target = [[[rng.gauss(0.0, 1.0) for _ in range(2)] for _ in range(2)]
-              for _ in range(2)]
-    return build_cp_objective(CPModel((2, 2, 2), 2), target).f_hat
 
 
 def _bundled(name):
@@ -530,7 +584,7 @@ CHARTS = [
     ("multi3@(0,0)", _bundled("multi3"), (0.0, 0.0)),
     ("multi3@(3,0)", _bundled("multi3"), (3.0, 0.0)),
     ("multi3@(0,3)", _bundled("multi3"), (0.0, 3.0)),
-    ("cp_f_hat", _cp_f_hat, (0.0,) * 12),
+    ("cp_f_hat", cp_f_hat, (0.0,) * 12),
 ]
 
 
@@ -557,13 +611,13 @@ class TestEvaluator:
             f = make()
             first = getattr(f, method)(points[0])  # looped
             for _ in range(2):  # compiled, then reused
-                assert _hex(getattr(f, method)(points[0])) == _hex(first)
+                assert float_hex(getattr(f, method)(points[0])) == float_hex(first)
         chart = f._chart(points[0])
         assert chart.generated
         for x in points:
             assert f._chart(x) is chart
             for grad in (False, True):
-                assert _hex(chart.evaluate(x, grad)) == _hex(chart.loop(x, grad)), x
+                assert float_hex(chart.evaluate(x, grad)) == float_hex(chart.loop(x, grad)), x
 
     def test_each_function_generated_on_its_own_first_use(self):
         """A chart evaluated twice holds a generated evaluate and no
@@ -590,7 +644,7 @@ class TestEvaluator:
         appearing twice (du0/dx0 = du4/dx1 = x2*x4).  The w level sums 8 + 8
         terms for G and I, p and q 2 + 1 in w, and its 16 partials
         dG/du_k = 2 u_k and dI/du_k = T_k are distinct."""
-        f = _cp_f_hat()
+        f = cp_f_hat()
         x = (0.3,) * 12
         f.eval_and_grad(x)
         f.eval_and_grad(x)  # generated
@@ -615,7 +669,7 @@ class TestEvaluator:
             return compile(source, *args)
 
         monkeypatch.setattr(polyalg, "compile", capture, raising=False)
-        _cp_f_hat()._chart((0.3,) * 12).generate("evaluate")
+        cp_f_hat()._chart((0.3,) * 12).generate("evaluate")
         monkeypatch.undo()
         (source,) = sources
         assert re.search(r"^ *(\w+) = \1 \+ [-+.\de]+$", source, re.MULTILINE) is None
@@ -638,11 +692,11 @@ class TestEvaluator:
             assert not sys.float_info.min <= q * q < math.inf
         first = f.eval_and_grad(points[0])  # looped
         for _ in range(2):  # generated, then reused
-            assert _hex(f.eval_and_grad(points[0])) == _hex(first)
+            assert float_hex(f.eval_and_grad(points[0])) == float_hex(first)
         chart = f._chart(points[0])
         assert chart.generated
         for x in points:
-            assert _hex(chart.evaluate(x, True)) == _hex(chart.loop(x, True)), x
+            assert float_hex(chart.evaluate(x, True)) == float_hex(chart.loop(x, True)), x
 
     def test_eval_and_eval_and_grad_share_the_domain_decision(self):
         """Near fig1's floor, ||x|| from 1e-149 to 1e-151, where q ~ ||x||^2.
@@ -726,17 +780,17 @@ class TestEvaluator:
     def _assert_generated_matches_loop(f, rng):
         points = [[rng.uniform(-1.1, 1.1) for _ in range(f.n_vars)] for _ in range(5)]
         chart = f._chart(points[0])
-        assert _hex(f.eval_and_grad(points[0])) == _hex(f.eval_and_grad(points[0]))
+        assert float_hex(f.eval_and_grad(points[0])) == float_hex(f.eval_and_grad(points[0]))
         assert chart.generated
         for x in points:
             for grad in (False, True):
-                assert _hex(chart.evaluate(x, grad)) == _hex(chart.loop(x, grad))
+                assert float_hex(chart.evaluate(x, grad)) == float_hex(chart.loop(x, grad))
 
 
 def _outcome(evaluate, x):
     """evaluate(x) as float.hex strings, or the DomainViolation it raised."""
     try:
-        return _hex(evaluate(x))
+        return float_hex(evaluate(x))
     except DomainViolation as err:
         return "DomainViolation", err.point, err.denom_value.hex()
 
@@ -780,8 +834,8 @@ class TestValueReuse:
         """Search to a; the accepted trial is a, with the bits of
         eval_and_grad(a)."""
         trial, f_trial, _, grad = _search_to(f, a)
-        assert _hex(list(trial)) == _hex([float(v) for v in a])
-        assert _hex([f_trial, grad]) == _hex(make().eval_and_grad(a))
+        assert float_hex(list(trial)) == float_hex([float(v) for v in a])
+        assert float_hex([f_trial, grad]) == float_hex(make().eval_and_grad(a))
 
     @pytest.mark.parametrize("label, make, centre", CHARTS,
                              ids=[c[0] for c in CHARTS])
@@ -936,7 +990,7 @@ class TestGeneratedCode:
         points = [zero]
         for args in searches:
             expected = reference_search(reference, *args)
-            assert _hex(search(f, *args)) == _hex(expected), args
+            assert float_hex(search(f, *args)) == float_hex(expected), args
             x = args[0]
             points += [x] if expected is None else [x, expected[0]]
         for x in points:
@@ -1001,7 +1055,7 @@ class TestGeneratedCode:
                 trace = run(g, x0, cfg, *args)
             except (ValueError, OverflowError) as err:
                 return type(err).__name__
-            return _hex([trace.iterates, trace.f_values, trace.grad_norms,
+            return float_hex([trace.iterates, trace.f_values, trace.grad_norms,
                          trace.step_norms, trace.alphas]), trace.stop_reason
 
         generated = outcome(optimize, f)
@@ -1011,7 +1065,7 @@ class TestGeneratedCode:
 
 
 class TestRationalFunction:
-    @pytest.mark.parametrize("make", [_bundled("fig1"), _bundled("multi3"), _cp_f_hat],
+    @pytest.mark.parametrize("make", [_bundled("fig1"), _bundled("multi3"), cp_f_hat],
                              ids=["fig1", "multi3", "cp-f-hat"])
     def test_wrong_length_point_raises_dimension_error(self, make):
         """One chart (fig1), three centres (multi3) and two inner levels
@@ -1132,13 +1186,13 @@ class TestRationalFunction:
         rng = random.Random(3)
         points = [(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(20)]
         first = f.eval_and_grad(points[0])  # looped
-        assert _hex(f.eval_and_grad(points[0])) == _hex(first)
+        assert float_hex(f.eval_and_grad(points[0])) == float_hex(first)
         chart = f._chart(points[0])
         assert chart.generated
         for pt in points:
             assert f.eval_exact(pt) == expanded.eval_exact(pt)
             for grad in (False, True):
-                assert _hex(chart.evaluate(pt, grad)) == _hex(chart.loop(pt, grad))
+                assert float_hex(chart.evaluate(pt, grad)) == float_hex(chart.loop(pt, grad))
             value, gradient = f.eval_and_grad(pt)
             ref_value, ref_gradient = expanded.eval_and_grad(pt)
             assert value == pytest.approx(ref_value, rel=1e-12, abs=1e-12)
@@ -1212,7 +1266,7 @@ class TestRationalFunction:
         with pytest.raises(DimensionError, match="singular point"):
             RationalFunction(x * y, x * x + y * y, [(1, 0), (1, 2, 3)])
 
-    @pytest.mark.parametrize("make", [_bundled("multi3"), _cp_f_hat],
+    @pytest.mark.parametrize("make", [_bundled("multi3"), cp_f_hat],
                              ids=["multi3", "cp_f_hat"])
     def test_exact_forms_built_once(self, make, monkeypatch):
         """The integer forms of p, q, the levels and their partials are built

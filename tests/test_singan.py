@@ -24,13 +24,7 @@ from singulim.singan import (
     taylor_line,
 )
 
-
-def _pinch():
-    """xy / ((x^2+y^2)(1+x^2+y^2)): bounded, essential singularity at 0."""
-    x = Polynomial.variable(2, 0)
-    y = Polynomial.variable(2, 1)
-    r2 = x * x + y * y
-    return RationalFunction(x * y, r2 * (1 + r2))
+from descent_helpers import float_hex, pinch
 
 
 def _univariate(numer_coeffs, denom_coeffs):
@@ -44,7 +38,7 @@ def _univariate(numer_coeffs, denom_coeffs):
 
 class TestAnalyzeSingularity:
     def test_pinch_point_pencil(self):
-        pencil = analyze_singularity(_pinch(), (0, 0))
+        pencil = analyze_singularity(pinch(), (0, 0))
         assert pencil.n_min == 2
         x = Polynomial.variable(2, 0)
         y = Polynomial.variable(2, 1)
@@ -96,12 +90,12 @@ class TestAnalyzeSingularity:
 
     def test_point_of_the_wrong_length_is_a_dimension_error(self):
         with pytest.raises(DimensionError):
-            analyze_singularity(_pinch(), (0, 0, 0))
+            analyze_singularity(pinch(), (0, 0, 0))
 
 
 class TestDirectionVerdict:
     def test_directional_limits_of_pinch(self):
-        pencil = analyze_singularity(_pinch(), (0, 0))
+        pencil = analyze_singularity(pinch(), (0, 0))
         assert direction_verdict(pencil, (1, -1)).limit_value == pytest.approx(-0.5)
         assert direction_verdict(pencil, (1, 0)).limit_value == pytest.approx(0.0)
 
@@ -114,7 +108,7 @@ class TestDirectionVerdict:
         assert direction_verdict(pencil, (1, 0)).limit_value == pytest.approx(1.0)
 
     def test_limits_match_numeric_limits(self):
-        f = _pinch()
+        f = pinch()
         pencil = analyze_singularity(f, (0, 0))
         rng = random.Random(11)
         for _ in range(10):
@@ -148,13 +142,13 @@ class TestDirectionVerdict:
                 assert verdict.limit_value.hex() == expected.hex()
 
     def test_zero_direction_rejected(self):
-        pencil = analyze_singularity(_pinch(), (0, 0))
+        pencil = analyze_singularity(pinch(), (0, 0))
         with pytest.raises(ValueError):
             direction_verdict(pencil, (0, 0))
 
     def test_safe_set_scale_invariance(self):
         """Leading pencil value is homogeneous: f(t*d) = t^deg * f(d)."""
-        pencil = analyze_singularity(_pinch(), (0, 0))
+        pencil = analyze_singularity(pinch(), (0, 0))
         leading = pencil.leading
         deg = leading.degree()
         rng = random.Random(5)
@@ -169,7 +163,7 @@ class TestDirectionVerdict:
 
     def test_random_sphere_directions_all_safe(self):
         """The unsafe set of the pinch pencil is exactly {0}."""
-        pencil = analyze_singularity(_pinch(), (0, 0))
+        pencil = analyze_singularity(pinch(), (0, 0))
         rng = random.Random(7)
         for _ in range(1000):
             phi = rng.uniform(0.0, 2.0 * math.pi)
@@ -206,7 +200,7 @@ class TestSeriesAndRecurrence:
             assert divided == recurred
 
     def test_pinch_series_along_diagonal(self):
-        f = _pinch()
+        f = pinch()
         line = taylor_line(f, (0, 0), (1, -1), n_terms=32)
         assert line.coeffs[0] == pytest.approx(-0.5)
         t = 0.01
@@ -239,6 +233,24 @@ class TestSeriesAndRecurrence:
         with pytest.raises(ZeroDivisionError):
             series_divide([1], [0, 1], 4)
 
+    def test_series_divide_rejects_an_empty_denominator(self):
+        with pytest.raises(ZeroDivisionError, match="leading denominator"):
+            series_divide([1], [], 4)
+
+    def test_recurrence_weights_reject_zero_leading_coefficient(self):
+        with pytest.raises(ZeroDivisionError, match="leading denominator"):
+            recurrence_weights([0, 1])
+
+    def test_recurrence_needs_a_seed_as_long_as_its_order(self):
+        with pytest.raises(ValueError, match="seed shorter than recurrence order"):
+            extend_by_recurrence([1], [1, 1], 5)
+
+    @pytest.mark.parametrize("n_terms", [0, -2])
+    def test_fewer_than_one_term_rejected(self, n_terms):
+        """Not an empty series: the CLI's --n-terms check, in the library."""
+        with pytest.raises(ValueError, match="at least 1"):
+            taylor_line(pinch(), (0, 0), (1, -1), n_terms=n_terms)
+
 
 class TestRadiusBound:
     def test_companion_norm_formula(self):
@@ -248,7 +260,7 @@ class TestRadiusBound:
         assert companion_radius_bound([0.25]) == pytest.approx(0.5)
 
     def test_partial_sums_converge_inside_bound(self):
-        f = _pinch()
+        f = pinch()
         line = taylor_line(f, (0, 0), (1, -1), n_terms=64)
         t = line.radius_lower_bound / 2.0
         tail = sum(abs(c) * t ** n for n, c in enumerate(line.coeffs) if n >= 48)
@@ -266,13 +278,6 @@ class TestRadiusBound:
             t = line.radius_lower_bound / 2.0
             tail = sum(abs(c) * t ** n for n, c in enumerate(line.coeffs) if n >= 48)
             assert tail < 1e-9
-
-
-def _hex(values):
-    """Nested floats as float.hex strings, so equality means equal bits."""
-    if isinstance(values, float):
-        return values.hex()
-    return [_hex(v) for v in values]
 
 
 class TestPencilMemo:
@@ -314,11 +319,11 @@ class TestPencilMemo:
         fresh = analyze_singularity(load_bundled(name).rational(), centre)
         fresh_line = taylor_line(f, centre, direction, pencil=fresh)
         fresh_trail = direction_trail(trace, fresh)
-        assert _hex(trail.pencil_values) == _hex(fresh_trail.pencil_values)
-        assert _hex(trail.unit_directions) == _hex(fresh_trail.unit_directions)
+        assert float_hex(trail.pencil_values) == float_hex(fresh_trail.pencil_values)
+        assert float_hex(trail.unit_directions) == float_hex(fresh_trail.unit_directions)
         assert trail.min_tail_pencil.hex() == fresh_trail.min_tail_pencil.hex()
-        assert _hex(line.coeffs) == _hex(fresh_line.coeffs)
-        assert _hex(line.recurrence_weights) == _hex(fresh_line.recurrence_weights)
+        assert float_hex(line.coeffs) == float_hex(fresh_line.coeffs)
+        assert float_hex(line.recurrence_weights) == float_hex(fresh_line.recurrence_weights)
         assert line.radius_lower_bound.hex() == fresh_line.radius_lower_bound.hex()
 
 
@@ -372,7 +377,7 @@ def _line_bits(f, centre, d, pencil):
         line = taylor_line(f, centre, d, n_terms=4, pencil=pencil)
     except UnsafeDirectionError:
         return "unsafe"
-    return (_hex(line.coeffs), _hex(line.recurrence_weights),
+    return (float_hex(line.coeffs), float_hex(line.recurrence_weights),
             line.radius_lower_bound.hex())
 
 
