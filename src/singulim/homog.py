@@ -21,9 +21,11 @@ through dw/du and du/dx by the chain rule.  Where the rank-1 terms of tau
 cancel, near the singular cone tau = 0, that cancellation then happens once
 per entry u_j instead of inside every term of r and G multiplied out in x.
 
-Building f_hat forms G and I in the u_j and r and G in w, and composes
-nothing (RationalFunction.composed): exact evaluation evaluates the u_j,
-then w, exactly, then r and G.  Equality, repr and analyze_singularity read
+Building f_hat writes the term maps of the u_j, of G and I in the u_j and
+of r and G in w directly, with the keys, order and coefficients that
+Polynomial arithmetic would give them, and composes nothing
+(RationalFunction.composed): exact evaluation evaluates the u_j, then w,
+exactly, then r and G.  Equality, repr and analyze_singularity read
 r and G in x, composed on first read and kept.  Only stored_form, which
 `singulim tensor --emit-problem` writes, multiplies out (r G)/G^2.
 DEFAULT_PARAM_BUDGET guards those expansions.
@@ -42,7 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from .descent import ConditionReport, DescentTrace, check_conditions, trace_from_points
-from .polyalg import Polynomial, RationalFunction
+from .polyalg import Polynomial, RationalFunction, _coefficient
 
 # Beyond this many scalar parameters the stored form over ||tau||^4, which
 # emit-problem multiplies out, and r and G in x, which equality and
@@ -166,7 +168,7 @@ def normalization_bound_check(
     """Evaluate both sides of ||u - v/||v|||| <= 2 ||u - v|| for unit u."""
     u = tuple(float(x) for x in u)
     norm_u = math.sqrt(math.fsum(x * x for x in u))
-    if abs(norm_u - 1.0) > 1e-12:
+    if not abs(norm_u - 1.0) <= 1e-12:  # NaN included
         raise ValueError(f"u must be a unit vector, got norm {norm_u}")
     vn = normalize(v)
     lhs = math.dist(u, vn)
@@ -178,20 +180,28 @@ def _tau_entries(model: CPModel) -> list[Polynomial]:
     """The entries of tau(x) as polynomials in the flat parameters.
 
     One per tensor index, in C order: the sum over rank terms of the product
-    of the selected factor entries.
+    of the selected factor entries.  Rank term l reads the parameters of
+    term 0 shifted by l blocks (CPModel), so each is its own monomial, with
+    coefficient 1.
     """
     n = model.n_params
+    block = sum(model.dims)
     entries = []
     for idx in itertools.product(*(range(d) for d in model.dims)):
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for l in range(model.rank):
+        first = [model.var_index(0, mode, coord) for mode, coord in enumerate(idx)]
+        terms = {}
+        for start in range(0, n, block):
             exps = [0] * n
-            for mode, coord in enumerate(idx):
-                exps[model.var_index(l, mode, coord)] += 1
-            key = tuple(exps)
-            terms[key] = terms.get(key, Fraction(0)) + Fraction(1)
-        entries.append(Polynomial(n, terms))
+            for i in first:
+                exps[start + i] = 1
+            terms[tuple(exps)] = 1
+        entries.append(Polynomial._trusted(n, terms))
     return entries
+
+
+def _unit(m: int, k: int, power: int) -> tuple[int, ...]:
+    """The exponent tuple of u_k ** power in m variables."""
+    return (0,) * k + (power,) + (0,) * (m - k - 1)
 
 
 def build_cp_objective(model: CPModel, target) -> HomogenizedObjective:
@@ -200,9 +210,14 @@ def build_cp_objective(model: CPModel, target) -> HomogenizedObjective:
     f_hat is r/G composed through the entries of tau and w = (G, I); nothing
     is composed here (module docstring).
     ||T||^2 is the exact sum of the squared entries, so f_hat >= 0 holds in
-    exact arithmetic (Cauchy-Schwarz).
+    exact arithmetic (Cauchy-Schwarz).  Raises ValueError, before any
+    polynomial is built, for a target entry that is not finite or a ||T||^2
+    beyond the float range.
     """
-    target = np.asarray(target, dtype=float)
+    try:
+        target = np.asarray(target, dtype=float)
+    except OverflowError:  # an integer entry beyond the float range
+        raise ValueError("target has an entry beyond the float range") from None
     if target.shape != model.dims:
         raise ValueError(
             f"target shape {target.shape} does not match model dims {model.dims}"
@@ -212,20 +227,34 @@ def build_cp_objective(model: CPModel, target) -> HomogenizedObjective:
             f"model has {model.n_params} parameters, beyond the symbolic "
             f"budget of {DEFAULT_PARAM_BUDGET}"
         )
+    flat = target.ravel().tolist()
+    for index, v in zip(itertools.product(*(range(d) for d in model.dims)), flat):
+        if not math.isfinite(v):
+            raise ValueError(f"target entry {list(index)} is {v}, not a finite number")
+    # ||T||^2 exactly: each entry is a / b with b a power of two, and over the
+    # largest b^2 the sum of squares is an integer.
+    ratios = [v.as_integer_ratio() for v in flat]
+    d = max(b for _, b in ratios)
+    t_sq = Fraction(sum((a * (d // b)) ** 2 for a, b in ratios), d * d)
+    try:
+        t_sq_float = float(t_sq)
+    except OverflowError:
+        raise ValueError("target ||T||^2 is beyond the float range") from None
     entries = _tau_entries(model)
-    t = [Fraction(float(v)) for v in target.flat]
     m = len(entries)
-    # G and I as polynomials in u = the entries of tau.
-    u = [Polynomial.variable(m, k) for k in range(m)]
-    gram_u = sum((u_k * u_k for u_k in u), Polynomial.zero(m))
-    inner_u = sum((u_k.scale(t_k) for u_k, t_k in zip(u, t)), Polynomial.zero(m))
-    t_sq = sum(t_k * t_k for t_k in t)
-    # r and G as polynomials in w = (G, I).
-    w0, w1 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    # G = sum u_k^2 and I = sum T_k u_k in u = the entries of tau, and
+    # r = ||T||^2 w_0 - w_1^2 and G = w_0 in w = (G, I), as stored: zero
+    # terms left out, ints where integral.
+    gram_u = {_unit(m, k, 2): 1 for k in range(m)}
+    inner_u = {_unit(m, k, 1): a if b == 1 else Fraction(a, b)
+               for k, (a, b) in enumerate(ratios) if a}
+    r = {(1, 0): _coefficient(t_sq), (0, 2): -1} if t_sq else {(0, 2): -1}
     f_hat = RationalFunction.composed(
-        w0.scale(t_sq) - w1 * w1, w0, [entries, (gram_u, inner_u)]
+        Polynomial._trusted(2, r),
+        Polynomial._trusted(2, {(1, 0): 1}),
+        [entries, (Polynomial._trusted(m, gram_u), Polynomial._trusted(m, inner_u))],
     )
-    return HomogenizedObjective(model, f_hat, float(t_sq))
+    return HomogenizedObjective(model, f_hat, t_sq_float)
 
 
 def _radial(grad: Sequence[float], x: Sequence[float]) -> float:

@@ -91,13 +91,16 @@ def _snap(coords: tuple[float, ...]) -> tuple[float, ...]:
 
 def cluster_window(trace: DescentTrace) -> tuple[tuple[float, ...], float]:
     """The mean of the trailing window and its spread, the largest distance
-    of a window point from the mean; find_cluster_point's window."""
+    of a window point from the mean; find_cluster_point's window.  A window
+    with a non-finite coordinate has neither: both are NaN."""
     points = trace.iterates
     if not points:
         raise ValueError("empty trace")
     window = max(2, math.ceil(len(points) * CLUSTER_WINDOW_FRACTION))
     window = min(window, len(points))
     tail = points[-window:]
+    if not all(map(math.isfinite, itertools.chain.from_iterable(tail))):
+        return (math.nan,) * len(tail[0]), math.nan
     center = _mean_point(tail)
     return center, max(math.dist(p, center) for p in tail)
 
@@ -105,11 +108,12 @@ def cluster_window(trace: DescentTrace) -> tuple[tuple[float, ...], float]:
 def find_cluster_point(trace: DescentTrace) -> tuple[float, ...] | None:
     """Detect a settled trailing window and return its (snapped) mean.
 
-    Returns None when the window's spread (cluster_window) exceeds
-    CLUSTER_TOL, e.g. for divergent traces.
+    Returns None unless the window's spread (cluster_window) is at most
+    CLUSTER_TOL: for divergent traces, and for a window with a non-finite
+    coordinate, whose spread is NaN.
     """
     center, spread = cluster_window(trace)
-    if spread > CLUSTER_TOL:
+    if not spread <= CLUSTER_TOL:
         return None
     return _snap(center)
 
@@ -341,13 +345,18 @@ def rate_classify(
     log k (sublinear regime, slope -> p with theta = p/(1+2p)); the regime
     with the better R^2 wins, and both below the quality floor means
     inconclusive.  The tail is the iterates from index tail_start on
-    (_tail_index).
+    (_tail_index); a distance on it that is not finite (a NaN or infinite
+    coordinate) makes the estimate inconclusive, with nothing fitted.
     """
     center = tuple(float(v) for v in x_star)
     ks = []
     rs = []
     for k in range(_tail_index(trace, tail_start), len(trace.iterates)):
         r = math.dist(trace.iterates[k], center)
+        if not math.isfinite(r):
+            return RateEstimate(
+                "inconclusive", detail=f"distance {r} to x* at iterate {k} is not finite"
+            )
         if r > 0.0:
             ks.append(k)
             rs.append(r)

@@ -968,8 +968,9 @@ class RationalFunction:
     With levels, float evaluation sums each level from the one before
     (_Evaluator) and exact evaluation evaluates each level exactly, then p
     and q at the last level's values.  Exact evaluation reads the integer
-    forms of p, q, the levels and their partials, built on first use and
-    kept like the charts (_exact_forms).
+    forms of p, q and the levels, built at the first exact call, and those
+    of their partials, built at the first gradient call; all are kept like
+    the charts (_kept_forms), so _setup's zero test builds no partial.
 
     numer and denom are p and q in the variables x: what __eq__, repr and
     the line pencil read.  With levels, each is composed when first needed
@@ -991,7 +992,7 @@ class RationalFunction:
 
     __slots__ = (
         "n_vars", "_numer", "_denom", "_factors", "_levels", "_origin",
-        "_centres", "_charts", "_pencils", "_exact_forms",
+        "_centres", "_charts", "_pencils", "_exact_forms", "_exact_grad",
     )
 
     def __init__(
@@ -1054,6 +1055,7 @@ class RationalFunction:
         # p and q in x; with levels, composed on first read.
         self._numer, self._denom = (None, None) if levels else (p, q)
         self._exact_forms = None
+        self._exact_grad = False
         self._origin = (0.0,) * n_vars
         centres = [self._origin]
         bases = [self._origin]
@@ -1191,7 +1193,7 @@ class RationalFunction:
         Raises DomainViolation at x, each coordinate as a float, where q is 0.
         """
         _check_point(x, self.n_vars)
-        pair, levels = self._exact_forms or self._build_exact_forms()
+        pair, levels = self._kept_forms(grad)
         point, s = _scaled_point(x)
         # Values are numerators over a common denominator.  That of p, q and
         # their partials cancels in p/q and in the gradient; those of the
@@ -1224,26 +1226,33 @@ class RationalFunction:
         q_sq = q_value * q_value * jacobian_d
         return f, [Fraction(a, q_sq) for a in gradient]
 
-    def _build_exact_forms(self) -> tuple:
-        """_exact_forms, built and kept: the integer forms of p, q and their
-        partials in the last level's variables, and per level its forms
-        followed by those of its Jacobian entries du_k/dv_i that are not
-        identically zero, the count of its forms and each entry's (k, i)."""
-        p, q = self._factors
-        pair = [_integer_form(p.terms), _integer_form(q.terms)]
-        pair += [_partial_form(form, k) for form in pair for k in range(p.n_vars)]
-        levels = []
-        for level in self._levels:
-            forms = [_integer_form(u.terms) for u in level]
-            entries, partials = [], []
-            for k, form in enumerate(forms):
-                for i in range(level[0].n_vars):
-                    du = _partial_form(form, i)
-                    if du[1]:
-                        entries.append((k, i))
-                        partials.append(du)
-            levels.append((forms + partials, len(forms), entries))
-        self._exact_forms = pair, levels
+    def _kept_forms(self, grad: bool) -> tuple:
+        """_exact_forms, built on first use and kept: the integer forms of p
+        and q, and per level its forms, their count and the (k, i) of its
+        Jacobian entries.  The first call with grad appends to p's and q's
+        the forms of their partials in the last level's variables, and to
+        each level's those of its Jacobian entries du_k/dv_i that are not
+        identically zero, with each entry's (k, i).  Each form is built once.
+        """
+        if self._exact_forms is None:
+            p, q = self._factors
+            self._exact_forms = (
+                [_integer_form(p.terms), _integer_form(q.terms)],
+                [([_integer_form(u.terms) for u in level], len(level), [])
+                 for level in self._levels],
+            )
+        pair, levels = self._exact_forms
+        if grad and not self._exact_grad:
+            m = self._factors[0].n_vars
+            pair += [_partial_form(form, k) for form in pair for k in range(m)]
+            for level, (forms, count, entries) in zip(self._levels, levels):
+                for k in range(count):
+                    for i in range(level[0].n_vars):
+                        du = _partial_form(forms[k], i)
+                        if du[1]:
+                            entries.append((k, i))
+                            forms.append(du)
+            self._exact_grad = True
         return self._exact_forms
 
     def eval_and_grad(self, x: Sequence[float]) -> tuple[float, list[float]]:

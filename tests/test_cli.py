@@ -431,6 +431,44 @@ class TestCli:
         assert len(certificates) == len(DEFAULT_THETA_GRID)
         assert all(not c["feasible"] and c["violations"] is None for c in certificates)
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_diagnose_reads_a_non_finite_iterate(self, workdir, capsys, value):
+        """A 200-step fig1 run with x_1 of row 200 (k = 198) set to nan or
+        inf: no cluster point, an inconclusive rate that names the distance,
+        exit 0 and nothing on stderr (numpy warnings are errors here)."""
+        problem = str(workdir / "fig1.problem")
+        trace_path = workdir / "fig1.200.trace.csv"
+        assert main(["optimize", "--problem", problem, "--x0", "2,-0.1",
+                     "--max-iters", "200", "--trace-out", str(trace_path)]) == 0
+        rows = [line.split(",") for line in trace_path.read_text().splitlines()]
+        assert rows[0][1] == "x_1" and rows[199][0] == "198"
+        rows[199][1] = value
+        holed = workdir / f"fig1.{value}-x.trace.csv"
+        holed.write_text("".join(",".join(r) + "\n" for r in rows))
+        capsys.readouterr()
+        assert main(["diagnose", "--trace", str(holed), "--problem", problem,
+                     "--x-star", "0,0"]) == 0
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert err == ""
+        assert report["cluster_point"] is None and math.isnan(report["cluster_spread"])
+        rate = report["rate"]
+        assert rate["regime"] == "inconclusive" and rate["p"] is None
+        assert rate["detail"] == f"distance {value} to x* at iterate 198 is not finite"
+
+    def test_tensor_target_norm_past_the_float_range(self, workdir, capsys):
+        """||T||^2 of [[1e200, 1], [1, 1]] is 1e400: one error line that names
+        it, exit 1, and no problem file."""
+        target = workdir / "huge-norm.target.json"
+        target.write_text("[[1e200, 1], [1, 1]]")
+        out_path = workdir / "huge-norm.problem"
+        assert main(["tensor", "--dims", "2,2", "--rank", "1", "--target", str(target),
+                     "--emit-problem", str(out_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: target ||T||^2 is beyond the float range\n"
+        assert not out_path.exists()
+
     def _diagnose(self, capsys, problem, points, *options):
         """The diagnose report on a trace of the given iterates."""
         trace_path = problem.with_suffix(".trace.csv")

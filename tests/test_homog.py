@@ -1,5 +1,6 @@
 """Normalization bound, degree-0 homogeneity, CP tensor objective."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singulim.descent import DescentConfig, check_conditions, optimize, trace_from_points
+from singulim import homog
 from singulim.homog import (
     CPModel,
     HomogenizedObjective,
@@ -42,6 +44,48 @@ def _rank1_2x2_polys(target):
     )
     gram = (a0 * a0 + a1 * a1) * (b0 * b0 + b1 * b1)
     return inner, gram
+
+
+def _arithmetic_cp_parts(model, target):
+    """(p, q) and the two inner levels of f_hat as Polynomial arithmetic forms
+    them: the reference for the term maps that build_cp_objective writes."""
+    n = model.n_params
+    entries = []
+    for idx in itertools.product(*(range(d) for d in model.dims)):
+        entry = Polynomial.zero(n)
+        for l in range(model.rank):
+            term = Polynomial.constant(n, 1)
+            for mode, coord in enumerate(idx):
+                term = term * Polynomial.variable(n, model.var_index(l, mode, coord))
+            entry = entry + term
+        entries.append(entry)
+    t = [Fraction(float(v)) for v in np.asarray(target, dtype=float).flat]
+    m = len(entries)
+    u = [Polynomial.variable(m, k) for k in range(m)]
+    gram_u = sum((u_k * u_k for u_k in u), Polynomial.zero(m))
+    inner_u = sum((u_k.scale(t_k) for u_k, t_k in zip(u, t)), Polynomial.zero(m))
+    t_sq = sum(t_k * t_k for t_k in t)
+    w0, w1 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    return (w0.scale(t_sq) - w1 * w1, w0), [entries, [gram_u, inner_u]], t_sq
+
+
+def _term_list(poly):
+    """Variable count and (exponents, coefficient, coefficient type) per term,
+    in insertion order: equal lists mean equal term maps, bit for bit."""
+    return poly.n_vars, [(e, c, type(c)) for e, c in poly.terms.items()]
+
+
+def _target(model, kind, rng):
+    values = {
+        "gaussian": lambda: rng.gauss(0.0, 1.0),
+        "integers-with-zeros": lambda: float(rng.randint(-2, 2)),
+        "halves": lambda: rng.randint(-3, 3) / 2,
+        "zeros": lambda: 0.0,
+    }[kind]
+    target = np.array([values() for _ in range(math.prod(model.dims))])
+    if kind == "integers-with-zeros":
+        target[rng.randrange(len(target))] = 0.0
+    return target.reshape(model.dims)
 
 
 def _power_iteration_sigma1(matrix, iters=200):
@@ -100,6 +144,12 @@ class TestNormalizationBound:
     def test_non_unit_u_rejected(self):
         with pytest.raises(ValueError):
             normalization_bound_check((2.0, 0.0), (1.0, 0.0))
+
+    @pytest.mark.parametrize("u", [(math.nan, 0.0), (0.0, math.inf)], ids=["nan", "inf"])
+    def test_non_finite_u_rejected(self, u):
+        """Not (nan, nan): a NaN norm passed the test |norm - 1| > 1e-12."""
+        with pytest.raises(ValueError, match="u must be a unit vector"):
+            normalization_bound_check(u, (1.0, 0.0))
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(2, 10), st.integers(0, 10 ** 9), st.integers(0, 10 ** 9))
@@ -240,6 +290,46 @@ class TestBuildCPObjective:
             assert obj.f_hat.eval_exact(a + b) >= 0
             t_sq = sum(Fraction(v) ** 2 for v in target.flat)
             assert obj.target_norm_sq == float(t_sq)
+
+    @pytest.mark.parametrize("dims, rank", [
+        ((2, 2), 1), ((2, 2), 2), ((2, 3), 2), ((2, 2, 2), 2), ((3, 2, 2), 1),
+    ])
+    @pytest.mark.parametrize("kind", ["gaussian", "integers-with-zeros", "halves", "zeros"])
+    def test_term_maps_are_those_of_polynomial_arithmetic(self, dims, rank, kind):
+        """p, q and the levels hold the keys, order, values and coefficient
+        types that Polynomial arithmetic gives them, so every chart and every
+        float bit follows."""
+        model = CPModel(dims, rank)
+        rng = random.Random(f"{dims}:{rank}:{kind}")
+        for _ in range(3):
+            target = _target(model, kind, rng)
+            obj = build_cp_objective(model, target)
+            (p, q), levels, t_sq = _arithmetic_cp_parts(model, target)
+            f_hat = obj.f_hat
+            assert list(map(_term_list, f_hat._factors)) == [_term_list(p), _term_list(q)]
+            assert [list(map(_term_list, level)) for level in f_hat._levels] == [
+                list(map(_term_list, level)) for level in levels
+            ]
+            assert obj.target_norm_sq == float(t_sq)
+
+    @pytest.mark.parametrize("target, message", [
+        ([[math.nan, 1.0], [1.0, 1.0]], "target entry [0, 0] is nan, not a finite number"),
+        ([[1.0, 1.0], [math.inf, 1.0]], "target entry [1, 0] is inf, not a finite number"),
+        ([[1.0, -math.inf], [1.0, 1.0]], "target entry [0, 1] is -inf, not a finite number"),
+        ([[1e200, 1.0], [1.0, 1.0]], "target ||T||^2 is beyond the float range"),
+        ([[10 ** 400, 1], [1, 1]], "target has an entry beyond the float range"),
+    ], ids=["nan", "inf", "minus-inf", "norm-overflow", "wide-int"])
+    def test_bad_target_rejected_before_any_polynomial(self, target, message, monkeypatch):
+        """One ValueError that names the entry or ||T||^2, where NaN and inf
+        entries raised the integer-ratio errors of Fraction and 1e200 the
+        OverflowError of float(||T||^2)."""
+        def refused(model):
+            raise AssertionError("tau's entries built for a bad target")
+
+        monkeypatch.setattr(homog, "_tau_entries", refused)
+        with pytest.raises(ValueError) as info:
+            build_cp_objective(CPModel((2, 2), 1), target)
+        assert str(info.value) == message
 
     def test_shape_mismatch_rejected(self):
         model = CPModel((2, 2), 1)

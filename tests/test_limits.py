@@ -24,7 +24,9 @@ from singulim.limits import (
     CLUSTER_TOL,
     DEFAULT_THETA_GRID,
     MIN_FIT_QUALITY,
+    SAFE_MARGIN,
     DirectionTrail,
+    RateEstimate,
     _linear_fit,
     cluster_window,
     direction_trail,
@@ -93,12 +95,35 @@ class TestFindClusterPoint:
         ([(float(k),) for k in range(1, 50)], 2.0),
         # Window of 2, 2e-8 apart: just outside the tolerance.
         ([(1.0,), (1.0 + 2e-8,)], 1e-8),
+        # Window of 2 about 1e-8: a spread of CLUSTER_TOL exactly, settled.
+        ([(0.0,), (2e-8,)], 1e-8),
     ])
     def test_window_spread_decides_the_cluster_point(self, points, spread):
         trace = trace_from_points(quadratic_1d(), points)
         _, got = cluster_window(trace)
         assert got == pytest.approx(spread, rel=1e-6)
         assert (find_cluster_point(trace) is None) is (got > CLUSTER_TOL)
+
+    @pytest.mark.parametrize("last", [
+        [(math.nan, 0.0)],
+        [(math.inf, 0.0)],
+        [(0.0, -math.inf)],
+        # Both infinities in one coordinate: math.fsum raises on their sum.
+        [(math.inf, 0.0), (-math.inf, 0.0)],
+    ], ids=["nan", "inf", "minus-inf", "both-infinities"])
+    def test_non_finite_window_has_no_cluster_point(self, last):
+        """Not read as settled (a NaN spread is not above CLUSTER_TOL) and
+        snapped, which raised on NaN; the window has no mean and no spread."""
+        trace = _points_trace([(1e-9, 0.0)] * 18 + last)
+        center, spread = cluster_window(trace)
+        assert all(map(math.isnan, center)) and len(center) == 2
+        assert math.isnan(spread)
+        assert find_cluster_point(trace) is None
+
+    def test_non_finite_point_before_the_window_is_not_read(self):
+        trace = _points_trace([(math.nan, 0.0)] + [(0.5, 0.0)] * 19)
+        assert cluster_window(trace) == ((0.5, 0.0), 0.0)
+        assert find_cluster_point(trace) == (0.5, 0.0)
 
     def test_empty_trace_has_no_window(self):
         with pytest.raises(ValueError, match="empty trace"):
@@ -294,6 +319,15 @@ def _bundled_pencils():
         f = problem.rational()
         pencils += [analyze_singularity(f, c) for c in problem.singular_points]
     return pencils
+
+
+class TestSafeApproach:
+    def test_margin_of_safe_margin_is_not_certified(self):
+        """The margin must exceed SAFE_MARGIN; equal to it is not enough."""
+        trail = DirectionTrail((0.0,), ((1.0,),), (1.0,), SAFE_MARGIN)
+        assert not trail_certifies_safe_approach(trail)
+        above = dataclasses.replace(trail, min_tail_pencil=math.nextafter(SAFE_MARGIN, 1.0))
+        assert trail_certifies_safe_approach(above)
 
 
 class TestDirectionTrailBits:
@@ -606,6 +640,23 @@ class TestRateClassify:
         est = rate_classify(trace, (0.0,), 1)
         assert est.regime == "sublinear"
         assert est.p == pytest.approx(2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "minus-inf"])
+    def test_non_finite_distance_inconclusive(self, value):
+        """A NaN distance was dropped and an infinite one fitted as log inf,
+        which gave a "sublinear" verdict with NaN p and fit quality (and numpy
+        warnings, errors here).  Now nothing is fitted, and the detail names
+        the distance; a tail that starts after it is read as before."""
+        radii = [0.8 ** k for k in range(40)]
+        radii[30] = value
+        trace = _points_trace([(r,) for r in radii])
+        est = rate_classify(trace, (0.0,), 20)
+        assert est == RateEstimate(
+            "inconclusive", detail=f"distance {abs(value)} to x* at iterate 30 is not finite"
+        )
+        clean = self._trace_with_radii([0.8 ** k for k in range(40)])
+        assert rate_classify(trace, (0.0,), 31) == rate_classify(clean, (0.0,), 31)
 
     def test_short_tail_inconclusive(self):
         trace = self._trace_with_radii([1.0, 0.5])

@@ -1288,6 +1288,37 @@ class TestRationalFunction:
         assert f.eval_exact_and_grad(y)[0] == f.eval_exact(y)
         assert built == []
 
+    @pytest.mark.parametrize("make, integer_forms, partial_forms", [
+        # p and q in 2 variables, no levels: their forms wait for eval_exact.
+        (_bundled("multi3"), 2, 4),
+        # p and q in w = (G, I), G and I in the 8 entries of tau, and those
+        # in 12 parameters: the zero test at construction built all 12
+        # integer forms, and 2*2 + 2*8 + 8*12 partials remain.
+        (cp_f_hat, 0, 116),
+    ], ids=["multi3", "cp_f_hat"])
+    def test_partial_forms_wait_for_the_first_gradient(
+        self, make, integer_forms, partial_forms, monkeypatch
+    ):
+        """Construction, its zero test included, and eval_exact build no
+        partial form; the first eval_exact_and_grad builds each partial form
+        once and no integer form again."""
+        built = []
+        for name in ("_integer_form", "_partial_form"):
+            def counted(*args, _original=getattr(polyalg, name), _name=name):
+                built.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(polyalg, name, counted)
+        f = make()
+        assert "_partial_form" not in built
+        built.clear()
+        x = (Fraction(5, 2), Fraction(-1, 3)) + (Fraction(3, 4),) * (f.n_vars - 2)
+        value = f.eval_exact(x)
+        assert built == ["_integer_form"] * integer_forms
+        built.clear()
+        assert f.eval_exact_and_grad(x)[0] == value
+        assert built == ["_partial_form"] * partial_forms
+
     def test_composed_composes_nothing_where_the_test_value_is_nonzero(self, products):
         """Through a two-level chain, q's exact value at (2, 3) is not 0:
         construction composes nothing and keeps no denom."""
