@@ -260,6 +260,18 @@ def cmd_series(args) -> int:
     return EXIT_OK
 
 
+def _strict_json(value):
+    """value with each NaN or infinite float written as the string "nan",
+    "inf" or "-inf": strict JSON has no number for them."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else str(float(value))
+    if isinstance(value, dict):
+        return {k: _strict_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(v) for v in value]
+    return value
+
+
 def cmd_diagnose(args) -> int:
     _check_output_dirs(args.report)
     _require(0.0 <= args.tail_fraction < 1.0, "--tail-fraction",
@@ -315,7 +327,8 @@ def cmd_diagnose(args) -> int:
         ]
     except ValueError as exc:
         report["certificates"] = {"error": str(exc)}
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(_strict_json(report), indent=2, sort_keys=True, allow_nan=False)
+    text += "\n"
     if args.report:
         with open(args.report, "w") as handle:
             handle.write(text)

@@ -988,11 +988,16 @@ class RationalFunction:
     straight-line code from its second, with the same bits, and scaled by a
     power of two so that the scale in which p and q are written does not
     reach the floats.
+
+    eval_and_grad keeps its last result with its point, and returns it for
+    a call at an equal point with the bits of a new evaluation: a caller
+    that needs f and grad f at one point twice, as the homogeneity checks
+    do, evaluates once.
     """
 
     __slots__ = (
         "n_vars", "_numer", "_denom", "_factors", "_levels", "_origin",
-        "_centres", "_charts", "_pencils", "_exact_forms", "_exact_grad",
+        "_centres", "_charts", "_pencils", "_exact_forms", "_exact_grad", "_last",
     )
 
     def __init__(
@@ -1056,6 +1061,8 @@ class RationalFunction:
         self._numer, self._denom = (None, None) if levels else (p, q)
         self._exact_forms = None
         self._exact_grad = False
+        # eval_and_grad's last result: (point, f, gradient as a tuple).
+        self._last = (None, None, None)
         self._origin = (0.0,) * n_vars
         centres = [self._origin]
         bases = [self._origin]
@@ -1256,8 +1263,30 @@ class RationalFunction:
         return self._exact_forms
 
     def eval_and_grad(self, x: Sequence[float]) -> tuple[float, list[float]]:
-        """Value and gradient; _Evaluator says how the gradient is formed."""
-        return self._chart(x).evaluate(x, True)
+        """Value and gradient; _Evaluator says how the gradient is formed.
+
+        The last result is kept with tuple(x).  A call whose tuple(x) equals
+        the kept point returns the kept value and a new list of the kept
+        gradient, without choosing a chart or evaluating; a call that raises
+        DomainViolation keeps nothing and leaves the kept result as it was.
+        That returns the bits a new evaluation would:
+        - tuple == decides, coordinate by coordinate, and numbers that
+          compare equal convert to the same float;
+        - -0.0 and 0.0 give the same bits and the same chart: a coordinate
+          reaches p, q, the levels and the gradient only as a factor of
+          products that are summed from 0.0, to which -0.0 and 0.0 add
+          alike, and where the centre's coordinate c is not 0,
+          -0.0 - c == 0.0 - c;
+        - a NaN compares equal only as the same object (tuple == tests
+          identity first), and its evaluation is deterministic.
+        """
+        point = tuple(x)
+        kept, f, grad = self._last
+        if point == kept:
+            return f, list(grad)
+        f, grad = self._chart(x).evaluate(x, True)
+        self._last = (point, f, tuple(grad))
+        return f, grad
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalFunction):

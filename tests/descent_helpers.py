@@ -142,10 +142,12 @@ def reference_search(f, x, fx, grad, gnorm, alpha, max_trials=MAX_BACKTRACKS):
 
 
 def looped(f):
-    """A copy of f, with charts of its own, whose eval and eval_and_grad run
-    each chart's term loop and never generate code."""
+    """A copy of f, with charts of its own and no kept eval_and_grad result
+    of f's, whose eval and eval_and_grad run each chart's term loop and
+    never generate code."""
     f = copy.copy(f)
     f._charts = [None] * len(f._charts)
+    f._last = (None, None, None)
     for j in range(len(f._charts)):
         chart = f._chart_at(j)
         vars(chart)["evaluate"] = chart.loop

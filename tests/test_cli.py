@@ -235,6 +235,14 @@ class TestLoaderAgainstReference:
             assert loaded == _loaded(reference_poly_from_terms, doc[key], doc["n_vars"])
 
 
+def _strict_loads(text):
+    """json.loads that rejects NaN, Infinity and -Infinity, as strict JSON
+    parsers such as jq do."""
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli")
@@ -402,9 +410,10 @@ class TestCli:
         write_trace_csv(trace_from_points(f_problem.rational(), points), trace_path)
         assert main(["diagnose", "--trace", str(trace_path),
                      "--problem", str(problem)]) == 0
-        certificates = json.loads(capsys.readouterr().out)["certificates"]
+        certificates = _strict_loads(capsys.readouterr().out)["certificates"]
         assert certificates
         assert all(not c["feasible"] and c["violations"] is None for c in certificates)
+        assert all(c["c"] == "inf" for c in certificates)
 
     def test_diagnose_certifies_nothing_across_a_nan_gradient_norm(
         self, workdir, capsys
@@ -435,7 +444,8 @@ class TestCli:
     def test_diagnose_reads_a_non_finite_iterate(self, workdir, capsys, value):
         """A 200-step fig1 run with x_1 of row 200 (k = 198) set to nan or
         inf: no cluster point, an inconclusive rate that names the distance,
-        exit 0 and nothing on stderr (numpy warnings are errors here)."""
+        exit 0 and nothing on stderr (numpy warnings are errors here).  The
+        report is strict JSON, with the NaN window spread as "nan"."""
         problem = str(workdir / "fig1.problem")
         trace_path = workdir / "fig1.200.trace.csv"
         assert main(["optimize", "--problem", problem, "--x0", "2,-0.1",
@@ -449,9 +459,9 @@ class TestCli:
         assert main(["diagnose", "--trace", str(holed), "--problem", problem,
                      "--x-star", "0,0"]) == 0
         out, err = capsys.readouterr()
-        report = json.loads(out)
+        report = _strict_loads(out)
         assert err == ""
-        assert report["cluster_point"] is None and math.isnan(report["cluster_spread"])
+        assert report["cluster_point"] is None and report["cluster_spread"] == "nan"
         rate = report["rate"]
         assert rate["regime"] == "inconclusive" and rate["p"] is None
         assert rate["detail"] == f"distance {value} to x* at iterate 198 is not finite"

@@ -572,10 +572,83 @@ class TestLojasiewiczProbe:
                 verify_certificate(trace, dataclasses.replace(cert, theta=theta))
 
 
+def _fit_qualities(radii, k0):
+    """rate_classify's two R^2 for distances radii at iterates k0, k0 + 1,
+    ...: log r against k, and against log k over k > 0 (-inf with fewer
+    than three such k)."""
+    ks = np.arange(k0, k0 + len(radii), dtype=float)
+    log_r = np.log(np.asarray(radii))
+    positive = ks > 0
+    sub = -math.inf
+    if positive.sum() >= 3:
+        sub = _linear_fit(np.log(ks[positive]), log_r[positive])[2]
+    return _linear_fit(ks, log_r)[2], sub
+
+
+def _float_zero(g, lo, hi):
+    """A float t near the sign change of g on [lo, hi], g(lo) > 0 >= g(hi),
+    where g(t) == 0 exactly: bisection down to adjacent floats, then the
+    64 floats on each side of them.  None where none of those is a zero."""
+    while True:
+        mid = (lo + hi) / 2
+        if mid in (lo, hi):
+            break
+        lo, hi = (mid, hi) if g(mid) > 0 else (lo, mid)
+    for i in range(65):
+        for t in (hi + i * math.ulp(hi), lo - i * math.ulp(lo)):
+            if g(t) == 0:
+                return t
+    return None
+
+
 class TestRateClassify:
     def _trace_with_radii(self, radii):
         f = quadratic_1d()
         return trace_from_points(f, [(r,) for r in radii])
+
+    def test_iterate_at_the_centre_is_left_out(self):
+        """A tail iterate exactly at x* has no log distance: the fits skip
+        it, and the halving distances around it fit q = 1/2."""
+        radii = [0.5 ** k for k in range(12)]
+        radii[6] = 0.0
+        est = rate_classify(self._trace_with_radii(radii), (0.0,), 0)
+        assert est.regime == "linear"
+        assert est.q == pytest.approx(0.5, rel=1e-12)
+        assert est.fit_quality == pytest.approx(1.0, abs=1e-12)
+
+    def test_equal_first_and_last_distances_are_no_decrease(self):
+        est = rate_classify(self._trace_with_radii([1.0, 0.5, 0.25, 0.5, 1.0]), (0.0,), 0)
+        assert est == RateEstimate("inconclusive", detail="distances not decreasing on tail")
+
+    def test_fit_at_the_quality_floor_is_accepted(self):
+        """Distances 1, m, c at k = 0, 1, 2: too few positive k for the log k
+        fit, and m makes the line's R^2 MIN_FIT_QUALITY exactly."""
+        for c in (0.25, 0.2, 0.3):
+            line_r2 = lambda m: _fit_qualities([1.0, m, c], 0)[0] - MIN_FIT_QUALITY
+            m = _float_zero(line_r2, 0.5, 0.99)
+            if m is not None:
+                break
+        assert m is not None
+        est = rate_classify(self._trace_with_radii([1.0, m, c]), (0.0,), 0)
+        assert est.regime == "linear"
+        assert est.fit_quality == MIN_FIT_QUALITY
+
+    def test_equal_fits_read_as_linear(self):
+        """Distances r_k = k^-t b^(k (1 - t)) at k = 1, 2, 3: geometric at
+        t = 0, a power law at t = 1, and at the t found here the two fits
+        have the same R^2 exactly, above the floor."""
+        for b in (0.5, 0.25, 0.4):
+            radii = lambda t: [k ** -t * b ** (k * (1 - t)) for k in (1, 2, 3)]
+            gap = lambda t: operator.sub(*_fit_qualities(radii(t), 1))
+            t = _float_zero(gap, 0.0, 1.0)
+            if t is not None:
+                break
+        assert t is not None
+        line_r2, power_r2 = _fit_qualities(radii(t), 1)
+        assert line_r2 == power_r2 >= MIN_FIT_QUALITY
+        est = rate_classify(self._trace_with_radii([1.0, *radii(t)]), (0.0,), 1)
+        assert est.regime == "linear"
+        assert est.fit_quality == line_r2
 
     def test_planted_geometric(self):
         trace = self._trace_with_radii([0.8 ** k for k in range(40)])

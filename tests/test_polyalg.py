@@ -10,6 +10,7 @@ import sys
 import weakref
 from decimal import Decimal
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -611,6 +612,9 @@ class TestEvaluator:
             f = make()
             first = getattr(f, method)(points[0])  # looped
             for _ in range(2):  # compiled, then reused
+                # A call at another point first: eval_and_grad returns its
+                # kept result for the point of its last call.
+                getattr(f, method)(points[1])
                 assert float_hex(getattr(f, method)(points[0])) == float_hex(first)
         chart = f._chart(points[0])
         assert chart.generated
@@ -647,8 +651,8 @@ class TestEvaluator:
         f = cp_f_hat()
         x = (0.3,) * 12
         f.eval_and_grad(x)
-        f.eval_and_grad(x)  # generated
         chart = f._chart(x)
+        chart.evaluate(x, True)  # generated
         assert [len(compiled) for compiled in chart.levels[1]] == [8, 8]
         assert [len(compiled) for compiled in chart.values] == [2, 1]
         assert [sum(len(row) for row in j) for j in chart.jacobians] == [48, 16]
@@ -692,6 +696,7 @@ class TestEvaluator:
             assert not sys.float_info.min <= q * q < math.inf
         first = f.eval_and_grad(points[0])  # looped
         for _ in range(2):  # generated, then reused
+            f.eval_and_grad(points[1])  # not the kept point
             assert float_hex(f.eval_and_grad(points[0])) == float_hex(first)
         chart = f._chart(points[0])
         assert chart.generated
@@ -702,7 +707,8 @@ class TestEvaluator:
         """Near fig1's floor, ||x|| from 1e-149 to 1e-151, where q ~ ||x||^2.
 
         A fresh function per method and point makes call 1 the looped one;
-        calls 2 and 3 run generated code.
+        calls 2 and 3 go to its chart, which runs generated code (where call
+        1 returned, eval_and_grad would return its kept result).
         """
         rng = random.Random(149)
         points = []
@@ -714,8 +720,13 @@ class TestEvaluator:
         for x in points:
             calls = {}
             for method in ("eval", "eval_and_grad"):
-                evaluate = getattr(_bundled("fig1")(), method)
-                calls[method] = [_domain_decision(evaluate, x) for _ in range(3)]
+                f = _bundled("fig1")()
+                grad = method == "eval_and_grad"
+                in_chart = lambda x: f._chart(x).evaluate(x, grad)
+                calls[method] = [
+                    _domain_decision(evaluate, x)
+                    for evaluate in (getattr(f, method), in_chart, in_chart)
+                ]
             assert calls["eval"] == calls["eval_and_grad"], x
             assert len(set(calls["eval"])) == 1, x
             outcomes.update(calls["eval"])
@@ -780,7 +791,7 @@ class TestEvaluator:
     def _assert_generated_matches_loop(f, rng):
         points = [[rng.uniform(-1.1, 1.1) for _ in range(f.n_vars)] for _ in range(5)]
         chart = f._chart(points[0])
-        assert float_hex(f.eval_and_grad(points[0])) == float_hex(f.eval_and_grad(points[0]))
+        assert float_hex(f.eval_and_grad(points[0])) == float_hex(chart.evaluate(points[0], True))
         assert chart.generated
         for x in points:
             for grad in (False, True):
@@ -1064,6 +1075,85 @@ class TestGeneratedCode:
         return searches[:-1].count(False)
 
 
+def _checked_call(f, make, x, kept):
+    """f.eval_and_grad(x), or the DomainViolation it raised, with the bits
+    of a fresh function's first call, make().eval_and_grad(x).  It chooses
+    no chart where tuple(x) equals kept[0], the point of the last call that
+    returned, and one otherwise; a call that returns sets kept[0]."""
+    hit = tuple(x) == kept[0]
+    with mock.patch.object(
+        RationalFunction, "_chart", autospec=True, side_effect=RationalFunction._chart
+    ) as chart:
+        try:
+            result = f.eval_and_grad(x)
+        except DomainViolation as err:
+            result = err
+    assert chart.call_count == (0 if hit else 1), x
+    fresh = _outcome(make().eval_and_grad, x)
+    if isinstance(result, DomainViolation):
+        assert ("DomainViolation", result.point, result.denom_value.hex()) == fresh, x
+    else:
+        assert float_hex(result) == fresh, x
+        kept[0] = tuple(x)
+    return result
+
+
+def _assert_kept_result(f, make, a, other, zero_at, raising):
+    """A scripted sequence of eval_and_grad calls on f, each one checked
+    by _checked_call: a point a, where f returns, and equal copies of it, a
+    list changed in place, -0.0 for 0.0 at coordinate zero_at and back,
+    another point in between, a point that raises DomainViolation, a NaN
+    coordinate, and gradient lists that the caller changes."""
+    kept = [None]
+    call = functools.partial(_checked_call, f, make, kept=kept)
+    _, grad = call(a)
+    grad[:] = [math.nan] * len(grad) + [1.0]  # the list of a call that evaluated
+    for b in (a, tuple(list(a)), list(a)):
+        call(b)[1].clear()  # and of calls that did not
+    x = list(a)
+    x[-1] = other[-1]
+    call(x)
+    x[:] = a
+    call(x)
+    signed = list(a)
+    for zero in (0.0, -0.0, 0.0):
+        signed[zero_at] = zero
+        call(tuple(signed))
+    for b in (other, a, a):
+        call(b)
+    for _ in range(3):
+        assert isinstance(call(raising), DomainViolation)
+    call(a)
+    nan = [math.nan, *a[1:]]
+    for b in (nan, tuple(nan), [float("nan"), *a[1:]]):
+        call(b)
+
+
+class TestKeptResult:
+    """eval_and_grad keeps its last result: whatever calls came before, a
+    call returns the bits of a fresh function's first call, and evaluates
+    only where its point differs from that of the last call that returned."""
+
+    @pytest.mark.parametrize("label, make, centre", CHARTS,
+                             ids=[c[0] for c in CHARTS])
+    def test_bundled_charts(self, label, make, centre):
+        """Points near the chart's centre, whose denominator vanishes."""
+        points = _points_near(centre, label)
+        _assert_kept_result(make(), make, points[1], points[2], centre.index(0.0), centre)
+
+    @settings(max_examples=40, deadline=None)
+    @given(quotients(), st.data())
+    def test_quotients(self, case, data):
+        """Drawn points in sixteenths; the fresh function is a looped copy,
+        whose every call runs the term loop as a first call does."""
+        f, zero = case
+        sixteenths = st.integers(-64, 64).map(lambda k: k / 16)
+        a, other = (tuple(data.draw(sixteenths) for _ in range(f.n_vars)) for _ in range(2))
+        zero_at = data.draw(st.integers(0, f.n_vars - 1))
+        assume(_outcome(looped(f).eval_and_grad, a)[0] != "DomainViolation")
+        _assert_kept_result(f, lambda: looped(f), a, other, zero_at, zero)
+
+
 class TestRationalFunction:
     @pytest.mark.parametrize("make", [_bundled("fig1"), _bundled("multi3"), cp_f_hat],
                              ids=["fig1", "multi3", "cp-f-hat"])
@@ -1186,6 +1276,7 @@ class TestRationalFunction:
         rng = random.Random(3)
         points = [(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(20)]
         first = f.eval_and_grad(points[0])  # looped
+        f.eval_and_grad(points[1])  # generated: points[0] would be the kept point
         assert float_hex(f.eval_and_grad(points[0])) == float_hex(first)
         chart = f._chart(points[0])
         assert chart.generated
