@@ -234,26 +234,20 @@ def write_trace_csv(
 ) -> None:
     """Write a trace as CSV with 17-significant-digit decimals.
 
-    Columns: k, x_1..x_n, f, grad_norm, step_norm, alpha.  The trailing step
-    fields of the final row are left empty.  The stop reason goes to the
-    sidecar file <path>.meta.json, with metadata's JSON-serialisable entries
-    beside it when given; read_trace_meta returns them.
+    Row k holds k, x_k, then f_values, grad_norms, step_norms and alphas at
+    k, each blank past its length, under the header k, x_1..x_n, f,
+    grad_norm, step_norm, alpha.  The stop reason goes to the sidecar file
+    <path>.meta.json, with metadata's JSON-serialisable entries beside it
+    when given; read_trace_meta returns them.
     """
     fmt = lambda v: f"{v:.17g}"
+    columns = (trace.f_values, trace.grad_norms, trace.step_norms, trace.alphas)
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(_trace_header(len(trace.iterates[0])))
         for k, point in enumerate(trace.iterates):
-            row = [str(k)] + [fmt(v) for v in point]
-            if k < len(trace.f_values):
-                row += [fmt(trace.f_values[k]), fmt(trace.grad_norms[k])]
-            else:
-                row += ["", ""]
-            if k < len(trace.step_norms):
-                row += [fmt(trace.step_norms[k]), fmt(trace.alphas[k])]
-            else:
-                row += ["", ""]
-            writer.writerow(row)
+            values = (fmt(c[k]) if k < len(c) else "" for c in columns)
+            writer.writerow([str(k), *map(fmt, point), *values])
     with open(_meta_path(path), "w") as handle:
         json.dump({**(metadata or {}), "stop_reason": trace.stop_reason}, handle)
         handle.write("\n")
@@ -263,18 +257,20 @@ def read_trace_csv(path) -> DescentTrace:
     """Re-ingest a trace CSV written by write_trace_csv.
 
     The header must be the writer's for its number of coordinates, and the
-    rows must have the writer's layout: f and grad_norm on every row (on
-    none of a one-row trace, whose start is outside the domain), step_norm
-    and alpha on every row but the last; anything else raises ValueError.
-    The stop reason comes from the sidecar <path>.meta.json; a trace that
-    has none reads as max_iters.
+    rows must have the writer's layout: k = 0, 1, ... in order, f and
+    grad_norm on every row (on none of a one-row trace, whose start is
+    outside the domain), step_norm and alpha on every row but the last;
+    anything else raises ValueError.  Each column of the file is then the
+    trace's column of the same name, without its blank cells.  The stop
+    reason comes from the sidecar <path>.meta.json; a trace that has none
+    reads as max_iters.
     """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if not header or header[0] != "k":
             raise ValueError(f"{path}: not a trace CSV (missing header)")
-        n = len(header) - 5
+        n = len(header) - len(_trace_header(0))
         if n < 1 or header != _trace_header(n):
             raise ValueError(f"{path}: malformed trace header {header}")
         rows = list(reader)
@@ -282,23 +278,22 @@ def read_trace_csv(path) -> DescentTrace:
         raise ValueError(f"{path}: empty trace")
     last = len(rows) - 1
     with_values = last > 0 or any(rows[0][1 + n:3 + n])
-    run, step = [], ()
     for k, row in enumerate(rows):
         if len(row) != len(header):
             raise ValueError(f"{path}: row length mismatch: {row}")
-        point = tuple(float(v) for v in row[1:1 + n])
-        values, steps = row[1 + n:3 + n], row[3 + n:]
-        if any(bool(v) != with_values for v in values):
+        if row[0] != str(k):
+            raise ValueError(f"{path}: row {k}: k is {row[0]!r}, expected {k}")
+        if any(bool(v) != with_values for v in row[1 + n:3 + n]):
             raise ValueError(f"{path}: row {k}: f and grad_norm must be on every row")
-        if any(bool(v) != (k < last) for v in steps):
+        if any(bool(v) != (k < last) for v in row[3 + n:]):
             raise ValueError(
                 f"{path}: row {k}: step_norm and alpha must be on every row but the last"
             )
-        # A CSV row holds the step from its iterate, a run's row the step to it.
-        run.append((point, *map(float, filter(None, values)), *step))
-        step = tuple(map(float, filter(None, steps)))
+    columns = list(zip(*rows))
+    iterates = tuple(zip(*(map(float, c) for c in columns[1:1 + n])))
+    values = (tuple(float(v) for v in c if v) for c in columns[1 + n:])
     stop_reason = read_trace_meta(path).get("stop_reason", STOP_MAX_ITERS)
-    return DescentTrace.from_rows(run, stop_reason)
+    return DescentTrace(iterates, *values, stop_reason)
 
 
 def read_trace_meta(path) -> dict:

@@ -38,13 +38,12 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Integral
 from typing import Sequence
 
 import numpy as np
 
 from .descent import ConditionReport, DescentTrace, check_conditions, trace_from_points
-from .polyalg import Polynomial, RationalFunction, _coefficient
+from .polyalg import Polynomial, RationalFunction, _coefficient, _is_int
 
 # Beyond this many scalar parameters the stored form over ||tau||^4, which
 # emit-problem multiplies out, and r and G in x, which equality and
@@ -69,9 +68,7 @@ class CPModel:
 
     def __post_init__(self):
         dims = tuple(self.dims)
-        # int() would truncate 2.5 to 2 and read True as 1.
-        if not all(isinstance(v, Integral) and not isinstance(v, bool)
-                   for v in (*dims, self.rank)):
+        if not all(map(_is_int, (*dims, self.rank))):
             raise ValueError(f"dims {dims} and rank {self.rank!r} must be integers")
         object.__setattr__(self, "dims", tuple(map(int, dims)))
         object.__setattr__(self, "rank", int(self.rank))

@@ -198,13 +198,16 @@ def estimate_limit(f_values: Sequence[float]) -> tuple[float, str]:
     Fits |f_{k+1} - f_k| against a geometric model on the last 20 decrements;
     when the fit is convincing (R^2 >= 0.99 and contraction ratio < 1) the
     remaining geometric tail is added to the last value, otherwise the last
-    value is returned unchanged.
+    value is returned unchanged.  So is it where a value or decrement in the
+    window is not finite: log|inf| or log|NaN| has no line to fit.
     """
     if len(f_values) < 3:
         return f_values[-1], "last_value"
-    diffs = np.diff(np.asarray(f_values[-21:], dtype=float))
+    with np.errstate(all="ignore"):  # inf - inf, or a decrement past the float range
+        diffs = np.diff(np.asarray(f_values[-21:], dtype=float))
     mags = np.abs(diffs)
-    if np.any(mags == 0.0) or len(mags) < 4:
+    # A value that is not finite makes the decrements beside it not finite.
+    if np.any(mags == 0.0) or len(mags) < 4 or not np.isfinite(mags).all():
         return f_values[-1], "last_value"
     slope, _, r2 = _linear_fit(np.arange(len(mags), dtype=float), np.log(mags))
     rho = math.exp(slope)

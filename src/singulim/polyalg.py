@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from numbers import Rational
+from numbers import Integral, Rational
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
@@ -70,6 +70,12 @@ def _check_point(x: Sequence, n_vars: int) -> None:
         raise DimensionError(f"point has {len(x)} coordinates, expected {n_vars}")
 
 
+def _is_int(value) -> bool:
+    """An integer, numpy's included, but not a bool: int() would truncate
+    2.5 to 2 and read True as 1."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def _coefficient(value):
     """value as a stored coefficient: an int where it is integral, else a Fraction."""
     if type(value) is int:
@@ -84,13 +90,17 @@ class Polynomial:
     __slots__ = ("n_vars", "terms")
 
     def __init__(self, n_vars: int, terms: Mapping[Exponent, Fraction] | None = None):
+        if not _is_int(n_vars):
+            raise ValueError(f"n_vars {n_vars!r} must be an integer")
         if n_vars < 0:
             raise ValueError("n_vars must be non-negative")
-        self.n_vars = n_vars
+        self.n_vars = int(n_vars)
         canonical: dict[Exponent, Fraction] = {}
         if terms:
             for exps, coeff in terms.items():
-                exps = tuple(int(e) for e in exps)
+                if not all(map(_is_int, exps)):
+                    raise ValueError(f"exponents {tuple(exps)} must be integers")
+                exps = tuple(map(int, exps))
                 if len(exps) != n_vars:
                     raise DimensionError(
                         f"exponent tuple {exps} has length {len(exps)}, expected {n_vars}"
@@ -997,7 +1007,7 @@ class RationalFunction:
 
     __slots__ = (
         "n_vars", "_numer", "_denom", "_factors", "_levels", "_origin",
-        "_centres", "_charts", "_pencils", "_exact_forms", "_exact_grad", "_last",
+        "_centres", "_charts", "_pencils", "_exact_forms", "_last",
     )
 
     def __init__(
@@ -1060,7 +1070,6 @@ class RationalFunction:
         # p and q in x; with levels, composed on first read.
         self._numer, self._denom = (None, None) if levels else (p, q)
         self._exact_forms = None
-        self._exact_grad = False
         # eval_and_grad's last result: (point, f, gradient as a tuple).
         self._last = (None, None, None)
         self._origin = (0.0,) * n_vars
@@ -1249,7 +1258,8 @@ class RationalFunction:
                  for level in self._levels],
             )
         pair, levels = self._exact_forms
-        if grad and not self._exact_grad:
+        # Before the first call with grad, pair holds p's and q's forms alone.
+        if grad and len(pair) == 2:
             m = self._factors[0].n_vars
             pair += [_partial_form(form, k) for form in pair for k in range(m)]
             for level, (forms, count, entries) in zip(self._levels, levels):
@@ -1259,7 +1269,6 @@ class RationalFunction:
                         if du[1]:
                             entries.append((k, i))
                             forms.append(du)
-            self._exact_grad = True
         return self._exact_forms
 
     def eval_and_grad(self, x: Sequence[float]) -> tuple[float, list[float]]:

@@ -466,6 +466,29 @@ class TestCli:
         assert rate["regime"] == "inconclusive" and rate["p"] is None
         assert rate["detail"] == f"distance {value} to x* at iterate 198 is not finite"
 
+    def test_diagnose_reads_a_non_finite_f_value(self, workdir, capsys):
+        """A 200-step fig1 run with f of row 200 (k = 198) set to inf, in
+        the window that estimate_limit fits: exit 0 and nothing on stderr
+        (numpy warnings are errors here).  The tail is not monotone, so no
+        certificate is fitted; the report is strict JSON."""
+        problem = str(workdir / "fig1.problem")
+        trace_path = workdir / "fig1.200.trace.csv"
+        assert main(["optimize", "--problem", problem, "--x0", "2,-0.1",
+                     "--max-iters", "200", "--trace-out", str(trace_path)]) == 0
+        rows = [line.split(",") for line in trace_path.read_text().splitlines()]
+        assert rows[0][3] == "f" and rows[199][0] == "198"
+        rows[199][3] = "inf"
+        holed = workdir / "fig1.inf-f.trace.csv"
+        holed.write_text("".join(",".join(r) + "\n" for r in rows))
+        capsys.readouterr()
+        assert main(["diagnose", "--trace", str(holed), "--problem", problem,
+                     "--x-star", "0,0"]) == 0
+        out, err = capsys.readouterr()
+        report = _strict_loads(out)
+        assert err == ""
+        assert report["certificates"] == {"error": "f-values are not monotone on the tail"}
+        assert report["conditions"]["sigma_hat"] == "-inf"
+
     def test_tensor_target_norm_past_the_float_range(self, workdir, capsys):
         """||T||^2 of [[1e200, 1], [1, 1]] is 1e400: one error line that names
         it, exit 1, and no problem file."""
@@ -757,6 +780,10 @@ def misuse_dir(workdir):
         (workdir / f"{name}.trace.csv").write_text(
             "".join(",".join(r) + "\n" for r in [header, *rows[1:]])
         )
+    # Rows k = 9 and k = 10 swapped: each in the writer's layout, out of order.
+    (workdir / "swapped-rows.trace.csv").write_text(
+        "".join(",".join(r) + "\n" for r in [*rows[:10], rows[11], rows[10], *rows[12:]])
+    )
     (workdir / "misuse.target.json").write_text("[[1, 0], [0, 0]]")
     for name, text in [
         ("object", b'{"a": 1}'),
@@ -863,7 +890,7 @@ _TEN = ["tensor", "--dims", "2,2", "--emit-problem", "{d}/misuse.cp.problem"]
     *(pytest.param(["diagnose", "--problem", "{d}/fig1.problem",
                     "--trace", f"{{d}}/{name}.trace.csv"], 2, id=f"diagnose-{name}")
       for name in ("blank-f", "last-step", "blank-step", "swapped-header",
-                   "unnamed-header")),
+                   "unnamed-header", "swapped-rows")),
     pytest.param(["analyze", "--problem", "{d}/latin1.problem", "--point", "0,0"], 2,
                  id="analyze-problem-not-utf8"),
     pytest.param(["optimize", "--problem", "{d}/latin1.problem", "--x0", "2,-0.1",

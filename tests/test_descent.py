@@ -869,8 +869,10 @@ class TestTracePersistence:
         ("k,x_1,x_2,grad_norm,f,step_norm,alpha\n0,1,1,2,0.5,,\n",
          "malformed trace header"),
         ("k,a,b,c,d,e,g\n0,1,1,0.5,2,,\n", "malformed trace header"),
+        ("k,x_1,f,grad_norm,step_norm,alpha\n1,0.5,0.5,1,,\n0,1,1,1,0.5,1\n",
+         "row 0: k is '1', expected 0"),
     ], ids=["no-coordinates", "empty-body", "ragged-row", "f-and-grad_norm-swapped",
-            "unnamed-columns"])
+            "unnamed-columns", "rows-out-of-order"])
     def test_malformed_csv_rejected(self, tmp_path, text, message):
         path = tmp_path / "bad.csv"
         path.write_text(text)

@@ -460,6 +460,22 @@ class TestEstimateLimit:
     def test_fewer_than_three_values_give_the_last(self, values):
         assert estimate_limit(values) == (values[-1], "last_value")
 
+    @pytest.mark.parametrize("values", [
+        [3.0, 2.0, 1.0, 0.5, 0.25, math.inf],
+        [3.0, 2.0, math.nan, 0.5, 0.25, 0.125],
+        [3.0, -math.inf, 1.0, 0.5, 0.25, 0.125],
+        [1.5e308, -1.5e308, -1.6e308, -1.7e308, -1.75e308],
+    ], ids=["inf-last", "nan-middle", "minus-inf", "decrement-overflows"])
+    def test_non_finite_window_gives_the_last_value(self, values):
+        """log|inf| or log|NaN| has no line to fit: the last value comes
+        back, with no numpy warning (an error here)."""
+        assert estimate_limit(values) == (values[-1], "last_value")
+
+    def test_non_finite_value_before_the_window_is_not_read(self):
+        values = [math.inf] + [1.0 + 0.5 ** k for k in range(30)]
+        assert estimate_limit(values) == estimate_limit(values[1:])
+        assert estimate_limit(values)[1] == "geometric_fit"
+
     def test_constant_decrements_fall_back_to_last_value(self):
         # Every log-decrement is log(1/4) exactly: no contraction to fit.
         values = [1.0 - 0.25 * k for k in range(30)]

@@ -12,6 +12,7 @@ from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -202,6 +203,23 @@ class TestRejectedInputsAndOperators:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError, match="negative exponent"):
             Polynomial(2, {(1, -1): 1})
+
+    @pytest.mark.parametrize("exps", [(2.5, 0), (True, 0)], ids=["float", "bool"])
+    def test_exponent_that_is_not_an_integer_rejected(self, exps):
+        """int() would truncate 2.5 to 2 and read True as 1."""
+        with pytest.raises(ValueError, match="must be integers"):
+            Polynomial(2, {exps: 1})
+
+    @pytest.mark.parametrize("n_vars", [2.0, True], ids=["float", "bool"])
+    def test_variable_count_that_is_not_an_integer_rejected(self, n_vars):
+        with pytest.raises(ValueError, match="must be an integer"):
+            Polynomial(n_vars, {})
+
+    def test_numpy_integers_accepted(self):
+        poly = Polynomial(np.int64(2), {(np.int32(2), np.uint8(0)): 1})
+        assert poly == Polynomial(2, {(2, 0): 1})
+        assert type(poly.n_vars) is int
+        assert [type(e) for exps in poly.terms for e in exps] == [int, int]
 
     @pytest.mark.parametrize("index", [-1, 2])
     def test_variable_index_out_of_range(self, index):
