@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
 from fractions import Fraction
 from numbers import Integral, Rational
 from operator import add
@@ -255,7 +256,9 @@ class Polynomial:
     # -- evaluation --------------------------------------------------------
 
     def eval_float(self, x: Sequence[float]) -> float:
-        """Floating-point evaluation, summing the terms in dict order.
+        """Floating-point evaluation, summing the terms in dict order, each
+        its coefficient times its monomial (_eval_compiled): where the
+        coefficient is +-2^j, the bits of the coefficient-first product.
 
         Coordinates given as numpy arrays of one length give each entry the
         bits of the evaluation at that point (a constant gives one float).
@@ -511,12 +514,20 @@ def _compile_gradient(
 
 
 def _eval_compiled(compiled: Compiled, powers: Sequence[Sequence[float]]) -> float:
+    """The sum of the terms, left to right from 0.0, each its coefficient
+    times its monomial, the product of its powers left to right.
+
+    Where the coefficient is +-2^j, c*(a*b) has the bits of (c*a)*b short of
+    under- and overflow; otherwise both carry the same error bound.  The
+    monomial starts from 1.0, which multiplies exactly, so no product is
+    taken in place on a power-table entry, which may be a numpy column.
+    """
     total = 0.0
     for coeff, pairs in compiled:
-        term = coeff
+        monomial = 1.0
         for i, e in pairs:
-            term *= powers[i][e]
-        total += term
+            monomial *= powers[i][e]
+        total += coeff * monomial
     return total
 
 
@@ -590,21 +601,63 @@ def _step_sum_lines(name: str, terms: Sequence[str]) -> list[str]:
     ]
 
 
-def _sum_source(name: str, compiled: Compiled, var: str) -> list[str]:
+class _Monomials:
+    """The monomials that the sums of one generated function read: a term
+    c*(a*b*...) with two or more powers and c != 1.0 reads a*b*...
+
+    A monomial that two or more of the sums read is assigned to a name
+    m0, m1, ... before its first reader, and one read once is formed in
+    place, so each product of powers is formed once per call.  sums are
+    the (compiled, var) of every sum of the function, each distinct sum
+    once.
+    """
+
+    def __init__(self, sums: Iterable[tuple[Compiled, str]]):
+        readers = Counter(
+            (var, pairs) for compiled, var in sums
+            for coeff, pairs in compiled if self.reads(coeff, pairs)
+        )
+        shared = [key for key, count in readers.items() if count > 1]
+        self.names = {key: f"m{j}" for j, key in enumerate(shared)}
+        self.formed: set[tuple[str, tuple]] = set()
+
+    @staticmethod
+    def reads(coeff: float, pairs: tuple) -> bool:
+        """Whether the term coeff*pairs reads a monomial."""
+        return len(pairs) > 1 and coeff != 1.0
+
+    def read(self, var: str, pairs: tuple, lines: list[str]) -> str:
+        """The source of the monomial of pairs in the powers of var0,
+        var1, ...: its name, its assignment appended to lines at the first
+        read, or the product itself in parentheses where one sum reads it."""
+        product = "*".join(_power_name(var, i, e) for i, e in pairs)
+        key = (var, pairs)
+        name = self.names.get(key)
+        if name is None:
+            return f"({product})"
+        if key not in self.formed:
+            self.formed.add(key)
+            lines.append(f"    {name} = {product}")
+        return name
+
+
+def _sum_source(name: str, compiled: Compiled, var: str, monomials: _Monomials) -> list[str]:
     """Statements that leave _eval_compiled(compiled, powers) in name.
 
-    powers are those of var0, var1, ...  Same products, left to right from
-    the coefficient, and the same sum, left to right from 0.0, so the value
-    has the same bits.  A coefficient 1.0 in front of powers is left out:
-    1.0*a is a exactly.
+    powers are those of var0, var1, ...  Same products, each coefficient
+    times its monomial formed left to right, and the same sum, left to right
+    from 0.0, so the value has the same bits.  A coefficient 1.0 in front of
+    powers is left out, 1.0*a being a exactly, and a single power is its own
+    monomial.  The statements start with the assignments of the shared
+    monomials (_Monomials) that this sum is the first to read.
     """
-    return _sum_lines(name, [
-        "*".join(
-            ([] if coeff == 1.0 and pairs else [repr(coeff)])
-            + [_power_name(var, i, e) for i, e in pairs]
-        )
-        for coeff, pairs in compiled
-    ])
+    lines, terms = [], []
+    for coeff, pairs in compiled:
+        factors = [_power_name(var, i, e) for i, e in pairs]
+        if monomials.reads(coeff, pairs):
+            factors = [monomials.read(var, pairs, lines)]
+        terms.append("*".join(([] if coeff == 1.0 and pairs else [repr(coeff)]) + factors))
+    return lines + _sum_lines(name, terms)
 
 
 def _indent(lines: Sequence[str]) -> list[str]:
@@ -682,11 +735,17 @@ class _Evaluator:
     in that chart.  So each trial is evaluated in the chart of its
     nearest centre, and the state carries across charts.
 
-    loop is the reference: term by term from power tables.  The first
-    evaluate call runs loop, and the second generates evaluate, a
-    straight-line function that forms the same differences, powers,
-    products, sums, quotients and comparisons in the same order, so every
-    call returns the same bits.  The first descend call generates descend,
+    loop is the reference: term by term from power tables, each term its
+    coefficient times its monomial, the product of its powers left to right
+    in variable order.  Where the coefficient is +-2^j that has the bits of
+    the coefficient-first product (c*a)*b..., short of under- and overflow,
+    and otherwise the same error bound.  The first evaluate call runs loop,
+    and the second generates evaluate, a straight-line function that forms
+    the same differences, powers, products, sums, quotients and comparisons
+    in the same order, so every call returns the same bits.  A monomial
+    that two or more of its sums read is formed once per call, before its
+    first reader (_Monomials), in descend after the Armijo test where only
+    the partials read it.  The first descend call generates descend,
     the descent's one implementation, with the iterate, the trial and the
     gradients as locals and the whole loop in one frame; the tests compare
     it with a Python step loop over loop.  Each function is generated on
@@ -784,18 +843,26 @@ class _Evaluator:
         """loop (name "evaluate") as straight-line code, or the descent
         (name "descend") over that code."""
         names = [f"x{i}" for i in range(len(self.max_deg[0]))]
+        last = self._var(len(self.levels))
+        monomials = _Monomials([
+            *((c, self._var(j)) for j, level in enumerate(self.levels) for c in level),
+            *((c, last) for c in self.values),
+            *((c, last) for row in self.partials for c in row),
+            *((du, self._var(j)) for j, jacobian in enumerate(self.jacobians)
+              for du in {tuple(c) for row in jacobian for _, c in row}),
+        ])
         # The powers of x0, x1, ..., each level's values u{j}_0, u{j}_1, ...
         # and their powers, then p and q.
         value = _power_lines("x", self.max_deg[0])
         for j, level in enumerate(self.levels):
             for k, compiled in enumerate(level):
-                value += _sum_source(f"u{j}_{k}", compiled, self._var(j))
+                value += _sum_source(f"u{j}_{k}", compiled, self._var(j), monomials)
             value += _power_lines(self._var(j + 1), self.max_deg[j + 1])
-        value += _sum_source("p", self.values[0], self._var(len(self.levels)))
-        value += _sum_source("q", self.values[1], self._var(len(self.levels)))
+        value += _sum_source("p", self.values[0], last, monomials)
+        value += _sum_source("q", self.values[1], last, monomials)
         gradient = [f"h{i}" for i in range(len(names))]
         if name == "descend":
-            lines = self._descend_lines(names, value, gradient)
+            lines = self._descend_lines(names, value, gradient, monomials)
         else:
             lines = [
                 "def evaluate(x, grad):",
@@ -808,7 +875,7 @@ class _Evaluator:
                 "    f = p / q",
                 "    if not grad:",
                 "        return f",
-                *self._gradient_lines(gradient),
+                *self._gradient_lines(gradient, monomials),
                 f"    return f, {_list_source(gradient)}",
             ]
         namespace = {
@@ -828,9 +895,10 @@ class _Evaluator:
         """The name stem of power table j's variables: x, then u{j-1}_."""
         return "x" if j == 0 else f"u{j - 1}_"
 
-    def _gradient_lines(self, out: Sequence[str]) -> list[str]:
+    def _gradient_lines(self, out: Sequence[str], monomials: _Monomials) -> list[str]:
         """Statements that leave loop's gradient entries in the names out,
-        from the powers, p, q and f that precede them."""
+        from the powers, p, q and f, and the monomials formed for them
+        (_Monomials), that precede them."""
         var = self._var(len(self.levels))
         # The partials of p and q in the last table's variables: p_0, ... in
         # x, p_u{j}_0, ... in a level's values.
@@ -847,7 +915,7 @@ class _Evaluator:
         lines = []
         for row_names, row in zip((grad_p, grad_q), self.partials):
             for name, compiled in zip(row_names, row):
-                lines += _sum_source(name, compiled, var)
+                lines += _sum_source(name, compiled, var, monomials)
         pairs = list(zip(grads[-1], grad_p, grad_q))
         lines += [
             "    q_sq = q * q",
@@ -866,13 +934,14 @@ class _Evaluator:
                     du = shared.get(tuple(compiled))
                     if du is None:
                         du = shared[tuple(compiled)] = f"du{j}_{k}_{i}"
-                        lines += _sum_source(du, compiled, self._var(j))
+                        lines += _sum_source(du, compiled, self._var(j), monomials)
                     products.append(f"{grads[j + 1][k]} * {du}")
                 lines += _sum_lines(name, products)
         return lines
 
     def _descend_lines(
-        self, names: Sequence[str], value: Sequence[str], gradient: Sequence[str]
+        self, names: Sequence[str], value: Sequence[str], gradient: Sequence[str],
+        monomials: _Monomials,
     ) -> list[str]:
         """descend as statements (see the class docstring), one trial per
         pass of its inner loop; value leaves p and q at the coordinates
@@ -932,7 +1001,7 @@ class _Evaluator:
             "            if isfinite(f) and fx - f >= sigma * alpha * g_sq > 0.0:",
             "                break",
             "            alpha *= factor",
-            *_indent(self._gradient_lines(gradient)),
+            *_indent(self._gradient_lines(gradient, monomials)),
             *(f"        {s} = {t} - {a}" for s, t, a in zip(steps, trial, x)),
             *_step_sum_lines(
                 "s_y", [f"{s} * ({h} - {g})" for s, h, g in zip(steps, gradient, grad)]

@@ -345,8 +345,12 @@ class TestCli:
         }
 
     def test_diagnose_round_trips_conditions(self, workdir):
-        trace_path = workdir / "fig1.trace.csv"
+        trace_path = workdir / "fig1.conditions.trace.csv"
         report_path = workdir / "fig1.report.json"
+        assert main([
+            "optimize", "--problem", str(workdir / "fig1.problem"),
+            "--x0", "2,-0.1", "--max-iters", "200", "--trace-out", str(trace_path),
+        ]) == 0
         code = main([
             "diagnose", "--trace", str(trace_path),
             "--problem", str(workdir / "fig1.problem"),

@@ -207,7 +207,7 @@ class TestPinnedBits:
         )
         assert (len(trace) - 1, trace.stop_reason) == (200, "max_iters")
         assert _trace_digest(trace) == (
-            "560b8cf5d3f3cadc7c7aed414d46a1945a8f17f4eaa31f149aeabc9c20dc6427"
+            "c07a8cb116e4a8f106fef062fbffafb595a9336583d6c3a3a4c6f6b282d75455"
         )
 
     def test_cp_f_hat_run_through_the_composed_chart(self):
@@ -244,9 +244,11 @@ class TestScaledPair:
         assert _trace_digest(trace) == _trace_digest(reference)
 
     def test_coefficients_below_the_float_range_still_descend(self):
-        """Each coefficient of 10^-400 * p rounds to 0.0 as a float."""
+        """Each coefficient of 10^-400 * p rounds to 0.0 as a float.  The
+        chart's coefficients, 10^-400 * 2^k times fig1's, are not +-2^j, so
+        the run is not the reference run."""
         trace = optimize(_fig1_times(Fraction(1, 10 ** 400)), (2.0, -0.1), DescentConfig())
-        assert (len(trace) - 1, trace.stop_reason) == (442, "f_stationary")
+        assert (len(trace) - 1, trace.stop_reason) == (362, "grad_tol")
         assert trace.f_values[-1] == pytest.approx(-0.5, abs=1e-8)
 
 

@@ -861,5 +861,5 @@ class TestPinnedDiagnostics:
         f = problem.rational()
         trace = optimize(f, (2.5, 3.5), DescentConfig(max_iters=200))
         assert _digest(_diagnose(f, problem.singular_points, trace)) == (
-            "6c262055a1b53060b484f5ebe5a99cfa9347bb0e751a71b77ad750a93efe7f43"
+            "a7085e676317dcd924de170eb36b5198433f91ee628bf3d31794e75c940de4c7"
         )
