@@ -167,8 +167,14 @@ def cmd_optimize(args) -> int:
         if args.grid_bounds:
             bounds = _parse_csv_point(args.grid_bounds, "--grid-bounds")
             ok = len(bounds) == 4 and bounds[0] < bounds[1] and bounds[2] < bounds[3]
+            # The coordinates of an axis run monotonically from its first to
+            # its last, so the grid is finite where those are.
+            n = args.grid_n
+            ok = ok and all(math.isfinite(_grid_coordinate(lo, hi, i, n))
+                            for lo, hi in (bounds[:2], bounds[2:]) for i in (0, n - 1))
             _require(ok, "--grid-bounds", args.grid_bounds,
-                     "four numbers x_lo,x_hi,y_lo,y_hi with lo < hi")
+                     "four finite numbers x_lo,x_hi,y_lo,y_hi with lo < hi"
+                     " and finite grid coordinates between them")
     trace = optimize(f, x0, cfg)
     write_trace_csv(trace, args.trace_out, {
         "config": asdict(cfg),
@@ -203,14 +209,19 @@ def _write_grid(f, trace, bounds, args) -> None:
     with open(args.grid_out, "w") as handle:
         handle.write("x,y,f\n")
         for i in range(n):
-            x = x_lo + (x_hi - x_lo) * i / (n - 1)
+            x = _grid_coordinate(x_lo, x_hi, i, n)
             for j in range(n):
-                y = y_lo + (y_hi - y_lo) * j / (n - 1)
+                y = _grid_coordinate(y_lo, y_hi, j, n)
                 try:
                     value = f.eval((x, y))
                 except DomainViolation:
                     value = float("nan")
                 handle.write(f"{x:.17g},{y:.17g},{value:.17g}\n")
+
+
+def _grid_coordinate(lo: float, hi: float, i: int, n: int) -> float:
+    """Coordinate i of n evenly spaced from lo to hi."""
+    return lo + (hi - lo) * i / (n - 1)
 
 
 def _poly_text(poly) -> str:
@@ -281,6 +292,12 @@ def cmd_diagnose(args) -> int:
         trace = read_trace_csv(args.trace)
     except ValueError as exc:
         raise CliError(f"--trace: {exc}", EXIT_MALFORMED)
+    n = len(trace.iterates[0])
+    if n != f.n_vars:
+        raise CliError(
+            f"--trace: {args.trace!r} has {n} coordinate(s) per iterate; the "
+            f"problem has {f.n_vars} variable(s)", EXIT_MALFORMED,
+        )
     if len(trace) < 2:
         raise CliError(
             f"--trace: {args.trace!r} has {len(trace)} iterate(s); diagnosis "

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import Counter
 from fractions import Fraction
 from numbers import Integral, Rational
 from operator import add
@@ -557,15 +556,6 @@ def _power_name(var: str, index: int, power: int) -> str:
     return f"{var}{index}" if power == 1 else f"{var}{index}_{power}"
 
 
-def _power_lines(var: str, max_deg: Sequence[int]) -> list[str]:
-    """Statements that name _power_table's powers of var0, var1, ..."""
-    return [
-        f"    {_power_name(var, i, e)} = {_power_name(var, i, e - 1)} * {var}{i}"
-        for i, top in enumerate(max_deg)
-        for e in range(2, top + 1)
-    ]
-
-
 def _list_source(items: Sequence[str]) -> str:
     return "[" + ", ".join(items) + "]"
 
@@ -601,61 +591,70 @@ def _step_sum_lines(name: str, terms: Sequence[str]) -> list[str]:
     ]
 
 
-class _Monomials:
-    """The monomials that the sums of one generated function read: a term
-    c*(a*b*...) with two or more powers and c != 1.0 reads a*b*...
+class _Shared:
+    """The names of the values that one generated function shares.  Each
+    is formed once per call, at its first reader in emission order, whose
+    lines receive the statements that form it; later readers read the name:
 
-    A monomial that two or more of the sums read is assigned to a name
-    m0, m1, ... before its first reader, and one read once is formed in
-    place, so each product of powers is formed once per call.  sums are
-    the (compiled, var) of every sum of the function, each distinct sum
-    once.
+    - a power var{i}_{e}, formed as var{i}_{e-1} * var{i}, _power_table's
+      chain, after any lower power not yet formed;
+    - the monomial a*b*... of a term c*(a*b*...) with two or more powers
+      and c != 1.0, named m0, m1, ...;
+    - each distinct Jacobian sum du_k/dv_i of a level, named after its
+      first (i, k).
     """
 
-    def __init__(self, sums: Iterable[tuple[Compiled, str]]):
-        readers = Counter(
-            (var, pairs) for compiled, var in sums
-            for coeff, pairs in compiled if self.reads(coeff, pairs)
-        )
-        shared = [key for key, count in readers.items() if count > 1]
-        self.names = {key: f"m{j}" for j, key in enumerate(shared)}
-        self.formed: set[tuple[str, tuple]] = set()
+    def __init__(self):
+        self.tops: dict[tuple[str, int], int] = {}
+        self.monomials: dict[tuple[str, tuple], str] = {}
+        self.sums: dict[tuple[str, tuple], str] = {}
 
-    @staticmethod
-    def reads(coeff: float, pairs: tuple) -> bool:
-        """Whether the term coeff*pairs reads a monomial."""
-        return len(pairs) > 1 and coeff != 1.0
+    def power(self, var: str, i: int, e: int, lines: list[str]) -> str:
+        """The name of var{i} to the power e."""
+        top = self.tops.get((var, i), 1)
+        for d in range(top + 1, e + 1):
+            lines.append(f"    {var}{i}_{d} = {_power_name(var, i, d - 1)} * {var}{i}")
+        self.tops[(var, i)] = max(top, e)
+        return _power_name(var, i, e)
 
-    def read(self, var: str, pairs: tuple, lines: list[str]) -> str:
-        """The source of the monomial of pairs in the powers of var0,
-        var1, ...: its name, its assignment appended to lines at the first
-        read, or the product itself in parentheses where one sum reads it."""
-        product = "*".join(_power_name(var, i, e) for i, e in pairs)
-        key = (var, pairs)
-        name = self.names.get(key)
+    def monomial(self, var: str, pairs: tuple, lines: list[str]) -> str:
+        """The name of the product of the powers pairs of var0, var1, ...,
+        left to right."""
+        name = self.monomials.get((var, pairs))
         if name is None:
-            return f"({product})"
-        if key not in self.formed:
-            self.formed.add(key)
+            product = "*".join(self.power(var, i, e, lines) for i, e in pairs)
+            name = self.monomials[(var, pairs)] = f"m{len(self.monomials)}"
             lines.append(f"    {name} = {product}")
         return name
 
+    def sum(self, name: str, compiled: Compiled, var: str, lines: list[str]) -> str:
+        """The name of _eval_compiled(compiled) over the powers of var0,
+        var1, ...: name where no equal term list was summed before, else
+        the first one's name; equal term lists give equal bits."""
+        key = (var, tuple(compiled))
+        if key not in self.sums:
+            self.sums[key] = name
+            lines += _sum_source(name, compiled, var, self)
+        return self.sums[key]
 
-def _sum_source(name: str, compiled: Compiled, var: str, monomials: _Monomials) -> list[str]:
+
+def _sum_source(name: str, compiled: Compiled, var: str, shared: _Shared) -> list[str]:
     """Statements that leave _eval_compiled(compiled, powers) in name.
 
     powers are those of var0, var1, ...  Same products, each coefficient
     times its monomial formed left to right, and the same sum, left to right
     from 0.0, so the value has the same bits.  A coefficient 1.0 in front of
     powers is left out, 1.0*a being a exactly, and a single power is its own
-    monomial.  The statements start with the assignments of the shared
-    monomials (_Monomials) that this sum is the first to read.
+    monomial; any other term reads its monomial by name.  The statements
+    start with those that form the powers and monomials (_Shared) that this
+    sum is the first to read.
     """
     lines, terms = [], []
     for coeff, pairs in compiled:
-        factors = [_power_name(var, i, e) for i, e in pairs]
-        if monomials.reads(coeff, pairs):
-            factors = [monomials.read(var, pairs, lines)]
+        if len(pairs) > 1 and coeff != 1.0:
+            factors = [shared.monomial(var, pairs, lines)]
+        else:
+            factors = [shared.power(var, i, e, lines) for i, e in pairs]
         terms.append("*".join(([] if coeff == 1.0 and pairs else [repr(coeff)]) + factors))
     return lines + _sum_lines(name, terms)
 
@@ -741,11 +740,13 @@ class _Evaluator:
     the coefficient-first product (c*a)*b..., short of under- and overflow,
     and otherwise the same error bound.  The first evaluate call runs loop,
     and the second generates evaluate, a straight-line function that forms
-    the same differences, powers, products, sums, quotients and comparisons
-    in the same order, so every call returns the same bits.  A monomial
-    that two or more of its sums read is formed once per call, before its
-    first reader (_Monomials), in descend after the Armijo test where only
-    the partials read it.  The first descend call generates descend,
+    the same differences, powers, products, sums, quotients and comparisons,
+    each from the same operands, so every call returns the same bits.  One
+    rule names what its sums share (_Shared): each power, each monomial of
+    a term with two or more powers and c != 1.0, and each distinct Jacobian
+    sum is formed once per call, at its first reader in the text, and read
+    by name after that; in descend one that only the gradient reads is
+    formed after the Armijo test.  The first descend call generates descend,
     the descent's one implementation, with the iterate, the trial and the
     gradients as locals and the whole loop in one frame; the tests compare
     it with a Python step loop over loop.  Each function is generated on
@@ -844,25 +845,17 @@ class _Evaluator:
         (name "descend") over that code."""
         names = [f"x{i}" for i in range(len(self.max_deg[0]))]
         last = self._var(len(self.levels))
-        monomials = _Monomials([
-            *((c, self._var(j)) for j, level in enumerate(self.levels) for c in level),
-            *((c, last) for c in self.values),
-            *((c, last) for row in self.partials for c in row),
-            *((du, self._var(j)) for j, jacobian in enumerate(self.jacobians)
-              for du in {tuple(c) for row in jacobian for _, c in row}),
-        ])
-        # The powers of x0, x1, ..., each level's values u{j}_0, u{j}_1, ...
-        # and their powers, then p and q.
-        value = _power_lines("x", self.max_deg[0])
+        shared = _Shared()
+        # Each level's values u{j}_0, u{j}_1, ..., then p and q.
+        value = []
         for j, level in enumerate(self.levels):
             for k, compiled in enumerate(level):
-                value += _sum_source(f"u{j}_{k}", compiled, self._var(j), monomials)
-            value += _power_lines(self._var(j + 1), self.max_deg[j + 1])
-        value += _sum_source("p", self.values[0], last, monomials)
-        value += _sum_source("q", self.values[1], last, monomials)
+                value += _sum_source(f"u{j}_{k}", compiled, self._var(j), shared)
+        value += _sum_source("p", self.values[0], last, shared)
+        value += _sum_source("q", self.values[1], last, shared)
         gradient = [f"h{i}" for i in range(len(names))]
         if name == "descend":
-            lines = self._descend_lines(names, value, gradient, monomials)
+            lines = self._descend_lines(names, value, gradient, shared)
         else:
             lines = [
                 "def evaluate(x, grad):",
@@ -875,7 +868,7 @@ class _Evaluator:
                 "    f = p / q",
                 "    if not grad:",
                 "        return f",
-                *self._gradient_lines(gradient, monomials),
+                *self._gradient_lines(gradient, shared),
                 f"    return f, {_list_source(gradient)}",
             ]
         namespace = {
@@ -895,10 +888,10 @@ class _Evaluator:
         """The name stem of power table j's variables: x, then u{j-1}_."""
         return "x" if j == 0 else f"u{j - 1}_"
 
-    def _gradient_lines(self, out: Sequence[str], monomials: _Monomials) -> list[str]:
+    def _gradient_lines(self, out: Sequence[str], shared: _Shared) -> list[str]:
         """Statements that leave loop's gradient entries in the names out,
-        from the powers, p, q and f, and the monomials formed for them
-        (_Monomials), that precede them."""
+        from p, q, f and the values of shared, which they read by name or
+        form at their first read."""
         var = self._var(len(self.levels))
         # The partials of p and q in the last table's variables: p_0, ... in
         # x, p_u{j}_0, ... in a level's values.
@@ -915,7 +908,7 @@ class _Evaluator:
         lines = []
         for row_names, row in zip((grad_p, grad_q), self.partials):
             for name, compiled in zip(row_names, row):
-                lines += _sum_source(name, compiled, var, monomials)
+                lines += _sum_source(name, compiled, var, shared)
         pairs = list(zip(grads[-1], grad_p, grad_q))
         lines += [
             "    q_sq = q * q",
@@ -925,23 +918,17 @@ class _Evaluator:
             *(f"        {h} = ({a} - f * {b}) / q" for h, a, b in pairs),
         ]
         for j in reversed(range(len(self.levels))):
-            # Each distinct du_k/dv_i of the level is summed once, under the
-            # name of its first (i, k); equal term lists give equal bits.
-            shared: dict[tuple, str] = {}
             for i, (name, row) in enumerate(zip(grads[j], self.jacobians[j])):
                 products = []
                 for k, compiled in row:
-                    du = shared.get(tuple(compiled))
-                    if du is None:
-                        du = shared[tuple(compiled)] = f"du{j}_{k}_{i}"
-                        lines += _sum_source(du, compiled, self._var(j), monomials)
+                    du = shared.sum(f"du{j}_{k}_{i}", compiled, self._var(j), lines)
                     products.append(f"{grads[j + 1][k]} * {du}")
                 lines += _sum_lines(name, products)
         return lines
 
     def _descend_lines(
         self, names: Sequence[str], value: Sequence[str], gradient: Sequence[str],
-        monomials: _Monomials,
+        shared: _Shared,
     ) -> list[str]:
         """descend as statements (see the class docstring), one trial per
         pass of its inner loop; value leaves p and q at the coordinates
@@ -1001,7 +988,7 @@ class _Evaluator:
             "            if isfinite(f) and fx - f >= sigma * alpha * g_sq > 0.0:",
             "                break",
             "            alpha *= factor",
-            *_indent(self._gradient_lines(gradient, monomials)),
+            *_indent(self._gradient_lines(gradient, shared)),
             *(f"        {s} = {t} - {a}" for s, t, a in zip(steps, trial, x)),
             *_step_sum_lines(
                 "s_y", [f"{s} * ({h} - {g})" for s, h, g in zip(steps, gradient, grad)]

@@ -811,6 +811,10 @@ def misuse_dir(workdir):
     write_trace_csv(DescentTrace(tuple(huge), (3.0, 2.0, 1.0), (1.0,) * 3,
                                  (1.0,) * 2, (1.0,) * 2, "max_iters"),
                     workdir / "huge.trace.csv")
+    # A trace in four coordinates, as from `tensor --dims 2,2 --rank 1`.
+    write_trace_csv(DescentTrace(((1.0, 0.5, 0.8, -0.2), (0.5, 0.25, 0.4, -0.1)),
+                                 (2.0, 1.0), (1.0, 1.0), (1.0,), (0.5,), "max_iters"),
+                    workdir / "four-coords.trace.csv")
     x = Polynomial.variable(2, 0)
     y = Polynomial.variable(2, 1)
     save_problem(ProblemFile(2, x, x * x + y * y, name="pole"),
@@ -852,6 +856,11 @@ _TEN = ["tensor", "--dims", "2,2", "--emit-problem", "{d}/misuse.cp.problem"]
                  id="optimize-trace-out-missing-dir"),
     pytest.param(_GRID + ["--grid-bounds", "1,2"], 2, id="grid-bounds-two-numbers"),
     pytest.param(_GRID + ["--grid-bounds=1,0,-1,1"], 2, id="grid-bounds-lo-above-hi"),
+    pytest.param(_GRID + ["--grid-bounds=-inf,inf,0,1"], 2, id="grid-bounds-infinite"),
+    pytest.param(_GRID + ["--grid-bounds=0,1e308,-1e308,1e308"], 2,
+                 id="grid-bounds-span-overflow"),
+    # A finite span whose multiples (hi - lo) * i overflow on the grid.
+    pytest.param(_GRID + ["--grid-bounds=0,1e308,0,1"], 2, id="grid-bounds-grid-overflow"),
     pytest.param(_GRID + ["--grid-bounds=-1,1,2,2"], 2, id="grid-bounds-lo-equals-hi"),
     pytest.param(_DIA + ["--tail-fraction", "nan"], 2, id="tail-fraction-nan"),
     pytest.param(_DIA + ["--tail-fraction", "2"], 2, id="tail-fraction-2"),
@@ -902,6 +911,9 @@ _TEN = ["tensor", "--dims", "2,2", "--emit-problem", "{d}/misuse.cp.problem"]
                  id="optimize-problem-not-utf8"),
     pytest.param(["diagnose", "--problem", "{d}/fig1.problem",
                   "--trace", "{d}/no-such.csv"], 2, id="diagnose-missing-trace"),
+    *(pytest.param(["diagnose", "--problem", "{d}/fig1.problem", "--trace",
+                    "{d}/four-coords.trace.csv", *x_star], 2, id=f"diagnose-trace-{label}")
+      for label, x_star in [("dimension", []), ("dimension-x-star", ["--x-star", "0,0"])]),
     pytest.param(["diagnose", "--problem", "{d}/fig1.problem", "--trace",
                   "{d}/huge.trace.csv", "--x-star", "0,0"], 1,
                  id="diagnose-fsum-overflow"),

@@ -28,7 +28,7 @@ from singulim.polyalg import (
     _as_fraction,
     _shift_terms,
 )
-from singulim.problems import BUNDLED_NAMES, load_bundled
+from singulim.problems import BUNDLED_NAMES, MAX_EXPONENT, load_bundled
 
 from descent_helpers import (
     cp_f_hat,
@@ -630,6 +630,17 @@ CHARTS = [
 ]
 
 
+# ast.Mult nodes in each chart's generated (evaluate, descend).
+MULTS = {
+    "fig1": (28, 47),
+    "counterex": (14, 33),
+    "multi3@(0,0)": (461, 480),
+    "multi3@(3,0)": (465, 484),
+    "multi3@(0,3)": (465, 484),
+    "cp_f_hat": (155, 208),
+}
+
+
 def _points_near(centre, seed):
     """Points at distance 1e-1 ... 1e-6 from centre, a few per distance."""
     rng = random.Random(seed)
@@ -701,12 +712,18 @@ class TestEvaluator:
         assert sum(name.startswith("du0_") for name in local_names) == 24
         assert sum(name.startswith("du1_") for name in local_names) == 16
 
-    def test_composed_chart_sums_in_one_statement_each(self, monkeypatch):
-        """The f_hat chart's generated evaluate, as generate compiles it:
-        each name is assigned once in the function body, so each sum is one
-        statement, 0.0 + at most TERMS_PER_STATEMENT terms, and no constant
-        partial is added to its name on a line of its own: the sum 0.0 + c
-        is one literal to the compiler."""
+    @pytest.mark.parametrize("name", ["evaluate", "descend"])
+    @pytest.mark.parametrize("label, make, centre", CHARTS, ids=[c[0] for c in CHARTS])
+    def test_composed_chart_sums_in_one_statement_each(
+        self, monkeypatch, label, make, centre, name
+    ):
+        """Each chart's generated evaluate and descend, as generate compiles
+        them: each name is assigned once in the function body, so each sum is
+        one statement, 0.0 + at most TERMS_PER_STATEMENT terms, and no
+        constant partial is added to its name on a line of its own: the sum
+        0.0 + c is one literal to the compiler.  Each power, monomial m... and
+        Jacobian sum du... is assigned once, on a line before every line that
+        reads it, and the count of multiplications is pinned (MULTS)."""
         sources = []
 
         def capture(source, *args):
@@ -714,7 +731,7 @@ class TestEvaluator:
             return compile(source, *args)
 
         monkeypatch.setattr(polyalg, "compile", capture, raising=False)
-        cp_f_hat()._chart((0.3,) * 12).generate("evaluate")
+        make()._chart(centre).generate(name)
         monkeypatch.undo()
         (source,) = sources
         assert re.search(r"^ *(\w+) = \1 \+ [-+.\de]+$", source, re.MULTILINE) is None
@@ -726,6 +743,20 @@ class TestEvaluator:
         assert len(assigned) == len(set(assigned))
         sums = [line for line in source.splitlines() if " = 0.0 + " in line]
         assert sums and all(line.count(" + ") <= TERMS_PER_STATEMENT for line in sums)
+        shared = re.compile(r"x\d+_\d+|u\d+_\d+_\d+|m\d+|du\d+_\d+_\d+")
+        formed, reads = {}, []
+        for node in ast.walk(function):
+            if isinstance(node, ast.Name) and shared.fullmatch(node.id):
+                if isinstance(node.ctx, ast.Store):
+                    assert node.id not in formed, node.id
+                    formed[node.id] = node.lineno
+                else:
+                    reads.append(node)
+        assert reads
+        for node in reads:
+            assert formed[node.id] < node.lineno, node.id
+        mults = sum(isinstance(node, ast.Mult) for node in ast.walk(function))
+        assert mults == MULTS[label][name == "descend"]
 
     @pytest.mark.parametrize("norm", [1e-80, 1e60, 1e80])
     def test_gradient_fallback_first_and_later_calls_agree(self, norm):
@@ -1154,6 +1185,23 @@ class TestGeneratedCode:
             )
             x0 = (0.0625,)
         assert self._assert_same_runs(f, x0, DescentConfig(max_iters=8)) == 1
+
+    def test_a_chart_at_max_exponent(self):
+        """x^1000 / (1 + x^1000), MAX_EXPONENT's degree: generated evaluate
+        forms the thousand powers in a chain and returns the loop's bits,
+        and whole runs the step loops' bits."""
+        x = Polynomial.variable(1, 0)
+        f = RationalFunction(x ** MAX_EXPONENT, 1 + x ** MAX_EXPONENT)
+        chart = f._chart((0.0,))
+        for _ in range(2):
+            chart.evaluate((0.5,), True)
+        assert chart.generated
+        for point in [(0.5,), (0.999,), (1.0,), (-1.0,), (1.001,), (2.0,)]:
+            for grad in (False, True):
+                expected = chart.loop(point, grad)
+                assert float_hex(chart.evaluate(point, grad)) == float_hex(expected), point
+        for x0 in [(1.0,), (-1.002,), (0.99,)]:
+            self._assert_same_runs(f, x0, DescentConfig(max_iters=30))
 
     @staticmethod
     def _assert_same_runs(f, x0, cfg):
