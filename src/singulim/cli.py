@@ -183,11 +183,10 @@ def cmd_optimize(args) -> int:
     })
     if args.grid_out:
         _write_grid(f, trace, bounds, args)
-    final = trace.iterates[-1]
-    norm = math.sqrt(math.fsum(v * v for v in final))
     print(f"iterations: {len(trace) - 1}")
     print(f"stop_reason: {trace.stop_reason}")
-    print(f"final_norm: {norm:.17g}")
+    # hypot scales, so coordinates whose squares overflow have a finite norm.
+    print(f"final_norm: {math.hypot(*trace.iterates[-1]):.17g}")
     if trace.f_values:
         print(f"final_f: {trace.f_values[-1]:.17g}")
     print(f"trace: {args.trace_out}")

@@ -11,7 +11,11 @@ closed-form.  The residual powers r ** (1 - theta) of lojasiewicz_probe and
 verify_certificate stay a loop over Python floats: np.power is not the C
 library's pow, and on an AVX-512 machine it differed from it in the last bit
 on 10 620 of 200 000 residuals at exponent 0.95, which would move
-certificate constants.
+certificate constants.  For the same reason every sum is math.fsum or
+np.add.reduce (which ndarray.sum wraps), and none is a BLAS product (@,
+np.dot): OpenBLAS picks its summation order by CPU, and under
+OPENBLAS_CORETYPE=Prescott or Haswell the line fits' dot products moved the
+multi3 diagnostics.
 """
 
 from __future__ import annotations
@@ -317,21 +321,23 @@ def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     deviations that underflow) has no slope and raises ValueError.
     A constant y has nothing to explain, so its R^2 is 0; the rounded mean
     can leave its deviations tiny but non-zero, so the test is on the values
-    themselves.  The means are np.add.reduce(v) / len(v) and the spread
-    tests (v == v[0]).all(): the reductions that v.mean() and np.all wrap,
-    with their bits, without the wrappers' cost.
+    themselves.  Every sum, the means' and the four sums of products alike,
+    is np.add.reduce over the elements (the module's summation rule), so the
+    fit has the same bits on every CPU; the spread tests are
+    (v == v[0]).all().
     """
     x_mean, y_mean = np.add.reduce(x) / len(x), np.add.reduce(y) / len(y)
     dx, dy = x - x_mean, y - y_mean
-    ss_x = float(dx @ dx)
+    ss_x = float(np.add.reduce(dx * dx))
     if ss_x == 0.0 or (x == x[0]).all():
         raise ValueError("cannot fit a line: x has no spread")
-    slope = float(dx @ dy) / ss_x
+    slope = float(np.add.reduce(dx * dy)) / ss_x
     intercept = float(y_mean) - slope * float(x_mean)
     if (y == y[0]).all():
         return slope, intercept, 0.0
     residuals = dy - slope * dx
-    return slope, intercept, 1.0 - float(residuals @ residuals) / float(dy @ dy)
+    ss_res, ss_y = np.add.reduce(residuals * residuals), np.add.reduce(dy * dy)
+    return slope, intercept, 1.0 - float(ss_res) / float(ss_y)
 
 
 MIN_FIT_QUALITY = 0.95

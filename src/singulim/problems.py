@@ -18,7 +18,11 @@ field ("numer[3]", "singular_points[0]"):
 - terms with equal exponents are summed, and the denominator must not sum
   to zero;
 - "singular_points", if present, is a list of points, each a list of
-  n_vars rational coordinates, strings or JSON numbers as coefficients are.
+  n_vars rational coordinates, strings or JSON numbers as coefficients are,
+  each within the float range.
+
+A ProblemFile itself raises DimensionError where its polynomials or points
+disagree with n_vars, so that save_problem writes only loadable files.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from .polyalg import Polynomial, RationalFunction, _coefficient
+from .polyalg import DimensionError, Polynomial, RationalFunction, _coefficient
 
 BUNDLED_NAMES = ("fig1", "multi3", "counterex")
 _INT = frozenset({int})
@@ -50,6 +54,22 @@ class ProblemFile:
     denom: Polynomial
     name: str = ""
     singular_points: tuple[tuple[Fraction, ...], ...] = ()
+
+    def __post_init__(self):
+        """Raise DimensionError where a polynomial or a singular point
+        disagrees with n_vars: save_problem would write a file that
+        load_problem rejects."""
+        for field, poly in (("numer", self.numer), ("denom", self.denom)):
+            if poly.n_vars != self.n_vars:
+                raise DimensionError(
+                    f"{field} in {poly.n_vars} variables, n_vars = {self.n_vars}"
+                )
+        for j, point in enumerate(self.singular_points):
+            if len(point) != self.n_vars:
+                raise DimensionError(
+                    f"singular_points[{j}] has {len(point)} coordinates, "
+                    f"n_vars = {self.n_vars}"
+                )
 
     def rational(self) -> RationalFunction:
         return RationalFunction(self.numer, self.denom, self.singular_points)
@@ -84,6 +104,17 @@ def _parse_rational(raw) -> Fraction:
     if type(raw) is bool:
         raise ValueError(f"{raw!r} is not a rational")
     return Fraction(raw)
+
+
+def _parse_coordinate(raw) -> Fraction:
+    """A singular point's coordinate: a rational that a float holds, since
+    each declared point is also a chart centre in floats."""
+    value = _parse_rational(raw)
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(f"coordinate {raw!r} is past the float range") from None
+    return value
 
 
 def poly_from_terms(terms, n_vars: int, field_name: str) -> Polynomial:
@@ -177,17 +208,15 @@ def problem_from_json(text: str, source: str = "<string>") -> ProblemFile:
                 f"{source}: singular_points[{j}] must be a list of coordinates"
             )
         try:
-            point = tuple(_parse_rational(c) for c in raw)
+            points.append(tuple(_parse_coordinate(c) for c in raw))
         except (TypeError, ValueError, ArithmeticError) as exc:
             raise ProblemFormatError(f"{source}: singular_points[{j}]: {exc}")
-        if len(point) != n_vars:
-            raise ProblemFormatError(
-                f"{source}: singular_points[{j}] has {len(point)} coordinates"
-            )
-        points.append(point)
-    return ProblemFile(
-        n_vars, numer, denom, str(doc.get("name", "")), tuple(points)
-    )
+    try:
+        return ProblemFile(
+            n_vars, numer, denom, str(doc.get("name", "")), tuple(points)
+        )
+    except DimensionError as exc:
+        raise ProblemFormatError(f"{source}: {exc}") from exc
 
 
 def problem_from_bytes(data: bytes, source: str) -> ProblemFile:

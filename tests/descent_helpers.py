@@ -188,6 +188,22 @@ def criterion_9_objective():
     return rng, build_cp_objective(CPModel((2, 2, 2), 2), target)
 
 
+def power_iteration_sigma1(matrix, iters=500):
+    """Largest singular value of a 2-column matrix by power iteration on
+    M^T M from (1, 0.7) (oracle)."""
+    m = np.asarray(matrix, dtype=float)
+    gram = m.T @ m
+    v = np.array([1.0, 0.7])
+    v /= np.linalg.norm(v)
+    for _ in range(iters):
+        w = gram @ v
+        norm = np.linalg.norm(w)
+        if norm == 0.0:
+            return 0.0
+        v = w / norm
+    return math.sqrt(float(v @ gram @ v))
+
+
 def float_hex(values):
     """Nested floats as float.hex strings, so equality means equal bits;
     None stays None."""

@@ -33,7 +33,7 @@ from singulim.singan import (
     taylor_line,
 )
 
-from descent_helpers import criterion_9_objective
+from descent_helpers import criterion_9_objective, power_iteration_sigma1
 
 FIG1_START = (2.0, -0.1)
 
@@ -262,20 +262,6 @@ def test_criterion_09_float_value_and_gradient_match_exact():
     assert worst_grad <= CP_ACCURACY_TOL
 
 
-def _power_iteration_sigma1(matrix, iters=500):
-    m = np.asarray(matrix, dtype=float)
-    gram = m.T @ m
-    v = np.array([1.0, 0.7])
-    v /= np.linalg.norm(v)
-    for _ in range(iters):
-        w = gram @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-    return math.sqrt(float(v @ gram @ v))
-
-
 def test_criterion_10_rank1_matrix_oracle():
     rng = random.Random(47)
     worst = 0.0
@@ -285,7 +271,7 @@ def test_criterion_10_rank1_matrix_oracle():
         obj = build_cp_objective(model, target)
         x0 = [rng.gauss(0.0, 1.0) for _ in range(4)]
         trace = optimize(obj.f_hat, x0, DescentConfig(max_iters=20_000))
-        expected = obj.target_norm_sq - _power_iteration_sigma1(target) ** 2
+        expected = obj.target_norm_sq - power_iteration_sigma1(target) ** 2
         worst = max(worst, abs(trace.f_values[-1] - expected))
     ok = worst <= 1e-6
     _report(10, ok, f"10 random 2x2 targets, worst |min - (||T||^2 - s1^2)| = "

@@ -24,8 +24,9 @@ from singulim.descent import (
     write_trace_csv,
 )
 from singulim.limits import CLUSTER_TOL, DEFAULT_THETA_GRID, direction_trail
-from singulim.polyalg import Polynomial
+from singulim.polyalg import DimensionError, Polynomial
 from singulim.problems import (
+    ProblemFile,
     ProblemFormatError,
     build_bundled,
     bundled_examples,
@@ -125,6 +126,8 @@ class TestProblemFiles:
         ({"n_vars": 0, "numer": [], "denom": [{"coeff": "1", "exps": []}]}, "n_vars"),
         ({"n_vars": 1, "numer": {"coeff": "1", "exps": [0]},
           "denom": [{"coeff": "1", "exps": [0]}]}, "numer"),
+        ({"n_vars": 1, "numer": [], "denom": [{"coeff": "1", "exps": [0]}],
+          "singular_points": [["1e400"]]}, "singular_points[0]"),
     ])
     def test_malformed_documents_name_offending_field(self, doc, field):
         with pytest.raises(ProblemFormatError) as err:
@@ -142,6 +145,19 @@ class TestProblemFiles:
     def test_unknown_bundled_name_not_built(self):
         with pytest.raises(KeyError, match="unknown bundled problem 'nope'"):
             build_bundled("nope")
+
+    def test_n_vars_that_disagrees_with_the_polynomials_is_rejected(self):
+        """ProblemFile(3, x, x*x + 1) in two variables would save a file
+        that load_problem rejects."""
+        x = Polynomial.variable(2, 0)
+        with pytest.raises(DimensionError, match="numer in 2 variables, n_vars = 3"):
+            ProblemFile(3, x, x * x + 1)
+
+    def test_singular_point_of_another_length_is_rejected(self):
+        x = Polynomial.variable(2, 0)
+        point = (Fraction(1), Fraction(2), Fraction(3))
+        with pytest.raises(DimensionError, match=r"singular_points\[1\] has 3"):
+            ProblemFile(2, x, x * x + 1, singular_points=((0, 0), point))
 
 
 def reference_poly_from_terms(terms, n_vars, field_name):
@@ -328,6 +344,17 @@ class TestCli:
         trace = read_trace_csv(trace_path)
         assert len(trace) == 201
         assert trace.iterates[0] == (2.0, -0.1)
+
+    def test_optimize_prints_the_norm_of_a_huge_final_iterate(self, workdir, capsys):
+        """Coordinates whose squares overflow still have a finite norm."""
+        code = main([
+            "optimize", "--problem", str(workdir / "fig1.problem"),
+            "--x0", "1.2e154,1.2e154", "--trace-out", str(workdir / "big.csv"),
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        norm = float(out.split("final_norm: ")[1].split()[0])
+        assert norm == math.hypot(1.2e154, 1.2e154)
 
     def test_optimize_sidecar_names_config_version_and_problem(self, workdir):
         problem = workdir / "fig1.problem"
@@ -826,6 +853,8 @@ def misuse_dir(workdir):
         ("bool-vars", {"n_vars": True, "numer": one, "denom": one}),
         ("inf-point", {"n_vars": 1, "numer": one, "denom": one,
                        "singular_points": [[1e400]]}),
+        ("wide-point", {"n_vars": 1, "numer": one, "denom": one,
+                        "singular_points": [["1e400"]]}),
         ("neg-exp", {"n_vars": 1, "numer": [{"coeff": "1", "exps": [-1]}],
                      "denom": one}),
         ("big-exp", {"n_vars": 1, "numer": [{"coeff": "1", "exps": [20000]}],
@@ -926,6 +955,11 @@ _TEN = ["tensor", "--dims", "2,2", "--emit-problem", "{d}/misuse.cp.problem"]
                  id="problem-boolean-n-vars"),
     pytest.param(["analyze", "--problem", "{d}/inf-point.problem", "--point", "0"], 2,
                  id="problem-infinite-singular-point"),
+    pytest.param(["analyze", "--problem", "{d}/wide-point.problem", "--point", "0",
+                  "--direction", "1"], 2, id="analyze-singular-point-past-float-range"),
+    pytest.param(["optimize", "--problem", "{d}/wide-point.problem", "--x0", "1",
+                  "--trace-out", "{d}/misuse.out.csv"], 2,
+                 id="optimize-singular-point-past-float-range"),
     pytest.param(["analyze", "--problem", "{d}/neg-exp.problem", "--point", "0"], 2,
                  id="problem-negative-exponent"),
     pytest.param(["analyze", "--problem", "{d}/big-exp.problem", "--point", "1",

@@ -25,7 +25,7 @@ from singulim.homog import (
 from singulim.polyalg import DomainViolation, Polynomial, RationalFunction
 from singulim.singan import analyze_singularity, direction_verdict, taylor_line
 
-from descent_helpers import criterion_9_objective
+from descent_helpers import criterion_9_objective, power_iteration_sigma1
 
 
 def _rank1_2x2(target):
@@ -86,20 +86,6 @@ def _target(model, kind, rng):
     if kind == "integers-with-zeros":
         target[rng.randrange(len(target))] = 0.0
     return target.reshape(model.dims)
-
-
-def _power_iteration_sigma1(matrix, iters=200):
-    """Largest singular value via power iteration on M^T M (oracle)."""
-    m = np.asarray(matrix, dtype=float)
-    gram = m.T @ m
-    v = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    for _ in range(iters):
-        w = gram @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-    return math.sqrt(float(v @ gram @ v))
 
 
 class TestNormalize:
@@ -529,7 +515,7 @@ class TestRank1Oracle:
             _, obj = _rank1_2x2(target)
             x0 = [rng.gauss(0, 1) for _ in range(4)]
             trace = optimize(obj.f_hat, x0, DescentConfig(max_iters=5000))
-            sigma1 = _power_iteration_sigma1(target)
+            sigma1 = power_iteration_sigma1(target)
             expected = obj.target_norm_sq - sigma1 ** 2
             assert trace.f_values[-1] == pytest.approx(expected, abs=1e-6)
 

@@ -5,7 +5,11 @@ import functools
 import hashlib
 import math
 import operator
+import os
+import platform
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -843,6 +847,18 @@ def _digest(value, digest=None):
     return digest.hexdigest() if top else None
 
 
+_X86_64 = platform.machine().lower() in ("x86_64", "amd64")
+
+
+def _cpu_has(flag):
+    """Whether /proc/cpuinfo lists the CPU flag (False without that file)."""
+    try:
+        with open("/proc/cpuinfo") as info:
+            return flag in info.read().split()
+    except OSError:
+        return False
+
+
 class TestPinnedDiagnostics:
     """The diagnostic pass over the two pinned descent runs, bit for bit.  A
     change of these digests changes what the diagnostics compute, and is
@@ -853,7 +869,7 @@ class TestPinnedDiagnostics:
         f = problem.rational()
         trace = optimize(f, (2.0, -0.1), DescentConfig())
         assert _digest(_diagnose(f, problem.singular_points, trace)) == (
-            "fca53b42acf69600283746a68b672555bb67dac51993f5aae6d9066f21d4814a"
+            "cd323468841dff887df35501c485306e657b52eed93fe4ea5db79b5c12dd2cb5"
         )
 
     def test_multi3_run_into_the_chart_at_0_3(self):
@@ -861,5 +877,29 @@ class TestPinnedDiagnostics:
         f = problem.rational()
         trace = optimize(f, (2.5, 3.5), DescentConfig(max_iters=200))
         assert _digest(_diagnose(f, problem.singular_points, trace)) == (
-            "a7085e676317dcd924de170eb36b5198433f91ee628bf3d31794e75c940de4c7"
+            "6388dd9a902d3a12a9ea6457d73a797a9f00ebc00e0770b088344a33ed3420e0"
         )
+
+    @pytest.mark.parametrize("kernel", [
+        pytest.param("Prescott", marks=pytest.mark.skipif(
+            not _X86_64, reason="Prescott is an x86-64 kernel")),
+        pytest.param("Haswell", marks=pytest.mark.skipif(
+            not (_X86_64 and _cpu_has("avx2")), reason="Haswell needs AVX2")),
+    ])
+    def test_pins_hold_on_another_blas_kernel(self, kernel):
+        """Both pins in a child process on one of OpenBLAS's kernels:
+        Prescott, the SSE3 one that any x86-64 CPU runs, and Haswell, the one
+        AVX2-only CPUs get.  Their dot products sum in other orders than each
+        other and than an AVX-512 machine's kernel, so a BLAS product in the
+        diagnostics moves a digest in one of them.  OpenBLAS reads
+        OPENBLAS_CORETYPE when it loads, hence the child."""
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        pinned = f"{__file__}::TestPinnedDiagnostics::"
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             pinned + "test_fig1_reference_run",
+             pinned + "test_multi3_run_into_the_chart_at_0_3"],
+            capture_output=True, text=True, cwd=root,
+            env={**os.environ, "OPENBLAS_CORETYPE": kernel},
+        )
+        assert done.returncode == 0, done.stdout
