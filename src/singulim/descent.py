@@ -9,11 +9,16 @@ construction, and traces are strictly f-decreasing until the stopping rule
 fires.  Condition checking recomputes the per-step certificates directly from
 the recorded trace.
 
-The first trial step is the two-point (Barzilai-Borwein) step s's / s'y, with
-s = x_k - x_{k-1} and y = grad_k - grad_{k-1}, capped at initial_step; it is
-initial_step itself on the first iteration and wherever s'y <= 0.  Restarting
-every line search at initial_step instead lets the iterates approach the
-essential singularity of fig1 only as ||x_k|| ~ k^(-1/2).
+The first trial step is a two-point step, with s = x_k - x_{k-1} and
+y = grad_k - grad_{k-1}: after an odd-numbered step k the long
+(Barzilai-Borwein) step s's / s'y, after an even-numbered one the short
+step s'y / y'y (Dai-Fletcher's alternation), each capped at initial_step.
+It is initial_step itself on the first iteration, wherever s'y <= 0, and
+for the short step wherever y'y is 0 or not finite.  Restarting every line
+search at initial_step instead lets the iterates approach the essential
+singularity of fig1 only as ||x_k|| ~ k^(-1/2); the long step alone
+overshoots along its stiff angular direction, so that most trials go to
+searches that backtrack many times.
 
 The loop itself is RationalFunction.descend: the stop tests, the ladder,
 the accepted trial's gradient and the two-point step run inside each
@@ -58,8 +63,9 @@ class DescentConfig:
     """Armijo descent settings.
 
     initial_step is the largest trial step: every line search starts from the
-    two-point step capped at it, and one whose start backtracks out is retried
-    once from initial_step before the run stops on f_stationary.
+    long or the short two-point step (alternately; see the module docstring)
+    capped at it, and one whose start backtracks out is retried once from
+    initial_step before the run stops on f_stationary.
     """
 
     sigma_armijo: float = 0.1
@@ -137,8 +143,8 @@ def optimize(
 ) -> DescentTrace:
     """Run Armijo-backtracked steepest descent from x0.
 
-    Each line search starts from the two-point step capped at initial_step
-    (see the module docstring).  Stops on small gradient, on a step that fails
+    Each line search starts from the long or the short two-point step,
+    alternately, capped at initial_step (see the module docstring).  Stops on small gradient, on a step that fails
     to decrease f (stationarity enforcement of the no-cycling rule), on the
     iteration cap, or on a domain violation at the start point.
 

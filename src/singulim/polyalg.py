@@ -719,12 +719,16 @@ class _Evaluator:
     below the DENOM_FLOOR test is rejected like a failed decrease.  At an
     accepted t it takes the gradient there from the powers and terms that
     gave f, so f and grad f have the bits of evaluate(t, True), and appends
-    the row (t, f, ||grad f||, ||t - x||, alpha) to rows.  The next search
-    starts from the two-point step s's / s'y, s = t - x and y = grad f(t) -
-    grad, capped at initial_step, with max_trials trials.  Every norm and
-    inner product has the bits of the fsum of the products, taken in
-    coordinate order: up to two variables it is their plain sum, with fsum
-    only where that sum is inf or NaN (_step_sum_lines).
+    the row (t, f, ||grad f||, ||t - x||, alpha) to rows.  With s = t - x and
+    y = grad f(t) - grad, the next search starts from the long two-point
+    step s's / s'y where the step is odd-numbered by len(rows) before the
+    append, which counts the run's steps across hand-offs and retries, and
+    from the short one s'y / y'y where it is even-numbered, capped at
+    initial_step; it starts from initial_step where s'y <= 0, or for the
+    short step where y'y is 0 or not finite.  It has max_trials trials.
+    Every norm and inner product has the bits of the fsum of the products,
+    taken in coordinate order: up to two variables it is their plain sum,
+    with fsum only where that sum is inf or NaN (_step_sum_lines).
 
     descend returns (stop, state), stop the stop reason, or, with dispatch
     set (the function's chart centres), (j, state) at a trial nearer another
@@ -980,6 +984,7 @@ class _Evaluator:
         ]
         lines += _indent(_indent(value))
         steps = [f"s{i}" for i in range(n)]
+        diffs = [f"y{i}" for i in range(n)]
         lines += [
             "            if abs(q) < DENOM_FLOOR:",
             "                alpha *= factor",
@@ -990,11 +995,17 @@ class _Evaluator:
             "            alpha *= factor",
             *_indent(self._gradient_lines(gradient, shared)),
             *(f"        {s} = {t} - {a}" for s, t, a in zip(steps, trial, x)),
-            *_step_sum_lines(
-                "s_y", [f"{s} * ({h} - {g})" for s, h, g in zip(steps, gradient, grad)]
-            ),
+            *(f"        {y} = {h} - {g}" for y, h, g in zip(diffs, gradient, grad)),
+            *_step_sum_lines("s_y", [f"{s} * {y}" for s, y in zip(steps, diffs)]),
             *_step_sum_lines("s_s", [f"{s} * {s}" for s in steps]),
-            "        two_point = s_s / s_y if s_y > 0.0 else initial_step",
+            # The long step after odd-numbered steps, the short one after
+            # even-numbered ones; len(rows) numbers the step being taken.
+            "        if len(rows) % 2:",
+            "            two_point = s_s / s_y if s_y > 0.0 else initial_step",
+            "        else:",
+            *_indent(_step_sum_lines("y_y", [f"{y} * {y}" for y in diffs])),
+            "            two_point = s_y / y_y if s_y > 0.0 and 0.0 < y_y < inf"
+            " else initial_step",
             "        first_step = two_point if two_point < initial_step else initial_step",
             f"        {_tuple_source(x)} = {_tuple_source(trial)}",
             "        fx = f",

@@ -22,7 +22,8 @@ field ("numer[3]", "singular_points[0]"):
   each within the float range.
 
 A ProblemFile itself raises DimensionError where its polynomials or points
-disagree with n_vars, so that save_problem writes only loadable files.
+disagree with n_vars, and ValueError where a point's coordinate is past the
+float range, so that save_problem writes only loadable files.
 """
 
 from __future__ import annotations
@@ -33,7 +34,13 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from .polyalg import DimensionError, Polynomial, RationalFunction, _coefficient
+from .polyalg import (
+    DimensionError,
+    Polynomial,
+    RationalFunction,
+    _as_fraction,
+    _coefficient,
+)
 
 BUNDLED_NAMES = ("fig1", "multi3", "counterex")
 _INT = frozenset({int})
@@ -57,8 +64,9 @@ class ProblemFile:
 
     def __post_init__(self):
         """Raise DimensionError where a polynomial or a singular point
-        disagrees with n_vars: save_problem would write a file that
-        load_problem rejects."""
+        disagrees with n_vars, and ValueError where a point's coordinate is
+        past the float range (each declared point is also a chart centre in
+        floats): save_problem would write a file that load_problem rejects."""
         for field, poly in (("numer", self.numer), ("denom", self.denom)):
             if poly.n_vars != self.n_vars:
                 raise DimensionError(
@@ -70,6 +78,13 @@ class ProblemFile:
                     f"singular_points[{j}] has {len(point)} coordinates, "
                     f"n_vars = {self.n_vars}"
                 )
+            for i, c in enumerate(point):
+                try:
+                    float(_as_fraction(c))
+                except OverflowError:
+                    raise ValueError(
+                        f"singular_points[{j}][{i}] is past the float range"
+                    ) from None
 
     def rational(self) -> RationalFunction:
         return RationalFunction(self.numer, self.denom, self.singular_points)
@@ -104,17 +119,6 @@ def _parse_rational(raw) -> Fraction:
     if type(raw) is bool:
         raise ValueError(f"{raw!r} is not a rational")
     return Fraction(raw)
-
-
-def _parse_coordinate(raw) -> Fraction:
-    """A singular point's coordinate: a rational that a float holds, since
-    each declared point is also a chart centre in floats."""
-    value = _parse_rational(raw)
-    try:
-        float(value)
-    except OverflowError:
-        raise ValueError(f"coordinate {raw!r} is past the float range") from None
-    return value
 
 
 def poly_from_terms(terms, n_vars: int, field_name: str) -> Polynomial:
@@ -208,14 +212,15 @@ def problem_from_json(text: str, source: str = "<string>") -> ProblemFile:
                 f"{source}: singular_points[{j}] must be a list of coordinates"
             )
         try:
-            points.append(tuple(_parse_coordinate(c) for c in raw))
+            points.append(tuple(_parse_rational(c) for c in raw))
         except (TypeError, ValueError, ArithmeticError) as exc:
             raise ProblemFormatError(f"{source}: singular_points[{j}]: {exc}")
     try:
         return ProblemFile(
             n_vars, numer, denom, str(doc.get("name", "")), tuple(points)
         )
-    except DimensionError as exc:
+    # DimensionError, or a point past the float range.
+    except ValueError as exc:
         raise ProblemFormatError(f"{source}: {exc}") from exc
 
 

@@ -70,6 +70,22 @@ def test_criterion_01_reference_run_reaches_origin(fig1_run):
     assert norm < 1e-6
 
 
+def test_fig1_starts_reach_the_origin_in_300_steps(fig1):
+    """100 fourth-quadrant fig1 starts, 300 steps each: at least 70 end at
+    the essential singularity, by criterion 1's tolerances.  Alternating
+    the long and short two-point steps gets there; the long step alone
+    reaches 28."""
+    rng = random.Random(71)
+    reached = 0
+    for _ in range(100):
+        x0 = (rng.uniform(0.2, 3.0), rng.uniform(-3.0, -0.02))
+        trace = optimize(fig1, x0, DescentConfig(max_iters=300))
+        norm = math.hypot(*trace.iterates[-1])
+        reached += norm < 1e-6 and abs(trace.f_values[-1] + 0.5) < 1e-4
+    print(f"fig1 starts reaching the origin in 300 steps: {reached} of 100 (need >=70)")
+    assert reached >= 70
+
+
 def test_criterion_02_safe_set_computation(fig1):
     pencil = analyze_singularity(fig1, (0, 0))
     x = Polynomial.variable(2, 0)

@@ -159,6 +159,14 @@ class TestProblemFiles:
         with pytest.raises(DimensionError, match=r"singular_points\[1\] has 3"):
             ProblemFile(2, x, x * x + 1, singular_points=((0, 0), point))
 
+    @pytest.mark.parametrize("coordinate", [Fraction(10 ** 400), -(10 ** 400), "1e400"],
+                             ids=["Fraction", "int", "str"])
+    def test_singular_point_past_the_float_range_is_rejected(self, coordinate):
+        """save_problem would write it and load_problem reject the file."""
+        one = Polynomial.constant(1, 1)
+        with pytest.raises(ValueError, match=r"singular_points\[0\]\[0\] is past the float"):
+            ProblemFile(1, one, one, singular_points=((coordinate,),))
+
 
 def reference_poly_from_terms(terms, n_vars, field_name):
     """The loader that poly_from_terms replaced: a Fraction per coefficient,
@@ -342,7 +350,7 @@ class TestCli:
         ])
         assert code == 0
         trace = read_trace_csv(trace_path)
-        assert len(trace) == 201
+        assert (len(trace), trace.stop_reason) == (46, "grad_tol")
         assert trace.iterates[0] == (2.0, -0.1)
 
     def test_optimize_prints_the_norm_of_a_huge_final_iterate(self, workdir, capsys):
@@ -421,7 +429,7 @@ class TestCli:
         # The run ends short of the cluster tolerance: the report says by how much.
         assert report["cluster_point"] is None
         assert report["cluster_tol"] == CLUSTER_TOL
-        assert report["cluster_spread"] == pytest.approx(3.745e-4, rel=1e-3)
+        assert report["cluster_spread"] == pytest.approx(7.588e-6, rel=1e-3)
 
     def test_diagnose_gives_infeasible_certificates_no_violation_count(
         self, workdir, capsys
@@ -449,16 +457,16 @@ class TestCli:
     def test_diagnose_certifies_nothing_across_a_nan_gradient_norm(
         self, workdir, capsys
     ):
-        """A 200-step fig1 run with one tail ||grad|| set to nan (k = 148):
-        no certificate is feasible with 0 violations, since the inequality
+        """fig1's 45-step run, cap 200, with one tail ||grad|| set to nan
+        (k = 40): no certificate is feasible with 0 violations, since the inequality
         was never checked there."""
         problem = str(workdir / "fig1.problem")
         trace_path = workdir / "fig1.200.trace.csv"
         assert main(["optimize", "--problem", problem, "--x0", "2,-0.1",
                      "--max-iters", "200", "--trace-out", str(trace_path)]) == 0
         rows = [line.split(",") for line in trace_path.read_text().splitlines()]
-        assert rows[0][4] == "grad_norm" and rows[149][0] == "148"
-        rows[149][4] = "nan"
+        assert rows[0][4] == "grad_norm" and rows[41][0] == "40"
+        rows[41][4] = "nan"
         holed = workdir / "fig1.nan.trace.csv"
         holed.write_text("".join(",".join(r) + "\n" for r in rows))
         (workdir / "fig1.nan.trace.csv.meta.json").write_bytes(
@@ -473,8 +481,8 @@ class TestCli:
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_diagnose_reads_a_non_finite_iterate(self, workdir, capsys, value):
-        """A 200-step fig1 run with x_1 of row 200 (k = 198) set to nan or
-        inf: no cluster point, an inconclusive rate that names the distance,
+        """fig1's 45-step run, cap 200, with x_1 of row 44 (k = 43), in the
+        window of the cluster point, set to nan or inf: no cluster point, an inconclusive rate that names the distance,
         exit 0 and nothing on stderr (numpy warnings are errors here).  The
         report is strict JSON, with the NaN window spread as "nan"."""
         problem = str(workdir / "fig1.problem")
@@ -482,8 +490,8 @@ class TestCli:
         assert main(["optimize", "--problem", problem, "--x0", "2,-0.1",
                      "--max-iters", "200", "--trace-out", str(trace_path)]) == 0
         rows = [line.split(",") for line in trace_path.read_text().splitlines()]
-        assert rows[0][1] == "x_1" and rows[199][0] == "198"
-        rows[199][1] = value
+        assert rows[0][1] == "x_1" and rows[44][0] == "43"
+        rows[44][1] = value
         holed = workdir / f"fig1.{value}-x.trace.csv"
         holed.write_text("".join(",".join(r) + "\n" for r in rows))
         capsys.readouterr()
@@ -495,11 +503,11 @@ class TestCli:
         assert report["cluster_point"] is None and report["cluster_spread"] == "nan"
         rate = report["rate"]
         assert rate["regime"] == "inconclusive" and rate["p"] is None
-        assert rate["detail"] == f"distance {value} to x* at iterate 198 is not finite"
+        assert rate["detail"] == f"distance {value} to x* at iterate 43 is not finite"
 
     def test_diagnose_reads_a_non_finite_f_value(self, workdir, capsys):
-        """A 200-step fig1 run with f of row 200 (k = 198) set to inf, in
-        the window that estimate_limit fits: exit 0 and nothing on stderr
+        """fig1's 45-step run, cap 200, with f of row 44 (k = 43) set to inf,
+        in the window that estimate_limit fits: exit 0 and nothing on stderr
         (numpy warnings are errors here).  The tail is not monotone, so no
         certificate is fitted; the report is strict JSON."""
         problem = str(workdir / "fig1.problem")
@@ -507,8 +515,8 @@ class TestCli:
         assert main(["optimize", "--problem", problem, "--x0", "2,-0.1",
                      "--max-iters", "200", "--trace-out", str(trace_path)]) == 0
         rows = [line.split(",") for line in trace_path.read_text().splitlines()]
-        assert rows[0][3] == "f" and rows[199][0] == "198"
-        rows[199][3] = "inf"
+        assert rows[0][3] == "f" and rows[44][0] == "43"
+        rows[44][3] = "inf"
         holed = workdir / "fig1.inf-f.trace.csv"
         holed.write_text("".join(",".join(r) + "\n" for r in rows))
         capsys.readouterr()

@@ -196,18 +196,18 @@ class TestPinnedBits:
 
     def test_fig1_reference_run(self):
         trace = optimize(load_bundled("fig1").rational(), (2.0, -0.1), DescentConfig())
-        assert (len(trace) - 1, trace.stop_reason) == (581, "grad_tol")
+        assert (len(trace) - 1, trace.stop_reason) == (45, "grad_tol")
         assert _trace_digest(trace) == (
-            "f9c0b427076e67d565dbc2276a4a9cae06c54be59af1a622146fe14d16fb2bc8"
+            "4fe0a334acb3bfdd6417a0b933733eaace9c6b486871d32b396d9a9c4e2a93c3"
         )
 
     def test_multi3_run_into_the_chart_at_0_3(self):
         trace = optimize(
             load_bundled("multi3").rational(), (2.5, 3.5), DescentConfig(max_iters=200)
         )
-        assert (len(trace) - 1, trace.stop_reason) == (200, "max_iters")
+        assert (len(trace) - 1, trace.stop_reason) == (67, "f_stationary")
         assert _trace_digest(trace) == (
-            "c07a8cb116e4a8f106fef062fbffafb595a9336583d6c3a3a4c6f6b282d75455"
+            "a3d9be0ba6e0009849823a3e49d87b8d9779c33774f1d95e50a3d375a6fe47bb"
         )
 
     def test_cp_f_hat_run_through_the_composed_chart(self):
@@ -219,7 +219,7 @@ class TestPinnedBits:
         trace = optimize(f, x0, DescentConfig(max_iters=50))
         assert (len(trace) - 1, trace.stop_reason) == (50, "max_iters")
         assert _trace_digest(trace) == (
-            "67e99110939c17af577296b01b612b35eb398da03fa0d1869e0bb1ef9c055c62"
+            "94d97e18d2bcdbc32e7c30b938d67b47bc5847a5199729ebbaee573547426e38"
         )
 
 
@@ -248,7 +248,7 @@ class TestScaledPair:
         chart's coefficients, 10^-400 * 2^k times fig1's, are not +-2^j, so
         the run is not the reference run."""
         trace = optimize(_fig1_times(Fraction(1, 10 ** 400)), (2.0, -0.1), DescentConfig())
-        assert (len(trace) - 1, trace.stop_reason) == (362, "grad_tol")
+        assert (len(trace) - 1, trace.stop_reason) == (52, "grad_tol")
         assert trace.f_values[-1] == pytest.approx(-0.5, abs=1e-8)
 
 
@@ -279,10 +279,10 @@ class TestLineSearch:
         assert full.calls > run_calls
 
     @pytest.mark.parametrize("name, x0, max_iters", [
-        ("fig1", (2.0, -0.1), 100_000),
+        ("fig1", (-0.8838368497005282, -2.11323333490786), 100_000),
         ("counterex", (0.2967700716400383, 0.17165480523348187), 100),
         ("multi3", (1.6, 1.4), 300),
-        ("multi3", (3.182307256371944, 1.3817660434966745), 300),
+        ("multi3", (3.577794807801203, 1.2956586595533417), 300),
     ])
     def test_one_descend_call_per_chart_visit(self, name, x0, max_iters, monkeypatch):
         """optimize calls eval_and_grad at x0 only, eval never, and the
@@ -293,7 +293,7 @@ class TestLineSearch:
         the changes of chart along the trials of the Python step loop (none
         on the one-chart problems and from (1.6, 1.4), several from the
         other multi3 start), and the retries its failed searches that are
-        searched again: fig1's reference run retries."""
+        searched again: fig1's run from its start retries."""
         cfg = DescentConfig(max_iters=max_iters)
         f = load_bundled(name).rational()
         visits = _log_visits(f)
@@ -513,7 +513,7 @@ class TestGeneratedSearch:
         the origin's chart at its first trial, and one there hands back
         after trials of its own, with the budget left."""
         make = lambda: load_bundled("multi3").rational()
-        x0 = (3.182307256371944, 1.3817660434966745)
+        x0 = (3.577794807801203, 1.2956586595533417)
         self._assert_same_run(make, x0, DescentConfig(max_iters=300))
         f = make()
         visits = _log_visits(f)
@@ -533,17 +533,33 @@ class TestGeneratedSearch:
             visited.add(f._chart(t).centre)
             return f.eval(t)
 
-        x0 = (3.182307256371944, 1.3817660434966745)
+        x0 = (3.577794807801203, 1.2956586595533417)
         step_loop(f, x0, DescentConfig(max_iters=300), evaluate=evaluate)
         assert len(visited) >= 2
         for chart in f._charts:
             assert vars(chart)["evaluate"] == chart.loop
             assert "descend" not in vars(chart)
 
+    def test_short_step_where_y_y_underflows(self):
+        """2^-500 x + 2^-41 x^2 over 1 from 2^-499: step 2 changes the
+        gradient by about 2^-540, whose square underflows to 0 although
+        s'y > 0.  The short step that follows starts from initial_step in
+        descend and in the step loop, not from a division by 0."""
+        x = Polynomial.variable(1, 0)
+        numer = x.scale(Fraction(1, 2 ** 500)) + (x * x).scale(Fraction(1, 2 ** 41))
+        make = lambda: RationalFunction(numer, Polynomial.constant(1, 1))
+        cfg = DescentConfig(grad_tol=0.0, max_iters=6)
+        trace = self._assert_same_run(make, (2.0 ** -499,), cfg)
+        assert (len(trace) - 1, trace.stop_reason) == (6, "max_iters")
+        f = make()
+        (x1,), (x2,) = trace.iterates[1:3]
+        y = f.eval_and_grad((x2,))[1][0] - f.eval_and_grad((x1,))[1][0]
+        assert (x2 - x1) * y > 0.0 and y * y == 0.0
+
     def test_retry_from_initial_step(self):
         """fig1 from this start: searches whose two-point start fails are
         retried from initial_step, and the run goes on to stop on grad_tol."""
-        x0, cfg = (-0.39555020097096794, 0.6634759268006456), DescentConfig(max_iters=300)
+        x0, cfg = (-0.8838368497005282, -2.11323333490786), DescentConfig(max_iters=300)
         make = lambda: load_bundled("fig1").rational()
         trace = self._assert_same_run(make, x0, cfg)
         log = []

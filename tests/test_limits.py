@@ -65,8 +65,10 @@ def _alternating_axes():
 
 @functools.cache
 def _fig1_trace():
-    """300 steps of fig1 from its reference start."""
-    return optimize(load_bundled("fig1").rational(), (2.0, -0.1), DescentConfig(max_iters=300))
+    """40 steps of fig1 from its reference start: the run short of its last
+    five steps, whose last iterate has a zero gradient, so every gradient
+    norm here is positive."""
+    return optimize(load_bundled("fig1").rational(), (2.0, -0.1), DescentConfig(max_iters=40))
 
 
 class TestFindClusterPoint:
@@ -551,7 +553,7 @@ class TestLojasiewiczProbe:
         clean = lojasiewicz_probe(trace, tail)
         assert all(c.feasible and verify_certificate(trace, c) == 0 for c in clean)
         grad_norms = list(trace.grad_norms)
-        grad_norms[tail + 48] = math.nan
+        grad_norms[tail + 10] = math.nan
         holed = dataclasses.replace(trace, grad_norms=tuple(grad_norms))
         certs = lojasiewicz_probe(holed, tail)
         assert len(certs) == len(clean)
@@ -769,17 +771,17 @@ class TestRateClassify:
 
 
 def test_tail_readers_raise_past_what_they_read():
-    """A 50-step fig1 trace from (2, -0.1), iterates 0 to 50.  check_conditions
-    reads steps and raises from 50; the other readers read iterates and raise
-    from 51, and lojasiewicz_probe without L also at 50, where the tail is
+    """A 40-step fig1 trace from (2, -0.1), iterates 0 to 40.  check_conditions
+    reads steps and raises from 40; the other readers read iterates and raise
+    from 41, and lojasiewicz_probe without L also at 40, where the tail is
     the one point at which estimate_limit takes L.  A negative tail_start
     reads from 0."""
     f = load_bundled("fig1").rational()
-    trace = optimize(f, (2.0, -0.1), DescentConfig(max_iters=50))
-    assert len(trace.step_norms) == 50
+    trace = optimize(f, (2.0, -0.1), DescentConfig(max_iters=40))
+    assert len(trace.step_norms) == 40
     pencil = analyze_singularity(f, (0, 0))
     # c = 1e-30 is violated at every tail point but the last.
-    cert = dataclasses.replace(lojasiewicz_probe(trace, 25)[0], c=1e-30)
+    cert = dataclasses.replace(lojasiewicz_probe(trace, 20)[0], c=1e-30)
     readers = {
         "verify_certificate": lambda k: verify_certificate(
             trace, dataclasses.replace(cert, tail_start=k)
@@ -790,8 +792,8 @@ def test_tail_readers_raise_past_what_they_read():
         "lojasiewicz_probe at L": lambda k: lojasiewicz_probe(trace, k, L=-0.5),
         "rate_classify": lambda k: rate_classify(trace, (0.0, 0.0), k),
     }
-    raising = {50: {"check_conditions", "lojasiewicz_probe"}, 51: set(readers),
-               56: set(readers)}
+    raising = {40: {"check_conditions", "lojasiewicz_probe"}, 41: set(readers),
+               46: set(readers)}
     for tail_start, names in raising.items():
         for name, read in readers.items():
             if name in names:
@@ -799,12 +801,12 @@ def test_tail_readers_raise_past_what_they_read():
                     read(tail_start)
             else:
                 read(tail_start)
-    last = direction_trail(trace, pencil, 50)
+    last = direction_trail(trace, pencil, 40)
     assert last.min_tail_pencil == direction_trail(_points_trace(trace.iterates[-1:]),
                                                    pencil).min_tail_pencil
-    assert rate_classify(trace, (0.0, 0.0), 50).detail == "tail too short"
-    assert [c.tail_start for c in lojasiewicz_probe(trace, 50, L=-0.5)] == [50] * 10
-    assert [readers["verify_certificate"](k) for k in (25, 0, -3)] == [25, 50, 50]
+    assert rate_classify(trace, (0.0, 0.0), 40).detail == "tail too short"
+    assert [c.tail_start for c in lojasiewicz_probe(trace, 40, L=-0.5)] == [40] * 10
+    assert [readers["verify_certificate"](k) for k in (20, 0, -3)] == [20, 40, 40]
 
 
 def _diagnose(f, singular_points, trace):
@@ -869,7 +871,7 @@ class TestPinnedDiagnostics:
         f = problem.rational()
         trace = optimize(f, (2.0, -0.1), DescentConfig())
         assert _digest(_diagnose(f, problem.singular_points, trace)) == (
-            "cd323468841dff887df35501c485306e657b52eed93fe4ea5db79b5c12dd2cb5"
+            "d67d289ab7ea15366e9f7a708ff498fece18277c7927a042868c432c5a217de2"
         )
 
     def test_multi3_run_into_the_chart_at_0_3(self):
@@ -877,7 +879,7 @@ class TestPinnedDiagnostics:
         f = problem.rational()
         trace = optimize(f, (2.5, 3.5), DescentConfig(max_iters=200))
         assert _digest(_diagnose(f, problem.singular_points, trace)) == (
-            "6388dd9a902d3a12a9ea6457d73a797a9f00ebc00e0770b088344a33ed3420e0"
+            "15a4128bd4bc6bd58a2574cd5505ed7d94cd91265c724fe2aef777afe15acc7d"
         )
 
     @pytest.mark.parametrize("kernel", [

@@ -632,12 +632,12 @@ CHARTS = [
 
 # ast.Mult nodes in each chart's generated (evaluate, descend).
 MULTS = {
-    "fig1": (28, 47),
-    "counterex": (14, 33),
-    "multi3@(0,0)": (461, 480),
-    "multi3@(3,0)": (465, 484),
-    "multi3@(0,3)": (465, 484),
-    "cp_f_hat": (155, 208),
+    "fig1": (28, 51),
+    "counterex": (14, 37),
+    "multi3@(0,0)": (461, 484),
+    "multi3@(3,0)": (465, 488),
+    "multi3@(0,3)": (465, 488),
+    "cp_f_hat": (155, 220),
 }
 
 
@@ -686,7 +686,7 @@ class TestEvaluator:
         assert generated(f._chart((0.3, -0.2))) == {"evaluate"}
 
         f = _bundled("multi3")()
-        x0 = (3.182307256371944, 1.3817660434966745)
+        x0 = (3.577794807801203, 1.2956586595533417)
         optimize(f, x0, DescentConfig(max_iters=300))
         start = f._chart(x0)
         assert generated(start) == {"descend"}  # evaluated once, looped
