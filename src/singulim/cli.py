@@ -4,9 +4,9 @@ Exit codes: 0 success; 1 when the library rejects an input (a ValueError
 such as a dimension mismatch, a non-finite point, an unsafe direction or an
 unbounded function) or overflows a float (an OverflowError); 2 for malformed
 input (an unparsable list, an option out of range, a malformed problem file,
-trace or tensor target) and for file errors.  main is the one place that
-maps a failure to its code, and it reports each as one `error:` line on
-stderr.
+trace or tensor target, a trace whose sidecar holds another problem's digest)
+and for file errors.  main is the one place that maps a failure to its code,
+and it reports each as one `error:` line on stderr.
 Every produced artifact is deterministic for fixed inputs; randomized helpers
 (--random-directions) honor the SINGULIM_SEED environment variable.
 """
@@ -31,6 +31,7 @@ from .descent import (
     check_conditions,
     optimize,
     read_trace_csv,
+    read_trace_meta,
     write_trace_csv,
 )
 from .homog import CPModel, build_cp_objective
@@ -144,13 +145,18 @@ def _seeded_rng() -> random.Random:
 
 # -- subcommands -----------------------------------------------------------
 
+def _read_problem(path) -> tuple[ProblemFile, str]:
+    """The problem file at path and the sha256 hex digest of its bytes, from
+    one read, so the digest is of the bytes that were parsed."""
+    path = Path(path)
+    data = path.read_bytes()
+    return problem_from_bytes(data, source=str(path)), hashlib.sha256(data).hexdigest()
+
+
 def cmd_optimize(args) -> int:
     _check_output_dirs(args.trace_out, args.grid_out)
-    # One read: the sidecar's digest is of the bytes that were optimized.
-    path = Path(args.problem)
-    data = path.read_bytes()
-    f = problem_from_bytes(data, source=str(path)).rational()
-    problem_sha256 = hashlib.sha256(data).hexdigest()
+    problem, problem_sha256 = _read_problem(args.problem)
+    f = problem.rational()
     x0 = _parse_csv_point(args.x0, "--x0")
     cfg = DescentConfig(
         sigma_armijo=args.sigma,
@@ -286,9 +292,11 @@ def cmd_diagnose(args) -> int:
     _check_output_dirs(args.report)
     _require(0.0 <= args.tail_fraction < 1.0, "--tail-fraction",
              args.tail_fraction, "a fraction in [0, 1)")
-    f = load_problem(args.problem).rational()
+    problem, problem_sha256 = _read_problem(args.problem)
+    f = problem.rational()
     try:
         trace = read_trace_csv(args.trace)
+        traced_sha256 = read_trace_meta(args.trace).get("problem_sha256", problem_sha256)
     except ValueError as exc:
         raise CliError(f"--trace: {exc}", EXIT_MALFORMED)
     n = len(trace.iterates[0])
@@ -301,6 +309,12 @@ def cmd_diagnose(args) -> int:
         raise CliError(
             f"--trace: {args.trace!r} has {len(trace)} iterate(s); diagnosis "
             "needs at least 2", EXIT_MALFORMED,
+        )
+    if traced_sha256 != problem_sha256:
+        raise CliError(
+            f"--trace: {args.trace!r} was written for a problem with sha256 "
+            f"{traced_sha256!s:.16}..., not {args.problem!r} with "
+            f"{problem_sha256:.16}...", EXIT_MALFORMED,
         )
     tail_start = int(len(trace) * args.tail_fraction)
     tail_start = min(tail_start, len(trace.step_norms) - 1)

@@ -50,6 +50,7 @@ from .polyalg import (
     STOP_MAX_ITERS,
     DomainViolation,
     RationalFunction,
+    _fsum,
     check_finite_point,
 )
 
@@ -136,7 +137,7 @@ class ConditionReport:
 
 
 def _norm(v: Sequence[float]) -> float:
-    return math.sqrt(math.fsum(map(operator.mul, v, v)))
+    return math.sqrt(_fsum(list(map(operator.mul, v, v))))
 
 
 def optimize(

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
+from functools import reduce
 from numbers import Integral, Rational
 from operator import add
 from typing import Iterable, Mapping, Sequence
@@ -575,20 +576,22 @@ def _sum_lines(name: str, terms: Sequence[str]) -> list[str]:
     return lines
 
 
-def _step_sum_lines(name: str, terms: Sequence[str]) -> list[str]:
-    """Statements, in descend's loop, that leave fsum(terms) in name.
+def _fsum(terms: Sequence[float]) -> float:
+    """math.fsum(terms), or where it raises, past the largest float or at
+    inf + -inf, the plain sum of the terms from 0.0, left to right."""
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):
+        return reduce(add, terms, 0.0)
 
-    Up to two terms it is the plain sum from 0.0, with fsum only where that
-    sum is inf or NaN: fsum rounds correctly and so does one addition, so a
-    finite sum has fsum's bits, and where it is not, fsum returns or raises
-    as it would have.  With more terms only fsum gives those bits."""
-    call = f"fsum({_tuple_source(terms)})"
+
+def _step_sum_line(name: str, terms: Sequence[str]) -> str:
+    """The statement, in descend's loop, that leaves _fsum(terms) in name:
+    up to two terms the plain sum from 0.0, which has fsum's bits where
+    fsum returns (both round correctly) and is _fsum's where it raises."""
     if len(terms) > 2:
-        return [f"        {name} = {call}"]
-    return [
-        f"        {name} = " + " + ".join(["0.0", *terms]),
-        f"        if not -inf < {name} < inf: {name} = {call}",
-    ]
+        return f"        {name} = fsum({_tuple_source(terms)})"
+    return f"        {name} = " + " + ".join(["0.0", *terms])
 
 
 class _Shared:
@@ -678,17 +681,18 @@ class _Evaluator:
     """Float value of a quotient chart p/q, with its gradient, and the
     Armijo descent through it.
 
-    Called as evaluator.evaluate(x, grad) at a point x of the right length,
-    it evaluates p and q at d = x - centre, each coordinate converted by
-    float(); the centre's length is the number of variables.  It raises
-    DomainViolation(x, q) where |q| < DENOM_FLOOR, else returns f = p/q, or
-    (f, grad f) when grad is set.  The gradient is (q grad p - p grad q) / q^2,
-    or (grad p - f grad q) / q where q^2 is zero, subnormal or infinite
-    although q is not.  p and q are compiled times 2^k, the power of two
-    that brings q's largest |coefficient| into [1, 2), each coefficient
-    rounded once from the exact product.  That commutes with every float
-    operation short of under- and overflow, and both tests see q in that
-    scale.
+    It is the chart about centre = centres[index], centres the function's
+    centre table (RationalFunction).  Called as evaluate(x, grad) at a point
+    x of the right length, it evaluates p and q at d = x - centre, each
+    coordinate converted by float(); the centre's length is the number of
+    variables.  It raises DomainViolation(x, q) where |q| < DENOM_FLOOR,
+    else returns f = p/q, or (f, grad f) when grad is set.  The gradient is
+    (q grad p - p grad q) / q^2, or (grad p - f grad q) / q where q^2 is
+    zero, subnormal or infinite although q is not.  p and q are compiled
+    times 2^k, the power of two that brings q's largest |coefficient| into
+    [1, 2), each coefficient rounded once from the exact product.  That
+    commutes with every float operation short of under- and overflow, and
+    both tests see q in that scale.
 
     Built with levels = (L_0, ..., L_{n-1}), a chain of inner levels, it
     evaluates a composed pair.  Each level is a tuple of term maps: those of
@@ -726,17 +730,16 @@ class _Evaluator:
     from the short one s'y / y'y where it is even-numbered, capped at
     initial_step; it starts from initial_step where s'y <= 0, or for the
     short step where y'y is 0 or not finite.  It has max_trials trials.
-    Every norm and inner product has the bits of the fsum of the products,
-    taken in coordinate order: up to two variables it is their plain sum,
-    with fsum only where that sum is inf or NaN (_step_sum_lines).
+    Every norm and inner product is _fsum of the products, taken in
+    coordinate order: up to two variables their plain sum, which has its
+    bits (_step_sum_line).
 
-    descend returns (stop, state), stop the stop reason, or, with dispatch
-    set (the function's chart centres), (j, state) at a trial nearer another
-    centre, by RationalFunction._chart's rule: j is that centre's index in
-    dispatch, as _nearest returns it and as RationalFunction holds that
-    centre's chart, and state and rows resume the same ladder at that trial
-    in that chart.  So each trial is evaluated in the chart of its
-    nearest centre, and the state carries across charts.
+    descend returns (stop, state), stop the stop reason, or, where centres
+    holds more than one centre, (j, state) at a trial nearer centre j than
+    centre index, by RationalFunction._chart's rule (_nearest): j indexes
+    centres as RationalFunction holds the charts, and state and rows resume
+    the same ladder at that trial in chart j.  So each trial is evaluated in
+    the chart of its nearest centre, and the state carries across charts.
 
     loop is the reference: term by term from power tables, each term its
     coefficient times its monomial, the product of its powers left to right
@@ -767,12 +770,13 @@ class _Evaluator:
 
     def __init__(
         self,
-        centre: tuple[float, ...],
+        centres: tuple[tuple[float, ...], ...],
+        index: int,
         numer: Mapping[Exponent, Rational],
         denom: Mapping[Exponent, Rational],
         levels: Sequence[Sequence[Mapping[Exponent, Rational]]] = (),
-        dispatch: tuple[tuple[float, ...], ...] | None = None,
     ):
+        centre = centres[index]
         term_maps = [numer, denom]
         # The variable count of each power table: x, then each level's values.
         counts = [len(centre)] + [len(level) for level in levels]
@@ -796,8 +800,7 @@ class _Evaluator:
         self.max_deg = [
             _max_degrees(n, maps) for n, maps in zip(counts, [*levels, term_maps])
         ]
-        self.centre = centre
-        self.dispatch = dispatch
+        self.centres, self.index, self.centre = centres, index, centre
         self._used = False
 
     @property
@@ -878,7 +881,7 @@ class _Evaluator:
         namespace = {
             "DENOM_FLOOR": DENOM_FLOOR, "FLOAT_MIN": sys.float_info.min,
             "inf": math.inf, "DomainViolation": DomainViolation,
-            "dist": math.dist, "isfinite": math.isfinite, "fsum": math.fsum,
+            "dist": math.dist, "isfinite": math.isfinite, "fsum": _fsum,
             "sqrt": math.sqrt, "STOP_GRAD_TOL": STOP_GRAD_TOL,
             "STOP_F_STATIONARY": STOP_F_STATIONARY, "STOP_MAX_ITERS": STOP_MAX_ITERS,
         }
@@ -961,20 +964,20 @@ class _Evaluator:
             + " and ".join(f"{t} == {a}" for t, a in zip(trial, x)) + ":",
             f"                return STOP_F_STATIONARY, {state}",
         ]
-        if self.dispatch is not None:
+        if len(self.centres) > 1:
             # _nearest's rule: the first nearest centre, the origin where
             # every distance is NaN.
             lines += [
                 f"            t = {_tuple_source(trial)}",
                 "            j, nearest = 0, inf",
             ]
-            for j, c in enumerate(self.dispatch):
+            for j, c in enumerate(self.centres):
                 lines += [
                     f"            e = dist(t, {c!r})",
                     f"            if e < nearest: j, nearest = {j}, e",
                 ]
             lines += [
-                f"            if j != {self.dispatch.index(self.centre)}:",
+                f"            if j != {self.index}:",
                 f"                return j, {state}",
             ]
         lines.append("            budget -= 1")
@@ -996,21 +999,21 @@ class _Evaluator:
             *_indent(self._gradient_lines(gradient, shared)),
             *(f"        {s} = {t} - {a}" for s, t, a in zip(steps, trial, x)),
             *(f"        {y} = {h} - {g}" for y, h, g in zip(diffs, gradient, grad)),
-            *_step_sum_lines("s_y", [f"{s} * {y}" for s, y in zip(steps, diffs)]),
-            *_step_sum_lines("s_s", [f"{s} * {s}" for s in steps]),
+            _step_sum_line("s_y", [f"{s} * {y}" for s, y in zip(steps, diffs)]),
+            _step_sum_line("s_s", [f"{s} * {s}" for s in steps]),
             # The long step after odd-numbered steps, the short one after
             # even-numbered ones; len(rows) numbers the step being taken.
             "        if len(rows) % 2:",
             "            two_point = s_s / s_y if s_y > 0.0 else initial_step",
             "        else:",
-            *_indent(_step_sum_lines("y_y", [f"{y} * {y}" for y in diffs])),
+            "    " + _step_sum_line("y_y", [f"{y} * {y}" for y in diffs]),
             "            two_point = s_y / y_y if s_y > 0.0 and 0.0 < y_y < inf"
             " else initial_step",
             "        first_step = two_point if two_point < initial_step else initial_step",
             f"        {_tuple_source(x)} = {_tuple_source(trial)}",
             "        fx = f",
             f"        {_tuple_source(grad)} = {_tuple_source(gradient)}",
-            *_step_sum_lines("g_g", [f"{g} * {g}" for g in grad]),
+            _step_sum_line("g_g", [f"{g} * {g}" for g in grad]),
             "        gnorm = sqrt(g_g)",
             f"        rows.append(({_tuple_source(x)}, fx, gnorm, sqrt(s_s), alpha))",
             "        iters -= 1",
@@ -1055,10 +1058,11 @@ class RationalFunction:
 
     Float evaluation of p and q, expansions about the origin, loses accuracy
     far from it, where the terms cancel.  singular_points declares the
-    points where accuracy matters; they and the origin are the centres, held
-    by index with the origin at 0, and so are their charts.  A point is
-    evaluated in the chart of its nearest centre c (_nearest returns its
-    index), the local chart p(c + d)/q(c + d) at d = x - c.  The chart
+    points where accuracy matters.  The centre table _centres holds the
+    origin at index 0, then each distinct declared point as a float, and
+    _charts[j] the chart about _centres[j].  A point is evaluated in the
+    chart of its nearest centre c (_nearest returns its index), the local
+    chart p(c + d)/q(c + d) at d = x - c.  The chart
     is centred at the float nearest c, so x - c is exact near c (Sterbenz),
     and its coefficients are exact Taylor shifts of p and q, built on first
     use.  Each chart is an _Evaluator: looped on its first call,
@@ -1073,8 +1077,8 @@ class RationalFunction:
     """
 
     __slots__ = (
-        "n_vars", "_numer", "_denom", "_factors", "_levels", "_origin",
-        "_centres", "_charts", "_pencils", "_exact_forms", "_last",
+        "n_vars", "_numer", "_denom", "_factors", "_levels", "_centres",
+        "_charts", "_pencils", "_exact_forms", "_last",
     )
 
     def __init__(
@@ -1139,12 +1143,14 @@ class RationalFunction:
         self._exact_forms = None
         # eval_and_grad's last result: (point, f, gradient as a tuple).
         self._last = (None, None, None)
-        self._origin = (0.0,) * n_vars
-        centres = [self._origin]
-        bases = [self._origin]
-        for point in singular_points:
-            point = tuple(point)
-            bases.append(point)
+        # The centre table, and a slot for each centre's chart and for
+        # singan.analyze_singularity's line pencil at the origin and at each
+        # declared point as given (numbers that compare equal hash equal, so
+        # an exact base finds its slot), each filled on first use.
+        origin = (0.0,) * n_vars
+        points = [tuple(point) for point in singular_points]
+        centres = [origin]
+        for point in points:
             # + 0.0 turns -0.0 into 0.0.  A chart leaves out the difference
             # for a zero coordinate, the identity for 0.0 only.
             centre = tuple(float(v) + 0.0 for v in point)
@@ -1155,16 +1161,9 @@ class RationalFunction:
                 )
             if centre not in centres:
                 centres.append(centre)
-        # None when the origin's chart, p/q as stored, serves every point.
-        self._centres = tuple(centres) if len(centres) > 1 else None
-        # The chart about centre j in slot j, the origin's in slot 0, each
-        # built on first use.
+        self._centres = tuple(centres)
         self._charts: list[_Evaluator | None] = [None] * len(centres)
-        # singan.analyze_singularity's line pencils: one slot for the origin
-        # and one per declared point, keyed by the point as given (numbers
-        # that compare equal hash equal, so an exact base finds its slot),
-        # filled on first use.
-        self._pencils: dict[tuple, object] = dict.fromkeys(bases)
+        self._pencils: dict[tuple, object] = dict.fromkeys([origin, *points])
         if levels:
             try:
                 self.eval_exact(range(2, n_vars + 2))
@@ -1193,11 +1192,11 @@ class RationalFunction:
         # Every float evaluation passes here: call the check only to raise.
         if len(x) != self.n_vars:
             _check_point(x, self.n_vars)
-        j = 0 if self._centres is None else _nearest(x, self._centres)
+        j = _nearest(x, self._centres) if len(self._centres) > 1 else 0
         return self._charts[j] or self._chart_at(j)
 
     def _chart_at(self, j: int) -> _Evaluator:
-        """The chart about centre j of _centres, or the origin's (j = 0).
+        """The chart about centre j of _centres, the origin's at j = 0.
 
         Its term maps are those of p and q, exactly Taylor-shifted to a
         centre other than the origin, and those of the levels.  composed
@@ -1205,14 +1204,12 @@ class RationalFunction:
         """
         chart = self._charts[j]
         if chart is None:
-            centre = self._centres[j] if self._centres else self._origin
+            centre = self._centres[j]
             terms = [factor.terms for factor in self._factors]
             if any(centre):
                 terms = [_shift_terms(t, centre) for t in terms]
             levels = [[u.terms for u in level] for level in self._levels]
-            chart = self._charts[j] = _Evaluator(
-                centre, *terms, levels, dispatch=self._centres
-            )
+            chart = self._charts[j] = _Evaluator(self._centres, j, *terms, levels)
         return chart
 
     def eval(self, x: Sequence[float]) -> float:

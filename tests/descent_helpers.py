@@ -31,6 +31,7 @@ from singulim.polyalg import (
     DomainViolation,
     Polynomial,
     RationalFunction,
+    _fsum,
     check_finite_point,
 )
 
@@ -72,7 +73,7 @@ def step_loop(f, x0, cfg, ladder=line_search, evaluate=None):
     from initial_step where it started below it, and the accepted trial's
     gradient is eval_and_grad's there.  The next search starts from s's/s'y
     after an odd-numbered step and from s'y/y'y after an even-numbered one,
-    capped at initial_step; the step sums are the fsums of the products
+    capped at initial_step; the step sums are the _fsums of the products
     that optimize's loop forms.
     """
     evaluate = f.eval if evaluate is None else evaluate
@@ -103,12 +104,12 @@ def step_loop(f, x0, cfg, ladder=line_search, evaluate=None):
         grad_trial = f.eval_and_grad(trial)[1]
         s = [t - a for t, a in zip(trial, x)]
         y = [h - g for h, g in zip(grad_trial, grad)]
-        s_y = math.fsum([d * e for d, e in zip(s, y)])
-        s_s = math.fsum([d * d for d in s])
+        s_y = _fsum([d * e for d, e in zip(s, y)])
+        s_s = _fsum([d * d for d in s])
         if len(rows) % 2:
             two_point = s_s / s_y if s_y > 0.0 else initial_step
         else:
-            y_y = math.fsum([e * e for e in y])
+            y_y = _fsum([e * e for e in y])
             two_point = s_y / y_y if s_y > 0.0 and 0.0 < y_y < math.inf else initial_step
         first_step = two_point if two_point < initial_step else initial_step
         x, fx, grad = trial, f_trial, grad_trial

@@ -786,11 +786,11 @@ class TestCli:
 
 @pytest.fixture(scope="module")
 def misuse_dir(workdir):
-    """workdir plus a short fig1 trace and copies of it off the writer's
-    layout, CP targets, an unbounded problem, problem files whose numbers
-    JSON accepts but the format rejects, and problem files that are not
-    UTF-8, nest too deep for the JSON decoder or hold an integer past its
-    digit limit."""
+    """workdir plus short fig1 and multi3 traces, copies of the fig1 trace
+    off the writer's layout, CP targets, an unbounded problem, problem files
+    whose numbers JSON accepts but the format rejects, and problem files
+    that are not UTF-8, nest too deep for the JSON decoder or hold an
+    integer past its digit limit."""
     from singulim.problems import ProblemFile
 
     assert main([
@@ -800,6 +800,11 @@ def misuse_dir(workdir):
     rows = [line.split(",") for line in
             (workdir / "misuse.trace.csv").read_text().splitlines()]
     assert len(rows) == 22  # the header and 21 iterates
+    # A multi3 run, whose sidecar holds multi3's digest.
+    assert main([
+        "optimize", "--problem", str(workdir / "multi3.problem"), "--x0", "-0.9,3.7",
+        "--max-iters", "20", "--trace-out", str(workdir / "multi3.trace.csv"),
+    ]) == 0
     for name, row, columns, value in [
         ("blank-f", 10, (3, 4), ""),
         ("last-step", 21, (5, 6), "1"),
@@ -954,6 +959,8 @@ _TEN = ["tensor", "--dims", "2,2", "--emit-problem", "{d}/misuse.cp.problem"]
     pytest.param(["diagnose", "--problem", "{d}/fig1.problem", "--trace",
                   "{d}/huge.trace.csv", "--x-star", "0,0"], 1,
                  id="diagnose-fsum-overflow"),
+    pytest.param(["diagnose", "--problem", "{d}/fig1.problem", "--trace",
+                  "{d}/multi3.trace.csv"], 2, id="diagnose-trace-of-another-problem"),
     pytest.param(_SER + ["--direction", "1e200,1e200"], 1, id="series-overflow"),
     pytest.param(["analyze", "--problem", "{d}/zero-den.problem", "--point", "0"], 2,
                  id="problem-coeff-over-zero"),

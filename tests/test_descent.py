@@ -63,7 +63,7 @@ def _log_visits(f):
     was called with, what it returned to the driver: a centre index or the
     stop reason, and the state it returned)."""
     log = []
-    for j, centre in enumerate(f._centres or (f._origin,)):
+    for j, centre in enumerate(f._centres):
         chart = f._chart_at(j)
 
         def logged(*args, _centre=centre, _descend=chart.generate("descend")):
@@ -603,23 +603,25 @@ class TestGeneratedSearch:
             trace = self._assert_same_run(make, x0, cfg)
             assert (trace.stop_reason, len(trace.step_norms)) == (stop, steps)
 
-    @pytest.mark.parametrize("numer, x0, initial_step", [
-        (lambda x, y: -x - y, (0.0, 0.0), 1e154),
-        (lambda x, y: -x ** 4 - y ** 4, (1.0, 1.0), 3.5e50),
-    ], ids=["s_s", "g_g"])
-    def test_step_sums_past_the_largest_float_raise(self, numer, x0, initial_step):
-        """The first step's squares are finite but sum past the largest
-        float: ||s||^2 from s = (1e154, 1e154), ||grad f||^2 from a gradient
-        of about (-1.1e154, -1.1e154) at the trial.  The plain sum is inf,
-        and fsum raises OverflowError as it does in the step loop."""
+    @pytest.mark.parametrize("numer, x0, initial_step, iterates, stop", [
+        (lambda x, y: x * x + y * y, (6e153, 6e153), 1.0, 1, "f_stationary"),
+        (lambda x, y: -x - y, (0.0, 0.0), 1e154, 4, "max_iters"),
+        (lambda x, y: -x ** 4 - y ** 4, (1.0, 1.0), 3.5e50, 2, "f_stationary"),
+    ], ids=["start", "s_s", "g_g"])
+    def test_step_sums_past_the_largest_float_are_inf(
+        self, numer, x0, initial_step, iterates, stop
+    ):
+        """Finite squares that sum past the largest float: ||grad f||^2 at
+        the start from a gradient of (1.2e154, 1.2e154), ||s||^2 from
+        s = (1e154, 1e154), ||grad f||^2 from a gradient of about
+        (-1.1e154, -1.1e154) at the trial.  fsum raises OverflowError there;
+        the sums are the plain sums' inf instead, in the step loop as in
+        optimize, and the run stops as any run with that norm does."""
         cfg = DescentConfig(max_iters=3, initial_step=initial_step)
         make = lambda: _polynomial_objective(numer)
-        with pytest.raises(OverflowError):
-            step_loop(make(), x0, cfg)
-        with pytest.raises(OverflowError):
-            step_loop(looped(make()), x0, cfg)
-        with pytest.raises(OverflowError):
-            optimize(make(), x0, cfg)
+        trace = self._assert_same_run(make, x0, cfg)
+        assert (len(trace.iterates), trace.stop_reason) == (iterates, stop)
+        assert math.inf in trace.grad_norms + trace.step_norms
 
     @pytest.mark.parametrize("make, x0, initial_step", [
         (lambda: _polynomial_objective(lambda x, y: -x - y), (0.0, 0.0), 1e200),

@@ -604,6 +604,33 @@ class TestLocalCharts:
             expected = min(range(len(centres)), key=lambda j: math.dist(coords, centres[j]))
             assert f._chart(x) is f._charts[expected], x
 
+    @pytest.mark.parametrize("points, n_centres", [
+        ((), 1),
+        (((0, 0),), 1),
+        (((Fraction(1, 2), -1),), 2),
+        (((Fraction(1, 2), -1), (0.5, -1.0)), 2),
+        (None, 3),
+    ], ids=["no-point", "origin", "off-origin", "declared-twice", "multi3"])
+    def test_one_centre_table(self, points, n_centres):
+        """The origin is centre 0, then each distinct declared point; chart
+        j is about centre j; the pencil slots are the origin and the points
+        as given; descend looks for the nearest centre only where there are
+        two or more."""
+        if points is None:
+            problem = load_bundled("multi3")
+            f, points = problem.rational(), problem.singular_points
+        else:
+            x, y = _vars()
+            f = RationalFunction(x * y, 1 + x * x + y * y, points)
+        assert len(f._centres) == n_centres and f._centres[0] == (0.0, 0.0)
+        assert len(f._charts) == len(f._centres)
+        for j, centre in enumerate(f._centres):
+            chart = f._chart_at(j)
+            assert chart.centre == centre
+            descend = chart.generate("descend")
+            assert ("dist" in descend.__code__.co_names) == (n_centres > 1)
+        assert f._pencils.keys() == {(0.0, 0.0), *map(tuple, points)}
+
 
 def _domain_decision(evaluate, x):
     """None where evaluate(x) returns, else the rejected denominator's hex."""
@@ -632,11 +659,11 @@ CHARTS = [
 
 # ast.Mult nodes in each chart's generated (evaluate, descend).
 MULTS = {
-    "fig1": (28, 51),
-    "counterex": (14, 37),
-    "multi3@(0,0)": (461, 484),
-    "multi3@(3,0)": (465, 488),
-    "multi3@(0,3)": (465, 488),
+    "fig1": (28, 43),
+    "counterex": (14, 29),
+    "multi3@(0,0)": (461, 476),
+    "multi3@(3,0)": (465, 480),
+    "multi3@(0,3)": (465, 480),
     "cp_f_hat": (155, 220),
 }
 
@@ -930,7 +957,7 @@ class TestPowerOfTwoCoefficients:
              - value_p * _coefficient_first(_partial_terms(q.terms, i), x)) / q_sq
             for i in range(n)
         ]
-        chart = polyalg._Evaluator((0.0,) * n, p.terms, q.terms)
+        chart = polyalg._Evaluator(((0.0,) * n,), 0, p.terms, q.terms)
         evaluate = chart.generate("evaluate")
         for run in (chart.loop, evaluate):
             assert float_hex(run(x, False)) == float_hex(f)
@@ -1120,7 +1147,7 @@ class TestGeneratedCode:
         # that centre's chart where it is another.
         searches = [_search_args(zero)]
         norm = lambda grad: math.sqrt(math.fsum(g * g for g in grad))
-        for c in (f._centres or ())[1:]:
+        for c in f._centres[1:]:
             grad = [a - b for a, b in zip(zero_point, c)]
             searches.append((zero_point, math.inf, grad, norm(grad), 1.0))
         # Sixteenths in [-4, 4], and -0.0 about one draw in nine.
