@@ -5,23 +5,31 @@ Covers cluster-point detection, direction trails against a line pencil
 sequence-level Lojasiewicz certificates, and convergence-rate classification
 into linear / sublinear regimes.
 
-direction_trail works on the whole trace as arrays (eval_float on numpy
-columns), with the bits of a loop over the iterates, and the line fits are
-closed-form.  The residual powers r ** (1 - theta) of lojasiewicz_probe and
-verify_certificate stay a loop over Python floats: np.power is not the C
-library's pow, and on an AVX-512 machine it differed from it in the last bit
-on 10 620 of 200 000 residuals at exponent 0.95, which would move
-certificate constants.  For the same reason every sum is math.fsum or
-np.add.reduce (which ndarray.sum wraps), and none is a BLAS product (@,
-np.dot): OpenBLAS picks its summation order by CPU, and under
-OPENBLAS_CORETYPE=Prescott or Haswell the line fits' dot products moved the
-multi3 diagnostics.
+Descent tails are a few dozen entries long, where numpy's fixed cost per
+call outweighs its elementwise speed.  So each diagnostic is a loop over
+Python floats wherever that loop makes numpy's elementwise operations in the
+same order, with the same bits: the decrements and tests of estimate_limit,
+the distances and tests of rate_classify, the monotone test, and the
+residual powers r ** (1 - theta) of lojasiewicz_probe and verify_certificate
+(np.power is not the C library's pow: on an AVX-512 machine it differed from
+it in the last bit on 10 620 of 200 000 residuals at exponent 0.95, which
+would move certificate constants).  numpy stays in three places, each
+keeping bits or time that a loop would not:
+- np.log, whose vectorized path is not the C library's log;
+- the closed-form line fits' sums, np.add.reduce (which ndarray.sum wraps);
+- direction_trail, which forms the whole trace's directions as arrays and
+  evaluates the leading pencil polynomial once over their columns
+  (eval_float), where a call per point costs 5-7 us on fig1 and multi3.
+No sum is a BLAS product (@, np.dot): OpenBLAS picks its summation order by
+CPU, and under OPENBLAS_CORETYPE=Prescott or Haswell the line fits' dot
+products moved the multi3 diagnostics.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -171,7 +179,8 @@ def direction_trail(
         if not len(units):
             raise ValueError("every iterate coincides with the pencil base")
         values = pencil.leading.eval_float(list(units.T))
-    values = np.broadcast_to(values, len(units)).tolist()
+    # A constant leading polynomial evaluates to one float.
+    values = values.tolist() if np.ndim(values) else [values] * len(units)
     # The directions of iterates before tail_start come first in values.
     first = min(np.count_nonzero(kept[:tail_start]), len(values) - 1)
     scale = float(max(map(abs, pencil.leading.terms.values())))
@@ -204,28 +213,32 @@ def estimate_limit(f_values: Sequence[float]) -> tuple[float, str]:
     remaining geometric tail is added to the last value, otherwise the last
     value is returned unchanged.  So is it where a value or decrement in the
     window is not finite: log|inf| or log|NaN| has no line to fit.
+
+    The decrements, their magnitudes and the zero and finite tests are
+    Python floats, with the bits of numpy's elementwise operations; the logs
+    are np.log and the fit is _linear_fit (see the module docstring).
     """
     if len(f_values) < 3:
         return f_values[-1], "last_value"
-    with np.errstate(all="ignore"):  # inf - inf, or a decrement past the float range
-        diffs = np.diff(np.asarray(f_values[-21:], dtype=float))
-    mags = np.abs(diffs)
+    window = f_values[-21:]
+    # Python floats: inf - inf is NaN, and a decrement past the float range
+    # inf, without numpy's warnings.
+    diffs = list(map(operator.sub, window[1:], window))
+    mags = list(map(abs, diffs))
     # A value that is not finite makes the decrements beside it not finite.
-    if np.any(mags == 0.0) or len(mags) < 4 or not np.isfinite(mags).all():
+    if len(mags) < 4 or not all(map(math.isfinite, mags)) or 0.0 in mags:
         return f_values[-1], "last_value"
     slope, _, r2 = _linear_fit(np.arange(len(mags), dtype=float), np.log(mags))
     rho = math.exp(slope)
     if r2 >= 0.99 and rho < 1.0:
         # Remaining decrements sum to d_last * rho / (1 - rho).
-        correction = diffs[-1] * rho / (1.0 - rho)
-        return float(f_values[-1] + correction), "geometric_fit"
+        return f_values[-1] + diffs[-1] * rho / (1.0 - rho), "geometric_fit"
     return f_values[-1], "last_value"
 
 
 def _is_monotone(values: Sequence[float]) -> bool:
-    increasing = all(b >= a for a, b in zip(values, values[1:]))
-    decreasing = all(b <= a for a, b in zip(values, values[1:]))
-    return increasing or decreasing
+    rest = values[1:]
+    return all(map(operator.ge, rest, values)) or all(map(operator.le, rest, values))
 
 
 def lojasiewicz_probe(
@@ -358,30 +371,32 @@ def rate_classify(
     coordinate) makes the estimate inconclusive, with nothing fitted.
     """
     center = tuple(float(v) for v in x_star)
-    ks = []
-    rs = []
-    for k in range(_tail_index(trace, tail_start), len(trace.iterates)):
-        r = math.dist(trace.iterates[k], center)
-        if not math.isfinite(r):
-            return RateEstimate(
-                "inconclusive", detail=f"distance {r} to x* at iterate {k} is not finite"
-            )
-        if r > 0.0:
-            ks.append(k)
-            rs.append(r)
+    start = _tail_index(trace, tail_start)
+    dists = list(map(math.dist, trace.iterates[start:], itertools.repeat(center)))
+    if not all(map(math.isfinite, dists)):
+        k, r = next((k, r) for k, r in enumerate(dists, start) if not math.isfinite(r))
+        return RateEstimate(
+            "inconclusive", detail=f"distance {r} to x* at iterate {k} is not finite"
+        )
+    ks = [k for k, r in enumerate(dists, start) if r > 0.0]
+    rs = [r for r in dists if r > 0.0]
     if len(rs) < 3:
-        return RateEstimate("inconclusive", detail="tail too short")
-    if all(b == a for a, b in zip(rs, rs[1:])):
-        return RateEstimate("inconclusive", detail="distances constant on tail")
+        detail = f"tail too short: {len(rs)} non-zero distances to x*, fewer than 3"
+        return RateEstimate("inconclusive", detail=detail)
+    if all(map(operator.eq, rs, rs[1:])):
+        detail = f"distances constant on tail: each is {rs[0]}"
+        return RateEstimate("inconclusive", detail=detail)
     # Small noise wiggles are tolerated; reject only an aggregate non-decrease.
     if rs[-1] >= rs[0]:
-        return RateEstimate("inconclusive", detail="distances not decreasing on tail")
+        detail = f"distances not decreasing on tail: last {rs[-1]} >= first {rs[0]}"
+        return RateEstimate("inconclusive", detail=detail)
     k_arr = np.asarray(ks, dtype=float)
-    log_r = np.log(np.asarray(rs))
+    log_r = np.log(rs)
     lin_slope, _, lin_r2 = _linear_fit(k_arr, log_r)
-    positive = k_arr > 0
-    if positive.sum() >= 3:
-        sub_slope, _, sub_r2 = _linear_fit(np.log(k_arr[positive]), log_r[positive])
+    # The ks ascend from tail_start >= 0, so only the first can be 0.
+    first = 1 if ks[0] == 0 else 0
+    if len(ks) - first >= 3:
+        sub_slope, _, sub_r2 = _linear_fit(np.log(k_arr[first:]), log_r[first:])
     else:
         sub_slope, sub_r2 = 0.0, -math.inf
     best = max(lin_r2, sub_r2)

@@ -188,12 +188,13 @@ def series_divide(numer: Sequence, denom: Sequence, n_terms: int) -> list:
     """
     if not denom or denom[0] == 0:
         raise ZeroDivisionError("leading denominator coefficient is zero")
-    g0 = denom[0]
+    g0, rest = denom[0], denom[1:]
     coeffs = []
     for n in range(n_terms):
         s = numer[n] if n < len(numer) else 0
-        for j in range(1, min(n, len(denom) - 1) + 1):
-            s -= denom[j] * coeffs[n - j]
+        # g_j c_{n-j} for j = 1, 2, ... in turn: float bits depend on the order.
+        for g, c in zip(rest, reversed(coeffs)):
+            s -= g * c
         coeffs.append(s / g0)
     return coeffs
 
@@ -281,10 +282,10 @@ def taylor_line(
     weights = recurrence_weights(denom)
     coeffs = series_divide(numer, denom, n_terms)
     return TaylorLine(
-        direction=tuple(float(v) for v in direction),
-        coeffs=tuple(float(c) for c in coeffs),
+        direction=tuple(map(float, direction)),
+        coeffs=tuple(map(float, coeffs)),
         recurrence_order=len(weights),
-        recurrence_weights=tuple(float(w) for w in weights),
+        recurrence_weights=tuple(map(float, weights)),
         radius_lower_bound=companion_radius_bound(weights),
     )
 

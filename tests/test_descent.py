@@ -6,6 +6,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -687,7 +688,9 @@ class TestCheckConditions:
 
 def _looped_conditions(trace, tail_start):
     """check_conditions as a loop over the steps with a running minimum: the
-    reference for the array form's bits."""
+    reference for its bits.  Where g*s underflows to a signed zero, Python's
+    division raises, so the quotient is numpy's IEEE division by that zero:
+    inf of the sign of df*(g*s), or NaN at df = 0."""
     n_steps = len(trace.step_norms)
     if n_steps and tail_start >= n_steps:
         raise ValueError(f"tail_start {tail_start} beyond last step {n_steps - 1}")
@@ -706,7 +709,12 @@ def _looped_conditions(trace, tail_start):
                 degenerate += 1
             continue
         if g > 0.0:
-            sigma = df / (g * s)
+            gs = g * s
+            if gs == 0.0:
+                with np.errstate(all="ignore"):
+                    sigma = float(np.float64(df) / np.float64(gs))
+            else:
+                sigma = df / gs
             kappa = s / g
             sigma_hat = sigma if sigma_hat is None else min(sigma_hat, sigma)
             kappa_hat = kappa if kappa_hat is None else min(kappa_hat, kappa)
@@ -727,17 +735,6 @@ def _assert_conditions_match_loop(trace, tail_start):
     except ValueError:
         with pytest.raises(ValueError, match="beyond last step"):
             check_conditions(trace, tail_start)
-        return
-    except ZeroDivisionError:
-        # The loop divides by g*s in Python floats, which raises where the
-        # product underflows to 0; the array form takes the quotient by 0.
-        got = check_conditions(trace, tail_start)
-        start = max(tail_start, 0)
-        assert any(
-            s != 0.0 and g > 0.0 and g * s == 0.0
-            for g, s in zip(trace.grad_norms[start:], trace.step_norms[start:])
-        )
-        assert got.sigma_hat is not None
         return
     assert _report_bits(check_conditions(trace, tail_start)) == _report_bits(want)
 
@@ -764,7 +761,7 @@ def _condition_cases(draw):
 
 
 class TestCheckConditionsBits:
-    """The array form returns the step loop's bits and counts."""
+    """check_conditions returns the reference step loop's bits and counts."""
 
     @settings(max_examples=250, deadline=None)
     @given(_condition_cases())
@@ -779,6 +776,18 @@ class TestCheckConditionsBits:
         trace = optimize(load_bundled(name).rational(), x0, DescentConfig(max_iters=300))
         for tail_start in (0, len(trace.step_norms) // 2, len(trace.step_norms) - 1):
             _assert_conditions_match_loop(trace, tail_start)
+
+    @pytest.mark.parametrize("df, s, sigma", [
+        (1.0, 0.5, math.inf), (1.0, -0.5, -math.inf), (-1.0, 0.5, -math.inf),
+        (0.0, 0.5, math.nan),
+    ])
+    def test_underflowing_product_divides_by_its_signed_zero(self, df, s, sigma):
+        """g*s = 5e-324 * 0.5 rounds to 0.0 (to -0.0 for a negative step)."""
+        trace = DescentTrace(((0.0,),) * 2, (df, 0.0), (5e-324, 1.0), (s,), (1.0,),
+                             STOP_MAX_ITERS)
+        got = check_conditions(trace, 0).sigma_hat
+        assert got == sigma or (math.isnan(got) and math.isnan(sigma))
+        _assert_conditions_match_loop(trace, 0)
 
     def test_nan_ratio_first_in_the_tail_is_the_minimum(self):
         """min keeps its first argument unless a later one is smaller, and

@@ -640,7 +640,8 @@ class TestRateClassify:
 
     def test_equal_first_and_last_distances_are_no_decrease(self):
         est = rate_classify(self._trace_with_radii([1.0, 0.5, 0.25, 0.5, 1.0]), (0.0,), 0)
-        assert est == RateEstimate("inconclusive", detail="distances not decreasing on tail")
+        assert est == RateEstimate(
+            "inconclusive", detail="distances not decreasing on tail: last 1.0 >= first 1.0")
 
     def test_fit_at_the_quality_floor_is_accepted(self):
         """Distances 1, m, c at k = 0, 1, 2: too few positive k for the log k
@@ -696,12 +697,14 @@ class TestRateClassify:
     def test_constant_radii_inconclusive(self):
         trace = self._trace_with_radii([0.3] * 20)
         est = rate_classify(trace, (0.0,), 0)
-        assert est.regime == "inconclusive"
+        assert est == RateEstimate(
+            "inconclusive", detail="distances constant on tail: each is 0.3")
 
     def test_increasing_radii_inconclusive(self):
         trace = self._trace_with_radii([0.1 * (k + 1) for k in range(20)])
         est = rate_classify(trace, (0.0,), 0)
-        assert est.regime == "inconclusive"
+        assert est == RateEstimate(
+            "inconclusive", detail="distances not decreasing on tail: last 2.0 >= first 0.1")
 
     @pytest.mark.parametrize("n_iterates", range(5, 13))
     def test_stuck_after_one_move_not_sublinear(self, n_iterates):
@@ -756,7 +759,8 @@ class TestRateClassify:
     def test_short_tail_inconclusive(self):
         trace = self._trace_with_radii([1.0, 0.5])
         est = rate_classify(trace, (0.0,), 0)
-        assert est.regime == "inconclusive"
+        assert est == RateEstimate(
+            "inconclusive", detail="tail too short: 2 non-zero distances to x*, fewer than 3")
 
     def test_poor_fits_name_the_best_r2_and_the_floor(self):
         """A tail that zigzags down fits neither regime; the detail says how
@@ -804,7 +808,8 @@ def test_tail_readers_raise_past_what_they_read():
     last = direction_trail(trace, pencil, 40)
     assert last.min_tail_pencil == direction_trail(_points_trace(trace.iterates[-1:]),
                                                    pencil).min_tail_pencil
-    assert rate_classify(trace, (0.0, 0.0), 40).detail == "tail too short"
+    assert rate_classify(trace, (0.0, 0.0), 40).detail == (
+        "tail too short: 1 non-zero distances to x*, fewer than 3")
     assert [c.tail_start for c in lojasiewicz_probe(trace, 40, L=-0.5)] == [40] * 10
     assert [readers["verify_certificate"](k) for k in (20, 0, -3)] == [20, 40, 40]
 
@@ -861,6 +866,19 @@ def _cpu_has(flag):
         return False
 
 
+def _cpu_dispatch():
+    """The CPU features numpy's ufuncs dispatch to at run time, or () where
+    this numpy does not list them."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+    except ImportError:
+        return ()
+    return tuple(__cpu_dispatch__)
+
+
+_CPU_DISPATCH = _cpu_dispatch()
+
+
 class TestPinnedDiagnostics:
     """The diagnostic pass over the two pinned descent runs, bit for bit.  A
     change of these digests changes what the diagnostics compute, and is
@@ -895,13 +913,28 @@ class TestPinnedDiagnostics:
         other and than an AVX-512 machine's kernel, so a BLAS product in the
         diagnostics moves a digest in one of them.  OpenBLAS reads
         OPENBLAS_CORETYPE when it loads, hence the child."""
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        pinned = f"{__file__}::TestPinnedDiagnostics::"
-        done = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-             pinned + "test_fig1_reference_run",
-             pinned + "test_multi3_run_into_the_chart_at_0_3"],
-            capture_output=True, text=True, cwd=root,
-            env={**os.environ, "OPENBLAS_CORETYPE": kernel},
-        )
-        assert done.returncode == 0, done.stdout
+        _assert_pins_hold_in_child({"OPENBLAS_CORETYPE": kernel})
+
+    @pytest.mark.skipif(not _CPU_DISPATCH, reason="numpy dispatches to no CPU feature")
+    def test_pins_hold_on_numpy_baseline_simd(self):
+        """Both pins in a child process with every CPU feature that numpy
+        dispatches to disabled, so its ufuncs run their baseline code.  The
+        diagnostics keep np.log, whose results depend on that dispatch: on
+        an AVX-512 machine its default and baseline paths differed in the
+        last bit on 223 of 200 000 log-uniform inputs in [e^-50, e^50].
+        numpy reads NPY_DISABLE_CPU_FEATURES when it loads, hence the child."""
+        _assert_pins_hold_in_child({"NPY_DISABLE_CPU_FEATURES": " ".join(_CPU_DISPATCH)})
+
+
+def _assert_pins_hold_in_child(env):
+    """Run both TestPinnedDiagnostics pins in a child pytest with env added
+    to the environment."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    pinned = f"{__file__}::TestPinnedDiagnostics::"
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         pinned + "test_fig1_reference_run",
+         pinned + "test_multi3_run_into_the_chart_at_0_3"],
+        capture_output=True, text=True, cwd=root, env={**os.environ, **env},
+    )
+    assert done.returncode == 0, done.stdout
