@@ -58,8 +58,12 @@ class DomainViolation(ValueError):
 
 
 def _as_fraction(value) -> Fraction:
+    """value as a Fraction; ValueError naming value where it is an infinite
+    or NaN float, TypeError where it is not a rational, float or string."""
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{value!r} is not finite, so it has no exact rational value")
     if isinstance(value, (Rational, float, str)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
@@ -384,12 +388,22 @@ def _partial_form(form: tuple[int, Mapping], index: int) -> tuple[int, dict]:
     }
 
 
+def _ratio(value) -> tuple[int, int]:
+    """value as an integer over a positive one: a finite float's through
+    float.as_integer_ratio, the denominator a power of two, and anything
+    else's through _as_fraction, which raises for inf and NaN."""
+    if isinstance(value, float) and math.isfinite(value):
+        return value.as_integer_ratio()
+    c = _as_fraction(value)
+    return c.numerator, c.denominator
+
+
 def _scaled_point(x: Sequence) -> tuple[list[int], int]:
     """(n, s): x = n/s with integer n, s the lcm of the coordinates'
-    denominators (a power of two for floats)."""
-    coords = [_as_fraction(v) for v in x]
-    s = math.lcm(*(c.denominator for c in coords))
-    return [c.numerator * (s // c.denominator) for c in coords], s
+    denominators (for floats, all powers of two, the largest of them)."""
+    ratios = [_ratio(v) for v in x]
+    s = math.lcm(*(b for _, b in ratios))
+    return [a * (s // b) for a, b in ratios], s
 
 
 def _exact_numerators(
@@ -565,14 +579,15 @@ def _tuple_source(items: Iterable[str]) -> str:
     return "(" + "".join(f"{item}, " for item in items) + ")"
 
 
-def _sum_lines(name: str, terms: Sequence[str]) -> list[str]:
-    """Statements that leave the sum of the terms, left to right from 0.0, in
-    name: one per TERMS_PER_STATEMENT terms, the first from 0.0 itself, so
-    that compile() folds a sum of literals into one."""
+def _sum_lines(name: str, terms: Sequence[str], first: str = "0.0") -> list[str]:
+    """Statements that leave the sum of the terms, left to right from first,
+    in name: one per TERMS_PER_STATEMENT terms, the first from first itself,
+    so that compile() folds a sum of literals from 0.0 (or the integer 0)
+    into one."""
     lines = []
     for start in range(0, max(len(terms), 1), TERMS_PER_STATEMENT):
         chunk = terms[start:start + TERMS_PER_STATEMENT]
-        lines.append(f"    {name} = " + " + ".join([name if start else "0.0", *chunk]))
+        lines.append(f"    {name} = " + " + ".join([name if start else first, *chunk]))
     return lines
 
 
@@ -652,14 +667,26 @@ def _sum_source(name: str, compiled: Compiled, var: str, shared: _Shared) -> lis
     start with those that form the powers and monomials (_Shared) that this
     sum is the first to read.
     """
-    lines, terms = [], []
+    lines = []
+    terms = _term_sources(compiled, var, shared, lines)
+    return lines + _sum_lines(name, terms)
+
+
+def _term_sources(
+    compiled: Compiled, var: str, shared: _Shared, lines: list[str], literal=repr
+) -> list[str]:
+    """Each term of compiled as an expression, its coefficient written by
+    literal, times its monomial, read by name (_Shared) where it has two or
+    more powers and the coefficient is not 1; the statements that form
+    powers and monomials go to lines."""
+    terms = []
     for coeff, pairs in compiled:
-        if len(pairs) > 1 and coeff != 1.0:
+        if len(pairs) > 1 and coeff != 1:
             factors = [shared.monomial(var, pairs, lines)]
         else:
             factors = [shared.power(var, i, e, lines) for i, e in pairs]
-        terms.append("*".join(([] if coeff == 1.0 and pairs else [repr(coeff)]) + factors))
-    return lines + _sum_lines(name, terms)
+        terms.append("*".join(([] if coeff == 1 and pairs else [literal(coeff)]) + factors))
+    return terms
 
 
 def _indent(lines: Sequence[str]) -> list[str]:
@@ -740,6 +767,8 @@ class _Evaluator:
     centres as RationalFunction holds the charts, and state and rows resume
     the same ladder at that trial in chart j.  So each trial is evaluated in
     the chart of its nearest centre, and the state carries across charts.
+    The nearest centre is searched only for a trial not well inside this
+    chart's own half of the way to the next centre (_dispatch_lines).
 
     loop is the reference: term by term from power tables, each term its
     coefficient times its monomial, the product of its powers left to right
@@ -851,25 +880,17 @@ class _Evaluator:
         """loop (name "evaluate") as straight-line code, or the descent
         (name "descend") over that code."""
         names = [f"x{i}" for i in range(len(self.max_deg[0]))]
-        last = self._var(len(self.levels))
         shared = _Shared()
-        # Each level's values u{j}_0, u{j}_1, ..., then p and q.
-        value = []
-        for j, level in enumerate(self.levels):
-            for k, compiled in enumerate(level):
-                value += _sum_source(f"u{j}_{k}", compiled, self._var(j), shared)
-        value += _sum_source("p", self.values[0], last, shared)
-        value += _sum_source("q", self.values[1], last, shared)
         gradient = [f"h{i}" for i in range(len(names))]
         if name == "descend":
-            lines = self._descend_lines(names, value, gradient, shared)
+            lines = self._descend_lines(names, gradient, shared)
         else:
             lines = [
                 "def evaluate(x, grad):",
                 f"    {_tuple_source(names)} = x",
                 *(f"    {n} = float({n})" + (f" - {c!r}" if c else "")
                   for n, c in zip(names, self.centre)),
-                *value,
+                *self._value_lines(shared),
                 "    if abs(q) < DENOM_FLOOR:",
                 "        raise DomainViolation(x, q)",
                 "    f = p / q",
@@ -894,6 +915,19 @@ class _Evaluator:
     def _var(j: int) -> str:
         """The name stem of power table j's variables: x, then u{j-1}_."""
         return "x" if j == 0 else f"u{j - 1}_"
+
+    def _value_lines(self, shared: _Shared) -> list[str]:
+        """Statements that leave each level's values in u{j}_0, u{j}_1, ...,
+        then p and q in p and q, from the coordinates x0, x1, ... and the
+        values of shared."""
+        lines = []
+        for j, level in enumerate(self.levels):
+            for k, compiled in enumerate(level):
+                lines += _sum_source(f"u{j}_{k}", compiled, self._var(j), shared)
+        last = self._var(len(self.levels))
+        lines += _sum_source("p", self.values[0], last, shared)
+        lines += _sum_source("q", self.values[1], last, shared)
+        return lines
 
     def _gradient_lines(self, out: Sequence[str], shared: _Shared) -> list[str]:
         """Statements that leave loop's gradient entries in the names out,
@@ -933,13 +967,54 @@ class _Evaluator:
                 lines += _sum_lines(name, products)
         return lines
 
+    def _dispatch_lines(
+        self, trial: Sequence[str], state: str, shared: _Shared
+    ) -> list[str]:
+        """Statements that return (j, state) where the trial's nearest
+        centre by _nearest's rule, the first nearest, the origin where every
+        distance is NaN, is centre j and not this chart's.
+
+        They run _nearest's loop of dist calls only where the squared
+        distance x0^2 + x1^2 + ... from this chart's centre, the trial's
+        coordinates after the centre, is not below r^2, r half the least
+        distance from this centre to any other, shrunk by 2^-20.  Below it,
+        every other centre is farther by the triangle inequality, with a
+        margin far above the rounding error of that test and of math.dist:
+        this chart's centre is _nearest's.  inf, NaN and squares past the
+        float range fail the test.  The squares are read through shared,
+        so the value code reads them by name; where r^2 is below the
+        normal range, whose rounding could outweigh the margin, the loop
+        runs alone.
+        """
+        loop = [
+            f"    t = {_tuple_source(trial)}",
+            "    j, nearest = 0, inf",
+        ]
+        for j, c in enumerate(self.centres):
+            loop += [
+                f"    e = dist(t, {c!r})",
+                f"    if e < nearest: j, nearest = {j}, e",
+            ]
+        loop += [
+            f"    if j != {self.index}:",
+            f"        return j, {state}",
+        ]
+        r = min(
+            math.dist(self.centre, c) for j, c in enumerate(self.centres) if j != self.index
+        ) / 2 * (1 - 2.0 ** -20)
+        if r * r < sys.float_info.min:
+            return loop
+        lines = []
+        squares = [shared.power("x", i, 2, lines) for i in range(len(trial))]
+        return lines + [f"    if not {' + '.join(squares)} < {r * r!r}:", *_indent(loop)]
+
     def _descend_lines(
-        self, names: Sequence[str], value: Sequence[str], gradient: Sequence[str],
-        shared: _Shared,
+        self, names: Sequence[str], gradient: Sequence[str], shared: _Shared
     ) -> list[str]:
         """descend as statements (see the class docstring), one trial per
-        pass of its inner loop; value leaves p and q at the coordinates
-        names, and _gradient_lines the gradient in the names gradient."""
+        pass of its inner loop; _value_lines leaves p and q at the
+        coordinates names, and _gradient_lines the gradient in the names
+        gradient."""
         n = len(names)
         x = [f"a{i}" for i in range(n)]
         grad = [f"g{i}" for i in range(n)]
@@ -964,28 +1039,14 @@ class _Evaluator:
             + " and ".join(f"{t} == {a}" for t, a in zip(trial, x)) + ":",
             f"                return STOP_F_STATIONARY, {state}",
         ]
-        if len(self.centres) > 1:
-            # _nearest's rule: the first nearest centre, the origin where
-            # every distance is NaN.
-            lines += [
-                f"            t = {_tuple_source(trial)}",
-                "            j, nearest = 0, inf",
-            ]
-            for j, c in enumerate(self.centres):
-                lines += [
-                    f"            e = dist(t, {c!r})",
-                    f"            if e < nearest: j, nearest = {j}, e",
-                ]
-            lines += [
-                f"            if j != {self.index}:",
-                f"                return j, {state}",
-            ]
-        lines.append("            budget -= 1")
         lines += [
             f"            {d} = {t} - {c!r}"
             for d, t, c in zip(names, trial, self.centre) if c
         ]
-        lines += _indent(_indent(value))
+        if len(self.centres) > 1:
+            lines += _indent(_indent(self._dispatch_lines(trial, state, shared)))
+        lines.append("            budget -= 1")
+        lines += _indent(_indent(self._value_lines(shared)))
         steps = [f"s{i}" for i in range(n)]
         diffs = [f"y{i}" for i in range(n)]
         lines += [
@@ -1033,6 +1094,77 @@ def _nearest(x: Sequence, centres: Sequence[tuple[float, ...]]) -> int:
     return j
 
 
+class _ExactEvaluator:
+    """Exact values of a list of polynomials in integer form (_integer_form)
+    at x = point/s, point integers: evaluate(point, s) returns what
+    _exact_numerators(forms, point, s) does, the numerators over one
+    common denominator d * s^top.
+
+    It follows _Evaluator's rule.  _exact_numerators is the reference: the
+    first evaluate call runs it, and the second generates evaluate,
+    straight-line integer code that goes into the instance dict, where it
+    shadows the method.  Every product and sum there is an exact integer,
+    so evaluation order is free and the code returns the loop's integers
+    whatever it does with them: it forms each power and each monomial of a
+    term with two or more powers once (_Shared), folds d/d_f into each
+    coefficient, and sums each form's terms degree by degree, lowest first,
+    as Horner's rule in s, one statement per total degree n present (more
+    past TERMS_PER_STATEMENT terms, as _sum_lines chunks them): v = v * s^g
+    + the terms of degree n, g the step from the degree before, and at the
+    end v * s^(top - n) from the highest.  No statement nests deeper than
+    one degree's terms, so a form of any degree compiles.
+    """
+
+    def __init__(self, forms: Sequence[tuple[int, Mapping]]):
+        self.forms = forms
+        self._used = False
+
+    def evaluate(self, point: Sequence[int], s: int) -> tuple[list[int], int]:
+        """The values at point/s; see the class docstring."""
+        if not self._used:
+            self._used = True
+            return _exact_numerators(self.forms, point, s)
+        self.evaluate = self.generate()
+        return self.evaluate(point, s)
+
+    def generate(self):
+        """evaluate as straight-line code over the integer point x0, x1, ...
+        and the scale s0."""
+        top = max(max(map(sum, numerators), default=0) for _, numerators in self.forms)
+        d = math.lcm(*(d_f for d_f, _ in self.forms))
+        n_vars = len(next((e for _, numerators in self.forms for e in numerators), ()))
+        shared = _Shared()
+        lines = ["def evaluate(point, s0):"]
+        if n_vars:
+            lines.append(f"    {_tuple_source(f'x{i}' for i in range(n_vars))} = point")
+        names = []
+        for k, (d_f, numerators) in enumerate(self.forms):
+            name = f"v{k}"
+            names.append(name)
+            # The terms of each total degree, each coefficient times d/d_f.
+            degrees: dict[int, list] = {}
+            for exps, coeff in numerators.items():
+                degrees.setdefault(sum(exps), []).append(
+                    (coeff * (d // d_f), tuple((i, e) for i, e in enumerate(exps) if e))
+                )
+            first, last = "0", None
+            for n in sorted(degrees):
+                if last is not None:
+                    first = f"{name} * {shared.power('s', 0, n - last, lines)}"
+                terms = _term_sources(degrees[n], "x", shared, lines, hex)
+                lines += _sum_lines(name, terms, first)
+                last = n
+            if last is None:
+                lines.append(f"    {name} = 0")
+            elif last < top:
+                lines.append(f"    {name} = {name} * {shared.power('s', 0, top - last, lines)}")
+        scale = [hex(d)] + ([shared.power("s", 0, top, lines)] if top else [])
+        lines.append(f"    return {_list_source(names)}, {' * '.join(scale)}")
+        namespace: dict = {}
+        exec(compile("\n".join(lines), "<polyalg exact>", "exec"), namespace)
+        return namespace.pop("evaluate")
+
+
 class RationalFunction:
     """Quotient p/q of two polynomials over the same variables.
 
@@ -1049,8 +1181,12 @@ class RationalFunction:
     (_Evaluator) and exact evaluation evaluates each level exactly, then p
     and q at the last level's values.  Exact evaluation reads the integer
     forms of p, q and the levels, built at the first exact call, and those
-    of their partials, built at the first gradient call; all are kept like
-    the charts (_kept_forms), so _setup's zero test builds no partial.
+    of their partials, built at the first gradient call, through one exact
+    evaluator (_ExactEvaluator) per list of forms, kept like the charts
+    (_kept_forms), so _setup's zero test builds no partial.  Like a chart,
+    each loops on its first call and runs generated straight-line code
+    from its second; exact values are integers, so that code may group and
+    order the arithmetic as it likes and still returns the loop's values.
 
     numer and denom are p and q in the variables x: what __eq__, repr and
     the line pencil read.  With levels, each is composed when first needed
@@ -1140,7 +1276,8 @@ class RationalFunction:
         self._levels = levels
         # p and q in x; with levels, composed on first read.
         self._numer, self._denom = (None, None) if levels else (p, q)
-        self._exact_forms = None
+        # _kept_forms' evaluators, value-only at [False], with partials at [True].
+        self._exact_forms = [None, None]
         # eval_and_grad's last result: (point, f, gradient as a tuple).
         self._last = (None, None, None)
         # The centre table, and a slot for each centre's chart and for
@@ -1282,12 +1419,12 @@ class RationalFunction:
         # Per level, the variable count before it, the (k, i) of its Jacobian
         # entries and their values.
         jacobians = []
-        for forms, count, entries in levels:
-            values, s = _exact_numerators(forms if grad else forms[:count], point, s)
+        for exact, count, entries in levels:
+            values, s = exact.evaluate(point, s)
             jacobians.append((len(point), entries, values[count:]))
             point = values[:count]
             jacobian_d *= s
-        values, _ = _exact_numerators(pair if grad else pair[:2], point, s)
+        values, _ = pair.evaluate(point, s)
         p_value, q_value = values[:2]
         if q_value == 0:
             raise DomainViolation([float(_as_fraction(v)) for v in x], 0.0)
@@ -1307,33 +1444,44 @@ class RationalFunction:
         return f, [Fraction(a, q_sq) for a in gradient]
 
     def _kept_forms(self, grad: bool) -> tuple:
-        """_exact_forms, built on first use and kept: the integer forms of p
-        and q, and per level its forms, their count and the (k, i) of its
-        Jacobian entries.  The first call with grad appends to p's and q's
-        the forms of their partials in the last level's variables, and to
-        each level's those of its Jacobian entries du_k/dv_i that are not
-        identically zero, with each entry's (k, i).  Each form is built once.
+        """_exact_forms[grad], built on first use and kept: the exact
+        evaluator (_ExactEvaluator) of the integer forms of p and q, and per
+        level that of its polynomials' forms, with their count and the
+        (k, i) of its Jacobian entries.  With grad, p's and q's forms are
+        followed by those of their partials in the last level's variables,
+        and each level's by those of its Jacobian entries du_k/dv_i that
+        are not identically zero, in the order of their (k, i); without,
+        no level has entries.  Each form is built once, from the forms
+        without grad, so the partial forms wait for the first call with
+        grad.
         """
-        if self._exact_forms is None:
+        kept = self._exact_forms[grad]
+        if kept is not None:
+            return kept
+        if not grad:
             p, q = self._factors
-            self._exact_forms = (
-                [_integer_form(p.terms), _integer_form(q.terms)],
-                [([_integer_form(u.terms) for u in level], len(level), [])
+            kept = (
+                _ExactEvaluator([_integer_form(p.terms), _integer_form(q.terms)]),
+                [(_ExactEvaluator([_integer_form(u.terms) for u in level]), len(level), [])
                  for level in self._levels],
             )
-        pair, levels = self._exact_forms
-        # Before the first call with grad, pair holds p's and q's forms alone.
-        if grad and len(pair) == 2:
+        else:
+            pair, levels = self._kept_forms(False)
             m = self._factors[0].n_vars
-            pair += [_partial_form(form, k) for form in pair for k in range(m)]
-            for level, (forms, count, entries) in zip(self._levels, levels):
+            forms = pair.forms + [_partial_form(form, k) for form in pair.forms for k in range(m)]
+            with_partials = []
+            for level, (exact, count, _) in zip(self._levels, levels):
+                level_forms, entries = list(exact.forms), []
                 for k in range(count):
                     for i in range(level[0].n_vars):
-                        du = _partial_form(forms[k], i)
+                        du = _partial_form(exact.forms[k], i)
                         if du[1]:
                             entries.append((k, i))
-                            forms.append(du)
-        return self._exact_forms
+                            level_forms.append(du)
+                with_partials.append((_ExactEvaluator(level_forms), count, entries))
+            kept = (_ExactEvaluator(forms), with_partials)
+        self._exact_forms[grad] = kept
+        return kept
 
     def eval_and_grad(self, x: Sequence[float]) -> tuple[float, list[float]]:
         """Value and gradient; _Evaluator says how the gradient is formed.

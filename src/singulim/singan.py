@@ -20,8 +20,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .polyalg import Polynomial, RationalFunction, _as_fraction, _check_point
-from .polyalg import _exact_numerators, _integer_form, _scaled_point
+from .polyalg import TERMS_PER_STATEMENT, Polynomial, RationalFunction
+from .polyalg import _as_fraction, _check_point, _ExactEvaluator, _integer_form
+from .polyalg import _scaled_point, _tuple_source
 
 # Default truncation order for Taylor lines.
 DEFAULT_N_TERMS = 64
@@ -76,15 +77,19 @@ class LinePencil:
         return self.denom_coeffs[self.n_min]
 
     @cached_property
-    def _series_forms(self) -> tuple[list, list[int]]:
-        """The integer forms (polyalg._integer_form) of f_{n_min}, ... of
-        the denominator, then of the numerator, with the degree n of each
-        f_n: what taylor_line evaluates, built on first use and kept with
-        the pencil."""
+    def _series(self) -> _ExactEvaluator:
+        """The exact evaluator (polyalg._ExactEvaluator) of f_{n_min}, ...
+        of the denominator, then of the numerator: what taylor_line
+        evaluates, built on first use and kept with the pencil."""
         polys = self.denom_coeffs[self.n_min:] + self.numer_coeffs[self.n_min:]
-        degrees = [*range(self.n_min, len(self.denom_coeffs)),
-                   *range(self.n_min, len(self.numer_coeffs))]
-        return [_integer_form(p.terms) for p in polys], degrees
+        return _ExactEvaluator([_integer_form(p.terms) for p in polys])
+
+    @cached_property
+    def _verdict(self) -> _ExactEvaluator:
+        """The exact evaluator of f_{n_min} of the denominator and of the
+        numerator, direction_verdict's two forms, kept like _series."""
+        polys = self.leading, self.numer_coeffs[self.n_min]
+        return _ExactEvaluator([_integer_form(p.terms) for p in polys])
 
 
 @dataclass(frozen=True)
@@ -150,19 +155,17 @@ def analyze_singularity(f: RationalFunction, x_star: Sequence) -> LinePencil:
 def direction_verdict(pencil: LinePencil, d: Sequence) -> DirectionVerdict:
     """Decide safe-set membership of a direction and its directional limit.
 
-    Every direction is decided exactly, f_{n_min}(d) != 0, from the integer
-    forms kept with the pencil, as in taylor_line; pencil_value and
+    Every direction is decided exactly, f_{n_min}(d) != 0, by the exact
+    evaluator of the two forms kept with the pencil; pencil_value and
     limit_value are the exact values at d/||d||_inf, each rounded to float
     once.  Both coefficients are homogeneous of degree n_min, so that exact
     scaling keeps the sign and the limit, and the value cannot overflow.
     """
     direction, _ = _checked_direction(pencil, d)
-    forms, _ = pencil._series_forms
-    split = len(pencil.denom_coeffs) - pencil.n_min
     # d = point/s, so d/||d||_inf = point/max|point|, and each value at it is
     # the value at the integer point over max|point|^n_min.
     point, _ = _scaled_point(direction)
-    (lead, numer), denominator = _exact_numerators([forms[0], forms[split]], point, 1)
+    (lead, numer), denominator = pencil._verdict.evaluate(point, 1)
     scale = denominator * max(map(abs, point)) ** pencil.n_min
     limit = float(Fraction(numer, lead)) if lead else None
     return DirectionVerdict(direction, lead != 0, float(Fraction(lead, scale)), limit)
@@ -184,19 +187,66 @@ def series_divide(numer: Sequence, denom: Sequence, n_terms: int) -> list:
     """Leading coefficients of the power-series quotient numer/denom.
 
     Long division: c_n = (a_n - sum_{j>=1} g_j c_{n-j}) / g_0.  Works over
-    Fractions or floats; denom[0] must be nonzero.
+    Fractions or floats; denom[0] must be nonzero.  Over a float g_0 and a
+    recurrence of order r = len(denom) - 1 >= 1, the terms n >= r come from
+    the generated loop of order r (_series_tail), which forms the same
+    products and differences in the same order, so every term has the
+    bits of this loop's.
     """
     if not denom or denom[0] == 0:
         raise ZeroDivisionError("leading denominator coefficient is zero")
     g0, rest = denom[0], denom[1:]
+    order = len(rest)
+    head = min(order, n_terms) if order and isinstance(g0, float) else n_terms
     coeffs = []
-    for n in range(n_terms):
+    for n in range(head):
         s = numer[n] if n < len(numer) else 0
         # g_j c_{n-j} for j = 1, 2, ... in turn: float bits depend on the order.
         for g, c in zip(rest, reversed(coeffs)):
             s -= g * c
         coeffs.append(s / g0)
+    if head < n_terms:
+        _series_tail(order)(numer, g0, rest, coeffs, n_terms)
     return coeffs
+
+
+# series_divide's generated loops, by recurrence order.
+_SERIES_TAILS: dict = {}
+
+
+def _series_tail(order: int):
+    """The function tail(numer, g0, rest, coeffs, n_terms) that appends
+    series_divide's terms order, ..., n_terms - 1 to coeffs, which holds
+    the first order of them.  It keeps g_1, ..., g_order and the last order
+    terms c1 = c_{n-1}, c2 = c_{n-2}, ... as locals, and subtracts g1*c1,
+    g2*c2, ... from a_n left to right, TERMS_PER_STATEMENT products per
+    statement.  Generated once per order and kept in _SERIES_TAILS.
+    """
+    tail = _SERIES_TAILS.get(order)
+    if tail is None:
+        g = [f"g{j}" for j in range(1, order + 1)]
+        c = [f"c{j}" for j in range(1, order + 1)]
+        products = [f"{gj} * {cj}" for gj, cj in zip(g, c)]
+        lines = [
+            "def tail(numer, g0, rest, coeffs, n_terms):",
+            f"    {_tuple_source(g)} = rest",
+            f"    {_tuple_source(reversed(c))} = coeffs",
+            "    size = len(numer)",
+            "    append = coeffs.append",
+            f"    for n in range({order}, n_terms):",
+            "        s = numer[n] if n < size else 0",
+            *(
+                "        s = " + " - ".join(["s", *products[k:k + TERMS_PER_STATEMENT]])
+                for k in range(0, order, TERMS_PER_STATEMENT)
+            ),
+            "        c0 = s / g0",
+            "        append(c0)",
+            f"        {_tuple_source(c)} = {_tuple_source(['c0', *c[:-1]])}",
+        ]
+        namespace: dict = {}
+        exec(compile("\n".join(lines), "<singan series>", "exec"), namespace)
+        tail = _SERIES_TAILS[order] = namespace.pop("tail")
+    return tail
 
 
 def recurrence_weights(denom: Sequence) -> list:
@@ -246,28 +296,23 @@ def taylor_line(
 
     Both line-restricted numerator and denominator are divided by t^{n_min}
     before the power-series division; the recurrence weights come from the
-    shifted denominator.  Each pencil polynomial is evaluated exactly at d,
-    in one pass over the integer forms kept with the pencil, and divided by
-    the exact f_{n_min}(d), which decides membership as in direction_verdict;
-    each ratio stays exact at an exact direction and is rounded once at a
-    float one.  n_terms, the number of series coefficients, is at least 1.
+    shifted denominator.  Each pencil polynomial is evaluated exactly at d
+    by the exact evaluator of the series forms kept with the pencil
+    (polyalg._ExactEvaluator), and divided by the exact f_{n_min}(d), which
+    decides membership as in direction_verdict; each ratio stays exact at
+    an exact direction and is rounded once at a float one.  n_terms, the
+    number of series coefficients, is at least 1.
     """
     if n_terms < 1:
         raise ValueError(f"n_terms {n_terms} must be at least 1")
     if pencil is None:
         pencil = analyze_singularity(f, x_star)
     direction, exact = _checked_direction(pencil, d)
-    forms, degrees = pencil._series_forms
-    # d = point/s.  f_n is homogeneous of degree n, so f_n(d) = f_n(point)/s^n:
-    # each f_n is evaluated at the integer point and brought over the common
-    # denominator by one power of s.
-    point, s = _scaled_point(direction)
-    values, _ = _exact_numerators(forms, point, 1)
+    # f_n is homogeneous of degree n, so at d = point/s the evaluator brings
+    # each f_n(point) over the common denominator s^top by s^(top - n).
+    values, _ = pencil._series.evaluate(*_scaled_point(direction))
     if not values[0]:
         raise UnsafeDirectionError(direction, pencil.leading)
-    if s != 1:
-        top = max(degrees)
-        values = [v * s ** (top - n) for v, n in zip(values, degrees)]
     # Numerators over one denominator, so v / lead is the exact ratio.  Int
     # true division rounds it correctly and, over a positive lead, gives an
     # exact 0 as 0.0: the bits of float(Fraction(v, lead)).

@@ -26,6 +26,10 @@ from singulim.polyalg import (
     Polynomial,
     RationalFunction,
     _as_fraction,
+    _exact_numerators,
+    _ExactEvaluator,
+    _integer_form,
+    _nearest,
     _shift_terms,
 )
 from singulim.problems import BUNDLED_NAMES, MAX_EXPONENT, load_bundled
@@ -265,6 +269,27 @@ class TestRejectedInputsAndOperators:
     def test_as_fraction_rejects_anything_else(self, value):
         with pytest.raises(TypeError, match="as an exact rational"):
             _as_fraction(value)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, np.float64(math.inf)],
+                             ids=["inf", "-inf", "nan", "numpy-inf"])
+    def test_as_fraction_rejects_a_non_finite_float_by_name(self, value):
+        with pytest.raises(ValueError, match=re.escape(f"{value!r} is not finite")):
+            _as_fraction(value)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("call", [
+        lambda f, x: f.numer.eval_exact(x),
+        lambda f, x: f.eval_exact(x),
+        lambda f, x: f.eval_exact_and_grad(x),
+    ], ids=["Polynomial.eval_exact", "eval_exact", "eval_exact_and_grad"])
+    def test_exact_evaluation_rejects_a_non_finite_coordinate(self, call, value):
+        """One ValueError that names the value, at the first (looped) call
+        and at a generated one."""
+        f = load_bundled("multi3").rational()
+        for _ in range(2):
+            call(f, (0.5, 0.25))
+            with pytest.raises(ValueError, match=f"^{value!r} is not finite"):
+                call(f, (value, 0.0))
 
 
 class TestEvaluation:
@@ -525,6 +550,54 @@ class TestExactLayer:
         ):
             _assert_stored_form(result)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+        st.lists(polynomials(n_vars=n, max_degree=6, max_terms=6, coefficients=rationals),
+                 min_size=1, max_size=4),
+        st.lists(st.tuples(st.tuples(*[st.integers(-50, 50)] * n), st.integers(1, 30)),
+                 min_size=2, max_size=2),
+    )))
+    @example(((Polynomial.zero(1), Polynomial.constant(1, 7),
+               Polynomial(1, {(e,): (-1) ** e * (e + 1) for e in range(1001)})),
+              [((3,), 1), ((-2,), 6)]))
+    def test_generated_exact_code_agrees_with_the_loop(self, case):
+        """An exact evaluator's first call runs _exact_numerators and its
+        second generates code that returns the same integers, at any integer
+        point and scale: the zero form, a constant and a degree-1000 form
+        included."""
+        polys, calls = case
+        forms = [_integer_form(p.terms) for p in polys]
+        exact = _ExactEvaluator(forms)
+        for point, s in [calls[0], *calls]:  # looped, generated, reused
+            assert exact.evaluate(point, s) == _exact_numerators(forms, point, s)
+        assert "evaluate" in vars(exact)
+
+    @pytest.mark.parametrize("label", [*BUNDLED_NAMES, "cp_f_hat"])
+    def test_generated_exact_code_agrees_on_every_function(self, label):
+        """Each bundled pair with its partials, and f_hat through both of its
+        levels, at a float, a Fraction and an integer point: later calls,
+        which run generated code, return what the first, looped, gradient
+        call returned.  f_hat's value-only evaluators already looped in
+        its zero test at construction."""
+        make = cp_f_hat if label == "cp_f_hat" else lambda: load_bundled(label).rational()
+        rng = random.Random(label)
+        n = make().n_vars
+        points = [
+            tuple(rng.uniform(-2.0, 4.0) for _ in range(n)),
+            tuple(Fraction(rng.randint(-20, 20), rng.randint(1, 12)) for _ in range(n)),
+            tuple(rng.randint(-5, 5) for _ in range(n)),
+        ]
+        for x in points:
+            f = make()
+            value, grad = f.eval_exact_and_grad(x)  # looped
+            for _ in range(2):  # generated, then reused
+                assert f.eval_exact(x) == value
+                assert f.eval_exact_and_grad(x) == (value, grad)
+            evaluators = []
+            for pair, levels in f._exact_forms:
+                evaluators += [pair, *(exact for exact, _, _ in levels)]
+            assert all("evaluate" in vars(exact) for exact in evaluators)
+
     def test_stored_coefficients_read_as_before(self):
         half = Fraction(1, 2)
         p = Polynomial(2, {(1, 0): Fraction(4, 2), (0, 1): half, (0, 0): 3.0})
@@ -701,6 +774,43 @@ class TestEvaluator:
             assert f._chart(x) is chart
             for grad in (False, True):
                 assert float_hex(chart.evaluate(x, grad)) == float_hex(chart.loop(x, grad)), x
+
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_chart_test_before_dist_keeps_the_nearest_centre(self, index):
+        """multi3's descend in the chart about centre index, from one trial
+        each: just inside and just outside r, half the least distance to
+        another centre shrunk by 2^-20, on the way to each other centre and
+        away from them, at each midpoint (equidistant: the first centre),
+        past the float range for squares, and at inf and NaN.  descend
+        hands off to _nearest's index, or keeps the trial (and stops, with
+        budget 1) where that index is its own."""
+        f = _bundled("multi3")()
+        centres = f._centres
+        chart = f._chart_at(index)
+        c = centres[index]
+        r = min(math.dist(c, o) for o in centres if o != c) / 2 * (1 - 2.0 ** -20)
+        targets = []
+        for o in centres:
+            if o != c:
+                u = [(b - a) / math.dist(c, o) for a, b in zip(c, o)]
+                for k in (1 - 1e-9, 1 + 1e-9):
+                    targets.append(tuple(a + k * r * v for a, v in zip(c, u)))
+                    targets.append(tuple(a - k * r * v for a, v in zip(c, u)))
+                targets.append(tuple((a + b) / 2 for a, b in zip(c, o)))
+        targets += [(c[0] + 1e200, c[1]), (math.inf, 0.5), (math.nan, 0.5)]
+        distances = {True: 0, False: 0}
+        step = (0.25, 0.25)
+        for target in targets:
+            x = tuple(v + g for v, g in zip(target, step))
+            t = tuple(a - 1.0 * g for a, g in zip(x, step))  # descend's trial
+            if math.isfinite(math.dist(t, c)) and abs(math.dist(t, c) / r - 1) < 1e-6:
+                distances[math.dist(t, c) < r] += 1
+            rows = [(x, 1.0, 1.0)]
+            to, _ = chart.descend(step, 1.0, 1.0, 1, 1, rows, 1e-4, 0.5, 1.0, 0.0, 1)
+            want = _nearest(t, centres)
+            assert (to == want) if want != index else isinstance(to, str), target
+        # Trials on both sides of r.
+        assert distances[True] >= 2 and distances[False] >= 2
 
     def test_each_function_generated_on_its_own_first_use(self):
         """A chart evaluated twice holds a generated evaluate and no

@@ -36,6 +36,19 @@ def _univariate(numer_coeffs, denom_coeffs):
     return RationalFunction(build(numer_coeffs), build(denom_coeffs))
 
 
+def _series_divide_loop(numer, denom, n_terms):
+    """series_divide as one loop over every term, the reference for its
+    generated loops."""
+    g0, rest = denom[0], denom[1:]
+    coeffs = []
+    for n in range(n_terms):
+        s = numer[n] if n < len(numer) else 0
+        for g, c in zip(rest, reversed(coeffs)):
+            s -= g * c
+        coeffs.append(s / g0)
+    return coeffs
+
+
 class TestAnalyzeSingularity:
     def test_pinch_point_pencil(self):
         pencil = analyze_singularity(pinch(), (0, 0))
@@ -237,6 +250,29 @@ class TestSeriesAndRecurrence:
         with pytest.raises(ZeroDivisionError, match="leading denominator"):
             series_divide([1], [], 4)
 
+    @pytest.mark.parametrize("order", [*range(13), 450])
+    def test_series_divide_has_the_loop_bits(self, order):
+        """Float recurrences of each order against the term-by-term loop,
+        by repr: entries drawn with +-0.0, +-inf and NaN among them, and
+        n_terms below, at and above the order.  Order 450 spreads each
+        term's products over three statements."""
+        rng = random.Random(order)
+        specials = [0.0, -0.0, math.inf, -math.inf, math.nan]
+
+        def draw():
+            return rng.choice(specials) if rng.random() < 0.1 else rng.uniform(-3.0, 3.0)
+
+        for _ in range(3 if order > 12 else 30):
+            denom = [draw() for _ in range(order + 1)]
+            if denom[0] == 0:
+                denom[0] = rng.uniform(0.5, 2.0)
+            numer = [draw() for _ in range(rng.randint(0, order + 3))]
+            for n_terms in {1, max(order - 1, 1), order + 1, 2 * order + 5}:
+                assert repr(series_divide(numer, denom, n_terms)) == repr(
+                    _series_divide_loop(numer, denom, n_terms)
+                )
+        assert (order in singan._SERIES_TAILS) == (order > 0)
+
     def test_recurrence_weights_reject_zero_leading_coefficient(self):
         with pytest.raises(ZeroDivisionError, match="leading denominator"):
             recurrence_weights([0, 1])
@@ -278,6 +314,51 @@ class TestRadiusBound:
             t = line.radius_lower_bound / 2.0
             tail = sum(abs(c) * t ** n for n, c in enumerate(line.coeffs) if n >= 48)
             assert tail < 1e-9
+
+
+class TestGeneratedPencilCode:
+    """The pencil's exact evaluators loop on their first call and run
+    generated code from the second, with the same results."""
+
+    @pytest.mark.parametrize("name", ["fig1", "multi3", "counterex"])
+    def test_lines_and_verdicts_equal_before_and_after_generation(self, name):
+        """At each declared centre, a float, a Fraction and an integer
+        direction (s a power of two, 35, and 1): each TaylorLine and
+        DirectionVerdict, compared by repr, as the first call gave it."""
+        problem = load_bundled(name)
+        centres = [(0,) * problem.n_vars, *problem.singular_points]
+        directions = [(0.6, -0.8), (Fraction(3, 5), Fraction(-1, 7)), (2, -1)]
+        for centre in centres:
+            for d in directions:
+                pencil = analyze_singularity(problem.rational(), centre)
+                first = [repr(taylor_line(None, centre, d, 16, pencil)),
+                         repr(direction_verdict(pencil, d))]
+                for _ in range(2):
+                    assert [repr(taylor_line(None, centre, d, 16, pencil)),
+                            repr(direction_verdict(pencil, d))] == first
+                assert "evaluate" in vars(pencil._series)
+                assert "evaluate" in vars(pencil._verdict)
+
+    def test_a_verdict_evaluates_two_forms(self):
+        pencil = analyze_singularity(load_bundled("multi3").rational(), (0, 0))
+        direction_verdict(pencil, (1, 2))
+        assert len(pencil._verdict.forms) == 2
+        assert "_series" not in vars(pencil)
+
+
+class TestNonFiniteDirection:
+    """An infinite or NaN coordinate raises one ValueError naming it."""
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("call", [
+        lambda f, v: analyze_singularity(f, (v, 0)),
+        lambda f, v: direction_verdict(analyze_singularity(f, (0, 0)), (v, 1.0)),
+        lambda f, v: taylor_line(f, (0, 0), (v, 1.0)),
+    ], ids=["analyze_singularity", "direction_verdict", "taylor_line"])
+    def test_rejected_by_name(self, call, value):
+        f = load_bundled("multi3").rational()
+        with pytest.raises(ValueError, match=f"^{value!r} is not finite"):
+            call(f, value)
 
 
 class TestPencilMemo:
