@@ -704,7 +704,48 @@ def _chain_sum(
     return total
 
 
-class _Evaluator:
+def _define(lines: Sequence[str], name: str, filename: str, namespace: dict | None = None):
+    """The function name that the statements lines define, compiled under
+    filename, which tracebacks show, with namespace (else an empty dict) as
+    its globals.  It is taken out of them: left in, it would form a
+    reference cycle with that dict."""
+    namespace = {} if namespace is None else namespace
+    exec(compile("\n".join(lines), filename, "exec"), namespace)
+    return namespace.pop(name)
+
+
+class _Kernel:
+    """The first-use rule of every generated kernel.
+
+    A subclass supplies loop, the reference, and generate(name), which
+    returns the function name as straight-line code (_define) that gives
+    loop's results: the same bits for floats, the same integers for exact
+    values.  The first evaluate call runs loop, and the second generates
+    evaluate, which goes into the instance dict (hence no __slots__), where
+    it shadows the method, so later calls run it directly and no stored
+    bound method ties the kernel into a reference cycle: it is freed with
+    its owner, not by the cycle collector.  Generating costs about a
+    hundred looped calls, which a kernel called once never pays back.
+    """
+
+    _used = False
+
+    @property
+    def generated(self) -> bool:
+        """Whether evaluate runs generated code yet."""
+        return "evaluate" in vars(self)
+
+    def evaluate(self, *args, **kwargs):
+        """loop's results, from loop on the first call and generated code
+        after it; see the class docstring."""
+        if not self._used:
+            self._used = True
+            return self.loop(*args, **kwargs)
+        self.evaluate = self.generate("evaluate")
+        return self.evaluate(*args, **kwargs)
+
+
+class _Evaluator(_Kernel):
     """Float value of a quotient chart p/q, with its gradient, and the
     Armijo descent through it.
 
@@ -774,27 +815,23 @@ class _Evaluator:
     coefficient times its monomial, the product of its powers left to right
     in variable order.  Where the coefficient is +-2^j that has the bits of
     the coefficient-first product (c*a)*b..., short of under- and overflow,
-    and otherwise the same error bound.  The first evaluate call runs loop,
-    and the second generates evaluate, a straight-line function that forms
-    the same differences, powers, products, sums, quotients and comparisons,
-    each from the same operands, so every call returns the same bits.  One
-    rule names what its sums share (_Shared): each power, each monomial of
-    a term with two or more powers and c != 1.0, and each distinct Jacobian
-    sum is formed once per call, at its first reader in the text, and read
-    by name after that; in descend one that only the gradient reads is
-    formed after the Armijo test.  The first descend call generates descend,
-    the descent's one implementation, with the iterate, the trial and the
-    gradients as locals and the whole loop in one frame; the tests compare
-    it with a Python step loop over loop.  Each function is generated on
-    its own first use, so a chart that is only evaluated compiles no
-    descent, and one reached only by a hand-off no evaluate.  Both leave out
-    the difference for each coordinate of the centre that is 0.0, since
-    v - 0.0 is v bit for bit (-0.0, infinities and NaN included).  They go
-    into the instance dict (hence no __slots__), where they shadow the
-    methods, so later calls run them directly and no stored bound method
-    ties the evaluator into a reference cycle: it is freed with its owner,
-    not by the cycle collector.  Generating costs about a hundred looped
-    evaluations, which a chart evaluated once never pays back.
+    and otherwise the same error bound.  evaluate follows _Kernel's
+    first-use rule: its generated form is a straight-line function that
+    forms the same differences, powers, products, sums, quotients and
+    comparisons, each from the same operands, so every call returns the
+    same bits.  One rule names what its sums share (_Shared): each power,
+    each monomial of a term with two or more powers and c != 1.0, and each
+    distinct Jacobian sum is formed once per call, at its first reader in
+    the text, and read by name after that; in descend one that only the
+    gradient reads is formed after the Armijo test.  The first descend call
+    generates descend, the descent's one implementation, with the iterate,
+    the trial and the gradients as locals and the whole loop in one frame;
+    the tests compare it with a Python step loop over loop.  It goes into
+    the instance dict as evaluate does.  Each function is generated on its
+    own first use, so a chart that is only evaluated compiles no descent,
+    and one reached only by a hand-off no evaluate.  Both leave out the
+    difference for each coordinate of the centre that is 0.0, since v - 0.0
+    is v bit for bit (-0.0, infinities and NaN included).
     """
 
     def __init__(
@@ -830,20 +867,6 @@ class _Evaluator:
             _max_degrees(n, maps) for n, maps in zip(counts, [*levels, term_maps])
         ]
         self.centres, self.index, self.centre = centres, index, centre
-        self._used = False
-
-    @property
-    def generated(self) -> bool:
-        """Whether evaluate runs generated code yet."""
-        return "evaluate" in vars(self)
-
-    def evaluate(self, x: Sequence, grad: bool):
-        """The value at x; see the class docstring."""
-        if not self._used:
-            self._used = True
-            return self.loop(x, grad)
-        self.evaluate = self.generate("evaluate")
-        return self.evaluate(x, grad)
 
     def descend(self, *args):
         """The Armijo descent from a state; see the class docstring."""
@@ -899,17 +922,13 @@ class _Evaluator:
                 *self._gradient_lines(gradient, shared),
                 f"    return f, {_list_source(gradient)}",
             ]
-        namespace = {
+        return _define(lines, name, "<polyalg chart>", {
             "DENOM_FLOOR": DENOM_FLOOR, "FLOAT_MIN": sys.float_info.min,
             "inf": math.inf, "DomainViolation": DomainViolation,
             "dist": math.dist, "isfinite": math.isfinite, "fsum": _fsum,
             "sqrt": math.sqrt, "STOP_GRAD_TOL": STOP_GRAD_TOL,
             "STOP_F_STATIONARY": STOP_F_STATIONARY, "STOP_MAX_ITERS": STOP_MAX_ITERS,
-        }
-        exec(compile("\n".join(lines), "<polyalg chart>", "exec"), namespace)
-        # Taken out of the namespace, which is its globals: left in it, the
-        # function would form a reference cycle with that dict.
-        return namespace.pop(name)
+        })
 
     @staticmethod
     def _var(j: int) -> str:
@@ -1094,16 +1113,14 @@ def _nearest(x: Sequence, centres: Sequence[tuple[float, ...]]) -> int:
     return j
 
 
-class _ExactEvaluator:
+class _ExactEvaluator(_Kernel):
     """Exact values of a list of polynomials in integer form (_integer_form)
     at x = point/s, point integers: evaluate(point, s) returns what
     _exact_numerators(forms, point, s) does, the numerators over one
     common denominator d * s^top.
 
-    It follows _Evaluator's rule.  _exact_numerators is the reference: the
-    first evaluate call runs it, and the second generates evaluate,
-    straight-line integer code that goes into the instance dict, where it
-    shadows the method.  Every product and sum there is an exact integer,
+    evaluate follows _Kernel's first-use rule, with _exact_numerators as
+    loop.  Every product and sum of the generated code is an exact integer,
     so evaluation order is free and the code returns the loop's integers
     whatever it does with them: it forms each power and each monomial of a
     term with two or more powers once (_Shared), folds d/d_f into each
@@ -1117,30 +1134,23 @@ class _ExactEvaluator:
 
     def __init__(self, forms: Sequence[tuple[int, Mapping]]):
         self.forms = forms
-        self._used = False
 
-    def evaluate(self, point: Sequence[int], s: int) -> tuple[list[int], int]:
-        """The values at point/s; see the class docstring."""
-        if not self._used:
-            self._used = True
-            return _exact_numerators(self.forms, point, s)
-        self.evaluate = self.generate()
-        return self.evaluate(point, s)
+    def loop(self, point: Sequence[int], s: int) -> tuple[list[int], int]:
+        """The reference: _exact_numerators."""
+        return _exact_numerators(self.forms, point, s)
 
-    def generate(self):
-        """evaluate as straight-line code over the integer point x0, x1, ...
-        and the scale s0."""
+    def generate(self, name: str):
+        """loop as the straight-line function name over the integer point
+        x0, x1, ... and the scale s0."""
         top = max(max(map(sum, numerators), default=0) for _, numerators in self.forms)
         d = math.lcm(*(d_f for d_f, _ in self.forms))
         n_vars = len(next((e for _, numerators in self.forms for e in numerators), ()))
         shared = _Shared()
-        lines = ["def evaluate(point, s0):"]
+        lines = [f"def {name}(point, s0):"]
         if n_vars:
             lines.append(f"    {_tuple_source(f'x{i}' for i in range(n_vars))} = point")
-        names = []
-        for k, (d_f, numerators) in enumerate(self.forms):
-            name = f"v{k}"
-            names.append(name)
+        names = [f"v{k}" for k in range(len(self.forms))]
+        for v, (d_f, numerators) in zip(names, self.forms):
             # The terms of each total degree, each coefficient times d/d_f.
             degrees: dict[int, list] = {}
             for exps, coeff in numerators.items():
@@ -1150,19 +1160,17 @@ class _ExactEvaluator:
             first, last = "0", None
             for n in sorted(degrees):
                 if last is not None:
-                    first = f"{name} * {shared.power('s', 0, n - last, lines)}"
+                    first = f"{v} * {shared.power('s', 0, n - last, lines)}"
                 terms = _term_sources(degrees[n], "x", shared, lines, hex)
-                lines += _sum_lines(name, terms, first)
+                lines += _sum_lines(v, terms, first)
                 last = n
             if last is None:
-                lines.append(f"    {name} = 0")
+                lines.append(f"    {v} = 0")
             elif last < top:
-                lines.append(f"    {name} = {name} * {shared.power('s', 0, top - last, lines)}")
+                lines.append(f"    {v} = {v} * {shared.power('s', 0, top - last, lines)}")
         scale = [hex(d)] + ([shared.power("s", 0, top, lines)] if top else [])
         lines.append(f"    return {_list_source(names)}, {' * '.join(scale)}")
-        namespace: dict = {}
-        exec(compile("\n".join(lines), "<polyalg exact>", "exec"), namespace)
-        return namespace.pop("evaluate")
+        return _define(lines, name, "<polyalg exact>")
 
 
 class RationalFunction:
@@ -1184,9 +1192,9 @@ class RationalFunction:
     of their partials, built at the first gradient call, through one exact
     evaluator (_ExactEvaluator) per list of forms, kept like the charts
     (_kept_forms), so _setup's zero test builds no partial.  Like a chart,
-    each loops on its first call and runs generated straight-line code
-    from its second; exact values are integers, so that code may group and
-    order the arithmetic as it likes and still returns the loop's values.
+    each follows _Kernel's first-use rule; exact values are integers, so
+    its generated code may group and order the arithmetic as it likes and
+    still returns the loop's values.
 
     numer and denom are p and q in the variables x: what __eq__, repr and
     the line pencil read.  With levels, each is composed when first needed
@@ -1201,8 +1209,8 @@ class RationalFunction:
     chart p(c + d)/q(c + d) at d = x - c.  The chart
     is centred at the float nearest c, so x - c is exact near c (Sterbenz),
     and its coefficients are exact Taylor shifts of p and q, built on first
-    use.  Each chart is an _Evaluator: looped on its first call,
-    straight-line code from its second, with the same bits, and scaled by a
+    use.  Each chart is an _Evaluator, under _Kernel's first-use rule with
+    the same bits from its loop and its generated code, and scaled by a
     power of two so that the scale in which p and q are written does not
     reach the floats.
 
@@ -1249,11 +1257,13 @@ class RationalFunction:
     ) -> None:
         """Fill every slot from p, q, the levels and the singular points.
 
-        Raises DimensionError where variable counts disagree along the chain
-        or a singular point has the wrong length, and ValueError where q
-        composed through the levels is identically zero: with levels, where
-        the exact value at the integer point (2, 3, ...) is not 0 it is not,
-        and elsewhere q is composed and the composition kept as denom.
+        Raises DimensionError where variable counts disagree along the
+        chain, x has no variable or a singular point has the wrong length,
+        and ValueError where a singular point's coordinate is not a finite
+        float (NaN, infinite or past the float range) or q composed through
+        the levels is identically zero: with levels, where the exact value
+        at the integer point (2, 3, ...) is not 0 it is not, and elsewhere q
+        is composed and the composition kept as denom.
         """
         p._check_same_vars(q)
         levels = tuple(tuple(level) for level in levels)
@@ -1271,6 +1281,8 @@ class RationalFunction:
             count = len(level)
         if p.n_vars != count:
             raise DimensionError(f"p and q in {p.n_vars} variables, expected {count}")
+        if n_vars < 1:
+            raise DimensionError("a function needs at least one variable")
         self.n_vars = n_vars
         self._factors = (p, q)
         self._levels = levels
@@ -1288,16 +1300,25 @@ class RationalFunction:
         points = [tuple(point) for point in singular_points]
         centres = [origin]
         for point in points:
-            # + 0.0 turns -0.0 into 0.0.  A chart leaves out the difference
-            # for a zero coordinate, the identity for 0.0 only.
-            centre = tuple(float(v) + 0.0 for v in point)
-            if len(centre) != n_vars:
+            if len(point) != n_vars:
                 raise DimensionError(
-                    f"singular point {centre} has {len(centre)} coordinates, "
+                    f"singular point {point} has {len(point)} coordinates, "
                     f"function has {n_vars} vars"
                 )
-            if centre not in centres:
-                centres.append(centre)
+            # A finite float, which generated code writes by repr; + 0.0
+            # turns -0.0 into 0.0.  A chart leaves out the difference for a
+            # zero coordinate, the identity for 0.0 only.
+            centre = []
+            for i, v in enumerate(point):
+                try:
+                    centre.append(float(v) + 0.0)
+                except OverflowError:
+                    centre.append(math.inf)
+                if not math.isfinite(centre[-1]):
+                    raise ValueError(f"singular point {point}: coordinate {i}, {v!r}, "
+                                     "is not a finite float")
+            if tuple(centre) not in centres:
+                centres.append(tuple(centre))
         self._centres = tuple(centres)
         self._charts: list[_Evaluator | None] = [None] * len(centres)
         self._pencils: dict[tuple, object] = dict.fromkeys([origin, *points])

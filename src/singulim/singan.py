@@ -17,12 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence
 
 from .polyalg import TERMS_PER_STATEMENT, Polynomial, RationalFunction
-from .polyalg import _as_fraction, _check_point, _ExactEvaluator, _integer_form
-from .polyalg import _scaled_point, _tuple_source
+from .polyalg import _as_fraction, _check_point, _define, _ExactEvaluator
+from .polyalg import _integer_form, _scaled_point, _tuple_source
 
 # Default truncation order for Taylor lines.
 DEFAULT_N_TERMS = 64
@@ -79,16 +79,10 @@ class LinePencil:
     @cached_property
     def _series(self) -> _ExactEvaluator:
         """The exact evaluator (polyalg._ExactEvaluator) of f_{n_min}, ...
-        of the denominator, then of the numerator: what taylor_line
-        evaluates, built on first use and kept with the pencil."""
+        of the denominator, then of the numerator: what taylor_line and
+        direction_verdict evaluate, built on first use and kept with the
+        pencil."""
         polys = self.denom_coeffs[self.n_min:] + self.numer_coeffs[self.n_min:]
-        return _ExactEvaluator([_integer_form(p.terms) for p in polys])
-
-    @cached_property
-    def _verdict(self) -> _ExactEvaluator:
-        """The exact evaluator of f_{n_min} of the denominator and of the
-        numerator, direction_verdict's two forms, kept like _series."""
-        polys = self.leading, self.numer_coeffs[self.n_min]
         return _ExactEvaluator([_integer_form(p.terms) for p in polys])
 
 
@@ -156,16 +150,19 @@ def direction_verdict(pencil: LinePencil, d: Sequence) -> DirectionVerdict:
     """Decide safe-set membership of a direction and its directional limit.
 
     Every direction is decided exactly, f_{n_min}(d) != 0, by the exact
-    evaluator of the two forms kept with the pencil; pencil_value and
-    limit_value are the exact values at d/||d||_inf, each rounded to float
-    once.  Both coefficients are homogeneous of degree n_min, so that exact
-    scaling keeps the sign and the limit, and the value cannot overflow.
+    evaluator of the series forms kept with the pencil, which taylor_line
+    reads too; its leading values are f_{n_min} of the denominator and of
+    the numerator.  pencil_value and limit_value are the exact values at
+    d/||d||_inf, each rounded to float once.  Both coefficients are
+    homogeneous of degree n_min, so that exact scaling keeps the sign and
+    the limit, and the value cannot overflow.
     """
     direction, _ = _checked_direction(pencil, d)
     # d = point/s, so d/||d||_inf = point/max|point|, and each value at it is
     # the value at the integer point over max|point|^n_min.
     point, _ = _scaled_point(direction)
-    (lead, numer), denominator = pencil._verdict.evaluate(point, 1)
+    values, denominator = pencil._series.evaluate(point, 1)
+    lead, numer = values[0], values[len(pencil.denom_coeffs) - pencil.n_min]
     scale = denominator * max(map(abs, point)) ** pencil.n_min
     limit = float(Fraction(numer, lead)) if lead else None
     return DirectionVerdict(direction, lead != 0, float(Fraction(lead, scale)), limit)
@@ -187,17 +184,17 @@ def series_divide(numer: Sequence, denom: Sequence, n_terms: int) -> list:
     """Leading coefficients of the power-series quotient numer/denom.
 
     Long division: c_n = (a_n - sum_{j>=1} g_j c_{n-j}) / g_0.  Works over
-    Fractions or floats; denom[0] must be nonzero.  Over a float g_0 and a
-    recurrence of order r = len(denom) - 1 >= 1, the terms n >= r come from
-    the generated loop of order r (_series_tail), which forms the same
-    products and differences in the same order, so every term has the
-    bits of this loop's.
+    Fractions or floats; denom[0] must be nonzero.  For a recurrence of
+    order r = len(denom) - 1 >= 1, the terms n >= r come from the generated
+    loop of order r (_series_tail), which forms the same products and
+    differences in the same order, so every term is this loop's: the same
+    bits over floats, the same Fraction over exact inputs.
     """
     if not denom or denom[0] == 0:
         raise ZeroDivisionError("leading denominator coefficient is zero")
     g0, rest = denom[0], denom[1:]
     order = len(rest)
-    head = min(order, n_terms) if order and isinstance(g0, float) else n_terms
+    head = min(order, n_terms) if order else n_terms
     coeffs = []
     for n in range(head):
         s = numer[n] if n < len(numer) else 0
@@ -210,43 +207,34 @@ def series_divide(numer: Sequence, denom: Sequence, n_terms: int) -> list:
     return coeffs
 
 
-# series_divide's generated loops, by recurrence order.
-_SERIES_TAILS: dict = {}
-
-
+@cache
 def _series_tail(order: int):
     """The function tail(numer, g0, rest, coeffs, n_terms) that appends
     series_divide's terms order, ..., n_terms - 1 to coeffs, which holds
     the first order of them.  It keeps g_1, ..., g_order and the last order
     terms c1 = c_{n-1}, c2 = c_{n-2}, ... as locals, and subtracts g1*c1,
     g2*c2, ... from a_n left to right, TERMS_PER_STATEMENT products per
-    statement.  Generated once per order and kept in _SERIES_TAILS.
+    statement.  Generated once per order and kept by the cache.
     """
-    tail = _SERIES_TAILS.get(order)
-    if tail is None:
-        g = [f"g{j}" for j in range(1, order + 1)]
-        c = [f"c{j}" for j in range(1, order + 1)]
-        products = [f"{gj} * {cj}" for gj, cj in zip(g, c)]
-        lines = [
-            "def tail(numer, g0, rest, coeffs, n_terms):",
-            f"    {_tuple_source(g)} = rest",
-            f"    {_tuple_source(reversed(c))} = coeffs",
-            "    size = len(numer)",
-            "    append = coeffs.append",
-            f"    for n in range({order}, n_terms):",
-            "        s = numer[n] if n < size else 0",
-            *(
-                "        s = " + " - ".join(["s", *products[k:k + TERMS_PER_STATEMENT]])
-                for k in range(0, order, TERMS_PER_STATEMENT)
-            ),
-            "        c0 = s / g0",
-            "        append(c0)",
-            f"        {_tuple_source(c)} = {_tuple_source(['c0', *c[:-1]])}",
-        ]
-        namespace: dict = {}
-        exec(compile("\n".join(lines), "<singan series>", "exec"), namespace)
-        tail = _SERIES_TAILS[order] = namespace.pop("tail")
-    return tail
+    g = [f"g{j}" for j in range(1, order + 1)]
+    c = [f"c{j}" for j in range(1, order + 1)]
+    products = [f"{gj} * {cj}" for gj, cj in zip(g, c)]
+    return _define([
+        "def tail(numer, g0, rest, coeffs, n_terms):",
+        f"    {_tuple_source(g)} = rest",
+        f"    {_tuple_source(reversed(c))} = coeffs",
+        "    size = len(numer)",
+        "    append = coeffs.append",
+        f"    for n in range({order}, n_terms):",
+        "        s = numer[n] if n < size else 0",
+        *(
+            "        s = " + " - ".join(["s", *products[k:k + TERMS_PER_STATEMENT]])
+            for k in range(0, order, TERMS_PER_STATEMENT)
+        ),
+        "        c0 = s / g0",
+        "        append(c0)",
+        f"        {_tuple_source(c)} = {_tuple_source(['c0', *c[:-1]])}",
+    ], "tail", "<singan series>")
 
 
 def recurrence_weights(denom: Sequence) -> list:

@@ -33,6 +33,7 @@ from singulim.polyalg import (
     _shift_terms,
 )
 from singulim.problems import BUNDLED_NAMES, MAX_EXPONENT, load_bundled
+from singulim.singan import analyze_singularity, taylor_line
 
 from descent_helpers import (
     cp_f_hat,
@@ -955,25 +956,35 @@ class TestEvaluator:
 
     def test_evaluators_are_freed_without_the_cycle_collector(self):
         """Freed by reference counting: no weak reference outlives its del,
-        and the cycle collector finds nothing left of a function with
-        generated charts."""
+        and the cycle collector finds nothing left of a function whose
+        kernels ran generated code: a chart's evaluate and descend, the
+        exact kernels of both _exact_forms tiers and a pencil's series."""
         gc.disable()
         try:
             gc.collect()
             f = _bundled("fig1")()
+            pencil = analyze_singularity(f, (0, 0))
             for _ in range(3):
                 f.eval((0.3, -0.2))
-            assert f._chart((0.3, -0.2)).generated
-            refs = [weakref.ref(f._chart((0.3, -0.2)))]
+                f.eval_exact((0.3, -0.2))
+                f.eval_exact_and_grad((0.3, -0.2))
+                taylor_line(f, (0, 0), (1, -1), 8, pencil)
+                optimize(f, (0.3, -0.2), DescentConfig(max_iters=5))
+            chart = f._chart((0.3, -0.2))
+            kernels = [chart, *(kept[0] for kept in f._exact_forms), pencil._series]
+            assert all(kernel.generated for kernel in kernels)
+            assert "descend" in vars(chart)
+            refs = [weakref.ref(kernel) for kernel in kernels]
+            del chart, kernels, pencil
             first = _bundled("fig1")()
             first.eval((0.3, -0.2))  # looped only
             refs.append(weakref.ref(first._chart((0.3, -0.2))))
             gc.collect()
             del f
-            assert refs[0]() is None
+            assert [ref() for ref in refs[:-1]] == [None] * 4
             assert gc.collect() == 0
             del first
-            assert [ref() for ref in refs] == [None] * 2
+            assert [ref() for ref in refs] == [None] * 5
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -1649,6 +1660,28 @@ class TestRationalFunction:
         x, y = _vars()
         with pytest.raises(DimensionError, match="singular point"):
             RationalFunction(x * y, x * x + y * y, [(1, 0), (1, 2, 3)])
+
+    @pytest.mark.parametrize("value", [math.nan, -math.inf, Fraction(10**400)],
+                             ids=["nan", "inf", "past the float range"])
+    def test_singular_point_that_is_no_finite_float_rejected(self, value):
+        """Each declared point is a chart centre that generated code writes
+        as a float literal: one ValueError names the point and coordinate."""
+        x, y = _vars()
+        r2 = x * x + y * y
+        with pytest.raises(ValueError, match=r"^singular point .*: coordinate 1, "):
+            RationalFunction(x * y, r2 * (1 + r2), [(1, 0), (0.0, value)])
+
+    @pytest.mark.parametrize("composed", [False, True], ids=["plain", "composed"])
+    def test_function_of_no_variables_rejected(self, composed):
+        """x with no coordinate: generated code would have no gradient."""
+        with pytest.raises(DimensionError, match="at least one variable"):
+            if composed:
+                level = [Polynomial.constant(0, 1)]
+                RationalFunction.composed(
+                    Polynomial.constant(1, 3), Polynomial.constant(1, 2), [level]
+                )
+            else:
+                RationalFunction(Polynomial.constant(0, 3), Polynomial.constant(0, 2))
 
     @pytest.mark.parametrize("make", [_bundled("multi3"), cp_f_hat],
                              ids=["multi3", "cp_f_hat"])

@@ -252,26 +252,35 @@ class TestSeriesAndRecurrence:
 
     @pytest.mark.parametrize("order", [*range(13), 450])
     def test_series_divide_has_the_loop_bits(self, order):
-        """Float recurrences of each order against the term-by-term loop,
-        by repr: entries drawn with +-0.0, +-inf and NaN among them, and
-        n_terms below, at and above the order.  Order 450 spreads each
-        term's products over three statements."""
+        """Recurrences of each order against the term-by-term loop, by repr:
+        floats drawn with +-0.0, +-inf and NaN among them, ints, and up to
+        order 12 Fractions, with n_terms below, at and above the order.
+        Order 450 spreads each term's products over three statements.  Each
+        order's tail is generated once and then read from the cache."""
         rng = random.Random(order)
         specials = [0.0, -0.0, math.inf, -math.inf, math.nan]
-
-        def draw():
-            return rng.choice(specials) if rng.random() < 0.1 else rng.uniform(-3.0, 3.0)
-
-        for _ in range(3 if order > 12 else 30):
+        draws = {
+            "float": lambda: (
+                rng.choice(specials) if rng.random() < 0.1 else rng.uniform(-3.0, 3.0)
+            ),
+            "int": lambda: rng.randint(-3, 3),
+            "Fraction": lambda: Fraction(rng.randint(-30, 30), rng.randint(1, 9)),
+        }
+        kinds = list(draws)[:2] if order > 12 else list(draws)
+        singan._series_tail.cache_clear()
+        for trial in range(3 if order > 12 else 30):
+            draw = draws[kinds[trial % len(kinds)]]
             denom = [draw() for _ in range(order + 1)]
-            if denom[0] == 0:
-                denom[0] = rng.uniform(0.5, 2.0)
+            while denom[0] == 0:
+                denom[0] = draw()
             numer = [draw() for _ in range(rng.randint(0, order + 3))]
             for n_terms in {1, max(order - 1, 1), order + 1, 2 * order + 5}:
                 assert repr(series_divide(numer, denom, n_terms)) == repr(
                     _series_divide_loop(numer, denom, n_terms)
                 )
-        assert (order in singan._SERIES_TAILS) == (order > 0)
+        info = singan._series_tail.cache_info()
+        assert (info.misses, info.currsize) == ((1, 1) if order else (0, 0))
+        assert (info.hits > 0) == (order > 0)
 
     def test_recurrence_weights_reject_zero_leading_coefficient(self):
         with pytest.raises(ZeroDivisionError, match="leading denominator"):
@@ -324,26 +333,44 @@ class TestGeneratedPencilCode:
     def test_lines_and_verdicts_equal_before_and_after_generation(self, name):
         """At each declared centre, a float, a Fraction and an integer
         direction (s a power of two, 35, and 1): each TaylorLine and
-        DirectionVerdict, compared by repr, as the first call gave it."""
+        DirectionVerdict, compared by repr, as the first call on a fresh
+        pencil gave it, a line first on one pencil and a verdict first on
+        another, so that each is compared looped and generated."""
         problem = load_bundled(name)
         centres = [(0,) * problem.n_vars, *problem.singular_points]
         directions = [(0.6, -0.8), (Fraction(3, 5), Fraction(-1, 7)), (2, -1)]
         for centre in centres:
             for d in directions:
-                pencil = analyze_singularity(problem.rational(), centre)
-                first = [repr(taylor_line(None, centre, d, 16, pencil)),
-                         repr(direction_verdict(pencil, d))]
-                for _ in range(2):
-                    assert [repr(taylor_line(None, centre, d, 16, pencil)),
-                            repr(direction_verdict(pencil, d))] == first
-                assert "evaluate" in vars(pencil._series)
-                assert "evaluate" in vars(pencil._verdict)
+                line_first, verdict_first = (
+                    analyze_singularity(problem.rational(), centre) for _ in range(2)
+                )
+                first = [repr(taylor_line(None, centre, d, 16, line_first)),
+                         repr(direction_verdict(verdict_first, d))]
+                for pencil in (line_first, verdict_first):
+                    for _ in range(2):
+                        assert [repr(taylor_line(None, centre, d, 16, pencil)),
+                                repr(direction_verdict(pencil, d))] == first
+                    assert pencil._series.generated
 
-    def test_a_verdict_evaluates_two_forms(self):
+    def test_a_verdict_builds_the_pencils_one_kernel(self, monkeypatch):
+        """direction_verdict evaluates the series kernel that taylor_line
+        reads: it builds that one kernel, and no call builds another."""
         pencil = analyze_singularity(load_bundled("multi3").rational(), (0, 0))
+        built = []
+
+        class Counted(singan._ExactEvaluator):
+            def __init__(self, forms):
+                built.append(len(forms))
+                super().__init__(forms)
+
+        monkeypatch.setattr(singan, "_ExactEvaluator", Counted)
         direction_verdict(pencil, (1, 2))
-        assert len(pencil._verdict.forms) == 2
-        assert "_series" not in vars(pencil)
+        direction_verdict(pencil, (3, -1))
+        taylor_line(None, (0, 0), (1, 2), 16, pencil)
+        n_min = pencil.n_min
+        assert built == [len(pencil.denom_coeffs) + len(pencil.numer_coeffs) - 2 * n_min]
+        assert [k for k in vars(pencil) if k.startswith("_")] == ["_series"]
+        assert pencil._series.generated
 
 
 class TestNonFiniteDirection:
