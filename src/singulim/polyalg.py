@@ -726,6 +726,12 @@ class _Kernel:
     bound method ties the kernel into a reference cycle: it is freed with
     its owner, not by the cycle collector.  Generating costs about a
     hundred looped calls, which a kernel called once never pays back.
+
+    Two generated functions do not follow this rule: _Evaluator.descend,
+    which has no loop and is generated on its own first call, and the
+    series tails (singan._series_tail), generated once per recurrence order
+    on first use and shared by every series of that order; series_divide
+    still loops the first r terms of each series.
     """
 
     _used = False
@@ -1259,11 +1265,11 @@ class RationalFunction:
 
         Raises DimensionError where variable counts disagree along the
         chain, x has no variable or a singular point has the wrong length,
-        and ValueError where a singular point's coordinate is not a finite
-        float (NaN, infinite or past the float range) or q composed through
-        the levels is identically zero: with levels, where the exact value
-        at the integer point (2, 3, ...) is not 0 it is not, and elsewhere q
-        is composed and the composition kept as denom.
+        and ValueError where check_finite_point rejects a singular point or
+        q composed through the levels is identically zero: with levels,
+        where the exact value at the integer point (2, 3, ...) is not 0 it
+        is not, and elsewhere q is composed and the composition kept as
+        denom.
         """
         p._check_same_vars(q)
         levels = tuple(tuple(level) for level in levels)
@@ -1308,17 +1314,9 @@ class RationalFunction:
             # A finite float, which generated code writes by repr; + 0.0
             # turns -0.0 into 0.0.  A chart leaves out the difference for a
             # zero coordinate, the identity for 0.0 only.
-            centre = []
-            for i, v in enumerate(point):
-                try:
-                    centre.append(float(v) + 0.0)
-                except OverflowError:
-                    centre.append(math.inf)
-                if not math.isfinite(centre[-1]):
-                    raise ValueError(f"singular point {point}: coordinate {i}, {v!r}, "
-                                     "is not a finite float")
-            if tuple(centre) not in centres:
-                centres.append(tuple(centre))
+            centre = tuple(v + 0.0 for v in check_finite_point(point))
+            if centre not in centres:
+                centres.append(centre)
         self._centres = tuple(centres)
         self._charts: list[_Evaluator | None] = [None] * len(centres)
         self._pencils: dict[tuple, object] = dict.fromkeys([origin, *points])
@@ -1553,8 +1551,15 @@ def _through(poly: Polynomial, levels: Sequence[Sequence[Polynomial]]) -> Polyno
 
 
 def check_finite_point(x: Sequence[float]) -> tuple[float, ...]:
-    """Validate that a point has only finite coordinates."""
-    coords = tuple(float(v) for v in x)
-    if any(math.isnan(v) or math.isinf(v) for v in coords):
-        raise ValueError(f"point {coords} has non-finite coordinates")
-    return coords
+    """x as floats; ValueError naming the point and the first coordinate
+    that is not a finite float: NaN, infinite or past the float range."""
+    coords = []
+    for i, v in enumerate(x):
+        try:
+            coords.append(float(v))
+        except OverflowError:
+            coords.append(math.inf)
+        if not math.isfinite(coords[-1]):
+            raise ValueError(f"point {tuple(x)}: coordinate {i}, {v!r}, "
+                             "is not a finite float")
+    return tuple(coords)

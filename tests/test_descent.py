@@ -178,6 +178,11 @@ class TestOptimize:
         with pytest.raises(ValueError):
             optimize(pinch(), (float("nan"), 0.0))
 
+    def test_start_past_the_float_range_rejected(self):
+        """The ValueError of a non-finite start, not float()'s OverflowError."""
+        with pytest.raises(ValueError, match=r"^point .*: coordinate 0, .* not a finite float"):
+            optimize(pinch(), (Fraction(10**400), 0.0))
+
 
 def _trace_digest(trace):
     """SHA-256 over float.hex of the iterates, f values and gradient norms."""

@@ -1668,7 +1668,7 @@ class TestRationalFunction:
         as a float literal: one ValueError names the point and coordinate."""
         x, y = _vars()
         r2 = x * x + y * y
-        with pytest.raises(ValueError, match=r"^singular point .*: coordinate 1, "):
+        with pytest.raises(ValueError, match=r"^point \(0\.0, .*\): coordinate 1, "):
             RationalFunction(x * y, r2 * (1 + r2), [(1, 0), (0.0, value)])
 
     @pytest.mark.parametrize("composed", [False, True], ids=["plain", "composed"])

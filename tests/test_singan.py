@@ -253,10 +253,11 @@ class TestSeriesAndRecurrence:
     @pytest.mark.parametrize("order", [*range(13), 450])
     def test_series_divide_has_the_loop_bits(self, order):
         """Recurrences of each order against the term-by-term loop, by repr:
-        floats drawn with +-0.0, +-inf and NaN among them, ints, and up to
-        order 12 Fractions, with n_terms below, at and above the order.
-        Order 450 spreads each term's products over three statements.  Each
-        order's tail is generated once and then read from the cache."""
+        30 of floats drawn with +-0.0, +-inf and NaN among them (3 at order
+        450), then as many of ints, and up to order 12 of Fractions, each
+        with n_terms below, at and above the order.  Order 450 spreads each
+        term's products over three statements.  Each order's tail is
+        generated once and then read from the cache."""
         rng = random.Random(order)
         specials = [0.0, -0.0, math.inf, -math.inf, math.nan]
         draws = {
@@ -268,16 +269,17 @@ class TestSeriesAndRecurrence:
         }
         kinds = list(draws)[:2] if order > 12 else list(draws)
         singan._series_tail.cache_clear()
-        for trial in range(3 if order > 12 else 30):
-            draw = draws[kinds[trial % len(kinds)]]
-            denom = [draw() for _ in range(order + 1)]
-            while denom[0] == 0:
-                denom[0] = draw()
-            numer = [draw() for _ in range(rng.randint(0, order + 3))]
-            for n_terms in {1, max(order - 1, 1), order + 1, 2 * order + 5}:
-                assert repr(series_divide(numer, denom, n_terms)) == repr(
-                    _series_divide_loop(numer, denom, n_terms)
-                )
+        for kind in kinds:
+            draw = draws[kind]
+            for _ in range(3 if order > 12 else 30):
+                denom = [draw() for _ in range(order + 1)]
+                if denom[0] == 0:
+                    denom[0] = rng.uniform(0.5, 2.0) if kind == "float" else 1
+                numer = [draw() for _ in range(rng.randint(0, order + 3))]
+                for n_terms in {1, max(order - 1, 1), order + 1, 2 * order + 5}:
+                    assert repr(series_divide(numer, denom, n_terms)) == repr(
+                        _series_divide_loop(numer, denom, n_terms)
+                    )
         info = singan._series_tail.cache_info()
         assert (info.misses, info.currsize) == ((1, 1) if order else (0, 0))
         assert (info.hits > 0) == (order > 0)
