@@ -217,7 +217,10 @@ def estimate_limit(f_values: Sequence[float]) -> tuple[float, str]:
     The decrements, their magnitudes and the zero and finite tests are
     Python floats, with the bits of numpy's elementwise operations; the logs
     are np.log and the fit is _linear_fit (see the module docstring).
+    Raises ValueError where f_values is empty.
     """
+    if len(f_values) == 0:
+        raise ValueError("empty f_values")
     if len(f_values) < 3:
         return f_values[-1], "last_value"
     window = f_values[-21:]

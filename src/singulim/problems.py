@@ -40,6 +40,7 @@ from .polyalg import (
     RationalFunction,
     _as_fraction,
     _coefficient,
+    _floats,
 )
 
 BUNDLED_NAMES = ("fig1", "multi3", "counterex")
@@ -78,13 +79,7 @@ class ProblemFile:
                     f"singular_points[{j}] has {len(point)} coordinates, "
                     f"n_vars = {self.n_vars}"
                 )
-            for i, c in enumerate(point):
-                try:
-                    float(_as_fraction(c))
-                except OverflowError:
-                    raise ValueError(
-                        f"singular_points[{j}][{i}] is past the float range"
-                    ) from None
+            _floats(map(_as_fraction, point), f"singular_points[{j}][{{}}]")
 
     def rational(self) -> RationalFunction:
         return RationalFunction(self.numer, self.denom, self.singular_points)
@@ -304,9 +299,10 @@ def load_bundled(name: str) -> ProblemFile:
 
 
 def write_bundled(directory) -> list[Path]:
-    """Write the bundled .problem files into a directory."""
+    """Write the bundled .problem files into a directory, made if missing.
+    Its parent must exist: FileNotFoundError where it does not."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    directory.mkdir(exist_ok=True)
     written = []
     for name in BUNDLED_NAMES:
         path = directory / f"{name}.problem"

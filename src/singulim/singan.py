@@ -21,7 +21,7 @@ from functools import cache, cached_property
 from typing import Sequence
 
 from .polyalg import TERMS_PER_STATEMENT, Polynomial, RationalFunction
-from .polyalg import _as_fraction, _check_point, _define, _ExactEvaluator
+from .polyalg import _as_fraction, _check_point, _define, _ExactEvaluator, _floats
 from .polyalg import _integer_form, _scaled_point, _tuple_source
 
 # Default truncation order for Taylor lines.
@@ -155,7 +155,8 @@ def direction_verdict(pencil: LinePencil, d: Sequence) -> DirectionVerdict:
     the numerator.  pencil_value and limit_value are the exact values at
     d/||d||_inf, each rounded to float once.  Both coefficients are
     homogeneous of degree n_min, so that exact scaling keeps the sign and
-    the limit, and the value cannot overflow.
+    the limit; far from the origin, or with large coefficients, either can
+    still pass the float range, and a ValueError names it.
     """
     direction, _ = _checked_direction(pencil, d)
     # d = point/s, so d/||d||_inf = point/max|point|, and each value at it is
@@ -164,8 +165,9 @@ def direction_verdict(pencil: LinePencil, d: Sequence) -> DirectionVerdict:
     values, denominator = pencil._series.evaluate(point, 1)
     lead, numer = values[0], values[len(pencil.denom_coeffs) - pencil.n_min]
     scale = denominator * max(map(abs, point)) ** pencil.n_min
-    limit = float(Fraction(numer, lead)) if lead else None
-    return DirectionVerdict(direction, lead != 0, float(Fraction(lead, scale)), limit)
+    limit = _floats([Fraction(numer, lead)], "limit")[0] if lead else None
+    value = _floats([Fraction(lead, scale)], "pencil value")[0]
+    return DirectionVerdict(direction, lead != 0, value, limit)
 
 
 def _checked_direction(pencil: LinePencil, d: Sequence) -> tuple[tuple, bool]:
@@ -289,7 +291,9 @@ def taylor_line(
     (polyalg._ExactEvaluator), and divided by the exact f_{n_min}(d), which
     decides membership as in direction_verdict; each ratio stays exact at
     an exact direction and is rounded once at a float one.  n_terms, the
-    number of series coefficients, is at least 1.
+    number of series coefficients, is at least 1.  A ratio, coefficient,
+    weight or direction coordinate past the float range raises a ValueError
+    that names it.
     """
     if n_terms < 1:
         raise ValueError(f"n_terms {n_terms} must be at least 1")
@@ -307,18 +311,19 @@ def taylor_line(
     if values[0] < 0:
         values = [-v for v in values]
     lead = values[0]
-    ratios = [Fraction(v, lead) if exact else v / lead for v in values]
+    ratios = [Fraction(v, lead) for v in values] if exact else _floats(
+        values, "pencil value {} over the leading one", lambda v: v / lead)
     split = len(pencil.denom_coeffs) - pencil.n_min
     denom, numer = ratios[:split], ratios[split:]
     while denom[-1] == 0:
         denom.pop()
-    weights = recurrence_weights(denom)
-    coeffs = series_divide(numer, denom, n_terms)
+    coeffs = _floats(series_divide(numer, denom, n_terms), "series coefficient {}")
+    weights = _floats(recurrence_weights(denom), "recurrence weight {}")
     return TaylorLine(
-        direction=tuple(map(float, direction)),
-        coeffs=tuple(map(float, coeffs)),
+        direction=tuple(_floats(direction, "direction coordinate {}")),
+        coeffs=tuple(coeffs),
         recurrence_order=len(weights),
-        recurrence_weights=tuple(map(float, weights)),
+        recurrence_weights=tuple(weights),
         radius_lower_bound=companion_radius_bound(weights),
     )
 

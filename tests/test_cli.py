@@ -275,6 +275,14 @@ def workdir(tmp_path_factory):
 
 
 class TestCli:
+    def test_examples_makes_only_its_own_directory(self, tmp_path, capsys):
+        """--out-dir is made where its parent exists, with a trailing / too,
+        and may exist already."""
+        for out_dir in (tmp_path / "new", f"{tmp_path / 'slash'}/", tmp_path):
+            assert main(["examples", "--out-dir", str(out_dir)]) == 0
+            assert os.path.isfile(os.path.join(out_dir, "fig1.problem"))
+        assert capsys.readouterr().err == ""
+
     def test_analyze_reports_pencil(self, workdir, capsys):
         code = main([
             "analyze", "--problem", str(workdir / "fig1.problem"),
@@ -890,6 +898,16 @@ _DIA = ["diagnose", "--problem", "{d}/fig1.problem", "--trace", "{d}/misuse.trac
 _TEN = ["tensor", "--dims", "2,2", "--emit-problem", "{d}/misuse.cp.problem"]
 
 
+# Words that a misuse's error line holds, by id: the quantity past the float
+# range, or the output directory whose parent is missing.
+_MISUSE_WORDS = {
+    "series-overflow": "series coefficient 2 is past the float range",
+    "series-long-overflow": "series coefficient 618 is past the float range",
+    "analyze-pencil-value-overflow": "pencil value is past the float range",
+    "examples-missing-parent": "missing/sub",
+}
+
+
 @pytest.mark.parametrize("argv, code", [
     pytest.param(_SER + ["--direction", "0,0"], 1, id="series-zero-direction"),
     pytest.param(_OPT + ["--x0", "nan,1", "--trace-out", "{d}/misuse.out.csv"], 1,
@@ -962,6 +980,12 @@ _TEN = ["tensor", "--dims", "2,2", "--emit-problem", "{d}/misuse.cp.problem"]
     pytest.param(["diagnose", "--problem", "{d}/fig1.problem", "--trace",
                   "{d}/multi3.trace.csv"], 2, id="diagnose-trace-of-another-problem"),
     pytest.param(_SER + ["--direction", "1e200,1e200"], 1, id="series-overflow"),
+    pytest.param(_SER + ["--direction", "3,-1", "--n-terms", "800"], 1,
+                 id="series-long-overflow"),
+    pytest.param(["analyze", "--problem", "{d}/fig1.problem", "--point", "1e400,0",
+                  "--direction", "1,0"], 1, id="analyze-pencil-value-overflow"),
+    pytest.param(["examples", "--out-dir", "{d}/missing/sub"], 2,
+                 id="examples-missing-parent"),
     pytest.param(["analyze", "--problem", "{d}/zero-den.problem", "--point", "0"], 2,
                  id="problem-coeff-over-zero"),
     pytest.param(["analyze", "--problem", "{d}/inf-vars.problem", "--point", "0"], 2,
@@ -992,17 +1016,20 @@ _TEN = ["tensor", "--dims", "2,2", "--emit-problem", "{d}/misuse.cp.problem"]
     pytest.param(_OPT + ["--x0", "1,abc", "--trace-out", "{d}/misuse.out.csv"], 2,
                  id="optimize-x0-not-numbers"),
 ])
-def test_misuse_ends_in_one_error_line(misuse_dir, capsys, argv, code):
+def test_misuse_ends_in_one_error_line(misuse_dir, capsys, request, argv, code):
     """Each misuse exits with its code, one error line on stderr and nothing
-    on stdout."""
+    on stdout; where _MISUSE_WORDS names words, the line holds them."""
     argv = [arg.format(d=misuse_dir) for arg in argv]
     assert main(argv) == code
     out, err = capsys.readouterr()
     assert out == ""
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert _MISUSE_WORDS.get(request.node.callspec.id, "") in err
     if argv[0] == "optimize":
         assert not os.path.exists(argv[argv.index("--trace-out") + 1])
+    if argv[0] == "examples":
+        assert not os.path.exists(os.path.dirname(argv[-1]))
 
 
 _NEGATIVE = [

@@ -466,6 +466,10 @@ class TestEstimateLimit:
     def test_fewer_than_three_values_give_the_last(self, values):
         assert estimate_limit(values) == (values[-1], "last_value")
 
+    def test_no_values_raise_value_error(self):
+        with pytest.raises(ValueError, match="empty f_values"):
+            estimate_limit([])
+
     @pytest.mark.parametrize("values", [
         [3.0, 2.0, 1.0, 0.5, 0.25, math.inf],
         [3.0, 2.0, math.nan, 0.5, 0.25, 0.125],

@@ -702,7 +702,8 @@ class TestLocalCharts:
             chart = f._chart_at(j)
             assert chart.centre == centre
             descend = chart.generate("descend")
-            assert ("dist" in descend.__code__.co_names) == (n_centres > 1)
+            assert ("nearest" in descend.__code__.co_names) == (n_centres > 1)
+            assert "dist" not in descend.__code__.co_names
         assert f._pencils.keys() == {(0.0, 0.0), *map(tuple, points)}
 
 
@@ -754,6 +755,27 @@ def _points_near(centre, seed):
     return points
 
 
+@functools.cache
+def _multi3_charts():
+    """multi3's charts, one per centre, shared by the dispatch tests."""
+    f = load_bundled("multi3").rational()
+    return [f._chart_at(j) for j in range(len(f._centres))]
+
+
+def _dispatch_agrees(chart, target, step=(0.25, 0.25)):
+    """One trial of chart.descend with budget 1: t = x - 1.0*step from x =
+    target + step.  It hands off to _nearest(t, chart.centres), or keeps t
+    (and stops) where that is the chart's own centre.  Returns t and where
+    descend went: the index handed off to, or "stop"."""
+    x = tuple(v + g for v, g in zip(target, step))
+    t = tuple(a - 1.0 * g for a, g in zip(x, step))  # descend's trial
+    rows = [(x, 1.0, 1.0)]
+    to, _ = chart.descend(step, 1.0, 1.0, 1, 1, rows, 1e-4, 0.5, 1.0, 0.0, 1)
+    want = _nearest(t, chart.centres)
+    assert (to == want) if want != chart.index else isinstance(to, str), target
+    return t, "stop" if isinstance(to, str) else to
+
+
 class TestEvaluator:
     """Straight-line code from the second call on has the loop's bits."""
 
@@ -785,9 +807,8 @@ class TestEvaluator:
         past the float range for squares, and at inf and NaN.  descend
         hands off to _nearest's index, or keeps the trial (and stops, with
         budget 1) where that index is its own."""
-        f = _bundled("multi3")()
-        centres = f._centres
-        chart = f._chart_at(index)
+        chart = _multi3_charts()[index]
+        centres = chart.centres
         c = centres[index]
         r = min(math.dist(c, o) for o in centres if o != c) / 2 * (1 - 2.0 ** -20)
         targets = []
@@ -800,18 +821,57 @@ class TestEvaluator:
                 targets.append(tuple((a + b) / 2 for a, b in zip(c, o)))
         targets += [(c[0] + 1e200, c[1]), (math.inf, 0.5), (math.nan, 0.5)]
         distances = {True: 0, False: 0}
-        step = (0.25, 0.25)
         for target in targets:
-            x = tuple(v + g for v, g in zip(target, step))
-            t = tuple(a - 1.0 * g for a, g in zip(x, step))  # descend's trial
+            t, _ = _dispatch_agrees(chart, target)
             if math.isfinite(math.dist(t, c)) and abs(math.dist(t, c) / r - 1) < 1e-6:
                 distances[math.dist(t, c) < r] += 1
-            rows = [(x, 1.0, 1.0)]
-            to, _ = chart.descend(step, 1.0, 1.0, 1, 1, rows, 1e-4, 0.5, 1.0, 0.0, 1)
-            want = _nearest(t, centres)
-            assert (to == want) if want != index else isinstance(to, str), target
         # Trials on both sides of r.
         assert distances[True] >= 2 and distances[False] >= 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([0, 1, 2]), st.data())
+    def test_chart_test_before_dist_keeps_the_nearest_centre_drawn(self, index, data):
+        """As above, from drawn trials: about centre index within 4, near r
+        from it, or equidistant from two centres of multi3's (0, 0), (3, 0)
+        and (0, 3), on x = 1.5, y = 1.5 or x = y, with coordinates of few
+        bits so that the trial keeps them."""
+        chart = _multi3_charts()[index]
+        c = chart.centre
+        r = min(math.dist(c, o) for o in chart.centres if o != c) / 2 * (1 - 2.0 ** -20)
+        kind = data.draw(st.sampled_from(["around", "near r", "equidistant"]))
+        if kind == "around":
+            offset = st.floats(-4.0, 4.0)
+            target = tuple(a + data.draw(offset) for a in c)
+        elif kind == "near r":
+            angle = data.draw(st.floats(0.0, 2 * math.pi))
+            radius = r * data.draw(st.floats(1 - 1e-6, 1 + 1e-6))
+            target = (c[0] + radius * math.cos(angle), c[1] + radius * math.sin(angle))
+        else:
+            v = data.draw(st.integers(-4096, 4096)) / 1024
+            target = data.draw(st.sampled_from([(1.5, v), (v, 1.5), (v, v)]))
+        _dispatch_agrees(chart, target)
+
+    def test_centres_too_close_for_the_chart_test_search_every_trial(self):
+        """Centres (0, 0) and (1e-160, 0): r^2 is below the normal range, so
+        descend searches the nearest centre with no test first.  From each
+        chart, trials at either centre, between them, beside them and at inf
+        and NaN hand off exactly where _nearest, which descend calls, points,
+        both ways."""
+        x, y = _vars()
+        f = RationalFunction(x * y, 1 + x * x + y * y, [(1e-160, 0)])
+        assert f._centres == ((0.0, 0.0), (1e-160, 0.0))
+        targets = [
+            (0.0, 0.0), (1e-160, 0.0), (5e-161, 0.0), (4.9e-161, 0.0), (5.1e-161, 0.0),
+            (-1e-160, 0.0), (2e-160, 0.0), (1e-160, 3e-161), (5e-161, 1e-170),
+            (0.5, 0.0), (math.inf, 0.0), (math.nan, 0.0),
+        ]
+        # A step that the second coordinate, 0.0, keeps: the trial is not x.
+        step = (2.0 ** -560, 2.0 ** -560)
+        for index in (0, 1):
+            chart = f._chart_at(index)
+            ends = {_dispatch_agrees(chart, target, step)[1] for target in targets}
+            assert ends == {1 - index, "stop"}
+            assert "nearest" in chart.descend.__code__.co_names
 
     def test_each_function_generated_on_its_own_first_use(self):
         """A chart evaluated twice holds a generated evaluate and no
