@@ -43,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from .descent import ConditionReport, DescentTrace, check_conditions, trace_from_points
-from .polyalg import Polynomial, RationalFunction, _coefficient, _is_int
+from .polyalg import Polynomial, RationalFunction, _coefficient, _floats, _is_int
 
 # Beyond this many scalar parameters the stored form over ||tau||^4, which
 # emit-problem multiplies out, and r and G in x, which equality and
@@ -208,13 +208,12 @@ def build_cp_objective(model: CPModel, target) -> HomogenizedObjective:
     is composed here (module docstring).
     ||T||^2 is the exact sum of the squared entries, so f_hat >= 0 holds in
     exact arithmetic (Cauchy-Schwarz).  Raises ValueError, before any
-    polynomial is built, for a target entry that is not finite or a ||T||^2
-    beyond the float range.
+    polynomial is built, for a target entry that is not finite or past the
+    float range, or a ||T||^2 past the float range.
     """
-    try:
-        target = np.asarray(target, dtype=float)
-    except OverflowError:  # an integer entry beyond the float range
-        raise ValueError("target has an entry beyond the float range") from None
+    # np.asarray raises OverflowError at an integer entry past the float
+    # range, which _floats names.
+    (target,) = _floats([target], "a target entry", lambda t: np.asarray(t, dtype=float))
     if target.shape != model.dims:
         raise ValueError(
             f"target shape {target.shape} does not match model dims {model.dims}"
@@ -233,10 +232,7 @@ def build_cp_objective(model: CPModel, target) -> HomogenizedObjective:
     ratios = [v.as_integer_ratio() for v in flat]
     d = max(b for _, b in ratios)
     t_sq = Fraction(sum((a * (d // b)) ** 2 for a, b in ratios), d * d)
-    try:
-        t_sq_float = float(t_sq)
-    except OverflowError:
-        raise ValueError("target ||T||^2 is beyond the float range") from None
+    (t_sq_float,) = _floats([t_sq], "target ||T||^2")
     entries = _tau_entries(model)
     m = len(entries)
     # G = sum u_k^2 and I = sum T_k u_k in u = the entries of tau, and

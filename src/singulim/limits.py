@@ -6,23 +6,15 @@ sequence-level Lojasiewicz certificates, and convergence-rate classification
 into linear / sublinear regimes.
 
 Descent tails are a few dozen entries long, where numpy's fixed cost per
-call outweighs its elementwise speed.  So each diagnostic is a loop over
-Python floats wherever that loop makes numpy's elementwise operations in the
-same order, with the same bits: the decrements and tests of estimate_limit,
-the distances and tests of rate_classify, the monotone test, and the
-residual powers r ** (1 - theta) of lojasiewicz_probe and verify_certificate
-(np.power is not the C library's pow: on an AVX-512 machine it differed from
-it in the last bit on 10 620 of 200 000 residuals at exponent 0.95, which
-would move certificate constants).  numpy stays in three places, each
-keeping bits or time that a loop would not:
-- np.log, whose vectorized path is not the C library's log;
-- the closed-form line fits' sums, np.add.reduce (which ndarray.sum wraps);
-- direction_trail, which forms the whole trace's directions as arrays and
-  evaluates the leading pencil polynomial once over their columns
-  (eval_float), where a call per point costs 5-7 us on fig1 and multi3.
-No sum is a BLAS product (@, np.dot): OpenBLAS picks its summation order by
-CPU, and under OPENBLAS_CORETYPE=Prescott or Haswell the line fits' dot
-products moved the multi3 diagnostics.
+call outweighs its elementwise speed, and its results depend on the CPU
+features it dispatches to.  So every diagnostic is a loop over Python
+floats, with one rule: every sum is math.fsum, correctly rounded, or the
+plain sum of at most two squares where that is finite, which equals it;
+logs and powers are the C library's, math.log and Python's **.  The
+diagnostics therefore have the same bits on every CPU and every Python
+version: no numpy ufunc, pairwise blocking or BLAS product (whose summation
+order OpenBLAS picks by CPU) reaches them.  direction_trail runs each
+iterate through a kernel generated per pencil (singan._Directions).
 """
 
 from __future__ import annotations
@@ -33,8 +25,6 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 from .descent import DescentTrace
 from .singan import LinePencil
@@ -145,50 +135,29 @@ def direction_trail(
     reads tail_start), or the last direction where no iterate there has
     one.
 
-    The whole trace is one array: each difference, square, quotient and
-    square root is the elementwise IEEE operation a loop over the iterates
-    would make, each squared norm has the bits of math.fsum over its row,
-    and the leading polynomial's eval_float runs once over the columns of
-    unit directions, so every direction and value has the bits of the
-    per-point loop.  Up to two coordinates the squared norms are the rows'
-    plain sums, which fsum's correctly rounded sum equals wherever they are
-    finite; where one is not, each row is summed with fsum, which returns
-    or raises as it does in that loop.  The minimum is taken over Python
-    floats, so a NaN value counts where that loop's would.
+    One loop over the iterates: each goes through the pencil's direction
+    kernel (singan._Directions, kept with the pencil), which forms its
+    difference from the base, squared norm, square root, unit direction and
+    f_{n_min} there, with the bits of a loop that divides by the root of
+    math.fsum's squared norm and evaluates Polynomial.eval_float; a squared
+    norm past the float range raises fsum's OverflowError.  The minimum is
+    taken over Python floats, so a NaN value counts.
     """
-    center = tuple(float(v) for v in pencil.base)
-    if len(center) != len(trace.iterates[0]):
+    kernel = pencil._directions
+    if len(kernel.centre) != len(trace.iterates[0]):
         raise ValueError("pencil base dimension does not match trace")
     if tail_start is None:
         tail_start = len(trace.iterates) // 2
     tail_start = _tail_index(trace, tail_start)
-    # Non-finite entries give inf and NaN here as they do in float
-    # arithmetic, without numpy's warnings.
-    with np.errstate(all="ignore"):
-        points = np.fromiter(
-            itertools.chain.from_iterable(trace.iterates), float,
-        ).reshape(len(trace.iterates), len(center))
-        delta = points - center
-        squares = delta * delta
-        sums = squares.sum(axis=1)
-        if len(center) > 2 or not np.isfinite(sums).all():
-            sums = list(map(math.fsum, squares.tolist()))
-        norms = np.sqrt(sums)
-        kept = norms != 0.0
-        units = delta[kept] / norms[kept, None]
-        if not len(units):
-            raise ValueError("every iterate coincides with the pencil base")
-        values = pencil.leading.eval_float(list(units.T))
-    # A constant leading polynomial evaluates to one float.
-    values = values.tolist() if np.ndim(values) else [values] * len(units)
+    rows = [kernel.evaluate(x) for x in trace.iterates]
+    kept = [row for row in rows if row is not None]
+    if not kept:
+        raise ValueError("every iterate coincides with the pencil base")
+    units, values = zip(*kept)
     # The directions of iterates before tail_start come first in values.
-    first = min(np.count_nonzero(kept[:tail_start]), len(values) - 1)
-    scale = float(max(map(abs, pencil.leading.terms.values())))
-    min_tail = min(map(abs, values[first:])) / scale
-    return DirectionTrail(
-        center, tuple(map(tuple, units.tolist())), tuple(values), min_tail,
-        len(norms) - len(units),
-    )
+    first = min(tail_start - rows[:tail_start].count(None), len(values) - 1)
+    min_tail = min(map(abs, values[first:])) / kernel.scale
+    return DirectionTrail(kernel.centre, units, values, min_tail, len(rows) - len(kept))
 
 
 def _tail_index(trace: DescentTrace, tail_start: int) -> int:
@@ -214,9 +183,8 @@ def estimate_limit(f_values: Sequence[float]) -> tuple[float, str]:
     value is returned unchanged.  So is it where a value or decrement in the
     window is not finite: log|inf| or log|NaN| has no line to fit.
 
-    The decrements, their magnitudes and the zero and finite tests are
-    Python floats, with the bits of numpy's elementwise operations; the logs
-    are np.log and the fit is _linear_fit (see the module docstring).
+    The decrements, their magnitudes, their logs (math.log) and the fit
+    (_linear_fit) are Python floats (see the module docstring).
     Raises ValueError where f_values is empty.
     """
     if len(f_values) == 0:
@@ -224,14 +192,14 @@ def estimate_limit(f_values: Sequence[float]) -> tuple[float, str]:
     if len(f_values) < 3:
         return f_values[-1], "last_value"
     window = f_values[-21:]
-    # Python floats: inf - inf is NaN, and a decrement past the float range
-    # inf, without numpy's warnings.
+    # inf - inf is NaN, and a decrement past the float range inf.
     diffs = list(map(operator.sub, window[1:], window))
     mags = list(map(abs, diffs))
     # A value that is not finite makes the decrements beside it not finite.
     if len(mags) < 4 or not all(map(math.isfinite, mags)) or 0.0 in mags:
         return f_values[-1], "last_value"
-    slope, _, r2 = _linear_fit(np.arange(len(mags), dtype=float), np.log(mags))
+    ks = list(map(float, range(len(mags))))
+    slope, _, r2 = _linear_fit(ks, list(map(math.log, mags)))
     rho = math.exp(slope)
     if r2 >= 0.99 and rho < 1.0:
         # Remaining decrements sum to d_last * rho / (1 - rho).
@@ -292,9 +260,8 @@ def lojasiewicz_probe(
         else:
             exponent = 1.0 - theta
             ratios = [r ** exponent / g for r, g in live]
-            # The sum is NaN where a ratio is, which max() would pass over
-            # after the first entry.
-            c = math.nan if math.isnan(sum(ratios)) else max([0.0] + ratios)
+            # max() would pass over a NaN after the first entry.
+            c = math.nan if any(map(math.isnan, ratios)) else max([0.0] + ratios)
         certificates.append(LojasiewiczCertificate(
             theta, c, L, tail_start, not stalled and math.isfinite(c)
         ))
@@ -327,7 +294,7 @@ def verify_certificate(
     return violations
 
 
-def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+def _linear_fit(x: Sequence[float], y: Sequence[float]) -> tuple[float, float, float]:
     """Least-squares line y = slope * x + intercept and its R^2.
 
     The closed-form centred fit: slope = sum(dx*dy) / sum(dx*dx), with dx and
@@ -337,23 +304,23 @@ def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     deviations that underflow) has no slope and raises ValueError.
     A constant y has nothing to explain, so its R^2 is 0; the rounded mean
     can leave its deviations tiny but non-zero, so the test is on the values
-    themselves.  Every sum, the means' and the four sums of products alike,
-    is np.add.reduce over the elements (the module's summation rule), so the
-    fit has the same bits on every CPU; the spread tests are
-    (v == v[0]).all().
+    themselves.  One loop over Python floats: every sum, the means' and the
+    four sums of products alike, is math.fsum (the module's summation rule),
+    so the fit is the same on every CPU and Python version.
     """
-    x_mean, y_mean = np.add.reduce(x) / len(x), np.add.reduce(y) / len(y)
-    dx, dy = x - x_mean, y - y_mean
-    ss_x = float(np.add.reduce(dx * dx))
-    if ss_x == 0.0 or (x == x[0]).all():
+    x_mean, y_mean = math.fsum(x) / len(x), math.fsum(y) / len(y)
+    dx = [v - x_mean for v in x]
+    dy = [v - y_mean for v in y]
+    ss_x = math.fsum(map(operator.mul, dx, dx))
+    if ss_x == 0.0 or min(x) == max(x):
         raise ValueError("cannot fit a line: x has no spread")
-    slope = float(np.add.reduce(dx * dy)) / ss_x
-    intercept = float(y_mean) - slope * float(x_mean)
-    if (y == y[0]).all():
+    slope = math.fsum(map(operator.mul, dx, dy)) / ss_x
+    intercept = y_mean - slope * x_mean
+    if min(y) == max(y):
         return slope, intercept, 0.0
-    residuals = dy - slope * dx
-    ss_res, ss_y = np.add.reduce(residuals * residuals), np.add.reduce(dy * dy)
-    return slope, intercept, 1.0 - float(ss_res) / float(ss_y)
+    residuals = [b - slope * a for a, b in zip(dx, dy)]
+    ss_res = math.fsum(map(operator.mul, residuals, residuals))
+    return slope, intercept, 1.0 - ss_res / math.fsum(map(operator.mul, dy, dy))
 
 
 MIN_FIT_QUALITY = 0.95
@@ -393,13 +360,12 @@ def rate_classify(
     if rs[-1] >= rs[0]:
         detail = f"distances not decreasing on tail: last {rs[-1]} >= first {rs[0]}"
         return RateEstimate("inconclusive", detail=detail)
-    k_arr = np.asarray(ks, dtype=float)
-    log_r = np.log(rs)
-    lin_slope, _, lin_r2 = _linear_fit(k_arr, log_r)
+    log_r = list(map(math.log, rs))
+    lin_slope, _, lin_r2 = _linear_fit(list(map(float, ks)), log_r)
     # The ks ascend from tail_start >= 0, so only the first can be 0.
     first = 1 if ks[0] == 0 else 0
     if len(ks) - first >= 3:
-        sub_slope, _, sub_r2 = _linear_fit(np.log(k_arr[first:]), log_r[first:])
+        sub_slope, _, sub_r2 = _linear_fit(list(map(math.log, ks[first:])), log_r[first:])
     else:
         sub_slope, sub_r2 = 0.0, -math.inf
     best = max(lin_r2, sub_r2)

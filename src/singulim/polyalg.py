@@ -275,11 +275,7 @@ class Polynomial:
     def eval_float(self, x: Sequence[float]) -> float:
         """Floating-point evaluation, summing the terms in dict order, each
         its coefficient times its monomial (_eval_compiled): where the
-        coefficient is +-2^j, the bits of the coefficient-first product.
-
-        Coordinates given as numpy arrays of one length give each entry the
-        bits of the evaluation at that point (a constant gives one float).
-        """
+        coefficient is +-2^j, the bits of the coefficient-first product."""
         _check_point(x, self.n_vars)
         max_deg = _max_degrees(self.n_vars, [self.terms])
         return _eval_compiled(_compile_terms(self.terms, 0), _power_table(x, max_deg))
@@ -546,8 +542,7 @@ def _eval_compiled(compiled: Compiled, powers: Sequence[Sequence[float]]) -> flo
 
     Where the coefficient is +-2^j, c*(a*b) has the bits of (c*a)*b short of
     under- and overflow; otherwise both carry the same error bound.  The
-    monomial starts from 1.0, which multiplies exactly, so no product is
-    taken in place on a power-table entry, which may be a numpy column.
+    monomial starts from 1.0, which multiplies exactly.
     """
     total = 0.0
     for coeff, pairs in compiled:
@@ -740,6 +735,9 @@ class _Kernel:
     its owner, not by the cycle collector.  Generating costs about a
     hundred looped calls, which a kernel called once never pays back.
 
+    The kernels are the float charts (_Evaluator), the exact evaluators of
+    integer forms (_ExactEvaluator), and a line pencil's direction kernel
+    (singan._Directions), which limits.direction_trail runs at each iterate.
     Two generated functions do not follow this rule: _Evaluator.descend,
     which has no loop and is generated on its own first call, and the
     series tails (singan._series_tail), generated once per recurrence order

@@ -15,14 +15,18 @@ or scale in which p and q are written.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
+from operator import add, sub
 from typing import Sequence
 
 from .polyalg import TERMS_PER_STATEMENT, Polynomial, RationalFunction
-from .polyalg import _as_fraction, _check_point, _define, _ExactEvaluator, _floats
-from .polyalg import _integer_form, _scaled_point, _tuple_source
+from .polyalg import _as_fraction, _check_point, _compile_terms, _define, _eval_compiled
+from .polyalg import _ExactEvaluator, _floats, _fsum, _integer_form, _Kernel
+from .polyalg import _max_degrees, _power_table, _scaled_point, _Shared, _sum_source
+from .polyalg import _tuple_source
 
 # Default truncation order for Taylor lines.
 DEFAULT_N_TERMS = 64
@@ -84,6 +88,83 @@ class LinePencil:
         pencil."""
         polys = self.denom_coeffs[self.n_min:] + self.numer_coeffs[self.n_min:]
         return _ExactEvaluator([_integer_form(p.terms) for p in polys])
+
+    @cached_property
+    def _directions(self) -> "_Directions":
+        """The direction kernel of f_{n_min} at the base (_Directions): what
+        limits.direction_trail evaluates at each iterate, built on first use
+        and kept with the pencil."""
+        return _Directions(self.base, self.leading)
+
+
+class _Directions(_Kernel):
+    """The unit direction from the base of a line pencil to a point, and
+    the pencil's leading polynomial f_{n_min} there.
+
+    evaluate(x), x a float point of the base's length, returns the tuple
+    u = d / ||d|| and f_{n_min}(u), or None where ||d|| is 0.  Each d_i is
+    the float difference x_i - c_i, c the base rounded to floats (centre);
+    ||d||^2 is the plain sum of the squares d_i * d_i up to two
+    coordinates, which has math.fsum's bits wherever it is finite, and
+    math.fsum of them elsewhere and above two coordinates, which raises
+    OverflowError where finite squares sum past the largest float; ||d|| is
+    its square root; f_{n_min}(u) has the bits of Polynomial.eval_float(u).
+    scale is f_{n_min}'s largest |coefficient| as a float.
+
+    evaluate follows _Kernel's first-use rule: the generated code forms the
+    same differences, squares, sum, root, quotients, powers and products
+    (_sum_source), each from the same operands, so it returns loop's bits.
+    """
+
+    def __init__(self, base: Sequence, leading: Polynomial):
+        self.centre = tuple(float(v) for v in base)
+        self.compiled = _compile_terms(leading.terms, 0)
+        self.max_deg = _max_degrees(len(self.centre), [leading.terms])
+        self.scale = float(max(map(abs, leading.terms.values())))
+
+    def loop(self, x: Sequence[float]):
+        """The reference: one coordinate at a time, then eval_float's sum."""
+        _check_point(x, len(self.centre))
+        delta = list(map(sub, x, self.centre))
+        squares = [d * d for d in delta]
+        norm_sq = reduce(add, squares)
+        if len(squares) > 2 or not norm_sq < math.inf:
+            norm_sq = math.fsum(squares)
+        norm = math.sqrt(norm_sq)
+        if norm == 0.0:
+            return None
+        unit = tuple([d / norm for d in delta])
+        return unit, _eval_compiled(self.compiled, _power_table(unit, self.max_deg))
+
+    def generate(self, name: str):
+        """loop as the straight-line function name over d0, d1, ... and the
+        unit coordinates u0, u1, ...; a base coordinate 0.0 takes no
+        difference, since v - 0.0 is v bit for bit."""
+        n = len(self.centre)
+        delta, unit = [f"d{i}" for i in range(n)], [f"u{i}" for i in range(n)]
+        shared = _Shared()
+        lines = [f"def {name}(x):", f"    {_tuple_source(delta)} = x"]
+        lines += [f"    {d} = {d} - {c!r}" for d, c in zip(delta, self.centre) if c]
+        squares = [shared.power("d", i, 2, lines) for i in range(n)]
+        if n > 2:
+            lines.append(f"    norm_sq = fsum({_tuple_source(squares)})")
+        else:
+            lines += [
+                f"    norm_sq = {' + '.join(squares)}",
+                "    if not norm_sq < inf:",
+                f"        norm_sq = fsum({_tuple_source(squares)})",
+            ]
+        lines += [
+            "    norm = sqrt(norm_sq)",
+            "    if norm == 0.0:",
+            "        return None",
+            *(f"    {u} = {d} / norm" for u, d in zip(unit, delta)),
+            *_sum_source("value", self.compiled, "u", shared),
+            f"    return {_tuple_source(unit)}, value",
+        ]
+        return _define(lines, name, "<singan directions>", {
+            "fsum": math.fsum, "sqrt": math.sqrt, "inf": math.inf,
+        })
 
 
 @dataclass(frozen=True)
@@ -257,7 +338,10 @@ def extend_by_recurrence(seed: Sequence, weights: Sequence, n_terms: int) -> lis
     coeffs = list(seed)
     while len(coeffs) < n_terms:
         n = len(coeffs)
-        coeffs.append(sum(weights[j] * coeffs[n - 1 - j] for j in range(order)))
+        # Left to right from the integer 0, so Fractions stay exact and
+        # floats have the same bits on every Python version.
+        terms = (weights[j] * coeffs[n - 1 - j] for j in range(order))
+        coeffs.append(reduce(add, terms, 0))
     return coeffs
 
 
@@ -266,12 +350,13 @@ def companion_radius_bound(weights: Sequence[float]) -> float:
 
     C is the companion matrix of the recurrence: its first row holds the
     weights, the remaining rows a shifted identity, so the infinity norm is
-    max(sum |w_j|, 1) for a nonempty recurrence.
+    max(sum |w_j|, 1) for a nonempty recurrence.  The sum is _fsum's,
+    correctly rounded on every Python version, and inf past the float range.
     """
     if not weights:
         # Terminating series (polynomial quotient): any |t| < 1/2 is covered.
         return 0.5
-    norm = max(sum(abs(float(w)) for w in weights), 1.0)
+    norm = max(_fsum([abs(float(w)) for w in weights]), 1.0)
     return 0.5 / max(1.0, norm)
 
 

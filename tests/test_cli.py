@@ -546,7 +546,7 @@ class TestCli:
                      "--emit-problem", str(out_path)]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == "error: target ||T||^2 is beyond the float range\n"
+        assert err == "error: target ||T||^2 is past the float range\n"
         assert not out_path.exists()
 
     def _diagnose(self, capsys, problem, points, *options):

@@ -302,8 +302,8 @@ class TestBuildCPObjective:
         ([[math.nan, 1.0], [1.0, 1.0]], "target entry [0, 0] is nan, not a finite number"),
         ([[1.0, 1.0], [math.inf, 1.0]], "target entry [1, 0] is inf, not a finite number"),
         ([[1.0, -math.inf], [1.0, 1.0]], "target entry [0, 1] is -inf, not a finite number"),
-        ([[1e200, 1.0], [1.0, 1.0]], "target ||T||^2 is beyond the float range"),
-        ([[10 ** 400, 1], [1, 1]], "target has an entry beyond the float range"),
+        ([[1e200, 1.0], [1.0, 1.0]], "target ||T||^2 is past the float range"),
+        ([[10 ** 400, 1], [1, 1]], "a target entry is past the float range"),
     ], ids=["nan", "inf", "minus-inf", "norm-overflow", "wide-int"])
     def test_bad_target_rejected_before_any_polynomial(self, target, message, monkeypatch):
         """One ValueError that names the entry or ||T||^2, where NaN and inf

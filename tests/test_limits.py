@@ -198,8 +198,9 @@ class TestDirectionTrail:
 
 
 def _looped_trail(trace, pencil, tail_start=None):
-    """direction_trail as a loop over the iterates, one point at a time: the
-    reference for the array form's bits."""
+    """direction_trail as a loop over the iterates, one point at a time, with
+    math.fsum norms and eval_float values: the reference for the direction
+    kernel's bits."""
     center = tuple(float(v) for v in pencil.base)
     if len(center) != len(trace.iterates[0]):
         raise ValueError("pencil base dimension does not match trace")
@@ -252,12 +253,17 @@ def _trail_bits(trail):
 
 
 def _assert_trail_matches_loop(trace, pencil, tail_start):
+    """direction_trail against _looped_trail, through a copy of the pencil
+    whose direction kernel is new: its first point runs the kernel's loop,
+    and each later one its generated code."""
+    pencil = dataclasses.replace(pencil)
     got = _outcome(direction_trail, trace, pencil, tail_start)
     want = _outcome(_looped_trail, trace, pencil, tail_start)
     if isinstance(want, type):
         assert got is want
     else:
         assert _trail_bits(got) == _trail_bits(want)
+        assert pencil._directions.generated == (len(trace.iterates) > 1)
 
 
 def _points_trace(points):
@@ -337,7 +343,8 @@ class TestSafeApproach:
 
 
 class TestDirectionTrailBits:
-    """The array form returns the per-point loop's bits."""
+    """The pencil's direction kernel, looped and generated, returns the bits
+    of a loop over eval_float at each math.fsum unit direction."""
 
     @settings(max_examples=100, deadline=None)
     @given(_trail_cases())
@@ -368,13 +375,17 @@ class TestDirectionTrailBits:
 
     @pytest.mark.parametrize("points", [
         [(1.0, 2.0), (1e154, 1e154)],
+        [(1e154, 1e154), (1.0, 2.0)],
         [(1.0, 2.0), (1e200, 1.0), (-3.0, 0.5)],
+        [(1e200, 1.0), (-3.0, 0.5)],
         [(1.0, 2.0), (math.inf, 1.0), (-math.inf, math.nan)],
-    ], ids=["sum-past-max", "inf-square", "non-finite"])
+    ], ids=["sum-past-max", "sum-past-max-first", "inf-square", "inf-square-first",
+            "non-finite"])
     def test_squared_norms_that_are_not_finite(self, points):
-        """Rows whose plain sum of squares is inf or NaN: the trail sums
-        every row with fsum, which raises OverflowError on the first and
-        returns inf or NaN on the others, as in the loop."""
+        """Points whose plain sum of squares is inf or NaN, after the first
+        point (generated code) and at it (the kernel's loop): fsum raises
+        OverflowError where finite squares sum past the largest float and
+        returns inf or NaN on the others, as in the reference loop."""
         _assert_trail_matches_loop(_points_trace(points), _bundled_pencils()[0], None)
 
     def test_constant_leading_polynomial(self):
@@ -446,6 +457,17 @@ class TestLinearFit:
     def test_x_without_spread_raises_value_error(self, x):
         with pytest.raises(ValueError, match="no spread"):
             _linear_fit(np.array(x), np.arange(len(x), dtype=float))
+
+    def test_plain_lists_give_the_arrays_fit(self):
+        """Python floats in lists, as the diagnostics pass them, fit as the
+        same values in arrays do, and the fit is Python floats."""
+        x = [0.0, 1.0, 2.5, 4.0, 7.0]
+        y = [math.log(v) for v in (3.0, 2.2, 1.4, 1.1, 0.3)]
+        fit = _linear_fit(x, y)
+        assert fit == _linear_fit(np.array(x), np.array(y))
+        assert all(type(v) is float for v in fit)
+        ref_slope, ref_intercept, ref_r2 = _polyfit_reference(np.array(x), np.array(y))
+        assert fit == pytest.approx((ref_slope, ref_intercept, ref_r2), rel=1e-9)
 
 
 class TestEstimateLimit:
@@ -602,13 +624,13 @@ def _fit_qualities(radii, k0):
     """rate_classify's two R^2 for distances radii at iterates k0, k0 + 1,
     ...: log r against k, and against log k over k > 0 (-inf with fewer
     than three such k)."""
-    ks = np.arange(k0, k0 + len(radii), dtype=float)
-    log_r = np.log(np.asarray(radii))
-    positive = ks > 0
+    ks = list(range(k0, k0 + len(radii)))
+    log_r = list(map(math.log, radii))
+    positive = [k for k in ks if k > 0]
     sub = -math.inf
-    if positive.sum() >= 3:
-        sub = _linear_fit(np.log(ks[positive]), log_r[positive])[2]
-    return _linear_fit(ks, log_r)[2], sub
+    if len(positive) >= 3:
+        sub = _linear_fit(list(map(math.log, positive)), log_r[len(ks) - len(positive):])[2]
+    return _linear_fit(list(map(float, ks)), log_r)[2], sub
 
 
 def _float_zero(g, lo, hi):
@@ -901,7 +923,7 @@ class TestPinnedDiagnostics:
         f = problem.rational()
         trace = optimize(f, (2.5, 3.5), DescentConfig(max_iters=200))
         assert _digest(_diagnose(f, problem.singular_points, trace)) == (
-            "15a4128bd4bc6bd58a2574cd5505ed7d94cd91265c724fe2aef777afe15acc7d"
+            "ede28f6d433a577bbe34971fcf2ae8c890599bbcd4cb39898240cd6ed8bfd952"
         )
 
     @pytest.mark.parametrize("kernel", [
@@ -914,19 +936,21 @@ class TestPinnedDiagnostics:
         """Both pins in a child process on one of OpenBLAS's kernels:
         Prescott, the SSE3 one that any x86-64 CPU runs, and Haswell, the one
         AVX2-only CPUs get.  Their dot products sum in other orders than each
-        other and than an AVX-512 machine's kernel, so a BLAS product in the
-        diagnostics moves a digest in one of them.  OpenBLAS reads
+        other and than an AVX-512 machine's kernel, so a BLAS product that
+        reached the descent or the diagnostics, which sum with math.fsum,
+        would move a digest in one of them.  OpenBLAS reads
         OPENBLAS_CORETYPE when it loads, hence the child."""
         _assert_pins_hold_in_child({"OPENBLAS_CORETYPE": kernel})
 
     @pytest.mark.skipif(not _CPU_DISPATCH, reason="numpy dispatches to no CPU feature")
     def test_pins_hold_on_numpy_baseline_simd(self):
         """Both pins in a child process with every CPU feature that numpy
-        dispatches to disabled, so its ufuncs run their baseline code.  The
-        diagnostics keep np.log, whose results depend on that dispatch: on
-        an AVX-512 machine its default and baseline paths differed in the
-        last bit on 223 of 200 000 log-uniform inputs in [e^-50, e^50].
-        numpy reads NPY_DISABLE_CPU_FEATURES when it loads, hence the child."""
+        dispatches to disabled, so its ufuncs run their baseline code.  A
+        ufunc in the diagnostics would make them depend on that dispatch:
+        on an AVX-512 machine np.log's default and baseline paths differed
+        in the last bit on 223 of 200 000 log-uniform inputs in [e^-50,
+        e^50], so the diagnostics take math.log.  numpy reads
+        NPY_DISABLE_CPU_FEATURES when it loads, hence the child."""
         _assert_pins_hold_in_child({"NPY_DISABLE_CPU_FEATURES": " ".join(_CPU_DISPATCH)})
 
 

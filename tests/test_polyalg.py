@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from singulim import polyalg
 from singulim.descent import MAX_BACKTRACKS, DescentConfig, optimize
+from singulim.limits import direction_trail
 from singulim.polyalg import (
     TERMS_PER_STATEMENT,
     DimensionError,
@@ -1018,7 +1019,8 @@ class TestEvaluator:
         """Freed by reference counting: no weak reference outlives its del,
         and the cycle collector finds nothing left of a function whose
         kernels ran generated code: a chart's evaluate and descend, the
-        exact kernels of both _exact_forms tiers and a pencil's series."""
+        exact kernels of both _exact_forms tiers, and a pencil's series and
+        direction kernels."""
         gc.disable()
         try:
             gc.collect()
@@ -1029,9 +1031,11 @@ class TestEvaluator:
                 f.eval_exact((0.3, -0.2))
                 f.eval_exact_and_grad((0.3, -0.2))
                 taylor_line(f, (0, 0), (1, -1), 8, pencil)
-                optimize(f, (0.3, -0.2), DescentConfig(max_iters=5))
+                trace = optimize(f, (0.3, -0.2), DescentConfig(max_iters=5))
+                direction_trail(trace, pencil)
             chart = f._chart((0.3, -0.2))
-            kernels = [chart, *(kept[0] for kept in f._exact_forms), pencil._series]
+            kernels = [chart, *(kept[0] for kept in f._exact_forms), pencil._series,
+                       pencil._directions]
             assert all(kernel.generated for kernel in kernels)
             assert "descend" in vars(chart)
             refs = [weakref.ref(kernel) for kernel in kernels]
@@ -1041,10 +1045,10 @@ class TestEvaluator:
             refs.append(weakref.ref(first._chart((0.3, -0.2))))
             gc.collect()
             del f
-            assert [ref() for ref in refs[:-1]] == [None] * 4
+            assert [ref() for ref in refs[:-1]] == [None] * 5
             assert gc.collect() == 0
             del first
-            assert [ref() for ref in refs] == [None] * 5
+            assert [ref() for ref in refs] == [None] * 6
             assert gc.collect() == 0
         finally:
             gc.enable()

@@ -8,7 +8,7 @@ import pytest
 
 from singulim.descent import DescentConfig, optimize
 from singulim.limits import direction_trail, trail_certifies_safe_approach
-from singulim.polyalg import DimensionError, Polynomial, RationalFunction
+from singulim.polyalg import DimensionError, Polynomial, RationalFunction, _fsum
 from singulim import singan
 from singulim.problems import load_bundled
 from singulim.singan import (
@@ -288,6 +288,13 @@ class TestSeriesAndRecurrence:
         with pytest.raises(ZeroDivisionError, match="leading denominator"):
             recurrence_weights([0, 1])
 
+    def test_float_recurrence_sums_left_to_right(self):
+        """c_3 = 1.0*1e16 + 1.0*1.0 + 1.0*1.0, summed from 0 in weight
+        order: each 1.0 rounds away at 1e16, where a compensated sum (the
+        builtin sum() of Python 3.12 and later) gives 1e16 + 2."""
+        coeffs = extend_by_recurrence([1.0, 1.0, 1e16], [1.0, 1.0, 1.0], 4)
+        assert coeffs[3] == (0 + 1e16 + 1.0) + 1.0 == 1e16
+
     def test_recurrence_needs_a_seed_as_long_as_its_order(self):
         with pytest.raises(ValueError, match="seed shorter than recurrence order"):
             extend_by_recurrence([1], [1, 1], 5)
@@ -305,6 +312,17 @@ class TestRadiusBound:
         assert companion_radius_bound([1.0, 1.0]) == pytest.approx(0.25)
         assert companion_radius_bound([]) == pytest.approx(0.5)
         assert companion_radius_bound([0.25]) == pytest.approx(0.5)
+
+    def test_weight_sum_is_correctly_rounded(self):
+        """1 + 2e-16 rounds to the float above 1, though either 1e-16 added
+        to 1.0 alone rounds away: the bound is the same on every Python
+        version, whose builtin sum() is plain before 3.12."""
+        weights = [1.0, 1e-16, 1e-16]
+        assert _fsum(weights) > 1.0
+        assert companion_radius_bound(weights) == 0.5 / _fsum(weights)
+
+    def test_weight_sum_past_the_float_range(self):
+        assert companion_radius_bound([1e308, 1e308, -1e308]) == 0.0
 
     def test_partial_sums_converge_inside_bound(self):
         f = pinch()
